@@ -114,7 +114,6 @@ impl BulletRig {
             log_blocks: 0,
             log_batch_files: 32,
             log_batch_bytes: 256 * 1024,
-            log_linger: amoeba_sim::Nanos::from_us(250),
             telemetry: amoeba_sim::TelemetryConfig::off(),
             accounting: bullet_core::ClientAccounting::off(),
             shard: bullet_core::ShardSlot::solo(),

@@ -86,6 +86,65 @@ impl DiskDescriptor {
     pub fn data_end(&self) -> u64 {
         self.control_blocks as u64 + self.data_blocks as u64
     }
+
+    /// Classifies the extent `[start, start + blocks)` — the one place
+    /// that knows how an inode's 32-bit `start_block` encodes its tier.
+    ///
+    /// The fast device's data area is `[data_start, data_end)`; its last
+    /// `log_blocks` blocks are the group-commit window.  Starts at or past
+    /// `data_end` are not fast-device blocks at all: they name block
+    /// `start - data_end` of an archive device of `archive_blocks` blocks.
+    /// So the archive test must come first — an archived start is also
+    /// `>=` the log window's first block and would otherwise read as
+    /// log-resident.
+    ///
+    /// `None` means the extent lies outside every region (or straddles the
+    /// end of its device); the start-up scan rejects such inodes, so every
+    /// inode in a loaded table classifies.  A [`Residency::Home`] extent is
+    /// only bounded by `data_end` here: keeping it clear of the log window
+    /// is the allocator rebuild's overlap check.
+    pub fn residency(
+        &self,
+        start: u64,
+        blocks: u64,
+        log_blocks: u64,
+        archive_blocks: u64,
+    ) -> Option<Residency> {
+        let end = start.checked_add(blocks)?;
+        let data_end = self.data_end();
+        if start >= data_end {
+            let block = start - data_end;
+            (end - data_end <= archive_blocks).then_some(Residency::Archive { block })
+        } else if start < self.data_start() || end > data_end {
+            None
+        } else if start >= data_end.saturating_sub(log_blocks) {
+            Some(Residency::Log)
+        } else {
+            Some(Residency::Home)
+        }
+    }
+
+    /// The `start_block` value that encodes archive-device block `block`
+    /// — the inverse of [`residency`](Self::residency)'s archive arm.
+    pub fn archive_start(&self, block: u64) -> u64 {
+        self.data_end() + block
+    }
+}
+
+/// Which region holds a live file's extent (see
+/// [`DiskDescriptor::residency`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Residency {
+    /// The allocator-managed data area of the mirrored fast tier.
+    Home,
+    /// The group-commit log window at the tail of the data area: the
+    /// extent is a record payload awaiting migration to its home.
+    Log,
+    /// The write-once archive device, at this device block.
+    Archive {
+        /// First block of the extent on the archive device.
+        block: u64,
+    },
 }
 
 /// One on-disk inode (§3): "An inode consists of four fields."

@@ -67,7 +67,7 @@ pub use error::BulletError;
 pub use freelist::{ExtentAllocator, FragReport, Move, Placement};
 pub use gclog::{ChainScan, LogEntry, LogRecord};
 pub use groupcommit::{BatchCaps, GroupCommitter};
-pub use layout::{DiskDescriptor, Inode};
+pub use layout::{DiskDescriptor, Inode, Residency};
 pub use maintenance::{JobTick, MaintenanceJob};
 pub use rpc_iface::{commands, BulletClient, BulletRpcServer};
 pub use server::{ArchiveDevice, BulletConfig, BulletServer, CompactTick, LayoutEntry, SchemeKind};

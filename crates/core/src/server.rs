@@ -60,7 +60,7 @@ use crate::counters;
 use crate::freelist::ExtentAllocator;
 use crate::gclog;
 use crate::groupcommit::{BatchCaps, GroupCommitter};
-use crate::layout::{DiskDescriptor, Inode};
+use crate::layout::{DiskDescriptor, Inode, Residency};
 use crate::maintenance::{self, JobTick, MaintenanceJob};
 use crate::table::{InodeTable, RepairPolicy};
 use crate::BulletError;
@@ -145,10 +145,6 @@ pub struct BulletConfig {
     /// largest single create eligible for the log path — bigger files go
     /// direct, where the pipelined path already amortizes their cost.
     pub log_batch_bytes: u64,
-    /// Simulated linger window charged once per group-commit flush: the
-    /// time the flush leader waits for straggler creates to join the
-    /// batch before issuing the append.
-    pub log_linger: Nanos,
     /// Time-series telemetry (see [`amoeba_sim::timeseries`]).
     /// [`TelemetryConfig::off`], the default, is free — the data path
     /// never reads the clock or allocates for it, so the timeline is
@@ -224,7 +220,6 @@ impl BulletConfig {
             log_blocks: 0,
             log_batch_files: 32,
             log_batch_bytes: 256 * 1024,
-            log_linger: Nanos::from_us(250),
             telemetry: TelemetryConfig::off(),
             accounting: ClientAccounting::off(),
             shard: crate::shard::ShardSlot::solo(),
@@ -269,6 +264,39 @@ struct AllocState {
     /// placement policies aim near (the data head usually parks where the
     /// last extent write finished).
     place_hint: u64,
+}
+
+impl AllocState {
+    /// Reserves `blocks` where `placement` puts them relative to the
+    /// hint, and parks the hint at the new extent's end.
+    fn alloc_near_hint(&mut self, blocks: u64, placement: crate::Placement) -> Option<u64> {
+        let start = self
+            .extents
+            .alloc_placed(blocks, placement, self.place_hint)?;
+        self.place_hint = start + blocks;
+        Some(start)
+    }
+
+    /// Draws a 48-bit check random.  Never zero: an all-zero inode is a
+    /// free slot, and a zero-length file at block 0 must not encode as one.
+    fn draw_random(&mut self) -> u64 {
+        loop {
+            let r = amoeba_cap::mask48(self.rng.next_u64());
+            if r != 0 {
+                break r;
+            }
+        }
+    }
+}
+
+/// Where an installed file's identity comes from.
+enum Identity {
+    /// A new file: the table picks a free slot of this server's stripe
+    /// and the allocator's generator draws the check random.
+    Fresh,
+    /// An adopted file: slot and random are dictated, so every capability
+    /// minted before the move keeps verifying.
+    Dictated { idx: u32, random: u64 },
 }
 
 /// The group-commit log's mutable state: the append-window bookkeeping
@@ -545,6 +573,26 @@ impl BulletServer {
         Ok(Some(desc.data_end() - cfg.log_blocks))
     }
 
+    /// Where `inode`'s extent lives under this configuration's log and
+    /// archive geometry — every tier decision in this file goes through
+    /// here, and [`DiskDescriptor::residency`] alone knows the encoding.
+    fn residency(cfg: &BulletConfig, desc: &DiskDescriptor, inode: &Inode) -> Option<Residency> {
+        let blocks = inode.blocks(desc.block_size);
+        let start = inode.start_block as u64;
+        desc.residency(start, blocks, cfg.log_blocks, cfg.archive_blocks)
+    }
+
+    /// [`residency`](Self::residency) of an inode of the live table.  The
+    /// start-up scan admits only classifiable extents and every later
+    /// start comes from this server's own allocators, so the error arm is
+    /// a tripwire, not an expected outcome.
+    fn residency_of(&self, inode: &Inode) -> Result<Residency, BulletError> {
+        Self::residency(&self.cfg, &self.desc, inode).ok_or_else(|| {
+            let at = inode.start_block;
+            BulletError::Corrupt(format!("extent at block {at} lies outside every tier"))
+        })
+    }
+
     fn assemble(
         cfg: BulletConfig,
         storage: MirroredDisk,
@@ -710,17 +758,11 @@ impl BulletServer {
                     storage.write_sync_k(b, &table.block_image(b), storage.replica_count())?;
                 }
             }
-            // Archived extents also start past `ls` (they encode as
-            // `data_end + block`); only starts inside the window proper
-            // are log-resident.
-            let (resident, resident_bytes) =
-                table.live().fold((0u64, 0u64), |(n, by), (_, ino)| {
-                    let start = ino.start_block as u64;
-                    if start >= ls && start < desc.data_end() {
-                        (n + 1, by + ino.size_bytes as u64)
-                    } else {
-                        (n, by)
-                    }
+            let (resident, resident_bytes) = table
+                .live()
+                .filter(|(_, ino)| Self::residency(&cfg, &desc, ino) == Some(Residency::Log))
+                .fold((0u64, 0u64), |(n, by), (_, ino)| {
+                    (n + 1, by + ino.size_bytes as u64)
                 });
             let mut window = LogWindow::new(ls, desc.data_end());
             window.restore(scan.head, scan.last_seq, resident, resident_bytes, unsealed);
@@ -732,31 +774,26 @@ impl BulletServer {
             });
         }
 
-        // Overlap check: rebuild the allocator from the data-area extents
-        // (log-resident extents live in the bump-allocated window and are
-        // not the allocator's to manage); under ZeroBad, drop any inode
-        // that overlaps an earlier-accepted one or escapes the area.
-        let data_used: Vec<(u64, u64)> = table
-            .used_extents()
-            .into_iter()
-            .filter(|&(s, _)| s < alloc_end)
+        // Overlap check: rebuild the allocator from the home extents
+        // (log-resident extents live in the bump-allocated window and
+        // archived ones on another device: neither is the allocator's to
+        // manage); under ZeroBad, drop any inode that overlaps an
+        // earlier-accepted one or escapes the area.
+        let mut home: Vec<(u64, u64, u32)> = table
+            .live()
+            .filter(|(_, ino)| Self::residency(&cfg, &desc, ino) == Some(Residency::Home))
+            .map(|(i, ino)| (ino.start_block as u64, ino.blocks(desc.block_size), i))
             .collect();
+        let data_used: Vec<(u64, u64)> = home.iter().map(|&(s, l, _)| (s, l)).collect();
         let alloc = match ExtentAllocator::from_used(desc.data_start(), alloc_end, &data_used) {
             Ok(a) => a,
             Err(e) => match cfg.repair {
                 RepairPolicy::Fail => return Err(e),
                 RepairPolicy::ZeroBad => {
-                    let mut live: Vec<(u64, u64, u32)> = table
-                        .live()
-                        .filter(|(_, inode)| (inode.start_block as u64) < alloc_end)
-                        .map(|(i, inode)| {
-                            (inode.start_block as u64, inode.blocks(desc.block_size), i)
-                        })
-                        .collect();
-                    live.sort_unstable();
+                    home.sort_unstable();
                     let mut accepted = Vec::new();
                     let mut cursor = desc.data_start();
-                    for (start, len, idx) in live {
+                    for (start, len, idx) in home {
                         if start < cursor || start + len > alloc_end {
                             table.clear(idx)?; // overlapping or escaping: zero it
                         } else {
@@ -785,9 +822,9 @@ impl BulletServer {
             // device keeps its own (equal or later) cursor.
             let past_used = table
                 .live()
-                .filter(|(_, ino)| (ino.start_block as u64) >= desc.data_end())
-                .map(|(_, ino)| {
-                    ino.start_block as u64 - desc.data_end() + ino.blocks(desc.block_size)
+                .filter_map(|(_, ino)| match Self::residency(&cfg, &desc, ino) {
+                    Some(Residency::Archive { block }) => Some(block + ino.blocks(desc.block_size)),
+                    _ => None,
                 })
                 .max()
                 .unwrap_or(0);
@@ -922,30 +959,60 @@ impl BulletServer {
             self.stats
                 .add(counters::PAYLOAD_BYTES_COPIED, data.len() as u64);
         }
+        let k = p_factor as usize;
+        let (idx, random) = self.install(Identity::Fresh, &data, size, k, pipelined, wire)?;
+        self.stats.incr(counters::CREATES);
+        self.stats.add(counters::BYTES_CREATED, size as u64);
+        Ok(self.scheme.mint(
+            self.cfg.port,
+            ObjNum::new(idx).expect("inode index fits 24 bits"),
+            Rights::ALL,
+            random,
+        ))
+    }
 
-        let block_size = self.desc.block_size;
-        let blocks = (size as u64).div_ceil(block_size as u64).max(1);
+    /// The file-install protocol, written once: reserve an extent at the
+    /// placement hint, publish the inode in the RAM table, insert into the
+    /// cache, then write the data (through the segment pipeline when
+    /// `pipelined`, fed from `wire` if there is one) and the inode's control
+    /// block through to `k` replicas.  The inode block write is the commit point — a crash
+    /// before it leaves a free slot on disk, and recovery's allocator
+    /// rebuild never sees the half-written extent.  Every failure rolls
+    /// back exactly the stages already taken, so no half-created file
+    /// remains.  Returns the slot and check random the file lives under.
+    fn install(
+        &self,
+        identity: Identity,
+        data: &Bytes,
+        size: u32,
+        k: usize,
+        pipelined: bool,
+        wire: Option<&StreamWire>,
+    ) -> Result<(u32, u64), BulletError> {
+        let blocks = (size as u64).div_ceil(self.desc.block_size as u64).max(1);
 
-        // Creates may overlap each other, but not a running compaction.
+        // Installs may overlap each other, but not a running compaction.
         let _m = self.maint_read();
 
-        // Reserve the extent and draw the check random under the
+        // Reserve the extent and settle the check random under the
         // allocation lock alone.
         let (start, random) = {
             let mut al = self.alloc_lock();
-            let hint = al.place_hint;
             let start = al
-                .extents
-                .alloc_placed(blocks, self.cfg.placement, hint)
+                .alloc_near_hint(blocks, self.cfg.placement)
                 .ok_or(BulletError::NoSpace)?;
-            al.place_hint = start + blocks;
-            let random = loop {
-                let r = amoeba_cap::mask48(al.rng.next_u64());
-                if r != 0 {
-                    break r;
-                }
+            let random = match identity {
+                Identity::Fresh => al.draw_random(),
+                Identity::Dictated { random, .. } => random,
             };
             (start, random)
+        };
+        // Every failure from here on hands the reservation back.
+        let release_extent = || {
+            self.alloc_lock()
+                .extents
+                .free(start, blocks)
+                .expect("just allocated")
         };
         let inode = Inode {
             random,
@@ -957,18 +1024,12 @@ impl BulletServer {
         // Publish the inode in the RAM table.
         let idx = {
             let mut table = self.table_write();
-            match table.alloc(inode) {
-                Ok(idx) => idx,
-                Err(e) => {
-                    drop(table);
-                    self.alloc_lock()
-                        .extents
-                        .free(start, blocks)
-                        .expect("just allocated");
-                    return Err(e);
-                }
+            match identity {
+                Identity::Fresh => table.alloc(inode),
+                Identity::Dictated { idx, .. } => table.install(idx, inode).map(|()| idx),
             }
-        };
+        }
+        .inspect_err(|_| release_extent())?;
 
         // The disk phase runs under this file's in-flight guard only:
         // other requests keep flowing while the mirrored writes complete.
@@ -978,33 +1039,24 @@ impl BulletServer {
         // The clone is a reference-count bump on the shared payload
         // buffer, not a copy: the cache and the caller hold the same
         // bytes (asserted by `cache_insert_shares_the_payload_buffer`).
-        {
+        let cached = {
             let mut table = self.table_write();
             let mut cache = self.cache_write();
-            if let Err(e) = self.cache_insert(&mut table, &mut cache, idx, data.clone()) {
-                let _ = table.clear(idx);
-                drop(cache);
-                drop(table);
-                self.alloc_lock()
-                    .extents
-                    .free(start, blocks)
-                    .expect("just allocated");
-                return Err(e);
-            }
-        }
+            self.cache_insert(&mut table, &mut cache, idx, data.clone())
+                .inspect_err(|_| drop(table.clear(idx)))
+        };
+        cached.inspect_err(|_| release_extent())?;
         self.ages_lock().insert(idx, self.cfg.max_age);
 
         // Write-through: file data, then the inode's whole block.
-        let k = p_factor as usize;
         let write = if pipelined {
             self.stats.incr(counters::PIPELINED_CREATES);
-            self.write_data_pipelined(start, blocks, &data, k, wire)
+            self.write_data_pipelined(start, blocks, data, k, wire)
         } else {
-            self.write_data_blocks(start, blocks, &data, k)
+            self.write_data_blocks(start, blocks, data, k)
         }
         .and_then(|()| self.write_inode_block(idx, k));
         if let Err(e) = write {
-            // Roll back so no half-created file remains.
             {
                 let mut table = self.table_write();
                 let mut cache = self.cache_write();
@@ -1012,18 +1064,10 @@ impl BulletServer {
                 let _ = table.clear(idx);
             }
             self.ages_lock().remove(&idx);
-            let _ = self.alloc_lock().extents.free(start, blocks);
+            release_extent();
             return Err(e);
         }
-
-        self.stats.incr(counters::CREATES);
-        self.stats.add(counters::BYTES_CREATED, size as u64);
-        Ok(self.scheme.mint(
-            self.cfg.port,
-            ObjNum::new(idx).expect("inode index fits 24 bits"),
-            Rights::ALL,
-            random,
-        ))
+        Ok((idx, random))
     }
 
     /// Deterministic batched create: stores `files` through the
@@ -1118,21 +1162,16 @@ impl BulletServer {
     // The group-commit log (create batching).
     // ------------------------------------------------------------------
 
-    /// The log window's block range `[start, end)`, when enabled.
-    fn log_range(&self) -> Option<(u64, u64)> {
-        (self.cfg.log_blocks > 0).then(|| {
-            (
-                self.desc.data_end() - self.cfg.log_blocks,
-                self.desc.data_end(),
-            )
-        })
-    }
+    /// Simulated linger window (250 µs) charged once per group-commit
+    /// flush by [`gc_commit`](Self::gc_commit): the time the flush leader
+    /// waits for straggler creates to join the batch before issuing the
+    /// append.  Not a knob — nothing ever ran with another value.
+    const LOG_LINGER: Nanos = Nanos(250_000);
 
     /// Per-batch caps handed to the committer: the configured file cap
     /// clamped to what one record header block can name, the configured
     /// byte cap, and a short *host-time* linger for the threaded path
-    /// (the simulated linger is [`BulletConfig::log_linger`], charged per
-    /// flush by [`gc_commit`](Self::gc_commit)).
+    /// (the simulated counterpart is [`LOG_LINGER`](Self::LOG_LINGER)).
     fn batch_caps(&self) -> BatchCaps {
         BatchCaps {
             max_files: self
@@ -1210,14 +1249,7 @@ impl BulletServer {
             match al.extents.alloc_batch(&lens, self.cfg.placement, hint) {
                 Some(homes) => {
                     al.place_hint = homes[n - 1] + lens[n - 1];
-                    let randoms: Vec<u64> = (0..n)
-                        .map(|_| loop {
-                            let r = amoeba_cap::mask48(al.rng.next_u64());
-                            if r != 0 {
-                                break r;
-                            }
-                        })
-                        .collect();
+                    let randoms: Vec<u64> = (0..n).map(|_| al.draw_random()).collect();
                     Some((homes, randoms))
                 }
                 None => None,
@@ -1282,7 +1314,7 @@ impl BulletServer {
             let mut s = self.tracer.span("gc.flush");
             s.attr("files", n);
             s.attr("bytes", total_bytes);
-            self.cfg.clock.advance(self.cfg.log_linger);
+            self.cfg.clock.advance(Self::LOG_LINGER);
             self.cfg.clock.advance(self.cfg.cpu.memcpy(total_bytes));
         }
         self.stats.add(counters::PAYLOAD_BYTES_COPIED, total_bytes);
@@ -1416,26 +1448,14 @@ impl BulletServer {
     /// holds the maintenance guard and the log guard.  Returns the moved
     /// inode index, or `None` when the window holds no live files.
     ///
-    /// The move preserves the contiguous-layout invariant the read path
-    /// depends on: the copy is extent-at-once, on every replica, with the
-    /// inode rewritten on disk before the function returns.  The index
-    /// stays in the window's unsealed set — its slot remains live, so
-    /// replay skips it, and a later delete still seals the chain.
+    /// The index stays in the window's unsealed set — its slot remains
+    /// live, so replay skips it, and a later delete still seals the chain.
     fn migrate_one_log_file(&self, st: &mut LogState) -> Result<Option<u32>, BulletError> {
-        let Some((ls, _)) = self.log_range() else {
-            return Ok(None);
-        };
-        let data_end = self.desc.data_end();
         let picked = {
             let table = self.table_read();
             table
                 .live()
-                .filter(|&(_, inode)| {
-                    let start = inode.start_block as u64;
-                    // Archived extents also start past `ls` (they encode
-                    // as `data_end + block`) but are not log-resident.
-                    start >= ls && start < data_end
-                })
+                .filter(|&(_, inode)| self.residency_of(inode) == Ok(Residency::Log))
                 .min_by_key(|&(_, inode)| inode.start_block)
                 .map(|(i, inode)| (i, *inode))
         };
@@ -1447,30 +1467,15 @@ impl BulletServer {
         let home = match st.homes.remove(&idx) {
             Some(h) => h,
             None => {
-                let mut al = self.alloc_lock();
-                let hint = al.place_hint;
-                let Some(s) = al.extents.alloc_placed(blocks, self.cfg.placement, hint) else {
-                    return Err(BulletError::NoSpace);
-                };
-                al.place_hint = s + blocks;
-                (s, blocks)
+                let start = self
+                    .alloc_lock()
+                    .alloc_near_hint(blocks, self.cfg.placement)
+                    .ok_or(BulletError::NoSpace)?;
+                (start, blocks)
             }
         };
         debug_assert_eq!(home.1, blocks, "home reservation matches the extent");
-        let staged = (|| {
-            let mut buf = vec![0u8; (blocks * self.desc.block_size as u64) as usize];
-            self.storage
-                .read_blocks(inode.start_block as u64, &mut buf)?;
-            self.storage
-                .write_sync_k(home.0, &buf, self.storage.replica_count())?;
-            self.table_write().get_mut(idx)?.start_block = home.0 as u32;
-            if let Err(e) = self.write_inode_block(idx, self.storage.replica_count()) {
-                self.table_write().get_mut(idx)?.start_block = inode.start_block;
-                return Err(e);
-            }
-            Ok(())
-        })();
-        if let Err(e) = staged {
+        if let Err(e) = self.move_extent(idx, &inode, home.0) {
             // Keep the reservation for the retry.
             st.homes.insert(idx, home);
             return Err(e);
@@ -1480,6 +1485,64 @@ impl BulletServer {
         }
         self.stats.incr(counters::LOG_MIGRATIONS);
         Ok(Some(idx))
+    }
+
+    /// The extent-move protocol, written once: copy `inode`'s immutable
+    /// extent to `to_start`, flip the table entry, write the inode block
+    /// through to every replica.  The inode write is the commit point:
+    /// until it lands the file still lives at its old extent in RAM and on
+    /// disk, so on failure the table entry flips back and the destination
+    /// holds nothing anyone references.  What becomes of the destination
+    /// *reservation* then — and of the source extent on success — is the
+    /// caller's bookkeeping.  The caller holds the file's in-flight guard
+    /// and a maintenance guard.
+    ///
+    /// A fast-tier destination takes a staged copy (whole extent via RAM,
+    /// written to every replica, preserving the contiguous layout the read
+    /// path depends on); an archive destination is burned segment by
+    /// segment through [`copy_extent_to_archive`](Self::copy_extent_to_archive).
+    fn move_extent(&self, idx: u32, inode: &Inode, to_start: u64) -> Result<(), BulletError> {
+        let blocks = inode.blocks(self.desc.block_size);
+        let k = self.storage.replica_count();
+        let moved = Inode {
+            start_block: to_start as u32,
+            ..*inode
+        };
+        match self.residency_of(&moved)? {
+            Residency::Archive { block } => {
+                self.copy_extent_to_archive(inode.start_block as u64, blocks, block)?
+            }
+            Residency::Home => {
+                let buf = self.read_whole_extent(inode)?;
+                self.storage.write_sync_k(to_start, &buf, k)?;
+            }
+            // Nothing moves *into* the log window: records are appended.
+            Residency::Log => {
+                return Err(BulletError::Corrupt(format!(
+                    "extent move into the log window (block {to_start})"
+                )))
+            }
+        }
+        self.table_write().get_mut(idx)?.start_block = moved.start_block;
+        if let Err(e) = self.write_inode_block(idx, k) {
+            self.table_write().get_mut(idx)?.start_block = inode.start_block;
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// Reads `inode`'s whole block-padded extent off whichever device its
+    /// [`Residency`] names, in one I/O.
+    fn read_whole_extent(&self, inode: &Inode) -> Result<Vec<u8>, BulletError> {
+        let block_size = self.desc.block_size;
+        let mut buf = vec![0u8; (inode.blocks(block_size) * block_size as u64) as usize];
+        match self.residency_of(inode)? {
+            Residency::Archive { block } => self.archive_tier().dev.read_blocks(block, &mut buf)?,
+            Residency::Home | Residency::Log => self
+                .storage
+                .read_blocks(inode.start_block as u64, &mut buf)?,
+        }
+        Ok(buf)
     }
 
     /// `BULLET.SIZE(CAPABILITY) → SIZE`.
@@ -1636,6 +1699,29 @@ impl BulletServer {
         self.charge_request();
         let idx = cap.object.value();
         let _m = self.maint_read();
+        self.destroy(idx, true, |table| {
+            self.verify(table, cap, Rights::DESTROY).map(|i| Some(*i))
+        })?;
+        self.stats.incr(counters::DELETES);
+        Ok(())
+    }
+
+    /// The file-destroy protocol, written once.  `fetch` looks the victim
+    /// up (and may veto: `Ok(None)` means "already gone, nothing to do",
+    /// reported as `Ok(false)`); `release_slot` says whether the inode
+    /// slot returns to the free list.  The caller holds the shared
+    /// maintenance guard.
+    ///
+    /// Write order: seal the log chain if needed → zero the inode in RAM
+    /// → drop the cache copy and age → write the zeroed inode block
+    /// through to every replica (the commit point) → release the slot and
+    /// free the space the file's [`Residency`] says it owned.
+    fn destroy(
+        &self,
+        idx: u32,
+        release_slot: bool,
+        fetch: impl FnOnce(&InodeTable) -> Result<Option<Inode>, BulletError>,
+    ) -> Result<bool, BulletError> {
         // The log guard sits outside the in-flight guard in the lock
         // order; holding it keeps the seal decision below consistent with
         // concurrent commits and migrations.
@@ -1643,23 +1729,17 @@ impl BulletServer {
         // The in-flight guard serializes against a create, miss load, or
         // compaction move of the same file still in its disk phase.
         let _busy = self.inflight_lock(idx);
-        let (start, blocks, size) = {
+        let inode = {
             let table = self.table_read();
-            let inode = *self.verify(&table, cap, Rights::DESTROY)?;
-            (
-                inode.start_block as u64,
-                inode.blocks(self.desc.block_size),
-                inode.size_bytes as u64,
-            )
+            match fetch(&table)? {
+                Some(inode) => inode,
+                None => return Ok(false),
+            }
         };
-        // Classify the extent *before* the log test: archived extents
-        // encode as `data_end + block` and would otherwise read as
-        // log-resident.
-        let archive_resident = self.archive.is_some() && start >= self.desc.data_end();
-        let log_resident = !archive_resident && self.log_range().is_some_and(|(ls, _)| start >= ls);
-        // Deleting a file of the *newest* log record must seal the chain
-        // first: once the inode is zeroed on disk, a crash replay would
-        // otherwise see a free slot named by a valid record and
+        let residency = self.residency_of(&inode)?;
+        // Destroying a file of the *newest* log record must seal the
+        // chain first: once the inode is zeroed on disk, a crash replay
+        // would otherwise see a free slot named by a valid record and
         // resurrect the file.
         if let Some(st) = logst.as_mut() {
             if st.window.is_unsealed(idx) {
@@ -1669,38 +1749,42 @@ impl BulletServer {
         self.table_write().clear_keep_slot(idx)?;
         self.cache_write().remove(idx);
         self.ages_lock().remove(&idx);
-        // Deletion is always written through to all disks.  The inode
+        // Destruction is always written through to all disks.  The inode
         // slot and the extent return to the free lists only afterwards,
         // so neither can be reallocated while the zeroed inode is still
         // in flight (on error they return anyway: the RAM table no
         // longer references them, and recovery rebuilds from disk).
         let write = self.write_inode_block(idx, self.storage.replica_count());
-        self.table_write().release_slot(idx);
-        if archive_resident {
-            // WORM space is never reclaimed — the burned blocks keep the
-            // dead version forever; just forget any pending recall.
-            let arch = self
-                .archive
-                .as_ref()
-                .expect("archive-resident implies tiering");
-            arch.recall_q.lock().remove(&idx);
-        } else if log_resident {
-            // A log-resident file owns no allocator extent — it owns its
-            // preallocated migration home; free that instead, and let an
-            // emptied window rewind for reuse.
-            let st = logst.as_mut().expect("log-resident implies log enabled");
-            if let Some((hs, hl)) = st.homes.remove(&idx) {
-                self.alloc_lock().extents.free(hs, hl)?;
+        if release_slot {
+            self.table_write().release_slot(idx);
+        }
+        match residency {
+            Residency::Archive { .. } => {
+                // WORM space is never reclaimed — the burned blocks keep
+                // the dead version forever; just forget any pending recall.
+                self.archive_tier().recall_q.lock().remove(&idx);
             }
-            if st.window.file_gone(size) {
-                st.window.reset();
+            Residency::Log => {
+                // A log-resident file owns no allocator extent — it owns
+                // its preallocated migration home; free that instead, and
+                // let an emptied window rewind for reuse.
+                let st = logst.as_mut().expect("log-resident implies log enabled");
+                if let Some((hs, hl)) = st.homes.remove(&idx) {
+                    self.alloc_lock().extents.free(hs, hl)?;
+                }
+                if st.window.file_gone(inode.size_bytes as u64) {
+                    st.window.reset();
+                }
             }
-        } else {
-            self.alloc_lock().extents.free(start, blocks)?;
+            Residency::Home => {
+                let blocks = inode.blocks(self.desc.block_size);
+                self.alloc_lock()
+                    .extents
+                    .free(inode.start_block as u64, blocks)?;
+            }
         }
         write?;
-        self.stats.incr(counters::DELETES);
-        Ok(())
+        Ok(true)
     }
 
     /// Reads a live object out for migration to another shard: its check
@@ -1727,17 +1811,7 @@ impl BulletServer {
             op.attr("bytes", data.len());
             return Ok((inode.random, data));
         }
-        let block_size = self.desc.block_size;
-        let blocks = inode.blocks(block_size);
-        let mut buf = vec![0u8; (blocks * block_size as u64) as usize];
-        let start = inode.start_block as u64;
-        match self.archive.as_ref() {
-            Some(arch) if start >= self.desc.data_end() => {
-                arch.dev
-                    .read_blocks(start - self.desc.data_end(), &mut buf)?;
-            }
-            _ => self.storage.read_blocks(start, &mut buf)?,
-        }
+        let mut buf = self.read_whole_extent(&inode)?;
         buf.truncate(inode.size_bytes as usize);
         op.attr("bytes", buf.len());
         Ok((inode.random, Bytes::from(buf)))
@@ -1764,67 +1838,9 @@ impl BulletServer {
             size: data.len() as u64,
             cache_capacity: self.cfg.cache_capacity,
         })?;
-        let block_size = self.desc.block_size;
-        let blocks = (size as u64).div_ceil(block_size as u64).max(1);
-        let _m = self.maint_read();
-        let start = {
-            let mut al = self.alloc_lock();
-            let hint = al.place_hint;
-            let start = al
-                .extents
-                .alloc_placed(blocks, self.cfg.placement, hint)
-                .ok_or(BulletError::NoSpace)?;
-            al.place_hint = start + blocks;
-            start
-        };
-        let inode = Inode {
-            random,
-            index: 0,
-            start_block: start as u32,
-            size_bytes: size,
-        };
-        {
-            let mut table = self.table_write();
-            if let Err(e) = table.install(idx, inode) {
-                drop(table);
-                self.alloc_lock()
-                    .extents
-                    .free(start, blocks)
-                    .expect("just allocated");
-                return Err(e);
-            }
-        }
-        let _busy = self.inflight_lock(idx);
-        {
-            let mut table = self.table_write();
-            let mut cache = self.cache_write();
-            if let Err(e) = self.cache_insert(&mut table, &mut cache, idx, data.clone()) {
-                let _ = table.clear(idx);
-                drop(cache);
-                drop(table);
-                self.alloc_lock()
-                    .extents
-                    .free(start, blocks)
-                    .expect("just allocated");
-                return Err(e);
-            }
-        }
-        self.ages_lock().insert(idx, self.cfg.max_age);
+        let identity = Identity::Dictated { idx, random };
         let k = self.storage.replica_count();
-        let write = self
-            .write_data_blocks(start, blocks, &data, k)
-            .and_then(|()| self.write_inode_block(idx, k));
-        if let Err(e) = write {
-            {
-                let mut table = self.table_write();
-                let mut cache = self.cache_write();
-                cache.remove(idx);
-                let _ = table.clear(idx);
-            }
-            self.ages_lock().remove(&idx);
-            let _ = self.alloc_lock().extents.free(start, blocks);
-            return Err(e);
-        }
+        self.install(identity, &data, size, k, false, None)?;
         Ok(())
     }
 
@@ -1843,48 +1859,9 @@ impl BulletServer {
         let mut op = self.tracer.span("bullet.retire_object");
         op.attr("op", "retire_object");
         let _m = self.maint_read();
-        let mut logst = self.log.as_ref().map(|l| l.lock());
-        let _busy = self.inflight_lock(idx);
-        let (start, blocks, size) = {
-            let table = self.table_read();
-            let inode = *table.get(idx)?;
-            (
-                inode.start_block as u64,
-                inode.blocks(self.desc.block_size),
-                inode.size_bytes as u64,
-            )
-        };
-        let archive_resident = self.archive.is_some() && start >= self.desc.data_end();
-        let log_resident = !archive_resident && self.log_range().is_some_and(|(ls, _)| start >= ls);
-        if let Some(st) = logst.as_mut() {
-            if st.window.is_unsealed(idx) {
-                self.log_seal_locked(st)?;
-            }
-        }
-        self.table_write().clear_keep_slot(idx)?;
-        self.cache_write().remove(idx);
-        self.ages_lock().remove(&idx);
-        let write = self.write_inode_block(idx, self.storage.replica_count());
-        // Deliberately no release_slot: the slot is tombstoned on this
+        // Deliberately no slot release: the slot is tombstoned on this
         // shard for the life of the process.
-        if archive_resident {
-            let arch = self
-                .archive
-                .as_ref()
-                .expect("archive-resident implies tiering");
-            arch.recall_q.lock().remove(&idx);
-        } else if log_resident {
-            let st = logst.as_mut().expect("log-resident implies log enabled");
-            if let Some((hs, hl)) = st.homes.remove(&idx) {
-                self.alloc_lock().extents.free(hs, hl)?;
-            }
-            if st.window.file_gone(size) {
-                st.window.reset();
-            }
-        } else {
-            self.alloc_lock().extents.free(start, blocks)?;
-        }
-        write?;
+        self.destroy(idx, false, |table| table.get(idx).map(|i| Some(*i)))?;
         Ok(())
     }
 
@@ -1981,49 +1958,19 @@ impl BulletServer {
         // moving file via its in-flight guard).
         let _m = self.maint_write();
         // Migrate every log-resident file home first: the sliding plan
-        // below only understands allocator-range extents, and a drained
-        // window keeps the "free space becomes one hole" postcondition.
+        // only understands home extents, and a drained window keeps the
+        // "free space becomes one hole" postcondition.
         if let Some(logmx) = &self.log {
             let mut st = logmx.lock();
             while self.migrate_one_log_file(&mut st)?.is_some() {}
         }
-        let block_size = self.desc.block_size;
-        // Map start block -> inode index for plan application.
-        let (mut by_start, used, plan) = {
-            let table = self.table_read();
-            let by_start: HashMap<u64, u32> = table
-                .live()
-                .map(|(i, inode)| (inode.start_block as u64, i))
-                .collect();
-            let mut used = table.used_extents();
-            // Exclude log-window *and* archived extents: the plan only
-            // understands allocator-range extents.
-            let alloc_end = self.log_range().map_or(self.desc.data_end(), |(ls, _)| ls);
-            used.retain(|&(s, _)| s < alloc_end);
-            let plan = self.alloc_lock().extents.plan_compaction(&used);
-            (by_start, used, plan)
-        };
+        // Each increment recomputes the sliding plan and applies its
+        // first move; the first move of the recomputed plan is the next
+        // move of the original, so this is the one-pass plan, move by move.
         let mut moved = 0;
-        for m in &plan {
-            let idx = *by_start
-                .get(&m.from)
-                .expect("plan extents come from the table");
-            let _busy = self.inflight_lock(idx);
-            let mut buf = vec![0u8; (m.len * block_size as u64) as usize];
-            self.storage.read_blocks(m.from, &mut buf)?;
-            self.storage
-                .write_sync_k(m.to, &buf, self.storage.replica_count())?;
-            self.table_write().get_mut(idx)?.start_block = m.to as u32;
-            self.write_inode_block(idx, self.storage.replica_count())?;
-            by_start.remove(&m.from);
-            by_start.insert(m.to, idx);
+        while self.pack_one()?.is_some() {
             moved += 1;
         }
-        let total_used: u64 = used.iter().map(|&(_, l)| l).sum();
-        self.alloc_lock()
-            .extents
-            .rebuild_after_compaction(total_used);
-        self.stats.add(counters::DISK_COMPACTION_MOVES, moved);
         Ok(moved)
     }
 
@@ -2104,25 +2051,25 @@ impl BulletServer {
     /// the sliding plan, apply its first move.  Returns the remaining
     /// move count, or `None` when the area is fully packed.
     fn pack_one(&self) -> Result<Option<u64>, BulletError> {
-        let block_size = self.desc.block_size;
-        let (idx, m, remaining) = {
+        let (idx, inode, m, remaining) = {
             let table = self.table_read();
-            let mut used = table.used_extents();
             // Log-window extents are bump-allocated and archived extents
             // live on another device entirely: neither is the
             // allocator's to plan over.
-            let alloc_end = self.log_range().map_or(self.desc.data_end(), |(ls, _)| ls);
-            used.retain(|&(s, _)| s < alloc_end);
+            let used: Vec<(u64, u64)> = table
+                .live()
+                .filter(|&(_, inode)| self.residency_of(inode) == Ok(Residency::Home))
+                .map(|(_, inode)| (inode.start_block as u64, inode.blocks(self.desc.block_size)))
+                .collect();
             let plan = self.alloc_lock().extents.plan_compaction(&used);
             let Some(&m) = plan.first() else {
                 return Ok(None);
             };
-            let idx = table
+            let (idx, inode) = table
                 .live()
                 .find(|&(_, inode)| inode.start_block as u64 == m.from)
-                .map(|(i, _)| i)
                 .expect("plan extents come from the table");
-            (idx, m, plan.len() as u64 - 1)
+            (idx, *inode, m, plan.len() as u64 - 1)
         };
 
         let _busy = self.inflight_lock(idx);
@@ -2132,25 +2079,12 @@ impl BulletServer {
         // release the vacated tail [m.to + len, m.from + len).
         let shift = m.from - m.to;
         self.alloc_lock().extents.reserve(m.to, shift)?;
-        // A failure between the reservation and the commit must release
-        // the claimed destination — otherwise the region stays
-        // unallocatable until recovery.  On an inode-write failure the
-        // table entry is rolled back first, so the extent still lives at
-        // `m.from` in memory and on disk and the destination really is
-        // free again.
-        let staged = (|| {
-            let mut buf = vec![0u8; (m.len * block_size as u64) as usize];
-            self.storage.read_blocks(m.from, &mut buf)?;
-            self.storage
-                .write_sync_k(m.to, &buf, self.storage.replica_count())?;
-            self.table_write().get_mut(idx)?.start_block = m.to as u32;
-            if let Err(e) = self.write_inode_block(idx, self.storage.replica_count()) {
-                self.table_write().get_mut(idx)?.start_block = m.from as u32;
-                return Err(e);
-            }
-            Ok(())
-        })();
-        if let Err(e) = staged {
+        // A failed move must release the claimed destination — otherwise
+        // the region stays unallocatable until recovery.  `move_extent`
+        // has already flipped the table entry back, so the extent still
+        // lives at `m.from` in memory and on disk and the destination
+        // really is free again.
+        if let Err(e) = self.move_extent(idx, &inode, m.to) {
             self.alloc_lock().extents.free(m.to, shift)?;
             return Err(e);
         }
@@ -2177,8 +2111,6 @@ impl BulletServer {
         let Some(arch) = &self.archive else {
             return Ok(None);
         };
-        let data_end = self.desc.data_end();
-        let alloc_end = self.log_range().map_or(data_end, |(ls, _)| ls);
         let block_size = self.desc.block_size;
         let candidates: Vec<(u32, u64)> = {
             let table = self.table_read();
@@ -2187,7 +2119,7 @@ impl BulletServer {
                 .live()
                 .filter(|&(idx, ino)| {
                     ino.index == 0
-                        && (ino.start_block as u64) < alloc_end
+                        && self.residency_of(ino) == Ok(Residency::Home)
                         && ages.get(&idx).is_some_and(|&a| {
                             self.cfg.max_age.saturating_sub(a) >= self.cfg.tier_cold_age
                         })
@@ -2208,22 +2140,17 @@ impl BulletServer {
                 Err(_) => return Ok(None),
             }
         };
-        if inode.index != 0 || (inode.start_block as u64) >= alloc_end {
+        if inode.index != 0 || self.residency_of(&inode)? != Residency::Home {
             return Ok(None);
         }
         let blocks = inode.blocks(block_size);
         // The reservation is permanent — a burner can never unburn — so
-        // a full archive simply ends demotion, and a failure mid-stream
-        // wastes the run (nothing else changed: full rollback).
+        // a full archive simply ends demotion, and a failed move wastes
+        // the run (nothing else changed: full rollback).
         let Ok(dst) = arch.dev.append_reserve(blocks) else {
             return Ok(None);
         };
-        self.copy_extent_to_archive(inode.start_block as u64, blocks, dst, &arch.dev)?;
-        self.table_write().get_mut(idx)?.start_block = (data_end + dst) as u32;
-        if let Err(e) = self.write_inode_block(idx, self.storage.replica_count()) {
-            self.table_write().get_mut(idx)?.start_block = inode.start_block;
-            return Err(e);
-        }
+        self.move_extent(idx, &inode, self.desc.archive_start(dst))?;
         // Committed: the fast-tier extent returns to the allocator, and
         // fully-burned archive segments seal behind the cursor.
         self.alloc_lock()
@@ -2242,13 +2169,8 @@ impl BulletServer {
     /// so a foreground request waking mid-stream is never stuck behind
     /// archive traffic — while lane 1 burns segment `k-1` onto the
     /// archive.
-    fn copy_extent_to_archive(
-        &self,
-        src: u64,
-        blocks: u64,
-        dst: u64,
-        dev: &ArchiveDevice,
-    ) -> Result<(), BulletError> {
+    fn copy_extent_to_archive(&self, src: u64, blocks: u64, dst: u64) -> Result<(), BulletError> {
+        let dev = &self.archive_tier().dev;
         let block_size = self.desc.block_size as u64;
         let seg = self.segment_bytes();
         let total = blocks * block_size;
@@ -2290,7 +2212,6 @@ impl BulletServer {
         let Some(arch) = &self.archive else {
             return Ok(None);
         };
-        let data_end = self.desc.data_end();
         loop {
             let picked = arch.recall_q.lock().iter().next().copied();
             let Some(idx) = picked else {
@@ -2305,40 +2226,20 @@ impl BulletServer {
                     Err(_) => continue, // deleted while queued
                 }
             };
-            let start = inode.start_block as u64;
-            if start < data_end {
+            let Residency::Archive { .. } = self.residency_of(&inode)? else {
                 continue; // already recalled, or the slot was reused
-            }
-            let blocks = inode.blocks(self.desc.block_size);
-            let home = {
-                let mut al = self.alloc_lock();
-                let hint = al.place_hint;
-                match al.extents.alloc_placed(blocks, self.cfg.placement, hint) {
-                    Some(s) => {
-                        al.place_hint = s + blocks;
-                        s
-                    }
-                    None => {
-                        // Fast tier full: requeue and yield to the
-                        // demotion job (next rank), which makes room.
-                        arch.recall_q.lock().insert(idx);
-                        return Ok(None);
-                    }
-                }
             };
-            let staged = (|| {
-                let mut buf = vec![0u8; (blocks * self.desc.block_size as u64) as usize];
-                arch.dev.read_blocks(start - data_end, &mut buf)?;
-                self.storage
-                    .write_sync_k(home, &buf, self.storage.replica_count())?;
-                self.table_write().get_mut(idx)?.start_block = home as u32;
-                if let Err(e) = self.write_inode_block(idx, self.storage.replica_count()) {
-                    self.table_write().get_mut(idx)?.start_block = inode.start_block;
-                    return Err(e);
-                }
-                Ok(())
-            })();
-            if let Err(e) = staged {
+            let blocks = inode.blocks(self.desc.block_size);
+            let home = self
+                .alloc_lock()
+                .alloc_near_hint(blocks, self.cfg.placement);
+            let Some(home) = home else {
+                // Fast tier full: requeue and yield to the demotion job
+                // (next rank), which makes room.
+                arch.recall_q.lock().insert(idx);
+                return Ok(None);
+            };
+            if let Err(e) = self.move_extent(idx, &inode, home) {
                 self.alloc_lock().extents.free(home, blocks)?;
                 arch.recall_q.lock().insert(idx);
                 return Err(e);
@@ -2346,6 +2247,14 @@ impl BulletServer {
             self.stats.incr(counters::TIER_PROMOTIONS);
             return Ok(Some(idx));
         }
+    }
+
+    /// The archive tier: the classifier yields [`Residency::Archive`] only
+    /// when `archive_blocks > 0`, which is exactly when the tier was built.
+    fn archive_tier(&self) -> &ArchiveState {
+        self.archive
+            .as_ref()
+            .expect("an archive-resident extent implies tiering")
     }
 
     /// The WORM archive device (`None` when tiering is off) — grab it
@@ -2618,58 +2527,18 @@ impl BulletServer {
             for idx in &expired {
                 ages.remove(idx);
             }
+            // The map iterates in per-process random order; expire in slot
+            // order so the frees — and every layout after them — replay.
+            expired.sort_unstable();
             expired
         };
         let mut count = 0;
         for &idx in &expired {
-            // Same destruction protocol as `delete`, including the
-            // seal-before-zeroing rule for files of the newest log batch.
-            let mut logst = self.log.as_ref().map(|l| l.lock());
-            let _busy = self.inflight_lock(idx);
-            let (start, blocks, size) = {
-                let table = self.table_read();
-                match table.get(idx) {
-                    Ok(inode) => (
-                        inode.start_block as u64,
-                        inode.blocks(self.desc.block_size),
-                        inode.size_bytes as u64,
-                    ),
-                    // Deleted by a concurrent request after expiry was
-                    // decided: nothing left to reclaim.
-                    Err(_) => continue,
-                }
-            };
-            let archive_resident = self.archive.is_some() && start >= self.desc.data_end();
-            let log_resident =
-                !archive_resident && self.log_range().is_some_and(|(ls, _)| start >= ls);
-            if let Some(st) = logst.as_mut() {
-                if st.window.is_unsealed(idx) {
-                    self.log_seal_locked(st)?;
-                }
+            // A file deleted by a concurrent request after expiry was
+            // decided has nothing left to reclaim.
+            if self.destroy(idx, true, |table| Ok(table.get(idx).ok().copied()))? {
+                count += 1;
             }
-            self.table_write().clear_keep_slot(idx)?;
-            self.cache_write().remove(idx);
-            let write = self.write_inode_block(idx, self.storage.replica_count());
-            self.table_write().release_slot(idx);
-            if archive_resident {
-                let arch = self
-                    .archive
-                    .as_ref()
-                    .expect("archive-resident implies tiering");
-                arch.recall_q.lock().remove(&idx);
-            } else if log_resident {
-                let st = logst.as_mut().expect("log-resident implies log enabled");
-                if let Some((hs, hl)) = st.homes.remove(&idx) {
-                    self.alloc_lock().extents.free(hs, hl)?;
-                }
-                if st.window.file_gone(size) {
-                    st.window.reset();
-                }
-            } else {
-                self.alloc_lock().extents.free(start, blocks)?;
-            }
-            write?;
-            count += 1;
         }
         self.stats.add(counters::AGED_OUT, count);
         Ok(count)
@@ -2768,46 +2637,40 @@ impl BulletServer {
             let table = self.table_read();
             *self.verify(&table, cap, needed)?
         };
-        let block_size = self.desc.block_size;
-        let blocks = inode.blocks(block_size);
-        let mut buf = vec![0u8; (blocks * block_size as u64) as usize];
         let size = inode.size_bytes as u64;
-        if let Some(arch) = &self.archive {
-            let start = inode.start_block as u64;
-            if start >= self.desc.data_end() {
-                // Archive tier: serve the read *from the archive device*
-                // — no foreground stall waiting for a copy-back — and
-                // schedule the promotion; the recall job moves the file
-                // to the fast tier on a later idle tick.
-                arch.dev
-                    .read_blocks(start - self.desc.data_end(), &mut buf)?;
-                buf.truncate(inode.size_bytes as usize);
-                let data = Bytes::from(buf);
-                {
-                    let mut table = self.table_write();
-                    let mut cache = self.cache_write();
-                    self.cache_insert(&mut table, &mut cache, idx, data.clone())?;
-                }
-                arch.recall_q.lock().insert(idx);
-                return Ok(data);
-            }
-        }
-        self.read_extent(
-            inode.start_block as u64,
-            0,
-            &mut buf,
-            wire,
-            win_start,
-            win_end.min(size),
-            size,
-        )?;
+        let archived = matches!(self.residency_of(&inode)?, Residency::Archive { .. });
+        let mut buf = if archived {
+            // Archive tier: serve the read *from the archive device* — no
+            // foreground stall waiting for a copy-back — and schedule the
+            // promotion below; the recall job moves the file to the fast
+            // tier on a later idle tick.
+            self.read_whole_extent(&inode)?
+        } else {
+            let block_size = self.desc.block_size;
+            let mut buf = vec![0u8; (inode.blocks(block_size) * block_size as u64) as usize];
+            self.read_extent(
+                inode.start_block as u64,
+                0,
+                &mut buf,
+                wire,
+                win_start,
+                win_end.min(size),
+                size,
+            )?;
+            buf
+        };
         buf.truncate(inode.size_bytes as usize);
         let data = Bytes::from(buf);
-        let mut table = self.table_write();
-        let mut cache = self.cache_write();
-        // A reference-count bump, not a copy: cache and reply share the
-        // buffer the disk read into.
-        self.cache_insert(&mut table, &mut cache, idx, data.clone())?;
+        {
+            let mut table = self.table_write();
+            let mut cache = self.cache_write();
+            // A reference-count bump, not a copy: cache and reply share
+            // the buffer the disk read into.
+            self.cache_insert(&mut table, &mut cache, idx, data.clone())?;
+        }
+        if archived {
+            self.archive_tier().recall_q.lock().insert(idx);
+        }
         Ok(data)
     }
 
@@ -2835,7 +2698,7 @@ impl BulletServer {
             let table = self.table_read();
             *self.verify(&table, cap, Rights::READ)?
         };
-        if self.archive.is_some() && (inode.start_block as u64) >= self.desc.data_end() {
+        if let Residency::Archive { .. } = self.residency_of(&inode)? {
             // Archived: partial loads would fight the recall job over
             // the same extent — take the whole-file archive path (which
             // also schedules the promotion).
@@ -3185,18 +3048,14 @@ impl BulletServer {
         self.cfg.clock.advance(self.cfg.cpu.memcpy(bytes));
     }
 
-    // Counted lock acquisitions: every helper bumps `lock_<name>`, and
-    // `lock_contended_<name>` when the uncontended fast path failed.
-    // With tracing on, each acquisition additionally records a zero-width
-    // `lock.<shard>` instant carrying the contended flag — zero-width
-    // because lock waits block real threads but never advance the
-    // simulated clock.
-
+    /// A counted lock acquisition: bumps `total`, and `contended` when
+    /// the uncontended fast path failed.  With tracing on, each
+    /// acquisition additionally records a zero-width `instant` carrying
+    /// the contended flag — zero-width because lock waits block real
+    /// threads but never advance the simulated clock.
     fn counted_lock<G>(
         &self,
-        total: &'static str,
-        contended: &'static str,
-        shard: &'static str,
+        (total, contended, instant): (&'static str, &'static str, &'static str),
         try_acquire: impl FnOnce() -> Option<G>,
         acquire: impl FnOnce() -> G,
     ) -> G {
@@ -3209,78 +3068,8 @@ impl BulletServer {
             }
         };
         self.tracer
-            .instant(shard, &[("contended", AttrValue::Bool(waited))]);
+            .instant(instant, &[("contended", AttrValue::Bool(waited))]);
         guard
-    }
-
-    fn table_read(&self) -> RwLockReadGuard<'_, InodeTable> {
-        self.counted_lock(
-            counters::LOCK_TABLE_READ,
-            counters::LOCK_CONTENDED_TABLE_READ,
-            "lock.table_read",
-            || self.table.try_read(),
-            || self.table.read(),
-        )
-    }
-
-    fn table_write(&self) -> RwLockWriteGuard<'_, InodeTable> {
-        self.counted_lock(
-            counters::LOCK_TABLE_WRITE,
-            counters::LOCK_CONTENDED_TABLE_WRITE,
-            "lock.table_write",
-            || self.table.try_write(),
-            || self.table.write(),
-        )
-    }
-
-    fn cache_read(&self) -> RwLockReadGuard<'_, FileCache> {
-        self.counted_lock(
-            counters::LOCK_CACHE_READ,
-            counters::LOCK_CONTENDED_CACHE_READ,
-            "lock.cache_read",
-            || self.cache.try_read(),
-            || self.cache.read(),
-        )
-    }
-
-    fn cache_write(&self) -> RwLockWriteGuard<'_, FileCache> {
-        self.counted_lock(
-            counters::LOCK_CACHE_WRITE,
-            counters::LOCK_CONTENDED_CACHE_WRITE,
-            "lock.cache_write",
-            || self.cache.try_write(),
-            || self.cache.write(),
-        )
-    }
-
-    fn alloc_lock(&self) -> MutexGuard<'_, AllocState> {
-        self.counted_lock(
-            counters::LOCK_ALLOC,
-            counters::LOCK_CONTENDED_ALLOC,
-            "lock.alloc",
-            || self.alloc.try_lock(),
-            || self.alloc.lock(),
-        )
-    }
-
-    fn ages_lock(&self) -> MutexGuard<'_, HashMap<u32, u32>> {
-        self.counted_lock(
-            counters::LOCK_AGES,
-            counters::LOCK_CONTENDED_AGES,
-            "lock.ages",
-            || self.ages.try_lock(),
-            || self.ages.lock(),
-        )
-    }
-
-    fn inode_io_lock(&self) -> MutexGuard<'_, ()> {
-        self.counted_lock(
-            counters::LOCK_INODE_IO,
-            counters::LOCK_CONTENDED_INODE_IO,
-            "lock.inode_io",
-            || self.inode_io.try_lock(),
-            || self.inode_io.lock(),
-        )
     }
 
     /// The group-commit log guard.  Uncounted by design: commits are
@@ -3293,26 +3082,6 @@ impl BulletServer {
             .lock()
     }
 
-    fn maint_read(&self) -> RwLockReadGuard<'_, ()> {
-        self.counted_lock(
-            counters::LOCK_MAINTENANCE_READ,
-            counters::LOCK_CONTENDED_MAINTENANCE_READ,
-            "lock.maintenance_read",
-            || self.maintenance.try_read(),
-            || self.maintenance.read(),
-        )
-    }
-
-    fn maint_write(&self) -> RwLockWriteGuard<'_, ()> {
-        self.counted_lock(
-            counters::LOCK_MAINTENANCE_WRITE,
-            counters::LOCK_CONTENDED_MAINTENANCE_WRITE,
-            "lock.maintenance_write",
-            || self.maintenance.try_write(),
-            || self.maintenance.write(),
-        )
-    }
-
     fn inflight_lock(&self, idx: u32) -> InflightGuard<'_> {
         self.locks.incr(counters::LOCK_INFLIGHT);
         let (guard, waited) = self.inflight.acquire(idx);
@@ -3323,6 +3092,34 @@ impl BulletServer {
             .instant("lock.inflight", &[("contended", AttrValue::Bool(waited))]);
         guard
     }
+}
+
+/// The counted locks, one row each: the wrapper's name and guard type,
+/// the lock field with its non-blocking and blocking acquire methods, and
+/// the `(acquisitions, contended, trace instant)` names it reports under
+/// through [`BulletServer::counted_lock`].
+macro_rules! counted_locks {
+    ($($name:ident -> $guard:ty = $field:ident.$try_acquire:ident / $acquire:ident,
+       $total:ident, $contended:ident, $instant:literal;)*) => {
+        impl BulletServer {$(
+            fn $name(&self) -> $guard {
+                let names = (counters::$total, counters::$contended, $instant);
+                self.counted_lock(names, || self.$field.$try_acquire(), || self.$field.$acquire())
+            }
+        )*}
+    };
+}
+
+counted_locks! {
+    table_read -> RwLockReadGuard<'_, InodeTable> = table.try_read / read, LOCK_TABLE_READ, LOCK_CONTENDED_TABLE_READ, "lock.table_read";
+    table_write -> RwLockWriteGuard<'_, InodeTable> = table.try_write / write, LOCK_TABLE_WRITE, LOCK_CONTENDED_TABLE_WRITE, "lock.table_write";
+    cache_read -> RwLockReadGuard<'_, FileCache> = cache.try_read / read, LOCK_CACHE_READ, LOCK_CONTENDED_CACHE_READ, "lock.cache_read";
+    cache_write -> RwLockWriteGuard<'_, FileCache> = cache.try_write / write, LOCK_CACHE_WRITE, LOCK_CONTENDED_CACHE_WRITE, "lock.cache_write";
+    alloc_lock -> MutexGuard<'_, AllocState> = alloc.try_lock / lock, LOCK_ALLOC, LOCK_CONTENDED_ALLOC, "lock.alloc";
+    ages_lock -> MutexGuard<'_, HashMap<u32, u32>> = ages.try_lock / lock, LOCK_AGES, LOCK_CONTENDED_AGES, "lock.ages";
+    inode_io_lock -> MutexGuard<'_, ()> = inode_io.try_lock / lock, LOCK_INODE_IO, LOCK_CONTENDED_INODE_IO, "lock.inode_io";
+    maint_read -> RwLockReadGuard<'_, ()> = maintenance.try_read / read, LOCK_MAINTENANCE_READ, LOCK_CONTENDED_MAINTENANCE_READ, "lock.maintenance_read";
+    maint_write -> RwLockWriteGuard<'_, ()> = maintenance.try_write / write, LOCK_MAINTENANCE_WRITE, LOCK_CONTENDED_MAINTENANCE_WRITE, "lock.maintenance_write";
 }
 
 // ----------------------------------------------------------------------
@@ -3460,6 +3257,17 @@ mod tests {
 
     fn payload(n: usize, fill: u8) -> Bytes {
         Bytes::from(vec![fill; n])
+    }
+
+    /// `(inode, residency)` of every live file, in start-block order.
+    fn residencies(s: &BulletServer) -> Vec<(u32, Residency)> {
+        let table = s.table.read();
+        let mut rows: Vec<(u32, u32, Residency)> = table
+            .live()
+            .map(|(idx, ino)| (ino.start_block, idx, s.residency_of(ino).unwrap()))
+            .collect();
+        rows.sort_unstable_by_key(|r| r.0);
+        rows.into_iter().map(|(_, idx, r)| (idx, r)).collect()
     }
 
     #[test]
@@ -3783,53 +3591,213 @@ mod tests {
         }
     }
 
+    /// One `FaultyDisk` fail-offset sweep over every caller of `install`,
+    /// `destroy` and `move_extent`.  The single replica dies at each op
+    /// offset inside the operation in turn, so every fallible step (data
+    /// read, replica write, inode write, seal) errors at least once.  A
+    /// failed operation must surface the disk error — never `Corrupt`,
+    /// which is what a leaked reservation turns the *next* attempt into —
+    /// and leave the RAM state whole: the allocator's used blocks are
+    /// exactly the home extents plus the reserved homes, and no two
+    /// extents overlap.
     #[test]
-    fn failed_compact_tick_releases_the_reserved_destination() {
+    fn failed_multi_write_ops_surface_the_disk_error_and_conserve_space() {
         use amoeba_disk::FaultyDisk;
-        // Fail the disk at every op offset inside the move in turn, so
-        // each fallible step (data read, replica write, inode write)
-        // errors at least once.  A failed tick must release its
-        // destination reservation: otherwise free space shrinks by the
-        // reserved region and the next tick's reserve() reports the
-        // destination as not free (Corrupt) instead of retrying the
-        // move and surfacing the disk error again.
-        for fail_at in 0..8u64 {
-            let mut cfg = BulletConfig::small_test();
-            cfg.disk_blocks = 256;
-            let a = Arc::new(FaultyDisk::new(RamDisk::new(
-                cfg.block_size,
-                cfg.disk_blocks,
-            )));
-            let storage = MirroredDisk::new(vec![a.clone()]).unwrap();
-            let s = BulletServer::format_on(cfg, storage).unwrap();
-            let caps: Vec<Capability> = (0..6)
-                .map(|i| s.create(payload(5 * 512, i as u8), 1).unwrap())
-                .collect();
-            for cap in caps.iter().step_by(2) {
+        struct Case {
+            name: &'static str,
+            log_blocks: u64,
+            archive_blocks: u64,
+            setup: fn(&BulletServer),
+            op: fn(&BulletServer) -> Result<(), BulletError>,
+        }
+        fn files(s: &BulletServer, n: usize) {
+            for i in 0..n {
+                s.create(payload(5 * 512, i as u8), 1).unwrap();
+            }
+        }
+        fn nth(s: &BulletServer, n: usize) -> Capability {
+            s.list_live_caps()[n]
+        }
+        fn holes(s: &BulletServer) {
+            files(s, 6);
+            for cap in s.list_live_caps().iter().step_by(2) {
                 s.delete(cap).unwrap();
             }
-            let free_before = s.disk_frag_report().free;
+        }
+        fn cold(s: &BulletServer) {
+            s.clear_cache();
+            s.age_all().unwrap();
+        }
+        fn preempt(s: &BulletServer) {
             assert_eq!(s.compact_tick().unwrap(), CompactTick::Preempted);
-
-            // Depending on the offset the first tick may complete its
-            // move before the countdown strikes; whichever tick fails,
-            // it must fail with the disk error, never Corrupt, and
-            // leave the free total intact.
-            a.fail_after(fail_at);
+        }
+        fn tick(s: &BulletServer) -> Result<(), BulletError> {
+            s.compact_tick().map(|_| ())
+        }
+        let cases = [
+            Case {
+                name: "create",
+                log_blocks: 0,
+                archive_blocks: 0,
+                setup: |s| files(s, 2),
+                op: |s| s.create(payload(5 * 512, 9), 1).map(|_| ()),
+            },
+            Case {
+                name: "adopt",
+                log_blocks: 0,
+                archive_blocks: 0,
+                setup: |s| files(s, 2),
+                op: |s| s.adopt_object(200 + s.live_files() as u32, 0xabc, payload(5 * 512, 9)),
+            },
+            Case {
+                name: "delete",
+                log_blocks: 0,
+                archive_blocks: 0,
+                setup: |s| files(s, 4),
+                op: |s| s.delete(&nth(s, 1)),
+            },
+            Case {
+                name: "delete from the log",
+                log_blocks: 64,
+                archive_blocks: 0,
+                setup: |s| {
+                    let batch = (0..4).map(|i| payload(900, i)).collect();
+                    s.create_batch(batch, 1).unwrap();
+                },
+                op: |s| s.delete(&nth(s, 1)),
+            },
+            Case {
+                name: "retire",
+                log_blocks: 0,
+                archive_blocks: 0,
+                setup: |s| files(s, 4),
+                op: |s| s.retire_object(nth(s, 1).object.value()),
+            },
+            Case {
+                name: "age_all",
+                log_blocks: 0,
+                archive_blocks: 0,
+                setup: |s| {
+                    files(s, 4);
+                    s.ages.lock().values_mut().for_each(|age| *age = 1);
+                },
+                op: |s| s.age_all().map(|_| ()),
+            },
+            Case {
+                name: "migrate",
+                log_blocks: 64,
+                archive_blocks: 0,
+                setup: |s| {
+                    let batch = (0..4).map(|i| payload(900, i)).collect();
+                    s.create_batch(batch, 1).unwrap();
+                    preempt(s);
+                },
+                op: tick,
+            },
+            Case {
+                name: "pack",
+                log_blocks: 0,
+                archive_blocks: 0,
+                setup: |s| {
+                    holes(s);
+                    preempt(s);
+                },
+                op: tick,
+            },
+            Case {
+                name: "demote",
+                log_blocks: 0,
+                archive_blocks: 64,
+                setup: |s| {
+                    files(s, 3);
+                    cold(s);
+                    preempt(s);
+                },
+                op: tick,
+            },
+            Case {
+                name: "recall",
+                log_blocks: 0,
+                archive_blocks: 64,
+                setup: |s| {
+                    files(s, 3);
+                    cold(s);
+                    drain_maintenance(s);
+                    for cap in s.list_live_caps() {
+                        s.read(&cap).unwrap();
+                    }
+                    preempt(s);
+                },
+                op: tick,
+            },
+            Case {
+                name: "compact_disk",
+                log_blocks: 64,
+                archive_blocks: 0,
+                setup: |s| {
+                    holes(s);
+                    let batch = (0..3).map(|i| payload(900, i)).collect();
+                    s.create_batch(batch, 1).unwrap();
+                },
+                op: |s| s.compact_disk().map(|_| ()),
+            },
+        ];
+        for case in &cases {
             let mut saw_disk_error = false;
-            for tick in 0..3 {
-                match s.compact_tick() {
-                    Ok(_) => {}
-                    Err(BulletError::Disk(_)) => saw_disk_error = true,
-                    Err(e) => panic!("tick {tick} at op {fail_at}: unexpected {e:?}"),
+            let mut saw_success = false;
+            for fail_at in 0..40u64 {
+                let mut cfg = BulletConfig::small_test();
+                cfg.disk_blocks = 512;
+                cfg.log_blocks = case.log_blocks;
+                cfg.archive_blocks = case.archive_blocks;
+                cfg.tier_high_water_pct = 0;
+                let disk = Arc::new(FaultyDisk::new(RamDisk::new(
+                    cfg.block_size,
+                    cfg.disk_blocks,
+                )));
+                let storage = MirroredDisk::new(vec![disk.clone()]).unwrap();
+                let s = BulletServer::format_on(cfg, storage).unwrap();
+                (case.setup)(&s);
+                disk.fail_after(fail_at);
+                // Depending on the offset the first attempt may finish
+                // before the countdown strikes; whichever attempt fails,
+                // it must fail with the disk error and leave no debris.
+                for attempt in 0..3 {
+                    let ctx = format!("{} attempt {attempt} at op {fail_at}", case.name);
+                    match (case.op)(&s) {
+                        Ok(()) => saw_success |= !disk.is_failed(),
+                        Err(BulletError::Disk(_)) => saw_disk_error = true,
+                        Err(e) => panic!("{ctx}: unexpected {e:?}"),
+                    }
+                    let (_, rows) = s.describe_layout();
+                    for w in rows.windows(2) {
+                        assert!(
+                            w[0].start_block as u64 + w[0].blocks <= w[1].start_block as u64,
+                            "{ctx}: extents {:?} and {:?} overlap",
+                            w[0],
+                            w[1]
+                        );
+                    }
+                    let homes: u64 = rows
+                        .iter()
+                        .zip(residencies(&s))
+                        .filter(|(_, (_, r))| *r == Residency::Home)
+                        .map(|(row, _)| row.blocks)
+                        .sum();
+                    let reserved: u64 = s
+                        .log
+                        .as_ref()
+                        .map_or(0, |l| l.lock().homes.values().map(|&(_, len)| len).sum());
+                    let report = s.disk_frag_report();
+                    assert_eq!(
+                        report.total - report.free,
+                        homes + reserved,
+                        "{ctx}: allocator and table disagree"
+                    );
                 }
-                assert_eq!(
-                    s.disk_frag_report().free,
-                    free_before,
-                    "tick {tick} at op {fail_at} lost free space"
-                );
             }
-            assert!(saw_disk_error, "countdown {fail_at} never struck");
+            assert!(saw_disk_error, "{}: the countdown never struck", case.name);
+            assert!(saw_success, "{}: no offset let the op finish", case.name);
         }
     }
 
@@ -4189,10 +4157,8 @@ mod tests {
         let s = log_server();
         let files: Vec<Bytes> = (0..5).map(|i| payload(900, i as u8)).collect();
         let caps = s.create_batch(files, 2).unwrap();
-        let (log_start, _) = s.log_range().unwrap();
-        let (_, rows) = s.describe_layout();
         assert!(
-            rows.iter().all(|r| r.start_block as u64 >= log_start),
+            residencies(&s).iter().all(|&(_, r)| r == Residency::Log),
             "freshly grouped files are log-resident"
         );
         // Drive the idle loop: the first tick is preempted (the creates
@@ -4207,9 +4173,8 @@ mod tests {
         }
         assert_eq!(moved, 5, "one migration per file");
         assert_eq!(s.stats().get(counters::LOG_MIGRATIONS), 5);
-        let (_, rows) = s.describe_layout();
         assert!(
-            rows.iter().all(|r| (r.start_block as u64) < log_start),
+            residencies(&s).iter().all(|&(_, r)| r == Residency::Home),
             "migrated files live in the data area"
         );
         // Contiguous-read invariant: contents unchanged, cold reads too.
@@ -4232,9 +4197,7 @@ mod tests {
         s.delete(&caps[1]).unwrap();
         s.delete(&caps[3]).unwrap();
         s.compact_disk().unwrap();
-        let (log_start, _) = s.log_range().unwrap();
-        let (_, rows) = s.describe_layout();
-        assert!(rows.iter().all(|r| (r.start_block as u64) < log_start));
+        assert!(residencies(&s).iter().all(|&(_, r)| r == Residency::Home));
         let report = s.disk_frag_report();
         assert_eq!(report.hole_count, 1, "free space is one hole");
         s.clear_cache();
@@ -4559,6 +4522,90 @@ mod tests {
         assert_eq!(after.free, after.total);
         // The WORM blocks stay burned: the cursor never rewinds.
         assert_eq!(s.archive_device().unwrap().append_pos(), 3);
+    }
+
+    #[test]
+    fn every_residency_destroys_cleanly_with_log_and_archive_both_on() {
+        // The only configuration where a misread tier bit shows: archived
+        // starts also lie past the log window's first block.
+        let cfg = || {
+            let mut cfg = tiered_cfg();
+            cfg.log_blocks = 512;
+            cfg
+        };
+        let s = BulletServer::format(cfg(), 2).unwrap();
+        let file = |i: usize| payload(900, i as u8); // two blocks each
+        let idx = |cap: &Capability| cap.object.value();
+        let resident = |s: &BulletServer| s.log.as_ref().unwrap().lock().window.resident();
+
+        // a0..a7 commit through the log and migrate home; the cold half
+        // (a4..a7) then demotes, and b0..b3 stay log-resident.
+        let a = s.create_batch((0..8).map(file).collect(), 2).unwrap();
+        drain_maintenance(&s);
+        s.clear_cache();
+        s.age_all().unwrap();
+        for cap in &a[..4] {
+            s.touch(cap).unwrap();
+        }
+        drain_maintenance(&s);
+        let b = s.create_batch((8..12).map(file).collect(), 2).unwrap();
+        let of = |cap: &Capability| {
+            let rows = residencies(&s);
+            rows.iter().find(|&&(i, _)| i == idx(cap)).unwrap().1
+        };
+        assert!(a[..4].iter().all(|c| of(c) == Residency::Home));
+        assert!(a[4..]
+            .iter()
+            .all(|c| matches!(of(c), Residency::Archive { .. })));
+        assert!(b.iter().all(|c| of(c) == Residency::Log));
+        for (i, cap) in a.iter().enumerate().skip(4) {
+            assert_eq!(s.read(cap).unwrap(), file(i), "served from the archive");
+        }
+        assert_eq!(s.tier_recall_backlog(), 4);
+        assert_eq!(resident(&s), 4);
+        let used = |s: &BulletServer| {
+            let r = s.disk_frag_report();
+            r.total - r.free
+        };
+        assert_eq!(used(&s), 4 * 2 + 4 * 2, "four homes, four reserved homes");
+
+        // One file of each residency through each destroy path.
+        for cap in [&a[0], &a[4], &b[0]] {
+            s.delete(cap).unwrap();
+        }
+        for cap in [&a[1], &a[5], &b[1]] {
+            s.retire_object(idx(cap)).unwrap();
+        }
+        for cap in [&a[2], &a[6], &b[2]] {
+            s.ages.lock().insert(idx(cap), 1);
+        }
+        assert_eq!(s.age_all().unwrap(), 3);
+
+        let check = |s: &BulletServer, reserved_homes: u64| {
+            assert_eq!(s.live_files(), 3);
+            let tiers: Vec<Residency> = residencies(s).into_iter().map(|(_, r)| r).collect();
+            assert!(matches!(
+                tiers[..],
+                [Residency::Home, Residency::Log, Residency::Archive { .. }]
+            ));
+            assert_eq!(used(s), 2 + reserved_homes);
+            assert_eq!(resident(s), 1);
+            for (i, cap) in a.iter().chain(&b).enumerate() {
+                if i % 4 == 3 {
+                    assert_eq!(s.read(cap).unwrap(), file(i));
+                } else {
+                    assert_eq!(s.read(cap).unwrap_err(), BulletError::NotFound);
+                }
+            }
+        };
+        assert_eq!(s.tier_recall_backlog(), 1, "only the survivor's recall");
+        check(&s, 2);
+
+        // Recovery classifies the same three extents the same way; the
+        // RAM-only home reservation of the log survivor evaporates.
+        let arch = s.archive_device().unwrap();
+        let s2 = BulletServer::recover_with_archive(cfg(), s.crash(), arch).unwrap();
+        check(&s2, 0);
     }
 
     #[test]

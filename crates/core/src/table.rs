@@ -99,7 +99,7 @@ impl InodeTable {
 
     /// Reads the complete inode table from a formatted device, performing
     /// the start-up consistency scan (bounds; overlap detection is the
-    /// allocator's job via [`used_extents`](Self::used_extents)).
+    /// allocator rebuild's job, over the [`live`](Self::live) extents).
     ///
     /// # Errors
     ///
@@ -158,15 +158,15 @@ impl InodeTable {
             parsed.index = 0;
             if !parsed.is_free() {
                 let start = parsed.start_block as u64;
-                let end = start + parsed.blocks(desc.block_size);
-                let in_data = start >= desc.data_start() && end <= desc.data_end();
-                let in_archive =
-                    start >= desc.data_end() && end <= desc.data_end() + archive_blocks;
-                if !in_data && !in_archive {
+                let blocks = parsed.blocks(desc.block_size);
+                // The log window is part of the data area, so the scan
+                // needs no log geometry to bound an extent.
+                if desc.residency(start, blocks, 0, archive_blocks).is_none() {
                     match policy {
                         RepairPolicy::Fail => {
                             return Err(BulletError::Corrupt(format!(
-                                "inode {i} extent [{start}, {end}) outside data area"
+                                "inode {i} extent [{start}, {}) outside data area",
+                                start + blocks
                             )))
                         }
                         RepairPolicy::ZeroBad => {
@@ -369,18 +369,6 @@ impl InodeTable {
         out
     }
 
-    /// All live `(start_block, blocks)` extents, for the allocator rebuild
-    /// and the overlap check.
-    pub fn used_extents(&self) -> Vec<(u64, u64)> {
-        self.inodes
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(_, inode)| !inode.is_free())
-            .map(|(_, inode)| (inode.start_block as u64, inode.blocks(self.desc.block_size)))
-            .collect()
-    }
-
     /// Iterates over `(index, inode)` for all live files.
     pub fn live(&self) -> impl Iterator<Item = (u32, &Inode)> {
         self.inodes
@@ -501,7 +489,8 @@ mod tests {
         assert_eq!(got.random, 0xbeef);
         assert_eq!(got.index, 0, "cache index has no significance on disk");
         assert_eq!(got.start_block, data_start);
-        assert_eq!(r.table.used_extents(), vec![(data_start as u64, 1)]);
+        assert_eq!(r.table.live().count(), 1);
+        assert_eq!(got.blocks(r.table.descriptor().block_size), 1);
     }
 
     #[test]
@@ -550,6 +539,60 @@ mod tests {
         assert_eq!(r.table.get(idx).unwrap().start_block, data_end + 2);
         // An archive too small for the extent still rejects it.
         assert!(InodeTable::load_with_archive(&d, RepairPolicy::Fail, 2).is_err());
+    }
+
+    #[test]
+    fn residency_and_the_load_scan_agree_at_every_region_boundary() {
+        use crate::layout::Residency::{self, Archive, Home, Log};
+        const LOG: u64 = 16;
+        const ARCHIVE: u64 = 8;
+        let desc = *InodeTable::format(&dev(), 10).unwrap().descriptor();
+        let (ds, de) = (desc.data_start(), desc.data_end());
+        let ls = de - LOG;
+        // (start, blocks, expected): one-block extents on each side of
+        // every boundary, then extents that straddle a device's end.
+        let cases: [(u64, u64, Option<Residency>); 10] = [
+            (ds - 1, 1, None),
+            (ds, 1, Some(Home)),
+            (ls - 1, 1, Some(Home)),
+            (ls, 1, Some(Log)),
+            (de - 1, 1, Some(Log)),
+            (de, 1, Some(Archive { block: 0 })),
+            (de + ARCHIVE - 1, 1, Some(Archive { block: ARCHIVE - 1 })),
+            (de + ARCHIVE, 1, None),
+            (de - 1, 2, None),
+            (de + ARCHIVE - 1, 2, None),
+        ];
+        for (start, blocks, expected) in cases {
+            assert_eq!(
+                desc.residency(start, blocks, LOG, ARCHIVE),
+                expected,
+                "classifying [{start}, +{blocks})"
+            );
+            // The start-up scan accepts exactly the classifiable extents.
+            let d = dev();
+            let mut t = InodeTable::format(&d, 10).unwrap();
+            let idx = t
+                .alloc(Inode {
+                    random: 9,
+                    index: 0,
+                    start_block: start as u32,
+                    size_bytes: (blocks * 512) as u32,
+                })
+                .unwrap();
+            d.write_blocks(t.block_of(idx), &t.block_image(t.block_of(idx)))
+                .unwrap();
+            let loaded = InodeTable::load_with_archive(&d, RepairPolicy::Fail, ARCHIVE);
+            assert_eq!(
+                loaded.is_ok(),
+                expected.is_some(),
+                "loading [{start}, +{blocks})"
+            );
+            // The inverse mapping names the same archive block.
+            if let Some(Archive { block }) = expected {
+                assert_eq!(desc.archive_start(block), start);
+            }
+        }
     }
 
     #[test]

@@ -514,14 +514,21 @@ fn subtree_ids(spans: &[SpanRecord], root: u64) -> Vec<u64> {
     ids
 }
 
-/// The leaf spans (no children) in the subtree under `root`, inclusive of
-/// `root` itself if it has no children.
+/// The leaf spans in the subtree under `root`, inclusive of `root` itself
+/// if it is one.  A leaf has no child that takes time: zero-width instants
+/// (lock acquisitions, scheduler grants) annotate their parent without
+/// subdividing it, so a span whose only children are instants still owns
+/// its whole interval.
 pub fn leaf_spans(spans: &[SpanRecord], root: u64) -> Vec<&SpanRecord> {
     let ids = subtree_ids(spans, root);
     spans
         .iter()
         .filter(|s| ids.contains(&s.id))
-        .filter(|s| !spans.iter().any(|c| c.parent == Some(s.id)))
+        .filter(|s| {
+            !spans
+                .iter()
+                .any(|c| c.parent == Some(s.id) && c.end > c.start)
+        })
         .collect()
 }
 
@@ -762,6 +769,8 @@ mod tests {
             let _root = t.span("root");
             {
                 let _a = t.span("a");
+                // An instant inside `a` annotates it; `a` stays a leaf.
+                t.instant("granted", &[]);
                 clock.advance(Nanos(10));
             }
             {
@@ -771,9 +780,10 @@ mod tests {
         }
         let spans = t.snapshot();
         let root_id = spans.iter().find(|s| s.name == "root").unwrap().id;
-        // Leaves a and b tile the root exactly.
+        // Leaves a and b tile the root exactly (the instant is a third,
+        // zero-width leaf).
         assert_eq!(leaf_coverage(&spans, root_id), Nanos(30));
-        assert_eq!(leaf_spans(&spans, root_id).len(), 2);
+        assert_eq!(leaf_spans(&spans, root_id).len(), 3);
     }
 
     #[test]
