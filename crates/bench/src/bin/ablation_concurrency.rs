@@ -35,10 +35,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use amoeba_cap::{Capability, Port};
+use amoeba_cap::Capability;
 use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SimDisk};
 use amoeba_sim::{capture, DetRng, Histogram, HwProfile, Nanos, SimClock};
-use bullet_core::{BulletConfig, BulletServer};
+use bullet_bench::rig::paper_config;
+use bullet_core::BulletServer;
 
 /// Operations per client lane.
 const OPS: usize = 512;
@@ -72,39 +73,7 @@ fn build(hw: HwProfile) -> (Arc<BulletServer>, SimClock) {
         })
         .collect();
     let storage = MirroredDisk::new(replicas).expect("replica set is valid");
-    let cfg = BulletConfig {
-        port: Port::from_u64(0xb1e7),
-        min_inodes: 2048,
-        cache_capacity: 12 << 20,
-        rnode_slots: 2048,
-        block_size: 1024,
-        disk_blocks: 65_536,
-        clock: cpu_clock,
-        cpu: hw.cpu,
-        scheme_seed: 0x5eed,
-        scheme: bullet_core::SchemeKind::Mac,
-        rng_seed: 0xfee1,
-        repair: bullet_core::table::RepairPolicy::Fail,
-        max_age: 8,
-        eviction: bullet_core::EvictionPolicy::Lru,
-        eviction_seed: 0,
-        segment_size: 64 * 1024,
-        pipeline: true,
-        readahead_segments: u32::MAX,
-        placement: bullet_core::Placement::FirstFit,
-        trace: amoeba_sim::TraceConfig::off(),
-        log_blocks: 0,
-        log_batch_files: 32,
-        log_batch_bytes: 256 * 1024,
-        telemetry: amoeba_sim::TelemetryConfig::off(),
-        accounting: bullet_core::ClientAccounting::off(),
-        shard: bullet_core::ShardSlot::solo(),
-        archive_blocks: 0,
-        tier_high_water_pct: 75,
-        tier_cold_age: 1,
-        maint_idle_request_delta: 0,
-        maint_moves_per_tick: 1,
-    };
+    let cfg = paper_config(cpu_clock, hw.cpu, 12 << 20);
     let server = Arc::new(BulletServer::format_on(cfg, storage).expect("formatting succeeds"));
     (server, disk_clock)
 }

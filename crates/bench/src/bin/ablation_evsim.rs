@@ -4,28 +4,12 @@
 //! Runs the [`bullet_bench::evsim`] matrix — every policy under the Zipf
 //! workload and under the scan-injection variant (10 % of clients
 //! streaming sequential cold files through the cache) — on the
-//! virtual-time event engine, with the real `FileCache` in the loop.
-//! Like ABL13/ABL14, the whole matrix is run a *second* time and the
-//! rendered outcome table (which embeds each run's FNV-1a timeline
-//! digest) must come back byte-identical.
-//!
-//! The run is judged against the PR's headline criteria:
-//!
-//! * scale: every client completes every op — ≥ 10k clients, ≥ 500k
-//!   files, driven through one binary heap;
-//! * replay: the matrix is deterministic, byte for byte;
-//! * scan resistance: the better of SegmentedLRU/2Q beats LRU hit-rate
-//!   under scan injection by at least [`SCAN_MARGIN`];
-//! * Zipf parity: without scans the four policies stay within
-//!   [`ZIPF_PARITY`] of LRU (the ABL9 null result must survive scale —
-//!   scan resistance may not cost the common case);
-//! * tail latency: the better segmented policy's scan p99 does not
-//!   exceed LRU's (fewer misses ⇒ shorter disk queues).
-//!
-//! Exit status is non-zero if any criterion goes red or the replay
-//! diverges.  Artifacts: `results/ablation_evsim.txt` (the table) and
-//! `results/ablation_evsim_curve.jsonl` (windowed hit-rate curves of the
-//! first run, one JSON object per window).
+//! virtual-time event engine, with the real `FileCache` in the loop,
+//! twice; the cells and their criteria are
+//! [`bullet_bench::evsim::ablation`], the replay-twice discipline and
+//! exit status [`bullet_bench::ablation::run`].  Artifacts:
+//! `results/ablation_evsim.txt` (the table) and
+//! `results/ablation_evsim_curve.jsonl` (windowed hit-rate curves).
 //!
 //! ```text
 //! cargo run --release -p bullet-bench --bin ablation_evsim             # PR gate
@@ -33,190 +17,15 @@
 //! cargo run --release -p bullet-bench --bin ablation_evsim -- --clients 100000
 //! ```
 
-use bullet_bench::evsim::{
-    curve_row, outcome_table, run, EvsimConfig, EvsimRun, POLICIES, PR_SEED,
-};
+use std::process::ExitCode;
 
-/// The committed scan-resistance margin: best(SLRU, 2Q) must beat LRU's
-/// scan hit-rate by at least this much (absolute hit-rate delta).
-/// Measured at the PR seed: SLRU 0.3152 vs LRU 0.2761, a delta of
-/// ≈ 0.039 — about 30 % above this bound.  The matrix is a pure function
-/// of the seed, so the gate is deterministic, not statistical.
-pub const SCAN_MARGIN: f64 = 0.03;
+use bullet_bench::ablation::{self, Args, Scale};
+use bullet_bench::evsim;
 
-/// Zipf-parity band: without scan pollution no policy may fall more than
-/// this far below LRU's hit rate.
-pub const ZIPF_PARITY: f64 = 0.05;
-
-fn usage() -> ! {
-    eprintln!("usage: ablation_evsim [--seed N] [--clients N]");
-    std::process::exit(2);
-}
-
-fn run_matrix(seed: u64, clients: usize) -> Vec<EvsimRun> {
-    let mut runs = Vec::new();
-    for workload in ["zipf", "scan"] {
-        for policy in POLICIES {
-            let mut cfg = EvsimConfig::gate(policy, workload, seed);
-            cfg.clients = clients;
-            runs.push(run(&cfg));
-        }
-    }
-    runs
-}
-
-fn main() {
-    let mut seed = PR_SEED;
-    let mut clients = bullet_bench::evsim::CLIENTS;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                seed = n.parse().unwrap_or_else(|_| usage());
-            }
-            "--clients" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                clients = n.parse().unwrap_or_else(|_| usage());
-            }
-            _ => usage(),
-        }
-    }
-
-    let wall = std::time::Instant::now();
-    println!("ABL16 — cache replacement at event-engine scale (seed {seed}, {clients} clients, run twice)");
-    println!();
-
-    let runs = run_matrix(seed, clients);
-    let table = outcome_table(&runs);
-    print!("{table}");
-    println!();
-
-    // The determinism witness: the same matrix, replayed, must render
-    // the same bytes (the table embeds each run's timeline digest, so a
-    // single reordered event anywhere in ~10M flips it).
-    let replay = outcome_table(&run_matrix(seed, clients));
-    let deterministic = replay == table;
-    println!(
-        "replay determinism: {}",
-        if deterministic {
-            "outcome table and timeline digests byte-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-
-    let find = |workload: &str, policy: &str| {
-        &runs
-            .iter()
-            .find(|r| r.outcome.workload == workload && r.outcome.policy == policy)
-            .expect("matrix covers all cells")
-            .outcome
-    };
-    let mut reds: Vec<String> = Vec::new();
-
-    // 1. Scale: every client completed every op, at the demanded scale.
-    let mut scale_green = clients >= 10_000;
-    for r in &runs {
-        let o = &r.outcome;
-        let scanners = if o.workload == "scan" {
-            o.clients as u64 / bullet_bench::evsim::SCAN_DENOM as u64
-        } else {
-            0
-        };
-        let ops = bullet_bench::evsim::OPS_PER_CLIENT as u64;
-        let expect = (o.clients as u64 - scanners) * ops
-            + scanners * ops * bullet_bench::evsim::SCAN_BURST as u64;
-        if o.reads != expect || o.files < 500_000 {
-            scale_green = false;
-            reds.push(format!(
-                "{}/{}: {} reads (expected {}), {} files",
-                o.workload, o.policy, o.reads, expect, o.files
-            ));
-        }
-    }
-
-    // 2. Scan resistance: the headline.
-    let lru_scan = find("scan", "lru");
-    let slru_scan = find("scan", "slru");
-    let twoq_scan = find("scan", "2q");
-    let best_rate = slru_scan.hit_rate.max(twoq_scan.hit_rate);
-    let margin_green = best_rate >= lru_scan.hit_rate + SCAN_MARGIN;
-    if !margin_green {
-        reds.push(format!(
-            "scan margin not met: lru {:.4}, best segmented {:.4}, required +{SCAN_MARGIN}",
-            lru_scan.hit_rate, best_rate
-        ));
-    }
-
-    // 3. Zipf parity: scan resistance may not cost the common case.
-    let lru_zipf = find("zipf", "lru").hit_rate;
-    let mut parity_green = true;
-    for policy in ["slru", "2q"] {
-        let rate = find("zipf", policy).hit_rate;
-        if rate + ZIPF_PARITY < lru_zipf {
-            parity_green = false;
-            reds.push(format!(
-                "{policy} zipf hit rate {rate:.4} more than {ZIPF_PARITY} below lru {lru_zipf:.4}"
-            ));
-        }
-    }
-
-    // 4. Tail latency: fewer scan misses must shorten the disk queues.
-    let best_p99 = slru_scan.p99_ms.min(twoq_scan.p99_ms);
-    let p99_green = best_p99 <= lru_scan.p99_ms;
-    if !p99_green {
-        reds.push(format!(
-            "scan p99 not improved: lru {:.1} ms, best segmented {:.1} ms",
-            lru_scan.p99_ms, best_p99
-        ));
-    }
-
-    let greens = [
-        scale_green,
-        deterministic,
-        margin_green,
-        parity_green,
-        p99_green,
-    ]
-    .iter()
-    .filter(|&&g| g)
-    .count();
-    println!("criteria: {greens} of 5 green");
-    let secs = wall.elapsed().as_secs_f64();
-    println!("wall clock: {secs:.1} s for both runs");
-
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut artifact = String::new();
-    artifact.push_str(&format!(
-        "ABL16 cache replacement at event-engine scale (seed {seed}, {clients} clients)\n"
-    ));
-    artifact.push_str(&table);
-    artifact.push_str(&format!(
-        "replay_deterministic={deterministic} red_criteria={}\n",
-        reds.len()
-    ));
-    std::fs::write("results/ablation_evsim.txt", artifact).expect("write artifact");
-    println!("wrote results/ablation_evsim.txt");
-
-    let mut curves = String::new();
-    for r in &runs {
-        for p in &r.curve {
-            curves.push_str(&curve_row(&r.outcome, p));
-            curves.push('\n');
-        }
-    }
-    std::fs::write("results/ablation_evsim_curve.jsonl", curves).expect("write curve");
-    println!("wrote results/ablation_evsim_curve.jsonl");
-
-    if !deterministic {
-        eprintln!("ABL16 FAILED: replay diverged from the first run");
-        std::process::exit(1);
-    }
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL16 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    let mut args = Args::from_env("ablation_evsim [--seed N] [--clients N]");
+    let seed = args.value("--seed");
+    let clients = args.value("--clients");
+    args.finish();
+    ablation::run(|| evsim::ablation(Scale::Full, seed, clients))
 }

@@ -3,13 +3,10 @@
 //! Runs the three fault classes of [`bullet_bench::faults`] — mirrored
 //! disk failure mid-workload, crash-drop of unsynced writes with the
 //! startup consistency scan, and a lossy-wire soak under the retrying
-//! at-most-once client — over a seed matrix, then runs the whole matrix
-//! a *second* time and demands the rendered outcome table come back
-//! byte-identical: the fault schedule, the retries, and the simulated
-//! end times are all pure functions of the seed.
-//!
-//! Exit status is non-zero if any invariant goes red or the replay
-//! diverges.  Artifact: `results/ablation_faults.txt`.
+//! at-most-once client — over a seed matrix, twice; the cells and their
+//! criteria are [`bullet_bench::faults::ablation`], the replay-twice
+//! discipline and exit status [`bullet_bench::ablation::run`].
+//! Artifact: `results/ablation_faults.txt`.
 //!
 //! ```text
 //! cargo run -p bullet-bench --bin ablation_faults            # 3 classes x 5 seeds
@@ -17,107 +14,20 @@
 //! cargo run -p bullet-bench --bin ablation_faults -- --class lossy-wire --seed 7
 //! ```
 
-use bullet_bench::faults::{outcome_table, run_class, CampaignOutcome, FaultClass, PR_SEEDS};
+use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ablation_faults [--wide] [--class {}] [--seed N]",
-        FaultClass::ALL
-            .iter()
-            .map(|c| c.name())
-            .collect::<Vec<_>>()
-            .join("|")
+use bullet_bench::ablation::{self, Args};
+use bullet_bench::faults::{self, FaultClass};
+
+fn main() -> ExitCode {
+    let mut args = Args::from_env(
+        "ablation_faults [--wide] [--class mirror-fail|crash-recovery|lossy-wire] [--seed N]",
     );
-    std::process::exit(2);
-}
-
-fn main() {
-    let mut class: Option<FaultClass> = None;
-    let mut seed: Option<u64> = None;
-    let mut wide = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--wide" => wide = true,
-            "--class" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                class = Some(FaultClass::parse(&name).unwrap_or_else(|| usage()));
-            }
-            "--seed" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                seed = Some(n.parse().unwrap_or_else(|_| usage()));
-            }
-            _ => usage(),
-        }
-    }
-
-    let classes: Vec<FaultClass> = match class {
-        Some(c) => vec![c],
-        None => FaultClass::ALL.to_vec(),
-    };
-    let seeds: Vec<u64> = match seed {
-        Some(s) => vec![s],
-        None if wide => (1..=25).collect(),
-        None => PR_SEEDS.to_vec(),
-    };
-
-    println!(
-        "ABL13 — deterministic fault-injection campaign ({} class(es) x {} seed(s), run twice)",
-        classes.len(),
-        seeds.len()
-    );
-    println!();
-
-    let run_matrix = || -> Vec<CampaignOutcome> {
-        classes
-            .iter()
-            .flat_map(|&c| seeds.iter().map(move |&s| run_class(c, s)))
-            .collect()
-    };
-
-    let first = run_matrix();
-    let table = outcome_table(&first);
-    print!("{table}");
-    println!();
-
-    // The determinism witness: the same matrix, replayed, must render
-    // the same bytes.
-    let replay = outcome_table(&run_matrix());
-    let deterministic = replay == table;
-    let reds = first.iter().filter(|o| !o.green()).count();
-
-    println!(
-        "replay determinism: {}",
-        if deterministic {
-            "outcome table byte-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    println!(
-        "invariants: {} of {} cells green",
-        first.len() - reds,
-        first.len()
-    );
-
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut artifact = String::new();
-    artifact.push_str("ABL13 fault-injection campaign\n");
-    artifact.push_str(&table);
-    artifact.push_str(&format!(
-        "replay_deterministic={deterministic} green_cells={}/{}\n",
-        first.len() - reds,
-        first.len()
-    ));
-    std::fs::write("results/ablation_faults.txt", artifact).expect("write artifact");
-    println!("wrote results/ablation_faults.txt");
-
-    if !deterministic {
-        eprintln!("ABL13 FAILED: replay diverged from the first run");
-        std::process::exit(1);
-    }
-    if reds > 0 {
-        eprintln!("ABL13 FAILED: {reds} campaign cell(s) red");
-        std::process::exit(1);
-    }
+    let scale = args.soak("--wide");
+    let class = args
+        .value::<String>("--class")
+        .map(|name| FaultClass::parse(&name).unwrap_or_else(|| args.usage()));
+    let seed = args.value("--seed");
+    args.finish();
+    ablation::run(|| faults::ablation(scale, class, seed))
 }

@@ -1,341 +1,29 @@
 //! Ablation ABL15 — the log-structured create path: group commit,
 //! batched extent allocation, and idle-time log migration.
 //!
-//! The headline storm: 32 concurrent 16 KB creates, all arriving at
-//! t = 0 and served by a two-way mirrored pair of seek-modelled disks.
-//! Without the log each create is its own mirrored data write plus an
-//! inode write-through — ~32 physical I/O chains, served serially by the
-//! arm.  With the log the storm collapses into a couple of sequential,
-//! checksummed record appends (byte-capped at 256 KB per record) plus
-//! one deduplicated inode-block write per record, so the last create
-//! finishes orders of magnitude sooner.
-//!
-//! A second storm draws its sizes from the Zipf popularity-skewed
-//! small-file generator ([`bullet_bench::workload::small_file_storm`]) —
-//! the size mix the literature says create traffic actually has — and
-//! must coalesce at least 8 files per append on average.
-//!
-//! Criteria (exit non-zero if any goes red):
-//!
-//! * the 32×16 KB storm commits in ≤ 4 log appends;
-//! * batched physical write I/Os are ≤ ¼ of the baseline's;
-//! * the batched storm *completes entirely* in less than half the
-//!   baseline's p99 create latency (so every batched create, including
-//!   the last, beats 2× on p99);
-//! * every file reads back byte-identical, in both modes;
-//! * the Zipf storm averages ≥ 8 files per log append;
-//! * the whole matrix, run a second time, renders byte-identically.
-//!
-//! Artifacts: `results/ablation_groupcommit.txt` (the outcome table) and
-//! `results/ablation_groupcommit_trace.jsonl` (one JSON object per
-//! storm create of the first run: mode, index, size, completion time).
+//! Runs the create storms of [`bullet_bench::groupcommit`] — 32
+//! concurrent 16 KB creates and a Zipf-sized 64-file storm, each per-file
+//! and batched through the log, on an aged mirrored pair — twice; the
+//! cells and their criteria are [`bullet_bench::groupcommit::ablation`],
+//! the replay-twice discipline and exit status
+//! [`bullet_bench::ablation::run`].  Artifacts:
+//! `results/ablation_groupcommit.txt` (the outcome table) and
+//! `results/ablation_groupcommit_trace.jsonl` (one JSON object per storm
+//! create).
 //!
 //! ```text
 //! cargo run -p bullet-bench --bin ablation_groupcommit            # PR seed
 //! cargo run -p bullet-bench --bin ablation_groupcommit -- --seed 7
 //! ```
 
-use bytes::Bytes;
+use std::process::ExitCode;
 
-use amoeba_sim::{HwProfile, Nanos};
-use bullet_bench::workload::small_file_storm;
-use bullet_bench::BulletRig;
+use bullet_bench::ablation::{self, Args, Scale};
+use bullet_bench::groupcommit;
 
-/// The PR's pinned seed: `report --check` gates the numbers this seed
-/// produces.
-const PR_SEED: u64 = 0xab15;
-/// Files in the headline storm.
-const STORM_FILES: usize = 32;
-/// Size of each headline-storm file.
-const STORM_SIZE: usize = 16 * 1024;
-/// Files in the Zipf storm.
-const ZIPF_FILES: usize = 64;
-
-/// One storm's measured outcome.
-struct StormOutcome {
-    /// Completion time of the i-th create, measured from storm start
-    /// (all creates arrive at t = 0; the disk serves them from there).
-    completions: Vec<Nanos>,
-    /// Physical write I/Os across both replicas, storm only.
-    disk_writes: u64,
-    /// `log_appends` across the storm (0 in baseline mode).
-    log_appends: u64,
-    /// `group_commit_flushes` across the storm.
-    flushes: u64,
-    /// Payload sizes, for the trace artifact.
-    sizes: Vec<usize>,
-}
-
-impl StormOutcome {
-    fn p99(&self) -> Nanos {
-        let mut c = self.completions.clone();
-        c.sort_unstable();
-        amoeba_sim::exact_quantile(&c, 99).expect("storm produced completions")
-    }
-
-    fn total(&self) -> Nanos {
-        self.completions
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(Nanos::ZERO)
-    }
-}
-
-fn rig(batched: bool) -> BulletRig {
-    BulletRig::with_config(2, HwProfile::amoeba_1989(), 12 << 20, |cfg| {
-        if batched {
-            cfg.log_blocks = 4096; // 4 MB window at 1 KB blocks
-            cfg.log_batch_files = 32;
-            cfg.log_batch_bytes = 256 * 1024;
-        }
-    })
-}
-
-/// Ages the disk in place: fills it with large direct-path files, then
-/// frees every other one in the *far* half.  The surviving free space
-/// sits far from the inode table, so a subsequent per-file create pays
-/// the realistic seek round-trip (data area ↔ inode table) an aged
-/// first-fit disk exacts — while the group-commit log, whose window is
-/// contiguous by construction, keeps appending sequentially.  A fresh
-/// empty disk would flatter the baseline: first-fit would pack the storm
-/// right next to the inode table, where seeks are nearly free.
-fn age_disk(rig: &BulletRig) {
-    // Bigger than `log_batch_bytes`, so fillers take the direct path in
-    // both modes and the aging I/O pattern is identical.
-    const FILLER: usize = 512 * 1024;
-    let mut caps = Vec::new();
-    while let Ok(cap) = rig.server.create(Bytes::from(vec![0xfe; FILLER]), 2) {
-        caps.push(cap);
-    }
-    let half = caps.len() / 2;
-    for cap in caps.iter().skip(half).step_by(2) {
-        rig.server.delete(cap).expect("filler delete");
-    }
-}
-
-/// Runs one storm: `sizes[i]` bytes for create `i`, fill byte = index.
-/// In batched mode the storm goes through `create_batch` (the
-/// deterministic group-commit entry point); in baseline mode each create
-/// is a separate call — the disk arm serves the resulting I/O chains
-/// serially, which is exactly what 32 concurrent arrivals see.
-fn run_storm(rig: &BulletRig, sizes: &[usize], batched: bool) -> StormOutcome {
-    age_disk(rig);
-    let files: Vec<Bytes> = sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| Bytes::from(vec![i as u8; n]))
-        .collect();
-    let writes0 = rig.sched_stats().disk_writes;
-    let appends0 = rig.server.stats().get("log_appends");
-    let flushes0 = rig.server.stats().get("group_commit_flushes");
-    let t0 = rig.clock.now();
-    let (caps, completions) = if batched {
-        let caps = rig
-            .server
-            .create_batch(files, 2)
-            .expect("batched storm fits the rig");
-        // Every batched create completes no later than the whole call:
-        // charge each file the full storm duration (a conservative upper
-        // bound — most finished with an earlier chunk).
-        let done = rig.clock.now() - t0;
-        (caps, vec![done; sizes.len()])
-    } else {
-        let mut caps = Vec::with_capacity(files.len());
-        let mut completions = Vec::with_capacity(files.len());
-        for data in files {
-            caps.push(rig.server.create(data, 2).expect("create fits the rig"));
-            completions.push(rig.clock.now() - t0);
-        }
-        (caps, completions)
-    };
-    // Read-back: every file byte-identical (grouped files are readable
-    // straight out of the log window).
-    for (i, cap) in caps.iter().enumerate() {
-        let data = rig.server.read(cap).expect("storm file reads back");
-        assert_eq!(data.len(), sizes[i], "file {i} size");
-        assert!(
-            data.iter().all(|&b| b == i as u8),
-            "file {i} content intact"
-        );
-    }
-    StormOutcome {
-        completions,
-        disk_writes: rig.sched_stats().disk_writes - writes0,
-        log_appends: rig.server.stats().get("log_appends") - appends0,
-        flushes: rig.server.stats().get("group_commit_flushes") - flushes0,
-        sizes: sizes.to_vec(),
-    }
-}
-
-/// The full matrix at one seed: headline storm and Zipf storm, baseline
-/// and batched.
-fn run_matrix(seed: u64) -> [(&'static str, bool, StormOutcome); 4] {
-    let headline = vec![STORM_SIZE; STORM_FILES];
-    let zipf: Vec<usize> = small_file_storm(seed, ZIPF_FILES, 1024, 32 * 1024)
-        .into_iter()
-        .map(|s| s as usize)
-        .collect();
-    [
-        ("headline", false, run_storm(&rig(false), &headline, false)),
-        ("headline", true, run_storm(&rig(true), &headline, true)),
-        ("zipf", false, run_storm(&rig(false), &zipf, false)),
-        ("zipf", true, run_storm(&rig(true), &zipf, true)),
-    ]
-}
-
-fn outcome_table(matrix: &[(&'static str, bool, StormOutcome)]) -> String {
-    let mut t =
-        String::from("storm     mode      files  appends  flushes  writes  p99_ms   total_ms\n");
-    for (storm, batched, o) in matrix {
-        t.push_str(&format!(
-            "{storm:<9} {:<9} {:>5}  {:>7}  {:>7}  {:>6}  {:>7.2}  {:>8.2}\n",
-            if *batched { "batched" } else { "baseline" },
-            o.completions.len(),
-            o.log_appends,
-            o.flushes,
-            o.disk_writes,
-            o.p99().as_ms_f64(),
-            o.total().as_ms_f64(),
-        ));
-    }
-    t
-}
-
-fn usage() -> ! {
-    eprintln!("usage: ablation_groupcommit [--seed N]");
-    std::process::exit(2);
-}
-
-fn main() {
-    let mut seed = PR_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                seed = n.parse().unwrap_or_else(|_| usage());
-            }
-            _ => usage(),
-        }
-    }
-
-    println!("ABL15 — group-commit create path (seed {seed:#x}, run twice)");
-    println!();
-    let matrix = run_matrix(seed);
-    let table = outcome_table(&matrix);
-    print!("{table}");
-    println!();
-
-    let replay = outcome_table(&run_matrix(seed));
-    let deterministic = replay == table;
-    println!(
-        "replay determinism: {}",
-        if deterministic {
-            "outcome table byte-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-
-    let (base, batched) = (&matrix[0].2, &matrix[1].2);
-    let (zipf_base, zipf_batched) = (&matrix[2].2, &matrix[3].2);
-    let mut reds: Vec<String> = Vec::new();
-    let appends_green = batched.log_appends <= 4;
-    if !appends_green {
-        reds.push(format!(
-            "headline storm took {} log appends (want <= 4)",
-            batched.log_appends
-        ));
-    }
-    let io_green = batched.disk_writes * 4 <= base.disk_writes;
-    if !io_green {
-        reds.push(format!(
-            "physical writes not collapsed 4x: baseline {} batched {}",
-            base.disk_writes, batched.disk_writes
-        ));
-    }
-    // The batched side's per-file bound is the *whole storm's* duration,
-    // so this is "every batched create beats 2x the baseline p99".
-    let p99_green = batched.total().as_ns() * 2 <= base.p99().as_ns();
-    if !p99_green {
-        reds.push(format!(
-            "p99 not halved: baseline p99 {:.2} ms, batched total {:.2} ms",
-            base.p99().as_ms_f64(),
-            batched.total().as_ms_f64()
-        ));
-    }
-    let zipf_green =
-        zipf_batched.log_appends > 0 && ZIPF_FILES as u64 >= 8 * zipf_batched.log_appends;
-    if !zipf_green {
-        reds.push(format!(
-            "zipf storm averaged under 8 files per append ({} appends for {} files)",
-            zipf_batched.log_appends, ZIPF_FILES
-        ));
-    }
-    let greens = [
-        appends_green,
-        io_green,
-        p99_green,
-        zipf_green,
-        deterministic,
-    ]
-    .iter()
-    .filter(|&&g| g)
-    .count();
-    println!("criteria: {greens} of 5 green");
-    println!(
-        "headline collapse: {} baseline writes -> {} batched ({} appends), \
-         p99 {:.2} ms -> <= {:.2} ms",
-        base.disk_writes,
-        batched.disk_writes,
-        batched.log_appends,
-        base.p99().as_ms_f64(),
-        batched.total().as_ms_f64()
-    );
-    println!(
-        "zipf storm: {} files in {} appends ({} flushes), baseline p99 {:.2} ms",
-        ZIPF_FILES,
-        zipf_batched.log_appends,
-        zipf_batched.flushes,
-        zipf_base.p99().as_ms_f64()
-    );
-
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut artifact = String::new();
-    artifact.push_str(&format!(
-        "ABL15 group-commit create path (seed {seed:#x})\n"
-    ));
-    artifact.push_str(&table);
-    artifact.push_str(&format!(
-        "replay_deterministic={deterministic} red_criteria={}\n",
-        reds.len()
-    ));
-    std::fs::write("results/ablation_groupcommit.txt", artifact).expect("write artifact");
-    println!("wrote results/ablation_groupcommit.txt");
-
-    let mut trace = String::new();
-    for (storm, batched, o) in &matrix {
-        for (i, (c, s)) in o.completions.iter().zip(&o.sizes).enumerate() {
-            trace.push_str(&format!(
-                "{{\"storm\":\"{storm}\",\"mode\":\"{}\",\"file\":{i},\"bytes\":{s},\
-                 \"completion_ns\":{}}}\n",
-                if *batched { "batched" } else { "baseline" },
-                c.as_ns()
-            ));
-        }
-    }
-    std::fs::write("results/ablation_groupcommit_trace.jsonl", trace).expect("write trace");
-    println!("wrote results/ablation_groupcommit_trace.jsonl");
-
-    if !deterministic {
-        eprintln!("ABL15 FAILED: replay diverged from the first run");
-        std::process::exit(1);
-    }
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL15 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    let mut args = Args::from_env("ablation_groupcommit [--seed N]");
+    let seed = args.value("--seed");
+    args.finish();
+    ablation::run(|| groupcommit::ablation(Scale::Full, seed))
 }

@@ -5,172 +5,27 @@
 //! cell, the same cell with the flight recorder sampling every second of
 //! virtual time, and the same cell again with a mid-run fault burst (a
 //! lossy wire plus one failed mirror replica) under an armed watchdog
-//! and per-client accounting.  Like ABL16, the whole triple is run a
-//! *second* time and the rendered outcome table (which embeds every
-//! run's FNV-1a timeline digest) must come back byte-identical.
-//!
-//! The run is judged against the PR's headline criteria:
-//!
-//! * overhead: the instrumented clean run's timeline digest equals the
-//!   bare run's — sampling is free in virtual time, 0 % ≤ the committed
-//!   2 % throughput budget;
-//! * injection: the burst actually perturbs the timeline (digest
-//!   differs, retries and failovers both non-zero);
-//! * detection: the watchdog's first Degraded event lands within one
-//!   sampling period of the burst opening;
-//! * recovery: the watchdog closes the window (≥ 1 Recovered event)
-//!   after the burst ends;
-//! * replay: the triple is deterministic, byte for byte.
-//!
-//! Exit status is non-zero if any criterion goes red or the replay
-//! diverges.  Artifacts: `results/ablation_monitor.txt` (the table),
-//! `results/flight_recorder.jsonl` (every ring of the burst run, one
-//! JSON object per sample), and `results/flight_recorder_trace.json`
-//! (the same rings as Chrome `"ph": "C"` counter events — load in
-//! Perfetto / `chrome://tracing`).
+//! and per-client accounting — twice; the triple and its criteria are
+//! [`bullet_bench::monitor::ablation`], the replay-twice discipline and
+//! exit status [`bullet_bench::ablation::run`].  Artifacts:
+//! `results/ablation_monitor.txt` (the table),
+//! `results/flight_recorder.jsonl` (every ring of the burst run), and
+//! `results/flight_recorder_trace.json` (the same rings as Chrome counter
+//! events — load in Perfetto / `chrome://tracing`).
 //!
 //! ```text
 //! cargo run --release -p bullet-bench --bin ablation_monitor            # PR gate
 //! cargo run --release -p bullet-bench --bin ablation_monitor -- --seed 7
 //! ```
 
-use bullet_bench::evsim::PR_SEED;
-use bullet_bench::monitor::{outcome_table, run_monitor, MonitorConfig};
+use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!("usage: ablation_monitor [--seed N]");
-    std::process::exit(2);
-}
+use bullet_bench::ablation::{self, Args, Scale};
+use bullet_bench::monitor;
 
-fn main() {
-    let mut seed = PR_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                seed = n.parse().unwrap_or_else(|_| usage());
-            }
-            _ => usage(),
-        }
-    }
-
-    let wall = std::time::Instant::now();
-    let cfg = MonitorConfig::gate(seed);
-    println!(
-        "ABL17 — flight recorder & SLO watchdog (seed {seed}, {} clients, period {} ms, run twice)",
-        cfg.base.clients,
-        cfg.period.as_us() / 1_000
-    );
-    println!();
-
-    let run = run_monitor(&cfg);
-    let o = &run.outcome;
-    let table = outcome_table(o);
-    print!("{table}");
-    println!();
-
-    // The determinism witness: the same triple, replayed, must render
-    // the same bytes (three timeline digests, the watchdog's event
-    // counts, and the accounting table all feed the comparison).
-    let replay = outcome_table(&run_monitor(&cfg).outcome);
-    let deterministic = replay == table;
-    println!(
-        "replay determinism: {}",
-        if deterministic {
-            "outcome table and timeline digests byte-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-
-    let mut reds: Vec<String> = Vec::new();
-
-    // 1. Overhead: sampling must be free in virtual time.
-    let overhead_green = o.bare.digest == o.clean.digest;
-    if !overhead_green {
-        reds.push(format!(
-            "instrumented digest {:016x} != bare {:016x}: the recorder moved the timeline",
-            o.clean.digest, o.bare.digest
-        ));
-    }
-
-    // 2. Injection: the burst must actually degrade the system.
-    let injection_green =
-        o.burst.digest != o.bare.digest && o.burst.retries > 0 && o.burst.failovers > 0;
-    if !injection_green {
-        reds.push(format!(
-            "fault burst had no effect ({} retries, {} failovers)",
-            o.burst.retries, o.burst.failovers
-        ));
-    }
-
-    // 3. Detection: the watchdog flags the burst within one period.
-    let detection_green = o.slo_degraded >= 1 && o.detection_lag_us <= cfg.period.as_us();
-    if !detection_green {
-        reds.push(format!(
-            "detection lag {} us exceeds one period ({} us) or no degraded event",
-            o.detection_lag_us,
-            cfg.period.as_us()
-        ));
-    }
-
-    // 4. Recovery: the watchdog must close the degradation window.
-    let recovery_green = o.slo_recovered >= 1;
-    if !recovery_green {
-        reds.push("watchdog never emitted a Recovered event".to_string());
-    }
-
-    let greens = [
-        overhead_green,
-        injection_green,
-        detection_green,
-        recovery_green,
-        deterministic,
-    ]
-    .iter()
-    .filter(|&&g| g)
-    .count();
-    println!("criteria: {greens} of 5 green");
-    let secs = wall.elapsed().as_secs_f64();
-    println!("wall clock: {secs:.1} s for both runs");
-
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut artifact = String::new();
-    artifact.push_str(&format!(
-        "ABL17 flight recorder & SLO watchdog (seed {seed}, {} clients, period {} ms)\n",
-        cfg.base.clients,
-        cfg.period.as_us() / 1_000
-    ));
-    artifact.push_str(&table);
-    artifact.push_str(&format!(
-        "replay_deterministic={deterministic} red_criteria={}\n",
-        reds.len()
-    ));
-    std::fs::write("results/ablation_monitor.txt", artifact).expect("write artifact");
-    println!("wrote results/ablation_monitor.txt");
-
-    std::fs::write(
-        "results/flight_recorder.jsonl",
-        run.telemetry.export_jsonl(),
-    )
-    .expect("write flight recorder dump");
-    println!("wrote results/flight_recorder.jsonl");
-    std::fs::write(
-        "results/flight_recorder_trace.json",
-        run.telemetry.export_chrome(),
-    )
-    .expect("write chrome trace");
-    println!("wrote results/flight_recorder_trace.json (load in Perfetto / chrome://tracing)");
-
-    if !deterministic {
-        eprintln!("ABL17 FAILED: replay diverged from the first run");
-        std::process::exit(1);
-    }
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL17 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    let mut args = Args::from_env("ablation_monitor [--seed N]");
+    let seed = args.value("--seed");
+    args.finish();
+    ablation::run(|| monitor::ablation(Scale::Full, seed))
 }

@@ -3,173 +3,27 @@
 //! Drives the closed-loop 8-client mixed workload of
 //! [`bullet_bench::schedbench`] through the deterministic virtual-time
 //! arm simulation under each scheduling policy, then sweeps the
-//! adjacent-extent coalescing knee on concurrent sequential creates.
-//! Like ABL13, the whole matrix is run a *second* time and the rendered
-//! outcome table must come back byte-identical: the request schedule,
-//! the coalescing decisions, and the simulated arm travel are all pure
-//! functions of the seed.
-//!
-//! The run is judged against the PR's headline criteria:
-//!
-//! * SCAN and SPTF both beat FIFO on total seek blocks **and** on
-//!   aggregate read bandwidth;
-//! * deadline aging keeps the better seek-aware p99 within 1.25x of
-//!   FIFO's (seek-first ordering must not starve the unlucky corner of
-//!   the disk);
-//! * coalescing never issues more physical I/Os than running without
-//!   it, and collapses 8-block sequential segments at least 2x.
-//!
-//! Exit status is non-zero if any criterion goes red or the replay
-//! diverges.  Artifacts: `results/ablation_scheduler.txt` (tables) and
-//! `results/ablation_scheduler_queue.jsonl` (the per-I/O queue trace of
-//! the first run, one JSON object per physical transfer).
+//! adjacent-extent coalescing knee on concurrent sequential creates —
+//! twice; the cell and its criteria are
+//! [`bullet_bench::schedbench::ablation`], the replay-twice discipline
+//! and exit status [`bullet_bench::ablation::run`].  Artifacts:
+//! `results/ablation_scheduler.txt` (tables) and
+//! `results/ablation_scheduler_queue.jsonl` (one JSON object per
+//! physical transfer).
 //!
 //! ```text
 //! cargo run -p bullet-bench --bin ablation_scheduler            # PR seed
 //! cargo run -p bullet-bench --bin ablation_scheduler -- --seed 7
 //! ```
 
-use bullet_bench::schedbench::{
-    coalesce_knee, knee_table, outcome_table, run_policies, trace_row, PR_SEED,
-};
+use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!("usage: ablation_scheduler [--seed N]");
-    std::process::exit(2);
-}
+use bullet_bench::ablation::{self, Args};
+use bullet_bench::schedbench;
 
-fn main() {
-    let mut seed = PR_SEED;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                seed = n.parse().unwrap_or_else(|_| usage());
-            }
-            _ => usage(),
-        }
-    }
-
-    println!("ABL14 — seek-aware disk scheduling (seed {seed}, run twice)");
-    println!();
-
-    let runs = run_policies(seed);
-    let table = outcome_table(&runs);
-    print!("{table}");
-    println!();
-
-    let knee = coalesce_knee();
-    let knee_str = knee_table(&knee);
-    println!("coalescing knee — 4 concurrent sequential 64-block creates:");
-    print!("{knee_str}");
-    println!();
-
-    // The determinism witness: the same matrix, replayed, must render
-    // the same bytes.
-    let replay = outcome_table(&run_policies(seed));
-    let deterministic = replay == table;
-    println!(
-        "replay determinism: {}",
-        if deterministic {
-            "outcome table byte-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-
-    // Headline criteria — five booleans, one per criterion, so a
-    // criterion that fails on several knee rows still deflates the green
-    // count by exactly one.  `reds` carries the detailed messages.
-    let (fifo, scan, sptf) = (&runs[0].outcome, &runs[1].outcome, &runs[2].outcome);
-    let mut reds: Vec<String> = Vec::new();
-    let seek_green = scan.seek_blocks < fifo.seek_blocks && sptf.seek_blocks < fifo.seek_blocks;
-    if !seek_green {
-        reds.push(format!(
-            "seek blocks not reduced: fifo {} scan {} sptf {}",
-            fifo.seek_blocks, scan.seek_blocks, sptf.seek_blocks
-        ));
-    }
-    let bw_green = scan.read_mb_s > fifo.read_mb_s && sptf.read_mb_s > fifo.read_mb_s;
-    if !bw_green {
-        reds.push(format!(
-            "read bandwidth not improved: fifo {:.2} scan {:.2} sptf {:.2} MB/s",
-            fifo.read_mb_s, scan.read_mb_s, sptf.read_mb_s
-        ));
-    }
-    let best_p99 = scan.p99_ms.min(sptf.p99_ms);
-    let p99_green = best_p99 <= fifo.p99_ms * 1.25;
-    if !p99_green {
-        reds.push(format!(
-            "p99 bound violated: fifo {:.2} ms, best seek-aware {:.2} ms (bound {:.2})",
-            fifo.p99_ms,
-            best_p99,
-            fifo.p99_ms * 1.25
-        ));
-    }
-    let mut never_more_green = true;
-    for r in &knee {
-        if r.issued_on > r.issued_off {
-            never_more_green = false;
-            reds.push(format!(
-                "coalescing issued more I/Os at {}-block segments: on {} off {}",
-                r.segment_blocks, r.issued_on, r.issued_off
-            ));
-        }
-    }
-    let mut knee8_green = true;
-    if let Some(r8) = knee.iter().find(|r| r.segment_blocks == 8) {
-        if r8.issued_on * 2 > r8.issued_off {
-            knee8_green = false;
-            reds.push(format!(
-                "8-block segments should coalesce at least 2x: on {} off {}",
-                r8.issued_on, r8.issued_off
-            ));
-        }
-    }
-    let greens = [
-        seek_green,
-        bw_green,
-        p99_green,
-        never_more_green,
-        knee8_green,
-    ]
-    .iter()
-    .filter(|&&g| g)
-    .count();
-    println!("criteria: {greens} of 5 green");
-
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut artifact = String::new();
-    artifact.push_str(&format!("ABL14 seek-aware disk scheduling (seed {seed})\n"));
-    artifact.push_str(&table);
-    artifact.push_str("coalescing knee\n");
-    artifact.push_str(&knee_str);
-    artifact.push_str(&format!(
-        "replay_deterministic={deterministic} red_criteria={}\n",
-        reds.len()
-    ));
-    std::fs::write("results/ablation_scheduler.txt", artifact).expect("write artifact");
-    println!("wrote results/ablation_scheduler.txt");
-
-    let mut trace = String::new();
-    for run in &runs {
-        for sv in &run.services {
-            trace.push_str(&trace_row(run.outcome.policy, sv));
-            trace.push('\n');
-        }
-    }
-    std::fs::write("results/ablation_scheduler_queue.jsonl", trace).expect("write queue trace");
-    println!("wrote results/ablation_scheduler_queue.jsonl");
-
-    if !deterministic {
-        eprintln!("ABL14 FAILED: replay diverged from the first run");
-        std::process::exit(1);
-    }
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL14 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    let mut args = Args::from_env("ablation_scheduler [--seed N]");
+    let seed = args.value("--seed");
+    args.finish();
+    ablation::run(|| schedbench::ablation(seed))
 }

@@ -3,13 +3,10 @@
 //! Runs the three [`bullet_bench::shardbench`] cell families — aggregate
 //! cold-read bandwidth scaling across the shard matrix, live-byte
 //! preservation under extent rebalancing, and the kill-one-shard
-//! degraded-service workload — then runs the whole matrix a *second*
-//! time and demands the rendered outcome table come back byte-identical
-//! (the ABL13 determinism discipline: placement, routing, and simulated
-//! end times are pure functions of the inputs).
-//!
-//! Exit status is non-zero if any invariant goes red or the replay
-//! diverges.  Artifact: `results/ablation_shard.txt`.
+//! degraded-service workload — twice; the matrix and its criteria are
+//! [`bullet_bench::shardbench::ablation`], the replay-twice discipline
+//! and exit status [`bullet_bench::ablation::run`].  Artifact:
+//! `results/ablation_shard.txt`.
 //!
 //! ```text
 //! cargo run -p bullet-bench --bin ablation_shard              # full matrix
@@ -17,105 +14,18 @@
 //! cargo run -p bullet-bench --bin ablation_shard -- --soak    # nightly kill-shard soak
 //! ```
 
-use bullet_bench::shardbench::{
-    outcome_table, run_kill_shard, run_rebalance, run_scaling_suite, ShardOutcome, SCALING_COUNTS,
-};
+use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!("usage: ablation_shard [--shards 1|2|4|8] [--soak]");
-    std::process::exit(2);
-}
+use bullet_bench::ablation::{self, Args};
+use bullet_bench::shardbench::{self, SCALING_COUNTS};
 
-fn main() {
-    let mut shards: Option<u32> = None;
-    let mut soak = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--soak" => soak = true,
-            "--shards" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                let n: u32 = n.parse().unwrap_or_else(|_| usage());
-                if !SCALING_COUNTS.contains(&n) {
-                    usage();
-                }
-                shards = Some(n);
-            }
-            _ => usage(),
-        }
+fn main() -> ExitCode {
+    let mut args = Args::from_env("ablation_shard [--shards 1|2|4|8] [--soak]");
+    let scale = args.soak("--soak");
+    let shards = args.value("--shards");
+    if shards.is_some_and(|n| !SCALING_COUNTS.contains(&n)) {
+        args.usage();
     }
-
-    // Three shapes: the reduced per-matrix-entry CI cell (--shards N),
-    // the nightly soak (--soak), and the full on-demand matrix.
-    let (counts, rebalance_seeds, kill_seeds): (Vec<u32>, Vec<u64>, Vec<u64>) = match shards {
-        Some(1) => (vec![1], vec![1], vec![1]),
-        Some(n) => (vec![1, n], vec![1], vec![1]),
-        None if soak => (
-            SCALING_COUNTS.to_vec(),
-            (1..=10).collect(),
-            (1..=25).collect(),
-        ),
-        None => (SCALING_COUNTS.to_vec(), vec![1, 2, 3], vec![1, 2, 3]),
-    };
-
-    println!(
-        "ABL18 — sharded-service ablation (scaling x{}, rebalance x{}, kill-shard x{}, run twice)",
-        counts.len(),
-        rebalance_seeds.len(),
-        kill_seeds.len()
-    );
-    println!();
-
-    let run_matrix = || -> Vec<ShardOutcome> {
-        let mut outcomes = run_scaling_suite(&counts);
-        outcomes.extend(rebalance_seeds.iter().map(|&s| run_rebalance(s)));
-        outcomes.extend(kill_seeds.iter().map(|&s| run_kill_shard(s)));
-        outcomes
-    };
-
-    let first = run_matrix();
-    let table = outcome_table(&first);
-    print!("{table}");
-    println!();
-
-    // The determinism witness: the same matrix, replayed, must render
-    // the same bytes.
-    let replay = outcome_table(&run_matrix());
-    let deterministic = replay == table;
-    let reds = first.iter().filter(|o| !o.green()).count();
-
-    println!(
-        "replay determinism: {}",
-        if deterministic {
-            "outcome table byte-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    println!(
-        "invariants: {} of {} cells green",
-        first.len() - reds,
-        first.len()
-    );
-
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut artifact = String::new();
-    artifact.push_str("ABL18 sharded-service ablation\n");
-    artifact.push_str(&table);
-    artifact.push_str(&format!(
-        "replay_deterministic={deterministic} green_cells={}/{}\n",
-        first.len() - reds,
-        first.len()
-    ));
-    std::fs::write("results/ablation_shard.txt", artifact).expect("write artifact");
-    println!("wrote results/ablation_shard.txt");
-
-    if !deterministic {
-        eprintln!("ABL18 FAILED: replay diverged from the first run");
-        std::process::exit(1);
-    }
-    if reds > 0 {
-        eprintln!("ABL18 FAILED: {reds} cell(s) red");
-        std::process::exit(1);
-    }
+    args.finish();
+    ablation::run(|| shardbench::ablation(scale, shards))
 }

@@ -7,26 +7,14 @@
 //! while maintenance ticks — recalls and re-demotions — are *admitted*
 //! between the reads, so the p99 shows what tier migrations cost the
 //! foreground.  An identically-driven archive-less baseline isolates
-//! the tier machinery.
-//!
-//! Criteria (exit non-zero if any goes red):
-//!
-//! * ≥ 80 % of the population is archive-resident at the post-aging
-//!   steady state;
-//! * the archive then holds ≥ 4× the fast tier's live bytes;
-//! * the archive device's capacity is ≥ 4× the fast tier's data area;
-//! * demotion and recall are byte-identical (asserted inside the run:
-//!   every file reads back exactly after each migration wave);
-//! * tiered hot-set p99 stays within 1.15× of the baseline's;
-//! * the whole matrix, run a second time, renders byte-identically.
-//!
-//! Artifact: `results/ablation_tiering.txt` (the outcome table).
+//! the tier machinery.  The pair runs twice; the cells and their
+//! criteria are [`bullet_bench::tierbench::ablation`], the replay-twice
+//! discipline and exit status [`bullet_bench::ablation::run`].
+//! Artifact: `results/ablation_tiering.txt`.
 //!
 //! `--soak` runs the nightly aging soak instead: 24 rounds of create /
-//! verify / age churn against a 5 % fast-tier high-water mark, asserting
-//! after every round's maintenance drain that demotion kept fast-tier
-//! occupancy at or under the mark.  Artifact:
-//! `results/ablation_tiering_soak.txt`.
+//! verify / age churn against a 5 % fast-tier high-water mark.
+//! Artifact: `results/ablation_tiering_soak.txt`.
 //!
 //! ```text
 //! cargo run -p bullet-bench --bin ablation_tiering            # PR seed
@@ -34,269 +22,15 @@
 //! cargo run -p bullet-bench --bin ablation_tiering -- --soak
 //! ```
 
-use amoeba_cap::Capability;
-use amoeba_sim::HwProfile;
-use bullet_bench::tierbench::{
-    outcome_row, run_tier, table_header, TierConfig, TierOutcome, ARCHIVE_BLOCKS, TIER_SEED,
-};
-use bullet_bench::workload::{small_file_storm, ZipfSampler};
-use bullet_bench::BulletRig;
-use bullet_core::{counters, CompactTick};
-use bytes::Bytes;
+use std::process::ExitCode;
 
-/// Soak rounds (one aging sweep each).
-const SOAK_ROUNDS: usize = 24;
-/// Files created per soak round.
-const SOAK_FILES_PER_ROUND: usize = 40;
-/// Tracked survivors byte-verified per soak round.
-const SOAK_VERIFIES_PER_ROUND: usize = 6;
-/// Fast-tier high-water mark the soak holds occupancy under (percent).
-const SOAK_HIGH_WATER_PCT: u32 = 5;
+use bullet_bench::ablation::{self, Args};
+use bullet_bench::tierbench;
 
-fn usage() -> ! {
-    eprintln!("usage: ablation_tiering [--seed N] [--soak]");
-    std::process::exit(2);
-}
-
-fn run_matrix(seed: u64) -> Vec<TierOutcome> {
-    vec![
-        run_tier(&TierConfig::full(seed, false)),
-        run_tier(&TierConfig::full(seed, true)),
-    ]
-}
-
-fn outcome_table(matrix: &[TierOutcome]) -> String {
-    let mut t = table_header();
-    t.push('\n');
-    for o in matrix {
-        t.push_str(&outcome_row(o));
-        t.push('\n');
-    }
-    t
-}
-
-fn fill(tag: usize, len: usize) -> Bytes {
-    Bytes::from([tag as u8, (len / 7) as u8].repeat(len / 2 + 1)[..len].to_vec())
-}
-
-/// The nightly aging soak: steady create/verify/age churn with a tight
-/// high-water mark.  Returns the per-round occupancy log; panics (red)
-/// if a verify read comes back wrong, and pushes a red string per
-/// occupancy breach.
-fn run_soak(seed: u64, reds: &mut Vec<String>) -> String {
-    let rig = BulletRig::with_config(2, HwProfile::amoeba_1989(), 12 << 20, |c| {
-        c.archive_blocks = ARCHIVE_BLOCKS;
-        c.tier_high_water_pct = SOAK_HIGH_WATER_PCT;
-        c.tier_cold_age = 1;
-        c.maint_moves_per_tick = 8;
-    });
-    let max_age = 8u32; // BulletConfig::max_age in the rig
-                        // Every live file ever created: (cap, expected bytes, birth round).
-    let mut tracked: Vec<(Capability, Bytes, usize)> = Vec::new();
-    let mut log = String::new();
-    for round in 0..SOAK_ROUNDS {
-        let sizes = small_file_storm(
-            seed ^ (0x50a0 + round as u64),
-            SOAK_FILES_PER_ROUND,
-            16 * 1024,
-            128 * 1024,
-        );
-        for (i, &n) in sizes.iter().enumerate() {
-            let data = fill(round * SOAK_FILES_PER_ROUND + i, n as usize);
-            let cap = rig.server.create(data.clone(), 2).expect("soak create");
-            tracked.push((cap, data, round));
-        }
-        // Byte-verify a Zipf-skewed handful of survivors; cold picks are
-        // served off the archive and schedule recalls for the drain.
-        let mut zipf = ZipfSampler::new(seed ^ (0xbeef + round as u64), tracked.len(), 1.1);
-        for _ in 0..SOAK_VERIFIES_PER_ROUND {
-            let pick = tracked.len() - 1 - zipf.sample(); // favour recent files
-            let (cap, expected, _) = &tracked[pick];
-            assert_eq!(
-                &rig.server.read(cap).expect("soak verify read"),
-                expected,
-                "soak round {round}: file corrupted in tier churn"
-            );
-        }
-        rig.server.clear_cache();
-        // The aging daemon's sweep; files expire after max_age sweeps.
-        let expected_expired = tracked
-            .iter()
-            .filter(|&&(_, _, birth)| (round - birth + 1) as u32 >= max_age)
-            .count() as u64;
-        let expired = rig.server.age_all().expect("aging sweep");
-        assert_eq!(
-            expired, expected_expired,
-            "soak round {round}: expiry count diverged from the model"
-        );
-        tracked.retain(|&(_, _, birth)| ((round - birth + 1) as u32) < max_age);
-        loop {
-            if let CompactTick::Idle = rig.server.compact_tick().expect("soak tick") {
-                break;
-            }
-        }
-        let report = rig.server.disk_frag_report();
-        let used = report.total - report.free;
-        let green = used * 100 <= report.total * SOAK_HIGH_WATER_PCT as u64;
-        log.push_str(&format!(
-            "  round {round:>2}: live {:>4}, fast occupancy {used:>5}/{} blocks ({:.1} %) {}\n",
-            tracked.len(),
-            report.total,
-            100.0 * used as f64 / report.total as f64,
-            if green { "ok" } else { "ABOVE HIGH WATER" }
-        ));
-        if !green {
-            reds.push(format!(
-                "round {round}: fast-tier occupancy {used} of {} blocks exceeds the \
-                 {SOAK_HIGH_WATER_PCT} % high-water mark",
-                report.total
-            ));
-        }
-    }
-    let demotions = rig.server.stats().get(counters::TIER_DEMOTIONS);
-    let promotions = rig.server.stats().get(counters::TIER_PROMOTIONS);
-    log.push_str(&format!(
-        "  totals: {demotions} demotions, {promotions} recalls, {} live files\n",
-        tracked.len()
-    ));
-    if demotions == 0 {
-        reds.push("soak never demoted a file — the high-water policy is dead".into());
-    }
-    log
-}
-
-fn main() {
-    let mut seed = TIER_SEED;
-    let mut soak = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                seed = n.parse().unwrap_or_else(|_| usage());
-            }
-            "--soak" => soak = true,
-            _ => usage(),
-        }
-    }
-
-    if soak {
-        println!("ABL19 soak — aging churn under a {SOAK_HIGH_WATER_PCT} % high-water mark (seed {seed:#x})");
-        let mut reds: Vec<String> = Vec::new();
-        let log = run_soak(seed, &mut reds);
-        print!("{log}");
-        std::fs::create_dir_all("results").expect("results dir");
-        let artifact = format!(
-            "ABL19 aging soak (seed {seed:#x})\n{log}red_criteria={}\n",
-            reds.len()
-        );
-        std::fs::write("results/ablation_tiering_soak.txt", artifact).expect("write artifact");
-        println!("wrote results/ablation_tiering_soak.txt");
-        if !reds.is_empty() {
-            for r in &reds {
-                eprintln!("ABL19 SOAK FAILED: {r}");
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    println!("ABL19 — tiered storage vs archive-less baseline (seed {seed:#x}, run twice)");
-    println!();
-    let matrix = run_matrix(seed);
-    let table = outcome_table(&matrix);
-    print!("{table}");
-    println!();
-
-    let replay = outcome_table(&run_matrix(seed));
-    let deterministic = replay == table;
-    println!(
-        "replay determinism: {}",
-        if deterministic {
-            "outcome table byte-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-
-    let (base, tier) = (&matrix[0], &matrix[1]);
-    let mut reds: Vec<String> = Vec::new();
-    let cold_green = tier.archived_files * 5 >= tier.files * 4;
-    if !cold_green {
-        reds.push(format!(
-            "only {} of {} files went cold to the archive (want >= 80 %)",
-            tier.archived_files, tier.files
-        ));
-    }
-    let balance_green = tier.archive_bytes >= 4 * tier.fast_bytes;
-    if !balance_green {
-        reds.push(format!(
-            "archive holds {} bytes vs {} fast-resident (want >= 4x)",
-            tier.archive_bytes, tier.fast_bytes
-        ));
-    }
-    let capacity_green = tier.archive_capacity_blocks >= 4 * tier.fast_capacity_blocks;
-    if !capacity_green {
-        reds.push(format!(
-            "archive capacity {} blocks under 4x the fast tier's {}",
-            tier.archive_capacity_blocks, tier.fast_capacity_blocks
-        ));
-    }
-    let p99_green = tier.hot_p99.as_ns() * 100 <= base.hot_p99.as_ns() * 115;
-    if !p99_green {
-        reds.push(format!(
-            "tiered hot-set p99 {:.2} ms breaches 1.15x the baseline's {:.2} ms",
-            tier.hot_p99.as_ms_f64(),
-            base.hot_p99.as_ms_f64()
-        ));
-    }
-    let work_green = tier.demotions >= tier.archived_files && tier.promotions >= 1;
-    if !work_green {
-        reds.push(format!(
-            "migration counters implausible: {} demotions, {} recalls",
-            tier.demotions, tier.promotions
-        ));
-    }
-    let greens = [
-        cold_green,
-        balance_green,
-        capacity_green,
-        p99_green,
-        work_green,
-        deterministic,
-    ]
-    .iter()
-    .filter(|&&g| g)
-    .count();
-    println!("criteria: {greens} of 6 green");
-    println!(
-        "tier balance: {} of {} files archived, {} archive bytes vs {} fast; \
-         hot p99 {:.2} ms vs baseline {:.2} ms",
-        tier.archived_files,
-        tier.files,
-        tier.archive_bytes,
-        tier.fast_bytes,
-        tier.hot_p99.as_ms_f64(),
-        base.hot_p99.as_ms_f64()
-    );
-
-    std::fs::create_dir_all("results").expect("results dir");
-    let artifact = format!(
-        "ABL19 tiered storage (seed {seed:#x})\n{table}replay_deterministic={deterministic} \
-         red_criteria={}\n",
-        reds.len()
-    );
-    std::fs::write("results/ablation_tiering.txt", artifact).expect("write artifact");
-    println!("wrote results/ablation_tiering.txt");
-
-    if !deterministic {
-        eprintln!("ABL19 FAILED: replay diverged from the first run");
-        std::process::exit(1);
-    }
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL19 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    let mut args = Args::from_env("ablation_tiering [--seed N] [--soak]");
+    let scale = args.soak("--soak");
+    let seed = args.value("--seed");
+    args.finish();
+    ablation::run(|| tierbench::ablation(scale, seed))
 }

@@ -155,7 +155,6 @@ fn main() {
     let spans = rig.tracer.snapshot();
     violations += decompose("mirrored CREATE (P=2)", &spans, create);
 
-    std::fs::create_dir_all("results").expect("results dir");
     let jsonl = rig.tracer.export_jsonl();
     let chrome = rig.tracer.export_chrome();
     // Both artifacts must be well-formed JSON — checked here rather than
@@ -171,8 +170,11 @@ fn main() {
         eprintln!("  VIOLATION: ablation_trace.trace.json: {e}");
         violations += 1;
     }
-    std::fs::write("results/ablation_trace.jsonl", &jsonl).expect("write jsonl");
-    std::fs::write("results/ablation_trace.trace.json", &chrome).expect("write chrome trace");
+    bullet_bench::ablation::write_results(&[
+        ("ablation_trace.jsonl", &jsonl),
+        ("ablation_trace.trace.json", &chrome),
+    ])
+    .expect("results/ is writable");
     println!(
         "  wrote results/ablation_trace.jsonl ({} spans) and results/ablation_trace.trace.json (both JSON-validated)",
         spans.len()

@@ -7,56 +7,26 @@
 //! cargo run -p bullet-bench --bin report
 //! ```
 //!
-//! With `--json [PATH]` it instead emits the machine-readable streaming
-//! benchmark to `PATH` (default `BENCH_pr2.json`): per file size, the
-//! mean latency and bandwidth (pipeline off and on) plus p50/p95/p99
-//! latency percentiles per operation, measured over repeated traced runs
-//! through [`amoeba_sim::trace::op_histograms`], plus a reduced
-//! fault-injection campaign summary (every class × 2 seeds), the ABL14
-//! scheduler headline numbers (per-policy seek blocks / read bandwidth /
-//! p99 plus the 8-block coalescing knee), the ABL15 group-commit storm
-//! counters (baseline vs batched physical writes, log appends, flushes),
-//! the reduced ABL16 evsim matrix (every replacement policy's hit rate
-//! under Zipf and scan-injection workloads at the small cell size, with
-//! the scan-resistance margin), the ABL17 telemetry summary (flight
-//! recorder digest delta vs a bare run, ring population, and the SLO
-//! watchdog's detection lag under an injected fault burst), the ABL18
-//! sharding summary (1- vs 2-shard aggregate cold-read bandwidth, the
-//! rebalance cell's extent count, and the kill-one-shard cell's refusal
-//! count — the full 8-shard matrix is `ablation_shard`), the ABL19
-//! tiering summary (the reduced aged-population pair: archived file and
-//! byte counts at the demoted steady state, migration counters, and the
-//! tiered vs baseline hot-set p99 — the full cell is
-//! `ablation_tiering`), and the
-//! per-zone data-area fragmentation report after a deterministic churn.
-//! The document leads with a top-level `"schema_version"` key.  Adding
-//! `--check` first requires the committed baseline to carry the current
-//! schema version (a mismatch fails loudly, naming the version found),
-//! compares the fresh pipelined 1 MB cold-read bandwidth against the
-//! committed sequential baseline AND the fresh p99 tails against the
-//! committed ones (10 % headroom), requires every fresh fault-campaign
-//! cell green, requires the committed baseline to carry every scheduler
-//! key, and re-judges the fresh scheduler run against the PR's headline
-//! invariants (SCAN/SPTF beat FIFO on seeks and bandwidth, the better
-//! seek-aware p99 within 1.25× of FIFO's, coalescing never issuing more
-//! I/Os, zone free space partitioning the data area), requires the
-//! baseline to carry every `group_commit` key and the fresh storm to
-//! collapse its writes (≤ 4 log appends, ≤ baseline/4 physical writes),
-//! requires the baseline to carry every `evsim`/`cache_policy` key and
-//! the fresh reduced matrix to keep the better segmented policy ahead of
-//! LRU under scan injection at Zipf parity, requires the baseline to
-//! carry every `telemetry` key and the fresh instrumented run to replay
-//! the bare timeline bit-identically (digest delta 0) with the watchdog
-//! flagging the fault burst within one sampling period, requires the
-//! baseline to carry every `sharding` key and the fresh reduced cells to
-//! uphold the ABL18 invariants (2-shard bandwidth ≥ 1.5× the baseline,
-//! rebalance and kill-shard cells fully green), requires the baseline to
-//! carry every `tiering` key and the fresh reduced pair to uphold the
-//! ABL19 invariants (≥ 80 % of the aged population archived, the archive
-//! holding ≥ 4× the fast tier's bytes on ≥ 4× its capacity, tiered
-//! hot-set p99 within 1.15× of the archive-less baseline's),
-//! failing the run on any regression or on a baseline missing a gated
-//! key — the CI bench-smoke gate:
+//! With `--json [PATH]` it instead writes the machine-readable benchmark
+//! to `PATH` (default `BENCH_pr2.json`), led by a `"schema_version"`:
+//!
+//! * `sizes[]` — per file size, the mean latency and bandwidth of the
+//!   streaming transfers (pipeline off and on) plus p50/p95/p99 latency
+//!   percentiles per operation, from repeated traced runs through
+//!   [`amoeba_sim::trace::op_histograms`];
+//! * one keyed section per ablation of [`bullet_bench::ablation::REDUCED`]
+//!   (ABL13–19 at their reduced scale) — which keys, and which criteria
+//!   judge them, is stated by each ablation's own function;
+//! * `zone_frag[]` — the per-zone data-area fragmentation after a
+//!   deterministic churn.
+//!
+//! Adding `--check` makes the run read-only: nothing is written, and it
+//! fails unless the committed baseline at `PATH` carries the current
+//! schema version and exactly the keys a fresh run writes, the fresh
+//! 1 MB pipelined cold-read bandwidth holds the sequential floor, the
+//! fresh 1 MB p99 tails stay within 10 % of the committed ones, every
+//! ablation criterion is green, and the zone reports partition the data
+//! area — the CI bench-smoke gate:
 //!
 //! ```text
 //! cargo run --release -p bullet-bench --bin report -- --json --check BENCH_pr2.json
@@ -66,15 +36,10 @@ use std::fmt::Write as _;
 
 use amoeba_sim::trace::{op_histograms, size_class};
 use amoeba_sim::{HwProfile, Nanos, TraceConfig};
-use bullet_bench::check::{self, CheckError};
-use bullet_bench::evsim::{self, EvsimConfig, EvsimRun};
-use bullet_bench::faults::{run_class, CampaignOutcome, FaultClass};
-use bullet_bench::monitor;
+use bullet_bench::ablation::{self, Outcome};
+use bullet_bench::check::{self, CheckError, Json};
 use bullet_bench::rig::{BulletRig, NfsRig};
-use bullet_bench::schedbench::{coalesce_knee, run_policies, KneeRow, MixedRun, PR_SEED};
-use bullet_bench::shardbench::{self, ShardOutcome};
 use bullet_bench::table::{bandwidth_kb_s, measure_bullet, measure_nfs, size_label, Claims, Row};
-use bullet_bench::tierbench::{self, TierConfig, TierOutcome};
 use bullet_core::FragReport;
 use bytes::Bytes;
 
@@ -193,172 +158,8 @@ fn measure_percentiles() -> Vec<PctRow> {
         .collect()
 }
 
-/// Seeds the `--json` fault-campaign summary runs per class.
-const JSON_FAULT_SEEDS: [u64; 2] = [1, 2];
-
-/// One fault class × the `--json` seed set, aggregated.
-fn run_fault_summary() -> Vec<CampaignOutcome> {
-    FaultClass::ALL
-        .iter()
-        .flat_map(|&c| JSON_FAULT_SEEDS.iter().map(move |&s| run_class(c, s)))
-        .collect()
-}
-
 /// Zones the data-area fragmentation report is split into.
 const FRAG_ZONES: u32 = 8;
-
-/// The ABL14 measurements `--json` embeds: the three-policy mixed-run
-/// comparison, the coalescing knee, and the zone fragmentation snapshot
-/// (per-zone plus the whole-area report the gate checks they partition).
-struct SchedMeasure {
-    sched: Vec<MixedRun>,
-    knee: Vec<KneeRow>,
-    zones: Vec<FragReport>,
-    whole: FragReport,
-}
-
-fn measure_scheduler() -> SchedMeasure {
-    let (zones, whole) = measure_zone_frag();
-    SchedMeasure {
-        sched: run_policies(PR_SEED),
-        knee: coalesce_knee(),
-        zones,
-        whole,
-    }
-}
-
-/// Files in the group-commit storm `--json` embeds (ABL15's headline N).
-const GC_STORM_FILES: usize = 32;
-/// Bytes per storm file.
-const GC_FILE_BYTES: usize = 16 * 1024;
-
-/// The ABL15 headline counters `--json` embeds: the same
-/// `GC_STORM_FILES` × `GC_FILE_BYTES` create storm run once per file
-/// (baseline) and once through the group-commit log, with the physical
-/// write and log-append counts of each.  The full aged-disk latency
-/// experiment lives in `ablation_groupcommit`; this summary captures the
-/// I/O-collapse invariant the gate holds.
-struct GroupCommitMeasure {
-    baseline_writes: u64,
-    batched_writes: u64,
-    log_appends: u64,
-    flushes: u64,
-}
-
-fn measure_group_commit() -> GroupCommitMeasure {
-    let files: Vec<Bytes> = (0..GC_STORM_FILES)
-        .map(|i| Bytes::from(vec![i as u8; GC_FILE_BYTES]))
-        .collect();
-
-    let base = BulletRig::paper_1989();
-    let w0 = base.sched_stats().disk_writes;
-    for data in &files {
-        base.client
-            .create(data.clone(), 2)
-            .expect("baseline storm create fits the rig");
-    }
-    let baseline_writes = base.sched_stats().disk_writes - w0;
-
-    let rig = BulletRig::with_config(2, HwProfile::amoeba_1989(), 12 << 20, |cfg| {
-        cfg.log_blocks = 4096;
-    });
-    let w0 = rig.sched_stats().disk_writes;
-    rig.server
-        .create_batch(files, 2)
-        .expect("batched storm commits");
-    GroupCommitMeasure {
-        baseline_writes,
-        batched_writes: rig.sched_stats().disk_writes - w0,
-        log_appends: rig.server.stats().get("log_appends"),
-        flushes: rig.server.stats().get("group_commit_flushes"),
-    }
-}
-
-/// Seed of the reduced ABL16 matrix `--json` embeds (the seed the evsim
-/// unit tests validate scan resistance at small scale under).
-const EVSIM_SEED: u64 = 5;
-
-/// The reduced ABL16 matrix: every policy × {zipf, scan} at the *small*
-/// cell size (400 clients over 40k files — milliseconds per cell, so the
-/// CI gate stays fast; the full 10k-client matrix is `ablation_evsim`).
-struct EvsimMeasure {
-    zipf: Vec<EvsimRun>,
-    scan: Vec<EvsimRun>,
-}
-
-fn measure_evsim() -> EvsimMeasure {
-    let matrix = |workload| {
-        evsim::POLICIES
-            .iter()
-            .map(|&p| evsim::run(&EvsimConfig::small(p, workload, EVSIM_SEED)))
-            .collect()
-    };
-    EvsimMeasure {
-        zipf: matrix("zipf"),
-        scan: matrix("scan"),
-    }
-}
-
-/// The ABL17 headline facts `--json` embeds: flight-recorder overhead
-/// (timeline digest XOR between bare and instrumented runs — 0 means the
-/// recorder is provably free in virtual time), ring population, and the
-/// SLO watchdog's reaction to an injected fault burst.
-struct TelemetryMeasure {
-    period_us: u64,
-    digest_delta: u64,
-    series_count: usize,
-    samples_total: usize,
-    slo_degraded: u64,
-    detection_lag_us: u64,
-}
-
-/// Runs the [`monitor`] triple at the small cell size (the full
-/// 10k-client gate is `ablation_monitor`).
-fn measure_telemetry() -> TelemetryMeasure {
-    let cfg = monitor::MonitorConfig::small(EVSIM_SEED);
-    let o = monitor::run_monitor(&cfg).outcome;
-    TelemetryMeasure {
-        period_us: cfg.period.as_us(),
-        digest_delta: o.bare.digest ^ o.clean.digest,
-        series_count: o.series_count,
-        samples_total: o.samples_total,
-        slo_degraded: o.slo_degraded,
-        detection_lag_us: o.detection_lag_us,
-    }
-}
-
-/// The ABL18 summary `--json` embeds: the reduced 1-vs-2-shard scaling
-/// pair plus one rebalance and one kill-one-shard cell at the PR seed
-/// (the full 1–8 matrix and seed sweeps are `ablation_shard`).
-struct ShardMeasure {
-    scaling: Vec<ShardOutcome>,
-    rebalance: ShardOutcome,
-    kill: ShardOutcome,
-}
-
-fn measure_sharding() -> ShardMeasure {
-    ShardMeasure {
-        scaling: shardbench::run_scaling_suite(&[1, 2]),
-        rebalance: shardbench::run_rebalance(1),
-        kill: shardbench::run_kill_shard(1),
-    }
-}
-
-/// The ABL19 summary `--json` embeds: the reduced aged-population pair
-/// (archive-less baseline vs tiered) at the PR seed.  Demotion/recall
-/// byte-identity is asserted inside the runs; the full cell and the
-/// aging soak are `ablation_tiering`.
-struct TierMeasure {
-    base: TierOutcome,
-    tier: TierOutcome,
-}
-
-fn measure_tiering() -> TierMeasure {
-    TierMeasure {
-        base: tierbench::run_tier(&TierConfig::small(tierbench::TIER_SEED, false)),
-        tier: tierbench::run_tier(&TierConfig::small(tierbench::TIER_SEED, true)),
-    }
-}
 
 /// A deterministic create/delete churn on a fresh rig, then the
 /// per-zone fragmentation snapshot of the data area (plus the
@@ -386,295 +187,115 @@ fn measure_zone_frag() -> (Vec<FragReport>, FragReport) {
     (zones, whole)
 }
 
-/// Hand-rolled JSON (the workspace carries no serializer): one object
-/// per size with delays in milliseconds, latency percentiles, and
-/// cold-read bandwidths.
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    rows: &[StreamRow],
-    pcts: &[PctRow],
-    faults: &[CampaignOutcome],
-    sm: &SchedMeasure,
-    gc: &GroupCommitMeasure,
-    ev: &EvsimMeasure,
-    tm: &TelemetryMeasure,
-    sh: &ShardMeasure,
-    tr: &TierMeasure,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"schema_version\": {},",
-        check::REPORT_SCHEMA_VERSION
-    );
-    out.push_str("  \"benchmark\": \"bullet streaming transfers\",\n");
-    let _ = writeln!(out, "  \"segment_size\": 65536,");
-    let _ = writeln!(out, "  \"sizes\": [");
-    for (i, (r, p)) in rows.iter().zip(pcts).enumerate() {
-        assert_eq!(r.size, p.size, "row tables stay aligned");
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"bytes\": {},", r.size);
-        let _ = writeln!(
-            out,
-            "      \"warm_read_ms\": {:.3},",
-            r.warm_read.as_ms_f64()
-        );
-        let _ = writeln!(
-            out,
-            "      \"cold_read_sequential_ms\": {:.3},",
-            r.cold_seq.as_ms_f64()
-        );
-        let _ = writeln!(
-            out,
-            "      \"cold_read_pipelined_ms\": {:.3},",
-            r.cold_pipe.as_ms_f64()
-        );
-        let _ = writeln!(out, "      \"create_ms\": {:.3},", r.create.as_ms_f64());
-        let _ = writeln!(
-            out,
-            "      \"warm_read_p50_ms\": {:.3},",
-            p.warm_read.p50.as_ms_f64()
-        );
-        let _ = writeln!(
-            out,
-            "      \"warm_read_p95_ms\": {:.3},",
-            p.warm_read.p95.as_ms_f64()
-        );
-        let _ = writeln!(
-            out,
-            "      \"warm_read_p99_ms\": {:.3},",
-            p.warm_read.p99.as_ms_f64()
-        );
-        let _ = writeln!(
-            out,
-            "      \"cold_read_pipelined_p50_ms\": {:.3},",
-            p.cold_pipe.p50.as_ms_f64()
-        );
-        let _ = writeln!(
-            out,
-            "      \"cold_read_pipelined_p99_ms\": {:.3},",
-            p.cold_pipe.p99.as_ms_f64()
-        );
-        let _ = writeln!(
-            out,
-            "      \"create_p50_ms\": {:.3},",
-            p.create.p50.as_ms_f64()
-        );
-        let _ = writeln!(
-            out,
-            "      \"create_p99_ms\": {:.3},",
-            p.create.p99.as_ms_f64()
-        );
-        let _ = writeln!(
-            out,
-            "      \"cold_read_sequential_kb_s\": {:.1},",
-            bandwidth_kb_s(r.size, r.cold_seq)
-        );
-        let _ = writeln!(
-            out,
-            "      \"cold_read_pipelined_kb_s\": {:.1}",
-            bandwidth_kb_s(r.size, r.cold_pipe)
-        );
-        let _ = writeln!(out, "    }}{}", if i + 1 == rows.len() { "" } else { "," });
-    }
-    out.push_str("  ],\n");
-    // ABL14 headline numbers: the seek-aware scheduler comparison and
-    // the coalescing knee at the server's 8-block streaming granularity.
-    let _ = writeln!(out, "  \"scheduler\": {{");
-    let _ = writeln!(out, "    \"seed\": {PR_SEED},");
-    for run in &sm.sched {
-        let o = &run.outcome;
-        let _ = writeln!(out, "    \"{}_seek_blocks\": {},", o.policy, o.seek_blocks);
-        let _ = writeln!(out, "    \"{}_read_mb_s\": {:.3},", o.policy, o.read_mb_s);
-        let _ = writeln!(out, "    \"{}_p99_ms\": {:.3},", o.policy, o.p99_ms);
-    }
-    let k8 = sm
-        .knee
-        .iter()
-        .find(|r| r.segment_blocks == 8)
-        .expect("the knee sweeps 8-block segments");
-    let _ = writeln!(out, "    \"coalesce_on_ios_8_block\": {},", k8.issued_on);
-    let _ = writeln!(out, "    \"coalesce_off_ios_8_block\": {}", k8.issued_off);
-    out.push_str("  },\n");
-    // ABL15 headline counters: the create storm's physical-write collapse
-    // through the group-commit log.
-    let _ = writeln!(out, "  \"group_commit\": {{");
-    let _ = writeln!(out, "    \"storm_files\": {GC_STORM_FILES},");
-    let _ = writeln!(out, "    \"storm_file_bytes\": {GC_FILE_BYTES},");
-    let _ = writeln!(out, "    \"baseline_writes\": {},", gc.baseline_writes);
-    let _ = writeln!(out, "    \"batched_writes\": {},", gc.batched_writes);
-    let _ = writeln!(out, "    \"log_appends\": {},", gc.log_appends);
-    let _ = writeln!(out, "    \"group_commit_flushes\": {}", gc.flushes);
-    out.push_str("  },\n");
-    // ABL16 reduced matrix: the event-engine scale facts of the small
-    // cell (the full 10k-client run is `ablation_evsim`).
-    let lz = &ev.zipf[0].outcome;
-    let ls = &ev.scan[0].outcome;
-    let _ = writeln!(out, "  \"evsim\": {{");
-    let _ = writeln!(out, "    \"seed\": {EVSIM_SEED},");
-    let _ = writeln!(out, "    \"clients\": {},", lz.clients);
-    let _ = writeln!(out, "    \"files\": {},", lz.files);
-    let _ = writeln!(out, "    \"events\": {},", lz.events);
-    let _ = writeln!(out, "    \"zipf_reads\": {},", lz.reads);
-    let _ = writeln!(out, "    \"scan_reads\": {}", ls.reads);
-    out.push_str("  },\n");
-    // ABL16 replacement-policy hit rates: every policy under both
-    // workloads, plus the headline scan-resistance margin.
-    let _ = writeln!(out, "  \"cache_policy\": {{");
-    for r in ev.zipf.iter().chain(&ev.scan) {
-        let o = &r.outcome;
-        let _ = writeln!(
-            out,
-            "    \"{}_{}_hit_rate\": {:.4},",
-            o.policy, o.workload, o.hit_rate
-        );
-    }
-    let lru_scan = ls.hit_rate;
-    let best_scan = ev.scan[2].outcome.hit_rate.max(ev.scan[3].outcome.hit_rate);
-    let _ = writeln!(out, "    \"scan_margin\": {:.4}", best_scan - lru_scan);
-    out.push_str("  },\n");
-    // ABL17 headline facts: flight-recorder cost (digest delta 0 means
-    // the instrumented run replayed the bare timeline bit-identically)
-    // and the SLO watchdog's reaction to the injected fault burst.
-    let _ = writeln!(out, "  \"telemetry\": {{");
-    let _ = writeln!(out, "    \"sampling_period_us\": {},", tm.period_us);
-    let _ = writeln!(out, "    \"series_count\": {},", tm.series_count);
-    let _ = writeln!(out, "    \"samples_total\": {},", tm.samples_total);
-    let _ = writeln!(out, "    \"digest_delta\": {},", tm.digest_delta);
-    let _ = writeln!(out, "    \"slo_degraded_events\": {},", tm.slo_degraded);
-    let _ = writeln!(out, "    \"detection_lag_us\": {}", tm.detection_lag_us);
-    out.push_str("  },\n");
-    // ABL18 headline facts: the reduced 1-vs-2-shard cold-read scaling
-    // pair and the green-ness of the rebalance and kill-shard cells.
-    let (base, two) = (&sh.scaling[0], &sh.scaling[1]);
-    let _ = writeln!(out, "  \"sharding\": {{");
-    let _ = writeln!(out, "    \"baseline_read_mb_s\": {:.3},", base.metric);
-    let _ = writeln!(out, "    \"two_shard_read_mb_s\": {:.3},", two.metric);
-    let _ = writeln!(
-        out,
-        "    \"shard_speedup\": {:.3},",
-        two.metric / base.metric
-    );
-    let _ = writeln!(
-        out,
-        "    \"rebalance_extents_moved\": {},",
-        sh.rebalance.metric as u64
-    );
-    let _ = writeln!(
-        out,
-        "    \"kill_shard_ops_refused\": {}",
-        sh.kill.metric as u64
-    );
-    out.push_str("  },\n");
-    // ABL19 headline facts: the reduced aged-population pair — how much
-    // of the population the maintenance scheduler demoted, the tier byte
-    // balance at that steady state, and what the migrations cost the
-    // hot-set p99 against the archive-less baseline.
-    let _ = writeln!(out, "  \"tiering\": {{");
-    let _ = writeln!(out, "    \"files\": {},", tr.tier.files);
-    let _ = writeln!(out, "    \"hot_files\": {},", tr.tier.hot_files);
-    let _ = writeln!(out, "    \"archived_files\": {},", tr.tier.archived_files);
-    let _ = writeln!(out, "    \"archive_bytes\": {},", tr.tier.archive_bytes);
-    let _ = writeln!(out, "    \"fast_bytes\": {},", tr.tier.fast_bytes);
-    let _ = writeln!(
-        out,
-        "    \"archive_capacity_blocks\": {},",
-        tr.tier.archive_capacity_blocks
-    );
-    let _ = writeln!(
-        out,
-        "    \"fast_capacity_blocks\": {},",
-        tr.tier.fast_capacity_blocks
-    );
-    let _ = writeln!(out, "    \"tier_demotions\": {},", tr.tier.demotions);
-    let _ = writeln!(out, "    \"tier_promotions\": {},", tr.tier.promotions);
-    let _ = writeln!(
-        out,
-        "    \"hot_p99_baseline_ms\": {:.3},",
-        tr.base.hot_p99.as_ms_f64()
-    );
-    let _ = writeln!(
-        out,
-        "    \"hot_p99_tiered_ms\": {:.3},",
-        tr.tier.hot_p99.as_ms_f64()
-    );
-    let _ = writeln!(
-        out,
-        "    \"hot_p99_ratio\": {:.4}",
-        tr.tier.hot_p99.as_ns() as f64 / tr.base.hot_p99.as_ns() as f64
-    );
-    out.push_str("  },\n");
-    // Per-zone fragmentation of the data area after a deterministic
-    // create/delete churn.
-    let _ = writeln!(out, "  \"zone_frag\": [");
-    for (i, z) in sm.zones.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"zone\": {i},");
-        let _ = writeln!(out, "      \"total\": {},", z.total);
-        let _ = writeln!(out, "      \"free\": {},", z.free);
-        let _ = writeln!(out, "      \"largest_hole\": {},", z.largest_hole);
-        let _ = writeln!(out, "      \"hole_count\": {},", z.hole_count);
-        let _ = writeln!(
-            out,
-            "      \"external_fragmentation\": {:.4}",
-            z.external_fragmentation
-        );
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 == sm.zones.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"fault_campaign\": [");
-    for (i, o) in faults.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"class\": \"{}\",", o.class);
-        let _ = writeln!(out, "      \"seed\": {},", o.seed);
-        let _ = writeln!(out, "      \"ops_attempted\": {},", o.ops_attempted);
-        let _ = writeln!(out, "      \"ops_retried\": {},", o.ops_retried);
-        let _ = writeln!(out, "      \"ops_succeeded\": {},", o.ops_succeeded);
-        let _ = writeln!(out, "      \"faults_injected\": {},", o.faults_injected);
-        let _ = writeln!(out, "      \"green\": {}", o.green());
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 == faults.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"fault_campaign_all_green\": {}",
-        faults.iter().all(CampaignOutcome::green)
-    );
-    out.push_str("}\n");
-    out
+/// Everything one `--json` run measured.
+struct Fresh {
+    rows: Vec<StreamRow>,
+    pcts: Vec<PctRow>,
+    zones: Vec<FragReport>,
+    whole: FragReport,
+    ablations: Vec<Outcome>,
 }
 
-/// The `--check` gate: bandwidth floors and p99 ceilings against the
-/// committed baseline.  Strict about the baseline itself — a missing file
-/// or key is a failure naming what is missing, not a silent pass.
-#[allow(clippy::too_many_arguments)]
-fn gate(
-    path: &str,
-    rows: &[StreamRow],
-    pcts: &[PctRow],
-    faults: &[CampaignOutcome],
-    sm: &SchedMeasure,
-    gc: &GroupCommitMeasure,
-    ev: &EvsimMeasure,
-    tm: &TelemetryMeasure,
-    sh: &ShardMeasure,
-    tr: &TierMeasure,
-) -> Result<(), CheckError> {
+fn measure_all() -> Fresh {
+    eprintln!("measuring streaming transfers (pipeline off/on)…");
+    let rows = measure_streaming();
+    eprintln!("measuring latency percentiles ({REPS} reps per op × size, traced rigs)…");
+    let pcts = measure_percentiles();
+    let (zones, whole) = measure_zone_frag();
+    let ablations = ablation::REDUCED
+        .iter()
+        .map(|reduced| {
+            let outcome = reduced();
+            eprintln!("ran {} (reduced)", outcome.title);
+            outcome
+        })
+        .collect();
+    Fresh {
+        rows,
+        pcts,
+        zones,
+        whole,
+        ablations,
+    }
+}
+
+/// The document: the header, one `sizes[]` object per size (delays in
+/// milliseconds, latency percentiles, cold-read bandwidths), then what
+/// the ablations declare — keyed sections first, row tables after the
+/// zone table.
+fn render_json(fresh: &Fresh) -> String {
+    let ms = |t: Nanos| Json::fixed(t.as_ms_f64(), 3);
+    let sizes = fresh.rows.iter().zip(&fresh.pcts).map(|(r, p)| {
+        assert_eq!(r.size, p.size, "row tables stay aligned");
+        Json::object([
+            ("bytes", Json::num(r.size)),
+            ("warm_read_ms", ms(r.warm_read)),
+            ("cold_read_sequential_ms", ms(r.cold_seq)),
+            ("cold_read_pipelined_ms", ms(r.cold_pipe)),
+            ("create_ms", ms(r.create)),
+            ("warm_read_p50_ms", ms(p.warm_read.p50)),
+            ("warm_read_p95_ms", ms(p.warm_read.p95)),
+            ("warm_read_p99_ms", ms(p.warm_read.p99)),
+            ("cold_read_pipelined_p50_ms", ms(p.cold_pipe.p50)),
+            ("cold_read_pipelined_p99_ms", ms(p.cold_pipe.p99)),
+            ("create_p50_ms", ms(p.create.p50)),
+            ("create_p99_ms", ms(p.create.p99)),
+            (
+                "cold_read_sequential_kb_s",
+                Json::fixed(bandwidth_kb_s(r.size, r.cold_seq), 1),
+            ),
+            (
+                "cold_read_pipelined_kb_s",
+                Json::fixed(bandwidth_kb_s(r.size, r.cold_pipe), 1),
+            ),
+        ])
+    });
+    let zones = fresh.zones.iter().enumerate().map(|(i, z)| {
+        Json::object([
+            ("zone", Json::num(i)),
+            ("total", Json::num(z.total)),
+            ("free", Json::num(z.free)),
+            ("largest_hole", Json::num(z.largest_hole)),
+            ("hole_count", Json::num(z.hole_count)),
+            (
+                "external_fragmentation",
+                Json::fixed(z.external_fragmentation, 4),
+            ),
+        ])
+    });
+    let (sections, tables): (Vec<_>, Vec<_>) = fresh
+        .ablations
+        .iter()
+        .flat_map(|o| o.json.iter().cloned())
+        .partition(|(_, value)| matches!(value, Json::Object(_)));
+    let mut doc = vec![
+        ("schema_version", Json::num(check::REPORT_SCHEMA_VERSION)),
+        ("benchmark", Json::string("bullet streaming transfers")),
+        ("segment_size", Json::num(65536)),
+        ("sizes", Json::Array(sizes.collect())),
+    ];
+    doc.extend(sections);
+    doc.push(("zone_frag", Json::Array(zones.collect())));
+    doc.extend(tables);
+    Json::object(doc).render()
+}
+
+/// The `--check` gate.  Strict about the baseline itself — a missing
+/// file or key is a failure naming what is missing, not a silent pass.
+/// Hand-written here: the `sizes[]` floors and ceilings against the
+/// committed file, and the zone partition; everything else is the
+/// ablations' own criteria, judged on the fresh run so a regenerated
+/// baseline can never bake in a violation.
+fn gate(path: &str, fresh: &Fresh, fresh_doc: &str) -> Result<(), CheckError> {
     let doc = std::fs::read_to_string(path).map_err(|_| CheckError::Unreadable {
         path: path.to_string(),
     })?;
-    // Schema gate first: a baseline from a different schema generation
-    // fails loudly, naming the version found, before any value checks.
+    // Schema gate first: a baseline from a different schema generation,
+    // or one missing a key this binary writes, fails loudly before any
+    // value checks.
     check::require_schema_version(&doc, path, check::REPORT_SCHEMA_VERSION)?;
-    let mb = rows.last().expect("1 MB row");
+    check::require_same_keys(&doc, path, fresh_doc)?;
+    let mb = fresh.rows.last().expect("1 MB row");
     let fresh_pipe_bw = bandwidth_kb_s(mb.size, mb.cold_pipe);
     let fresh_seq_bw = bandwidth_kb_s(mb.size, mb.cold_seq);
     // The committed sequential baseline is the floor the pipelined path
@@ -691,7 +312,7 @@ fn gate(
     )?;
     // Tail-latency gate: p99 of the pipelined cold read and the mirrored
     // create may not exceed the committed tail by more than 10 %.
-    let mbp = pcts.last().expect("1 MB row");
+    let mbp = fresh.pcts.last().expect("1 MB row");
     for (key, fresh) in [
         ("cold_read_pipelined_p99_ms", mbp.cold_pipe.p99),
         ("create_p99_ms", mbp.create.p99),
@@ -703,379 +324,51 @@ fn gate(
         );
         check::require_at_most(&format!("1 MB {key}"), fresh_ms, committed * 1.10)?;
     }
-    // Fault-campaign gate: every freshly-run campaign cell must be
-    // green.  This judges the fresh run, never the baseline, so a
-    // baseline committed before the campaign existed still passes the
-    // bandwidth/tail checks above unchanged.
-    let reds: Vec<String> = faults
-        .iter()
-        .filter(|o| !o.green())
-        .map(|o| format!("{} seed {}", o.class, o.seed))
-        .collect();
-    eprintln!(
-        "check: fault campaign {} of {} cells green",
-        faults.len() - reds.len(),
-        faults.len()
-    );
-    if !reds.is_empty() {
-        return Err(CheckError::Regression {
-            what: format!("fault campaign red cells: {}", reds.join(", ")),
-            fresh: reds.len() as f64,
-            bound: 0.0,
-        });
-    }
-    // Scheduler gate, part 1 — schema: the committed baseline must carry
-    // every headline scheduler key (a baseline from before ABL14 fails
-    // loudly, naming the key, until regenerated).
-    for key in [
-        "fifo_seek_blocks",
-        "scan_seek_blocks",
-        "sptf_seek_blocks",
-        "fifo_read_mb_s",
-        "scan_read_mb_s",
-        "sptf_read_mb_s",
-        "fifo_p99_ms",
-        "scan_p99_ms",
-        "sptf_p99_ms",
-        "coalesce_on_ios_8_block",
-        "coalesce_off_ios_8_block",
-    ] {
-        check::require_section_key(&doc, path, "scheduler", key)?;
-    }
-    // Scheduler gate, part 2 — the fresh run must uphold the PR's
-    // headline invariants (these judge the fresh measurement, so a
-    // regenerated baseline can never bake in a violation).
-    let (fifo, scan, sptf) = (
-        &sm.sched[0].outcome,
-        &sm.sched[1].outcome,
-        &sm.sched[2].outcome,
-    );
-    eprintln!(
-        "check: seek blocks fifo {} scan {} sptf {}; read MB/s fifo {:.2} scan {:.2} sptf {:.2}",
-        fifo.seek_blocks,
-        scan.seek_blocks,
-        sptf.seek_blocks,
-        fifo.read_mb_s,
-        scan.read_mb_s,
-        sptf.read_mb_s
-    );
-    check::require_at_most(
-        "scan seek blocks (vs fifo)",
-        scan.seek_blocks as f64,
-        fifo.seek_blocks as f64,
-    )?;
-    check::require_at_most(
-        "sptf seek blocks (vs fifo)",
-        sptf.seek_blocks as f64,
-        fifo.seek_blocks as f64,
-    )?;
-    check::require_at_least(
-        "scan aggregate read bandwidth (MB/s, vs fifo)",
-        scan.read_mb_s,
-        fifo.read_mb_s,
-    )?;
-    check::require_at_least(
-        "sptf aggregate read bandwidth (MB/s, vs fifo)",
-        sptf.read_mb_s,
-        fifo.read_mb_s,
-    )?;
-    eprintln!(
-        "check: p99 fifo {:.2} ms, best seek-aware {:.2} ms (1.25x bound {:.2} ms)",
-        fifo.p99_ms,
-        scan.p99_ms.min(sptf.p99_ms),
-        fifo.p99_ms * 1.25
-    );
-    check::require_at_most(
-        "best seek-aware p99 (ms, vs 1.25x fifo)",
-        scan.p99_ms.min(sptf.p99_ms),
-        fifo.p99_ms * 1.25,
-    )?;
-    for r in &sm.knee {
-        check::require_at_most(
-            &format!(
-                "coalescing issued I/Os at {}-block segments",
-                r.segment_blocks
-            ),
-            r.issued_on as f64,
-            r.issued_off as f64,
-        )?;
-    }
-    // Group-commit gate, part 1 — schema: the committed baseline must
-    // carry every `group_commit` key (a baseline from before ABL15 fails
-    // loudly, naming the key, until regenerated).
-    for key in [
-        "storm_files",
-        "storm_file_bytes",
-        "baseline_writes",
-        "batched_writes",
-        "log_appends",
-        "group_commit_flushes",
-    ] {
-        check::require_section_key(&doc, path, "group_commit", key)?;
-    }
-    // Group-commit gate, part 2 — the fresh storm must uphold the PR's
-    // headline collapse: the whole batch lands in at most 4 log appends,
-    // and the batched path issues at most a quarter of the baseline's
-    // physical writes.
-    eprintln!(
-        "check: group commit — {} files, baseline {} writes vs batched {} ({} appends, {} flushes)",
-        GC_STORM_FILES, gc.baseline_writes, gc.batched_writes, gc.log_appends, gc.flushes
-    );
-    check::require_at_most("group-commit log appends", gc.log_appends as f64, 4.0)?;
-    check::require_at_most(
-        "batched physical writes (vs baseline / 4)",
-        gc.batched_writes as f64,
-        gc.baseline_writes as f64 / 4.0,
-    )?;
-    // Evsim gate, part 1 — schema: the committed baseline must carry the
-    // ABL16 scale facts and every policy's hit rate (a baseline from
-    // before ABL16 fails loudly, naming the key, until regenerated).
-    for key in [
-        "seed",
-        "clients",
-        "files",
-        "events",
-        "zipf_reads",
-        "scan_reads",
-    ] {
-        check::require_section_key(&doc, path, "evsim", key)?;
-    }
-    for policy in ["lru", "fifo", "slru", "2q"] {
-        for workload in ["zipf", "scan"] {
-            check::require_section_key(
-                &doc,
-                path,
-                "cache_policy",
-                &format!("{policy}_{workload}_hit_rate"),
-            )?;
+    for outcome in &fresh.ablations {
+        for c in &outcome.criteria {
+            eprintln!("check: {} — {} ({})", outcome.title, c.name, c.detail);
+            if !c.pass {
+                return Err(CheckError::RedCriterion {
+                    ablation: outcome.title.clone(),
+                    name: c.name,
+                    detail: c.detail.clone(),
+                });
+            }
         }
     }
-    check::require_section_key(&doc, path, "cache_policy", "scan_margin")?;
-    // Telemetry gate, part 1 — schema: the committed baseline must carry
-    // every ABL17 key (a baseline from before the flight recorder fails
-    // loudly, naming the key, until regenerated).
-    for key in [
-        "sampling_period_us",
-        "series_count",
-        "samples_total",
-        "digest_delta",
-        "slo_degraded_events",
-        "detection_lag_us",
-    ] {
-        check::require_section_key(&doc, path, "telemetry", key)?;
-    }
-    // Telemetry gate, part 2 — the fresh run must uphold the PR's
-    // headline invariants: the recorder is free in virtual time (the
-    // instrumented digest equals the bare digest), and the watchdog
-    // flags the injected fault within one sampling period.
-    eprintln!(
-        "check: telemetry — {} series / {} samples, digest delta {}, {} degraded events, \
-         detection lag {} µs (period {} µs)",
-        tm.series_count,
-        tm.samples_total,
-        tm.digest_delta,
-        tm.slo_degraded,
-        tm.detection_lag_us,
-        tm.period_us
-    );
-    check::require_at_most(
-        "instrumented evsim digest delta (vs bare run)",
-        tm.digest_delta as f64,
-        0.0,
-    )?;
-    check::require_at_least(
-        "watchdog degraded events under fault burst",
-        tm.slo_degraded as f64,
-        1.0,
-    )?;
-    check::require_at_most(
-        "watchdog detection lag (µs, vs one sampling period)",
-        tm.detection_lag_us as f64,
-        tm.period_us as f64,
-    )?;
-    // Evsim gate, part 2 — the fresh reduced matrix must uphold the PR's
-    // headline invariants: the better segmented policy beats LRU under
-    // scan injection, and scan resistance costs nothing under pure Zipf
-    // (every policy within 0.05 of LRU's hit rate).
-    let lru_scan = ev.scan[0].outcome.hit_rate;
-    let best_scan = ev.scan[2].outcome.hit_rate.max(ev.scan[3].outcome.hit_rate);
-    eprintln!("check: evsim scan hit rate — lru {lru_scan:.4}, best segmented {best_scan:.4}");
-    check::require_at_least("best segmented scan hit rate (vs lru)", best_scan, lru_scan)?;
-    let lru_zipf = ev.zipf[0].outcome.hit_rate;
-    for r in &ev.zipf {
-        check::require_at_least(
-            &format!("{} zipf hit rate (vs lru - 0.05)", r.outcome.policy),
-            r.outcome.hit_rate,
-            lru_zipf - 0.05,
-        )?;
-    }
-    // Sharding gate, part 1 — schema: the committed baseline must carry
-    // every ABL18 key (a baseline from before the sharded service fails
-    // loudly, naming the key, until regenerated).
-    for key in [
-        "baseline_read_mb_s",
-        "two_shard_read_mb_s",
-        "shard_speedup",
-        "rebalance_extents_moved",
-        "kill_shard_ops_refused",
-    ] {
-        check::require_section_key(&doc, path, "sharding", key)?;
-    }
-    // Sharding gate, part 2 — the fresh reduced cells must uphold the
-    // PR's headline invariants: two shards deliver at least 1.5× the
-    // one-shard aggregate cold-read bandwidth (the same 0.75/shard floor
-    // the full matrix holds at 8 shards), and the rebalance and
-    // kill-shard cells come back fully green.
-    let (base, two) = (&sh.scaling[0], &sh.scaling[1]);
-    eprintln!(
-        "check: sharding — 1 shard {:.2} MB/s, 2 shards {:.2} MB/s ({:.2}x); \
-         rebalance {}/{} green, kill-shard {}/{} green",
-        base.metric,
-        two.metric,
-        two.metric / base.metric,
-        sh.rebalance.invariants.iter().filter(|i| i.pass).count(),
-        sh.rebalance.invariants.len(),
-        sh.kill.invariants.iter().filter(|i| i.pass).count(),
-        sh.kill.invariants.len()
-    );
-    check::require_at_least(
-        "2-shard aggregate cold-read bandwidth (MB/s, vs 1.5x one shard)",
-        two.metric,
-        1.5 * base.metric,
-    )?;
-    for (cell, outcome) in [
-        ("scaling baseline", base),
-        ("scaling 2-shard", two),
-        ("rebalance", &sh.rebalance),
-        ("kill-shard", &sh.kill),
-    ] {
-        if let Some(red) = outcome.invariants.iter().find(|i| !i.pass) {
-            return Err(CheckError::Regression {
-                what: format!("sharding {cell} cell red: {} ({})", red.name, red.detail),
-                fresh: 0.0,
-                bound: 1.0,
-            });
-        }
-    }
-    // Tiering gate, part 1 — schema: the committed baseline must carry
-    // every ABL19 key (a baseline from before tiered storage fails
-    // loudly, naming the key, until regenerated).
-    for key in [
-        "files",
-        "hot_files",
-        "archived_files",
-        "archive_bytes",
-        "fast_bytes",
-        "archive_capacity_blocks",
-        "fast_capacity_blocks",
-        "tier_demotions",
-        "tier_promotions",
-        "hot_p99_baseline_ms",
-        "hot_p99_tiered_ms",
-        "hot_p99_ratio",
-    ] {
-        check::require_section_key(&doc, path, "tiering", key)?;
-    }
-    // Tiering gate, part 2 — the fresh reduced pair must uphold the PR's
-    // headline invariants: the aging sweep sends ≥ 80 % of the
-    // population to the archive, the archive then holds ≥ 4× the fast
-    // tier's bytes on ≥ 4× its capacity, the migration counters are
-    // alive, and the tiered hot-set p99 stays within 1.15× of the
-    // archive-less baseline's.  (Demotion/recall byte-identity is
-    // asserted inside the measurement itself.)
-    eprintln!(
-        "check: tiering — {} of {} files archived ({} bytes vs {} fast); \
-         hot p99 {:.2} ms tiered vs {:.2} ms baseline",
-        tr.tier.archived_files,
-        tr.tier.files,
-        tr.tier.archive_bytes,
-        tr.tier.fast_bytes,
-        tr.tier.hot_p99.as_ms_f64(),
-        tr.base.hot_p99.as_ms_f64()
-    );
-    check::require_at_least(
-        "archived share of the aged population (files, vs 80 %)",
-        tr.tier.archived_files as f64 * 5.0,
-        tr.tier.files as f64 * 4.0,
-    )?;
-    check::require_at_least(
-        "archive-resident bytes (vs 4x fast-resident)",
-        tr.tier.archive_bytes as f64,
-        4.0 * tr.tier.fast_bytes as f64,
-    )?;
-    check::require_at_least(
-        "archive capacity (blocks, vs 4x the fast data area)",
-        tr.tier.archive_capacity_blocks as f64,
-        4.0 * tr.tier.fast_capacity_blocks as f64,
-    )?;
-    check::require_at_least(
-        "tier demotions (vs archived file count)",
-        tr.tier.demotions as f64,
-        tr.tier.archived_files as f64,
-    )?;
-    check::require_at_least(
-        "tier promotions (recalls completed)",
-        tr.tier.promotions as f64,
-        1.0,
-    )?;
-    check::require_at_most(
-        "tiered hot-set p99 (ns, vs 1.15x baseline)",
-        tr.tier.hot_p99.as_ns() as f64,
-        1.15 * tr.base.hot_p99.as_ns() as f64,
-    )?;
     // Zone-frag gate: the per-zone reports must partition the data area
     // — zone free space sums to the whole-area free count.
-    let zone_free: u64 = sm.zones.iter().map(|z| z.free).sum();
+    let zone_free: u64 = fresh.zones.iter().map(|z| z.free).sum();
     eprintln!(
         "check: zone frag — {} zones, free {} of {} blocks (whole-area free {})",
-        sm.zones.len(),
+        fresh.zones.len(),
         zone_free,
-        sm.whole.total,
-        sm.whole.free
+        fresh.whole.total,
+        fresh.whole.free
     );
-    if zone_free != sm.whole.free {
+    if zone_free != fresh.whole.free {
         return Err(CheckError::Regression {
             what: "per-zone free blocks must sum to the data-area free count".to_string(),
             fresh: zone_free as f64,
-            bound: sm.whole.free as f64,
+            bound: fresh.whole.free as f64,
         });
     }
     Ok(())
 }
 
+/// `--json PATH` writes the baseline; `--json --check PATH` only reads it.
 fn run_json(path: &str, check: bool) -> std::io::Result<()> {
-    eprintln!("measuring streaming transfers (pipeline off/on)…");
-    let rows = measure_streaming();
-    eprintln!("measuring latency percentiles ({REPS} reps per op × size, traced rigs)…");
-    let pcts = measure_percentiles();
-    eprintln!(
-        "running fault campaigns ({} classes × {} seeds)…",
-        FaultClass::ALL.len(),
-        JSON_FAULT_SEEDS.len()
-    );
-    let faults = run_fault_summary();
-    eprintln!("running scheduler ablation (3 policies + coalescing knee, seed {PR_SEED})…");
-    let sm = measure_scheduler();
-    eprintln!("running group-commit storm ({GC_STORM_FILES} × {GC_FILE_BYTES} B creates)…");
-    let gc = measure_group_commit();
-    eprintln!("running reduced evsim matrix (4 policies × 2 workloads, small cells)…");
-    let ev = measure_evsim();
-    eprintln!("running telemetry summary (bare vs instrumented vs fault-burst evsim)…");
-    let tm = measure_telemetry();
-    eprintln!("running sharding summary (1-vs-2-shard scaling + rebalance + kill-shard)…");
-    let sh = measure_sharding();
-    eprintln!("running tiering summary (aged-population pair, baseline vs archive)…");
-    let tr = measure_tiering();
+    let fresh = measure_all();
+    let doc = render_json(&fresh);
     if check {
-        if let Err(e) = gate(path, &rows, &pcts, &faults, &sm, &gc, &ev, &tm, &sh, &tr) {
+        if let Err(e) = gate(path, &fresh, &doc) {
             eprintln!("BENCH CHECK FAILED: {e}");
             std::process::exit(1);
         }
+        eprintln!("{path} checked (not rewritten)");
+        return Ok(());
     }
-    std::fs::write(
-        path,
-        render_json(&rows, &pcts, &faults, &sm, &gc, &ev, &tm, &sh, &tr),
-    )?;
+    std::fs::write(path, doc)?;
     eprintln!("wrote {path}");
     Ok(())
 }
@@ -1218,8 +511,7 @@ fn run_report() -> std::io::Result<()> {
          (`results/ablation_concurrency.txt`)."
     );
 
-    std::fs::create_dir_all("results")?;
-    std::fs::write("results/REPORT.md", &out)?;
+    ablation::write_results(&[("REPORT.md", &out)])?;
     println!("{out}");
     eprintln!("wrote results/REPORT.md");
     Ok(())

@@ -1,10 +1,15 @@
-//! The regression gate behind `report --json --check`.
+//! The regression gate behind `report --json --check`, and the one place
+//! that knows `BENCH_pr2.json`'s text layout.
 //!
 //! The committed `BENCH_pr2.json` is the baseline; the gate re-measures
 //! and fails the run when a fresh number falls below (bandwidth) or above
 //! (p99 latency) the committed one.  Baseline access is strict: a key the
 //! gate needs but the committed file lacks is an error naming the exact
 //! key and size — never a panic, and never a silently-passing check.
+//!
+//! [`Json`] writes the document (the workspace carries no serializer);
+//! the lookups below read it back line by line, which is exact because
+//! [`Json::render`] puts every member on a line of its own.
 
 use std::fmt;
 
@@ -25,15 +30,26 @@ pub enum CheckError {
         /// The missing key.
         key: String,
     },
-    /// The committed baseline lacks the key inside a named top-level
-    /// section (e.g. the `"scheduler"` object).
-    MissingSectionKey {
+    /// The committed baseline's keys are not the keys this binary writes
+    /// (a key is missing, extra, or out of place).
+    KeyMismatch {
         /// Path of the baseline file.
         path: String,
-        /// The section object searched.
-        section: String,
-        /// The missing key.
-        key: String,
+        /// 1-based line of the first difference.
+        line: usize,
+        /// What the baseline has there.
+        committed: String,
+        /// What this binary writes there.
+        fresh: String,
+    },
+    /// A freshly run ablation criterion came back red.
+    RedCriterion {
+        /// The ablation's title line.
+        ablation: String,
+        /// The criterion's name.
+        name: &'static str,
+        /// Its measured detail.
+        detail: String,
     },
     /// The committed baseline's top-level `"schema_version"` does not
     /// match the version this binary writes (or is absent entirely).
@@ -69,13 +85,23 @@ impl fmt::Display for CheckError {
                      regenerate it with `report --json {path}` to pick up the new schema"
                 )
             }
-            CheckError::MissingSectionKey { path, section, key } => {
+            CheckError::KeyMismatch {
+                path,
+                line,
+                committed,
+                fresh,
+            } => {
                 write!(
                     f,
-                    "baseline {path} has no key \"{key}\" in its \"{section}\" section; \
-                     regenerate it with `report --json {path}` to pick up the new schema"
+                    "baseline {path} line {line} has {committed} where this binary writes \
+                     {fresh}; regenerate it with `report --json {path}` to pick up the new schema"
                 )
             }
+            CheckError::RedCriterion {
+                ablation,
+                name,
+                detail,
+            } => write!(f, "{ablation}: criterion red: {name} ({detail})"),
             CheckError::SchemaVersion {
                 path,
                 expected,
@@ -126,8 +152,8 @@ pub fn json_lookup(doc: &str, bytes: usize, key: &str) -> Option<f64> {
 /// `"<section>": {` in committed JSON.  The section is delimited by
 /// brace depth, and only its top level is searched, so a nested object
 /// inside the section can neither truncate the scan nor leak its own
-/// keys in.  (String values never contain braces in the hand-rolled
-/// `render_json` output, so counting raw braces is exact.)
+/// keys in.  (String values never contain braces in [`Json::render`]'s
+/// output, so counting raw braces is exact.)
 pub fn json_lookup_section(doc: &str, section: &str, key: &str) -> Option<f64> {
     let start = doc.find(&format!("\"{section}\": {{"))?;
     // Keep only the section's depth-1 content: nested objects are
@@ -164,23 +190,37 @@ pub fn json_lookup_section(doc: &str, section: &str, key: &str) -> Option<f64> {
         .ok()
 }
 
-/// [`json_lookup_section`] that treats absence as a gate failure naming
-/// the section and the key.
+/// Fails unless the committed `doc` carries exactly the keys of the
+/// `fresh` document, in the same places: line by line, everything up to
+/// a member's value (or the whole line, for a bare bracket) must agree.
+/// One comparison covers every section, row table and top-level key, in
+/// both directions — a baseline from before a key existed fails, and so
+/// does one carrying a key nobody writes any more.
 ///
 /// # Errors
 ///
-/// [`CheckError::MissingSectionKey`] when the baseline lacks the key.
-pub fn require_section_key(
-    doc: &str,
-    path: &str,
-    section: &str,
-    key: &str,
-) -> Result<f64, CheckError> {
-    json_lookup_section(doc, section, key).ok_or_else(|| CheckError::MissingSectionKey {
-        path: path.to_string(),
-        section: section.to_string(),
-        key: key.to_string(),
-    })
+/// [`CheckError::KeyMismatch`] naming the first differing line.
+pub fn require_same_keys(doc: &str, path: &str, fresh: &str) -> Result<(), CheckError> {
+    let key = |l: &str| l.split("\":").next().unwrap_or(l).trim().to_string();
+    let (mut committed, mut written) = (doc.lines().map(key), fresh.lines().map(key));
+    for line in 1.. {
+        match (committed.next(), written.next()) {
+            (None, None) => break,
+            (c, w) if c == w => {}
+            (c, w) => {
+                let show = |k: Option<String>| {
+                    k.map_or("the end of the file".into(), |k| format!("`{k}`"))
+                };
+                return Err(CheckError::KeyMismatch {
+                    path: path.to_string(),
+                    line,
+                    committed: show(c),
+                    fresh: show(w),
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The `"schema_version"` value `report --json` stamps at the top of
@@ -191,8 +231,8 @@ pub fn require_section_key(
 pub const REPORT_SCHEMA_VERSION: u64 = 1;
 
 /// Reads an integer-valued key from the document (line-oriented, like
-/// the other lookups — sufficient for the hand-rolled `render_json`
-/// output, whose `"schema_version"` appears exactly once).
+/// the other lookups — sufficient for [`Json::render`]'s output, whose
+/// `"schema_version"` appears exactly once).
 pub fn json_lookup_u64(doc: &str, key: &str) -> Option<u64> {
     let line = doc
         .lines()
@@ -268,6 +308,74 @@ pub fn require_at_most(what: &str, fresh: f64, ceiling: f64) -> Result<(), Check
         });
     }
     Ok(())
+}
+
+/// A JSON value to write: the document `report --json` emits and the
+/// members each ablation contributes to it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// An already-rendered scalar (number, boolean, or quoted string).
+    Raw(String),
+    /// An object: members in writing order.
+    Object(Vec<(String, Json)>),
+    /// An array.
+    Array(Vec<Json>),
+}
+
+impl Json {
+    /// A number or boolean, rendered by its `Display`.
+    pub fn num(v: impl fmt::Display) -> Json {
+        Json::Raw(v.to_string())
+    }
+
+    /// A float with a fixed number of decimals.
+    pub fn fixed(v: f64, decimals: usize) -> Json {
+        Json::Raw(format!("{v:.decimals$}"))
+    }
+
+    /// A quoted string (callers pass labels that need no escaping).
+    pub fn string(s: &str) -> Json {
+        Json::Raw(format!("\"{s}\""))
+    }
+
+    /// An object from `(key, value)` pairs.
+    pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Renders the value as a document: two-space indentation, one
+    /// member per line (the layout the lookups in this module rely on).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        let (close, members): (char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Raw(s) => return out.push_str(s),
+            Json::Object(m) => {
+                out.push('{');
+                ('}', m.iter().map(|(k, v)| (Some(k.as_str()), v)).collect())
+            }
+            Json::Array(a) => {
+                out.push('[');
+                (']', a.iter().map(|v| (None, v)).collect())
+            }
+        };
+        for (i, (key, value)) in members.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(&" ".repeat(indent + 2));
+            if let Some(key) = key {
+                out.push_str(&format!("\"{key}\": "));
+            }
+            value.write(out, indent + 2);
+        }
+        out.push('\n');
+        out.push_str(&" ".repeat(indent));
+        out.push(close);
+    }
 }
 
 /// Validates that `doc` is one well-formed JSON value (with optional
@@ -514,22 +622,51 @@ mod tests {
     }
 
     #[test]
-    fn missing_section_key_fails_naming_section_and_key() {
-        let err = require_section_key(SECTIONED, "BENCH_pr2.json", "scheduler", "sptf_p99_ms")
-            .unwrap_err();
+    fn key_comparison_names_the_first_missing_or_extra_key() {
+        assert_eq!(require_same_keys(SECTIONED, "b.json", SECTIONED), Ok(()));
+        // Values may differ; keys may not.
+        let other_values = SECTIONED.replace("14", "15").replace("0.59", "0.61");
         assert_eq!(
-            err,
-            CheckError::MissingSectionKey {
-                path: "BENCH_pr2.json".to_string(),
-                section: "scheduler".to_string(),
-                key: "sptf_p99_ms".to_string(),
-            }
+            require_same_keys(&other_values, "b.json", SECTIONED),
+            Ok(())
         );
+        // A baseline from before `scan_read_mb_s` existed.
+        let old = SECTIONED.replace(",\n    \"scan_read_mb_s\": 0.59", "");
+        let err = require_same_keys(&old, "BENCH_pr2.json", SECTIONED).unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("sptf_p99_ms"), "message: {msg}");
-        assert!(msg.contains("\"scheduler\""), "message: {msg}");
-        // An absent section fails the same way, never panics.
-        assert!(require_section_key(SECTIONED, "b.json", "zones", "free").is_err());
+        assert!(msg.contains("line 6"), "message: {msg}");
+        assert!(msg.contains("scan_read_mb_s"), "message: {msg}");
+        assert!(msg.contains("regenerate"), "message: {msg}");
+        // The other direction: the baseline carries a key nobody writes.
+        let err = require_same_keys(SECTIONED, "b.json", &old).unwrap_err();
+        assert!(err.to_string().contains("scan_read_mb_s"), "{err}");
+        // A truncated baseline fails too, never panics.
+        assert!(require_same_keys("{\n", "b.json", SECTIONED).is_err());
+    }
+
+    #[test]
+    fn rendered_documents_round_trip_through_the_lookups() {
+        let doc = Json::object([
+            ("schema_version", Json::num(1)),
+            (
+                "sizes",
+                Json::Array(vec![Json::object([
+                    ("bytes", Json::num(1024)),
+                    ("create_p99_ms", Json::fixed(11.6, 3)),
+                ])]),
+            ),
+            (
+                "scheduler",
+                Json::object([("seed", Json::num(14)), ("label", Json::string("scan"))]),
+            ),
+            ("all_green", Json::num(true)),
+        ])
+        .render();
+        assert_eq!(json_valid(&doc), Ok(()));
+        assert_eq!(json_lookup_u64(&doc, "schema_version"), Some(1));
+        assert_eq!(json_lookup(&doc, 1024, "create_p99_ms"), Some(11.6));
+        assert_eq!(json_lookup_section(&doc, "scheduler", "seed"), Some(14.0));
+        assert!(doc.ends_with("  \"all_green\": true\n}\n"), "{doc}");
     }
 
     #[test]

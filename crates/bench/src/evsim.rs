@@ -39,6 +39,8 @@ use amoeba_sim::{DetRng, EventQueue, Histogram, HwProfile, Nanos, Stats, Telemet
 use bullet_core::{counters, ClientAccounting, EvictionPolicy, FileCache};
 use bytes::Bytes;
 
+use crate::ablation::{Invariant, Outcome, Scale, Trailer};
+use crate::check::Json;
 use crate::workload::{SizeDistribution, ZipfSampler};
 
 /// Simulated clients in the PR-gate configuration.
@@ -66,6 +68,22 @@ pub const SCAN_BURST: u32 = 8;
 pub const SCAN_DENOM: usize = 10;
 /// The seed the PR gate runs under.
 pub const PR_SEED: u64 = 16;
+/// Seed of the reduced matrix `report --json` embeds (the seed the unit
+/// tests below validate scan resistance at small scale under).
+pub const REDUCED_SEED: u64 = 5;
+
+/// The committed scan-resistance margin: best(SLRU, 2Q) must beat LRU's
+/// scan hit-rate by at least this much (absolute hit-rate delta).
+/// Measured at the PR seed: SLRU 0.3152 vs LRU 0.2761, a delta of
+/// ≈ 0.039 — about 30 % above this bound (the reduced cell measures
+/// 0.069).  The matrix is a pure function of the seed, so the gate is
+/// deterministic, not statistical.
+pub const SCAN_MARGIN: f64 = 0.03;
+
+/// Zipf-parity band: without scan pollution no policy may fall more than
+/// this far below LRU's hit rate (the ABL9 null result must survive
+/// scale — scan resistance may not cost the common case).
+pub const ZIPF_PARITY: f64 = 0.05;
 
 /// A mid-run fault burst: a lossy wire plus one failed mirror replica,
 /// active over a virtual-time window (the ABL17 degradation injection).
@@ -473,15 +491,140 @@ pub const POLICIES: [EvictionPolicy; 4] = [
     EvictionPolicy::TwoQ,
 ];
 
-/// The full PR-gate matrix: 4 policies × {zipf, scan}.
-pub fn run_matrix(seed: u64) -> Vec<EvsimRun> {
-    let mut runs = Vec::new();
-    for workload in ["zipf", "scan"] {
-        for policy in POLICIES {
-            runs.push(run(&EvsimConfig::gate(policy, workload, seed)));
-        }
+/// ABL16 — every policy × {zipf, scan}: the 10k-client gate cells, or at
+/// [`Scale::Reduced`] the small cells (400 clients over 40k files,
+/// milliseconds each).  `clients` overrides the population.
+///
+/// Criteria:
+///
+/// * scale: every client completes every op, and (full only) the run is
+///   at least 10k clients over 500k files on the one event heap;
+/// * scan resistance: the better of SegmentedLRU/2Q beats LRU's hit rate
+///   under scan injection by at least [`SCAN_MARGIN`];
+/// * Zipf parity: every policy stays within [`ZIPF_PARITY`] of LRU;
+/// * tail latency: the better segmented policy's scan p99 does not
+///   exceed LRU's (fewer misses ⇒ shorter disk queues).
+///
+/// The table embeds each run's FNV-1a timeline digest, so a single
+/// reordered event anywhere in ~10M flips the replay comparison.  Extra
+/// artifact: the windowed hit-rate curves.
+pub fn ablation(scale: Scale, seed: Option<u64>, clients: Option<usize>) -> Outcome {
+    let reduced = scale == Scale::Reduced;
+    let seed = seed.unwrap_or(if reduced { REDUCED_SEED } else { PR_SEED });
+    let cfgs: Vec<EvsimConfig> = ["zipf", "scan"]
+        .into_iter()
+        .flat_map(|workload| POLICIES.map(|policy| (policy, workload)))
+        .map(|(policy, workload)| {
+            let mut cfg = if reduced {
+                EvsimConfig::small(policy, workload, seed)
+            } else {
+                EvsimConfig::gate(policy, workload, seed)
+            };
+            cfg.clients = clients.unwrap_or(cfg.clients);
+            cfg
+        })
+        .collect();
+    let runs: Vec<EvsimRun> = cfgs.iter().map(run).collect();
+    let (zipf, scan) = runs.split_at(POLICIES.len());
+    let rate = |cell: &[EvsimRun], policy: usize| cell[policy].outcome.hit_rate;
+
+    let (min_clients, min_files) = if reduced { (0, 0) } else { (10_000, 500_000) };
+    let short: Vec<String> = cfgs
+        .iter()
+        .zip(&runs)
+        .filter(|(cfg, r)| {
+            let ops = cfg.ops_per_client as u64;
+            let scanners = cfg.scanners() as u64;
+            let expect = (cfg.clients as u64 - scanners) * ops + scanners * ops * SCAN_BURST as u64;
+            r.outcome.reads != expect
+        })
+        .map(|(cfg, r)| format!("{}/{}", cfg.workload, r.outcome.policy))
+        .collect();
+    // POLICIES order: 0 lru, 1 fifo, 2 slru, 3 2q.
+    let (lru_scan, best_scan) = (rate(scan, 0), rate(scan, 2).max(rate(scan, 3)));
+    let behind: Vec<&str> = zipf
+        .iter()
+        .filter(|r| r.outcome.hit_rate + ZIPF_PARITY < rate(zipf, 0))
+        .map(|r| r.outcome.policy)
+        .collect();
+    let (lru_p99, best_p99) = (
+        scan[0].outcome.p99_ms,
+        scan[2].outcome.p99_ms.min(scan[3].outcome.p99_ms),
+    );
+    let criteria = vec![
+        Invariant::new(
+            "every client completes every op at the demanded scale",
+            short.is_empty() && cfgs[0].clients >= min_clients && cfgs[0].files >= min_files,
+            format!(
+                "{} clients over {} files (need {min_clients} over {min_files}); \
+                 cells short of reads: {short:?}",
+                cfgs[0].clients, cfgs[0].files
+            ),
+        ),
+        Invariant::new(
+            "a segmented policy beats LRU under scan injection",
+            best_scan >= lru_scan + SCAN_MARGIN,
+            format!("lru {lru_scan:.4}, best segmented {best_scan:.4}, required +{SCAN_MARGIN}"),
+        ),
+        Invariant::new(
+            "scan resistance costs nothing under pure Zipf",
+            behind.is_empty(),
+            format!(
+                "lru {:.4}; more than {ZIPF_PARITY} below it: {behind:?}",
+                rate(zipf, 0)
+            ),
+        ),
+        Invariant::new(
+            "fewer scan misses shorten the disk queues",
+            best_p99 <= lru_p99,
+            format!("scan p99: lru {lru_p99:.1} ms, best segmented {best_p99:.1} ms"),
+        ),
+    ];
+
+    let (lz, ls) = (&zipf[0].outcome, &scan[0].outcome);
+    let mut hit_rates: Vec<(String, Json)> = runs
+        .iter()
+        .map(|r| &r.outcome)
+        .map(|o| {
+            (
+                format!("{}_{}_hit_rate", o.policy, o.workload),
+                Json::fixed(o.hit_rate, 4),
+            )
+        })
+        .collect();
+    hit_rates.push((
+        "scan_margin".to_string(),
+        Json::fixed(best_scan - lru_scan, 4),
+    ));
+    let curves = runs
+        .iter()
+        .flat_map(|r| r.curve.iter().map(|p| curve_row(&r.outcome, p) + "\n"))
+        .collect();
+    Outcome {
+        title: format!(
+            "ABL16 cache replacement at event-engine scale (seed {seed}, {} clients)",
+            lz.clients
+        ),
+        table: outcome_table(&runs),
+        criteria,
+        json: vec![
+            (
+                "evsim",
+                Json::object([
+                    ("seed", Json::num(seed)),
+                    ("clients", Json::num(lz.clients)),
+                    ("files", Json::num(lz.files)),
+                    ("events", Json::num(lz.events)),
+                    ("zipf_reads", Json::num(lz.reads)),
+                    ("scan_reads", Json::num(ls.reads)),
+                ]),
+            ),
+            ("cache_policy", Json::Object(hit_rates)),
+        ],
+        artifact: "ablation_evsim.txt",
+        trailer: Trailer::RedCriteria,
+        extras: vec![("ablation_evsim_curve.jsonl", curves)],
     }
-    runs
 }
 
 /// Renders the matrix as a fixed-width table — the byte string the

@@ -19,9 +19,10 @@
 //!   eventually succeed, contents stay bit-identical, and the at-most-
 //!   once cache must keep duplicated CREATEs from allocating twice.
 //!
-//! [`run_class`] executes one cell and returns a [`CampaignOutcome`]
-//! whose rendering ([`outcome_table`]) is the determinism witness the
-//! `ablation_faults` binary compares across replays.
+//! [`run_class`] executes one cell and returns a [`CampaignOutcome`];
+//! [`ablation`] runs a class × seed matrix of them, and its rendering
+//! ([`outcome_table`]) is the determinism witness compared across
+//! replays.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,8 +39,15 @@ use bullet_core::counters::{DEDUP_HITS, FAILOVER_READS, RECOVERY_REPAIRED_INODES
 use bullet_core::table::RepairPolicy;
 use bullet_core::{commands, BulletConfig, BulletRpcServer, BulletServer, DiskDescriptor, Inode};
 
-/// The on-push seed matrix (the nightly sweep widens this).
+use crate::ablation::{Invariant, Outcome, Scale, Trailer};
+use crate::check::Json;
+
+/// The on-push seed matrix.
 pub const PR_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
+/// Seeds per class of the reduced campaign `report --json` embeds.
+const REDUCED_SEEDS: [u64; 2] = [1, 2];
+/// Seeds per class of the nightly `--wide` sweep.
+const WIDE_SEEDS: std::ops::RangeInclusive<u64> = 1..=25;
 
 /// One fault class of the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,23 +80,6 @@ impl FaultClass {
     /// Parses a CLI name.
     pub fn parse(s: &str) -> Option<FaultClass> {
         FaultClass::ALL.into_iter().find(|c| c.name() == s)
-    }
-}
-
-/// One named invariant checked by a campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Invariant {
-    /// What must hold.
-    pub name: &'static str,
-    /// Whether it held.
-    pub pass: bool,
-    /// Deterministic supporting detail (counts, never addresses).
-    pub detail: String,
-}
-
-impl Invariant {
-    fn new(name: &'static str, pass: bool, detail: String) -> Invariant {
-        Invariant { name, pass, detail }
     }
 }
 
@@ -135,6 +126,58 @@ pub fn run_class(class: FaultClass, seed: u64) -> CampaignOutcome {
         FaultClass::MirrorFail => run_mirror_fail(seed),
         FaultClass::CrashRecovery => run_crash_recovery(seed),
         FaultClass::LossyWire => run_lossy_wire(seed),
+    }
+}
+
+/// ABL13 — the class × seed campaign matrix: `class`/`seed` pin one
+/// axis to a single value (CI's per-cell jobs), otherwise every class
+/// runs over the scale's seed set.
+///
+/// Criteria: one per cell — every invariant on the cell's checklist
+/// holds (no lost or corrupted committed file, replicas bit-identical
+/// after resync, no duplicate allocation under retransmission).  The
+/// table's `sim_ms` column makes a divergent fault schedule show up in
+/// the replay comparison first.
+pub fn ablation(scale: Scale, class: Option<FaultClass>, seed: Option<u64>) -> Outcome {
+    let classes = class.map_or(FaultClass::ALL.to_vec(), |c| vec![c]);
+    let seeds: Vec<u64> = match (seed, scale) {
+        (Some(s), _) => vec![s],
+        (None, Scale::Reduced) => REDUCED_SEEDS.to_vec(),
+        (None, Scale::Full) => PR_SEEDS.to_vec(),
+        (None, Scale::Soak) => WIDE_SEEDS.collect(),
+    };
+    let cells: Vec<CampaignOutcome> = classes
+        .iter()
+        .flat_map(|&c| seeds.iter().map(move |&s| run_class(c, s)))
+        .collect();
+    let rows = cells.iter().map(|o| {
+        Json::object([
+            ("class", Json::string(o.class)),
+            ("seed", Json::num(o.seed)),
+            ("ops_attempted", Json::num(o.ops_attempted)),
+            ("ops_retried", Json::num(o.ops_retried)),
+            ("ops_succeeded", Json::num(o.ops_succeeded)),
+            ("faults_injected", Json::num(o.faults_injected)),
+            ("green", Json::num(o.green())),
+        ])
+    });
+    Outcome {
+        title: "ABL13 fault-injection campaign".to_string(),
+        table: outcome_table(&cells),
+        criteria: cells
+            .iter()
+            .map(|o| Invariant::cell(o.class, format!("seed {}", o.seed), &o.invariants))
+            .collect(),
+        json: vec![
+            ("fault_campaign", Json::Array(rows.collect())),
+            (
+                "fault_campaign_all_green",
+                Json::num(cells.iter().all(CampaignOutcome::green)),
+            ),
+        ],
+        artifact: "ablation_faults.txt",
+        trailer: Trailer::GreenCells,
+        extras: Vec::new(),
     }
 }
 

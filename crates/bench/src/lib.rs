@@ -9,8 +9,13 @@
 //!   generator (75 % whole-file reads), and the Zipf popularity-skew
 //!   small-file storm behind the group-commit ablation (ABL15).
 //! * [`check`] — the regression-gate machinery behind `report --check`:
-//!   baseline-key lookup that *fails loudly* when a key is missing, and
-//!   floor/ceiling comparisons with human-readable errors.
+//!   the `BENCH_pr2.json` writer, baseline-key lookup that *fails loudly*
+//!   when a key is missing, and floor/ceiling comparisons with
+//!   human-readable errors.
+//! * [`ablation`] — the one harness behind ABL13–19: the outcome shape
+//!   every rig module's `ablation` function returns, the replay-twice
+//!   runner the `ablation_*` binaries call, and the list `report --json`
+//!   loops over.
 //! * [`table`] — measurement loops and the delay/bandwidth table
 //!   formatting used by every `fig*`/`ablation_*` binary, plus the §4
 //!   claim checks the `comparison` binary (and the integration tests)
@@ -22,6 +27,9 @@
 //!   an 8-client closed-loop mixed workload over the deterministic
 //!   virtual-time arm simulation, comparing FIFO/SCAN/SPTF, plus the
 //!   coalescing on/off knee on sequential creates.
+//! * [`groupcommit`] — the group-commit create storms (ABL15): 32
+//!   concurrent creates on an aged mirrored pair, per-file vs batched
+//!   through the log.
 //! * [`evsim`] — the virtual-time event-engine cache ablation (ABL16):
 //!   10k+ simulated clients over ~1M files on one [`amoeba_sim::EventQueue`],
 //!   squeezing the real `FileCache` through LRU/FIFO/SegmentedLRU/2Q
@@ -43,9 +51,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod check;
 pub mod evsim;
 pub mod faults;
+pub mod groupcommit;
 pub mod monitor;
 pub mod rig;
 pub mod schedbench;
@@ -54,9 +64,10 @@ pub mod table;
 pub mod tierbench;
 pub mod workload;
 
+pub use ablation::{Invariant, Outcome, Scale};
 pub use check::CheckError;
 pub use evsim::{EvsimConfig, EvsimOutcome, EvsimRun};
-pub use faults::{CampaignOutcome, FaultClass, Invariant};
+pub use faults::{CampaignOutcome, FaultClass};
 pub use rig::{BulletRig, NfsRig, SchedSummary};
 pub use schedbench::{KneeRow, MixedRun, PolicyOutcome};
 pub use shardbench::ShardOutcome;

@@ -27,14 +27,15 @@
 //!
 //! [`outcome_table`] renders everything deterministic about the triple —
 //! digests, reads, hit rates, retries, failovers, ring population, SLO
-//! event counts, detection lag, and the top-K offenders — so the
-//! ablation binary can run the whole thing twice and demand the bytes
-//! come back identical.
+//! event counts, detection lag, and the top-K offenders — so
+//! [`ablation`] can be run twice and the bytes demanded back identical.
 
 use amoeba_sim::{Nanos, SloKind, Telemetry};
 use bullet_core::accounting::ClientAccounting;
 use bullet_core::counters::{GAUGE_EVSIM_DISK_BACKLOG_US, GAUGE_EVSIM_RETRIES};
 
+use crate::ablation::{Invariant, Outcome, Scale, Trailer};
+use crate::check::Json;
 use crate::evsim::{self, EvsimConfig, EvsimOutcome, FaultBurst};
 
 /// One lost packet per this many requests inside the burst window.
@@ -211,6 +212,92 @@ pub fn run_monitor(cfg: &MonitorConfig) -> MonitorRun {
             top_clients,
         },
         telemetry: tel,
+    }
+}
+
+/// ABL17 — the bare/clean/burst triple: the 10k-client gate cell, or at
+/// [`Scale::Reduced`] the small one.
+///
+/// Criteria:
+///
+/// * overhead: the instrumented clean run's timeline digest equals the
+///   bare run's — sampling is free in virtual time, 0 % against the
+///   committed 2 % throughput budget;
+/// * injection: the burst actually perturbs the timeline (digest
+///   differs, retries and failovers both non-zero);
+/// * detection: the watchdog's first Degraded event lands within one
+///   sampling period of the burst opening — the recorder cannot see
+///   faster than it samples, and may not be slower;
+/// * recovery: the watchdog closes the window (≥ 1 Recovered event)
+///   after the burst ends.
+///
+/// Extra artifacts: every ring of the burst run as JSONL, and the same
+/// rings as Chrome `"ph": "C"` counter events (load in Perfetto).
+pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
+    let cfg = match scale {
+        Scale::Reduced => MonitorConfig::small(seed.unwrap_or(evsim::REDUCED_SEED)),
+        Scale::Full | Scale::Soak => MonitorConfig::gate(seed.unwrap_or(evsim::PR_SEED)),
+    };
+    let period_us = cfg.period.as_us();
+    let run = run_monitor(&cfg);
+    let o = &run.outcome;
+    let criteria = vec![
+        Invariant::new(
+            "the recorder is free in virtual time",
+            o.bare.digest == o.clean.digest,
+            format!(
+                "instrumented digest {:016x}, bare {:016x}",
+                o.clean.digest, o.bare.digest
+            ),
+        ),
+        Invariant::new(
+            "the fault burst perturbs the timeline",
+            o.burst.digest != o.bare.digest && o.burst.retries > 0 && o.burst.failovers > 0,
+            format!(
+                "{} retries, {} failovers",
+                o.burst.retries, o.burst.failovers
+            ),
+        ),
+        Invariant::new(
+            "the watchdog flags the burst within one sampling period",
+            o.slo_degraded >= 1 && o.detection_lag_us <= period_us,
+            format!(
+                "{} degraded events, lag {} us, period {period_us} us",
+                o.slo_degraded, o.detection_lag_us
+            ),
+        ),
+        Invariant::new(
+            "the watchdog closes the degradation window",
+            o.slo_recovered >= 1,
+            format!("{} recovered events", o.slo_recovered),
+        ),
+    ];
+    Outcome {
+        title: format!(
+            "ABL17 flight recorder & SLO watchdog (seed {}, {} clients, period {} ms)",
+            cfg.base.seed,
+            cfg.base.clients,
+            period_us / 1_000
+        ),
+        table: outcome_table(o),
+        criteria,
+        json: vec![(
+            "telemetry",
+            Json::object([
+                ("sampling_period_us", Json::num(period_us)),
+                ("series_count", Json::num(o.series_count)),
+                ("samples_total", Json::num(o.samples_total)),
+                ("digest_delta", Json::num(o.bare.digest ^ o.clean.digest)),
+                ("slo_degraded_events", Json::num(o.slo_degraded)),
+                ("detection_lag_us", Json::num(o.detection_lag_us)),
+            ]),
+        )],
+        artifact: "ablation_monitor.txt",
+        trailer: Trailer::RedCriteria,
+        extras: vec![
+            ("flight_recorder.jsonl", run.telemetry.export_jsonl()),
+            ("flight_recorder_trace.json", run.telemetry.export_chrome()),
+        ],
     }
 }
 

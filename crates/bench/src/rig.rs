@@ -8,9 +8,50 @@ use amoeba_cap::Port;
 use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk, SimDisk};
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient};
-use amoeba_sim::{HwProfile, Nanos, SimClock, Tracer};
+use amoeba_sim::{CpuProfile, HwProfile, Nanos, SimClock, Tracer};
 use bullet_core::{BulletClient, BulletConfig, BulletRpcServer, BulletServer};
 use nfs_blockfs::{NfsClient, NfsServer, NfsServerConfig};
+
+/// The server configuration every measurement rig formats with: 1 KB
+/// blocks on 64 MB drives, the paper's defaults, every optional subsystem
+/// (log, archive, tracing, telemetry, accounting) off.  Rigs differ only
+/// in the clock their CPU costs charge, the CPU profile, and the cache
+/// size; anything else is a per-experiment tweak on the result.
+pub fn paper_config(clock: SimClock, cpu: CpuProfile, cache_capacity: u64) -> BulletConfig {
+    BulletConfig {
+        port: Port::from_u64(0xb1e7),
+        min_inodes: 2048,
+        cache_capacity,
+        rnode_slots: 2048,
+        block_size: 1024,
+        disk_blocks: 65_536,
+        clock,
+        cpu,
+        scheme_seed: 0x5eed,
+        scheme: bullet_core::SchemeKind::Mac,
+        rng_seed: 0xfee1,
+        repair: bullet_core::table::RepairPolicy::Fail,
+        max_age: 8,
+        eviction: bullet_core::EvictionPolicy::Lru,
+        eviction_seed: 0,
+        segment_size: 64 * 1024,
+        pipeline: true,
+        readahead_segments: u32::MAX,
+        placement: bullet_core::Placement::FirstFit,
+        trace: amoeba_sim::TraceConfig::off(),
+        log_blocks: 0,
+        log_batch_files: 32,
+        log_batch_bytes: 256 * 1024,
+        telemetry: amoeba_sim::TelemetryConfig::off(),
+        accounting: bullet_core::ClientAccounting::off(),
+        shard: bullet_core::ShardSlot::solo(),
+        archive_blocks: 0,
+        tier_high_water_pct: 75,
+        tier_cold_age: 1,
+        maint_idle_request_delta: 0,
+        maint_moves_per_tick: 1,
+    }
+}
 
 /// The Bullet measurement stack of §4: a dedicated server with two
 /// mirrored, latency-modelled disks, talking to one client over the
@@ -90,39 +131,7 @@ impl BulletRig {
             .map(|d| d.clone() as Arc<dyn BlockDevice>)
             .collect();
         let storage = MirroredDisk::new(replicas).expect("replica set is valid");
-        let mut cfg = BulletConfig {
-            port: Port::from_u64(0xb1e7),
-            min_inodes: 2048,
-            cache_capacity,
-            rnode_slots: 2048,
-            block_size: 1024,
-            disk_blocks: 65_536,
-            clock: clock.clone(),
-            cpu: hw.cpu,
-            scheme_seed: 0x5eed,
-            scheme: bullet_core::SchemeKind::Mac,
-            rng_seed: 0xfee1,
-            repair: bullet_core::table::RepairPolicy::Fail,
-            max_age: 8,
-            eviction: bullet_core::EvictionPolicy::Lru,
-            eviction_seed: 0,
-            segment_size: 64 * 1024,
-            pipeline: true,
-            readahead_segments: u32::MAX,
-            placement: bullet_core::Placement::FirstFit,
-            trace: amoeba_sim::TraceConfig::off(),
-            log_blocks: 0,
-            log_batch_files: 32,
-            log_batch_bytes: 256 * 1024,
-            telemetry: amoeba_sim::TelemetryConfig::off(),
-            accounting: bullet_core::ClientAccounting::off(),
-            shard: bullet_core::ShardSlot::solo(),
-            archive_blocks: 0,
-            tier_high_water_pct: 75,
-            tier_cold_age: 1,
-            maint_idle_request_delta: 0,
-            maint_moves_per_tick: 1,
-        };
+        let mut cfg = paper_config(clock.clone(), hw.cpu, cache_capacity);
         tweak(&mut cfg);
         let tracer = cfg.trace.tracer().clone();
         let telemetry = cfg.telemetry.telemetry().clone();

@@ -19,6 +19,9 @@ use std::collections::HashMap;
 use amoeba_disk::{ArmSim, ReqKind, SchedConfig, SchedPolicy, Service};
 use amoeba_sim::{DetRng, DiskProfile, Nanos};
 
+use crate::ablation::{Invariant, Outcome, Trailer};
+use crate::check::Json;
+
 /// Disk geometry of the simulated drive (matches the bench rig: 1 KB
 /// blocks, 64 MB).
 pub const BLOCK_SIZE: u32 = 1024;
@@ -337,6 +340,120 @@ pub fn knee_table(rows: &[KneeRow]) -> String {
         ));
     }
     out
+}
+
+/// How far above FIFO's the better seek-aware p99 may sit: seek-first
+/// ordering trades some tail for throughput, and deadline aging must keep
+/// that trade bounded — it may not starve the unlucky corner of the disk.
+pub const P99_BOUND: f64 = 1.25;
+
+/// ABL14 — the three-policy comparison plus the coalescing knee, one
+/// cell at every scale (`report --json` embeds exactly this run).
+///
+/// Criteria:
+///
+/// * SCAN and SPTF both beat FIFO — strictly — on total seek blocks and
+///   on aggregate read bandwidth (a tie means the scheduler did nothing);
+/// * the better seek-aware p99 stays within [`P99_BOUND`] of FIFO's;
+/// * coalescing never issues more physical I/Os than running without it;
+/// * at 8-block segments, the server's streaming granularity, it issues
+///   at most half as many.
+///
+/// Extra artifact: the per-I/O queue trace of all three policy runs.
+pub fn ablation(seed: Option<u64>) -> Outcome {
+    let seed = seed.unwrap_or(PR_SEED);
+    let runs = run_policies(seed);
+    let knee = coalesce_knee();
+    let (fifo, scan, sptf) = (&runs[0].outcome, &runs[1].outcome, &runs[2].outcome);
+    let best_p99 = scan.p99_ms.min(sptf.p99_ms);
+    let k8 = knee
+        .iter()
+        .find(|r| r.segment_blocks == 8)
+        .expect("the knee sweeps 8-block segments");
+    let more: Vec<u64> = knee
+        .iter()
+        .filter(|r| r.issued_on > r.issued_off)
+        .map(|r| r.segment_blocks)
+        .collect();
+    let criteria = vec![
+        Invariant::new(
+            "SCAN and SPTF travel fewer seek blocks than FIFO",
+            scan.seek_blocks < fifo.seek_blocks && sptf.seek_blocks < fifo.seek_blocks,
+            format!(
+                "fifo {} scan {} sptf {}",
+                fifo.seek_blocks, scan.seek_blocks, sptf.seek_blocks
+            ),
+        ),
+        Invariant::new(
+            "SCAN and SPTF read faster than FIFO",
+            scan.read_mb_s > fifo.read_mb_s && sptf.read_mb_s > fifo.read_mb_s,
+            format!(
+                "fifo {:.2} scan {:.2} sptf {:.2} MB/s",
+                fifo.read_mb_s, scan.read_mb_s, sptf.read_mb_s
+            ),
+        ),
+        Invariant::new(
+            "deadline aging bounds the seek-aware p99",
+            best_p99 <= fifo.p99_ms * P99_BOUND,
+            format!(
+                "fifo {:.2} ms, best seek-aware {best_p99:.2} ms (bound {:.2})",
+                fifo.p99_ms,
+                fifo.p99_ms * P99_BOUND
+            ),
+        ),
+        Invariant::new(
+            "coalescing never issues more I/Os",
+            more.is_empty(),
+            format!("segment sizes issuing more with it on: {more:?}"),
+        ),
+        Invariant::new(
+            "8-block segments coalesce at least 2x",
+            k8.issued_on * 2 <= k8.issued_off,
+            format!("on {} off {}", k8.issued_on, k8.issued_off),
+        ),
+    ];
+    let mut members = vec![("seed".to_string(), Json::num(seed))];
+    for o in [fifo, scan, sptf] {
+        members.extend([
+            (
+                format!("{}_seek_blocks", o.policy),
+                Json::num(o.seek_blocks),
+            ),
+            (
+                format!("{}_read_mb_s", o.policy),
+                Json::fixed(o.read_mb_s, 3),
+            ),
+            (format!("{}_p99_ms", o.policy), Json::fixed(o.p99_ms, 3)),
+        ]);
+    }
+    members.extend([
+        (
+            "coalesce_on_ios_8_block".to_string(),
+            Json::num(k8.issued_on),
+        ),
+        (
+            "coalesce_off_ios_8_block".to_string(),
+            Json::num(k8.issued_off),
+        ),
+    ]);
+    let trace = runs
+        .iter()
+        .flat_map(|run| run.services.iter().map(|sv| (run.outcome.policy, sv)))
+        .map(|(policy, sv)| trace_row(policy, sv) + "\n")
+        .collect();
+    Outcome {
+        title: format!("ABL14 seek-aware disk scheduling (seed {seed})"),
+        table: format!(
+            "{}coalescing knee\n{}",
+            outcome_table(&runs),
+            knee_table(&knee)
+        ),
+        criteria,
+        json: vec![("scheduler", Json::Object(members))],
+        artifact: "ablation_scheduler.txt",
+        trailer: Trailer::RedCriteria,
+        extras: vec![("ablation_scheduler_queue.jsonl", trace)],
+    }
 }
 
 /// Serializes one service as a queue-trace JSONL row.

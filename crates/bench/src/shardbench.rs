@@ -26,8 +26,9 @@
 //!   bit-identically, the router's per-shard accounting must match what
 //!   the client observed, and recovery must restore every byte.
 //!
-//! [`outcome_table`] renders the cells; the string is the determinism
-//! witness `ablation_shard` byte-compares across a full replay.
+//! [`ablation`] assembles a matrix of them; [`outcome_table`] renders the
+//! cells, and the string is the determinism witness byte-compared across
+//! a full replay.
 
 use std::sync::Arc;
 
@@ -43,7 +44,8 @@ use bullet_core::{
     BulletClient, BulletConfig, BulletRpcServer, BulletServer, BulletShards, ShardSlot,
 };
 
-use crate::faults::Invariant;
+use crate::ablation::{Invariant, Outcome, Scale, Trailer};
+use crate::check::Json;
 
 /// The shard counts the on-push scaling suite sweeps.
 pub const SCALING_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -86,10 +88,6 @@ impl ShardOutcome {
     pub fn green(&self) -> bool {
         self.invariants.iter().all(|i| i.pass)
     }
-}
-
-fn inv(name: &'static str, pass: bool, detail: String) -> Invariant {
-    Invariant { name, pass, detail }
 }
 
 /// Deterministic pool-file fill byte.
@@ -196,7 +194,7 @@ fn run_scaling(hw: HwProfile, count: u32) -> (f64, ShardOutcome) {
         metric_name: "read MB/s",
         metric: mbps,
         end_ms: makespan.as_ms_f64(),
-        invariants: vec![inv(
+        invariants: vec![Invariant::new(
             "every byte read back intact",
             mismatches == 0,
             format!("{mismatches} mismatched files"),
@@ -221,7 +219,7 @@ pub fn run_scaling_suite(counts: &[u32]) -> Vec<ShardOutcome> {
                 base = mbps;
             } else {
                 let need = SCALING_FLOOR * count as f64;
-                outcome.invariants.push(inv(
+                outcome.invariants.push(Invariant::new(
                     "aggregate bandwidth scales near-linearly",
                     mbps >= need * base,
                     format!(
@@ -302,7 +300,7 @@ pub fn run_rebalance(seed: u64) -> ShardOutcome {
         metric: moved as f64,
         end_ms: clock.now().as_ms_f64(),
         invariants: vec![
-            inv(
+            Invariant::new(
                 "every live byte preserved",
                 digest_after == digest_before && bytes_after == bytes_before,
                 format!(
@@ -310,12 +308,12 @@ pub fn run_rebalance(seed: u64) -> ShardOutcome {
                     digest_before, digest_after, bytes_before, bytes_after
                 ),
             ),
-            inv(
+            Invariant::new(
                 "rebalance counters account every move",
                 counted == moved,
                 format!("counted={counted} moved={moved}"),
             ),
-            inv(
+            Invariant::new(
                 "every pre-move capability still serves",
                 misplaced == 0 && mismatches == 0,
                 format!("misplaced={misplaced} mismatches={mismatches}"),
@@ -394,19 +392,19 @@ pub fn run_kill_shard(seed: u64) -> ShardOutcome {
         metric: refused as f64,
         end_ms: clock.now().as_ms_f64(),
         invariants: vec![
-            inv(
+            Invariant::new(
                 "down shard fails distinctly",
                 refused == expected_refused && wrong_status == 0,
                 format!(
                     "refused={refused} expected={expected_refused} wrong_status={wrong_status}"
                 ),
             ),
-            inv(
+            Invariant::new(
                 "survivors serve bit-identically",
                 served == files.len() as u64 - expected_refused && mismatches == 0,
                 format!("served={served} mismatches={mismatches}"),
             ),
-            inv(
+            Invariant::new(
                 "router accounting matches the client",
                 router.degraded(victim) == refused,
                 format!(
@@ -414,7 +412,7 @@ pub fn run_kill_shard(seed: u64) -> ShardOutcome {
                     router.degraded(victim)
                 ),
             ),
-            inv(
+            Invariant::new(
                 "recovery restores every byte",
                 recovered == files.len() as u64,
                 format!("recovered={recovered}/{}", files.len()),
@@ -424,8 +422,70 @@ pub fn run_kill_shard(seed: u64) -> ShardOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Rendering.
+// The matrix and its rendering.
 // ---------------------------------------------------------------------
+
+/// ABL18 — the cell matrix.  `shards: Some(n)` is CI's per-matrix-entry
+/// cell (the 1-vs-`n` scaling pair plus one rebalance and one kill-shard
+/// seed); [`Scale::Reduced`] is that cell at 2 shards; the full matrix
+/// sweeps [`SCALING_COUNTS`] with 3 seeds each, the soak with 10
+/// rebalance and 25 kill-shard seeds.
+///
+/// Criteria: one per cell — every invariant of the cell holds.  The
+/// scaling rows past the baseline carry the headline one: `n` shards
+/// deliver at least `n × SCALING_FLOOR` times the one-shard bandwidth.
+pub fn ablation(scale: Scale, shards: Option<u32>) -> Outcome {
+    let shards = shards.or((scale == Scale::Reduced).then_some(2));
+    let (counts, rebalance_seeds, kill_seeds): (Vec<u32>, Vec<u64>, Vec<u64>) = match shards {
+        Some(1) => (vec![1], vec![1], vec![1]),
+        Some(n) => (vec![1, n], vec![1], vec![1]),
+        None if scale == Scale::Soak => (
+            SCALING_COUNTS.to_vec(),
+            (1..=10).collect(),
+            (1..=25).collect(),
+        ),
+        None => (SCALING_COUNTS.to_vec(), vec![1, 2, 3], vec![1, 2, 3]),
+    };
+    let mut cells = run_scaling_suite(&counts);
+    let scaling = cells.len();
+    cells.extend(rebalance_seeds.iter().map(|&s| run_rebalance(s)));
+    cells.extend(kill_seeds.iter().map(|&s| run_kill_shard(s)));
+    // The BENCH summary describes the 1-vs-2 cell only.
+    let json = if counts == [1, 2] {
+        let (base, two) = (cells[0].metric, cells[1].metric);
+        let (rebalance, kill) = (&cells[scaling], &cells[scaling + 1]);
+        vec![(
+            "sharding",
+            Json::object([
+                ("baseline_read_mb_s", Json::fixed(base, 3)),
+                ("two_shard_read_mb_s", Json::fixed(two, 3)),
+                ("shard_speedup", Json::fixed(two / base, 3)),
+                (
+                    "rebalance_extents_moved",
+                    Json::num(rebalance.metric as u64),
+                ),
+                ("kill_shard_ops_refused", Json::num(kill.metric as u64)),
+            ]),
+        )]
+    } else {
+        Vec::new()
+    };
+    Outcome {
+        title: "ABL18 sharded-service ablation".to_string(),
+        table: outcome_table(&cells),
+        criteria: cells
+            .iter()
+            .map(|o| {
+                let which = format!("shards={} seed {}", o.shards, o.seed);
+                Invariant::cell(o.cell, which, &o.invariants)
+            })
+            .collect(),
+        json,
+        artifact: "ablation_shard.txt",
+        trailer: Trailer::GreenCells,
+        extras: Vec::new(),
+    }
+}
 
 /// Renders the cell table.  The string is ABL18's determinism witness:
 /// a replayed cell must reproduce its row byte for byte.
