@@ -45,7 +45,6 @@ fn run(policy: EvictionPolicy) -> (f64, f64) {
     cfg.min_inodes = 2048;
     cfg.clock = clock.clone();
     cfg.eviction = policy;
-    cfg.eviction_seed = 9; // only Random consumes it
     let server = Arc::new(
         BulletServer::format_on(
             cfg,

@@ -82,7 +82,7 @@ impl StormOutcome {
 /// empty disk would flatter the baseline: first-fit would pack the storm
 /// right next to the inode table, where seeks are nearly free.
 fn age_disk(rig: &BulletRig) {
-    // Bigger than `log_batch_bytes`, so fillers take the direct path in
+    // Bigger than `LOG_BATCH_MAX_BYTES`, so fillers take the direct path in
     // both modes and the aging I/O pattern is identical.
     const FILLER: usize = 512 * 1024;
     let mut caps = Vec::new();

@@ -33,15 +33,10 @@ pub fn paper_config(clock: SimClock, cpu: CpuProfile, cache_capacity: u64) -> Bu
         repair: bullet_core::table::RepairPolicy::Fail,
         max_age: 8,
         eviction: bullet_core::EvictionPolicy::Lru,
-        eviction_seed: 0,
         segment_size: 64 * 1024,
         pipeline: true,
-        readahead_segments: u32::MAX,
-        placement: bullet_core::Placement::FirstFit,
         trace: amoeba_sim::TraceConfig::off(),
         log_blocks: 0,
-        log_batch_files: 32,
-        log_batch_bytes: 256 * 1024,
         telemetry: amoeba_sim::TelemetryConfig::off(),
         accounting: bullet_core::ClientAccounting::off(),
         shard: bullet_core::ShardSlot::solo(),

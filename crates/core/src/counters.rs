@@ -48,12 +48,6 @@ pub const READS: &str = "reads";
 /// `BULLET.READ_SECTION` operations (byte-range reads).
 pub const SECTION_READS: &str = "section_reads";
 
-/// Section reads served by loading only the touched blocks, not the file.
-pub const PARTIAL_SECTION_LOADS: &str = "partial_section_loads";
-
-/// Extra bytes pulled in beyond a requested section by readahead.
-pub const READAHEAD_BYTES: &str = "readahead_bytes";
-
 /// Cold reads that streamed disk→wire through the segment pipeline.
 pub const PIPELINED_READS: &str = "pipelined_reads";
 
@@ -307,8 +301,6 @@ pub const ALL: &[&str] = &[
     PIPELINED_CREATES,
     READS,
     SECTION_READS,
-    PARTIAL_SECTION_LOADS,
-    READAHEAD_BYTES,
     PIPELINED_READS,
     STREAM_SEGMENTS,
     PAYLOAD_BYTES_COPIED,

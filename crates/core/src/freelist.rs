@@ -43,30 +43,6 @@ pub struct FragReport {
     pub external_fragmentation: f64,
 }
 
-/// Where a new extent should land relative to the disk arm — the
-/// placement policy of [`ExtentAllocator::alloc_placed`].
-///
-/// The paper's server allocates strictly first-fit; PR 5's scheduler makes
-/// the arm position visible, so the allocator can cooperate with it: an
-/// extent placed near the head costs a short seek to write and keeps files
-/// created together physically together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// The paper's strategy: the lowest-addressed hole that fits.
-    #[default]
-    FirstFit,
-    /// The hole nearest the hint (an arm-position proxy): minimizes the
-    /// seek to reach the new extent, clustering consecutive creates.
-    NearHint,
-    /// Zoned first-fit: first-fit within the hint's zone, spiralling
-    /// outward (`z`, `z+1`, `z-1`, `z+2`, …) so each zone fills before
-    /// traffic spills to its neighbours.
-    Zoned {
-        /// Number of equal zones the range is divided into.
-        zones: u32,
-    },
-}
-
 /// A first-fit extent allocator over the half-open unit range
 /// `[range_start, range_end)`.
 ///
@@ -186,124 +162,27 @@ impl ExtentAllocator {
         Some(start)
     }
 
-    /// Allocates `len` contiguous units under a [`Placement`] policy.
-    /// `hint` is the unit the disk arm is presumed to sit near (callers
-    /// pass the end of the previous allocation).  Returns the start unit,
-    /// or `None` if no hole is large enough.
-    ///
-    /// [`Placement::FirstFit`] is byte-identical to [`alloc`](Self::alloc),
-    /// so the default policy changes nothing.
-    pub fn alloc_placed(&mut self, len: u64, policy: Placement, hint: u64) -> Option<u64> {
-        if len == 0 || len > self.max_hole_ub {
-            return None;
-        }
-        match policy {
-            Placement::FirstFit => self.alloc(len),
-            Placement::NearHint => {
-                // Distance from the hint to the nearest point of each
-                // fitting hole; 0 when the hint is inside the hole.
-                let (&start, &hole_len) = self
-                    .holes
-                    .iter()
-                    .filter(|&(_, &l)| l >= len)
-                    .min_by_key(|&(&s, &l)| {
-                        let end = s + l;
-                        let dist = if hint < s {
-                            s - hint
-                        } else if hint >= end {
-                            hint - end + 1
-                        } else {
-                            0
-                        };
-                        (dist, s)
-                    })?;
-                // Start at the hint when the remainder of the hole still
-                // fits there — the arm writes with no positioning at all.
-                let at = if hint >= start && hint + len <= start + hole_len {
-                    hint
-                } else {
-                    start
-                };
-                self.carve(start, hole_len, at, len);
-                Some(at)
-            }
-            Placement::Zoned { zones } => {
-                let zones = u64::from(zones.max(1));
-                let total = self.range_end - self.range_start;
-                if total == 0 {
-                    return None;
-                }
-                let zone_len = total.div_ceil(zones);
-                let zone_of =
-                    |u: u64| (u.saturating_sub(self.range_start) / zone_len).min(zones - 1);
-                let z0 = zone_of(hint.clamp(self.range_start, self.range_end.saturating_sub(1)));
-                // Spiral z0, z0+1, z0-1, z0+2, … (2·zones steps so every
-                // zone is reached even when z0 sits at an edge).
-                let order = (0..2 * zones).map(|i| {
-                    let step = i.div_ceil(2);
-                    if i % 2 == 1 {
-                        z0.checked_add(step).filter(|&z| z < zones)
-                    } else {
-                        z0.checked_sub(step)
-                    }
-                });
-                for z in order.flatten() {
-                    let zstart = self.range_start + z * zone_len;
-                    let zend = (zstart + zone_len).min(self.range_end);
-                    // First fit among holes overlapping the zone: the
-                    // extent must *start* inside the zone and fit in the
-                    // remainder of its hole (it may spill past the zone
-                    // end rather than split).
-                    let from = self
-                        .holes
-                        .range(..zstart)
-                        .next_back()
-                        .map(|(&s, _)| s)
-                        .unwrap_or(zstart);
-                    let found =
-                        self.holes
-                            .range(from..zend)
-                            .map(|(&s, &l)| (s, l))
-                            .find(|&(s, l)| {
-                                let at = s.max(zstart);
-                                at < zend && at + len <= s + l
-                            });
-                    if let Some((start, hole_len)) = found {
-                        let at = start.max(zstart);
-                        self.carve(start, hole_len, at, len);
-                        return Some(at);
-                    }
-                }
-                // No zone-local hole: fall back to plain first-fit so a
-                // placement policy never turns a satisfiable request into
-                // NoSpace.
-                self.alloc(len)
-            }
-        }
-    }
-
     /// Allocates one extent per entry of `lens` in a single pass — the
     /// group-commit batch path, which holds the allocator lock exactly
     /// once for the whole batch instead of once per file.
     ///
     /// The batch is first placed as **one contiguous run** of
-    /// `lens.iter().sum()` units under `policy` (so the files land
-    /// physically adjacent and the arm writes them with one positioning),
-    /// then carved into per-file extents front to back.  When no hole can
-    /// take the whole run, each extent is placed individually under the
-    /// same policy — a batch never fails where the per-file path would
-    /// have succeeded.
+    /// `lens.iter().sum()` units, first-fit (so the files land physically
+    /// adjacent and the arm writes them with one positioning), then
+    /// carved into per-file extents front to back.  When no hole can take
+    /// the whole run, each extent is placed individually — a batch never
+    /// fails where the per-file path would have succeeded.
     ///
     /// Returns the start unit of each extent, in `lens` order, or `None`
     /// if any extent cannot be placed; on `None` the allocator state is
     /// unchanged (partial placements are rolled back).
-    pub fn alloc_batch(&mut self, lens: &[u64], policy: Placement, hint: u64) -> Option<Vec<u64>> {
+    pub fn alloc_batch(&mut self, lens: &[u64]) -> Option<Vec<u64>> {
         if lens.is_empty() || lens.contains(&0) {
             return None;
         }
         let total: u64 = lens.iter().copied().try_fold(0u64, u64::checked_add)?;
         // Fast path: the whole batch as one contiguous run.
-        if let Some(run) = self.alloc_placed(total, policy, hint) {
+        if let Some(run) = self.alloc(total) {
             let mut starts = Vec::with_capacity(lens.len());
             let mut cursor = run;
             for &len in lens {
@@ -312,16 +191,11 @@ impl ExtentAllocator {
             }
             return Some(starts);
         }
-        // Fragmented fallback: place each extent individually, chaining
-        // the hint so consecutive extents still cluster when they can.
+        // Fragmented fallback: place each extent individually.
         let mut starts: Vec<u64> = Vec::with_capacity(lens.len());
-        let mut h = hint;
         for &len in lens {
-            match self.alloc_placed(len, policy, h) {
-                Some(s) => {
-                    h = s + len;
-                    starts.push(s);
-                }
+            match self.alloc(len) {
+                Some(s) => starts.push(s),
                 None => {
                     // Roll back what the batch already took.
                     for (j, &s) in starts.iter().enumerate() {
@@ -700,80 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_placement_matches_plain_alloc() {
-        let used = [(20u64, 5u64), (40, 10), (80, 3)];
-        let mut plain = ExtentAllocator::from_used(10, 100, &used).unwrap();
-        let mut placed = ExtentAllocator::from_used(10, 100, &used).unwrap();
-        for len in [3, 7, 1, 12, 2] {
-            assert_eq!(
-                placed.alloc_placed(len, Placement::FirstFit, 55),
-                plain.alloc(len)
-            );
-        }
-    }
-
-    #[test]
-    fn near_hint_picks_the_closest_hole() {
-        // Holes: [10,20) [25,40) [50,100).
-        let mut a = ExtentAllocator::from_used(10, 100, &[(20, 5), (40, 10)]).unwrap();
-        // First-fit would take 10; the hint at 60 sits inside [50,100).
-        assert_eq!(a.alloc_placed(5, Placement::NearHint, 60), Some(60));
-        // The hint inside a hole whose remainder no longer fits there:
-        // falls back to the hole start.  [50,100) is now split at 60; the
-        // hint 97 leaves only [97,100) in its sub-hole, too small for 10.
-        assert_eq!(a.alloc_placed(10, Placement::NearHint, 97), Some(65));
-        // A hint below every hole picks the nearest one above it.
-        assert_eq!(a.alloc_placed(5, Placement::NearHint, 0), Some(10));
-    }
-
-    #[test]
-    fn near_hint_clusters_consecutive_creates() {
-        let mut a = ExtentAllocator::new(0, 1000);
-        // Fragment the front so first-fit would scatter.
-        for i in 0..10 {
-            a.reserve(i * 20, 10).unwrap();
-        }
-        let mut hint = 500;
-        let mut placed = Vec::new();
-        for _ in 0..5 {
-            let s = a.alloc_placed(10, Placement::NearHint, hint).unwrap();
-            hint = s + 10;
-            placed.push(s);
-        }
-        // Every allocation continues exactly where the last one ended.
-        assert_eq!(placed, vec![500, 510, 520, 530, 540]);
-    }
-
-    #[test]
-    fn zoned_placement_fills_the_hint_zone_first() {
-        let mut a = ExtentAllocator::new(0, 100);
-        let zoned = Placement::Zoned { zones: 4 };
-        // Hint in zone 2 ([50,75)): allocations land there until full.
-        assert_eq!(a.alloc_placed(10, zoned, 60), Some(50));
-        assert_eq!(a.alloc_placed(10, zoned, 60), Some(60));
-        assert_eq!(a.alloc_placed(5, zoned, 60), Some(70));
-        // Zone 2 exhausted: spill to zone 3 first (z+1 before z-1).
-        assert_eq!(a.alloc_placed(10, zoned, 60), Some(75));
-        // A request larger than any zone-local hole falls back first-fit.
-        assert_eq!(a.alloc_placed(30, zoned, 60), Some(0));
-    }
-
-    #[test]
-    fn zoned_placement_never_manufactures_no_space() {
-        // At every step, zoned placement fails only when first-fit on the
-        // same hole state would fail too (the fallback guarantees it).
-        let mut a = ExtentAllocator::from_used(0, 100, &[(20, 5), (60, 5)]).unwrap();
-        loop {
-            let fits = a.clone().alloc(7).is_some();
-            let got = a.alloc_placed(7, Placement::Zoned { zones: 5 }, 90);
-            assert_eq!(got.is_some(), fits);
-            if got.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn reserve_takes_a_specific_extent() {
         let mut a = ExtentAllocator::new(0, 100);
         a.reserve(40, 10).unwrap();
@@ -811,7 +611,7 @@ mod tests {
     #[test]
     fn alloc_batch_is_contiguous_when_a_run_fits() {
         let mut a = ExtentAllocator::new(0, 1000);
-        let starts = a.alloc_batch(&[10, 20, 5], Placement::FirstFit, 0).unwrap();
+        let starts = a.alloc_batch(&[10, 20, 5]).unwrap();
         // One run carved front to back: each extent abuts the previous.
         assert_eq!(starts, vec![0, 10, 30]);
         assert_eq!(a.free_units(), 1000 - 35);
@@ -822,9 +622,7 @@ mod tests {
         // Three 10-unit holes, no 30-unit run.
         let mut a = ExtentAllocator::from_used(0, 100, &[(10, 20), (40, 30), (80, 20)]).unwrap();
         assert_eq!(a.clone().alloc(30), None, "no contiguous run by design");
-        let starts = a
-            .alloc_batch(&[10, 10, 10], Placement::FirstFit, 0)
-            .unwrap();
+        let starts = a.alloc_batch(&[10, 10, 10]).unwrap();
         assert_eq!(starts, vec![0, 30, 70]);
         assert_eq!(a.free_units(), 0);
     }
@@ -834,16 +632,16 @@ mod tests {
         let mut a = ExtentAllocator::from_used(0, 100, &[(10, 20), (40, 60)]).unwrap();
         let before = a.free_units();
         // 10 + 10 fits in pieces (holes of 10 at 0 and 30), 11 does not.
-        assert_eq!(a.alloc_batch(&[10, 10, 11], Placement::FirstFit, 0), None);
+        assert_eq!(a.alloc_batch(&[10, 10, 11]), None);
         assert_eq!(a.free_units(), before, "failed batch must roll back");
-        assert!(a.alloc_batch(&[10, 10], Placement::FirstFit, 0).is_some());
+        assert!(a.alloc_batch(&[10, 10]).is_some());
     }
 
     #[test]
     fn alloc_batch_rejects_degenerate_input() {
         let mut a = ExtentAllocator::new(0, 100);
-        assert_eq!(a.alloc_batch(&[], Placement::FirstFit, 0), None);
-        assert_eq!(a.alloc_batch(&[5, 0, 5], Placement::FirstFit, 0), None);
+        assert_eq!(a.alloc_batch(&[]), None);
+        assert_eq!(a.alloc_batch(&[5, 0, 5]), None);
         assert_eq!(a.free_units(), 100);
     }
 
@@ -990,8 +788,6 @@ mod tests {
             lens in proptest::collection::vec(1u64..16, 1..10),
             used_lens in proptest::collection::vec(1u64..8, 0..6),
             gaps in proptest::collection::vec(1u64..12, 1..7),
-            policy_pick in 0u8..3,
-            hint in 0u64..600,
         ) {
             // Pre-populate the range with used extents to fragment it.
             let mut used = Vec::new();
@@ -1003,14 +799,9 @@ mod tests {
             }
             let total_range = 600u64;
             let mut a = ExtentAllocator::from_used(0, total_range, &used).unwrap();
-            let policy = match policy_pick {
-                0 => Placement::FirstFit,
-                1 => Placement::NearHint,
-                _ => Placement::Zoned { zones: 4 },
-            };
             let free_before = a.free_units();
             let want: u64 = lens.iter().sum();
-            match a.alloc_batch(&lens, policy, hint) {
+            match a.alloc_batch(&lens) {
                 Some(starts) => {
                     proptest::prop_assert_eq!(starts.len(), lens.len());
                     // Exact accounting: exactly `want` units left the pool.
@@ -1040,16 +831,11 @@ mod tests {
                     proptest::prop_assert_eq!(a.free_units(), free_before);
                     // …and the contiguous run must genuinely not fit.
                     proptest::prop_assert!(a.report().largest_hole < want);
-                    // For first-fit the fallback sequence is exactly the
-                    // per-extent path, so failure means that fails too.
-                    if matches!(policy, Placement::FirstFit) {
-                        let mut probe = a.clone();
-                        let all_fit = lens.iter().all(|&len| probe.alloc(len).is_some());
-                        proptest::prop_assert!(
-                            !all_fit,
-                            "batch failed but per-extent first-fit fits"
-                        );
-                    }
+                    // The fallback sequence is exactly the per-extent
+                    // path, so failure means that fails too.
+                    let mut probe = a.clone();
+                    let all_fit = lens.iter().all(|&len| probe.alloc(len).is_some());
+                    proptest::prop_assert!(!all_fit, "batch failed but per-extent first-fit fits");
                 }
             }
         }
@@ -1070,7 +856,7 @@ mod tests {
             let mut a = ExtentAllocator::from_used(0, end, &used).unwrap();
             let lens = vec![10u64; n];
             proptest::prop_assert!(a.clone().alloc(20).is_none());
-            let starts = a.alloc_batch(&lens, Placement::FirstFit, 0);
+            let starts = a.alloc_batch(&lens);
             proptest::prop_assert!(starts.is_some(), "fallback must engage");
             // n + 1 holes of 10 existed; the batch consumed n of them.
             proptest::prop_assert_eq!(a.free_units(), 10);

@@ -64,7 +64,7 @@ pub mod table;
 pub use accounting::{ClientAccounting, ClientScope, ClientUsage};
 pub use cache::{EvictionPolicy, FileCache};
 pub use error::BulletError;
-pub use freelist::{ExtentAllocator, FragReport, Move, Placement};
+pub use freelist::{ExtentAllocator, FragReport, Move};
 pub use gclog::{ChainScan, LogEntry, LogRecord};
 pub use groupcommit::{BatchCaps, GroupCommitter};
 pub use layout::{DiskDescriptor, Inode, Residency};

@@ -324,13 +324,6 @@ impl BulletClient {
         BulletClient { rpc, server }
     }
 
-    /// The service port this client talks to (the SERVER argument of
-    /// `BULLET.CREATE` — a client may hold several of these to use more
-    /// than one Bullet server).
-    pub fn server_port(&self) -> Port {
-        self.server
-    }
-
     fn service_cap(&self) -> Capability {
         let mut cap = Capability::null();
         cap.port = self.server;

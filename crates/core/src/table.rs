@@ -228,11 +228,6 @@ impl InodeTable {
         }
     }
 
-    /// Number of free inode slots.
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-
     /// Number of live files.  Counted directly rather than derived from
     /// the free-list length: a striped table drops foreign-stripe slots
     /// from the free list without them being live.

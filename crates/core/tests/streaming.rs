@@ -1,5 +1,5 @@
 //! End-to-end tests of the pipelined streaming transfer path: timing
-//! bounds, zero-copy guarantees, readahead, and bit-identity of streamed
+//! bounds, zero-copy guarantees, section reads, and bit-identity of streamed
 //! replies (including real frame reassembly over the channel transport).
 
 use std::sync::Arc;
@@ -187,45 +187,24 @@ fn cache_insert_shares_the_payload_buffer() {
 }
 
 #[test]
-fn bounded_readahead_loads_only_a_window() {
-    let (_clock, client, server) = paper_stack(|cfg| {
-        cfg.segment_size = 4096;
-        cfg.readahead_segments = 1;
-    });
+fn cold_section_read_returns_exact_bytes_and_caches_the_file() {
+    let (_clock, client, server) = paper_stack(|cfg| cfg.segment_size = 4096);
     let body: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
     let cap = client.create(Bytes::from(body.clone()), 2).unwrap();
     client.read(&cap).unwrap(); // locate warm-up
     server.clear_cache();
-    // A cold section read deep inside the file loads its covering segment
-    // plus one readahead segment — not the whole 100 KB.
+    // A cold section read deep inside the file returns exactly the
+    // requested bytes and loads — and caches — the whole file.
     let section = client.read_section(&cap, 50_000, 1000).unwrap();
     assert_eq!(&section[..], &body[50_000..51_000]);
-    assert_eq!(server.stats().get("partial_section_loads"), 1);
-    // The partial load did not populate the whole-file cache...
-    let misses_before = {
+    let misses = || {
         let m: std::collections::HashMap<_, _> = server.cache_stats().into_iter().collect();
         m["cache_misses"]
     };
+    let misses_before = misses();
     let whole = client.read(&cap).unwrap();
     assert_eq!(&whole[..], &body[..]);
-    let misses_after = {
-        let m: std::collections::HashMap<_, _> = server.cache_stats().into_iter().collect();
-        m["cache_misses"]
-    };
-    assert_eq!(misses_after, misses_before + 1, "whole read was a miss");
-    // ...but a section read at the file head with enough readahead covers
-    // the whole file and does cache it.
-    server.clear_cache();
-    let (_clock, client2, server2) = paper_stack(|cfg| {
-        cfg.segment_size = 4096;
-        cfg.readahead_segments = 64; // 64 * 4 KB > 100 KB: covers the file
-    });
-    let cap2 = client2.create(Bytes::from(body.clone()), 2).unwrap();
-    client2.read(&cap2).unwrap();
-    server2.clear_cache();
-    let s2 = client2.read_section(&cap2, 0, 1000).unwrap();
-    assert_eq!(&s2[..], &body[..1000]);
-    assert_eq!(server2.stats().get("partial_section_loads"), 0);
+    assert_eq!(misses(), misses_before, "whole read was a hit");
 }
 
 /// Streams a cold read over the *threaded channel* transport, where the

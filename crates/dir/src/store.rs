@@ -89,11 +89,6 @@ impl BulletStore {
         }
     }
 
-    /// Whether this store places files on shards rather than replicating.
-    pub fn is_sharded(&self) -> bool {
-        self.sharded
-    }
-
     /// Number of replica servers.
     pub fn width(&self) -> usize {
         self.servers.len()

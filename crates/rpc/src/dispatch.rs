@@ -60,7 +60,6 @@ pub struct Dispatcher {
     net: SimEthernet,
     servers: RwLock<HashMap<Port, Arc<dyn RpcServer>>>,
     located: RwLock<HashSet<Port>>,
-    locate_cost: Nanos,
     /// Span recorder for the transaction roots (disabled by default).
     tracer: RwLock<Tracer>,
 }
@@ -74,19 +73,15 @@ impl std::fmt::Debug for Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher over the given wire with the default 4 ms
-    /// locate broadcast cost.
-    pub fn new(net: SimEthernet) -> Arc<Dispatcher> {
-        Dispatcher::with_locate_cost(net, Nanos::from_ms(4))
-    }
+    /// The locate broadcast a port's first transaction pays: 4 ms.
+    const LOCATE_COST: Nanos = Nanos(4_000_000);
 
-    /// Creates a dispatcher with an explicit locate cost.
-    pub fn with_locate_cost(net: SimEthernet, locate_cost: Nanos) -> Arc<Dispatcher> {
+    /// Creates a dispatcher over the given wire.
+    pub fn new(net: SimEthernet) -> Arc<Dispatcher> {
         Arc::new(Dispatcher {
             net,
             servers: RwLock::new(HashMap::new()),
             located: RwLock::new(HashSet::new()),
-            locate_cost,
             tracer: RwLock::new(Tracer::off()),
         })
     }
@@ -154,7 +149,7 @@ impl Dispatcher {
             // cached locate: free
         } else {
             let _locate = tracer.span("rpc.locate");
-            self.net.clock().advance(self.locate_cost);
+            self.net.clock().advance(Self::LOCATE_COST);
             self.located.write().insert(port);
         }
         let req_size = req.wire_size();

@@ -115,7 +115,12 @@ fn run() -> Result<(), String> {
                 match flag.as_str() {
                     "--blocks" => blocks = value.parse().map_err(|e| format!("--blocks: {e}"))?,
                     "--block-size" => {
-                        block_size = value.parse().map_err(|e| format!("--block-size: {e}"))?
+                        block_size = value.parse().map_err(|e| format!("--block-size: {e}"))?;
+                        // `FileDisk::create` asserts this; an operator's
+                        // typo must not reach a panic.
+                        if block_size == 0 {
+                            return Err("--block-size: must be positive".into());
+                        }
                     }
                     "--inodes" => inodes = value.parse().map_err(|e| format!("--inodes: {e}"))?,
                     other => return Err(format!("unknown flag {other}")),

@@ -122,5 +122,12 @@ fn bad_usage_reports_errors() {
     assert!(!out.status.success());
     let out = admin(&["bogus", "x.img"], &dir);
     assert!(!out.status.success());
+    // A zero block size is a usage error, rejected before any image is
+    // created (`FileDisk::create` would assert on it).
+    let out = admin(&["format", "zero.img", "--block-size", "0"], &dir);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("bullet-admin: --block-size"), "{stderr}");
+    assert!(!dir.join("zero.img").exists());
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
