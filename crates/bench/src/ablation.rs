@@ -1,26 +1,32 @@
-//! The one ablation harness behind ABL13–19.
+//! The one harness behind every deterministic experiment.
 //!
-//! Each of the seven ablations is one library function in its rig module
-//! (`faults::ablation`, `schedbench::ablation`, …) that runs its cell
-//! matrix once and returns an [`Outcome`]: the rendered table, the
-//! criteria it judged (every threshold is stated there, once, with its
-//! reason), the members it contributes to `BENCH_pr2.json`, and any
-//! extra artifacts.  Two drivers consume that:
+//! Each experiment is one library function (`paper::fig2_bullet`,
+//! `sweeps::mirror`, `faults::ablation`, …) that runs once and returns an
+//! [`Outcome`]: the rendered table, the criteria it judged (every
+//! threshold is stated there, once, with its reason), what it contributes
+//! to `BENCH_pr2.json` and `REPORT.md`, and any extra artifacts.
+//! [`REGISTRY`] lists them all, and three drivers consume it:
 //!
-//! * the `ablation_*` binaries parse their cell selector with [`Args`]
-//!   and hand a closure to [`run`], which owns the replay-twice
-//!   discipline, printing, the artifact + trailer, and the exit code;
-//! * `report --json` loops over [`REDUCED`], writes the declared members
-//!   and (with `--check`) requires every criterion green.
+//! * each experiment's thin `bin` hands its function to [`run`], which
+//!   owns the replay-twice discipline, printing, the artifact + trailer,
+//!   and the exit code (ABL13–19 parse a cell selector with [`Args`]);
+//! * plain `report` is [`run_all`]: every experiment judged the same way,
+//!   every artifact rewritten, `REPORT.md` rendered from the outcomes;
+//! * `report --json` runs the registry's reduced cells, writes the
+//!   declared members and (with `--check`) requires every criterion green.
 //!
-//! Adding an ablation is one such function, one line in [`REDUCED`], and
-//! one thin `bin` (the recipe is in EXPERIMENTS.md).
+//! Adding an experiment is one such function, one line in [`REGISTRY`],
+//! and one thin `bin` (the recipe is in EXPERIMENTS.md).
 
 use std::process::ExitCode;
 use std::str::FromStr;
 
 use crate::check::Json;
-use crate::{evsim, faults, groupcommit, monitor, schedbench, shardbench, tierbench};
+use crate::table::Text;
+use crate::{
+    evsim, faults, groupcommit, monitor, paper, schedbench, shardbench, sweeps, tierbench,
+    tracebench,
+};
 
 /// How much of an ablation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +72,16 @@ impl Invariant {
         };
         Invariant::new(name, reds.is_empty(), detail)
     }
+
+    /// A criterion over every row of a table: green when no row is red,
+    /// and naming the red ones (their numbers are in the table).
+    pub fn rows(name: &'static str, reds: &[String]) -> Invariant {
+        let detail = match reds {
+            [] => "holds on every row".to_string(),
+            reds => format!("red: {}", reds.join(", ")),
+        };
+        Invariant::new(name, reds.is_empty(), detail)
+    }
 }
 
 /// How an artifact's last line is spelled (the committed files differ).
@@ -91,6 +107,9 @@ pub struct Outcome {
     pub criteria: Vec<Invariant>,
     /// Top-level members contributed to `BENCH_pr2.json`.
     pub json: Vec<(&'static str, Json)>,
+    /// Markdown contributed to `results/REPORT.md` (Figs. 2–3 and the §4
+    /// scorecard); empty for most.
+    pub report_md: String,
     /// File name of the table artifact under `results/`.
     pub artifact: &'static str,
     /// Spelling of the artifact's last line.
@@ -99,16 +118,81 @@ pub struct Outcome {
     pub extras: Vec<(&'static str, String)>,
 }
 
-/// The seven ablations at [`Scale::Reduced`] under their pinned seeds,
-/// in the order their sections appear in `BENCH_pr2.json`.
-pub const REDUCED: [fn() -> Outcome; 7] = [
-    || schedbench::ablation(None),
-    || groupcommit::ablation(Scale::Reduced, None),
-    || evsim::ablation(Scale::Reduced, None, None),
-    || monitor::ablation(Scale::Reduced, None),
-    || shardbench::ablation(Scale::Reduced, None),
-    || tierbench::ablation(Scale::Reduced, None),
-    || faults::ablation(Scale::Reduced, None, None),
+impl Outcome {
+    /// An outcome that is only its table and criteria, from the
+    /// artifact's text: the first line of `rendered` is the title.
+    pub fn plain(artifact: &'static str, rendered: &Text, criteria: Vec<Invariant>) -> Outcome {
+        let (title, table) = rendered.0.split_once('\n').expect("a title line");
+        Outcome {
+            title: title.to_string(),
+            table: table.to_string(),
+            criteria,
+            json: Vec::new(),
+            report_md: String::new(),
+            artifact,
+            trailer: Trailer::RedCriteria,
+            extras: Vec::new(),
+        }
+    }
+}
+
+/// One deterministic experiment.
+pub struct Experiment {
+    /// The thin `bin` that runs it alone.
+    pub bin: &'static str,
+    /// Runs it at a scale under the pinned seed; most have only one.
+    pub at: fn(Scale) -> Outcome,
+    /// The scale whose artifacts are committed under `results/`.
+    pub committed: Scale,
+    /// Whether its [`Scale::Reduced`] cell has members in
+    /// `BENCH_pr2.json` (ABL13–19).
+    pub reduced: bool,
+}
+
+impl Experiment {
+    const fn new(bin: &'static str, reduced: bool, at: fn(Scale) -> Outcome) -> Experiment {
+        Experiment {
+            bin,
+            at,
+            committed: Scale::Full,
+            reduced,
+        }
+    }
+}
+
+/// Every deterministic experiment, in `REPORT.md` order.  ABL10
+/// (`ablation_concurrency`) is threaded, not bit-exact, and gated by CI's
+/// `scaling-proof` job instead.
+pub const REGISTRY: [Experiment; 24] = [
+    Experiment::new("fig1_layout", false, |_| paper::fig1_layout()),
+    Experiment::new("fig2_bullet", false, |_| paper::fig2_bullet()),
+    Experiment::new("fig3_nfs", false, |_| paper::fig3_nfs()),
+    Experiment::new("comparison", false, |_| paper::comparison()),
+    Experiment::new("ablation_cache", false, |_| sweeps::cache()),
+    Experiment::new("ablation_contiguity", false, |_| sweeps::contiguity()),
+    Experiment::new("ablation_pfactor", false, |_| sweeps::pfactor()),
+    Experiment::new("ablation_fragmentation", false, |_| sweeps::fragmentation()),
+    Experiment::new("ablation_logserver", false, |_| sweeps::logserver()),
+    Experiment::new("ablation_cache_size", false, |_| sweeps::cache_size()),
+    Experiment::new("ablation_netload", false, |_| sweeps::netload()),
+    Experiment::new("ablation_mirror", false, |_| sweeps::mirror()),
+    Experiment::new("ablation_eviction", false, |_| sweeps::eviction()),
+    Experiment::new("ablation_pipeline", false, |_| sweeps::pipeline()),
+    Experiment::new("ablation_trace", false, |_| tracebench::ablation()),
+    Experiment::new("ablation_faults", true, |s| faults::ablation(s, None, None)),
+    Experiment::new("ablation_scheduler", true, |_| schedbench::ablation(None)),
+    Experiment::new("ablation_groupcommit", true, |s| {
+        groupcommit::ablation(s, None)
+    }),
+    Experiment::new("ablation_evsim", true, |s| evsim::ablation(s, None, None)),
+    Experiment::new("ablation_monitor", true, |s| monitor::ablation(s, None)),
+    Experiment::new("ablation_shard", true, |s| shardbench::ablation(s, None)),
+    Experiment::new("ablation_tiering", true, |s| tierbench::ablation(s, None)),
+    Experiment {
+        committed: Scale::Soak,
+        ..Experiment::new("ablation_tiering", false, |s| tierbench::ablation(s, None))
+    },
+    Experiment::new("mixed_workload", false, |_| paper::mixed_workload()),
 ];
 
 /// What [`judge`] concluded: the console text, the files to write, and
@@ -124,13 +208,24 @@ pub struct Verdict {
     pub files: Vec<(&'static str, String)>,
 }
 
-/// Runs `ablation` twice and judges it: the second run must render the
-/// first run's table byte for byte (the schedule, the retries and the
-/// simulated times are pure functions of the seed), and every criterion
-/// of the first run must be green.  Pure — [`run`] does the I/O.
-pub fn judge(mut ablation: impl FnMut() -> Outcome) -> Verdict {
-    let first = ablation();
-    let deterministic = ablation().table == first.table;
+/// Runs `experiment` twice: the first outcome, and whether the second
+/// run rendered the first run's table byte for byte (the schedule, the
+/// retries and the simulated times are pure functions of the seed).
+fn replay(mut experiment: impl FnMut() -> Outcome) -> (Outcome, bool) {
+    let first = experiment();
+    let deterministic = experiment().table == first.table;
+    (first, deterministic)
+}
+
+/// Runs `ablation` twice and judges it: the replay must not diverge and
+/// every criterion of the first run must be green.  Pure — [`run`] does
+/// the I/O.
+pub fn judge(ablation: impl FnMut() -> Outcome) -> Verdict {
+    let (first, deterministic) = replay(ablation);
+    verdict(first, deterministic)
+}
+
+fn verdict(first: Outcome, deterministic: bool) -> Verdict {
     let id = first.title.split(' ').next().unwrap_or_default();
     let reds = first.criteria.iter().filter(|c| !c.pass).count();
     let greens = first.criteria.len() - reds;
@@ -192,11 +287,78 @@ pub fn write_results<C: AsRef<[u8]>>(files: &[(&str, C)]) -> std::io::Result<()>
     Ok(())
 }
 
-/// The whole life of an `ablation_*` binary after argument parsing:
+/// What leads `results/REPORT.md`.
+const REPORT_HEAD: &str = "# Regenerated evaluation report
+
+Produced by `cargo run -p bullet-bench --bin report`.  All numbers are
+deterministic simulated time on the calibrated 1989 testbed; rerunning
+reproduces this file bit-for-bit.
+
+";
+
+/// What ends it: the scorecard's heading, and where ABL10 lives.
+const REPORT_SCORECARD: &str = "### Every experiment, run twice
+
+| Artifact | First line | Criteria green | Replay |
+|---|---|---|---|
+";
+const REPORT_TAIL: &str = "
+Multi-client scaling of the sharded locks is measured separately by
+`cargo run -p bullet-bench --bin ablation_concurrency`
+(`results/ablation_concurrency.txt`).
+";
+
+/// Judges every experiment as [`judge`] does and folds the verdicts into
+/// one: all their artifacts and failures, plus `REPORT.md` — what each
+/// outcome contributes to it, then one scorecard row per experiment.
+pub fn regenerate(experiments: impl IntoIterator<Item = impl FnMut() -> Outcome>) -> Verdict {
+    let mut report = REPORT_HEAD.to_string();
+    let mut scorecard = REPORT_SCORECARD.to_string();
+    let (mut failures, mut files) = (Vec::new(), Vec::new());
+    for experiment in experiments {
+        let (first, deterministic) = replay(experiment);
+        report += &first.report_md;
+        scorecard += &format!(
+            "| `{}` | {} | {} of {} | {} |\n",
+            first.artifact,
+            first.title,
+            first.criteria.iter().filter(|c| c.pass).count(),
+            first.criteria.len(),
+            if deterministic {
+                "byte-identical"
+            } else {
+                "DIVERGED"
+            }
+        );
+        let judged = verdict(first, deterministic);
+        failures.extend(judged.failures);
+        files.extend(judged.files);
+    }
+    report += &scorecard;
+    report += REPORT_TAIL;
+    files.push(("REPORT.md", report.clone()));
+    Verdict {
+        console: report,
+        failures,
+        files,
+    }
+}
+
+/// The whole life of an experiment's binary after argument parsing:
 /// [`judge`], print, write the artifacts, exit non-zero on red.
 pub fn run(ablation: impl FnMut() -> Outcome) -> ExitCode {
+    conclude(|| judge(ablation))
+}
+
+/// The whole life of plain `report`: [`regenerate`] over the
+/// [`REGISTRY`], then as [`run`].
+pub fn run_all() -> ExitCode {
+    conclude(|| regenerate(REGISTRY.iter().map(|e| || (e.at)(e.committed))))
+}
+
+fn conclude(verdict: impl FnOnce() -> Verdict) -> ExitCode {
     let wall = std::time::Instant::now();
-    let verdict = judge(ablation);
+    let verdict = verdict();
     print!("{}", verdict.console);
     println!(
         "wall clock: {:.1} s for both runs",

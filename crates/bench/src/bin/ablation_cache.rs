@@ -1,57 +1,6 @@
-//! Ablation ABL1 — the RAM cache: warm reads (the paper's Fig. 2 setting,
-//! "the test file will be completely in memory") against cold reads that
-//! must fetch the contiguous extent from disk.
-//!
-//! Exit status is non-zero if the headline invariant goes red: a warm
-//! (cache-hit) read must beat the cold read at every size.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin ablation_cache
-//! ```
+//! Ablation ABL1 — the RAM cache: warm reads against cold reads:
+//! [`bullet_bench::sweeps::cache`] through [`bullet_bench::ablation::run`].
 
-use bullet_bench::rig::BulletRig;
-use bullet_bench::table::{bandwidth_kb_s, size_label, SIZES};
-
-fn main() {
-    let mut reds: Vec<String> = Vec::new();
-    println!("ABL1 — Bullet READ delay, RAM cache hit vs cold (disk) read");
-    println!(
-        "  {:>12}  {:>14}  {:>14}  {:>10}",
-        "File Size", "warm (ms)", "cold (ms)", "cold/warm"
-    );
-    for &size in &SIZES {
-        let rig = BulletRig::paper_1989();
-        let warm = rig.measure_read(size);
-        let cold = rig.measure_cold_read(size);
-        println!(
-            "  {:>12}  {:>14.2}  {:>14.2}  {:>9.1}x",
-            size_label(size),
-            warm.as_ms_f64(),
-            cold.as_ms_f64(),
-            cold.as_ns() as f64 / warm.as_ns() as f64
-        );
-        if cold <= warm {
-            reds.push(format!(
-                "cache hit no faster than disk at {}: warm {:.2} ms vs cold {:.2} ms",
-                size_label(size),
-                warm.as_ms_f64(),
-                cold.as_ms_f64()
-            ));
-        }
-    }
-    println!();
-    println!("Cold bandwidth at 1 MB: {:.0} KB/s;", {
-        let rig = BulletRig::paper_1989();
-        bandwidth_kb_s(1 << 20, rig.measure_cold_read(1 << 20))
-    });
-    println!("with the streaming pipeline (ABL11) a cold multi-segment read runs at");
-    println!("max(disk, wire) rather than their sum, so the cold/warm gap at 1 MB is");
-    println!("the pipeline fill, not a full extra disk pass; the cache still wins —");
-    println!("a warm read never touches the disk arm at all.");
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL1 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::sweeps::cache)
 }

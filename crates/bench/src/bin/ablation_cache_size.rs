@@ -1,84 +1,6 @@
-//! Ablation ABL6 — cache sizing: hit ratio and mean read delay of the
-//! cited workload mix as the RAM cache shrinks from "all remaining
-//! memory" (the paper's design point) downward.
-//!
-//! Exit status is non-zero if the headline invariant goes red: the
-//! full-size cache must beat the smallest one on both hit ratio and
-//! mean read delay.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin ablation_cache_size
-//! ```
+//! Ablation ABL6 — cache sizing under the cited workload mix:
+//! [`bullet_bench::sweeps::cache_size`] through [`bullet_bench::ablation::run`].
 
-use std::collections::HashMap;
-
-use amoeba_sim::Histogram;
-use bullet_bench::rig::BulletRig;
-use bullet_bench::workload::{WorkloadMix, WorkloadOp};
-use bytes::Bytes;
-
-fn run(cache_bytes: u64) -> (f64, f64) {
-    let rig = BulletRig::with_options(2, amoeba_sim::HwProfile::amoeba_1989(), cache_bytes);
-    let mut mix = WorkloadMix::unix_mix(0xcafe, 512 * 1024, 700);
-    let mut caps = Vec::new();
-    let delays = Histogram::new();
-    for _ in 0..12_000 {
-        match mix.next_op() {
-            WorkloadOp::Create(size) => {
-                if let Ok(cap) = rig.client.create(Bytes::from(vec![1u8; size as usize]), 1) {
-                    caps.push(cap);
-                }
-            }
-            WorkloadOp::Read(n) => {
-                if !caps.is_empty() {
-                    let cap = caps[(n % caps.len() as u64) as usize];
-                    let t0 = rig.clock.now();
-                    let _ = rig.client.read(&cap);
-                    delays.record(rig.clock.now() - t0);
-                }
-            }
-            WorkloadOp::Delete(n) => {
-                if !caps.is_empty() {
-                    let cap = caps.swap_remove((n % caps.len() as u64) as usize);
-                    let _ = rig.client.delete(&cap);
-                }
-            }
-        }
-    }
-    let stats: HashMap<_, _> = rig.server.cache_stats().into_iter().collect();
-    let hits = *stats.get("cache_hits").unwrap_or(&0) as f64;
-    let misses = *stats.get("cache_misses").unwrap_or(&0) as f64;
-    (hits / (hits + misses).max(1.0), delays.mean().as_ms_f64())
-}
-
-fn main() {
-    println!("ABL6 — cache size vs hit ratio and mean READ delay (cited workload mix)");
-    println!(
-        "  {:>12}  {:>10}  {:>16}",
-        "cache", "hit ratio", "mean read (ms)"
-    );
-    let mut rows = Vec::new();
-    for &kb in &[512u64, 1024, 2048, 4096, 8192, 16_384] {
-        let (ratio, mean) = run(kb << 10);
-        println!("  {:>9} KB  {:>9.1}%  {:>16.1}", kb, 100.0 * ratio, mean);
-        rows.push((ratio, mean));
-    }
-    println!();
-    println!("\"All of the server's remaining memory will be used for file caching\" (§3):");
-    println!("the hit ratio — and with it Fig. 2's no-disk read path — is bought with RAM.");
-    let (small, large) = (rows.first().expect("rows"), rows.last().expect("rows"));
-    if large.0 <= small.0 {
-        eprintln!(
-            "ABL6 FAILED: full cache hit ratio {:.3} no better than smallest cache's {:.3}",
-            large.0, small.0
-        );
-        std::process::exit(1);
-    }
-    if large.1 >= small.1 {
-        eprintln!(
-            "ABL6 FAILED: full cache mean read {:.1} ms no better than smallest cache's {:.1} ms",
-            large.1, small.1
-        );
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::sweeps::cache_size)
 }

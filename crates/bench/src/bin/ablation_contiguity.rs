@@ -1,105 +1,6 @@
-//! Ablation ABL2 — contiguity itself, with the network out of the
-//! picture: fetching a file's bytes off the disk as one contiguous extent
-//! (Bullet) versus block-at-a-time through indirect blocks on an aged,
-//! scattered file system (the traditional design).
-//!
-//! Both sides run on an identical simulated SCSI drive; only the layout
-//! policy differs — this isolates the paper's core architectural bet.
-//!
-//! Exit status is non-zero if the headline invariant goes red: the
-//! contiguous fetch must beat the scattered one at every size.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin ablation_contiguity
-//! ```
+//! Ablation ABL2 — contiguity itself: one extent against scattered blocks:
+//! [`bullet_bench::sweeps::contiguity`] through [`bullet_bench::ablation::run`].
 
-use std::sync::Arc;
-
-use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SimDisk};
-use amoeba_sim::{HwProfile, Nanos, SimClock};
-use bullet_bench::table::{size_label, SIZES};
-use bullet_core::{BulletConfig, BulletServer};
-use bytes::Bytes;
-use nfs_blockfs::BlockFs;
-
-/// Server-side cold fetch from the Bullet layout (one contiguous I/O).
-fn bullet_fetch(size: usize) -> Nanos {
-    let clock = SimClock::new();
-    let hw = HwProfile::amoeba_1989();
-    let disk: Arc<dyn BlockDevice> = Arc::new(SimDisk::new(
-        RamDisk::new(1024, 65_536),
-        clock.clone(),
-        hw.disk,
-    ));
-    let mut cfg = BulletConfig::small_test();
-    cfg.clock = clock.clone();
-    cfg.cache_capacity = 16 << 20;
-    cfg.rnode_slots = 64;
-    let server = BulletServer::format_on(cfg, MirroredDisk::new(vec![disk]).expect("one replica"))
-        .expect("format");
-    let cap = server
-        .create(Bytes::from(vec![1u8; size]), 1)
-        .expect("create");
-    server.clear_cache();
-    let t0 = clock.now();
-    server.read(&cap).expect("cold read");
-    clock.now() - t0
-}
-
-/// Server-side cold fetch from the aged block layout (per-block I/O plus
-/// indirect-block reads).
-fn blockfs_fetch(size: usize) -> Nanos {
-    let clock = SimClock::new();
-    let hw = HwProfile::amoeba_1989();
-    let disk = SimDisk::new(RamDisk::new(1024, 65_536), clock.clone(), hw.disk);
-    // Aged: scattered allocation; cache large enough to hold metadata but
-    // dropped before the measured read so data comes off the platter.
-    let mut fs = BlockFs::format(disk, 64, 8 << 20, Some(0xa6ed)).expect("format");
-    let (ino, generation) = fs.create_inode().expect("inode");
-    let data = vec![2u8; size];
-    for (i, chunk) in data.chunks(1024).enumerate() {
-        fs.write(ino, generation, (i * 1024) as u32, chunk)
-            .expect("write");
-    }
-    fs.drop_caches();
-    let t0 = clock.now();
-    fs.read(ino, generation, 0, size as u32).expect("cold read");
-    clock.now() - t0
-}
-
-fn main() {
-    println!("ABL2 — cold server-side fetch (no network): contiguous vs scattered blocks");
-    println!(
-        "  {:>12}  {:>16}  {:>16}  {:>10}",
-        "File Size", "contiguous (ms)", "scattered (ms)", "ratio"
-    );
-    let mut reds: Vec<String> = Vec::new();
-    for &size in &SIZES {
-        let c = bullet_fetch(size);
-        let s = blockfs_fetch(size);
-        println!(
-            "  {:>12}  {:>16.1}  {:>16.1}  {:>9.1}x",
-            size_label(size),
-            c.as_ms_f64(),
-            s.as_ms_f64(),
-            s.as_ns() as f64 / c.as_ns() as f64
-        );
-        if c >= s {
-            reds.push(format!(
-                "contiguous fetch no faster than scattered at {}: {:.1} ms vs {:.1} ms",
-                size_label(size),
-                c.as_ms_f64(),
-                s.as_ms_f64()
-            ));
-        }
-    }
-    println!();
-    println!("One seek + one transfer versus a seek per scattered block: this gap is");
-    println!("why the Bullet server stores files contiguously (§2).");
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL2 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::sweeps::contiguity)
 }

@@ -1,139 +1,6 @@
-//! Ablation ABL9 — the cache eviction policy: the paper's LRU ("an age
-//! field to implement an LRU cache strategy") against FIFO, random,
-//! segmented-LRU, and 2Q victims, under the cited workload mix with a
-//! constrained cache.  (ABL16 re-runs this question at 10k-client
-//! event-engine scale, where the scan-resistant policies separate.)
-//!
-//! Exit status is non-zero if the headline invariant goes red: every
-//! policy must land within 5 points of the best hit ratio (the near-null
-//! result the paper's two-byte age field banks on), and every cell must
-//! actually hit the cache.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin ablation_eviction
-//! ```
+//! Ablation ABL9 — the cache eviction policy under the cited mix:
+//! [`bullet_bench::sweeps::eviction`] through [`bullet_bench::ablation::run`].
 
-use std::collections::HashMap;
-
-use amoeba_sim::HwProfile;
-use bullet_bench::workload::{WorkloadMix, WorkloadOp};
-use bullet_core::EvictionPolicy;
-use bytes::Bytes;
-
-fn run(policy: EvictionPolicy) -> (f64, f64) {
-    use amoeba_net::SimEthernet;
-    use amoeba_rpc::{Dispatcher, RpcClient};
-    use bullet_core::{BulletClient, BulletConfig, BulletRpcServer, BulletServer};
-    use std::sync::Arc;
-
-    let clock = amoeba_sim::SimClock::new();
-    let hw = HwProfile::amoeba_1989();
-    let replicas: Vec<Arc<dyn amoeba_disk::BlockDevice>> = (0..2)
-        .map(|_| {
-            Arc::new(amoeba_disk::SimDisk::new(
-                amoeba_disk::RamDisk::new(1024, 65_536),
-                clock.clone(),
-                hw.disk,
-            )) as Arc<dyn amoeba_disk::BlockDevice>
-        })
-        .collect();
-    let mut cfg = BulletConfig::small_test();
-    cfg.block_size = 1024;
-    cfg.disk_blocks = 65_536;
-    cfg.cache_capacity = 768 * 1024; // constrained: evictions must happen
-    cfg.rnode_slots = 2048;
-    cfg.min_inodes = 2048;
-    cfg.clock = clock.clone();
-    cfg.eviction = policy;
-    let server = Arc::new(
-        BulletServer::format_on(
-            cfg,
-            amoeba_disk::MirroredDisk::new(replicas).expect("mirror"),
-        )
-        .expect("format"),
-    );
-    let dispatcher = Dispatcher::new(SimEthernet::new(clock.clone(), hw.net));
-    dispatcher.register(BulletRpcServer::new(server.clone()));
-    let client = BulletClient::new(RpcClient::new(dispatcher), server.port());
-
-    let mut mix = WorkloadMix::unix_mix(0xfeed, 512 * 1024, 700);
-    let mut caps = Vec::new();
-    let t0 = clock.now();
-    for _ in 0..12_000 {
-        match mix.next_op() {
-            WorkloadOp::Create(size) => {
-                if let Ok(cap) = client.create(Bytes::from(vec![1u8; size as usize]), 1) {
-                    caps.push(cap);
-                }
-            }
-            WorkloadOp::Read(n) => {
-                if !caps.is_empty() {
-                    // Real traces have a hot set: 40% of reads go to a few
-                    // long-lived files, the rest spread uniformly.
-                    let i = if n % 5 < 2 {
-                        (n % 8.min(caps.len() as u64)) as usize
-                    } else {
-                        (n % caps.len() as u64) as usize
-                    };
-                    let cap = caps[i];
-                    let _ = client.read(&cap);
-                }
-            }
-            WorkloadOp::Delete(n) => {
-                if !caps.is_empty() {
-                    let cap = caps.swap_remove((n % caps.len() as u64) as usize);
-                    let _ = client.delete(&cap);
-                }
-            }
-        }
-    }
-    let wall = clock.now() - t0;
-    let stats: HashMap<_, _> = server.cache_stats().into_iter().collect();
-    let hits = *stats.get("cache_hits").unwrap_or(&0) as f64;
-    let misses = *stats.get("cache_misses").unwrap_or(&0) as f64;
-    (hits / (hits + misses).max(1.0), wall.as_secs_f64())
-}
-
-fn main() {
-    println!("ABL9 — eviction policy under the cited mix (768 KB cache, 12k ops)");
-    println!(
-        "  {:>10}  {:>10}  {:>18}",
-        "policy", "hit ratio", "workload time (s)"
-    );
-    let mut ratios = Vec::new();
-    for (name, policy) in [
-        ("LRU", EvictionPolicy::Lru),
-        ("FIFO", EvictionPolicy::Fifo),
-        ("random", EvictionPolicy::Random),
-        ("SLRU", EvictionPolicy::SegmentedLru),
-        ("2Q", EvictionPolicy::TwoQ),
-    ] {
-        let (ratio, secs) = run(policy);
-        println!("  {:>10}  {:>9.1}%  {:>18.1}", name, 100.0 * ratio, secs);
-        ratios.push((name, ratio));
-    }
-    println!();
-    println!("A near-null result: SLRU edges ahead and every policy lands within ~2 points,");
-    println!("so at whole-file granularity the policy matters far less than having the cache");
-    println!("at all (ABL1, ABL6) — consistent with the paper spending two bytes per rnode");
-    println!("on it and no more.  The gap only opens under one-touch scan pollution, which");
-    println!("is exactly what ABL16 (`ablation_evsim`) measures at 10k-client scale.");
-    let best = ratios.iter().map(|&(_, r)| r).fold(0.0f64, f64::max);
-    let mut red = false;
-    for &(name, ratio) in &ratios {
-        if ratio <= 0.0 {
-            eprintln!("ABL9 FAILED: {name} never hit the cache");
-            red = true;
-        }
-        if ratio < best - 0.05 {
-            eprintln!(
-                "ABL9 FAILED: {name} hit ratio {:.3} more than 5 points behind the best {:.3}",
-                ratio, best
-            );
-            red = true;
-        }
-    }
-    if red {
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::sweeps::eviction)
 }

@@ -1,128 +1,6 @@
-//! Ablation ABL4 — the cost the paper consciously accepts: external
-//! fragmentation of the contiguous data area under a realistic
-//! create/delete churn, and what the "3 a.m." compaction buys back.
-//!
-//! Exit status is non-zero if the headline invariant goes red:
-//! compaction must leave the free space in at most one hole (every free
-//! block usable again).
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin ablation_fragmentation
-//! ```
+//! Ablation ABL4 — external fragmentation under churn, and compaction:
+//! [`bullet_bench::sweeps::fragmentation`] through [`bullet_bench::ablation::run`].
 
-use std::sync::Arc;
-
-use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SimDisk};
-use amoeba_sim::HwProfile;
-use bullet_bench::workload::{WorkloadMix, WorkloadOp};
-use bullet_core::{BulletConfig, BulletError, BulletServer};
-use bytes::Bytes;
-
-fn main() {
-    let mut cfg = BulletConfig::small_test();
-    cfg.disk_blocks = 16_384; // 8 MB data area: small enough to stress
-    cfg.cache_capacity = 4 << 20;
-    cfg.min_inodes = 1024;
-    cfg.rnode_slots = 1024;
-    let clock = cfg.clock.clone();
-    let hw = HwProfile::amoeba_1989();
-    let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
-        .map(|_| {
-            Arc::new(SimDisk::new(
-                RamDisk::new(cfg.block_size, cfg.disk_blocks),
-                clock.clone(),
-                hw.disk,
-            )) as Arc<dyn BlockDevice>
-        })
-        .collect();
-    let storage = MirroredDisk::new(replicas).expect("mirror");
-    let server = BulletServer::format_on(cfg, storage).expect("format");
-
-    let mut mix = WorkloadMix::unix_mix(0xf4a6, 256 * 1024, 400);
-    let mut caps = Vec::new();
-    let mut failures_with_free_space = 0u64;
-
-    println!("ABL4 — external fragmentation under churn (75% reads, 1984 size mix)");
-    println!(
-        "  {:>8}  {:>7}  {:>10}  {:>12}  {:>8}  {:>22}",
-        "ops", "files", "free blks", "largest hole", "holes", "external fragmentation"
-    );
-    for step in 1..=12_000u64 {
-        match mix.next_op() {
-            WorkloadOp::Create(size) => {
-                match server.create(Bytes::from(vec![7u8; size as usize]), 1) {
-                    Ok(cap) => caps.push(cap),
-                    Err(BulletError::NoSpace) => {
-                        // The interesting case: free space exists but no
-                        // hole is big enough for the file.
-                        let r = server.disk_frag_report();
-                        let block = server.describe_layout().0.block_size as u64;
-                        if r.free * block > size {
-                            failures_with_free_space += 1;
-                        }
-                    }
-                    Err(BulletError::NoInodes) => {}
-                    Err(e) => panic!("unexpected: {e}"),
-                }
-            }
-            WorkloadOp::Read(n) => {
-                if !caps.is_empty() {
-                    let cap = caps[(n % caps.len() as u64) as usize];
-                    server.read(&cap).expect("read live file");
-                }
-            }
-            WorkloadOp::Delete(n) => {
-                if !caps.is_empty() {
-                    let cap = caps.swap_remove((n % caps.len() as u64) as usize);
-                    server.delete(&cap).expect("delete live file");
-                }
-            }
-        }
-        if step % 2000 == 0 {
-            let r = server.disk_frag_report();
-            println!(
-                "  {:>8}  {:>7}  {:>10}  {:>12}  {:>8}  {:>22.3}",
-                step,
-                server.live_files(),
-                r.free,
-                r.largest_hole,
-                r.hole_count,
-                r.external_fragmentation
-            );
-        }
-    }
-
-    println!();
-    println!(
-        "creates refused for lack of a large-enough hole (although free space existed): {failures_with_free_space}"
-    );
-
-    let before = server.disk_frag_report();
-    let t0 = clock.now();
-    let moved = server.compact_disk().expect("compaction");
-    let compaction_time = clock.now() - t0;
-    let after = server.disk_frag_report();
-    println!();
-    println!("3 a.m. compaction: moved {moved} files in {compaction_time} of simulated disk time");
-    println!(
-        "  before: largest hole {:>6} of {:>6} free  ({:>3} holes, frag {:.3})",
-        before.largest_hole, before.free, before.hole_count, before.external_fragmentation
-    );
-    println!(
-        "  after : largest hole {:>6} of {:>6} free  ({:>3} holes, frag {:.3})",
-        after.largest_hole, after.free, after.hole_count, after.external_fragmentation
-    );
-    println!();
-    println!(
-        "Unusable-when-needed space before compaction: {:.1}% of all free space",
-        100.0 * before.external_fragmentation
-    );
-    println!("(the paper: buy an 800 MB disk to store 500 MB — a conscious trade for speed).");
-    if after.hole_count > 1 || after.largest_hole != after.free {
-        eprintln!(
-            "ABL4 FAILED: compaction left {} holes (largest {} of {} free blocks)",
-            after.hole_count, after.largest_hole, after.free
-        );
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::sweeps::fragmentation)
 }

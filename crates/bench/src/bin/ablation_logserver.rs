@@ -1,125 +1,6 @@
-//! Ablation ABL5 — the §2 log-file caveat: "each append to a log file
-//! would require the whole file to be copied … for log files we have
-//! implemented a separate server."
-//!
-//! Compares the cumulative simulated cost of N appends done naively
-//! (`BULLET.APPEND`, a whole new file per append — quadratic total work)
-//! against the log server's segment chain (linear).
-//!
-//! Exit status is non-zero if the headline invariant goes red: the log
-//! server must beat the naive path in total, and read back every
-//! appended byte.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin ablation_logserver
-//! ```
+//! Ablation ABL5 — naive `BULLET.APPEND` logging against the log server:
+//! [`bullet_bench::sweeps::logserver`] through [`bullet_bench::ablation::run`].
 
-use std::sync::Arc;
-
-use amoeba_log::LogServer;
-use amoeba_sim::Nanos;
-use bullet_core::{BulletConfig, BulletServer};
-use bytes::Bytes;
-
-const APPENDS: usize = 400;
-const ENTRY: usize = 256;
-const REPORT_EVERY: usize = 80;
-
-fn rig() -> (amoeba_sim::SimClock, Arc<BulletServer>) {
-    let mut cfg = BulletConfig::small_test();
-    cfg.disk_blocks = 32_768; // 16 MB
-    cfg.cache_capacity = 8 << 20;
-    cfg.min_inodes = 2048;
-    cfg.rnode_slots = 2048;
-    let clock = cfg.clock.clone();
-    (
-        clock,
-        Arc::new(BulletServer::format(cfg, 2).expect("format")),
-    )
-}
-
-fn main() {
-    // Naive: BULLET.APPEND derives a whole new file per entry.
-    let (clock_a, bullet_a) = rig();
-    let mut naive_points = Vec::new();
-    let mut cap = bullet_a.create(Bytes::new(), 1).expect("create");
-    let t0 = clock_a.now();
-    for i in 1..=APPENDS {
-        let new = bullet_a.append(&cap, &[b'x'; ENTRY], 1).expect("append");
-        bullet_a.delete(&cap).expect("retire old version");
-        cap = new;
-        if i % REPORT_EVERY == 0 {
-            naive_points.push(clock_a.now() - t0);
-        }
-    }
-
-    // Log server: segment chain, O(entry) per append.
-    let (clock_b, bullet_b) = rig();
-    let logs = LogServer::bootstrap(bullet_b).expect("bootstrap");
-    let log = logs.create_log().expect("create log");
-    let mut log_points = Vec::new();
-    let t0 = clock_b.now();
-    for i in 1..=APPENDS {
-        logs.append(&log, &[b'x'; ENTRY]).expect("append");
-        if i % REPORT_EVERY == 0 {
-            log_points.push(clock_b.now() - t0);
-        }
-    }
-    logs.checkpoint(&log).expect("final checkpoint");
-
-    println!("ABL5 — cumulative cost of {ENTRY}-byte appends (simulated time)");
-    println!(
-        "  {:>8}  {:>18}  {:>18}  {:>8}",
-        "appends", "naive BULLET (ms)", "log server (ms)", "ratio"
-    );
-    for (i, (naive, fast)) in naive_points.iter().zip(&log_points).enumerate() {
-        let n = (i + 1) * REPORT_EVERY;
-        let ratio = if fast.as_ns() == 0 {
-            "   (tail in RAM)".to_string()
-        } else {
-            format!("{:>7.1}x", naive.as_ns() as f64 / fast.as_ns() as f64)
-        };
-        println!(
-            "  {:>8}  {:>18.1}  {:>18.1}  {ratio}",
-            n,
-            naive.as_ms_f64(),
-            fast.as_ms_f64(),
-        );
-    }
-
-    let naive_total: Nanos = *naive_points.last().expect("points");
-    let log_total: Nanos = *log_points.last().expect("points");
-    println!();
-    println!(
-        "Total: naive {:.1} ms vs log server {:.1} ms — the gap grows with log length,",
-        naive_total.as_ms_f64(),
-        log_total.as_ms_f64()
-    );
-    println!("because each naive append rewrites the whole log to disk (twice, mirrored).");
-    let read_back = logs.len(&log).expect("len");
-    println!(
-        "Log server sealed {} segments; read-back length {}.",
-        logs.segment_count(&log).expect("count"),
-        read_back
-    );
-    let mut red = false;
-    if log_total >= naive_total {
-        eprintln!(
-            "ABL5 FAILED: log server total {:.1} ms not below naive {:.1} ms",
-            log_total.as_ms_f64(),
-            naive_total.as_ms_f64()
-        );
-        red = true;
-    }
-    if read_back != (APPENDS * ENTRY) as u64 {
-        eprintln!(
-            "ABL5 FAILED: read-back length {} != {} appended bytes",
-            read_back,
-            APPENDS * ENTRY
-        );
-        red = true;
-    }
-    if red {
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::sweeps::logserver)
 }

@@ -1,67 +1,6 @@
-//! Ablation ABL8 — the price of replication: CREATE+DELETE with one,
-//! two (the paper's configuration), and three mirrored disks.
-//!
-//! Exit status is non-zero if the headline invariant goes red: the
-//! parallel replica writes must keep 3 disks within 25 % of 1 disk at
-//! every size ("a relatively small increment", §3).
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin ablation_mirror
-//! ```
+//! Ablation ABL8 — the price of replication: one, two and three disks:
+//! [`bullet_bench::sweeps::mirror`] through [`bullet_bench::ablation::run`].
 
-use amoeba_sim::HwProfile;
-use bullet_bench::rig::BulletRig;
-use bullet_bench::table::{size_label, SIZES};
-
-fn main() {
-    let mut reds: Vec<String> = Vec::new();
-    println!("ABL8 — CREATE+DELETE delay (ms) by replica count (P-FACTOR = disks)");
-    println!(
-        "  {:>12}  {:>10}  {:>10}  {:>10}",
-        "File Size", "1 disk", "2 disks", "3 disks"
-    );
-    for &size in &SIZES {
-        let mut cols = Vec::new();
-        for disks in 1..=3usize {
-            let rig = BulletRig::with_options(disks, HwProfile::amoeba_1989(), 12 << 20);
-            // Full durability on every configured disk.
-            let warm = rig
-                .client
-                .create(bytes::Bytes::new(), disks as u32)
-                .expect("warm");
-            rig.client.delete(&warm).expect("warm delete");
-            let data = bytes::Bytes::from(vec![3u8; size]);
-            let t0 = rig.clock.now();
-            let cap = rig.client.create(data, disks as u32).expect("create");
-            rig.client.delete(&cap).expect("delete");
-            cols.push((rig.clock.now() - t0).as_ms_f64());
-        }
-        println!(
-            "  {:>12}  {:>10.1}  {:>10.1}  {:>10.1}",
-            size_label(size),
-            cols[0],
-            cols[1],
-            cols[2]
-        );
-        if cols[2] > cols[0] * 1.25 {
-            reds.push(format!(
-                "3-disk create+delete {:.1} ms more than 25% over 1-disk {:.1} ms at {}",
-                cols[2],
-                cols[0],
-                size_label(size)
-            ));
-        }
-    }
-    println!();
-    println!("Replica writes are issued in parallel and the create returns when the");
-    println!("slowest disk finishes, so extra replicas add *disk-time demand* (one");
-    println!("write per spindle, visible under load — see ablation_concurrency) but");
-    println!("almost no delay: \"a relatively small increment in total file server");
-    println!("cost\" (§3) buys the availability story of the fault_tolerance example.");
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL8 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::sweeps::mirror)
 }

@@ -1,88 +1,6 @@
-//! Ablation ABL7 — the "normally loaded Ethernet": how competing traffic
-//! scales the Bullet read tables (the paper measured under real load; we
-//! sweep the load factor).
-//!
-//! Exit status is non-zero if the headline invariant goes red: read
-//! delay must grow monotonically with wire contention at every size.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin ablation_netload
-//! ```
+//! Ablation ABL7 — the "normally loaded Ethernet": a load-factor sweep:
+//! [`bullet_bench::sweeps::netload`] through [`bullet_bench::ablation::run`].
 
-use std::sync::Arc;
-
-use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SimDisk};
-use amoeba_net::SimEthernet;
-use amoeba_rpc::{Dispatcher, RpcClient};
-use amoeba_sim::{HwProfile, SimClock};
-use bullet_bench::table::{bandwidth_kb_s, size_label};
-use bullet_core::{BulletClient, BulletConfig, BulletRpcServer, BulletServer};
-use bytes::Bytes;
-
-fn read_delay_ms(load: f64, size: usize) -> (f64, f64) {
-    let clock = SimClock::new();
-    let hw = HwProfile::amoeba_1989();
-    let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
-        .map(|_| {
-            Arc::new(SimDisk::new(
-                RamDisk::new(1024, 65_536),
-                clock.clone(),
-                hw.disk,
-            )) as Arc<dyn BlockDevice>
-        })
-        .collect();
-    let mut cfg = BulletConfig::small_test();
-    cfg.block_size = 1024;
-    cfg.disk_blocks = 65_536;
-    cfg.cache_capacity = 12 << 20;
-    cfg.rnode_slots = 2048;
-    cfg.min_inodes = 2048;
-    cfg.clock = clock.clone();
-    let server = Arc::new(
-        BulletServer::format_on(cfg, MirroredDisk::new(replicas).expect("mirror")).expect("format"),
-    );
-    let net = SimEthernet::with_load(clock.clone(), hw.net, load);
-    let dispatcher = Dispatcher::new(net);
-    dispatcher.register(BulletRpcServer::new(server.clone()));
-    let client = BulletClient::new(RpcClient::new(dispatcher), server.port());
-
-    let cap = client
-        .create(Bytes::from(vec![7u8; size]), 2)
-        .expect("create");
-    client.read(&cap).expect("warm-up");
-    let t0 = clock.now();
-    client.read(&cap).expect("measured");
-    clock.advance(hw.cpu.memcpy(size as u64));
-    let dt = clock.now() - t0;
-    (dt.as_ms_f64(), bandwidth_kb_s(size, dt))
-}
-
-fn main() {
-    let mut reds: Vec<String> = Vec::new();
-    println!("ABL7 — Ethernet load factor vs warm READ performance");
-    for &size in &[512usize, 65_536, 1 << 20] {
-        println!("  file size {}:", size_label(size));
-        println!("  {:>8}  {:>12}  {:>14}", "load", "delay (ms)", "bw (KB/s)");
-        let mut prev = 0.0f64;
-        for &load in &[1.0f64, 1.25, 1.5, 2.0, 3.0] {
-            let (ms, bw) = read_delay_ms(load, size);
-            println!("  {:>7.2}x  {:>12.1}  {:>14.1}", load, ms, bw);
-            if ms < prev {
-                reds.push(format!(
-                    "delay fell from {prev:.1} ms to {ms:.1} ms as load rose to {load:.2}x at {}",
-                    size_label(size)
-                ));
-            }
-            prev = ms;
-        }
-    }
-    println!();
-    println!("Delays scale linearly with wire contention; the Bullet advantage over the");
-    println!("block baseline is load-independent because both ride the same Ethernet.");
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL7 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::sweeps::netload)
 }

@@ -1,63 +1,6 @@
 //! Ablation ABL3 — the P-FACTOR durability dial of `BULLET.CREATE`:
-//! reply-from-cache (P=0) vs one disk (P=1) vs both disks (P=2).
-//!
-//! Exit status is non-zero if the headline invariant goes red: P=0 must
-//! never cost more than P=1, and P=2's parallel replica writes must stay
-//! within 25 % of P=1.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin ablation_pfactor
-//! ```
+//! [`bullet_bench::sweeps::pfactor`] through [`bullet_bench::ablation::run`].
 
-use bullet_bench::rig::BulletRig;
-use bullet_bench::table::{size_label, SIZES};
-
-fn main() {
-    let mut reds: Vec<String> = Vec::new();
-    println!("ABL3 — BULLET.CREATE delay (ms) by P-FACTOR");
-    println!(
-        "  {:>12}  {:>10}  {:>10}  {:>10}",
-        "File Size", "P=0", "P=1", "P=2"
-    );
-    for &size in &SIZES {
-        let mut cols = Vec::new();
-        for p in 0..=2 {
-            let rig = BulletRig::paper_1989();
-            cols.push(rig.measure_create(size, p));
-        }
-        println!(
-            "  {:>12}  {:>10.1}  {:>10.1}  {:>10.1}",
-            size_label(size),
-            cols[0].as_ms_f64(),
-            cols[1].as_ms_f64(),
-            cols[2].as_ms_f64()
-        );
-        if cols[0] > cols[1] {
-            reds.push(format!(
-                "P=0 ({:.1} ms) slower than P=1 ({:.1} ms) at {}",
-                cols[0].as_ms_f64(),
-                cols[1].as_ms_f64(),
-                size_label(size)
-            ));
-        }
-        if cols[2].as_ns() as f64 > cols[1].as_ns() as f64 * 1.25 {
-            reds.push(format!(
-                "P=2 ({:.1} ms) more than 25% over P=1 ({:.1} ms) at {}",
-                cols[2].as_ms_f64(),
-                cols[1].as_ms_f64(),
-                size_label(size)
-            ));
-        }
-    }
-    println!();
-    println!("P=0 returns after the RAM-cache insert (fast, crash-vulnerable);");
-    println!("P=N returns after the file and inode are on N disks (§2.2).  The N");
-    println!("replica writes run in parallel, so P=2 costs what the slowest disk");
-    println!("costs — the same as P=1 on identical spindles.");
-    if !reds.is_empty() {
-        for r in &reds {
-            eprintln!("ABL3 FAILED: {r}");
-        }
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::sweeps::pfactor)
 }

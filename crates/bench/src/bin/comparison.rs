@@ -1,17 +1,6 @@
-//! Evaluates the §4 comparison claims (C1–C4) from freshly measured
-//! Fig. 2 and Fig. 3 tables.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin comparison
-//! ```
+//! CMP — the §4 comparison claims (C1–C4) on freshly measured Figs. 2–3:
+//! [`bullet_bench::paper::comparison`] through [`bullet_bench::ablation::run`].
 
-use bullet_bench::rig::{BulletRig, NfsRig};
-use bullet_bench::table::{measure_bullet, measure_nfs, print_tables, Claims};
-
-fn main() {
-    let bullet = measure_bullet(&BulletRig::paper_1989());
-    let nfs = measure_nfs(&NfsRig::paper_1989());
-    print_tables("Bullet (Fig. 2)", "CREATE+DEL", &bullet);
-    print_tables("NFS baseline (Fig. 3)", "CREATE", &nfs);
-    Claims::evaluate(&bullet, &nfs).print();
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::paper::comparison)
 }

@@ -1,82 +1,6 @@
-//! Renders Fig. 1 of the paper — the Bullet disk layout — from a *live*
-//! server: the disk descriptor, the inode table, and the contiguous
-//! files-and-holes map of the data area, after some create/delete churn.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin fig1_layout
-//! ```
+//! FIG1 — Fig. 1 of the paper, the Bullet disk layout, dumped from a live server:
+//! [`bullet_bench::paper::fig1_layout`] through [`bullet_bench::ablation::run`].
 
-use bullet_core::{BulletConfig, BulletServer};
-use bytes::Bytes;
-
-fn main() {
-    let server = BulletServer::format(BulletConfig::small_test(), 2).expect("format");
-    // Create a handful of files and delete a couple to open holes.
-    let caps: Vec<_> = [1500usize, 4000, 700, 9000, 2300]
-        .iter()
-        .map(|&n| {
-            server
-                .create(Bytes::from(vec![0xaa; n]), 2)
-                .expect("create")
-        })
-        .collect();
-    server.delete(&caps[1]).expect("delete");
-    server.delete(&caps[3]).expect("delete");
-
-    let (desc, rows) = server.describe_layout();
-    println!("Fig. 1 — The Bullet disk layout (live server dump)");
-    println!();
-    println!("Disk descriptor (inode 0):");
-    println!("  block size   : {} bytes", desc.block_size);
-    println!(
-        "  control size : {} blocks (inode table)",
-        desc.control_blocks
-    );
-    println!("  data size    : {} blocks", desc.data_blocks);
-    println!();
-    println!("Inode table:");
-    for row in &rows {
-        println!(
-            "  inode {:>4} -> blocks [{}, {}) = {} bytes{}",
-            row.inode,
-            row.start_block,
-            row.start_block as u64 + row.blocks,
-            row.size_bytes,
-            if row.cached { "  [in RAM cache]" } else { "" }
-        );
-    }
-    println!();
-    println!("Contiguous files and holes:");
-    let mut cursor = desc.data_start();
-    for row in &rows {
-        if (row.start_block as u64) > cursor {
-            println!(
-                "  [{:>6}, {:>6})  free ({} blocks)",
-                cursor,
-                row.start_block,
-                row.start_block as u64 - cursor
-            );
-        }
-        println!(
-            "  [{:>6}, {:>6})  file (inode {})",
-            row.start_block,
-            row.start_block as u64 + row.blocks,
-            row.inode
-        );
-        cursor = row.start_block as u64 + row.blocks;
-    }
-    if cursor < desc.data_end() {
-        println!(
-            "  [{:>6}, {:>6})  free ({} blocks)",
-            cursor,
-            desc.data_end(),
-            desc.data_end() - cursor
-        );
-    }
-    let frag = server.disk_frag_report();
-    println!();
-    println!(
-        "Free space: {} of {} blocks in {} hole(s); largest hole {} blocks; external fragmentation {:.2}",
-        frag.free, frag.total, frag.hole_count, frag.largest_hole, frag.external_fragmentation
-    );
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::paper::fig1_layout)
 }

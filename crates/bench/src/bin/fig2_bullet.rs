@@ -1,21 +1,6 @@
-//! Regenerates Fig. 2 of the paper: delay and bandwidth of the Bullet
-//! file server for READ and CREATE+DELETE, on the simulated 1989 testbed.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin fig2_bullet
-//! ```
+//! FIG2 — Fig. 2 of the paper, the Bullet server's delay and bandwidth tables:
+//! [`bullet_bench::paper::fig2_bullet`] through [`bullet_bench::ablation::run`].
 
-use bullet_bench::rig::BulletRig;
-use bullet_bench::table::{measure_bullet, print_tables};
-
-fn main() {
-    let rig = BulletRig::paper_1989();
-    let rows = measure_bullet(&rig);
-    print_tables(
-        "Fig. 2 — Performance of the Bullet file server (simulated 1989 testbed)",
-        "CREATE+DEL",
-        &rows,
-    );
-    println!("Protocol: READ is warm (file completely in the server's RAM cache);");
-    println!("CREATE+DEL writes the file and its inode to BOTH mirrored disks (P-FACTOR 2).");
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::paper::fig2_bullet)
 }

@@ -1,21 +1,6 @@
-//! Regenerates Fig. 3 of the paper: delay and bandwidth of the SUN
-//! NFS-like baseline for READ and CREATE, on the same simulated testbed.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin fig3_nfs
-//! ```
+//! FIG3 — Fig. 3 of the paper, the SUN NFS baseline's delay and bandwidth tables:
+//! [`bullet_bench::paper::fig3_nfs`] through [`bullet_bench::ablation::run`].
 
-use bullet_bench::rig::NfsRig;
-use bullet_bench::table::{measure_nfs, print_tables};
-
-fn main() {
-    let rig = NfsRig::paper_1989();
-    let rows = measure_nfs(&rig);
-    print_tables(
-        "Fig. 3 — Performance of the SUN NFS baseline (simulated 1989 testbed)",
-        "CREATE",
-        &rows,
-    );
-    println!("Protocol: client caching disabled (the paper's lockf trick); one RPC per");
-    println!("8 KB block; server has a 3 MB write-through buffer cache and ONE disk.");
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::paper::fig3_nfs)
 }

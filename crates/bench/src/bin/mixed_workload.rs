@@ -1,153 +1,6 @@
-//! A macro-benchmark the paper implies but never prints: the *cited*
-//! workload mix (75 % whole-file reads; median 1 KB / 99 % < 64 KB
-//! sizes) run through the full RPC stack, Bullet vs the block baseline,
-//! with per-operation latency distributions.
-//!
-//! ```text
-//! cargo run -p bullet-bench --bin mixed_workload
-//! ```
+//! MIX — the cited workload mix through the full RPC stack, Bullet vs NFS:
+//! [`bullet_bench::paper::mixed_workload`] through [`bullet_bench::ablation::run`].
 
-use amoeba_sim::Histogram;
-use bullet_bench::rig::{BulletRig, NfsRig};
-use bullet_bench::workload::{WorkloadMix, WorkloadOp};
-use bytes::Bytes;
-use nfs_blockfs::FileHandle;
-
-const OPS: usize = 6000;
-const MAX_SIZE: u64 = 256 * 1024;
-const POPULATION: u64 = 150;
-
-struct Lat {
-    create: Histogram,
-    read: Histogram,
-    delete: Histogram,
-}
-
-impl Lat {
-    fn new() -> Lat {
-        Lat {
-            create: Histogram::new(),
-            read: Histogram::new(),
-            delete: Histogram::new(),
-        }
-    }
-
-    fn print(&self, label: &str, wall: amoeba_sim::Nanos) {
-        println!("  {label}:");
-        println!(
-            "    {:>8}  {:>8}  {:>12}  {:>10}  {:>10}",
-            "op", "count", "mean (ms)", "p90 (ms)", "max (ms)"
-        );
-        for (name, h) in [
-            ("create", &self.create),
-            ("read", &self.read),
-            ("delete", &self.delete),
-        ] {
-            println!(
-                "    {:>8}  {:>8}  {:>12.1}  {:>10.1}  {:>10.1}",
-                name,
-                h.count(),
-                h.mean().as_ms_f64(),
-                h.quantile(0.9).as_ms_f64(),
-                h.max().as_ms_f64()
-            );
-        }
-        println!("    total simulated time: {wall}");
-    }
-}
-
-fn run_bullet() -> (Lat, amoeba_sim::Nanos) {
-    let rig = BulletRig::paper_1989();
-    let mut mix = WorkloadMix::unix_mix(0x31337, MAX_SIZE, POPULATION);
-    let lat = Lat::new();
-    let mut caps = Vec::new();
-    let t0 = rig.clock.now();
-    for _ in 0..OPS {
-        match mix.next_op() {
-            WorkloadOp::Create(size) => {
-                let t = rig.clock.now();
-                if let Ok(cap) = rig.client.create(Bytes::from(vec![1u8; size as usize]), 2) {
-                    caps.push(cap);
-                }
-                lat.create.record(rig.clock.now() - t);
-            }
-            WorkloadOp::Read(n) => {
-                if caps.is_empty() {
-                    continue;
-                }
-                let cap = caps[(n % caps.len() as u64) as usize];
-                let t = rig.clock.now();
-                rig.client.read(&cap).expect("live file");
-                lat.read.record(rig.clock.now() - t);
-            }
-            WorkloadOp::Delete(n) => {
-                if caps.is_empty() {
-                    continue;
-                }
-                let cap = caps.swap_remove((n % caps.len() as u64) as usize);
-                let t = rig.clock.now();
-                rig.client.delete(&cap).expect("live file");
-                lat.delete.record(rig.clock.now() - t);
-            }
-        }
-    }
-    let wall = rig.clock.now() - t0;
-    (lat, wall)
-}
-
-fn run_nfs() -> (Lat, amoeba_sim::Nanos) {
-    let rig = NfsRig::paper_1989();
-    let mut mix = WorkloadMix::unix_mix(0x31337, MAX_SIZE, POPULATION);
-    let lat = Lat::new();
-    let mut files: Vec<FileHandle> = Vec::new();
-    let t0 = rig.clock.now();
-    for _ in 0..OPS {
-        match mix.next_op() {
-            WorkloadOp::Create(size) => {
-                let t = rig.clock.now();
-                if let Ok(fh) = rig.client.create_file(&vec![1u8; size as usize]) {
-                    files.push(fh);
-                }
-                lat.create.record(rig.clock.now() - t);
-            }
-            WorkloadOp::Read(n) => {
-                if files.is_empty() {
-                    continue;
-                }
-                let fh = files[(n % files.len() as u64) as usize];
-                let t = rig.clock.now();
-                rig.client.read_file(fh).expect("live file");
-                lat.read.record(rig.clock.now() - t);
-            }
-            WorkloadOp::Delete(n) => {
-                if files.is_empty() {
-                    continue;
-                }
-                let fh = files.swap_remove((n % files.len() as u64) as usize);
-                let t = rig.clock.now();
-                rig.client.remove(fh).expect("live file");
-                lat.delete.record(rig.clock.now() - t);
-            }
-        }
-    }
-    let wall = rig.clock.now() - t0;
-    (lat, wall)
-}
-
-fn main() {
-    println!(
-        "Mixed workload — {OPS} ops of the cited mix (75% reads, 1984 sizes, ~{POPULATION} live files)"
-    );
-    let (bullet, bullet_wall) = run_bullet();
-    bullet.print("Bullet (two mirrored disks, P-FACTOR 2)", bullet_wall);
-    let (nfs, nfs_wall) = run_nfs();
-    nfs.print("NFS baseline (one disk, 8 KB blocks)", nfs_wall);
-    println!();
-    println!(
-        "Whole-workload speedup: {:.1}x ({} vs {})",
-        nfs_wall.as_ns() as f64 / bullet_wall.as_ns() as f64,
-        bullet_wall,
-        nfs_wall
-    );
-    println!("The small-file-dominated mix is where the fixed per-RPC gap compounds.");
+fn main() -> std::process::ExitCode {
+    bullet_bench::ablation::run(bullet_bench::paper::mixed_workload)
 }

@@ -1,10 +1,13 @@
-//! Regenerates the entire evaluation in one run and writes
-//! `results/REPORT.md`: Figs. 2–3, the §4 claim scorecard, and the
-//! headline ablations — the artifact a reviewer diffs against
-//! EXPERIMENTS.md.
+//! Regenerates the entire evaluation in one run: every experiment of
+//! [`bullet_bench::ablation::REGISTRY`] is run twice and judged, every
+//! artifact under `results/` is rewritten (ABL10's excepted), and
+//! `results/REPORT.md` — Figs. 2–3, the §4 claim scorecard, and one row
+//! per experiment — is rendered from the same outcomes.  Exits non-zero
+//! on any red criterion or diverged replay; afterwards `git diff --
+//! results/` shows exactly what went stale.
 //!
 //! ```text
-//! cargo run -p bullet-bench --bin report
+//! cargo run --release -p bullet-bench --bin report
 //! ```
 //!
 //! With `--json [PATH]` it instead writes the machine-readable benchmark
@@ -14,9 +17,9 @@
 //!   streaming transfers (pipeline off and on) plus p50/p95/p99 latency
 //!   percentiles per operation, from repeated traced runs through
 //!   [`amoeba_sim::trace::op_histograms`];
-//! * one keyed section per ablation of [`bullet_bench::ablation::REDUCED`]
-//!   (ABL13–19 at their reduced scale) — which keys, and which criteria
-//!   judge them, is stated by each ablation's own function;
+//! * one keyed section per `reduced` cell of the registry (ABL13–19 at
+//!   their reduced scale) — which keys, and which criteria judge them,
+//!   is stated by each ablation's own function;
 //! * `zone_frag[]` — the per-zone data-area fragmentation after a
 //!   deterministic churn.
 //!
@@ -32,19 +35,18 @@
 //! cargo run --release -p bullet-bench --bin report -- --json --check BENCH_pr2.json
 //! ```
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
 use amoeba_sim::trace::{op_histograms, size_class};
-use amoeba_sim::{HwProfile, Nanos, TraceConfig};
+use amoeba_sim::Nanos;
 use bullet_bench::ablation::{self, Outcome};
 use bullet_bench::check::{self, CheckError, Json};
-use bullet_bench::rig::{BulletRig, NfsRig};
-use bullet_bench::table::{bandwidth_kb_s, measure_bullet, measure_nfs, size_label, Claims, Row};
+use bullet_bench::rig::BulletRig;
+use bullet_bench::sweeps::{stream_rig, STREAM_SIZES};
+use bullet_bench::table::bandwidth_kb_s;
+use bullet_bench::tracebench::traced_rig;
 use bullet_core::FragReport;
 use bytes::Bytes;
-
-/// Sizes benched by `--json` (1 KB … 1 MB).
-const JSON_SIZES: [usize; 5] = [1024, 4096, 65_536, 262_144, 1 << 20];
 
 struct StreamRow {
     size: usize,
@@ -55,12 +57,8 @@ struct StreamRow {
 }
 
 fn measure_streaming() -> Vec<StreamRow> {
-    let rig = |pipeline: bool| {
-        BulletRig::with_config(2, HwProfile::amoeba_1989(), 12 << 20, |cfg| {
-            cfg.pipeline = pipeline;
-        })
-    };
-    JSON_SIZES
+    let rig = |pipeline: bool| stream_rig(pipeline, 65_536);
+    STREAM_SIZES
         .iter()
         .map(|&size| StreamRow {
             size,
@@ -89,14 +87,6 @@ struct PctRow {
 /// Repetitions per operation × size for the percentile histograms.
 const REPS: usize = 7;
 
-/// A rig with the span tracer on — identical charged time (asserted by
-/// `tests/trace.rs`), plus a span tree to derive histograms from.
-fn traced_rig() -> BulletRig {
-    BulletRig::with_config(2, HwProfile::amoeba_1989(), 12 << 20, |cfg| {
-        cfg.trace = TraceConfig::enabled(cfg.clock.clone());
-    })
-}
-
 /// Reads the `(op, size-class)` histogram accumulated on the rig's tracer
 /// since the last `clear()`.
 fn quantiles(rig: &BulletRig, op: &str, size: usize) -> Percentiles {
@@ -115,7 +105,7 @@ fn quantiles(rig: &BulletRig, op: &str, size: usize) -> Percentiles {
 /// reads, and mirrored creates per size, server-side op-span durations
 /// bucketed by `op_histograms`.
 fn measure_percentiles() -> Vec<PctRow> {
-    JSON_SIZES
+    STREAM_SIZES
         .iter()
         .map(|&size| {
             let rig = traced_rig();
@@ -202,10 +192,11 @@ fn measure_all() -> Fresh {
     eprintln!("measuring latency percentiles ({REPS} reps per op × size, traced rigs)…");
     let pcts = measure_percentiles();
     let (zones, whole) = measure_zone_frag();
-    let ablations = ablation::REDUCED
+    let ablations = ablation::REGISTRY
         .iter()
-        .map(|reduced| {
-            let outcome = reduced();
+        .filter(|experiment| experiment.reduced)
+        .map(|experiment| {
+            let outcome = (experiment.at)(ablation::Scale::Reduced);
             eprintln!("ran {} (reduced)", outcome.title);
             outcome
         })
@@ -357,14 +348,11 @@ fn gate(path: &str, fresh: &Fresh, fresh_doc: &str) -> Result<(), CheckError> {
 }
 
 /// `--json PATH` writes the baseline; `--json --check PATH` only reads it.
-fn run_json(path: &str, check: bool) -> std::io::Result<()> {
+fn run_json(path: &str, check: bool) -> Result<(), Box<dyn std::error::Error>> {
     let fresh = measure_all();
     let doc = render_json(&fresh);
     if check {
-        if let Err(e) = gate(path, &fresh, &doc) {
-            eprintln!("BENCH CHECK FAILED: {e}");
-            std::process::exit(1);
-        }
+        gate(path, &fresh, &doc)?;
         eprintln!("{path} checked (not rewritten)");
         return Ok(());
     }
@@ -373,146 +361,21 @@ fn run_json(path: &str, check: bool) -> std::io::Result<()> {
     Ok(())
 }
 
-fn table_md(out: &mut String, title: &str, col2: &str, rows: &[Row]) {
-    let _ = writeln!(out, "### {title}\n");
-    let _ = writeln!(
-        out,
-        "| File size | READ delay (ms) | {col2} delay (ms) | READ bw (KB/s) | {col2} bw (KB/s) |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "| {} | {:.1} | {:.1} | {:.1} | {:.1} |",
-            size_label(r.size),
-            r.read.as_ms_f64(),
-            r.write.as_ms_f64(),
-            r.read_bw(),
-            r.write_bw()
-        );
-    }
-    let _ = writeln!(out);
-}
-
-fn main() -> std::io::Result<()> {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--json") {
-        let check = args.iter().any(|a| a == "--check");
-        let path = args
-            .iter()
-            .find(|a| !a.starts_with("--"))
-            .map_or("BENCH_pr2.json", String::as_str);
-        return run_json(path, check);
+    if !args.iter().any(|a| a == "--json") {
+        return ablation::run_all();
     }
-    run_report()
-}
-
-fn run_report() -> std::io::Result<()> {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Regenerated evaluation report\n\n\
-         Produced by `cargo run -p bullet-bench --bin report`.  All numbers are\n\
-         deterministic simulated time on the calibrated 1989 testbed; rerunning\n\
-         reproduces this file bit-for-bit.\n"
-    );
-
-    eprintln!("measuring Fig. 2 (Bullet)…");
-    let bullet = measure_bullet(&BulletRig::paper_1989());
-    table_md(
-        &mut out,
-        "Fig. 2 — Bullet file server",
-        "CREATE+DEL",
-        &bullet,
-    );
-
-    eprintln!("measuring Fig. 3 (NFS baseline)…");
-    let nfs = measure_nfs(&NfsRig::paper_1989());
-    table_md(&mut out, "Fig. 3 — SUN NFS baseline", "CREATE", &nfs);
-
-    let claims = Claims::evaluate(&bullet, &nfs);
-    let _ = writeln!(out, "### §4 claims\n");
-    let _ = writeln!(out, "| Claim | Paper | Measured |");
-    let _ = writeln!(out, "|---|---|---|");
-    let speedups: Vec<String> = claims
-        .read_speedups
+    let check = args.iter().any(|a| a == "--check");
+    let path = args
         .iter()
-        .map(|(s, r)| format!("{} {:.1}×", size_label(*s), r))
-        .collect();
-    let _ = writeln!(
-        out,
-        "| C1 READ speedup | 3–6× all sizes | {} |",
-        speedups.join(", ")
-    );
-    let _ = writeln!(
-        out,
-        "| C2 1 MB read bandwidth ratio | ~10× | {:.1}× |",
-        claims.large_read_bw_ratio
-    );
-    let _ = writeln!(
-        out,
-        "| C3 Bullet create bw > NFS read bw | > 64 KB | at {} |",
-        claims
-            .write_beats_read_at
-            .iter()
-            .map(|&s| size_label(s))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let (rd, wd) = claims.nfs_dips_at_1mb;
-    let _ = writeln!(
-        out,
-        "| C4 NFS dips at 1 MB | both columns | read {rd}, create {wd} |"
-    );
-    let _ = writeln!(out);
-
-    eprintln!("measuring headline ablations…");
-    let _ = writeln!(out, "### Headline ablations\n");
-    let rig = BulletRig::paper_1989();
-    let warm = rig.measure_read(1 << 20);
-    let cold = rig.measure_cold_read(1 << 20);
-    let _ = writeln!(
-        out,
-        "* RAM cache (ABL1): warm 1 MB read {:.0} ms vs cold {:.0} ms ({:.1}×).",
-        warm.as_ms_f64(),
-        cold.as_ms_f64(),
-        cold.as_ns() as f64 / warm.as_ns() as f64
-    );
-    let p: Vec<String> = (0..=2)
-        .map(|pf| {
-            let rig = BulletRig::paper_1989();
-            format!(
-                "P={pf}: {:.0} ms",
-                rig.measure_create(1 << 20, pf).as_ms_f64()
-            )
-        })
-        .collect();
-    let _ = writeln!(out, "* P-FACTOR (ABL3), 1 MB create: {}.", p.join(", "));
-    let _ = writeln!(out);
-
-    // Server-side counters from the ablation rig above: the cache's
-    // hit/miss/eviction tallies and the per-lock acquisition counters
-    // introduced with the sharded locking (contended = the uncontended
-    // fast path failed and the caller had to block).
-    let _ = writeln!(out, "### Server counters (ablation rig)\n");
-    let _ = writeln!(out, "| Counter | Value |");
-    let _ = writeln!(out, "|---|---|");
-    for (k, v) in rig.server.cache_stats() {
-        let _ = writeln!(out, "| {k} | {v} |");
+        .find(|a| !a.starts_with("--"))
+        .map_or("BENCH_pr2.json", String::as_str);
+    match run_json(path, check) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("report --json failed: {e}");
+            ExitCode::FAILURE
+        }
     }
-    for (k, v) in rig.server.lock_stats() {
-        let _ = writeln!(out, "| {k} | {v} |");
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "Multi-client scaling of the sharded locks is measured separately by\n\
-         `cargo run -p bullet-bench --bin ablation_concurrency`\n\
-         (`results/ablation_concurrency.txt`)."
-    );
-
-    ablation::write_results(&[("REPORT.md", &out)])?;
-    println!("{out}");
-    eprintln!("wrote results/REPORT.md");
-    Ok(())
 }

@@ -621,6 +621,7 @@ pub fn ablation(scale: Scale, seed: Option<u64>, clients: Option<usize>) -> Outc
             ),
             ("cache_policy", Json::Object(hit_rates)),
         ],
+        report_md: String::new(),
         artifact: "ablation_evsim.txt",
         trailer: Trailer::RedCriteria,
         extras: vec![("ablation_evsim_curve.jsonl", curves)],

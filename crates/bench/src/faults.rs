@@ -175,6 +175,7 @@ pub fn ablation(scale: Scale, class: Option<FaultClass>, seed: Option<u64>) -> O
                 Json::num(cells.iter().all(CampaignOutcome::green)),
             ),
         ],
+        report_md: String::new(),
         artifact: "ablation_faults.txt",
         trailer: Trailer::GreenCells,
         extras: Vec::new(),

@@ -273,6 +273,7 @@ pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
         table: outcome_table(&matrix),
         criteria,
         json: vec![("group_commit", json)],
+        report_md: String::new(),
         artifact: "ablation_groupcommit.txt",
         trailer: Trailer::RedCriteria,
         extras: vec![("ablation_groupcommit_trace.jsonl", trace)],

@@ -12,14 +12,16 @@
 //!   the `BENCH_pr2.json` writer, baseline-key lookup that *fails loudly*
 //!   when a key is missing, and floor/ceiling comparisons with
 //!   human-readable errors.
-//! * [`ablation`] — the one harness behind ABL13–19: the outcome shape
-//!   every rig module's `ablation` function returns, the replay-twice
-//!   runner the `ablation_*` binaries call, and the list `report --json`
-//!   loops over.
+//! * [`ablation`] — the one harness behind every deterministic
+//!   experiment: the outcome shape each experiment's function returns,
+//!   the replay-twice runner the binaries call, and the registry plain
+//!   `report` regenerates `results/` from.
 //! * [`table`] — measurement loops and the delay/bandwidth table
-//!   formatting used by every `fig*`/`ablation_*` binary, plus the §4
-//!   claim checks the `comparison` binary (and the integration tests)
-//!   evaluate.
+//!   formatting behind Figs. 2–3, plus the §4 claims (C1–C4) as criteria.
+//! * [`paper`] — the paper's own evaluation: Figs. 1–3, the comparison
+//!   (CMP), and the mixed-workload macro-benchmark (MIX).
+//! * [`sweeps`] — the single-table ablations ABL1–9 and ABL11.
+//! * [`tracebench`] — the span-tracing decomposition (ABL12).
 //! * [`faults`] — the seeded fault-injection campaigns (ABL13):
 //!   mirrored-disk failure, crash-recovery, and lossy-wire soak, each a
 //!   deterministic function of its seed with an invariant checklist.
@@ -43,10 +45,8 @@
 //!   scheduler, byte-identical demotion/recall, and the hot-set p99
 //!   interference gate against an archive-less baseline.
 //!
-//! Binaries (see DESIGN.md's experiment index):
-//! `fig1_layout`, `fig2_bullet`, `fig3_nfs`, `comparison`,
-//! `ablation_cache`, `ablation_contiguity`, `ablation_pfactor`,
-//! `ablation_fragmentation`, `ablation_logserver`, `ablation_faults`.
+//! Binaries (see DESIGN.md's experiment index): `report`, one thin
+//! driver per entry of [`ablation::REGISTRY`], and `ablation_concurrency`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,11 +57,14 @@ pub mod evsim;
 pub mod faults;
 pub mod groupcommit;
 pub mod monitor;
+pub mod paper;
 pub mod rig;
 pub mod schedbench;
 pub mod shardbench;
+pub mod sweeps;
 pub mod table;
 pub mod tierbench;
+pub mod tracebench;
 pub mod workload;
 
 pub use ablation::{Invariant, Outcome, Scale};

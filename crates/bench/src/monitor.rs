@@ -292,6 +292,7 @@ pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
                 ("detection_lag_us", Json::num(o.detection_lag_us)),
             ]),
         )],
+        report_md: String::new(),
         artifact: "ablation_monitor.txt",
         trailer: Trailer::RedCriteria,
         extras: vec![

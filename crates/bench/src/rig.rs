@@ -192,18 +192,19 @@ impl BulletRig {
     }
 
     /// Measures "a create and a delete operation together … the file is
-    /// written to both disks" (§4).
+    /// written to both disks" (§4) — to every disk of the rig.
     ///
     /// # Panics
     ///
     /// Panics if the operations fail.
     pub fn measure_create_delete(&self, size: usize) -> Nanos {
+        let p_factor = self.disks.len() as u32;
         // Warm the locate cache.
-        let warm = self.client.create(Bytes::new(), 2).expect("warm-up");
+        let warm = self.client.create(Bytes::new(), p_factor).expect("warm-up");
         self.client.delete(&warm).expect("warm-up delete");
         let data = Bytes::from(vec![0x5a; size]);
         let t0 = self.clock.now();
-        let cap = self.client.create(data, 2).expect("measured create");
+        let cap = self.client.create(data, p_factor).expect("measured create");
         self.client.delete(&cap).expect("measured delete");
         self.clock.now() - t0
     }

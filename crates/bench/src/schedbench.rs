@@ -450,6 +450,7 @@ pub fn ablation(seed: Option<u64>) -> Outcome {
         ),
         criteria,
         json: vec![("scheduler", Json::Object(members))],
+        report_md: String::new(),
         artifact: "ablation_scheduler.txt",
         trailer: Trailer::RedCriteria,
         extras: vec![("ablation_scheduler_queue.jsonl", trace)],

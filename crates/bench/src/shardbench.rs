@@ -481,6 +481,7 @@ pub fn ablation(scale: Scale, shards: Option<u32>) -> Outcome {
             })
             .collect(),
         json,
+        report_md: String::new(),
         artifact: "ablation_shard.txt",
         trailer: Trailer::GreenCells,
         extras: Vec::new(),

@@ -385,6 +385,7 @@ pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
         table: outcome_table(&matrix),
         criteria,
         json: vec![("tiering", json)],
+        report_md: String::new(),
         artifact: "ablation_tiering.txt",
         trailer: Trailer::RedCriteria,
         extras: Vec::new(),
@@ -491,6 +492,7 @@ fn soak(seed: u64) -> Outcome {
             ),
         ],
         json: Vec::new(),
+        report_md: String::new(),
         artifact: "ablation_tiering_soak.txt",
         trailer: Trailer::RedCriteriaOnly,
         extras: Vec::new(),

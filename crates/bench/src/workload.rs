@@ -101,6 +101,36 @@ impl WorkloadMix {
             WorkloadOp::Delete(self.rng.next_u64())
         }
     }
+
+    /// Draws `ops` operations and applies them to `files`, the handles of
+    /// the files that exist: a create's handle joins the set (`None`: the
+    /// server refused it), a read sees the set and its draw (the plain
+    /// choice is [`nth`]), a delete is handed its victim, already taken
+    /// out.  Reads and deletes are skipped while nothing exists.
+    pub fn drive<H>(
+        &mut self,
+        ops: usize,
+        files: &mut Vec<H>,
+        mut create: impl FnMut(u64) -> Option<H>,
+        mut read: impl FnMut(&[H], u64),
+        mut delete: impl FnMut(H),
+    ) {
+        for _ in 0..ops {
+            match self.next_op() {
+                WorkloadOp::Create(size) => files.extend(create(size)),
+                WorkloadOp::Read(n) if !files.is_empty() => read(files, n),
+                WorkloadOp::Delete(n) if !files.is_empty() => {
+                    delete(files.swap_remove((n % files.len() as u64) as usize));
+                }
+                WorkloadOp::Read(_) | WorkloadOp::Delete(_) => {}
+            }
+        }
+    }
+}
+
+/// The `n`th (mod the count) of the files that exist.
+pub fn nth<H: Copy>(files: &[H], n: u64) -> H {
+    files[(n % files.len() as u64) as usize]
 }
 
 /// A Zipf (power-law) rank sampler: rank `k` (0-based) is drawn with

@@ -1,12 +1,16 @@
-//! The ablation harness: the replay-twice runner judged on a fake
-//! ablation, the seven real ablations' declared keys against the
+//! The experiment harness: the replay-twice runner and plain `report`'s
+//! regenerate-everything loop judged on a fake ablation, every registered
+//! experiment green at tier-1 scale, the registry against `results/` and
+//! `src/bin/`, the seven scaled ablations' declared keys against the
 //! committed `BENCH_pr2.json`, and `report --json --check` being
 //! read-only.
 
 use std::collections::BTreeSet;
+use std::path::Path;
 use std::process::Command;
+use std::sync::OnceLock;
 
-use bullet_bench::ablation::{judge, Invariant, Outcome, Trailer, REDUCED};
+use bullet_bench::ablation::{judge, regenerate, Invariant, Outcome, Scale, Trailer, REGISTRY};
 use bullet_bench::check::{json_lookup_section, Json};
 
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr2.json");
@@ -24,6 +28,7 @@ fn fake(table: &str, second_criterion_passes: bool) -> Outcome {
             ),
         ],
         json: Vec::new(),
+        report_md: "### fake section\n\n".to_string(),
         artifact: "ablation_fake.txt",
         trailer: Trailer::RedCriteria,
         extras: vec![("ablation_fake_trace.jsonl", "{}\n".to_string())],
@@ -77,6 +82,57 @@ fn a_red_criterion_fails_is_named_and_counted_in_the_trailer() {
         "{}",
         verdict.files[0].1
     );
+}
+
+#[test]
+fn regenerating_everything_fails_when_any_one_outcome_is_red_or_diverges() {
+    type Experiment = Box<dyn FnMut() -> Outcome>;
+    let green = || Box::new(|| fake("  row\n", true)) as Experiment;
+    let all_green = regenerate([green(), green()]);
+    assert!(all_green.failures.is_empty(), "{:?}", all_green.failures);
+    let (name, report) = all_green.files.last().expect("REPORT.md comes last");
+    assert_eq!(*name, "REPORT.md");
+    assert_eq!(
+        all_green.files.len(),
+        5,
+        "two files per fake, plus REPORT.md"
+    );
+    assert_eq!(report.matches("### fake section\n").count(), 2, "{report}");
+    assert_eq!(
+        report
+            .matches(
+                "| `ablation_fake.txt` | ABL99 fake ablation (seed 1) | 2 of 2 | byte-identical |\n"
+            )
+            .count(),
+        2,
+        "{report}"
+    );
+
+    let one_red = regenerate([green(), Box::new(|| fake("  row\n", false)), green()]);
+    assert_eq!(
+        one_red.failures,
+        ["ABL99 FAILED: the second thing holds (measured 7)"]
+    );
+    assert!(one_red
+        .files
+        .last()
+        .expect("REPORT.md")
+        .1
+        .contains("| 1 of 2 |"));
+
+    let mut tables = ["  row 1\n", "  row 2\n"].into_iter();
+    let diverging = Box::new(move || fake(tables.next().expect("two runs"), true));
+    let one_diverged = regenerate([green(), diverging]);
+    assert_eq!(
+        one_diverged.failures,
+        ["ABL99 FAILED: replay diverged from the first run"]
+    );
+    assert!(one_diverged
+        .files
+        .last()
+        .expect("REPORT.md")
+        .1
+        .contains("| DIVERGED |"));
 }
 
 #[test]
@@ -134,12 +190,30 @@ fn baseline_section_keys(doc: &str) -> BTreeSet<(String, String)> {
     keys
 }
 
+/// One outcome per registry entry, at the scale tier-1 affords: the
+/// reduced cell where there is one (ABL16/17 at full scale take 20 s in
+/// release), the committed scale otherwise.
+fn tier1_outcomes() -> &'static [Outcome] {
+    static OUTCOMES: OnceLock<Vec<Outcome>> = OnceLock::new();
+    OUTCOMES.get_or_init(|| {
+        REGISTRY
+            .iter()
+            .map(|e| {
+                (e.at)(if e.reduced {
+                    Scale::Reduced
+                } else {
+                    e.committed
+                })
+            })
+            .collect()
+    })
+}
+
 #[test]
 fn every_reduced_ablation_is_green_and_the_baseline_carries_exactly_the_declared_keys() {
     let doc = std::fs::read_to_string(BASELINE).expect("the committed baseline is readable");
     let mut declared = BTreeSet::new();
-    for reduced in REDUCED {
-        let outcome = reduced();
+    for outcome in tier1_outcomes() {
         for c in &outcome.criteria {
             assert!(c.pass, "{}: {} ({})", outcome.title, c.name, c.detail);
         }
@@ -164,6 +238,70 @@ fn every_reduced_ablation_is_green_and_the_baseline_carries_exactly_the_declared
         declared,
         "baseline sections (left) vs keys the ablations declare (right)"
     );
+}
+
+/// Files under `results/` no registry entry writes, and why.
+const NOT_IN_THE_REGISTRY: &[(&str, &str)] = &[
+    (
+        "ablation_concurrency.txt",
+        "ABL10 is threaded and not bit-exact; CI's scaling-proof job gates it",
+    ),
+    (
+        "REPORT.md",
+        "written by `report` itself, from every outcome",
+    ),
+];
+
+fn file_names(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("dir entry").file_name())
+        .map(|name| name.into_string().expect("UTF-8 file name"))
+        .collect()
+}
+
+#[test]
+fn the_registry_results_and_the_bins_name_each_other_exactly() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+
+    // Every artifact is declared by exactly one experiment …
+    let mut declared = BTreeSet::new();
+    for outcome in tier1_outcomes() {
+        let extras = outcome.extras.iter().map(|(name, _)| *name);
+        for name in std::iter::once(outcome.artifact).chain(extras) {
+            assert!(declared.insert(name.to_string()), "{name} is written twice");
+        }
+    }
+    // … every file under results/ is one of them (or excused by name) …
+    let mut expected = declared.clone();
+    expected.extend(NOT_IN_THE_REGISTRY.iter().map(|(name, _)| name.to_string()));
+    let on_disk = file_names(&root.join("../../results"));
+    let strays: Vec<_> = on_disk.difference(&expected).collect();
+    assert!(strays.is_empty(), "no experiment writes results/{strays:?}");
+    // … and a declared artifact is absent only if git ignores it.
+    let ignored = std::fs::read_to_string(root.join("../../.gitignore")).expect(".gitignore");
+    for missing in expected.difference(&on_disk) {
+        assert!(
+            ignored.lines().any(|l| l == format!("results/{missing}")),
+            "results/{missing} is neither committed nor ignored"
+        );
+    }
+
+    // Every bin but `report` and ABL10 is a registered experiment's thin
+    // driver: no printing or exiting of its own.
+    let registered: BTreeSet<String> = REGISTRY.iter().map(|e| format!("{}.rs", e.bin)).collect();
+    let mut bins = file_names(&root.join("src/bin"));
+    assert!(bins.remove("report.rs") && bins.remove("ablation_concurrency.rs"));
+    assert_eq!(bins, registered, "src/bin (left) vs the registry (right)");
+    for bin in &bins {
+        let src = std::fs::read_to_string(root.join("src/bin").join(bin)).expect("bin source");
+        for banned in ["process::exit", "println!"] {
+            assert!(
+                !src.contains(banned),
+                "{bin} has its own {banned}: that is ablation::run's job"
+            );
+        }
+    }
 }
 
 #[test]

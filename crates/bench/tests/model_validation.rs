@@ -94,6 +94,11 @@ fn claims_evaluator_on_synthetic_tables() {
     // big files; NFS read bandwidth at 64 KB = 64/(256 ms) = 250 KB/s →
     // the crossover set is computed, not asserted here beyond sanity.
     assert!(claims.write_beats_read_at.iter().all(|s| SIZES.contains(s)));
+    // As criteria: C1 and C2 hold by construction, and C4 is red — the
+    // synthetic NFS create column does not dip at 1 MB.
+    let criteria = claims.criteria();
+    assert!(criteria[0].pass && criteria[1].pass, "{criteria:?}");
+    assert!(criteria[3].name.starts_with("C4") && !criteria[3].pass);
 }
 
 #[test]

@@ -30,7 +30,7 @@ pub mod nfs_commands {
 
 /// An NFS file handle: inode number + generation (stale handles are
 /// detected by generation mismatch, like real NFS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FileHandle {
     /// Inode number.
     pub ino: u32,
@@ -74,7 +74,7 @@ impl FileHandle {
 /// * large transfers fragmented 8 KB UDP datagrams onto a loaded
 ///   Ethernet; fragment loss cost a full `timeo` retransmission timeout,
 ///   the classic NFS large-file pathology.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NfsProfile {
     /// Fixed server CPU per NFS operation (µs).
     pub op_overhead_us: f64,

@@ -33,7 +33,7 @@ pub const CAP_WIRE_LEN: usize = 16;
 /// assert_eq!(Capability::from_wire(&wire)?, cap);
 /// # Ok::<(), amoeba_cap::CapError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capability {
     /// The service that manages the object.
     pub port: Port,

@@ -69,9 +69,7 @@ pub use rights::Rights;
 ///
 /// Object number 0 is reserved (inode 0 is the disk descriptor), but the type
 /// itself permits it so that servers can use it for administrative objects.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjNum(u32);
 
 impl ObjNum {

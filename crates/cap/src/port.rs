@@ -16,19 +16,7 @@ use rand::Rng;
 /// let p = Port::from_bytes([0xde, 0xad, 0xbe, 0xef, 0x00, 0x01]);
 /// assert_eq!(p.to_string(), "de:ad:be:ef:00:01");
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Port([u8; 6]);
 
 impl Port {

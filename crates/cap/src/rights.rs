@@ -17,9 +17,7 @@
 /// assert!(!r.contains(Rights::MODIFY));
 /// assert!(Rights::ALL.contains(r));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rights(u8);
 
 impl Rights {

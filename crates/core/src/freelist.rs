@@ -28,7 +28,7 @@ pub struct Move {
 }
 
 /// Fragmentation snapshot of an allocator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FragReport {
     /// Units managed in total.
     pub total: u64,

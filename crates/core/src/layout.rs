@@ -23,7 +23,7 @@ pub const INODE_SIZE: usize = 16;
 
 /// The disk descriptor stored in inode slot 0: "three 4 byte integers"
 /// (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskDescriptor {
     /// The physical sector size used by the disk hardware.
     pub block_size: u32,
@@ -34,6 +34,48 @@ pub struct DiskDescriptor {
 }
 
 impl DiskDescriptor {
+    /// The geometry a device of `total_blocks` blocks of `block_size`
+    /// bytes is formatted with so that its inode table holds at least
+    /// `min_inodes` slots: every check `InodeTable::format` makes, callable
+    /// before any device exists.
+    ///
+    /// # Errors
+    ///
+    /// [`BulletError::Corrupt`] if the block size is not a positive
+    /// multiple of [`INODE_SIZE`] (the table is read back as a flat array
+    /// of inodes, so a block may carry no slack), or the device cannot
+    /// hold the table plus at least one data block.
+    pub fn plan(
+        block_size: u32,
+        total_blocks: u64,
+        min_inodes: u32,
+    ) -> Result<DiskDescriptor, BulletError> {
+        if block_size == 0 || !(block_size as usize).is_multiple_of(INODE_SIZE) {
+            return Err(BulletError::Corrupt(format!(
+                "block size {block_size} is not a positive multiple of the {INODE_SIZE}-byte inode"
+            )));
+        }
+        let per_block = (block_size as usize / INODE_SIZE) as u64;
+        // +1 for the descriptor in slot 0 (in 64 bits: `min_inodes` may
+        // be `u32::MAX`).
+        let control = (min_inodes as u64 + 1).div_ceil(per_block);
+        let control_blocks = u32::try_from(control)
+            .ok()
+            .filter(|_| total_blocks > control)
+            .ok_or_else(|| {
+                BulletError::Corrupt(format!(
+                    "device of {total_blocks} blocks cannot hold {control} control blocks plus data"
+                ))
+            })?;
+        Ok(DiskDescriptor {
+            block_size,
+            control_blocks,
+            data_blocks: (total_blocks - control)
+                .try_into()
+                .map_err(|_| BulletError::Corrupt("data area exceeds 32-bit blocks".into()))?,
+        })
+    }
+
     /// Serializes into an inode slot (the remaining 4 bytes hold a magic
     /// number so start-up can reject a foreign disk).
     pub fn encode(&self) -> [u8; INODE_SIZE] {
@@ -151,7 +193,7 @@ pub enum Residency {
 ///
 /// A zero-filled inode is *unused* — deletion zeroes the inode and writes
 /// it back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Inode {
     /// "A 6-byte random number that is used for access protection.  It is
     /// essentially the key used to decrypt capabilities."  Only the low 48

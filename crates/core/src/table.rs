@@ -53,33 +53,12 @@ impl InodeTable {
     ///
     /// # Errors
     ///
-    /// Disk errors, or [`BulletError::Corrupt`] if the device is too small
-    /// to hold the table plus at least one data block.
+    /// Disk errors, or [`BulletError::Corrupt`] if
+    /// [`DiskDescriptor::plan`] rejects the geometry.
     pub fn format(dev: &dyn BlockDevice, min_inodes: u32) -> Result<InodeTable, BulletError> {
-        let block_size = dev.block_size();
-        let per_block = block_size / INODE_SIZE as u32;
-        if per_block == 0 {
-            return Err(BulletError::Corrupt(format!(
-                "block size {block_size} cannot hold a {INODE_SIZE}-byte inode"
-            )));
-        }
-        // +1 for the descriptor in slot 0.
-        let control_blocks = (min_inodes + 1).div_ceil(per_block).max(1);
-        let total = dev.num_blocks();
-        if total <= control_blocks as u64 {
-            return Err(BulletError::Corrupt(format!(
-                "device of {total} blocks cannot hold {control_blocks} control blocks plus data"
-            )));
-        }
-        let desc = DiskDescriptor {
-            block_size,
-            control_blocks,
-            data_blocks: (total - control_blocks as u64)
-                .try_into()
-                .map_err(|_| BulletError::Corrupt("data area exceeds 32-bit blocks".into()))?,
-        };
+        let desc = DiskDescriptor::plan(dev.block_size(), dev.num_blocks(), min_inodes)?;
         let table = InodeTable::fresh(desc);
-        for b in 0..control_blocks as u64 {
+        for b in 0..desc.control_blocks as u64 {
             dev.write_blocks(b, &table.block_image(b))?;
         }
         dev.sync()?;
@@ -124,6 +103,13 @@ impl InodeTable {
         archive_blocks: u64,
     ) -> Result<LoadReport, BulletError> {
         let bs = dev.block_size() as usize;
+        // Inode `i` is read at flat offset `i * INODE_SIZE` below, which
+        // is where `block_image` put it only if no block has slack.
+        if bs == 0 || !bs.is_multiple_of(INODE_SIZE) {
+            return Err(BulletError::Corrupt(format!(
+                "device block size {bs} is not a positive multiple of the {INODE_SIZE}-byte inode"
+            )));
+        }
         let mut block0 = vec![0u8; bs];
         dev.read_blocks(0, &mut block0)?;
         let desc = DiskDescriptor::decode(
@@ -401,6 +387,47 @@ mod tests {
         assert!(InodeTable::format(&d, 100).is_err());
         let d2 = RamDisk::new(8, 16); // block too small for an inode
         assert!(InodeTable::format(&d2, 4).is_err());
+    }
+
+    #[test]
+    fn a_block_size_with_slack_after_its_inodes_is_rejected_both_ways() {
+        // 24-byte blocks pack one inode plus 8 bytes of slack, but the
+        // table is read back flat: inode 1 would land across the slack.
+        let d = RamDisk::new(24, 64);
+        for result in [
+            InodeTable::format(&d, 4).map(drop),
+            InodeTable::load(&d, RepairPolicy::Fail).map(drop),
+        ] {
+            let err = result.unwrap_err().to_string();
+            assert!(err.contains("block size 24"), "{err}");
+        }
+        // Every accepted size round-trips an inode through the image.
+        for block_size in [16, 32, 48, 512] {
+            let d = RamDisk::new(block_size, 64);
+            let mut t = InodeTable::format(&d, 4).unwrap();
+            let inode = Inode {
+                random: 0xabcdef,
+                index: 0,
+                start_block: t.descriptor().data_start() as u32,
+                size_bytes: 100,
+            };
+            let idx = t.alloc(inode).unwrap();
+            d.write_blocks(t.block_of(idx), &t.block_image(t.block_of(idx)))
+                .unwrap();
+            let back = InodeTable::load(&d, RepairPolicy::Fail).unwrap().table;
+            assert_eq!(back.get(idx).unwrap(), t.get(idx).unwrap());
+        }
+    }
+
+    #[test]
+    fn an_inode_count_that_overflows_32_bits_is_a_clean_error() {
+        let err = InodeTable::format(&dev(), u32::MAX)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("cannot hold 134217728 control blocks"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -33,13 +33,16 @@ impl FileDisk {
         num_blocks: u64,
     ) -> Result<FileDisk, DiskError> {
         assert!(block_size > 0, "block size must be positive");
+        let len = num_blocks
+            .checked_mul(block_size as u64)
+            .ok_or_else(|| DiskError::Io("disk size overflows 64 bits".into()))?;
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        file.set_len(num_blocks * block_size as u64)?;
+        file.set_len(len)?;
         Ok(FileDisk {
             block_size,
             num_blocks,

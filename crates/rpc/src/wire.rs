@@ -4,7 +4,7 @@ use amoeba_cap::{Capability, CAP_WIRE_LEN};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Standard status codes, modelled on Amoeba's `STD_*` error space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Status {
     /// The operation succeeded.

@@ -16,19 +16,7 @@ use std::sync::Arc;
 /// One type serves both roles (an instant is a duration since simulation
 /// start), mirroring how the harness uses it: subtract two clock readings
 /// to get the simulated latency of an operation.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(pub u64);
 
 impl Nanos {

@@ -25,7 +25,7 @@
 use crate::clock::Nanos;
 
 /// Network cost model: a 10 Mbit/s Ethernet driven by slow host CPUs.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetProfile {
     /// Fixed one-way cost of any message: driver, interrupt, protocol
     /// processing on a 16.7 MHz CPU (µs).
@@ -82,7 +82,7 @@ impl NetProfile {
 }
 
 /// CPU cost model for the 16.7 MHz MC68020.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CpuProfile {
     /// Cost of copying one byte in RAM (µs); ≈ 4 MB/s on a 68020.
     pub memcpy_us_per_byte: f64,
@@ -112,7 +112,7 @@ impl CpuProfile {
 }
 
 /// Disk cost model for a late-80s 800 MB SCSI winchester.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DiskProfile {
     /// Controller + command overhead per operation (µs).
     pub per_op_us: f64,
@@ -174,7 +174,7 @@ impl DiskProfile {
 }
 
 /// The complete cost profile of the paper's testbed.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HwProfile {
     /// Network costs.
     pub net: NetProfile,

@@ -21,7 +21,7 @@ use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use amoeba_bullet::bullet::{BulletConfig, BulletServer};
+use amoeba_bullet::bullet::{BulletConfig, BulletError, BulletServer, DiskDescriptor};
 use amoeba_bullet::cap::Capability;
 use amoeba_bullet::disk::{BlockDevice, FileDisk, MirroredDisk};
 use bytes::Bytes;
@@ -53,8 +53,8 @@ fn probe_geometry(path: &str) -> Result<(u32, u64), String> {
     let mut head = [0u8; 16];
     file.read_exact(&mut head)
         .map_err(|e| format!("{path}: {e}"))?;
-    let desc = amoeba_bullet::bullet::DiskDescriptor::decode(&head)
-        .map_err(|e| format!("{path}: not a bullet image: {e}"))?;
+    let desc =
+        DiskDescriptor::decode(&head).map_err(|e| format!("{path}: not a bullet image: {e}"))?;
     Ok((desc.block_size, desc.data_end()))
 }
 
@@ -75,6 +75,33 @@ fn server_on(images: &[String]) -> Result<BulletServer, String> {
     cfg.block_size = storage.block_size();
     cfg.disk_blocks = storage.num_blocks();
     BulletServer::recover(cfg, storage).map_err(|e| e.to_string())
+}
+
+/// Creates the image files and formats them as one mirrored server;
+/// returns the inode slots the table actually holds.
+fn format_images(
+    images: &[String],
+    block_size: u32,
+    blocks: u64,
+    inodes: u32,
+) -> Result<u32, String> {
+    let replicas: Vec<Arc<dyn BlockDevice>> = images
+        .iter()
+        .map(|path| {
+            FileDisk::create(path, block_size, blocks)
+                .map(|d| Arc::new(d) as Arc<dyn BlockDevice>)
+                .map_err(|e| format!("{path}: {e}"))
+        })
+        .collect::<Result<_, _>>()?;
+    let mut cfg = BulletConfig::small_test();
+    cfg.block_size = block_size;
+    cfg.disk_blocks = blocks;
+    cfg.min_inodes = inodes;
+    let server =
+        BulletServer::format_on(cfg, MirroredDisk::new(replicas).map_err(|e| e.to_string())?)
+            .map_err(|e| e.to_string())?;
+    server.sync().map_err(|e| e.to_string())?;
+    Ok(server.describe_layout().0.inode_slots())
 }
 
 fn parse_cap(hex: &str) -> Result<Capability, String> {
@@ -116,40 +143,37 @@ fn run() -> Result<(), String> {
                     "--blocks" => blocks = value.parse().map_err(|e| format!("--blocks: {e}"))?,
                     "--block-size" => {
                         block_size = value.parse().map_err(|e| format!("--block-size: {e}"))?;
-                        // `FileDisk::create` asserts this; an operator's
-                        // typo must not reach a panic.
-                        if block_size == 0 {
-                            return Err("--block-size: must be positive".into());
-                        }
                     }
                     "--inodes" => inodes = value.parse().map_err(|e| format!("--inodes: {e}"))?,
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
-            let replicas: Vec<Arc<dyn BlockDevice>> = images
+            // The geometry is judged before any file exists (an operator's
+            // typo must reach neither `FileDisk::create`'s assertion nor a
+            // terabyte `set_len`), and whatever still fails afterwards
+            // leaves behind no image this invocation created.
+            DiskDescriptor::plan(block_size, blocks, inodes).map_err(|e| {
+                let why = match e {
+                    BulletError::Corrupt(why) => why,
+                    other => other.to_string(),
+                };
+                format!("--block-size {block_size} --blocks {blocks} --inodes {inodes}: {why}")
+            })?;
+            let created: Vec<&String> = images
                 .iter()
-                .map(|path| {
-                    FileDisk::create(path, block_size, blocks)
-                        .map(|d| Arc::new(d) as Arc<dyn BlockDevice>)
-                        .map_err(|e| format!("{path}: {e}"))
-                })
-                .collect::<Result<_, _>>()?;
-            let mut cfg = BulletConfig::small_test();
-            cfg.block_size = block_size;
-            cfg.disk_blocks = blocks;
-            cfg.min_inodes = inodes;
-            let server = BulletServer::format_on(
-                cfg,
-                MirroredDisk::new(replicas).map_err(|e| e.to_string())?,
-            )
-            .map_err(|e| e.to_string())?;
-            server.sync().map_err(|e| e.to_string())?;
+                .filter(|path| !std::path::Path::new(path).exists())
+                .collect();
+            let slots = format_images(&images, block_size, blocks, inodes).inspect_err(|_| {
+                for path in created {
+                    let _ = std::fs::remove_file(path);
+                }
+            })?;
             println!(
                 "formatted {} replica(s): {} blocks of {} bytes, {} inodes",
                 images.len(),
                 blocks,
                 block_size,
-                inodes
+                slots
             );
             Ok(())
         }

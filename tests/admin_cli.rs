@@ -122,12 +122,74 @@ fn bad_usage_reports_errors() {
     assert!(!out.status.success());
     let out = admin(&["bogus", "x.img"], &dir);
     assert!(!out.status.success());
-    // A zero block size is a usage error, rejected before any image is
-    // created (`FileDisk::create` would assert on it).
-    let out = admin(&["format", "zero.img", "--block-size", "0"], &dir);
+    // A geometry no server can be formatted with is a usage error,
+    // rejected before any image is created: `FileDisk::create` would
+    // assert on a zero block size, spin on a 4 GB one, and size a 2.5 TB
+    // sparse file for five billion blocks.
+    for geometry in [
+        ["--block-size", "0"],
+        ["--block-size", "24"],
+        ["--block-size", "4294967295"],
+        ["--blocks", "1"],
+        ["--blocks", "5000000000"],
+        ["--inodes", "4294967295"],
+    ] {
+        let out = admin(&["format", "bad.img", geometry[0], geometry[1]], &dir);
+        assert_eq!(out.status.code(), Some(1), "{geometry:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("bullet-admin: --block-size"), "{stderr}");
+        assert!(!dir.join("bad.img").exists(), "{geometry:?} left an image");
+    }
+    // A format that fails later removes the images it had already made.
+    let out = admin(&["format", "first.img", "no-such-dir/second.img"], &dir);
     assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.starts_with("bullet-admin: --block-size"), "{stderr}");
-    assert!(!dir.join("zero.img").exists());
+    assert!(!dir.join("first.img").exists());
+    // The success line reports the table as formatted, not as requested.
+    let out = admin(&["format", "ok.img", "--inodes", "0"], &dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.ends_with(", 32 inodes\n"),
+        "{stdout}"
+    );
+    let out = admin(&["info", "ok.img"], &dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("(32 slots)"), "{stdout}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn every_block_size_format_accepts_round_trips_a_file() {
+    let dir = workdir("block-sizes");
+    std::fs::write(
+        dir.join("f.txt"),
+        b"forty-two bytes of operator data, exactly.",
+    )
+    .expect("host file");
+    let mut accepted = Vec::new();
+    for block_size in ["16", "24", "48", "100", "512", "1040"] {
+        let out = admin(&["format", "a.img", "--block-size", block_size], &dir);
+        if !out.status.success() {
+            // 24- and 100-byte blocks would leave slack after their
+            // inodes, which the flat table read-back cannot skip.
+            assert_eq!(out.status.code(), Some(1), "{block_size}");
+            assert!(!dir.join("a.img").exists(), "{block_size} left an image");
+            continue;
+        }
+        accepted.push(block_size);
+        let out = admin(&["store", "a.img", "f.txt"], &dir);
+        assert!(out.status.success(), "store at {block_size}");
+        let cap = String::from_utf8(out.stdout).expect("utf8");
+        let out = admin(&["ls", "a.img"], &dir);
+        let listing = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && listing.contains(cap.trim()),
+            "ls at {block_size}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let out = admin(&["cat", "a.img", cap.trim()], &dir);
+        assert_eq!(out.stdout, b"forty-two bytes of operator data, exactly.");
+        std::fs::remove_file(dir.join("a.img")).expect("next size starts clean");
+    }
+    assert_eq!(accepted, ["16", "48", "512", "1040"]);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
