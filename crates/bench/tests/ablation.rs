@@ -250,6 +250,10 @@ const NOT_IN_THE_REGISTRY: &[(&str, &str)] = &[
         "REPORT.md",
         "written by `report` itself, from every outcome",
     ),
+    (
+        "bench",
+        "wall-clock trajectories written by scripts/bench_pairs.sh, one pair of files per perf PR",
+    ),
 ];
 
 fn file_names(dir: &Path) -> BTreeSet<String> {

@@ -2552,9 +2552,7 @@ impl BulletServer {
         if cap.port != self.cfg.port {
             return Err(BulletError::CapBad);
         }
-        let inode = table.get(cap.object.value())?;
-        self.scheme.check_rights(cap, inode.random, needed)?;
-        Ok(inode)
+        table.get_verified(cap, needed, self.scheme.as_ref())
     }
 
     /// The effective streaming segment: the configured size clamped to a

@@ -5,6 +5,9 @@
 //! written through by rewriting the whole disk block containing the inode
 //! — exactly what the server does on create and delete.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use amoeba_cap::{Capability, CheckScheme, Rights};
 use amoeba_disk::BlockDevice;
 
 use crate::layout::{DiskDescriptor, Inode, INODE_SIZE};
@@ -31,10 +34,14 @@ pub struct LoadReport {
 }
 
 /// The complete inode table, resident in RAM.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct InodeTable {
     desc: DiskDescriptor,
     inodes: Vec<Inode>,
+    /// One word per slot: the `(rights, check)` pair that
+    /// [`CheckScheme::verify`] last accepted against the inode now in that
+    /// slot, or zero.  See [`get_verified`](Self::get_verified).
+    memo: Vec<AtomicU64>,
     free: Vec<u32>,
     /// When set to `(index, count)`, this table belongs to shard `index`
     /// of a `count`-wide shard set: only object numbers whose
@@ -46,7 +53,46 @@ pub struct InodeTable {
     stripe: Option<(u32, u32)>,
 }
 
+/// A clone remembers no verified capability.
+impl Clone for InodeTable {
+    fn clone(&self) -> InodeTable {
+        InodeTable::assemble(
+            self.desc,
+            self.inodes.clone(),
+            self.free.clone(),
+            self.stripe,
+        )
+    }
+}
+
+/// Set in every non-empty memo word, so that a genuine capability with
+/// no rights and a zero check field still differs from "nothing verified".
+const MEMO_VALID: u64 = 1 << 56;
+
+/// The memo word for `cap`: valid bit, 8 rights bits, 48 check bits.  A
+/// check field wider than 48 bits has no word — it can never verify, and
+/// packing it would alias a genuine capability's word.
+fn memo_word(cap: &Capability) -> Option<u64> {
+    (cap.check >> 48 == 0).then(|| MEMO_VALID | (cap.rights.bits() as u64) << 48 | cap.check)
+}
+
 impl InodeTable {
+    /// A table over `inodes` with nothing verified yet.
+    fn assemble(
+        desc: DiskDescriptor,
+        inodes: Vec<Inode>,
+        free: Vec<u32>,
+        stripe: Option<(u32, u32)>,
+    ) -> InodeTable {
+        InodeTable {
+            desc,
+            memo: inodes.iter().map(|_| AtomicU64::new(0)).collect(),
+            inodes,
+            free,
+            stripe,
+        }
+    }
+
     /// Formats `dev` with an empty Bullet layout: a disk descriptor sized
     /// so the inode table holds at least `min_inodes` slots, zeroed
     /// inodes, and all remaining blocks as the data area.
@@ -67,13 +113,13 @@ impl InodeTable {
 
     fn fresh(desc: DiskDescriptor) -> InodeTable {
         let slots = desc.inode_slots();
-        InodeTable {
+        InodeTable::assemble(
             desc,
-            inodes: vec![Inode::default(); slots as usize],
+            vec![Inode::default(); slots as usize],
             // Descending so that low object numbers are handed out first.
-            free: (1..slots).rev().collect(),
-            stripe: None,
-        }
+            (1..slots).rev().collect(),
+            None,
+        )
     }
 
     /// Reads the complete inode table from a formatted device, performing
@@ -170,12 +216,7 @@ impl InodeTable {
             .filter(|&i| inodes[i as usize].is_free())
             .collect();
         Ok(LoadReport {
-            table: InodeTable {
-                desc,
-                inodes,
-                free,
-                stripe: None,
-            },
+            table: InodeTable::assemble(desc, inodes, free, None),
             repaired,
         })
     }
@@ -229,7 +270,7 @@ impl InodeTable {
     pub fn alloc(&mut self, inode: Inode) -> Result<u32, BulletError> {
         debug_assert!(!inode.is_free(), "allocating a zero inode");
         let idx = self.free.pop().ok_or(BulletError::NoInodes)?;
-        self.inodes[idx as usize] = inode;
+        *self.slot_mut(idx) = inode;
         Ok(idx)
     }
 
@@ -251,7 +292,7 @@ impl InodeTable {
                 )))
             }
         }
-        self.inodes[idx as usize] = inode;
+        *self.slot_mut(idx) = inode;
         self.free.retain(|&f| f != idx);
         Ok(())
     }
@@ -274,9 +315,61 @@ impl InodeTable {
     ///
     /// [`BulletError::NotFound`] as for [`get`](Self::get).
     pub fn get_mut(&mut self, idx: u32) -> Result<&mut Inode, BulletError> {
-        match self.inodes.get_mut(idx as usize) {
-            Some(inode) if idx != 0 && !inode.is_free() => Ok(inode),
-            _ => Err(BulletError::NotFound),
+        self.get(idx)?;
+        Ok(self.slot_mut(idx))
+    }
+
+    /// The one way to write slot `idx`: whatever capability was verified
+    /// against the old contents is forgotten first.
+    fn slot_mut(&mut self, idx: u32) -> &mut Inode {
+        *self.memo[idx as usize].get_mut() = 0;
+        &mut self.inodes[idx as usize]
+    }
+
+    /// Looks up the live inode `cap` names and checks the capability
+    /// against it: exactly [`get`](Self::get) followed by
+    /// [`CheckScheme::check_rights`], except that a `(rights, check)` pair
+    /// `scheme.verify` has already accepted for this slot's current inode
+    /// is not put through the cipher again.
+    ///
+    /// A file's random number cannot change between create and delete, so
+    /// neither can `verify`'s answer for a given pair.  The slot's memo
+    /// word holds the one pair last accepted; every `&mut self` write to
+    /// the slot zeroes it (`slot_mut`), and readers fill it only while
+    /// they hold the table shared, when no such write can run.  A hit is
+    /// therefore the answer the full check would give at that instant.
+    /// The pair is one word so that concurrent readers filling it with
+    /// different capabilities can never leave the rights of one beside
+    /// the check field of another; it publishes nothing else, so the
+    /// accesses are `Relaxed`.
+    ///
+    /// Every call against one table must pass the same `scheme`.
+    ///
+    /// # Errors
+    ///
+    /// [`BulletError::NotFound`] as for [`get`](Self::get), then
+    /// [`BulletError::CapBad`] for a check field the scheme rejects, then
+    /// [`BulletError::Denied`] for a genuine capability without `needed`.
+    pub fn get_verified(
+        &self,
+        cap: &Capability,
+        needed: Rights,
+        scheme: &dyn CheckScheme,
+    ) -> Result<&Inode, BulletError> {
+        let idx = cap.object.value();
+        let inode = self.get(idx)?;
+        let memo = &self.memo[idx as usize];
+        let word = memo_word(cap);
+        if word != Some(memo.load(Relaxed)) {
+            scheme.verify(cap, inode.random)?;
+            if let Some(word) = word {
+                memo.store(word, Relaxed);
+            }
+        }
+        if cap.rights.contains(needed) {
+            Ok(inode)
+        } else {
+            Err(BulletError::Denied)
         }
     }
 
@@ -302,7 +395,7 @@ impl InodeTable {
     /// [`BulletError::NotFound`] if the slot is not live.
     pub fn clear_keep_slot(&mut self, idx: u32) -> Result<(), BulletError> {
         self.get(idx)?;
-        self.inodes[idx as usize] = Inode::default();
+        *self.slot_mut(idx) = Inode::default();
         Ok(())
     }
 
@@ -364,6 +457,7 @@ impl InodeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amoeba_cap::{CapError, MacScheme, ObjNum, Port};
     use amoeba_disk::RamDisk;
 
     fn dev() -> RamDisk {
@@ -456,6 +550,126 @@ mod tests {
             })
             .unwrap();
         assert_eq!(again, idx);
+    }
+
+    /// `MacScheme` counting its `verify` calls, to tell a memo hit (no
+    /// call) from a miss.
+    struct Counting(MacScheme, AtomicU64);
+
+    impl CheckScheme for Counting {
+        fn mint(&self, port: Port, object: ObjNum, rights: Rights, random: u64) -> Capability {
+            self.0.mint(port, object, rights, random)
+        }
+        fn verify(&self, cap: &Capability, random: u64) -> Result<(), CapError> {
+            self.1.fetch_add(1, Relaxed);
+            self.0.verify(cap, random)
+        }
+        fn restrict(&self, cap: &Capability, mask: Rights) -> Option<Capability> {
+            self.0.restrict(cap, mask)
+        }
+    }
+
+    const RANDOM: u64 = 0xfeed_beef;
+
+    fn file(t: &InodeTable) -> Inode {
+        Inode {
+            random: RANDOM,
+            start_block: t.descriptor().data_start() as u32,
+            ..Inode::default()
+        }
+    }
+
+    /// A table with one file, its scheme, and the file's owner capability.
+    fn one_file() -> (InodeTable, Counting, Capability) {
+        let mut t = InodeTable::format(&dev(), 10).unwrap();
+        let scheme = Counting(MacScheme::from_seed(7), AtomicU64::new(0));
+        let idx = t.alloc(file(&t)).unwrap();
+        let object = ObjNum::new(idx).unwrap();
+        let owner = scheme.mint(Port::from_u64(1), object, Rights::ALL, RANDOM);
+        (t, scheme, owner)
+    }
+
+    #[test]
+    fn a_verified_capability_skips_the_cipher_until_the_slot_is_written() {
+        let (mut t, scheme, owner) = one_file();
+        let idx = owner.object.value();
+        let calls = || scheme.1.load(Relaxed);
+        for expected_calls in [1, 1, 1] {
+            assert!(t.get_verified(&owner, Rights::READ, &scheme).is_ok());
+            assert_eq!(calls(), expected_calls);
+        }
+        // Each way of writing the slot forgets the capability.
+        t.get_mut(idx).unwrap().index = 3;
+        assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "get_mut");
+        assert!(t.get_verified(&owner, Rights::READ, &scheme).is_ok());
+        assert_eq!(calls(), 2);
+        t.clear_keep_slot(idx).unwrap();
+        assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "clear_keep_slot");
+        assert_eq!(
+            t.get_verified(&owner, Rights::READ, &scheme).unwrap_err(),
+            BulletError::NotFound
+        );
+        // A slot is free when alloc and install reach it, so its word is
+        // zero already; plant one to see that they do not rely on that.
+        let planted = memo_word(&owner).unwrap();
+        t.memo[idx as usize].store(planted, Relaxed);
+        t.install(idx, file(&t)).unwrap();
+        assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "install");
+        t.clear(idx).unwrap();
+        t.memo[idx as usize].store(planted, Relaxed);
+        assert_eq!(t.alloc(file(&t)).unwrap(), idx);
+        assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "alloc");
+    }
+
+    #[test]
+    fn a_cloned_or_loaded_table_has_verified_nothing() {
+        let (t, scheme, owner) = one_file();
+        let idx = owner.object.value();
+        assert!(t.get_verified(&owner, Rights::READ, &scheme).is_ok());
+        assert_ne!(t.memo[idx as usize].load(Relaxed), 0);
+        assert_eq!(t.clone().memo[idx as usize].load(Relaxed), 0);
+
+        let d = dev();
+        d.write_blocks(0, &t.block_image(0)).unwrap();
+        let loaded = InodeTable::load(&d, RepairPolicy::Fail).unwrap().table;
+        assert_eq!(loaded.get(idx).unwrap().random, RANDOM);
+        assert!(loaded.memo.iter().all(|w| w.load(Relaxed) == 0));
+    }
+
+    #[test]
+    fn the_memo_admits_only_the_pair_it_holds() {
+        let (t, scheme, owner) = one_file();
+        let reader = scheme.mint(owner.port, owner.object, Rights::READ, RANDOM);
+        let verdict = |cap: &Capability, needed| t.get_verified(cap, needed, &scheme).map(drop);
+        for (first, second) in [(owner, reader), (reader, owner)] {
+            assert_eq!(verdict(&first, Rights::READ), Ok(()));
+            // The memoised check field under other rights, and the
+            // memoised rights under another check field, both miss.
+            for forged in [
+                Capability {
+                    rights: second.rights,
+                    ..first
+                },
+                Capability {
+                    check: second.check,
+                    ..first
+                },
+                Capability {
+                    check: first.check | 1 << 50,
+                    ..first
+                },
+            ] {
+                assert_eq!(verdict(&forged, Rights::READ), Err(BulletError::CapBad));
+            }
+            // A rejected capability does not evict the accepted one.
+            let before = scheme.1.load(Relaxed);
+            assert_eq!(verdict(&first, Rights::READ), Ok(()));
+            assert_eq!(scheme.1.load(Relaxed), before);
+            assert_eq!(verdict(&second, Rights::READ), Ok(()));
+        }
+        // A hit still answers the rights question per request.
+        assert_eq!(verdict(&reader, Rights::READ), Ok(()));
+        assert_eq!(verdict(&reader, Rights::DESTROY), Err(BulletError::Denied));
     }
 
     #[test]

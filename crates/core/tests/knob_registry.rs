@@ -30,7 +30,7 @@ const KNOBS: usize = 26;
 /// Code lines (neither blank nor `//`) of `server.rs` above its test
 /// module — the figure ROADMAP item 3(a) tracks towards 1,500.  A
 /// ratchet: lower it when the file shrinks.
-const SERVER_CODE_LINES: usize = 2075;
+const SERVER_CODE_LINES: usize = 2073;
 
 /// Knobs nothing outside tests assigns, and why each stays anyway.
 const UNSET_BY_DESIGN: &[(&str, &str)] = &[

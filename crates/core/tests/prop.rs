@@ -4,8 +4,9 @@
 
 use std::collections::HashMap;
 
-use amoeba_cap::Capability;
-use bullet_core::{BulletConfig, BulletError, BulletServer};
+use amoeba_cap::{AmoebaScheme, Capability, CheckScheme, MacScheme, Port, Rights};
+use bullet_core::table::{InodeTable, RepairPolicy};
+use bullet_core::{BulletConfig, BulletError, BulletServer, SchemeKind};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -165,6 +166,136 @@ fn run_model(ops: &[Op], server: &BulletServer) -> HashMap<u32, (Capability, Vec
     model
 }
 
+/// One step of the capability walk.  `cap` picks among every capability
+/// the walk has seen so far, dead files' included, and `forge` among the
+/// ways of presenting it ([`presentations`]).
+#[derive(Debug, Clone)]
+enum CapOp {
+    Create { size: usize },
+    Delete { cap: usize, forge: usize },
+    Restrict { cap: usize, mask: u8 },
+    CompactDisk,
+    Restart,
+}
+
+fn arb_cap_op() -> impl Strategy<Value = CapOp> {
+    prop_oneof![
+        4 => (0usize..2000).prop_map(|size| CapOp::Create { size }),
+        3 => (0usize..64, 0usize..8).prop_map(|(cap, forge)| CapOp::Delete { cap, forge }),
+        3 => (0usize..64, any::<u8>()).prop_map(|(cap, mask)| CapOp::Restrict { cap, mask }),
+        1 => Just(CapOp::CompactDisk),
+        1 => Just(CapOp::Restart),
+    ]
+}
+
+/// `cap` as a client might present it: genuine, with the rights raised
+/// beside an unchanged check field, with the check field off by a bit,
+/// with a bit above the 48 the wire carries, and at another server's port.
+fn presentations(cap: Capability) -> [Capability; 5] {
+    [
+        cap,
+        Capability {
+            rights: Rights::ALL,
+            ..cap
+        },
+        Capability {
+            check: cap.check ^ 1,
+            ..cap
+        },
+        Capability {
+            check: cap.check | 1 << 50,
+            ..cap
+        },
+        Capability {
+            port: Port::from_u64(0xdead),
+            ..cap
+        },
+    ]
+}
+
+/// What a server at `port` holding `table` must answer, worked out with
+/// no memo anywhere: the port, then the slot, then the scheme's own
+/// `check_rights`.
+fn oracle(
+    (port, table, scheme): (Port, &InodeTable, &dyn CheckScheme),
+    cap: &Capability,
+    needed: Rights,
+) -> Result<(), BulletError> {
+    if cap.port != port {
+        return Err(BulletError::CapBad);
+    }
+    let inode = table.get(cap.object.value())?;
+    Ok(scheme.check_rights(cap, inode.random, needed)?)
+}
+
+/// The server's inode table as a fresh load off its disk sees it.
+fn table_on_disk(server: &BulletServer) -> InodeTable {
+    server.sync().unwrap();
+    InodeTable::load(server.storage(), RepairPolicy::Fail)
+        .unwrap()
+        .table
+}
+
+/// Walks `ops` against a server running `kind`, and after every step
+/// presents every capability seen so far in every [`presentations`] form,
+/// forwards and then backwards so that each is tried both before and
+/// after its neighbours were verified.  Reused slots, deleted files and a
+/// restricted capability beside its owner's all arise from the walk.
+fn capability_walk(kind: SchemeKind, ops: &[CapOp]) {
+    let mut configuration = cfg();
+    configuration.scheme = kind;
+    // One control block of slots keeps the oracle's table load short;
+    // the slot a delete frees is the next one a create fills.
+    configuration.min_inodes = 4;
+    let scheme: Box<dyn CheckScheme> = match kind {
+        SchemeKind::Mac => Box::new(MacScheme::from_seed(configuration.scheme_seed)),
+        SchemeKind::Amoeba => Box::new(AmoebaScheme::new()),
+    };
+    let mut server = BulletServer::format(configuration.clone(), 2).unwrap();
+    let mut seen: Vec<Capability> = Vec::new();
+    let mut table = table_on_disk(&server);
+    for op in ops {
+        match *op {
+            CapOp::Create { size } => match server.create(Bytes::from(vec![7; size]), 2) {
+                Ok(cap) => seen.push(cap),
+                Err(BulletError::NoSpace | BulletError::NoInodes) => {}
+                Err(e) => panic!("unexpected create failure: {e}"),
+            },
+            CapOp::Delete { cap, forge } if !seen.is_empty() => {
+                let forms = presentations(seen[cap % seen.len()]);
+                let cap = forms[forge % forms.len()];
+                let expected = oracle(
+                    (configuration.port, &table, &*scheme),
+                    &cap,
+                    Rights::DESTROY,
+                );
+                assert_eq!(server.delete(&cap), expected, "delete {cap:?}");
+            }
+            CapOp::Restrict { cap, mask } if !seen.is_empty() => {
+                let cap = seen[cap % seen.len()];
+                let expected = oracle((configuration.port, &table, &*scheme), &cap, Rights::NONE);
+                let restricted = server.restrict(&cap, Rights::from_bits(mask));
+                assert_eq!(restricted.as_ref().map(drop), expected.as_ref().map(drop));
+                seen.extend(restricted);
+            }
+            CapOp::Delete { .. } | CapOp::Restrict { .. } => {}
+            CapOp::CompactDisk => drop(server.compact_disk().unwrap()),
+            CapOp::Restart => {
+                let storage = server.shutdown().unwrap();
+                server = BulletServer::recover(configuration.clone(), storage).unwrap();
+            }
+        }
+        table = table_on_disk(&server);
+        for cap in seen.iter().chain(seen.iter().rev()) {
+            for cap in presentations(*cap) {
+                let expected = oracle((configuration.port, &table, &*scheme), &cap, Rights::READ);
+                assert_eq!(server.read(&cap).map(drop), expected, "read {cap:?}");
+                assert_eq!(server.size(&cap).map(drop), expected, "size {cap:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -181,6 +312,14 @@ proptest! {
         // blocks equals the whole data area.
         let report = server.disk_frag_report();
         prop_assert!(report.free <= report.total);
+    }
+
+    #[test]
+    fn a_remembered_capability_check_never_changes_an_answer(
+        ops in proptest::collection::vec(arb_cap_op(), 1..40),
+    ) {
+        capability_walk(SchemeKind::Mac, &ops);
+        capability_walk(SchemeKind::Amoeba, &ops);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The server trait and the locate-and-transact dispatcher.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -58,16 +58,27 @@ impl std::error::Error for RpcError {}
 /// later transactions hit the locate cache, as in Amoeba.
 pub struct Dispatcher {
     net: SimEthernet,
-    servers: RwLock<HashMap<Port, Arc<dyn RpcServer>>>,
-    located: RwLock<HashSet<Port>>,
+    /// Everything a transaction needs to find its server, behind one
+    /// lock that `trans` reads once.
+    routes: RwLock<Routes>,
+}
+
+struct Routes {
+    servers: HashMap<Port, Route>,
     /// Span recorder for the transaction roots (disabled by default).
-    tracer: RwLock<Tracer>,
+    tracer: Tracer,
+}
+
+struct Route {
+    server: Arc<dyn RpcServer>,
+    /// Whether a transaction has paid this port's locate broadcast.
+    located: bool,
 }
 
 impl std::fmt::Debug for Dispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dispatcher")
-            .field("servers", &self.servers.read().len())
+            .field("servers", &self.routes.read().servers.len())
             .finish()
     }
 }
@@ -80,9 +91,10 @@ impl Dispatcher {
     pub fn new(net: SimEthernet) -> Arc<Dispatcher> {
         Arc::new(Dispatcher {
             net,
-            servers: RwLock::new(HashMap::new()),
-            located: RwLock::new(HashSet::new()),
-            tracer: RwLock::new(Tracer::off()),
+            routes: RwLock::new(Routes {
+                servers: HashMap::new(),
+                tracer: Tracer::off(),
+            }),
         })
     }
 
@@ -90,25 +102,35 @@ impl Dispatcher {
     /// `rpc.trans` root span covering locate, server handling, and the
     /// residual wire charges — the top of every request's span tree.
     pub fn set_tracer(&self, tracer: Tracer) {
-        *self.tracer.write() = tracer;
+        self.routes.write().tracer = tracer;
     }
 
     /// Registers a server under its own port, replacing any previous
-    /// holder of that port.
+    /// holder of that port (clients that had located the port still have).
     pub fn register(&self, server: Arc<dyn RpcServer>) {
-        self.servers.write().insert(server.port(), server);
+        let port = server.port();
+        let mut routes = self.routes.write();
+        let located = routes.servers.get(&port).is_some_and(|r| r.located);
+        routes.servers.insert(port, Route { server, located });
     }
 
     /// Removes the server at `port` (it "crashes"); subsequent transactions
-    /// fail to locate it.
+    /// fail to locate it, and a server registered there later is located
+    /// afresh.
     pub fn unregister(&self, port: Port) {
-        self.servers.write().remove(&port);
-        self.located.write().remove(&port);
+        self.routes.write().servers.remove(&port);
     }
 
     /// The shared wire (to reach its statistics and clock).
     pub fn net(&self) -> &SimEthernet {
         &self.net
+    }
+
+    /// Marks `port` located; true for the one caller that found it not.
+    fn claim_locate(&self, port: Port) -> bool {
+        let mut routes = self.routes.write();
+        let route = routes.servers.get_mut(&port);
+        route.is_some_and(|r| !std::mem::replace(&mut r.located, true))
     }
 
     /// Performs one transaction.
@@ -136,21 +158,22 @@ impl Dispatcher {
     /// [`crate::Status`] inside the reply.
     pub fn trans(&self, req: Request) -> Result<Reply, RpcError> {
         let port = req.cap.port;
-        let server = self
-            .servers
-            .read()
-            .get(&port)
-            .cloned()
-            .ok_or(RpcError::UnknownPort(port))?;
-        let tracer = self.tracer.read().clone();
+        let (server, located, tracer) = {
+            let routes = self.routes.read();
+            let route = routes
+                .servers
+                .get(&port)
+                .ok_or(RpcError::UnknownPort(port))?;
+            (route.server.clone(), route.located, routes.tracer.clone())
+        };
         let mut span = tracer.span("rpc.trans");
         span.attr("command", req.command as u64);
-        if self.located.read().contains(&port) {
-            // cached locate: free
-        } else {
+        // Of the transactions that find a port unlocated, the one that
+        // flips the flag pays the broadcast; the decision is made under
+        // the write guard so that racing first transactions pay it once.
+        if !located && self.claim_locate(port) {
             let _locate = tracer.span("rpc.locate");
             self.net.clock().advance(Self::LOCATE_COST);
-            self.located.write().insert(port);
         }
         let req_size = req.wire_size();
         let wire = StreamWire::for_dispatch(self.net.clone());
@@ -242,6 +265,55 @@ mod tests {
         );
         // The difference is exactly the locate cost.
         assert_eq!(first - second, Nanos::from_ms(4));
+    }
+
+    #[test]
+    fn racing_first_transactions_pay_the_locate_once() {
+        const CLIENTS: usize = 4;
+        const TRIALS: usize = 2000;
+        // What four located transactions cost on the wire.
+        let (clock, warm, cap) = setup();
+        warm.trans(Request::simple(cap, 0)).unwrap();
+        let located = clock.now();
+        for _ in 0..CLIENTS {
+            warm.trans(Request::simple(cap, 0)).unwrap();
+        }
+        let expected = Dispatcher::LOCATE_COST + (clock.now() - located);
+
+        let fresh: Vec<_> = (0..TRIALS).map(|_| setup()).collect();
+        let start = std::sync::Barrier::new(CLIENTS);
+        std::thread::scope(|s| {
+            for _ in 0..CLIENTS {
+                s.spawn(|| {
+                    for (_, d, cap) in &fresh {
+                        start.wait();
+                        d.trans(Request::simple(*cap, 0)).unwrap();
+                    }
+                });
+            }
+        });
+        for (trial, (clock, ..)) in fresh.iter().enumerate() {
+            assert_eq!(clock.now(), expected, "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn a_port_is_located_again_after_unregister_but_not_after_replacement() {
+        let (clock, d, cap) = setup();
+        let trans = || {
+            let before = clock.now();
+            d.trans(Request::simple(cap, 0)).unwrap();
+            clock.now() - before
+        };
+        let first = trans();
+        let located = trans();
+        assert_eq!(first - located, Dispatcher::LOCATE_COST);
+        d.register(Arc::new(Upper(cap.port)));
+        assert_eq!(trans(), located, "a replacing register keeps the locate");
+        d.unregister(cap.port);
+        d.register(Arc::new(Upper(cap.port)));
+        assert_eq!(trans(), first, "a re-registered port is located afresh");
+        assert_eq!(trans(), located);
     }
 
     #[test]

@@ -1,10 +1,116 @@
 //! Lightweight named counters and latency histograms.
 
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
 
 use crate::clock::Nanos;
+
+/// Slots per table; a power of two, so the hash's top bits index it.
+const SLOTS: usize = 128;
+/// Slots a name may occupy in one table, counted from its hash.  A name
+/// whose window is full of other names goes to the next table.
+const WINDOW: usize = 8;
+
+/// One counter.  `name` is written once and never cleared, so a name
+/// keeps its slot for the life of the table; `live` says whether the
+/// counter has been touched since the last [`Stats::reset`].
+#[derive(Debug, Default)]
+struct Slot {
+    name: OnceLock<&'static str>,
+    live: AtomicBool,
+    value: AtomicU64,
+}
+
+/// A fixed open-addressed table of counters, chained to a further table
+/// by the first name that finds its probe window full.
+#[derive(Debug)]
+struct Table {
+    slots: [Slot; SLOTS],
+    next: OnceLock<Box<Table>>,
+}
+
+impl Default for Table {
+    fn default() -> Table {
+        Table {
+            slots: std::array::from_fn(|_| Slot::default()),
+            next: OnceLock::new(),
+        }
+    }
+}
+
+/// Where `name`'s probe window starts.  Only the length and the first and
+/// last eight bytes are mixed: hashing every byte of a name cost more than
+/// the lock this table replaced, and two names that agree on all three
+/// merely share a window.
+fn window_start(name: &str) -> usize {
+    let b = name.as_bytes();
+    let n = b.len();
+    let (head, tail) = if n >= 8 {
+        let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
+        (word(0), word(n - 8))
+    } else {
+        let mut short = [0u8; 8];
+        short[..n].copy_from_slice(b);
+        (u64::from_le_bytes(short), 0)
+    };
+    let mixed = head ^ tail.rotate_left(29) ^ n as u64;
+    (mixed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SLOTS.trailing_zeros())) as usize
+}
+
+/// Whether two names are the same counter.  Counters are keyed by text:
+/// a constant and a caller's own literal of the same spelling are
+/// different addresses and must still be one counter, so the pointer
+/// comparison is only the fast path.
+fn same_name(a: &str, b: &str) -> bool {
+    (std::ptr::eq(a.as_ptr(), b.as_ptr()) && a.len() == b.len()) || a == b
+}
+
+impl Table {
+    /// The slot holding `name`, if the name has ever been counted.
+    ///
+    /// Slots only ever go from empty to named, and every lookup of a name
+    /// walks the same slots in the same order, so the first empty slot on
+    /// that walk proves the name is absent.
+    fn find(&self, name: &str) -> Option<&Slot> {
+        let start = window_start(name);
+        let mut table = self;
+        loop {
+            for i in 0..WINDOW {
+                let slot = &table.slots[(start + i) % SLOTS];
+                match slot.name.get() {
+                    Some(held) if same_name(held, name) => return Some(slot),
+                    Some(_) => {}
+                    None => return None,
+                }
+            }
+            table = table.next.get()?;
+        }
+    }
+
+    /// The slot holding `name`, claiming the first empty one on the
+    /// name's walk if there is none.  Two threads racing to intern one
+    /// name meet at the same empty slot, and `OnceLock` lets exactly one
+    /// of them name it.
+    fn intern(&self, name: &'static str) -> &Slot {
+        let start = window_start(name);
+        let mut table = self;
+        loop {
+            for i in 0..WINDOW {
+                let slot = &table.slots[(start + i) % SLOTS];
+                if same_name(slot.name.get_or_init(|| name), name) {
+                    return slot;
+                }
+            }
+            table = table.next.get_or_init(Box::default);
+        }
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        std::iter::successors(Some(self), |t| t.next.get().map(|b| &**b))
+            .flat_map(|t| t.slots.iter())
+    }
+}
 
 /// A set of named monotonically increasing counters.
 ///
@@ -12,7 +118,10 @@ use crate::clock::Nanos;
 /// benchmarks and tests can assert on behaviour ("this read hit the cache",
 /// "that create wrote two disks") instead of guessing from timing.
 ///
-/// Cloning shares the underlying counters.
+/// Cloning shares the underlying counters.  Updating a counter takes no
+/// lock: a name interns to an atomic slot on first use (see `Table`), and
+/// every later update is one `fetch_add` or `fetch_max` on that slot.  The
+/// orderings are `Relaxed` because a counter publishes no other data.
 ///
 /// # Example
 ///
@@ -27,7 +136,7 @@ use crate::clock::Nanos;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
-    counters: Arc<Mutex<BTreeMap<&'static str, u64>>>,
+    table: Arc<Table>,
 }
 
 impl Stats {
@@ -36,9 +145,18 @@ impl Stats {
         Stats::default()
     }
 
+    /// The slot for `name`, marked as touched since the last reset.
+    fn touch(&self, name: &'static str) -> &AtomicU64 {
+        let slot = self.table.intern(name);
+        if !slot.live.load(Relaxed) {
+            slot.live.store(true, Relaxed);
+        }
+        &slot.value
+    }
+
     /// Adds `n` to the counter `name` (creating it at zero first).
     pub fn add(&self, name: &'static str, n: u64) {
-        *self.counters.lock().entry(name).or_insert(0) += n;
+        self.touch(name).fetch_add(n, Relaxed);
     }
 
     /// Increments `name` by one.
@@ -50,24 +168,34 @@ impl Stats {
     /// high-water-mark gauge (queue depths, peak occupancy) stored in the
     /// same table as the monotone counters.
     pub fn set_max(&self, name: &'static str, n: u64) {
-        let mut counters = self.counters.lock();
-        let entry = counters.entry(name).or_insert(0);
-        *entry = (*entry).max(n);
+        self.touch(name).fetch_max(n, Relaxed);
     }
 
     /// Reads a counter; missing counters read as zero.
     pub fn get(&self, name: &str) -> u64 {
-        self.counters.lock().get(name).copied().unwrap_or(0)
+        self.table.find(name).map_or(0, |s| s.value.load(Relaxed))
     }
 
-    /// Snapshot of all counters, sorted by name.
+    /// Snapshot of all counters touched since the last
+    /// [`reset`](Self::reset), sorted by name.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.counters.lock().iter().map(|(k, v)| (*k, *v)).collect()
+        let mut snap: Vec<(&'static str, u64)> = self
+            .table
+            .slots()
+            .filter(|s| s.live.load(Relaxed))
+            .filter_map(|s| Some((*s.name.get()?, s.value.load(Relaxed))))
+            .collect();
+        snap.sort_unstable_by_key(|&(name, _)| name);
+        snap
     }
 
-    /// Resets every counter to zero.
+    /// Resets every counter to zero.  An update racing a reset lands on
+    /// one side of it or the other per field: it may be listed at zero.
     pub fn reset(&self) {
-        self.counters.lock().clear();
+        for slot in self.table.slots() {
+            slot.live.store(false, Relaxed);
+            slot.value.store(0, Relaxed);
+        }
     }
 }
 
@@ -279,6 +407,108 @@ mod tests {
         assert_eq!(s.to_string(), "(no counters)");
         s.add("io", 3);
         assert_eq!(s.to_string(), "io=3");
+    }
+
+    const NAMES: [&str; 8] = [
+        "reads",
+        "cache_hits",
+        "net_bytes",
+        "net_messages",
+        "net_packets",
+        "lock_table_read",
+        "lock_cache_read",
+        "lock_contended_table_read",
+    ];
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 100_000;
+
+    /// Runs `work(thread)` on `THREADS` threads released together.
+    fn contend(work: impl Fn(u64) + Sync) {
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (start, work) = (&start, &work);
+                s.spawn(move || {
+                    start.wait();
+                    work(t);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn contended_incrs_are_exact_and_one_spelling_is_one_counter() {
+        let s = Stats::new();
+        // The same text at another address: must be the same counter.
+        let copy: &'static str = String::from(NAMES[0]).leak();
+        assert!(!std::ptr::eq(copy.as_ptr(), NAMES[0].as_ptr()));
+        contend(|t| {
+            for i in 0..PER_THREAD {
+                let k = ((i + t) % 8) as usize;
+                s.incr(if k == 0 && i % 2 == 0 { copy } else { NAMES[k] });
+            }
+        });
+        let snap = s.snapshot();
+        let mut sorted: Vec<&str> = NAMES.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(snap.iter().map(|&(n, _)| n).collect::<Vec<_>>(), sorted);
+        for (name, total) in snap {
+            assert_eq!(total, THREADS * PER_THREAD / 8, "{name}");
+            assert_eq!(s.get(name), total);
+        }
+    }
+
+    #[test]
+    fn contended_set_max_ends_at_the_true_maximum() {
+        // Each thread's values rise and fall; no thread ends on the peak.
+        let value = |t: u64, i: u64| (i * 7919 + t * 31) % 1_000_003;
+        let s = Stats::new();
+        contend(|t| {
+            for i in 0..PER_THREAD {
+                s.set_max("depth", value(t, i));
+            }
+        });
+        let peak = (0..THREADS)
+            .flat_map(|t| (0..PER_THREAD).map(move |i| value(t, i)))
+            .max()
+            .unwrap();
+        assert_eq!(s.snapshot(), vec![("depth", peak)]);
+    }
+
+    #[test]
+    fn names_beyond_one_table_are_all_counted_and_listed() {
+        let s = Stats::new();
+        let names: Vec<&'static str> = (0..300)
+            .map(|i| &*format!("counter_{i:03}").leak())
+            .collect();
+        assert!(names.len() > SLOTS * 2);
+        for (i, name) in names.iter().enumerate() {
+            s.add(name, i as u64 + 1);
+        }
+        s.incr(names[299]);
+        let snap = s.snapshot();
+        assert_eq!(snap.len(), 300);
+        for (i, name) in names.iter().enumerate() {
+            let want = i as u64 + 1 + (i == 299) as u64;
+            assert_eq!(snap[i], (*name, want));
+            assert_eq!(s.get(name), want);
+        }
+        assert_eq!(s.get("counter_300"), 0);
+    }
+
+    #[test]
+    fn a_name_is_listed_exactly_when_touched_since_the_last_reset() {
+        let s = Stats::new();
+        s.add("idle", 0);
+        s.set_max("depth", 0);
+        s.add("io", 3);
+        assert_eq!(s.snapshot(), vec![("depth", 0), ("idle", 0), ("io", 3)]);
+        s.reset();
+        assert_eq!(s.snapshot(), vec![]);
+        assert_eq!(s.to_string(), "(no counters)");
+        assert_eq!(s.get("io"), 0);
+        s.incr("io");
+        assert_eq!(s.snapshot(), vec![("io", 1)]);
     }
 
     #[test]
