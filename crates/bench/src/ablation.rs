@@ -12,8 +12,9 @@
 //!   and the exit code (ABL13–19 parse a cell selector with [`Args`]);
 //! * plain `report` is [`run_all`]: every experiment judged the same way,
 //!   every artifact rewritten, `REPORT.md` rendered from the outcomes;
-//! * `report --json` runs the registry's reduced cells, writes the
-//!   declared members and (with `--check`) requires every criterion green.
+//! * `report --json` runs the registry's reduced cells and writes the
+//!   declared members, through [`write_baseline`]: never with a criterion
+//!   red.
 //!
 //! Adding an experiment is one such function, one line in [`REGISTRY`],
 //! and one thin `bin` (the recipe is in EXPERIMENTS.md).
@@ -21,7 +22,8 @@
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use crate::check::Json;
+use amoeba_sim::json::Json;
+
 use crate::table::Text;
 use crate::{
     evsim, faults, groupcommit, monitor, paper, schedbench, shardbench, sweeps, tierbench,
@@ -285,6 +287,26 @@ pub fn write_results<C: AsRef<[u8]>>(files: &[(&str, C)]) -> std::io::Result<()>
         std::fs::write(format!("results/{name}"), contents)?;
     }
     Ok(())
+}
+
+/// Writes `doc`, the baseline `report --json` rendered from `outcomes`,
+/// to `path` — unless one of their criteria is red, so a regenerated
+/// baseline can never bake in a violation.
+///
+/// # Errors
+///
+/// The first red criterion, named — `path` is then left as it was; or
+/// the I/O error.
+pub fn write_baseline(path: &str, doc: &str, outcomes: &[Outcome]) -> Result<(), String> {
+    for outcome in outcomes {
+        if let Some(c) = outcome.criteria.iter().find(|c| !c.pass) {
+            return Err(format!(
+                "{}: criterion red: {} ({})",
+                outcome.title, c.name, c.detail
+            ));
+        }
+    }
+    std::fs::write(path, doc).map_err(|e| format!("{path}: {e}"))
 }
 
 /// What leads `results/REPORT.md`.

@@ -36,9 +36,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use amoeba_cap::Capability;
-use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SimDisk};
 use amoeba_sim::{capture, DetRng, Histogram, HwProfile, Nanos, SimClock};
-use bullet_bench::rig::paper_config;
+use bullet_bench::rig::{paper_config, sim_mirror};
 use bullet_core::BulletServer;
 
 /// Operations per client lane.
@@ -63,16 +62,7 @@ struct LaneResult {
 fn build(hw: HwProfile) -> (Arc<BulletServer>, SimClock) {
     let cpu_clock = SimClock::new();
     let disk_clock = SimClock::new();
-    let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
-        .map(|_| {
-            Arc::new(SimDisk::new(
-                RamDisk::new(1024, 65_536),
-                disk_clock.clone(),
-                hw.disk,
-            )) as Arc<dyn BlockDevice>
-        })
-        .collect();
-    let storage = MirroredDisk::new(replicas).expect("replica set is valid");
+    let storage = sim_mirror(2, 1024, 65_536, &disk_clock, hw.disk);
     let cfg = paper_config(cpu_clock, hw.cpu, 12 << 20);
     let server = Arc::new(BulletServer::format_on(cfg, storage).expect("formatting succeeds"));
     (server, disk_clock)

@@ -23,24 +23,17 @@
 //! * `zone_frag[]` — the per-zone data-area fragmentation after a
 //!   deterministic churn.
 //!
-//! Adding `--check` makes the run read-only: nothing is written, and it
-//! fails unless the committed baseline at `PATH` carries the current
-//! schema version and exactly the keys a fresh run writes, the fresh
-//! 1 MB pipelined cold-read bandwidth holds the sequential floor, the
-//! fresh 1 MB p99 tails stay within 10 % of the committed ones, every
-//! ablation criterion is green, and the zone reports partition the data
-//! area — the CI bench-smoke gate:
-//!
-//! ```text
-//! cargo run --release -p bullet-bench --bin report -- --json --check BENCH_pr2.json
-//! ```
+//! It refuses to write (non-zero exit, naming the criterion) when a
+//! reduced ablation is red.  The baseline's one gate is byte equality:
+//! CI regenerates it and ends on `git diff --exit-code`, and tier-1 runs
+//! this binary into a scratch file and compares.
 
 use std::process::ExitCode;
 
+use amoeba_sim::json::Json;
 use amoeba_sim::trace::{op_histograms, size_class};
 use amoeba_sim::Nanos;
 use bullet_bench::ablation::{self, Outcome};
-use bullet_bench::check::{self, CheckError, Json};
 use bullet_bench::rig::BulletRig;
 use bullet_bench::sweeps::{stream_rig, STREAM_SIZES};
 use bullet_bench::table::bandwidth_kb_s;
@@ -152,9 +145,8 @@ fn measure_percentiles() -> Vec<PctRow> {
 const FRAG_ZONES: u32 = 8;
 
 /// A deterministic create/delete churn on a fresh rig, then the
-/// per-zone fragmentation snapshot of the data area (plus the
-/// whole-area report the gate checks the zones partition).
-fn measure_zone_frag() -> (Vec<FragReport>, FragReport) {
+/// per-zone fragmentation snapshot of the data area.
+fn measure_zone_frag() -> Vec<FragReport> {
     let rig = BulletRig::paper_1989();
     let caps: Vec<_> = (0..24)
         .map(|i| {
@@ -168,13 +160,7 @@ fn measure_zone_frag() -> (Vec<FragReport>, FragReport) {
             rig.client.delete(cap).expect("churn delete");
         }
     }
-    let zones = rig.server.disk_zone_frag(FRAG_ZONES);
-    let whole = rig
-        .server
-        .disk_zone_frag(1)
-        .pop()
-        .expect("one-zone report exists");
-    (zones, whole)
+    rig.server.disk_zone_frag(FRAG_ZONES)
 }
 
 /// Everything one `--json` run measured.
@@ -182,7 +168,6 @@ struct Fresh {
     rows: Vec<StreamRow>,
     pcts: Vec<PctRow>,
     zones: Vec<FragReport>,
-    whole: FragReport,
     ablations: Vec<Outcome>,
 }
 
@@ -191,7 +176,7 @@ fn measure_all() -> Fresh {
     let rows = measure_streaming();
     eprintln!("measuring latency percentiles ({REPS} reps per op × size, traced rigs)…");
     let pcts = measure_percentiles();
-    let (zones, whole) = measure_zone_frag();
+    let zones = measure_zone_frag();
     let ablations = ablation::REGISTRY
         .iter()
         .filter(|experiment| experiment.reduced)
@@ -205,7 +190,6 @@ fn measure_all() -> Fresh {
         rows,
         pcts,
         zones,
-        whole,
         ablations,
     }
 }
@@ -260,105 +244,15 @@ fn render_json(fresh: &Fresh) -> String {
         .flat_map(|o| o.json.iter().cloned())
         .partition(|(_, value)| matches!(value, Json::Object(_)));
     let mut doc = vec![
-        ("schema_version", Json::num(check::REPORT_SCHEMA_VERSION)),
+        ("schema_version", Json::num(1)),
         ("benchmark", Json::string("bullet streaming transfers")),
         ("segment_size", Json::num(65536)),
-        ("sizes", Json::Array(sizes.collect())),
+        ("sizes", Json::array(sizes)),
     ];
     doc.extend(sections);
-    doc.push(("zone_frag", Json::Array(zones.collect())));
+    doc.push(("zone_frag", Json::array(zones)));
     doc.extend(tables);
     Json::object(doc).render()
-}
-
-/// The `--check` gate.  Strict about the baseline itself — a missing
-/// file or key is a failure naming what is missing, not a silent pass.
-/// Hand-written here: the `sizes[]` floors and ceilings against the
-/// committed file, and the zone partition; everything else is the
-/// ablations' own criteria, judged on the fresh run so a regenerated
-/// baseline can never bake in a violation.
-fn gate(path: &str, fresh: &Fresh, fresh_doc: &str) -> Result<(), CheckError> {
-    let doc = std::fs::read_to_string(path).map_err(|_| CheckError::Unreadable {
-        path: path.to_string(),
-    })?;
-    // Schema gate first: a baseline from a different schema generation,
-    // or one missing a key this binary writes, fails loudly before any
-    // value checks.
-    check::require_schema_version(&doc, path, check::REPORT_SCHEMA_VERSION)?;
-    check::require_same_keys(&doc, path, fresh_doc)?;
-    let mb = fresh.rows.last().expect("1 MB row");
-    let fresh_pipe_bw = bandwidth_kb_s(mb.size, mb.cold_pipe);
-    let fresh_seq_bw = bandwidth_kb_s(mb.size, mb.cold_seq);
-    // The committed sequential baseline is the floor the pipelined path
-    // must never fall back to.
-    let committed_seq_bw = check::require_key(&doc, path, 1 << 20, "cold_read_sequential_kb_s")?;
-    let floor = committed_seq_bw.max(fresh_seq_bw);
-    eprintln!(
-        "check: pipelined 1 MB cold read {fresh_pipe_bw:.1} KB/s vs sequential floor {floor:.1} KB/s"
-    );
-    check::require_at_least(
-        "pipelined 1 MB cold-read bandwidth (KB/s)",
-        fresh_pipe_bw,
-        floor,
-    )?;
-    // Tail-latency gate: p99 of the pipelined cold read and the mirrored
-    // create may not exceed the committed tail by more than 10 %.
-    let mbp = fresh.pcts.last().expect("1 MB row");
-    for (key, fresh) in [
-        ("cold_read_pipelined_p99_ms", mbp.cold_pipe.p99),
-        ("create_p99_ms", mbp.create.p99),
-    ] {
-        let committed = check::require_key(&doc, path, 1 << 20, key)?;
-        let fresh_ms = fresh.as_ms_f64();
-        eprintln!(
-            "check: 1 MB {key} {fresh_ms:.3} ms vs committed {committed:.3} ms (+10 % allowed)"
-        );
-        check::require_at_most(&format!("1 MB {key}"), fresh_ms, committed * 1.10)?;
-    }
-    for outcome in &fresh.ablations {
-        for c in &outcome.criteria {
-            eprintln!("check: {} — {} ({})", outcome.title, c.name, c.detail);
-            if !c.pass {
-                return Err(CheckError::RedCriterion {
-                    ablation: outcome.title.clone(),
-                    name: c.name,
-                    detail: c.detail.clone(),
-                });
-            }
-        }
-    }
-    // Zone-frag gate: the per-zone reports must partition the data area
-    // — zone free space sums to the whole-area free count.
-    let zone_free: u64 = fresh.zones.iter().map(|z| z.free).sum();
-    eprintln!(
-        "check: zone frag — {} zones, free {} of {} blocks (whole-area free {})",
-        fresh.zones.len(),
-        zone_free,
-        fresh.whole.total,
-        fresh.whole.free
-    );
-    if zone_free != fresh.whole.free {
-        return Err(CheckError::Regression {
-            what: "per-zone free blocks must sum to the data-area free count".to_string(),
-            fresh: zone_free as f64,
-            bound: fresh.whole.free as f64,
-        });
-    }
-    Ok(())
-}
-
-/// `--json PATH` writes the baseline; `--json --check PATH` only reads it.
-fn run_json(path: &str, check: bool) -> Result<(), Box<dyn std::error::Error>> {
-    let fresh = measure_all();
-    let doc = render_json(&fresh);
-    if check {
-        gate(path, &fresh, &doc)?;
-        eprintln!("{path} checked (not rewritten)");
-        return Ok(());
-    }
-    std::fs::write(path, doc)?;
-    eprintln!("wrote {path}");
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -366,13 +260,16 @@ fn main() -> ExitCode {
     if !args.iter().any(|a| a == "--json") {
         return ablation::run_all();
     }
-    let check = args.iter().any(|a| a == "--check");
     let path = args
         .iter()
         .find(|a| !a.starts_with("--"))
         .map_or("BENCH_pr2.json", String::as_str);
-    match run_json(path, check) {
-        Ok(()) => ExitCode::SUCCESS,
+    let fresh = measure_all();
+    match ablation::write_baseline(path, &render_json(&fresh), &fresh.ablations) {
+        Ok(()) => {
+            eprintln!("wrote {path}");
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("report --json failed: {e}");
             ExitCode::FAILURE

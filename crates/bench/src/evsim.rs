@@ -35,12 +35,12 @@
 //!   exactly what LRU cannot tell from the working set and what the
 //!   segmented policies filter (probation / A1in absorb it).
 
+use amoeba_sim::json::Json;
 use amoeba_sim::{DetRng, EventQueue, Histogram, HwProfile, Nanos, Stats, Telemetry};
 use bullet_core::{counters, ClientAccounting, EvictionPolicy, FileCache};
 use bytes::Bytes;
 
 use crate::ablation::{Invariant, Outcome, Scale, Trailer};
-use crate::check::Json;
 use crate::workload::{SizeDistribution, ZipfSampler};
 
 /// Simulated clients in the PR-gate configuration.

@@ -34,13 +34,14 @@ use amoeba_disk::{BlockDevice, FaultyDisk, MirroredDisk, RamDisk, SimDisk};
 use amoeba_net::SimEthernet;
 use amoeba_rpc::fault::{FAULT_REQUEST_DUPS, RPC_GIVEUPS, RPC_RETRIES};
 use amoeba_rpc::{Dispatcher, FaultPlan, FaultyWire, RetryClient, RetryPolicy, Status};
+use amoeba_sim::json::Json;
 use amoeba_sim::{DetRng, HwProfile, SimClock};
 use bullet_core::counters::{DEDUP_HITS, FAILOVER_READS, RECOVERY_REPAIRED_INODES};
 use bullet_core::table::RepairPolicy;
 use bullet_core::{commands, BulletConfig, BulletRpcServer, BulletServer, DiskDescriptor, Inode};
 
 use crate::ablation::{Invariant, Outcome, Scale, Trailer};
-use crate::check::Json;
+use crate::rig::sim_mirror;
 
 /// The on-push seed matrix.
 pub const PR_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
@@ -339,16 +340,7 @@ fn run_crash_recovery(seed: u64) -> CampaignOutcome {
     let hw = HwProfile::amoeba_1989();
     let mut cfg = campaign_config(&clock);
     cfg.repair = RepairPolicy::ZeroBad;
-    let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
-        .map(|_| {
-            Arc::new(SimDisk::new(
-                RamDisk::new(cfg.block_size, cfg.disk_blocks),
-                clock.clone(),
-                hw.disk,
-            )) as Arc<dyn BlockDevice>
-        })
-        .collect();
-    let storage = MirroredDisk::new(replicas).expect("mirror");
+    let storage = sim_mirror(2, cfg.block_size, cfg.disk_blocks, &clock, hw.disk);
     let server = BulletServer::format_on(cfg.clone(), storage).expect("format");
 
     let mut rng = DetRng::new(seed ^ 0x6372_6173);
@@ -490,16 +482,7 @@ fn run_lossy_wire(seed: u64) -> CampaignOutcome {
     let hw = HwProfile::amoeba_1989();
     let cfg = campaign_config(&clock);
     let block_size = cfg.block_size as u64;
-    let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
-        .map(|_| {
-            Arc::new(SimDisk::new(
-                RamDisk::new(cfg.block_size, cfg.disk_blocks),
-                clock.clone(),
-                hw.disk,
-            )) as Arc<dyn BlockDevice>
-        })
-        .collect();
-    let storage = MirroredDisk::new(replicas).expect("mirror");
+    let storage = sim_mirror(2, cfg.block_size, cfg.disk_blocks, &clock, hw.disk);
     let server = Arc::new(BulletServer::format_on(cfg, storage).expect("format"));
     let rpc = BulletRpcServer::new(server.clone());
     let net = SimEthernet::with_load(clock.clone(), hw.net, 1.0);

@@ -16,10 +16,10 @@
 
 use bytes::Bytes;
 
+use amoeba_sim::json::Json;
 use amoeba_sim::{exact_quantile, HwProfile, Nanos};
 
 use crate::ablation::{Invariant, Outcome, Scale, Trailer};
-use crate::check::Json;
 use crate::rig::BulletRig;
 use crate::workload::small_file_storm;
 

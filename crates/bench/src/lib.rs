@@ -8,10 +8,6 @@
 //!   paper cites (median 1 KB, 99 % under 64 KB), an operation-mix
 //!   generator (75 % whole-file reads), and the Zipf popularity-skew
 //!   small-file storm behind the group-commit ablation (ABL15).
-//! * [`check`] — the regression-gate machinery behind `report --check`:
-//!   the `BENCH_pr2.json` writer, baseline-key lookup that *fails loudly*
-//!   when a key is missing, and floor/ceiling comparisons with
-//!   human-readable errors.
 //! * [`ablation`] — the one harness behind every deterministic
 //!   experiment: the outcome shape each experiment's function returns,
 //!   the replay-twice runner the binaries call, and the registry plain
@@ -52,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod check;
 pub mod evsim;
 pub mod faults;
 pub mod groupcommit;
@@ -68,7 +63,6 @@ pub mod tracebench;
 pub mod workload;
 
 pub use ablation::{Invariant, Outcome, Scale};
-pub use check::CheckError;
 pub use evsim::{EvsimConfig, EvsimOutcome, EvsimRun};
 pub use faults::{CampaignOutcome, FaultClass};
 pub use rig::{BulletRig, NfsRig, SchedSummary};

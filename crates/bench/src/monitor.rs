@@ -30,12 +30,12 @@
 //! event counts, detection lag, and the top-K offenders — so
 //! [`ablation`] can be run twice and the bytes demanded back identical.
 
+use amoeba_sim::json::Json;
 use amoeba_sim::{Nanos, SloKind, Telemetry};
 use bullet_core::accounting::ClientAccounting;
 use bullet_core::counters::{GAUGE_EVSIM_DISK_BACKLOG_US, GAUGE_EVSIM_RETRIES};
 
 use crate::ablation::{Invariant, Outcome, Scale, Trailer};
-use crate::check::Json;
 use crate::evsim::{self, EvsimConfig, EvsimOutcome, FaultBurst};
 
 /// One lost packet per this many requests inside the burst window.

@@ -8,7 +8,7 @@ use amoeba_cap::Port;
 use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk, SimDisk};
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient};
-use amoeba_sim::{CpuProfile, HwProfile, Nanos, SimClock, Tracer};
+use amoeba_sim::{CpuProfile, DiskProfile, HwProfile, Nanos, SimClock, Tracer};
 use bullet_core::{BulletClient, BulletConfig, BulletRpcServer, BulletServer};
 use nfs_blockfs::{NfsClient, NfsServer, NfsServerConfig};
 
@@ -42,10 +42,28 @@ pub fn paper_config(clock: SimClock, cpu: CpuProfile, cache_capacity: u64) -> Bu
         shard: bullet_core::ShardSlot::solo(),
         archive_blocks: 0,
         tier_high_water_pct: 75,
-        tier_cold_age: 1,
         maint_idle_request_delta: 0,
         maint_moves_per_tick: 1,
     }
+}
+
+/// `replicas` fresh RAM disks of `blocks` × `block_size` bytes behind one
+/// mirror, each charging `profile`'s seek and transfer costs to `clock`
+/// (no scheduler: the single-client experiments never queue).
+pub fn sim_mirror(
+    replicas: usize,
+    block_size: u32,
+    blocks: u64,
+    clock: &SimClock,
+    profile: DiskProfile,
+) -> MirroredDisk {
+    let replicas = (0..replicas)
+        .map(|_| {
+            let disk = SimDisk::new(RamDisk::new(block_size, blocks), clock.clone(), profile);
+            Arc::new(disk) as Arc<dyn BlockDevice>
+        })
+        .collect();
+    MirroredDisk::new(replicas).expect("replica set is valid")
 }
 
 /// The Bullet measurement stack of §4: a dedicated server with two

@@ -17,10 +17,10 @@
 use std::collections::HashMap;
 
 use amoeba_disk::{ArmSim, ReqKind, SchedConfig, SchedPolicy, Service};
+use amoeba_sim::json::Json;
 use amoeba_sim::{DetRng, DiskProfile, Nanos};
 
 use crate::ablation::{Invariant, Outcome, Trailer};
-use crate::check::Json;
 
 /// Disk geometry of the simulated drive (matches the bench rig: 1 KB
 /// blocks, 64 MB).

@@ -35,9 +35,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use amoeba_cap::{shard_of, Capability};
-use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SimDisk};
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient, RpcServer, ShardRouter, Status};
+use amoeba_sim::json::Json;
 use amoeba_sim::{capture, DetRng, HwProfile, Nanos, NetProfile, SimClock};
 use bullet_core::counters::SHARD_REBALANCE_EXTENTS;
 use bullet_core::{
@@ -45,7 +45,7 @@ use bullet_core::{
 };
 
 use crate::ablation::{Invariant, Outcome, Scale, Trailer};
-use crate::check::Json;
+use crate::rig::sim_mirror;
 
 /// The shard counts the on-push scaling suite sweeps.
 pub const SCALING_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -107,16 +107,7 @@ fn scaling_set(hw: HwProfile, count: u32) -> (BulletShards, Vec<SimClock>) {
     let mut servers = Vec::with_capacity(count as usize);
     for i in 0..count {
         let disk_clock = SimClock::new();
-        let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
-            .map(|_| {
-                Arc::new(SimDisk::new(
-                    RamDisk::new(1024, 65_536),
-                    disk_clock.clone(),
-                    hw.disk,
-                )) as Arc<dyn BlockDevice>
-            })
-            .collect();
-        let storage = MirroredDisk::new(replicas).expect("replica set is valid");
+        let storage = sim_mirror(2, 1024, 65_536, &disk_clock, hw.disk);
         let mut cfg = BulletConfig::small_test();
         cfg.min_inodes = 2048;
         cfg.cache_capacity = 12 << 20;

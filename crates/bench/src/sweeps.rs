@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SimDisk};
+use amoeba_disk::{RamDisk, SimDisk};
 use amoeba_log::LogServer;
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient};
@@ -17,7 +17,7 @@ use bytes::Bytes;
 use nfs_blockfs::BlockFs;
 
 use crate::ablation::{Invariant, Outcome};
-use crate::rig::BulletRig;
+use crate::rig::{sim_mirror, BulletRig};
 use crate::table::{bandwidth_kb_s, size_label, Text, SIZES};
 use crate::workload::{nth, WorkloadMix};
 
@@ -65,17 +65,12 @@ a warm read never touches the disk arm at all.
 fn bullet_fetch(size: usize) -> Nanos {
     let clock = SimClock::new();
     let hw = HwProfile::amoeba_1989();
-    let disk: Arc<dyn BlockDevice> = Arc::new(SimDisk::new(
-        RamDisk::new(1024, 65_536),
-        clock.clone(),
-        hw.disk,
-    ));
+    let storage = sim_mirror(1, 1024, 65_536, &clock, hw.disk);
     let mut cfg = BulletConfig::small_test();
     cfg.clock = clock.clone();
     cfg.cache_capacity = 16 << 20;
     cfg.rnode_slots = 64;
-    let server = BulletServer::format_on(cfg, MirroredDisk::new(vec![disk]).expect("one replica"))
-        .expect("format");
+    let server = BulletServer::format_on(cfg, storage).expect("format");
     let cap = server
         .create(Bytes::from(vec![1u8; size]), 1)
         .expect("create");
@@ -195,16 +190,7 @@ pub fn fragmentation() -> Outcome {
     cfg.rnode_slots = 1024;
     let clock = cfg.clock.clone();
     let hw = HwProfile::amoeba_1989();
-    let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
-        .map(|_| {
-            Arc::new(SimDisk::new(
-                RamDisk::new(cfg.block_size, cfg.disk_blocks),
-                clock.clone(),
-                hw.disk,
-            )) as Arc<dyn BlockDevice>
-        })
-        .collect();
-    let storage = MirroredDisk::new(replicas).expect("mirror");
+    let storage = sim_mirror(2, cfg.block_size, cfg.disk_blocks, &clock, hw.disk);
     let server = BulletServer::format_on(cfg, storage).expect("format");
 
     let mut mix = WorkloadMix::unix_mix(0xf4a6, 256 * 1024, 400);
@@ -472,15 +458,7 @@ fn loaded_stack(
 ) -> (SimClock, Arc<BulletServer>, BulletClient) {
     let clock = SimClock::new();
     let hw = HwProfile::amoeba_1989();
-    let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
-        .map(|_| {
-            Arc::new(SimDisk::new(
-                RamDisk::new(1024, 65_536),
-                clock.clone(),
-                hw.disk,
-            )) as Arc<dyn BlockDevice>
-        })
-        .collect();
+    let storage = sim_mirror(2, 1024, 65_536, &clock, hw.disk);
     let mut cfg = BulletConfig::small_test();
     cfg.block_size = 1024;
     cfg.disk_blocks = 65_536;
@@ -489,9 +467,7 @@ fn loaded_stack(
     cfg.min_inodes = 2048;
     cfg.clock = clock.clone();
     cfg.eviction = eviction;
-    let server = Arc::new(
-        BulletServer::format_on(cfg, MirroredDisk::new(replicas).expect("mirror")).expect("format"),
-    );
+    let server = Arc::new(BulletServer::format_on(cfg, storage).expect("format"));
     let dispatcher = Dispatcher::new(SimEthernet::with_load(clock.clone(), hw.net, load));
     dispatcher.register(BulletRpcServer::new(server.clone()));
     let client = BulletClient::new(RpcClient::new(dispatcher), server.port());

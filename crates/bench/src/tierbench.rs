@@ -22,13 +22,13 @@
 
 use amoeba_cap::Capability;
 use amoeba_disk::BlockDevice;
+use amoeba_sim::json::Json;
 use amoeba_sim::{exact_quantile, HwProfile, Nanos};
 use bullet_core::counters;
 use bullet_core::CompactTick;
 use bytes::Bytes;
 
 use crate::ablation::{Invariant, Outcome, Scale, Trailer};
-use crate::check::Json;
 use crate::rig::BulletRig;
 use crate::workload::{small_file_storm, ZipfSampler};
 
@@ -141,7 +141,6 @@ pub fn run_tier(cfg: &TierConfig) -> TierOutcome {
         if tiering {
             c.archive_blocks = ARCHIVE_BLOCKS;
             c.tier_high_water_pct = 0; // demote every cold file
-            c.tier_cold_age = 1;
         }
     });
     let sizes = small_file_storm(cfg.seed, cfg.files, 2048, 64 * 1024);
@@ -413,7 +412,6 @@ fn soak(seed: u64) -> Outcome {
     let rig = BulletRig::with_config(2, HwProfile::amoeba_1989(), 12 << 20, |c| {
         c.archive_blocks = ARCHIVE_BLOCKS;
         c.tier_high_water_pct = SOAK_HIGH_WATER_PCT;
-        c.tier_cold_age = 1;
         c.maint_moves_per_tick = 8;
     });
     let max_age = 8u32; // BulletConfig::max_age in the rig

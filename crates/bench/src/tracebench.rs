@@ -7,12 +7,12 @@
 //! memcpy), mirrored replica writes, cache events, and lock
 //! acquisitions.
 
+use amoeba_sim::json;
 use amoeba_sim::trace::{lane_utilization, leaf_coverage, leaf_spans};
 use amoeba_sim::{AttrValue, HwProfile, Nanos, SpanRecord, TraceConfig};
 use bytes::Bytes;
 
 use crate::ablation::{Invariant, Outcome};
-use crate::check::json_valid;
 use crate::rig::BulletRig;
 use crate::table::Text;
 
@@ -178,10 +178,10 @@ pub fn ablation() -> Outcome {
     let bad_line = jsonl
         .lines()
         .enumerate()
-        .find_map(|(at, line)| Some((at, json_valid(line).err()?)));
+        .find_map(|(at, line)| Some((at, json::valid(line).err()?)));
     let malformed: Vec<String> = [
         bad_line.map(|(at, e)| format!("ablation_trace.jsonl line {}: {e}", at + 1)),
-        json_valid(&chrome)
+        json::valid(&chrome)
             .err()
             .map(|e| format!("ablation_trace.trace.json: {e}")),
     ]

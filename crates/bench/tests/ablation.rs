@@ -1,17 +1,18 @@
 //! The experiment harness: the replay-twice runner and plain `report`'s
 //! regenerate-everything loop judged on a fake ablation, every registered
 //! experiment green at tier-1 scale, the registry against `results/` and
-//! `src/bin/`, the seven scaled ablations' declared keys against the
-//! committed `BENCH_pr2.json`, and `report --json --check` being
-//! read-only.
+//! `src/bin/`, `report --json` regenerating the committed
+//! `BENCH_pr2.json` byte for byte, and its refusal to write a baseline
+//! with a red criterion in it.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
 use std::sync::OnceLock;
 
-use bullet_bench::ablation::{judge, regenerate, Invariant, Outcome, Scale, Trailer, REGISTRY};
-use bullet_bench::check::{json_lookup_section, Json};
+use bullet_bench::ablation::{
+    judge, regenerate, write_baseline, Invariant, Outcome, Scale, Trailer, REGISTRY,
+};
 
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr2.json");
 
@@ -173,23 +174,6 @@ fn a_green_run_passes_and_its_artifact_is_title_table_trailer() {
     );
 }
 
-/// `(section, key)` for every top-level object of the committed baseline.
-fn baseline_section_keys(doc: &str) -> BTreeSet<(String, String)> {
-    let mut keys = BTreeSet::new();
-    let mut section = None;
-    for line in doc.lines() {
-        let name = || line.trim().split('"').nth(1).map(str::to_string);
-        if line.starts_with("  \"") && line.ends_with(": {") {
-            section = name();
-        } else if line.starts_with("  }") {
-            section = None;
-        } else if let (Some(section), Some(key)) = (&section, name()) {
-            keys.insert((section.clone(), key));
-        }
-    }
-    keys
-}
-
 /// One outcome per registry entry, at the scale tier-1 affords: the
 /// reduced cell where there is one (ABL16/17 at full scale take 20 s in
 /// release), the committed scale otherwise.
@@ -210,34 +194,58 @@ fn tier1_outcomes() -> &'static [Outcome] {
 }
 
 #[test]
-fn every_reduced_ablation_is_green_and_the_baseline_carries_exactly_the_declared_keys() {
-    let doc = std::fs::read_to_string(BASELINE).expect("the committed baseline is readable");
-    let mut declared = BTreeSet::new();
+fn every_registered_experiment_is_green_at_tier1_scale() {
     for outcome in tier1_outcomes() {
         for c in &outcome.criteria {
             assert!(c.pass, "{}: {} ({})", outcome.title, c.name, c.detail);
         }
-        for (section, value) in &outcome.json {
-            let Json::Object(members) = value else {
-                // ABL13's row table: present, checked line by line by
-                // `report --json --check`.
-                assert!(doc.contains(&format!("\n  \"{section}\": ")), "{section}");
-                continue;
-            };
-            for (key, _) in members {
-                assert!(
-                    json_lookup_section(&doc, section, key).is_some(),
-                    "the committed baseline lacks \"{key}\" in \"{section}\""
-                );
-                declared.insert((section.to_string(), key.clone()));
-            }
-        }
     }
-    assert_eq!(
-        baseline_section_keys(&doc),
-        declared,
-        "baseline sections (left) vs keys the ablations declare (right)"
+}
+
+#[test]
+fn report_json_regenerates_the_committed_baseline_byte_for_byte() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_regenerated.json");
+    let run = Command::new(env!("CARGO_BIN_EXE_report"))
+        .arg("--json")
+        .arg(&path)
+        .output()
+        .expect("report runs");
+    assert!(
+        run.status.success(),
+        "report --json failed:\n{}",
+        String::from_utf8_lossy(&run.stderr)
     );
+    let fresh = std::fs::read_to_string(&path).expect("report wrote the scratch file");
+    let committed = std::fs::read_to_string(BASELINE).expect("the committed baseline is readable");
+    assert!(
+        fresh == committed,
+        "BENCH_pr2.json is stale: regenerate it with `report --json BENCH_pr2.json` \
+         (first difference at line {})",
+        1 + fresh
+            .lines()
+            .zip(committed.lines())
+            .take_while(|(f, c)| f == c)
+            .count()
+    );
+}
+
+#[test]
+fn a_baseline_with_a_red_criterion_in_it_is_never_written() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_red.json");
+    let path = path.to_str().expect("UTF-8 scratch path");
+    std::fs::write(path, "the committed baseline\n").expect("scratch file");
+    let outcomes = [fake("  row\n", true), fake("  row\n", false)];
+    let refused = write_baseline(path, "{}\n", &outcomes).unwrap_err();
+    assert_eq!(
+        refused,
+        "ABL99 fake ablation (seed 1): criterion red: the second thing holds (measured 7)"
+    );
+    assert_eq!(
+        std::fs::read_to_string(path).expect("scratch file survives"),
+        "the committed baseline\n"
+    );
+    assert_eq!(write_baseline(path, "{}\n", &outcomes[..1]), Ok(()));
+    assert_eq!(std::fs::read_to_string(path).expect("written"), "{}\n");
 }
 
 /// Files under `results/` no registry entry writes, and why.
@@ -306,43 +314,4 @@ fn the_registry_results_and_the_bins_name_each_other_exactly() {
             );
         }
     }
-}
-
-#[test]
-fn report_check_passes_inside_the_headroom_and_never_writes_the_baseline() {
-    // A copy of the baseline whose 1 MB create p99 sits 5 % below what a
-    // fresh run measures: inside the gate's 10 % headroom, so the check
-    // passes — and the drifted file must come back byte for byte.
-    let doc = std::fs::read_to_string(BASELINE).expect("the committed baseline is readable");
-    let (small, mb) = doc
-        .split_once("\"bytes\": 1048576,")
-        .expect("the baseline has a 1 MB row");
-    let (before, rest) = mb
-        .split_once("\"create_p99_ms\": ")
-        .expect("the 1 MB row has a create p99");
-    let (value, after) = rest.split_once('\n').expect("one member per line");
-    let committed: f64 = value.trim_end_matches(',').parse().expect("a number");
-    let drifted = format!(
-        "{small}\"bytes\": 1048576,{before}\"create_p99_ms\": {:.3},\n{after}",
-        committed * 0.95
-    );
-    assert_ne!(drifted, doc);
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_drifted.json");
-    std::fs::write(&path, &drifted).expect("scratch copy");
-
-    let run = Command::new(env!("CARGO_BIN_EXE_report"))
-        .args(["--json", "--check"])
-        .arg(&path)
-        .output()
-        .expect("report runs");
-    assert!(
-        run.status.success(),
-        "check failed:\n{}",
-        String::from_utf8_lossy(&run.stderr)
-    );
-    assert_eq!(
-        std::fs::read_to_string(&path).expect("scratch copy survives"),
-        drifted,
-        "--check rewrote the baseline it was asked to check"
-    );
 }

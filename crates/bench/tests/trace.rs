@@ -3,7 +3,7 @@
 //! its exports are well-formed (the Chrome trace-event file is a JSON
 //! array of complete events, the JSONL file one object per line).
 
-use amoeba_sim::{HwProfile, Nanos, TraceConfig};
+use amoeba_sim::{json, HwProfile, Nanos, TraceConfig};
 use bullet_bench::rig::BulletRig;
 
 /// A rig with the span tracer recording into `rig.tracer`.
@@ -58,18 +58,12 @@ fn chrome_export_is_a_well_formed_event_array() {
     assert!(trimmed.starts_with('{') && trimmed.ends_with('}'));
     assert!(chrome.contains("\"traceEvents\":["));
     assert!(chrome.contains("\"ph\":\"X\""), "no complete events");
-    // Braces/brackets balance — cheap structural sanity without a JSON
-    // parser in the dev-dependencies.
-    for (open, close) in [('{', '}'), ('[', ']')] {
-        let opens = chrome.matches(open).count();
-        let closes = chrome.matches(close).count();
-        assert_eq!(opens, closes, "unbalanced {open}{close}");
-    }
+    assert_eq!(json::valid(&chrome), Ok(()));
 
     let jsonl = rig.tracer.export_jsonl();
     assert_eq!(jsonl.lines().count(), rig.tracer.snapshot().len());
     for line in jsonl.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"name\":"));
+        assert_eq!(json::valid(line), Ok(()), "{line}");
+        assert!(line.starts_with("{\"id\":") && line.contains("\"name\":"));
     }
 }

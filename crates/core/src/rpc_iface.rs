@@ -130,55 +130,42 @@ impl RpcServer for BulletRpcServer {
     }
 
     fn handle(&self, req: Request) -> Reply {
-        let (req, txn) = untag_request(req);
-        match txn {
-            Some(txn) => {
-                // All server-side work for this request — including the
-                // data-path charges deep in `BulletServer` — bills to the
-                // transaction tag's client while the scope is open.
-                let _scope = ClientScope::enter(txn.client);
-                let executed = Cell::new(false);
-                let reply = self.dedup.execute(txn, || {
-                    executed.set(true);
-                    self.dispatch(req)
-                });
-                if !executed.get() {
-                    // Replayed from the at-most-once cache: the client's
-                    // RPC layer retransmitted.
-                    self.server
-                        .accounting()
-                        .charge(txn.client, |u| u.retries += 1);
-                }
-                reply
-            }
-            None => self.dispatch(req),
-        }
+        self.serve(req, None)
     }
 
     fn handle_streamed(&self, req: Request, wire: &StreamWire) -> Reply {
-        let (req, txn) = untag_request(req);
-        match txn {
-            Some(txn) => {
-                let _scope = ClientScope::enter(txn.client);
-                let executed = Cell::new(false);
-                let reply = self.dedup.execute(txn, || {
-                    executed.set(true);
-                    self.dispatch_streamed(req, wire)
-                });
-                if !executed.get() {
-                    self.server
-                        .accounting()
-                        .charge(txn.client, |u| u.retries += 1);
-                }
-                reply
-            }
-            None => self.dispatch_streamed(req, wire),
-        }
+        self.serve(req, Some(wire))
     }
 }
 
 impl BulletRpcServer {
-    fn dispatch(&self, req: Request) -> Reply {
+    /// Both [`RpcServer`] entry points: `wire` is the transport's stream
+    /// wire when it offers one.
+    fn serve(&self, req: Request, wire: Option<&StreamWire>) -> Reply {
+        let (req, txn) = untag_request(req);
+        let Some(txn) = txn else {
+            return self.dispatch(req, wire);
+        };
+        // All server-side work for this request — including the
+        // data-path charges deep in `BulletServer` — bills to the
+        // transaction tag's client while the scope is open.
+        let _scope = ClientScope::enter(txn.client);
+        let executed = Cell::new(false);
+        let reply = self.dedup.execute(txn, || {
+            executed.set(true);
+            self.dispatch(req, wire)
+        });
+        if !executed.get() {
+            // Replayed from the at-most-once cache: the client's RPC
+            // layer retransmitted.
+            self.server
+                .accounting()
+                .charge(txn.client, |u| u.retries += 1);
+        }
+        reply
+    }
+
+    fn dispatch(&self, req: Request, wire: Option<&StreamWire>) -> Reply {
         use amoeba_rpc::std_commands;
         let result = match req.command {
             std_commands::INFO => return self.std_info(&req),
@@ -191,7 +178,7 @@ impl BulletRpcServer {
                     return Reply::error(Status::BadParam);
                 };
                 self.server
-                    .create(req.data, p)
+                    .create_streamed(req.data, p, wire)
                     .map(|cap| Reply::ok(cap_bytes(&cap), Bytes::new()))
             }
             commands::SIZE => self.server.size(&req.cap).map(|size| {
@@ -201,8 +188,8 @@ impl BulletRpcServer {
             }),
             commands::READ => self
                 .server
-                .read(&req.cap)
-                .map(|data| Reply::ok(Bytes::new(), data)),
+                .read_streamed(&req.cap, wire)
+                .map(|data| streamed_reply(wire, data)),
             commands::DELETE => self
                 .server
                 .delete(&req.cap)
@@ -214,8 +201,8 @@ impl BulletRpcServer {
                     return Reply::error(Status::BadParam);
                 };
                 self.server
-                    .read_section(&req.cap, offset, len)
-                    .map(|data| Reply::ok(Bytes::new(), data))
+                    .read_section_streamed(&req.cap, offset, len, wire)
+                    .map(|data| streamed_reply(wire, data))
             }
             commands::MODIFY => {
                 let (Some(offset), Some(p)) = (read_u32(&req.params, 0), read_u32(&req.params, 4))
@@ -250,50 +237,20 @@ impl BulletRpcServer {
         };
         result.unwrap_or_else(|e| Reply::error(e.into()))
     }
-
-    fn dispatch_streamed(&self, req: Request, wire: &StreamWire) -> Reply {
-        let result = match req.command {
-            commands::CREATE => {
-                let Some(p) = read_u32(&req.params, 0) else {
-                    return Reply::error(Status::BadParam);
-                };
-                self.server
-                    .create_streamed(req.data, p, Some(wire))
-                    .map(|cap| Reply::ok(cap_bytes(&cap), Bytes::new()))
-            }
-            commands::READ => self
-                .server
-                .read_streamed(&req.cap, Some(wire))
-                .map(|data| streamed_reply(wire, data)),
-            commands::READ_SECTION => {
-                let (Some(offset), Some(len)) =
-                    (read_u32(&req.params, 0), read_u32(&req.params, 4))
-                else {
-                    return Reply::error(Status::BadParam);
-                };
-                self.server
-                    .read_section_streamed(&req.cap, offset, len, Some(wire))
-                    .map(|data| streamed_reply(wire, data))
-            }
-            // Everything else moves little bulk data; the monolithic path
-            // is already optimal for it.
-            _ => return self.dispatch(req),
-        };
-        result.unwrap_or_else(|e| Reply::error(e.into()))
-    }
 }
 
 /// Closes out a read reply whose payload may have been streamed: frames
 /// owed to a channel peer are delivered (zero-copy slices of `data`), and
 /// if they carry the payload the closing reply travels empty — the client
-/// reassembles.
-fn streamed_reply(wire: &StreamWire, data: Bytes) -> Reply {
-    wire.finish_reply(&data);
-    if wire.delivers_frames() && wire.reply_streamed() > 0 {
-        Reply::ok(Bytes::new(), Bytes::new())
-    } else {
-        Reply::ok(Bytes::new(), data)
+/// reassembles.  Without a wire the payload is the reply.
+fn streamed_reply(wire: Option<&StreamWire>, data: Bytes) -> Reply {
+    if let Some(wire) = wire {
+        wire.finish_reply(&data);
+        if wire.delivers_frames() && wire.reply_streamed() > 0 {
+            return Reply::ok(Bytes::new(), Bytes::new());
+        }
     }
+    Reply::ok(Bytes::new(), data)
 }
 
 fn read_u32(buf: &Bytes, at: usize) -> Option<u32> {
@@ -538,25 +495,38 @@ mod tests {
 
     #[test]
     fn monitor_rpc_returns_versioned_snapshot() {
+        use amoeba_rpc::fault::{tag_request, TxnId};
         let mut cfg = BulletConfig::small_test();
         let clock = SimClock::new();
         cfg.clock = clock.clone();
         cfg.telemetry = amoeba_sim::TelemetryConfig::enabled(amoeba_sim::Nanos::from_us(1), 64);
+        cfg.telemetry
+            .telemetry()
+            .watch("cache stays empty", "cache_used_bytes", 0);
+        cfg.accounting = crate::ClientAccounting::on();
         let server = Arc::new(BulletServer::format(cfg, 2).unwrap());
         let net = SimEthernet::new(clock.clone(), NetProfile::ethernet_10mbit());
         let dispatcher = Dispatcher::new(net);
-        dispatcher.register(BulletRpcServer::new(server.clone()));
+        let rpc = BulletRpcServer::new(server.clone());
+        dispatcher.register(rpc.clone());
         let client = BulletClient::new(RpcClient::new(dispatcher), server.port());
         let cap = client.create(Bytes::from_static(b"monitored"), 1).unwrap();
         client.read(&cap).unwrap();
-        client.read(&cap).unwrap();
+        // One tagged read, so the accounting table has a client to rank.
+        let read = Request {
+            cap,
+            command: commands::READ,
+            params: Bytes::new(),
+            data: Bytes::new(),
+        };
+        rpc.handle(tag_request(read, TxnId { client: 42, seq: 1 }));
+        // With a 1 µs period the per-request tick sampled the layer
+        // gauges into the rings and the watchdog saw the cache fill: every
+        // part of the document is populated, and it is PR 23's bytes.
         let snap = client.monitor().unwrap();
-        assert!(snap.starts_with("{\"monitor_schema\":1"), "{snap}");
-        assert!(snap.contains("\"counters\":{"), "{snap}");
-        // With a 1 µs period, the per-request tick fired and sampled the
-        // layer gauges into the rings.
-        assert!(snap.contains("\"series\":\"cache_used_bytes\""), "{snap}");
-        assert!(snap.contains("\"slo_events\":["), "{snap}");
+        let golden = include_str!("../tests/golden/monitor_snapshot.json");
+        assert_eq!(snap, golden.trim_end());
+        assert_eq!(amoeba_sim::json::valid(&snap), Ok(()));
     }
 
     #[test]

@@ -49,6 +49,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use amoeba_cap::{AmoebaScheme, Capability, CheckScheme, MacScheme, ObjNum, Port, Rights};
 use amoeba_disk::{BlockDevice, LogWindow, MirroredDisk, RamDisk, SimDisk, WormDisk};
 use amoeba_rpc::StreamWire;
+use amoeba_sim::json::Json;
 use amoeba_sim::{
     AttrValue, CpuProfile, DetRng, DiskProfile, Nanos, Pipeline, SimClock, SpanGuard, Stats,
     Telemetry, TelemetryConfig, TraceConfig, Tracer,
@@ -156,9 +157,6 @@ pub struct BulletConfig {
     /// engages (the tier high-water mark).  Below it cold files stay on
     /// the fast tier — there is nothing to reclaim.
     pub tier_high_water_pct: u32,
-    /// Aging rounds ([`BulletServer::age_all`]) a file must survive
-    /// untouched before the demotion job may consider it cold.
-    pub tier_cold_age: u32,
     /// The idleness gate's request-arrival threshold: a maintenance tick
     /// preempts when more than this many foreground requests arrived
     /// since the previous tick.  `0` (the default, and the historical
@@ -198,7 +196,6 @@ impl BulletConfig {
             shard: crate::shard::ShardSlot::solo(),
             archive_blocks: 0,
             tier_high_water_pct: 75,
-            tier_cold_age: 1,
             maint_idle_request_delta: 0,
             maint_moves_per_tick: 1,
         }
@@ -2063,10 +2060,15 @@ impl BulletServer {
     // The storage tiers: RAM → mirrored disk → WORM archive.
     // ------------------------------------------------------------------
 
+    /// Aging rounds ([`age_all`](Self::age_all)) a file must survive
+    /// untouched before the demotion job may consider it cold.  Not a
+    /// knob — nothing ever ran with another value.
+    pub const TIER_COLD_AGE: u32 = 1;
+
     /// Demotes one cold file's extent to the WORM archive tier — the
     /// [`DemotionJob`] increment.  Candidates are live, uncached,
     /// allocator-range (neither log-resident nor already archived) files
-    /// that survived [`BulletConfig::tier_cold_age`] aging rounds
+    /// that survived [`TIER_COLD_AGE`](Self::TIER_COLD_AGE) aging rounds
     /// untouched; among them the size-tiered bucketing of
     /// [`maintenance::size_tiered_pick`] chooses.  The extent streams to
     /// the archive through the low-priority disk lane, the inode flips
@@ -2087,7 +2089,7 @@ impl BulletServer {
                     ino.index == 0
                         && self.residency_of(ino) == Ok(Residency::Home)
                         && ages.get(&idx).is_some_and(|&a| {
-                            self.cfg.max_age.saturating_sub(a) >= self.cfg.tier_cold_age
+                            self.cfg.max_age.saturating_sub(a) >= Self::TIER_COLD_AGE
                         })
                 })
                 .map(|(idx, ino)| (idx, ino.blocks(block_size)))
@@ -2293,100 +2295,75 @@ impl BulletServer {
     pub fn monitor_snapshot(&self) -> String {
         const TAIL: usize = 8;
         const TOP_K: usize = 10;
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"monitor_schema\":1");
-        out.push_str(&format!(",\"now_ns\":{}", self.cfg.clock.now().as_ns()));
-        out.push_str(&format!(
-            ",\"telemetry_enabled\":{}",
-            self.telemetry.enabled()
-        ));
         // Counters: server ops, then the cache's own stats, then locks —
         // disjoint name sets, merged into one flat object.
-        out.push_str(",\"counters\":{");
-        let mut first = true;
-        for (name, value) in self
+        let counters = self
             .stats
             .snapshot()
             .into_iter()
             .chain(self.cache_stats())
             .chain(self.lock_stats())
-        {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{name}\":{value}"));
-        }
-        out.push('}');
+            .map(|(name, value)| (name, Json::num(value)));
         // Gauge/delta series: ring metadata plus the last few samples.
-        out.push_str(",\"series\":[");
-        for (i, (name, instance, kind, len, dropped)) in
-            self.telemetry.series_index().into_iter().enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            let samples = self.telemetry.series(name, instance);
-            let tail = &samples[samples.len().saturating_sub(TAIL)..];
-            out.push_str(&format!(
-                "{{\"series\":\"{name}\",\"instance\":{instance},\"kind\":\"{}\",\
-                 \"points\":{len},\"dropped\":{dropped},\"tail\":[",
-                kind.label()
-            ));
-            for (j, s) in tail.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{{\"t_ns\":{},\"v\":{}}}", s.at.as_ns(), s.value));
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
+        let series = self.telemetry.series_index().into_iter().map(
+            |(name, instance, kind, len, dropped)| {
+                let samples = self.telemetry.series(name, instance);
+                let tail = samples[samples.len().saturating_sub(TAIL)..]
+                    .iter()
+                    .map(|s| {
+                        Json::object([("t_ns", Json::num(s.at.as_ns())), ("v", Json::num(s.value))])
+                    });
+                Json::object([
+                    ("series", Json::string(name)),
+                    ("instance", Json::num(instance)),
+                    ("kind", Json::string(kind.label())),
+                    ("points", Json::num(len)),
+                    ("dropped", Json::num(dropped)),
+                    ("tail", Json::array(tail)),
+                ])
+            },
+        );
         // The SLO watchdog's degradation/recovery event log.
-        out.push_str(",\"slo_events\":[");
-        for (i, e) in self.telemetry.slo_events().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"t_ns\":{},\"kind\":\"{}\",\"slo\":\"{}\",\"series\":\"{}\",\
-                 \"instance\":{},\"value\":{},\"ceiling\":{}}}",
-                e.at.as_ns(),
-                e.kind.label(),
-                e.slo,
-                e.series,
-                e.instance,
-                e.value,
-                e.ceiling
-            ));
-        }
-        out.push(']');
+        let slo_events = self.telemetry.slo_events().into_iter().map(|e| {
+            Json::object([
+                ("t_ns", Json::num(e.at.as_ns())),
+                ("kind", Json::string(e.kind.label())),
+                ("slo", Json::string(e.slo)),
+                ("series", Json::string(e.series)),
+                ("instance", Json::num(e.instance)),
+                ("value", Json::num(e.value)),
+                ("ceiling", Json::num(e.ceiling)),
+            ])
+        });
         // Per-client accounting: population size plus the top offenders
         // by the cost metric (deterministic order; see `ClientUsage`).
-        out.push_str(&format!(
-            ",\"clients\":{{\"count\":{},\"top\":[",
-            self.accounting.len()
-        ));
-        for (i, (client, u)) in self.accounting.top_k(TOP_K).into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"client\":{client},\"requests\":{},\"bytes_read\":{},\
-                 \"bytes_written\":{},\"disk_ios\":{},\"cache_hits\":{},\
-                 \"cache_misses\":{},\"retries\":{},\"cost\":{}}}",
-                u.requests,
-                u.bytes_read,
-                u.bytes_written,
-                u.disk_ios,
-                u.cache_hits,
-                u.cache_misses,
-                u.retries,
-                u.cost()
-            ));
-        }
-        out.push_str("]}}");
-        out
+        let top = self.accounting.top_k(TOP_K).into_iter().map(|(client, u)| {
+            Json::object([
+                ("client", Json::num(client)),
+                ("requests", Json::num(u.requests)),
+                ("bytes_read", Json::num(u.bytes_read)),
+                ("bytes_written", Json::num(u.bytes_written)),
+                ("disk_ios", Json::num(u.disk_ios)),
+                ("cache_hits", Json::num(u.cache_hits)),
+                ("cache_misses", Json::num(u.cache_misses)),
+                ("retries", Json::num(u.retries)),
+                ("cost", Json::num(u.cost())),
+            ])
+        });
+        let clients = [
+            ("count", Json::num(self.accounting.len())),
+            ("top", Json::array(top)),
+        ];
+        Json::object([
+            ("monitor_schema", Json::num(1)),
+            ("now_ns", Json::num(self.cfg.clock.now().as_ns())),
+            ("telemetry_enabled", Json::num(self.telemetry.enabled())),
+            ("counters", Json::object(counters)),
+            ("series", Json::array(series)),
+            ("slo_events", Json::array(slo_events)),
+            ("clients", Json::object(clients)),
+        ])
+        .compact()
     }
 
     /// The mirrored storage (for failover tests and admin tooling).
@@ -4254,7 +4231,6 @@ mod tests {
         let mut cfg = BulletConfig::small_test();
         cfg.archive_blocks = 8192;
         cfg.tier_high_water_pct = 0; // any occupancy sits "above water"
-        cfg.tier_cold_age = 1;
         cfg
     }
 

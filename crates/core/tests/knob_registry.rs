@@ -25,12 +25,12 @@ use std::path::{Path, PathBuf};
 /// Fields of `BulletConfig`.  A ratchet: lower it with every knob
 /// deleted; a PR that raises it must say which two callers need
 /// different values.
-const KNOBS: usize = 26;
+const KNOBS: usize = 25;
 
 /// Code lines (neither blank nor `//`) of `server.rs` above its test
 /// module — the figure ROADMAP item 3(a) tracks towards 1,500.  A
 /// ratchet: lower it when the file shrinks.
-const SERVER_CODE_LINES: usize = 2073;
+const SERVER_CODE_LINES: usize = 2048;
 
 /// Knobs nothing outside tests assigns, and why each stays anyway.
 const UNSET_BY_DESIGN: &[(&str, &str)] = &[

@@ -40,7 +40,6 @@ fn tier_migrations_race_concurrent_reads() {
     let mut cfg = BulletConfig::small_test();
     cfg.archive_blocks = 1 << 16;
     cfg.tier_high_water_pct = 0; // any occupancy is "above water"
-    cfg.tier_cold_age = 0; // every uncached live file is a candidate
     cfg.maint_idle_request_delta = u64::MAX; // run despite reader traffic
     cfg.maint_moves_per_tick = 4;
     let s = Arc::new(BulletServer::format(cfg, 2).unwrap());
@@ -49,6 +48,7 @@ fn tier_migrations_race_concurrent_reads() {
             .map(|i| s.create(fill_for(i as u8, 600 + 37 * i), 2).unwrap())
             .collect(),
     );
+    s.age_all().unwrap(); // one round cold: every uncached file is a candidate
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(4)); // 3 readers + the driver
 
@@ -152,7 +152,6 @@ proptest! {
         let mut cfg = BulletConfig::small_test();
         cfg.archive_blocks = 1 << 16;
         cfg.tier_high_water_pct = 0;
-        cfg.tier_cold_age = 1;
         let max_age = cfg.max_age;
         let s = BulletServer::format(cfg, 2).unwrap();
         // One slot per file ever created: (cap, bytes, model age).

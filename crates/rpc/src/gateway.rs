@@ -40,35 +40,25 @@ struct WanProxy {
     wan: SimEthernet,
 }
 
-impl RpcServer for WanProxy {
-    fn port(&self) -> Port {
-        self.port
-    }
-
-    fn handle(&self, req: Request) -> Reply {
-        // The request crosses the WAN, transacts on the remote fabric
-        // (which charges its own local-Ethernet costs), and the reply
-        // crosses back.
-        self.wan.send(req.wire_size());
-        let reply = match self.remote.trans(req) {
-            Ok(reply) => reply,
-            Err(RpcError::UnknownPort(_)) => Reply::error(Status::NotFound),
-        };
-        self.wan.send(reply.wire_size());
-        reply
-    }
-
-    fn handle_streamed(&self, req: Request, wire: &StreamWire) -> Reply {
+impl WanProxy {
+    /// Both [`RpcServer`] entry points.  The request crosses the WAN,
+    /// transacts on the remote fabric (which charges its own
+    /// local-Ethernet costs), and the reply crosses back — whole, unless
+    /// the transport offers a stream `wire` and the reply spans segments.
+    fn relay(&self, req: Request, wire: Option<&StreamWire>) -> Reply {
         self.wan.send(req.wire_size());
         let reply = match self.remote.trans(req) {
             Ok(reply) => reply,
             Err(RpcError::UnknownPort(_)) => Reply::error(Status::NotFound),
         };
         let seg = DEFAULT_SEGMENT as usize;
-        if !reply.status.is_ok() || reply.data.len() <= seg {
-            self.wan.send(reply.wire_size());
-            return reply;
-        }
+        let wire = match wire {
+            Some(wire) if reply.status.is_ok() && reply.data.len() > seg => wire,
+            _ => {
+                self.wan.send(reply.wire_size());
+                return reply;
+            }
+        };
         // A large reply streams across the WAN segment by segment, each
         // one forwarded onto the local wire while the next is still on the
         // slow link — the gateway relays instead of store-and-forwarding
@@ -96,6 +86,20 @@ impl RpcServer for WanProxy {
             };
         }
         reply
+    }
+}
+
+impl RpcServer for WanProxy {
+    fn port(&self) -> Port {
+        self.port
+    }
+
+    fn handle(&self, req: Request) -> Reply {
+        self.relay(req, None)
+    }
+
+    fn handle_streamed(&self, req: Request, wire: &StreamWire) -> Reply {
+        self.relay(req, Some(wire))
     }
 }
 

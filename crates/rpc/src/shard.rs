@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use amoeba_cap::{shard_of, Port};
+use amoeba_sim::json::Json;
 use amoeba_sim::{SimClock, Stats, Telemetry};
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -186,43 +187,51 @@ impl ShardRouter {
     /// shard's own snapshot, or `{"down":true}` for a dead shard, plus the
     /// router's per-shard routed/refused totals.
     fn monitor_aggregate(&self, req: &Request) -> Reply {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"shard_monitor_schema\":1");
-        out.push_str(&format!(",\"shard_count\":{}", self.shards.len()));
-        out.push_str(",\"routed\":[");
-        for i in 0..self.shards.len() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&self.routed(i).to_string());
-        }
-        out.push_str("],\"degraded\":[");
-        for i in 0..self.shards.len() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&self.degraded(i).to_string());
-        }
-        out.push_str("],\"shards\":[");
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let shards = 0..self.shards.len();
+        // The totals as they stood before this request's own fan-out.
+        let routed = Json::array(shards.clone().map(|i| Json::num(self.routed(i))));
+        let degraded = Json::array(shards.clone().map(|i| Json::num(self.degraded(i))));
+        let snapshots = shards.map(|i| {
             if self.is_down(i) {
-                out.push_str("{\"down\":true}");
-                continue;
+                return Json::object([("down", Json::num(true))]);
             }
             self.record(i, true);
-            let reply = shard.handle(req.clone());
+            let reply = self.shards[i].handle(req.clone());
             if reply.status.is_ok() && !reply.data.is_empty() {
                 // The shard's snapshot is already JSON; embed it verbatim.
-                out.push_str(&String::from_utf8_lossy(&reply.data));
+                Json::Raw(String::from_utf8_lossy(&reply.data).into_owned())
             } else {
-                out.push_str("{\"down\":false}");
+                Json::object([("down", Json::num(false))])
             }
+        });
+        let doc = Json::object([
+            ("shard_monitor_schema", Json::num(1)),
+            ("shard_count", Json::num(self.shards.len())),
+            ("routed", routed),
+            ("degraded", degraded),
+            ("shards", Json::array(snapshots)),
+        ]);
+        Reply::ok(Bytes::new(), Bytes::from(doc.compact()))
+    }
+
+    /// Both [`RpcServer`] entry points: `wire` is the transport's stream
+    /// wire when it offers one.
+    fn route(&self, req: Request, wire: Option<&StreamWire>) -> Reply {
+        if req.cap.object.value() == 0 && req.command == std_commands::MONITOR {
+            return self.monitor_aggregate(&req);
         }
-        out.push_str("]}");
-        Reply::ok(Bytes::new(), Bytes::from(out))
+        // `None` is every shard down: shard 0 takes the refusal, so the
+        // accounting still names a shard.
+        let shard = self.pick(&req).unwrap_or(0);
+        if self.is_down(shard) {
+            self.record(shard, false);
+            return Reply::error(Status::ShardDown);
+        }
+        self.record(shard, true);
+        match wire {
+            Some(wire) => self.shards[shard].handle_streamed(req, wire),
+            None => self.shards[shard].handle(req),
+        }
     }
 }
 
@@ -232,45 +241,11 @@ impl RpcServer for ShardRouter {
     }
 
     fn handle(&self, req: Request) -> Reply {
-        if req.cap.object.value() == 0 && req.command == std_commands::MONITOR {
-            return self.monitor_aggregate(&req);
-        }
-        match self.pick(&req) {
-            Some(i) if !self.is_down(i) => {
-                self.record(i, true);
-                self.shards[i].handle(req)
-            }
-            Some(i) => {
-                self.record(i, false);
-                Reply::error(Status::ShardDown)
-            }
-            None => {
-                // Every shard down: charge the refusal to the hash pick so
-                // the accounting still names a shard.
-                self.record(0, false);
-                Reply::error(Status::ShardDown)
-            }
-        }
+        self.route(req, None)
     }
 
     fn handle_streamed(&self, req: Request, wire: &StreamWire) -> Reply {
-        if req.cap.object.value() == 0 && req.command == std_commands::MONITOR {
-            return self.monitor_aggregate(&req);
-        }
-        match self.pick(&req) {
-            Some(i) if !self.is_down(i) => {
-                self.record(i, true);
-                self.shards[i].handle_streamed(req, wire)
-            }
-            Some(i) => {
-                self.record(i, false);
-                Reply::error(Status::ShardDown)
-            }
-            None => {
-                self.record(0, false);
-                Reply::error(Status::ShardDown)
-            }
-        }
+        self.route(req, Some(wire))
     }
 }
 

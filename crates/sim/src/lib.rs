@@ -18,6 +18,7 @@
 //!   (binary heap, FIFO among equal timestamps) that lets one real thread
 //!   drive tens of thousands of simulated clients (see [`event`]),
 //! * [`Stats`] — cheap named counters every component exports,
+//! * [`json::Json`] — the workspace's one JSON writer, and [`json::valid`],
 //! * [`Histogram`] — a power-of-two latency histogram for the harness,
 //! * [`Tracer`] — simulated-clock span tracing over the whole data path,
 //!   with JSONL and Chrome-trace exporters (see [`trace`]),
@@ -42,6 +43,7 @@
 pub mod clock;
 pub mod event;
 pub mod hw;
+pub mod json;
 pub mod pipeline;
 pub mod rng;
 pub mod stats;

@@ -53,13 +53,13 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::clock::{Nanos, SimClock};
+use crate::json::Json;
 use crate::stats::Histogram;
 
 /// A typed span attribute value.
@@ -120,11 +120,11 @@ impl AttrValue {
         }
     }
 
-    fn json(&self) -> String {
+    fn json(&self) -> Json {
         match self {
-            AttrValue::U64(v) => v.to_string(),
-            AttrValue::Bool(b) => b.to_string(),
-            AttrValue::Str(s) => format!("\"{s}\""),
+            AttrValue::U64(v) => Json::num(v),
+            AttrValue::Bool(b) => Json::num(b),
+            AttrValue::Str(s) => Json::string(s),
         }
     }
 }
@@ -155,6 +155,10 @@ impl SpanRecord {
     /// Looks up an attribute by key.
     pub fn attr(&self, key: &str) -> Option<&AttrValue> {
         self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    fn attrs_json(&self) -> Json {
+        Json::object(self.attrs.iter().map(|(k, v)| (*k, v.json())))
     }
 }
 
@@ -330,19 +334,19 @@ impl Tracer {
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         for s in self.snapshot() {
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"parent\":{},\"name\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"attrs\":{{",
-                s.id,
-                s.parent.map_or("null".to_string(), |p| p.to_string()),
-                s.name,
-                s.start.as_ns(),
-                s.end.as_ns()
-            );
-            for (i, (k, v)) in s.attrs.iter().enumerate() {
-                let _ = write!(out, "{}\"{k}\":{}", if i > 0 { "," } else { "" }, v.json());
-            }
-            out.push_str("}}\n");
+            let record = Json::object([
+                ("id", Json::num(s.id)),
+                (
+                    "parent",
+                    s.parent.map_or(Json::Raw("null".to_string()), Json::num),
+                ),
+                ("name", Json::string(s.name)),
+                ("start_ns", Json::num(s.start.as_ns())),
+                ("end_ns", Json::num(s.end.as_ns())),
+                ("attrs", s.attrs_json()),
+            ]);
+            out.push_str(&record.compact());
+            out.push('\n');
         }
         out
     }
@@ -379,19 +383,16 @@ impl Tracer {
         for s in &spans {
             let tid = tid_of(s);
             let ts = s.start.as_ns() as f64 / 1000.0;
-            let mut args = String::new();
-            for (i, (k, v)) in s.attrs.iter().enumerate() {
-                let _ = write!(args, "{}\"{k}\":{}", if i > 0 { "," } else { "" }, v.json());
-            }
+            let args = s.attrs_json().compact();
             if s.duration() == Nanos::ZERO {
                 events.push(format!(
-                    "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{tid},\"args\":{{{args}}}}}",
+                    "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{tid},\"args\":{args}}}",
                     s.name
                 ));
             } else {
                 let dur = s.duration().as_ns() as f64 / 1000.0;
                 events.push(format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts:.3},\"dur\":{dur:.3},\"pid\":1,\"tid\":{tid},\"args\":{{{args}}}}}",
+                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts:.3},\"dur\":{dur:.3},\"pid\":1,\"tid\":{tid},\"args\":{args}}}",
                     s.name
                 ));
             }
