@@ -51,8 +51,8 @@ use amoeba_disk::{BlockDevice, LogWindow, MirroredDisk, RamDisk, SimDisk, WormDi
 use amoeba_rpc::StreamWire;
 use amoeba_sim::json::Json;
 use amoeba_sim::{
-    AttrValue, CpuProfile, DetRng, DiskProfile, Nanos, Pipeline, SimClock, SpanGuard, Stats,
-    Telemetry, TelemetryConfig, TraceConfig, Tracer,
+    AttrValue, CpuProfile, DetRng, DiskProfile, LaneCounter, Nanos, Pipeline, SimClock, SpanGuard,
+    Stats, Telemetry, TelemetryConfig, TraceConfig, Tracer,
 };
 
 use crate::accounting::ClientAccounting;
@@ -403,10 +403,11 @@ pub struct BulletServer {
     /// on disk with a stale image.
     inode_io: Mutex<()>,
     maintenance: RwLock<()>,
-    /// Foreground requests observed, ever (bumped by `charge_request`).
-    /// The idle-time compactor compares it against `compact_mark` to
-    /// detect arrivals since its previous tick.
-    requests_seen: std::sync::atomic::AtomicU64,
+    /// Foreground requests observed, ever (bumped by `charge_request`,
+    /// each client on its own lane).  The idle-time compactor compares
+    /// the sum against `compact_mark` to detect arrivals since its
+    /// previous tick.
+    requests_seen: LaneCounter,
     /// `requests_seen` as of the last [`BulletServer::compact_tick`].
     compact_mark: std::sync::atomic::AtomicU64,
     stats: Stats,
@@ -597,7 +598,7 @@ impl BulletServer {
             archive,
             inode_io: Mutex::new(()),
             maintenance: RwLock::new(()),
-            requests_seen: std::sync::atomic::AtomicU64::new(0),
+            requests_seen: LaneCounter::default(),
             compact_mark: std::sync::atomic::AtomicU64::new(0),
             cfg,
             storage,
@@ -1972,7 +1973,7 @@ impl BulletServer {
         // threshold since the previous tick preempt this one.  (The swap
         // also re-arms the gate, so the next tick runs if the server has
         // gone quiet.)
-        let seen = self.requests_seen.load(Ordering::Relaxed);
+        let seen = self.requests_seen.get();
         let mark = self.compact_mark.swap(seen, Ordering::Relaxed);
         if seen.saturating_sub(mark) > self.cfg.maint_idle_request_delta {
             self.stats.incr(counters::COMPACTION_PREEMPTIONS);
@@ -2622,63 +2623,57 @@ impl BulletServer {
         win_end: u64,
         size: u64,
     ) -> Result<(), BulletError> {
-        // The mirror fails over silently; surface it as a server counter
-        // so campaigns can prove degraded reads kept succeeding.
-        let failovers_before = self.storage.stats().get("mirror_failovers");
-        let result = self.read_extent_inner(start_block, buf, wire, win_start, win_end, size);
-        let failed_over = self.storage.stats().get("mirror_failovers") - failovers_before;
-        if failed_over > 0 {
-            self.stats.add(counters::FAILOVER_READS, failed_over);
+        // The mirror fails over silently; surface the failovers this read
+        // made as a server counter so campaigns can prove degraded reads
+        // kept succeeding.
+        let mut failovers = 0;
+        let mut read_blocks = |first: u64, buf: &mut [u8]| {
+            let (result, made) = self.storage.read_counting_failovers(first, buf, false);
+            failovers += made;
+            result
+        };
+        let result = 'read: {
+            let block_size = self.desc.block_size as u64;
+            let seg = self.segment_bytes();
+            let (Some(wire), true) = (wire, self.cfg.pipeline && buf.len() as u64 > seg) else {
+                break 'read read_blocks(start_block, buf).map_err(BulletError::from);
+            };
+            self.stats.incr(counters::PIPELINED_READS);
+            let mut pipe = Pipeline::with_trace(self.tracer.clone(), &["disk_read", "wire_send"]);
+            let mut off = 0u64;
+            let total = buf.len() as u64;
+            while off < total {
+                let end = (off + seg).min(total);
+                pipe.begin_segment();
+                let read = pipe.stage(0, || {
+                    read_blocks(
+                        start_block + off / block_size,
+                        &mut buf[off as usize..end as usize],
+                    )
+                });
+                if let Err(e) = read {
+                    // Drop settles the charges accrued so far: the time the
+                    // pipeline spent before the failure is still spent.
+                    drop(pipe);
+                    break 'read Err(e.into());
+                }
+                // Only the window part of the segment travels; the last
+                // sent chunk is capped at the file size (the tail padding
+                // of the final block never leaves the server).
+                let sent_start = off.max(win_start);
+                let sent_end = end.min(win_end).min(size);
+                if sent_end > sent_start {
+                    self.stats.incr(counters::STREAM_SEGMENTS);
+                    pipe.stage(1, || wire.stage_reply_segment(sent_end - sent_start));
+                }
+                off = end;
+            }
+            Ok(())
+        };
+        if failovers > 0 {
+            self.stats.add(counters::FAILOVER_READS, failovers);
         }
         result
-    }
-
-    fn read_extent_inner(
-        &self,
-        start_block: u64,
-        buf: &mut [u8],
-        wire: Option<&StreamWire>,
-        win_start: u64,
-        win_end: u64,
-        size: u64,
-    ) -> Result<(), BulletError> {
-        let block_size = self.desc.block_size as u64;
-        let seg = self.segment_bytes();
-        let (Some(wire), true) = (wire, self.cfg.pipeline && buf.len() as u64 > seg) else {
-            self.storage.read_blocks(start_block, buf)?;
-            return Ok(());
-        };
-        self.stats.incr(counters::PIPELINED_READS);
-        let mut pipe = Pipeline::with_trace(self.tracer.clone(), &["disk_read", "wire_send"]);
-        let mut off = 0u64;
-        let total = buf.len() as u64;
-        while off < total {
-            let end = (off + seg).min(total);
-            pipe.begin_segment();
-            let read = pipe.stage(0, || {
-                self.storage.read_blocks(
-                    start_block + off / block_size,
-                    &mut buf[off as usize..end as usize],
-                )
-            });
-            if let Err(e) = read {
-                // Drop settles the charges accrued so far: the time the
-                // pipeline spent before the failure is still spent.
-                drop(pipe);
-                return Err(e.into());
-            }
-            // Only the window part of the segment travels; the last sent
-            // chunk is capped at the file size (the tail padding of the
-            // final block never leaves the server).
-            let sent_start = off.max(win_start);
-            let sent_end = end.min(win_end).min(size);
-            if sent_end > sent_start {
-                self.stats.incr(counters::STREAM_SEGMENTS);
-                pipe.stage(1, || wire.stage_reply_segment(sent_end - sent_start));
-            }
-            off = end;
-        }
-        Ok(())
     }
 
     /// The pipelined counterpart of
@@ -2801,9 +2796,10 @@ impl BulletServer {
     /// leaf span, so a per-op span tree accounts for every charged
     /// nanosecond.
     fn charge_request(&self) {
-        self.requests_seen
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if self.telemetry.tick(self.cfg.clock.now()) {
+        self.requests_seen.add(1);
+        // `now` sums every clock lane: read it only when telemetry can
+        // use it.
+        if self.telemetry.enabled() && self.telemetry.tick(self.cfg.clock.now()) {
             self.sample_gauges();
         }
         self.accounting.charge_current(|u| u.requests += 1);
@@ -3358,6 +3354,77 @@ mod tests {
         let storage = s.shutdown().unwrap();
         let s2 = BulletServer::recover(cfg, storage).unwrap();
         assert_eq!(s2.read(&cap).unwrap(), payload(2000, 5));
+    }
+
+    /// A replica whose next read, once armed, waits inside the device
+    /// until the test lets it go.
+    struct GatedDisk {
+        inner: RamDisk,
+        armed: std::sync::atomic::AtomicBool,
+        entered: std::sync::Barrier,
+        release: std::sync::Barrier,
+    }
+
+    impl BlockDevice for GatedDisk {
+        fn block_size(&self) -> u32 {
+            self.inner.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+        fn read_blocks(
+            &self,
+            first_block: u64,
+            buf: &mut [u8],
+        ) -> Result<(), amoeba_disk::DiskError> {
+            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                self.entered.wait();
+                self.release.wait();
+            }
+            self.inner.read_blocks(first_block, buf)
+        }
+        fn write_blocks(
+            &self,
+            first_block: u64,
+            data: &[u8],
+        ) -> Result<(), amoeba_disk::DiskError> {
+            self.inner.write_blocks(first_block, data)
+        }
+        fn sync(&self) -> Result<(), amoeba_disk::DiskError> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn a_read_is_not_billed_for_a_failover_another_request_makes() {
+        use amoeba_disk::FaultyDisk;
+        let cfg = BulletConfig::small_test();
+        let gated = Arc::new(GatedDisk {
+            inner: RamDisk::new(cfg.block_size, cfg.disk_blocks),
+            armed: Default::default(),
+            entered: std::sync::Barrier::new(2),
+            release: std::sync::Barrier::new(2),
+        });
+        let faulty = Arc::new(FaultyDisk::new(RamDisk::new(
+            cfg.block_size,
+            cfg.disk_blocks,
+        )));
+        let storage = MirroredDisk::new(vec![gated.clone(), faulty.clone()]).unwrap();
+        let s = BulletServer::format_on(cfg.clone(), storage).unwrap();
+        let cap = s.create(payload(2000, 5), 2).unwrap();
+        // A restart empties the cache, so the read below goes to disk.
+        let s = BulletServer::recover(cfg, s.shutdown().unwrap()).unwrap();
+        gated.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        std::thread::scope(|t| {
+            let reader = t.spawn(|| s.read(&cap));
+            gated.entered.wait(); // the read is inside replica 0
+            faulty.fail_now();
+            s.create(payload(100, 6), 2).unwrap(); // its write kills replica 1
+            gated.release.wait();
+            assert_eq!(reader.join().unwrap().unwrap(), payload(2000, 5));
+        });
+        assert_eq!(s.storage().stats().get("mirror_failovers"), 1);
+        assert_eq!(s.stats().get(counters::FAILOVER_READS), 0);
     }
 
     #[test]

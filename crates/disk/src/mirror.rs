@@ -330,8 +330,10 @@ impl MirroredDisk {
     }
 
     /// Applies all queued background writes destined for replica `i`, in
-    /// FIFO order, leaving other replicas' items queued.
-    fn drain_replica(&self, i: usize) {
+    /// FIFO order, leaving other replicas' items queued.  True if this
+    /// call marked `i` dead.
+    fn drain_replica(&self, i: usize) -> bool {
+        let mut killed = false;
         let mine: Vec<(u64, Vec<u8>)> = {
             let mut q = self.background.lock();
             let mut mine = Vec::new();
@@ -353,16 +355,67 @@ impl MirroredDisk {
             match self.replicas[i].write_blocks(first, &data) {
                 Ok(()) => self.stats.incr("mirror_bg_flushed"),
                 Err(_) => {
-                    self.mark_dead(i);
+                    killed |= self.mark_dead(i);
                     self.stats.incr("mirror_bg_dropped");
                 }
             }
         }
+        killed
     }
 
-    fn mark_dead(&self, i: usize) {
-        if self.alive[i].swap(false, Ordering::SeqCst) {
+    /// Marks replica `i` dead; true for the one caller that found it live
+    /// (and counted the failover).
+    fn mark_dead(&self, i: usize) -> bool {
+        let was_alive = self.alive[i].swap(false, Ordering::SeqCst);
+        if was_alive {
             self.stats.incr("mirror_failovers");
+        }
+        was_alive
+    }
+
+    /// Reads from the first live replica, failing over past any that
+    /// errors (on the replicas' background lane when `low`).  Returns the
+    /// outcome and how many replicas *this call* marked dead: the
+    /// failovers this read made, to which a concurrent write, flush or
+    /// read adds nothing.
+    pub fn read_counting_failovers(
+        &self,
+        first_block: u64,
+        buf: &mut [u8],
+        low: bool,
+    ) -> (Result<(), DiskError>, u64) {
+        let tracer = self.tracer();
+        let mut span = tracer.span(if low { "disk.read_low" } else { "disk.read" });
+        span.attr("bytes", buf.len());
+        let read = |i: usize, buf: &mut [u8]| {
+            if low {
+                self.replicas[i].read_blocks_low(first_block, buf)
+            } else {
+                self.replicas[i].read_blocks(first_block, buf)
+            }
+        };
+        let mut failovers = 0;
+        loop {
+            let Some(i) = self.pick_live() else {
+                return (Err(DiskError::AllReplicasFailed), failovers);
+            };
+            // A read must see every write accepted so far, including those
+            // still queued for this replica.
+            failovers += u64::from(self.drain_replica(i));
+            match read(i, buf) {
+                Ok(()) => {
+                    span.attr("replica", i);
+                    if self.primary.load(Ordering::SeqCst) != i {
+                        self.primary.store(i, Ordering::SeqCst);
+                    }
+                    return (Ok(()), failovers);
+                }
+                Err(DiskError::OutOfRange { .. }) | Err(DiskError::UnalignedBuffer { .. }) => {
+                    // Caller error, not a device fault: do not fail over.
+                    return (read(i, buf), failovers);
+                }
+                Err(_) => failovers += u64::from(self.mark_dead(i)),
+            }
         }
     }
 
@@ -383,56 +436,14 @@ impl BlockDevice for MirroredDisk {
     }
 
     fn read_blocks(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
-        let tracer = self.tracer();
-        let mut span = tracer.span("disk.read");
-        span.attr("bytes", buf.len());
-        loop {
-            let Some(i) = self.pick_live() else {
-                return Err(DiskError::AllReplicasFailed);
-            };
-            // A read must see every write accepted so far, including those
-            // still queued for this replica.
-            self.drain_replica(i);
-            match self.replicas[i].read_blocks(first_block, buf) {
-                Ok(()) => {
-                    span.attr("replica", i);
-                    self.primary.store(i, Ordering::SeqCst);
-                    return Ok(());
-                }
-                Err(DiskError::OutOfRange { .. }) | Err(DiskError::UnalignedBuffer { .. }) => {
-                    // Caller error, not a device fault: do not fail over.
-                    return self.replicas[i].read_blocks(first_block, buf);
-                }
-                Err(_) => self.mark_dead(i),
-            }
-        }
+        self.read_counting_failovers(first_block, buf, false).0
     }
 
     fn read_blocks_low(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
         // Same consistency protocol as `read_blocks`; only the replica's
         // scheduling lane differs (background, so maintenance streams
         // never starve foreground grants).
-        let tracer = self.tracer();
-        let mut span = tracer.span("disk.read_low");
-        span.attr("bytes", buf.len());
-        loop {
-            let Some(i) = self.pick_live() else {
-                return Err(DiskError::AllReplicasFailed);
-            };
-            self.drain_replica(i);
-            match self.replicas[i].read_blocks_low(first_block, buf) {
-                Ok(()) => {
-                    span.attr("replica", i);
-                    self.primary.store(i, Ordering::SeqCst);
-                    return Ok(());
-                }
-                Err(DiskError::OutOfRange { .. }) | Err(DiskError::UnalignedBuffer { .. }) => {
-                    // Caller error, not a device fault: do not fail over.
-                    return self.replicas[i].read_blocks_low(first_block, buf);
-                }
-                Err(_) => self.mark_dead(i),
-            }
-        }
+        self.read_counting_failovers(first_block, buf, true).0
     }
 
     fn write_blocks(&self, first_block: u64, data: &[u8]) -> Result<(), DiskError> {
@@ -450,7 +461,9 @@ impl BlockDevice for MirroredDisk {
             if self.is_alive(i) {
                 match self.replicas[i].sync() {
                     Ok(()) => any = true,
-                    Err(_) => self.mark_dead(i),
+                    Err(_) => {
+                        self.mark_dead(i);
+                    }
                 }
             }
         }
@@ -495,10 +508,12 @@ mod tests {
         m.write_blocks(0, &[9u8; 512]).unwrap();
         a.fail_now();
         let mut buf = [0u8; 512];
-        m.read_blocks(0, &mut buf).unwrap();
+        assert_eq!(m.read_counting_failovers(0, &mut buf, false), (Ok(()), 1));
         assert_eq!(buf, [9u8; 512]);
         assert_eq!(m.alive_count(), 1);
         assert_eq!(m.stats().get("mirror_failovers"), 1);
+        // The next read finds replica 1 primary and makes no failover.
+        assert_eq!(m.read_counting_failovers(0, &mut buf, true), (Ok(()), 0));
     }
 
     #[test]

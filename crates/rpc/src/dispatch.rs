@@ -7,7 +7,7 @@ use parking_lot::RwLock;
 
 use amoeba_cap::Port;
 use amoeba_net::SimEthernet;
-use amoeba_sim::{Nanos, Tracer};
+use amoeba_sim::{Lanes, Nanos, Tracer};
 
 use crate::{Reply, Request, StreamWire};
 
@@ -58,11 +58,15 @@ impl std::error::Error for RpcError {}
 /// later transactions hit the locate cache, as in Amoeba.
 pub struct Dispatcher {
     net: SimEthernet,
-    /// Everything a transaction needs to find its server, behind one
-    /// lock that `trans` reads once.
-    routes: RwLock<Routes>,
+    /// Everything a transaction needs to find its server, one replica per
+    /// [`Lanes`] lane: `trans` reads its own lane's replica once, so two
+    /// clients on different lanes write no line in common.  Every update
+    /// goes through [`update`](Self::update), which rewrites all replicas
+    /// under all their write guards at once.
+    routes: Lanes<RwLock<Routes>>,
 }
 
+#[derive(Default)]
 struct Routes {
     servers: HashMap<Port, Route>,
     /// Span recorder for the transaction roots (disabled by default).
@@ -70,7 +74,9 @@ struct Routes {
 }
 
 struct Route {
-    server: Arc<dyn RpcServer>,
+    /// This replica's own handle on the shared server: a transaction
+    /// clones the outer `Arc`, whose count no other lane touches.
+    server: Arc<Arc<dyn RpcServer>>,
     /// Whether a transaction has paid this port's locate broadcast.
     located: bool,
 }
@@ -78,7 +84,7 @@ struct Route {
 impl std::fmt::Debug for Dispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dispatcher")
-            .field("servers", &self.routes.read().servers.len())
+            .field("servers", &self.routes.first().read().servers.len())
             .finish()
     }
 }
@@ -91,34 +97,48 @@ impl Dispatcher {
     pub fn new(net: SimEthernet) -> Arc<Dispatcher> {
         Arc::new(Dispatcher {
             net,
-            routes: RwLock::new(Routes {
-                servers: HashMap::new(),
-                tracer: Tracer::off(),
-            }),
+            routes: Lanes::default(),
         })
+    }
+
+    /// Applies `f` to every lane's replica while holding every replica's
+    /// write guard, so no `trans` on any lane sees some replicas updated
+    /// and others not.  Guards are taken in lane order, the one order
+    /// every writer uses.  Returns lane 0's answer: the replicas are equal
+    /// before and after, so every lane answers the same.
+    fn update<T>(&self, mut f: impl FnMut(&mut Routes) -> T) -> T {
+        let mut guards: Vec<_> = self.routes.iter().map(|r| r.write()).collect();
+        let (first, rest) = guards.split_first_mut().expect("at least one lane");
+        let answer = f(first);
+        for routes in rest {
+            f(routes);
+        }
+        answer
     }
 
     /// Installs the span tracer.  Each transaction then records an
     /// `rpc.trans` root span covering locate, server handling, and the
     /// residual wire charges — the top of every request's span tree.
     pub fn set_tracer(&self, tracer: Tracer) {
-        self.routes.write().tracer = tracer;
+        self.update(|routes| routes.tracer = tracer.clone());
     }
 
     /// Registers a server under its own port, replacing any previous
     /// holder of that port (clients that had located the port still have).
     pub fn register(&self, server: Arc<dyn RpcServer>) {
         let port = server.port();
-        let mut routes = self.routes.write();
-        let located = routes.servers.get(&port).is_some_and(|r| r.located);
-        routes.servers.insert(port, Route { server, located });
+        self.update(|routes| {
+            let located = routes.servers.get(&port).is_some_and(|r| r.located);
+            let server = Arc::new(server.clone());
+            routes.servers.insert(port, Route { server, located });
+        });
     }
 
     /// Removes the server at `port` (it "crashes"); subsequent transactions
     /// fail to locate it, and a server registered there later is located
     /// afresh.
     pub fn unregister(&self, port: Port) {
-        self.routes.write().servers.remove(&port);
+        self.update(|routes| routes.servers.remove(&port));
     }
 
     /// The shared wire (to reach its statistics and clock).
@@ -128,19 +148,20 @@ impl Dispatcher {
 
     /// Marks `port` located; true for the one caller that found it not.
     fn claim_locate(&self, port: Port) -> bool {
-        let mut routes = self.routes.write();
-        let route = routes.servers.get_mut(&port);
-        route.is_some_and(|r| !std::mem::replace(&mut r.located, true))
+        self.update(|routes| {
+            let route = routes.servers.get_mut(&port);
+            route.is_some_and(|r| !std::mem::replace(&mut r.located, true))
+        })
     }
 
     /// Performs one transaction.
     ///
     /// `trans` may be called from any number of client threads at once:
-    /// the server handle is cloned out of the registry lock *before*
-    /// [`RpcServer::handle`] runs, so no dispatcher lock is held while the
-    /// server computes and overlapping requests proceed in parallel.  Any
-    /// serialization that remains is the server's own (e.g. the Bullet
-    /// server's per-component locks).
+    /// the server handle is cloned out of the caller's lane of the
+    /// registry *before* [`RpcServer::handle`] runs, so no dispatcher lock
+    /// is held while the server computes and overlapping requests proceed
+    /// in parallel.  Any serialization that remains is the server's own
+    /// (e.g. the Bullet server's per-component locks).
     ///
     /// The server is given a [`StreamWire`] (see
     /// [`RpcServer::handle_streamed`]); payload bytes it moves as streamed
@@ -159,7 +180,7 @@ impl Dispatcher {
     pub fn trans(&self, req: Request) -> Result<Reply, RpcError> {
         let port = req.cap.port;
         let (server, located, tracer) = {
-            let routes = self.routes.read();
+            let routes = self.routes.mine().read();
             let route = routes
                 .servers
                 .get(&port)
@@ -170,13 +191,14 @@ impl Dispatcher {
         span.attr("command", req.command as u64);
         // Of the transactions that find a port unlocated, the one that
         // flips the flag pays the broadcast; the decision is made under
-        // the write guard so that racing first transactions pay it once.
+        // every lane's write guard so that racing first transactions pay
+        // it once.
         if !located && self.claim_locate(port) {
             let _locate = tracer.span("rpc.locate");
             self.net.clock().advance(Self::LOCATE_COST);
         }
         let req_size = req.wire_size();
-        let wire = StreamWire::for_dispatch(self.net.clone());
+        let wire = StreamWire::lent(&self.net);
         let reply = server.handle_streamed(req, &wire);
         {
             let mut w = tracer.span("rpc.request_wire");
@@ -314,6 +336,75 @@ mod tests {
         d.register(Arc::new(Upper(cap.port)));
         assert_eq!(trans(), first, "a re-registered port is located afresh");
         assert_eq!(trans(), located);
+    }
+
+    /// Answers every request with its tag.
+    struct Tagged(Port, &'static [u8]);
+
+    impl RpcServer for Tagged {
+        fn port(&self) -> Port {
+            self.0
+        }
+
+        fn handle(&self, _req: Request) -> Reply {
+            Reply::ok(Bytes::new(), Bytes::from_static(self.1))
+        }
+    }
+
+    #[test]
+    fn updates_are_seen_on_every_lane_when_the_call_returns() {
+        let (clock, d, cap) = setup();
+        d.register(Arc::new(Tagged(cap.port, b"old")));
+        let threads = d.routes.iter().len() + 1;
+        let phase = std::sync::Barrier::new(threads + 1);
+        let tracer = Tracer::on(clock);
+        let answer = || d.trans(Request::simple(cap, 0)).map(|r| r.data);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    assert_eq!(answer().unwrap(), &b"old"[..]);
+                    phase.wait(); // main: replace the server
+                    phase.wait();
+                    assert_eq!(answer().unwrap(), &b"new"[..]);
+                    phase.wait(); // main: install the tracer
+                    phase.wait();
+                    answer().unwrap();
+                    phase.wait(); // main: unregister
+                    phase.wait();
+                    assert_eq!(answer(), Err(RpcError::UnknownPort(cap.port)));
+                });
+            }
+            // Each step is checked on every replica as soon as the call
+            // returns, and then by a transaction on every client's lane.
+            let every_lane = |check: &dyn Fn(&Routes) -> bool| {
+                assert!(d.routes.iter().all(|r| check(&r.read())));
+            };
+            phase.wait();
+            d.register(Arc::new(Tagged(cap.port, b"new")));
+            every_lane(&|r| {
+                r.servers[&cap.port]
+                    .server
+                    .handle(Request::simple(cap, 0))
+                    .data
+                    == b"new"[..]
+            });
+            every_lane(&|r| r.servers[&cap.port].located);
+            phase.wait();
+            phase.wait();
+            d.set_tracer(tracer.clone());
+            every_lane(&|r| r.tracer.enabled());
+            phase.wait();
+            phase.wait();
+            d.unregister(cap.port);
+            every_lane(&|r| r.servers.is_empty());
+            phase.wait();
+        });
+        let traced = tracer.snapshot();
+        assert_eq!(
+            traced.iter().filter(|s| s.name == "rpc.trans").count(),
+            threads,
+            "every lane's transactions carried the new tracer"
+        );
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //!   and the client reassembles them.  The client has already paid for the
 //!   full request at send time, so request-segment charges are no-ops here.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use bytes::Bytes;
@@ -38,14 +39,15 @@ use crate::wire::StreamFrame;
 /// deep pipeline.
 pub const DEFAULT_SEGMENT: u32 = 64 * 1024;
 
-enum WireKind {
+enum WireKind<'a> {
     /// Synchronous simulation: segments charge the Ethernet directly.
-    Sim(SimEthernet),
+    /// The dispatcher lends its own Ethernet for the transaction.
+    Sim(Cow<'a, SimEthernet>),
     /// Threaded transport: reply segments travel as real frames.
     Chan(Chan),
 }
 
-impl std::fmt::Debug for WireKind {
+impl std::fmt::Debug for WireKind<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireKind::Sim(_) => f.write_str("Sim"),
@@ -54,10 +56,13 @@ impl std::fmt::Debug for WireKind {
     }
 }
 
-/// The wire as seen by a streaming server (see the module docs).
+/// The wire as seen by a streaming server (see the module docs).  `'a`
+/// is the Ethernet a dispatcher lends for one transaction; a wire built
+/// by [`for_dispatch`](Self::for_dispatch) or
+/// [`for_chan`](Self::for_chan) owns its transport.
 #[derive(Debug)]
-pub struct StreamWire {
-    kind: WireKind,
+pub struct StreamWire<'a> {
+    kind: WireKind<'a>,
     request_claimed: AtomicU64,
     reply_streamed: AtomicU64,
     seq: AtomicU32,
@@ -67,11 +72,10 @@ pub struct StreamWire {
     staged: Mutex<Vec<u64>>,
 }
 
-impl StreamWire {
-    /// A wire for the synchronous dispatch path over `net`.
-    pub fn for_dispatch(net: SimEthernet) -> StreamWire {
+impl StreamWire<'_> {
+    fn over(kind: WireKind<'_>) -> StreamWire<'_> {
         StreamWire {
-            kind: WireKind::Sim(net),
+            kind,
             request_claimed: AtomicU64::new(0),
             reply_streamed: AtomicU64::new(0),
             seq: AtomicU32::new(0),
@@ -79,16 +83,22 @@ impl StreamWire {
         }
     }
 
+    /// A wire for the synchronous dispatch path over `net`.
+    pub fn for_dispatch(net: SimEthernet) -> StreamWire<'static> {
+        StreamWire::over(WireKind::Sim(Cow::Owned(net)))
+    }
+
+    /// The dispatch-path wire of one transaction, borrowing the
+    /// dispatcher's Ethernet: a clone would bump the clock's and the
+    /// stats' shared reference counts on every request.
+    pub(crate) fn lent(net: &SimEthernet) -> StreamWire<'_> {
+        StreamWire::over(WireKind::Sim(Cow::Borrowed(net)))
+    }
+
     /// A wire for the threaded channel path: reply segments are delivered
     /// to the peer as [`StreamFrame`] messages on `chan`.
-    pub fn for_chan(chan: Chan) -> StreamWire {
-        StreamWire {
-            kind: WireKind::Chan(chan),
-            request_claimed: AtomicU64::new(0),
-            reply_streamed: AtomicU64::new(0),
-            seq: AtomicU32::new(0),
-            staged: Mutex::new(Vec::new()),
-        }
+    pub fn for_chan(chan: Chan) -> StreamWire<'static> {
+        StreamWire::over(WireKind::Chan(chan))
     }
 
     /// True if reply segments really travel as frames (the channel path),

@@ -8,8 +8,9 @@
 //! rather than the sum that sequential replay would produce.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::lane::LaneCounter;
 
 /// A simulated duration / instant in nanoseconds.
 ///
@@ -129,8 +130,11 @@ impl std::fmt::Display for Nanos {
 ///
 /// Cloning is cheap and clones share the same underlying time (the struct
 /// wraps an `Arc`), so a server, its disks, and the network all advance one
-/// clock.  The clock is thread-safe; concurrent charges serialize, which
-/// models the single-CPU dedicated file-server machine of the paper.
+/// clock.  The clock is thread-safe, and time is the sum of every lane's
+/// charges: a charge adds to the calling thread's [`LaneCounter`] lane and
+/// [`now`](Self::now) sums the lanes, so two threads charging at once
+/// never write the same word and the total is what one shared counter
+/// would hold — the work of the paper's single-CPU file-server machine.
 ///
 /// # Example
 ///
@@ -144,7 +148,7 @@ impl std::fmt::Display for Nanos {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    ns: Arc<AtomicU64>,
+    ns: Arc<LaneCounter>,
 }
 
 impl SimClock {
@@ -157,13 +161,14 @@ impl SimClock {
     /// charges this thread has deferred against this clock, so latency
     /// measurements (`now` deltas) work unchanged under capture.
     pub fn now(&self) -> Nanos {
-        Nanos(self.ns.load(Ordering::Relaxed) + pending_on_this_thread(&self.ns))
+        Nanos(self.ns.get() + pending_on_this_thread(&self.ns))
     }
 
-    /// Charges `d` of simulated work, returning the new time.  Inside a
-    /// [`capture`] the charge is deferred into the innermost frame instead
-    /// of the shared counter.
-    pub fn advance(&self, d: Nanos) -> Nanos {
+    /// Charges `d` of simulated work to the calling thread's lane.  Inside
+    /// a [`capture`] the charge is deferred into the innermost frame
+    /// instead.  Reads no other lane: call [`now`](Self::now) for the
+    /// time.
+    pub fn advance(&self, d: Nanos) {
         let deferred = FRAMES.with(|frames| {
             let mut frames = frames.borrow_mut();
             match frames.last_mut() {
@@ -174,10 +179,8 @@ impl SimClock {
                 None => false,
             }
         });
-        if deferred {
-            self.now()
-        } else {
-            Nanos(self.ns.fetch_add(d.0, Ordering::Relaxed) + d.0)
+        if !deferred {
+            self.ns.add(d.0);
         }
     }
 
@@ -186,9 +189,9 @@ impl SimClock {
         Arc::ptr_eq(&a.ns, &b.ns)
     }
 
-    /// Resets to time zero (between benchmark runs).
+    /// Resets to time zero, every lane (between benchmark runs).
     pub fn reset(&self) {
-        self.ns.store(0, Ordering::Relaxed);
+        self.ns.reset();
     }
 
     /// Runs `f` and returns `(result, simulated elapsed time)`.
@@ -219,7 +222,7 @@ impl ChargeLog {
         self.entries.push((clock.clone(), ns));
     }
 
-    fn pending_on(&self, ns: &Arc<AtomicU64>) -> u64 {
+    fn pending_on(&self, ns: &Arc<LaneCounter>) -> u64 {
         self.entries
             .iter()
             .find(|(c, _)| Arc::ptr_eq(&c.ns, ns))
@@ -264,7 +267,7 @@ thread_local! {
     static FRAMES: RefCell<Vec<ChargeLog>> = const { RefCell::new(Vec::new()) };
 }
 
-fn pending_on_this_thread(ns: &Arc<AtomicU64>) -> u64 {
+fn pending_on_this_thread(ns: &Arc<LaneCounter>) -> u64 {
     FRAMES.with(|frames| {
         frames
             .borrow()
@@ -385,10 +388,12 @@ mod tests {
     }
 
     #[test]
-    fn advance_returns_new_time() {
+    fn advances_add_up_in_now() {
         let c = SimClock::new();
-        assert_eq!(c.advance(Nanos::from_us(3)), Nanos::from_us(3));
-        assert_eq!(c.advance(Nanos::from_us(4)), Nanos::from_us(7));
+        c.advance(Nanos::from_us(3));
+        assert_eq!(c.now(), Nanos::from_us(3));
+        c.advance(Nanos::from_us(4));
+        assert_eq!(c.now(), Nanos::from_us(7));
     }
 
     #[test]
@@ -483,5 +488,78 @@ mod tests {
             }
         });
         assert_eq!(c.now(), Nanos(4000));
+    }
+
+    /// More threads than lanes, so lanes are shared.
+    const LANE_THREADS: usize = 2 * crate::lane::LANES + 1;
+
+    #[test]
+    fn charges_from_threads_sharing_lanes_sum_exactly() {
+        const PER_THREAD: u64 = 20_000;
+        let c = SimClock::new();
+        let start = std::sync::Barrier::new(LANE_THREADS);
+        std::thread::scope(|s| {
+            for t in 0..LANE_THREADS as u64 {
+                let (c, start) = (c.clone(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..PER_THREAD {
+                        c.advance(Nanos(t + 1));
+                    }
+                });
+            }
+        });
+        let n = LANE_THREADS as u64;
+        assert_eq!(c.now(), Nanos(PER_THREAD * n * (n + 1) / 2));
+    }
+
+    #[test]
+    fn a_capture_defers_per_thread_and_commits_on_the_committing_lane() {
+        let c = SimClock::new();
+        let (in_capture, captured) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let ((), log) = capture(|| {
+                    c.advance(Nanos(40));
+                    in_capture.wait();
+                    // The other thread's direct charge lands while this
+                    // one's stays deferred: this thread sees both.
+                    captured.wait();
+                    assert_eq!(c.now(), Nanos(47));
+                });
+                assert_eq!(c.ns.get(), 7, "nothing deferred landed before commit");
+                let before = c.ns.on_this_lane();
+                log.commit();
+                assert_eq!(
+                    c.ns.on_this_lane() - before,
+                    40,
+                    "the commit is this lane's"
+                );
+            });
+            in_capture.wait();
+            c.advance(Nanos(7));
+            assert_eq!(c.now(), Nanos(7), "another thread's deferral is not time");
+            captured.wait();
+        });
+        assert_eq!(c.now(), Nanos(47));
+    }
+
+    #[test]
+    fn reset_zeroes_every_lane_and_clones_share_lanes() {
+        let c = SimClock::new();
+        std::thread::scope(|s| {
+            for _ in 0..LANE_THREADS {
+                let d = c.clone();
+                s.spawn(move || d.advance(Nanos(3)));
+            }
+        });
+        let d = c.clone();
+        assert_eq!(d.now(), Nanos(3 * LANE_THREADS as u64));
+        assert!(SimClock::ptr_eq(&c, &d));
+        d.reset();
+        assert_eq!(c.ns.get(), 0);
+        assert_eq!(c.now(), Nanos::ZERO);
+        c.advance(Nanos(5));
+        assert_eq!(d.now(), Nanos(5));
     }
 }

@@ -18,6 +18,8 @@
 //!   (binary heap, FIFO among equal timestamps) that lets one real thread
 //!   drive tens of thousands of simulated clients (see [`event`]),
 //! * [`Stats`] — cheap named counters every component exports,
+//! * [`Lanes`] and [`LaneCounter`] — per-thread lanes under `Stats` and
+//!   [`SimClock`], so threads on different lanes share no written word,
 //! * [`json::Json`] — the workspace's one JSON writer, and [`json::valid`],
 //! * [`Histogram`] — a power-of-two latency histogram for the harness,
 //! * [`Tracer`] — simulated-clock span tracing over the whole data path,
@@ -44,6 +46,7 @@ pub mod clock;
 pub mod event;
 pub mod hw;
 pub mod json;
+pub mod lane;
 pub mod pipeline;
 pub mod rng;
 pub mod stats;
@@ -53,6 +56,7 @@ pub mod trace;
 pub use clock::{capture, commit_max, ChargeLog, Nanos, SimClock};
 pub use event::EventQueue;
 pub use hw::{CpuProfile, DiskProfile, HwProfile, NetProfile};
+pub use lane::{LaneCounter, Lanes};
 pub use pipeline::Pipeline;
 pub use rng::DetRng;
 pub use stats::{exact_quantile, Histogram, Stats};

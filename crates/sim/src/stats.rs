@@ -1,10 +1,11 @@
 //! Lightweight named counters and latency histograms.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 use crate::clock::Nanos;
+use crate::lane::Lanes;
 
 /// Slots per table; a power of two, so the hash's top bits index it.
 const SLOTS: usize = 128;
@@ -12,21 +13,39 @@ const SLOTS: usize = 128;
 /// whose window is full of other names goes to the next table.
 const WINDOW: usize = 8;
 
-/// One counter.  `name` is written once and never cleared, so a name
-/// keeps its slot for the life of the table; `live` says whether the
-/// counter has been touched since the last [`Stats::reset`].
+/// [`Slot::kind`]: not touched since the last [`Stats::reset`].
+const IDLE: u8 = 0;
+/// [`Slot::kind`]: a counter, split across lanes and summed.
+const COUNTER: u8 = 1;
+/// [`Slot::kind`]: a high-water mark, kept whole in lane 0.
+const GAUGE: u8 = 2;
+
+/// One counter's name.  `name` is written once and never cleared, so a
+/// name keeps its slot for the life of the table; `kind` says whether the
+/// name has been touched since the last [`Stats::reset`], and as what.
 #[derive(Debug, Default)]
 struct Slot {
     name: OnceLock<&'static str>,
-    live: AtomicBool,
-    value: AtomicU64,
+    kind: AtomicU8,
+}
+
+/// One lane's values, indexed like [`Table::slots`].
+#[derive(Debug)]
+struct Values([AtomicU64; SLOTS]);
+
+impl Default for Values {
+    fn default() -> Values {
+        Values(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
 }
 
 /// A fixed open-addressed table of counters, chained to a further table
-/// by the first name that finds its probe window full.
+/// by the first name that finds its probe window full.  Slot `i`'s value
+/// is word `i` of every lane's row.
 #[derive(Debug)]
 struct Table {
     slots: [Slot; SLOTS],
+    values: Lanes<Values>,
     next: OnceLock<Box<Table>>,
 }
 
@@ -34,6 +53,7 @@ impl Default for Table {
     fn default() -> Table {
         Table {
             slots: std::array::from_fn(|_| Slot::default()),
+            values: Lanes::default(),
             next: OnceLock::new(),
         }
     }
@@ -66,20 +86,40 @@ fn same_name(a: &str, b: &str) -> bool {
     (std::ptr::eq(a.as_ptr(), b.as_ptr()) && a.len() == b.len()) || a == b
 }
 
+/// Slot `i` of `table`: its name and kind, and its word in every lane.
+#[derive(Clone, Copy)]
+struct Entry<'a> {
+    table: &'a Table,
+    i: usize,
+}
+
+impl Entry<'_> {
+    fn slot(&self) -> &Slot {
+        &self.table.slots[self.i]
+    }
+
+    /// The value: a counter's lanes summed, or a gauge's one word (the
+    /// other lanes of a gauge stay zero).
+    fn value(&self) -> u64 {
+        self.table.values.iter().fold(0, |sum, lane| {
+            sum.wrapping_add(lane.0[self.i].load(Relaxed))
+        })
+    }
+}
+
 impl Table {
     /// The slot holding `name`, if the name has ever been counted.
     ///
     /// Slots only ever go from empty to named, and every lookup of a name
     /// walks the same slots in the same order, so the first empty slot on
     /// that walk proves the name is absent.
-    fn find(&self, name: &str) -> Option<&Slot> {
+    fn find(&self, name: &str) -> Option<Entry<'_>> {
         let start = window_start(name);
         let mut table = self;
         loop {
-            for i in 0..WINDOW {
-                let slot = &table.slots[(start + i) % SLOTS];
-                match slot.name.get() {
-                    Some(held) if same_name(held, name) => return Some(slot),
+            for i in (start..start + WINDOW).map(|i| i % SLOTS) {
+                match table.slots[i].name.get() {
+                    Some(held) if same_name(held, name) => return Some(Entry { table, i }),
                     Some(_) => {}
                     None => return None,
                 }
@@ -92,23 +132,22 @@ impl Table {
     /// name's walk if there is none.  Two threads racing to intern one
     /// name meet at the same empty slot, and `OnceLock` lets exactly one
     /// of them name it.
-    fn intern(&self, name: &'static str) -> &Slot {
+    fn intern(&self, name: &'static str) -> Entry<'_> {
         let start = window_start(name);
         let mut table = self;
         loop {
-            for i in 0..WINDOW {
-                let slot = &table.slots[(start + i) % SLOTS];
-                if same_name(slot.name.get_or_init(|| name), name) {
-                    return slot;
+            for i in (start..start + WINDOW).map(|i| i % SLOTS) {
+                if same_name(table.slots[i].name.get_or_init(|| name), name) {
+                    return Entry { table, i };
                 }
             }
             table = table.next.get_or_init(Box::default);
         }
     }
 
-    fn slots(&self) -> impl Iterator<Item = &Slot> {
+    fn entries(&self) -> impl Iterator<Item = Entry<'_>> {
         std::iter::successors(Some(self), |t| t.next.get().map(|b| &**b))
-            .flat_map(|t| t.slots.iter())
+            .flat_map(|table| (0..SLOTS).map(move |i| Entry { table, i }))
     }
 }
 
@@ -119,9 +158,13 @@ impl Table {
 /// "that create wrote two disks") instead of guessing from timing.
 ///
 /// Cloning shares the underlying counters.  Updating a counter takes no
-/// lock: a name interns to an atomic slot on first use (see `Table`), and
-/// every later update is one `fetch_add` or `fetch_max` on that slot.  The
-/// orderings are `Relaxed` because a counter publishes no other data.
+/// lock and writes no word another thread's lane writes: a name interns to
+/// a slot on first use (see `Table`), the slot has one atomic word per
+/// [`Lanes`] lane, and every later update is one `fetch_add` on the
+/// caller's word.  [`get`](Self::get) and [`snapshot`](Self::snapshot) sum
+/// the lanes.  A high-water mark ([`set_max`](Self::set_max)) cannot be
+/// summed, so it stays in one word, and a name is either one or the other.
+/// The orderings are `Relaxed` because a counter publishes no other data.
 ///
 /// # Example
 ///
@@ -145,18 +188,30 @@ impl Stats {
         Stats::default()
     }
 
-    /// The slot for `name`, marked as touched since the last reset.
-    fn touch(&self, name: &'static str) -> &AtomicU64 {
-        let slot = self.table.intern(name);
-        if !slot.live.load(Relaxed) {
-            slot.live.store(true, Relaxed);
+    /// The slot for `name`, marked as touched as `kind` since the last
+    /// reset.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `name` was touched as the other kind since the
+    /// last reset: lanes can sum a counter but not a high-water mark.
+    fn touch(&self, name: &'static str, kind: u8) -> Entry<'_> {
+        let entry = self.table.intern(name);
+        let held = entry.slot().kind.load(Relaxed);
+        if held != kind {
+            debug_assert_eq!(
+                held, IDLE,
+                "`{name}` is used both as a counter (add/incr) and as a high-water mark (set_max)"
+            );
+            entry.slot().kind.store(kind, Relaxed);
         }
-        &slot.value
+        entry
     }
 
     /// Adds `n` to the counter `name` (creating it at zero first).
     pub fn add(&self, name: &'static str, n: u64) {
-        self.touch(name).fetch_add(n, Relaxed);
+        let Entry { table, i } = self.touch(name, COUNTER);
+        table.values.mine().0[i].fetch_add(n, Relaxed);
     }
 
     /// Increments `name` by one.
@@ -166,14 +221,16 @@ impl Stats {
 
     /// Raises `name` to `n` if `n` exceeds the current value — a
     /// high-water-mark gauge (queue depths, peak occupancy) stored in the
-    /// same table as the monotone counters.
+    /// same table as the monotone counters.  A gauge's name must never be
+    /// [`add`](Self::add)ed (debug builds panic).
     pub fn set_max(&self, name: &'static str, n: u64) {
-        self.touch(name).fetch_max(n, Relaxed);
+        let Entry { table, i } = self.touch(name, GAUGE);
+        table.values.first().0[i].fetch_max(n, Relaxed);
     }
 
     /// Reads a counter; missing counters read as zero.
     pub fn get(&self, name: &str) -> u64 {
-        self.table.find(name).map_or(0, |s| s.value.load(Relaxed))
+        self.table.find(name).map_or(0, |e| e.value())
     }
 
     /// Snapshot of all counters touched since the last
@@ -181,20 +238,23 @@ impl Stats {
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         let mut snap: Vec<(&'static str, u64)> = self
             .table
-            .slots()
-            .filter(|s| s.live.load(Relaxed))
-            .filter_map(|s| Some((*s.name.get()?, s.value.load(Relaxed))))
+            .entries()
+            .filter(|e| e.slot().kind.load(Relaxed) != IDLE)
+            .filter_map(|e| Some((*e.slot().name.get()?, e.value())))
             .collect();
         snap.sort_unstable_by_key(|&(name, _)| name);
         snap
     }
 
-    /// Resets every counter to zero.  An update racing a reset lands on
-    /// one side of it or the other per field: it may be listed at zero.
+    /// Resets every counter to zero, in every lane.  An update racing a
+    /// reset lands on one side of it or the other per word: it may be
+    /// listed at zero.
     pub fn reset(&self) {
-        for slot in self.table.slots() {
-            slot.live.store(false, Relaxed);
-            slot.value.store(0, Relaxed);
+        for e in self.table.entries() {
+            e.slot().kind.store(IDLE, Relaxed);
+            for lane in e.table.values.iter() {
+                lane.0[e.i].store(0, Relaxed);
+            }
         }
     }
 }
@@ -473,6 +533,83 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(s.snapshot(), vec![("depth", peak)]);
+    }
+
+    #[test]
+    fn counts_stay_exact_when_threads_share_lanes() {
+        // Twice as many threads as lanes, so lanes have writers from two
+        // or more threads at once.
+        const OPS: u64 = PER_THREAD / 4;
+        let s = Stats::new();
+        let threads = 2 * s.table.values.iter().len();
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..OPS {
+                        s.incr(NAMES[(i as usize + t) % 8]);
+                        s.add("bytes", 3);
+                    }
+                    s.set_max("depth", t as u64);
+                });
+            }
+        });
+        for name in NAMES {
+            assert_eq!(s.get(name), threads as u64 * OPS / 8, "{name}");
+        }
+        assert_eq!(s.get("bytes"), 3 * threads as u64 * OPS);
+        assert_eq!(s.get("depth"), threads as u64 - 1);
+    }
+
+    #[test]
+    fn reset_zeroes_every_lane() {
+        let s = Stats::new();
+        let lanes = s.table.values.iter().len();
+        // Threads draw lanes round-robin, so these spread over the lanes.
+        std::thread::scope(|scope| {
+            for _ in 0..2 * lanes {
+                scope.spawn(|| s.add("io", 5));
+            }
+        });
+        s.set_max("depth", 9);
+        assert_eq!(s.get("io"), 10 * lanes as u64);
+        s.reset();
+        let Some(Entry { table, i }) = s.table.find("io") else {
+            panic!("a reset keeps the name's slot");
+        };
+        assert!(table.values.iter().all(|lane| lane.0[i].load(Relaxed) == 0));
+        assert_eq!((s.get("io"), s.get("depth")), (0, 0));
+        assert_eq!(s.snapshot(), vec![]);
+        s.incr("io");
+        assert_eq!(s.snapshot(), vec![("io", 1)]);
+    }
+
+    #[test]
+    fn snapshot_lists_what_exited_threads_counted_on_their_lanes() {
+        let s = Stats::new();
+        for t in 0..5u64 {
+            let s = s.clone();
+            std::thread::spawn(move || {
+                s.add("reads", t + 1);
+                s.set_max("depth", t);
+            })
+            .join()
+            .expect("counting thread");
+        }
+        // Every writer has exited; its lane words are the table's, not
+        // the thread's.
+        assert_eq!(s.snapshot(), vec![("depth", 4), ("reads", 15)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "both as a counter")]
+    fn a_high_water_mark_is_never_summed_across_lanes() {
+        let s = Stats::new();
+        s.set_max("disk_queue_depth_max", 3);
+        s.add("disk_queue_depth_max", 1);
     }
 
     #[test]
