@@ -191,10 +191,6 @@ pub const LOCK_CONTENDED_CACHE_WRITE: &str = "lock_contended_cache_write";
 pub const LOCK_ALLOC: &str = "lock_alloc";
 /// Contended acquisitions of the disk-allocator lock.
 pub const LOCK_CONTENDED_ALLOC: &str = "lock_contended_alloc";
-/// Acquisitions of the age-table lock.
-pub const LOCK_AGES: &str = "lock_ages";
-/// Contended acquisitions of the age-table lock.
-pub const LOCK_CONTENDED_AGES: &str = "lock_contended_ages";
 /// Acquisitions of the inode-I/O ordering lock.
 pub const LOCK_INODE_IO: &str = "lock_inode_io";
 /// Contended acquisitions of the inode-I/O ordering lock.
@@ -346,8 +342,6 @@ pub const ALL: &[&str] = &[
     LOCK_CONTENDED_CACHE_WRITE,
     LOCK_ALLOC,
     LOCK_CONTENDED_ALLOC,
-    LOCK_AGES,
-    LOCK_CONTENDED_AGES,
     LOCK_INODE_IO,
     LOCK_CONTENDED_INODE_IO,
     LOCK_MAINTENANCE_READ,

@@ -8,14 +8,14 @@
 //!
 //! * `table: RwLock<InodeTable>` — inode lookups (capability verification,
 //!   reads) take the shared guard; only create/delete/cache-index updates
-//!   take the exclusive one.
+//!   take the exclusive one.  Each slot also holds its file's touch/age
+//!   word, which `touch` and `age_all` update under the shared guard.
 //! * `alloc: Mutex<AllocState>` — the disk extent free list and the inode
 //!   random-number generator, held only for the few-microsecond reserve /
 //!   free operations, never across I/O.
 //! * `cache: RwLock<FileCache>` — cache-hit reads run under the *read*
 //!   guard: [`FileCache::get`] refreshes LRU ages and hit counters through
 //!   atomics, so the hot path takes no exclusive lock at all.
-//! * `ages: Mutex<HashMap<..>>` — the touch/age garbage-collection state.
 //! * `inflight` — a per-inode busy table.  All disk I/O for a file
 //!   (create write-through, miss loads, delete/expiry inode zeroing,
 //!   compaction moves) happens under that file's in-flight guard *only*,
@@ -32,13 +32,13 @@
 //!   record of the chain.
 //!
 //! Lock order (outer to inner): `maintenance` → `log` → `inflight` →
-//! `table` → `alloc` → `cache` → `ages`, with `inode_io` taken only
-//! around inode block write-through (acquiring `table.read` inside).  A
-//! path may skip levels but never acquires a lock while holding one
-//! further in.  Every acquisition is counted in
-//! [`BulletServer::lock_stats`], with `lock_contended_*` counters for
-//! acquisitions that had to wait (the log mutex is exempt: group commits
-//! are serialized by design, so its contention is the batching working).
+//! `table` → `alloc` → `cache`, with `inode_io` taken only around inode
+//! block write-through (acquiring `table.read` inside).  A path may skip
+//! levels but never acquires a lock while holding one further in.  Every
+//! acquisition is counted in [`BulletServer::lock_stats`], with
+//! `lock_contended_*` counters for acquisitions that had to wait (the log
+//! mutex is exempt: group commits are serialized by design, so its
+//! contention is the batching working).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -385,10 +385,6 @@ pub struct BulletServer {
     table: RwLock<InodeTable>,
     alloc: Mutex<AllocState>,
     cache: RwLock<FileCache>,
-    /// Touch/age garbage-collection ages, keyed by inode index.
-    /// RAM-only: a restart resets every live file to `max_age` (generous,
-    /// as the original server was).
-    ages: Mutex<HashMap<u32, u32>>,
     inflight: InflightTable,
     /// The group-commit log window (`None` when `cfg.log_blocks == 0`).
     /// See the module docs for its place in the lock order.
@@ -466,13 +462,7 @@ impl BulletServer {
         Self::check_archive_geometry(&cfg, &desc)?;
         let archive = Self::build_archive(&cfg, desc.block_size);
         Ok(BulletServer::assemble(
-            cfg,
-            storage,
-            table,
-            alloc,
-            HashMap::new(),
-            log,
-            archive,
+            cfg, storage, table, alloc, log, archive,
         ))
     }
 
@@ -520,6 +510,12 @@ impl BulletServer {
         if cfg.log_blocks == 0 {
             return Ok(None);
         }
+        if gclog::max_entries(desc.block_size as usize) == 0 {
+            return Err(BulletError::Corrupt(format!(
+                "a {}-byte block cannot hold a log record naming one file",
+                desc.block_size
+            )));
+        }
         let data = desc.data_end() - desc.data_start();
         if cfg.log_blocks >= data {
             return Err(BulletError::Corrupt(format!(
@@ -560,7 +556,6 @@ impl BulletServer {
         storage: MirroredDisk,
         mut table: InodeTable,
         extents: ExtentAllocator,
-        ages: HashMap<u32, u32>,
         log: Option<LogState>,
         archive: Option<ArchiveState>,
     ) -> BulletServer {
@@ -568,6 +563,11 @@ impl BulletServer {
         // instance only ever mints object numbers that hash back to it,
         // so the stripe must be in force before the first create.
         table.set_stripe(cfg.shard.index, cfg.shard.count);
+        // Ages live in RAM only: every file a restart finds starts a full
+        // countdown (generous, as the original server was).
+        for (idx, _) in table.live() {
+            table.arm(idx, cfg.max_age);
+        }
         // One tracer, shared by every layer: the cache's lookup instants,
         // the mirror's replica spans, and the server's op spans all join
         // the same tree.
@@ -591,7 +591,6 @@ impl BulletServer {
                 rng: DetRng::new(cfg.rng_seed),
             }),
             cache: RwLock::new(cache),
-            ages: Mutex::new(ages),
             inflight: InflightTable::new(),
             log: log.map(Mutex::new),
             gc: GroupCommitter::new(),
@@ -792,8 +791,7 @@ impl BulletServer {
             arch.dev.restore_append_pos(past_used);
         }
 
-        let ages = table.live().map(|(i, _)| (i, cfg.max_age)).collect();
-        let server = BulletServer::assemble(cfg, storage, table, alloc, ages, log, archive);
+        let server = BulletServer::assemble(cfg, storage, table, alloc, log, archive);
         server
             .stats
             .add(counters::RECOVERY_REPAIRED_INODES, report.repaired as u64);
@@ -994,18 +992,20 @@ impl BulletServer {
         // other requests keep flowing while the mirrored writes complete.
         let _busy = self.inflight_lock(idx);
 
-        // Into the RAM cache (evictions clear the victims' index fields).
-        // The clone is a reference-count bump on the shared payload
-        // buffer, not a copy: the cache and the caller hold the same
-        // bytes (asserted by `cache_insert_shares_the_payload_buffer`).
+        // Into the RAM cache (evictions clear the victims' index fields),
+        // and the age starts: only now, under the in-flight guard, may
+        // `age_all` pick the file.  The clone is a reference-count bump on
+        // the shared payload buffer, not a copy: the cache and the caller
+        // hold the same bytes (asserted by
+        // `cache_insert_shares_the_payload_buffer`).
         let cached = {
             let mut table = self.table_write();
             let mut cache = self.cache_write();
             self.cache_insert(&mut table, &mut cache, idx, data.clone())
+                .map(|()| table.arm(idx, self.cfg.max_age))
                 .inspect_err(|_| drop(table.clear(idx)))
         };
         cached.inspect_err(|_| release_extent())?;
-        self.ages_lock().insert(idx, self.cfg.max_age);
 
         // Write-through: file data, then the inode's whole block.
         let write = if pipelined {
@@ -1022,7 +1022,6 @@ impl BulletServer {
                 cache.remove(idx);
                 let _ = table.clear(idx);
             }
-            self.ages_lock().remove(&idx);
             release_extent();
             return Err(e);
         }
@@ -1145,8 +1144,7 @@ impl BulletServer {
     fn batch_caps(&self) -> BatchCaps {
         BatchCaps {
             max_files: Self::LOG_BATCH_MAX_FILES
-                .min(gclog::max_entries(self.desc.block_size as usize))
-                .max(1),
+                .min(gclog::max_entries(self.desc.block_size as usize)),
             max_bytes: Self::LOG_BATCH_MAX_BYTES,
             linger: std::time::Duration::from_micros(300),
         }
@@ -1297,20 +1295,15 @@ impl BulletServer {
         self.stats.add(counters::LOG_BATCH_FILES, n as u64);
         self.stats.add(counters::LOG_RESIDENT_BYTES, total_bytes);
 
-        // Into the RAM cache and the age table.  A cache refusal is not
-        // fatal here: the file is already durable in the log — it merely
-        // starts cold.
+        // Into the RAM cache, each age armed.  A cache refusal is not fatal
+        // here: the file is already durable in the log — it merely starts
+        // cold.
         {
             let mut table = self.table_write();
             let mut cache = self.cache_write();
             for (i, &idx) in idxs.iter().enumerate() {
                 let _ = self.cache_insert(&mut table, &mut cache, idx, batch[i].clone());
-            }
-        }
-        {
-            let mut ages = self.ages_lock();
-            for &idx in &idxs {
-                ages.insert(idx, self.cfg.max_age);
+                table.arm(idx, self.cfg.max_age);
             }
         }
 
@@ -1341,12 +1334,6 @@ impl BulletServer {
                 for &idx in &idxs {
                     cache.remove(idx);
                     let _ = table.clear(idx);
-                }
-            }
-            {
-                let mut ages = self.ages_lock();
-                for &idx in &idxs {
-                    ages.remove(&idx);
                 }
             }
             free_homes(self);
@@ -1676,10 +1663,10 @@ impl BulletServer {
     /// slot returns to the free list.  The caller holds the shared
     /// maintenance guard.
     ///
-    /// Write order: seal the log chain if needed → zero the inode in RAM
-    /// → drop the cache copy and age → write the zeroed inode block
-    /// through to every replica (the commit point) → release the slot and
-    /// free the space the file's [`Residency`] says it owned.
+    /// Write order: seal the log chain if needed → zero the inode (and
+    /// with it the age) in RAM → drop the cache copy → write the zeroed
+    /// inode block through to every replica (the commit point) → release
+    /// the slot and free the space the file's [`Residency`] says it owned.
     fn destroy(
         &self,
         idx: u32,
@@ -1712,7 +1699,6 @@ impl BulletServer {
         }
         self.table_write().clear_keep_slot(idx)?;
         self.cache_write().remove(idx);
-        self.ages_lock().remove(&idx);
         // Destruction is always written through to all disks.  The inode
         // slot and the extent return to the free lists only afterwards,
         // so neither can be reallocated while the zeroed inode is still
@@ -2083,15 +2069,14 @@ impl BulletServer {
         let block_size = self.desc.block_size;
         let candidates: Vec<(u32, u64)> = {
             let table = self.table_read();
-            let ages = self.ages_lock();
             table
                 .live()
                 .filter(|&(idx, ino)| {
+                    let age = table.age(idx);
                     ino.index == 0
                         && self.residency_of(ino) == Ok(Residency::Home)
-                        && ages.get(&idx).is_some_and(|&a| {
-                            self.cfg.max_age.saturating_sub(a) >= Self::TIER_COLD_AGE
-                        })
+                        && age != 0
+                        && self.cfg.max_age.saturating_sub(age) >= Self::TIER_COLD_AGE
                 })
                 .map(|(idx, ino)| (idx, ino.blocks(block_size)))
                 .collect()
@@ -2430,12 +2415,9 @@ impl BulletServer {
     ///
     /// Capability failures.
     pub fn touch(&self, cap: &Capability) -> Result<(), BulletError> {
-        {
-            let table = self.table_read();
-            self.verify(&table, cap, Rights::NONE)?;
-        }
-        let idx = cap.object.value();
-        self.ages_lock().insert(idx, self.cfg.max_age);
+        let table = self.table_read();
+        self.verify(&table, cap, Rights::NONE)?;
+        table.arm(cap.object.value(), self.cfg.max_age);
         Ok(())
     }
 
@@ -2452,28 +2434,18 @@ impl BulletServer {
     /// Disk errors while zeroing expired inodes.
     pub fn age_all(&self) -> Result<u64, BulletError> {
         let _m = self.maint_read();
-        let expired: Vec<u32> = {
-            let mut ages = self.ages_lock();
-            let mut expired = Vec::new();
-            for (&idx, age) in ages.iter_mut() {
-                *age = age.saturating_sub(1);
-                if *age == 0 {
-                    expired.push(idx);
-                }
-            }
-            for idx in &expired {
-                ages.remove(idx);
-            }
-            // The map iterates in per-process random order; expire in slot
-            // order so the frees — and every layout after them — replay.
-            expired.sort_unstable();
-            expired
-        };
+        // In slot order, so the frees — and every layout after them —
+        // replay.
+        let expired = self.table_read().age_round();
         let mut count = 0;
-        for &idx in &expired {
+        for (idx, random) in expired {
             // A file deleted by a concurrent request after expiry was
-            // decided has nothing left to reclaim.
-            if self.destroy(idx, true, |table| Ok(table.get(idx).ok().copied()))? {
+            // decided has nothing left to reclaim, and one created into
+            // its slot since is not the file that expired.
+            let fetch = |table: &InodeTable| {
+                Ok(table.get(idx).ok().filter(|i| i.random == random).copied())
+            };
+            if self.destroy(idx, true, fetch)? {
                 count += 1;
             }
         }
@@ -2968,7 +2940,6 @@ counted_locks! {
     cache_read -> RwLockReadGuard<'_, FileCache> = cache.try_read / read, LOCK_CACHE_READ, LOCK_CONTENDED_CACHE_READ, "lock.cache_read";
     cache_write -> RwLockWriteGuard<'_, FileCache> = cache.try_write / write, LOCK_CACHE_WRITE, LOCK_CONTENDED_CACHE_WRITE, "lock.cache_write";
     alloc_lock -> MutexGuard<'_, AllocState> = alloc.try_lock / lock, LOCK_ALLOC, LOCK_CONTENDED_ALLOC, "lock.alloc";
-    ages_lock -> MutexGuard<'_, HashMap<u32, u32>> = ages.try_lock / lock, LOCK_AGES, LOCK_CONTENDED_AGES, "lock.ages";
     inode_io_lock -> MutexGuard<'_, ()> = inode_io.try_lock / lock, LOCK_INODE_IO, LOCK_CONTENDED_INODE_IO, "lock.inode_io";
     maint_read -> RwLockReadGuard<'_, ()> = maintenance.try_read / read, LOCK_MAINTENANCE_READ, LOCK_CONTENDED_MAINTENANCE_READ, "lock.maintenance_read";
     maint_write -> RwLockWriteGuard<'_, ()> = maintenance.try_write / write, LOCK_MAINTENANCE_WRITE, LOCK_CONTENDED_MAINTENANCE_WRITE, "lock.maintenance_write";
@@ -3602,7 +3573,8 @@ mod tests {
                 archive_blocks: 0,
                 setup: |s| {
                     files(s, 4);
-                    s.ages.lock().values_mut().for_each(|age| *age = 1);
+                    let table = s.table.read();
+                    table.live().for_each(|(idx, _)| table.arm(idx, 1));
                 },
                 op: |s| s.age_all().map(|_| ()),
             },
@@ -4464,7 +4436,7 @@ mod tests {
             s.retire_object(idx(cap)).unwrap();
         }
         for cap in [&a[2], &a[6], &b[2]] {
-            s.ages.lock().insert(idx(cap), 1);
+            s.table.read().arm(idx(cap), 1);
         }
         assert_eq!(s.age_all().unwrap(), 3);
 

@@ -5,7 +5,7 @@
 //! written through by rewriting the whole disk block containing the inode
 //! — exactly what the server does on create and delete.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
 use amoeba_cap::{Capability, CheckScheme, Rights};
 use amoeba_disk::BlockDevice;
@@ -42,6 +42,10 @@ pub struct InodeTable {
     /// [`CheckScheme::verify`] last accepted against the inode now in that
     /// slot, or zero.  See [`get_verified`](Self::get_verified).
     memo: Vec<AtomicU64>,
+    /// One word per slot: the touch/age rounds the file in that slot has
+    /// left, or zero while its countdown is unarmed.  See
+    /// [`arm`](Self::arm).
+    ages: Vec<AtomicU32>,
     free: Vec<u32>,
     /// When set to `(index, count)`, this table belongs to shard `index`
     /// of a `count`-wide shard set: only object numbers whose
@@ -53,7 +57,7 @@ pub struct InodeTable {
     stripe: Option<(u32, u32)>,
 }
 
-/// A clone remembers no verified capability.
+/// A clone remembers no verified capability and has no age armed.
 impl Clone for InodeTable {
     fn clone(&self) -> InodeTable {
         InodeTable::assemble(
@@ -77,7 +81,7 @@ fn memo_word(cap: &Capability) -> Option<u64> {
 }
 
 impl InodeTable {
-    /// A table over `inodes` with nothing verified yet.
+    /// A table over `inodes` with nothing verified and no age armed yet.
     fn assemble(
         desc: DiskDescriptor,
         inodes: Vec<Inode>,
@@ -87,6 +91,7 @@ impl InodeTable {
         InodeTable {
             desc,
             memo: inodes.iter().map(|_| AtomicU64::new(0)).collect(),
+            ages: inodes.iter().map(|_| AtomicU32::new(0)).collect(),
             inodes,
             free,
             stripe,
@@ -270,7 +275,7 @@ impl InodeTable {
     pub fn alloc(&mut self, inode: Inode) -> Result<u32, BulletError> {
         debug_assert!(!inode.is_free(), "allocating a zero inode");
         let idx = self.free.pop().ok_or(BulletError::NoInodes)?;
-        *self.slot_mut(idx) = inode;
+        self.rebind(idx, inode);
         Ok(idx)
     }
 
@@ -292,7 +297,7 @@ impl InodeTable {
                 )))
             }
         }
-        *self.slot_mut(idx) = inode;
+        self.rebind(idx, inode);
         self.free.retain(|&f| f != idx);
         Ok(())
     }
@@ -324,6 +329,14 @@ impl InodeTable {
     fn slot_mut(&mut self, idx: u32) -> &mut Inode {
         *self.memo[idx as usize].get_mut() = 0;
         &mut self.inodes[idx as usize]
+    }
+
+    /// Gives slot `idx` a new identity (a new file, or none) whose age is
+    /// unarmed.  [`get_mut`](Self::get_mut)'s edits (cache index, start
+    /// block) keep the file, and so keep its age.
+    fn rebind(&mut self, idx: u32, inode: Inode) {
+        *self.ages[idx as usize].get_mut() = 0;
+        *self.slot_mut(idx) = inode;
     }
 
     /// Looks up the live inode `cap` names and checks the capability
@@ -373,6 +386,39 @@ impl InodeTable {
         }
     }
 
+    /// Starts slot `idx`'s touch/age countdown over at `rounds`: the file
+    /// survives `rounds - 1` [`age_round`](Self::age_round)s untouched and
+    /// expires in the next.  Zero is the unarmed word, so a countdown of
+    /// zero is stored as one, which expires at the same round.
+    ///
+    /// A shared guard suffices, as for the memo: only the `&mut self`
+    /// writes that rebind the slot (`alloc`, `install`, `clear_keep_slot`)
+    /// unarm it, and the word publishes nothing else, so the accesses are
+    /// `Relaxed`.
+    pub(crate) fn arm(&self, idx: u32, rounds: u32) {
+        self.ages[idx as usize].store(rounds.max(1), Relaxed);
+    }
+
+    /// Rounds left on slot `idx`'s countdown, or zero while it is unarmed.
+    pub(crate) fn age(&self, idx: u32) -> u32 {
+        self.ages[idx as usize].load(Relaxed)
+    }
+
+    /// One aging round: each live slot with an armed age, in index order,
+    /// loses one round, and the `(index, random)` of every file whose
+    /// countdown ends is returned, its word unarmed.  Each decrement is
+    /// one atomic step, so a concurrent [`arm`](Self::arm) lands wholly
+    /// before or after it.
+    pub(crate) fn age_round(&self) -> Vec<(u32, u64)> {
+        self.live()
+            .filter(|&(idx, _)| {
+                let word = &self.ages[idx as usize];
+                word.fetch_update(Relaxed, Relaxed, |w| w.checked_sub(1)) == Ok(1)
+            })
+            .map(|(idx, inode)| (idx, inode.random))
+            .collect()
+    }
+
     /// Zeroes a live inode (file deletion) and returns the freed slot to
     /// the allocator.
     ///
@@ -395,7 +441,7 @@ impl InodeTable {
     /// [`BulletError::NotFound`] if the slot is not live.
     pub fn clear_keep_slot(&mut self, idx: u32) -> Result<(), BulletError> {
         self.get(idx)?;
-        *self.slot_mut(idx) = Inode::default();
+        self.rebind(idx, Inode::default());
         Ok(())
     }
 
@@ -634,6 +680,57 @@ mod tests {
         let loaded = InodeTable::load(&d, RepairPolicy::Fail).unwrap().table;
         assert_eq!(loaded.get(idx).unwrap().random, RANDOM);
         assert!(loaded.memo.iter().all(|w| w.load(Relaxed) == 0));
+    }
+
+    #[test]
+    fn an_age_is_the_files_and_ends_only_with_its_slot() {
+        let (mut t, scheme, owner) = one_file();
+        let idx = owner.object.value();
+        // Edits that keep the file keep its age.
+        t.arm(idx, 5);
+        t.get_mut(idx).unwrap().index = 3;
+        assert_eq!(t.age(idx), 5, "get_mut");
+        assert!(t.get_verified(&owner, Rights::READ, &scheme).is_ok());
+        assert_eq!(t.age(idx), 5, "memo fill");
+        t.get_mut(idx).unwrap().start_block += 1;
+        assert_eq!(t.age(idx), 5, "start-block move");
+        // Each write that gives the slot a new identity unarms it; arm it
+        // first each time to see that none relies on finding it unarmed.
+        t.clear_keep_slot(idx).unwrap();
+        assert_eq!(t.age(idx), 0, "clear_keep_slot");
+        t.arm(idx, 5);
+        t.install(idx, file(&t)).unwrap();
+        assert_eq!(t.age(idx), 0, "install");
+        t.clear(idx).unwrap();
+        t.arm(idx, 5);
+        assert_eq!(t.alloc(file(&t)).unwrap(), idx);
+        assert_eq!(t.age(idx), 0, "alloc");
+        // A clone or a loaded table starts with nothing armed.
+        t.arm(idx, 5);
+        assert_eq!(t.clone().age(idx), 0, "clone");
+        let d = dev();
+        d.write_blocks(0, &t.block_image(0)).unwrap();
+        let loaded = InodeTable::load(&d, RepairPolicy::Fail).unwrap().table;
+        assert_eq!(loaded.get(idx).unwrap().random, RANDOM);
+        assert_eq!(loaded.age(idx), 0, "load");
+    }
+
+    #[test]
+    fn an_aging_round_counts_down_armed_live_slots_in_index_order() {
+        let mut t = InodeTable::format(&dev(), 10).unwrap();
+        let idxs: Vec<u32> = (0..5).map(|_| t.alloc(file(&t)).unwrap()).collect();
+        // idxs[0] stays unarmed, idxs[4] is armed and then freed, and a
+        // countdown of zero expires in the first round, like one.
+        t.arm(idxs[3], 1);
+        t.arm(idxs[2], 0);
+        t.arm(idxs[1], 2);
+        t.arm(idxs[4], 1);
+        t.clear(idxs[4]).unwrap();
+        assert_eq!(t.age_round(), [(idxs[2], RANDOM), (idxs[3], RANDOM)]);
+        let ages: Vec<u32> = idxs.iter().map(|&i| t.age(i)).collect();
+        assert_eq!(ages, [0, 1, 0, 0, 0]);
+        assert_eq!(t.age_round(), [(idxs[1], RANDOM)]);
+        assert!(t.age_round().is_empty());
     }
 
     #[test]

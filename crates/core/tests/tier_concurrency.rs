@@ -118,18 +118,23 @@ fn tier_migrations_race_concurrent_reads() {
 }
 
 /// Random op walks against a shadow model (proptest shrinks any
-/// divergence to a minimal sequence).  The model mirrors the aging map
-/// exactly — reads do *not* refresh ages, only creation does — so
-/// expiry, demotion eligibility, and the allocator's byte accounting
-/// are all checked deterministically after every step.
+/// divergence to a minimal sequence).  The model mirrors every file's age
+/// exactly — reads do *not* refresh ages; creation and touch do, and a
+/// restart resets every live file's — so expiry, demotion eligibility,
+/// and the allocator's byte accounting are all checked deterministically
+/// after every step.
 #[derive(Debug, Clone)]
 enum TierOp {
     Create { len: usize, fill: u8 },
     Read(u8),
     Delete(u8),
+    Touch(u8),
     ClearCache,
     Age,
     Tick,
+    // Clean shutdown, then recovery re-adopting the archive: ages reset
+    // and the cache starts cold.
+    Restart,
 }
 
 fn arb_tier_op() -> impl Strategy<Value = TierOp> {
@@ -137,9 +142,11 @@ fn arb_tier_op() -> impl Strategy<Value = TierOp> {
         4 => (64usize..2_000, any::<u8>()).prop_map(|(len, fill)| TierOp::Create { len, fill }),
         4 => any::<u8>().prop_map(TierOp::Read),
         2 => any::<u8>().prop_map(TierOp::Delete),
+        2 => any::<u8>().prop_map(TierOp::Touch),
         2 => Just(TierOp::ClearCache),
-        1 => Just(TierOp::Age),
+        2 => Just(TierOp::Age),
         3 => Just(TierOp::Tick),
+        1 => Just(TierOp::Restart),
     ]
 }
 
@@ -152,8 +159,9 @@ proptest! {
         let mut cfg = BulletConfig::small_test();
         cfg.archive_blocks = 1 << 16;
         cfg.tier_high_water_pct = 0;
+        cfg.max_age = 3; // short enough that touches decide who expires
         let max_age = cfg.max_age;
-        let s = BulletServer::format(cfg, 2).unwrap();
+        let mut s = BulletServer::format(cfg.clone(), 2).unwrap();
         // One slot per file ever created: (cap, bytes, model age).
         let mut files: Vec<Option<(Capability, Bytes, u32)>> = Vec::new();
         for op in &ops {
@@ -182,6 +190,16 @@ proptest! {
                         s.delete(&cap).unwrap();
                     }
                 }
+                TierOp::Touch(i) => {
+                    if files.is_empty() {
+                        continue;
+                    }
+                    let slot = i as usize % files.len();
+                    if let Some((cap, _, age)) = &mut files[slot] {
+                        s.touch(cap).unwrap();
+                        *age = max_age;
+                    }
+                }
                 TierOp::ClearCache => s.clear_cache(),
                 TierOp::Age => {
                     let mut expired_model = 0u64;
@@ -202,6 +220,15 @@ proptest! {
                 }
                 TierOp::Tick => {
                     s.compact_tick().unwrap();
+                }
+                TierOp::Restart => {
+                    let archive = s.archive_device().unwrap();
+                    let storage = s.shutdown().unwrap();
+                    s = BulletServer::recover_with_archive(cfg.clone(), storage, archive).unwrap();
+                    prop_assert!(s.describe_layout().1.iter().all(|r| !r.cached));
+                    for (_, _, age) in files.iter_mut().flatten() {
+                        *age = max_age;
+                    }
                 }
             }
             // Allocator exactness after every op: fast-tier usage must

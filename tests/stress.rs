@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use amoeba_bullet::bullet::{BulletConfig, BulletServer};
+use amoeba_bullet::bullet::{BulletConfig, BulletError, BulletServer};
 use amoeba_bullet::cap::Capability;
 use amoeba_bullet::dir::DirServer;
 use amoeba_bullet::disk::{BlockDevice, FaultyDisk, MirroredDisk, RamDisk};
@@ -216,6 +216,101 @@ fn barrier_storm_with_concurrent_compaction() {
     }
     let frag = server.disk_frag_report();
     assert!(frag.free <= frag.total);
+}
+
+/// True for a capability whose file is gone: its slot is free, or holds
+/// another file by now.
+fn gone(e: &BulletError) -> bool {
+    matches!(e, BulletError::NotFound | BulletError::CapBad)
+}
+
+/// Four clients create, read, touch and delete while a fifth thread runs
+/// aging rounds back to back at the shortest ages, so expiry can take any
+/// file at any moment and a client learns of it from the server.  No read
+/// may return foreign bytes, no file may outlive the clients' knowledge
+/// of it, and no extent may be owned by nobody.
+#[test]
+fn aging_races_creates_touches_and_deletes() {
+    const OPS: usize = 1000;
+    for max_age in [1, 2] {
+        let mut cfg = big_config();
+        cfg.max_age = max_age;
+        let server = BulletServer::format(cfg, 2).unwrap();
+        let stop = AtomicBool::new(false);
+        let held: Vec<(Capability, Vec<u8>)> = std::thread::scope(|scope| {
+            let aging = scope.spawn(|| {
+                let mut rounds = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    server.age_all().unwrap();
+                    rounds += 1;
+                }
+                rounds
+            });
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let server = &server;
+                    scope.spawn(move || {
+                        let mut rng = DetRng::new(0xa9e5 + t as u64);
+                        let mut live: Vec<(Capability, Vec<u8>)> = Vec::new();
+                        for i in 0..OPS {
+                            let data = pattern(t, i, (rng.next_below(1500) + 1) as usize);
+                            let cap = server.create(Bytes::from(data.clone()), 1).unwrap();
+                            live.push((cap, data));
+                            let pick = rng.next_below(live.len() as u64) as usize;
+                            let cap = live[pick].0;
+                            let outcome = match rng.next_below(3) {
+                                0 => server.read(&cap).map(|got| {
+                                    assert!(got[..] == live[pick].1[..], "foreign bytes");
+                                }),
+                                1 => server.touch(&cap),
+                                _ => server.delete(&cap).map(|()| {
+                                    live.swap_remove(pick);
+                                }),
+                            };
+                            match outcome {
+                                Ok(()) => {}
+                                Err(e) if gone(&e) => drop(live.swap_remove(pick)),
+                                Err(e) => panic!("thread {t}: {e}"),
+                            }
+                        }
+                        live
+                    })
+                })
+                .collect();
+            // Stop the aging loop before a worker's panic can propagate,
+            // or the scope would wait on it forever.
+            let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+            stop.store(true, Ordering::Relaxed);
+            assert!(aging.join().unwrap() > 0, "aging never ran");
+            joined.into_iter().flat_map(Result::unwrap).collect()
+        });
+
+        // Quiescent: every file a client still holds reads back exactly
+        // or has expired, and the server holds exactly the survivors.
+        let survivors = held
+            .iter()
+            .filter(|(cap, expect)| match server.read(cap) {
+                Ok(got) => {
+                    assert_eq!(&got[..], &expect[..]);
+                    true
+                }
+                Err(e) => {
+                    assert!(gone(&e), "max_age {max_age}: {e}");
+                    false
+                }
+            })
+            .count();
+        assert_eq!(server.live_files(), survivors, "max_age {max_age}");
+        assert!(server.stats().get("aged_out") > 0, "nothing expired");
+        // Allocator exactness: every used block is a live file's.
+        let (_, rows) = server.describe_layout();
+        let report = server.disk_frag_report();
+        assert_eq!(
+            report.total - report.free,
+            rows.iter().map(|r| r.blocks).sum::<u64>(),
+            "max_age {max_age}"
+        );
+    }
 }
 
 #[test]
