@@ -116,6 +116,9 @@ const SEG_PROTECTED: u8 = 1; // SegmentedLru protected / TwoQ Am
 struct Rnode {
     /// The inode-table index of the cached file.
     inode_index: u32,
+    /// Which file of that index this is: the server tags each entry with
+    /// the file's check random (0 for an untagged insert).
+    tag: u64,
     /// Byte offset of the file in the cache arena (the "pointer").
     offset: u64,
     /// The cached contents (length is the file size).
@@ -296,7 +299,15 @@ impl FileCache {
     /// all go through atomics, so concurrent cache-hit reads need no
     /// exclusive lock — the heart of the server's concurrent read path.
     pub fn get(&self, inode_index: u32) -> Option<Bytes> {
-        let outcome = self.lookup(inode_index);
+        self.get_tagged(inode_index, None)
+    }
+
+    /// [`get`](Self::get), restricted to the entry inserted with `tag`
+    /// when one is given: an entry with another tag belongs to another
+    /// file since given the same inode index, and is a miss that keeps
+    /// its age.
+    pub(crate) fn get_tagged(&self, inode_index: u32, tag: Option<u64>) -> Option<Bytes> {
+        let outcome = self.lookup(inode_index, tag);
         self.tracer.instant(
             "cache.lookup",
             &[
@@ -321,16 +332,19 @@ impl FileCache {
     /// server's miss path uses this after taking the per-inode in-flight
     /// guard.
     pub fn recheck(&self, inode_index: u32) -> Option<Bytes> {
-        let data = self.lookup(inode_index)?;
+        let data = self.lookup(inode_index, None)?;
         self.stats.incr(counters::CACHE_HITS);
         Some(data)
     }
 
-    fn lookup(&self, inode_index: u32) -> Option<Bytes> {
+    fn lookup(&self, inode_index: u32, tag: Option<u64>) -> Option<Bytes> {
         let &slot = self.by_inode.get(&inode_index)?;
         let r = self.rnodes[slot as usize]
             .as_ref()
             .expect("by_inode points at a live rnode");
+        if tag.is_some_and(|t| t != r.tag) {
+            return None;
+        }
         match self.policy {
             EvictionPolicy::Lru => {
                 r.age.store(self.next_age(), Ordering::Relaxed);
@@ -385,6 +399,17 @@ impl FileCache {
     /// architectural limit of §2 ("processors can only operate on files
     /// that fit in their physical memory").
     pub fn insert(&mut self, inode_index: u32, data: Bytes) -> Result<InsertOutcome, BulletError> {
+        self.insert_tagged(inode_index, 0, data)
+    }
+
+    /// [`insert`](Self::insert), tagging the entry for
+    /// [`get_tagged`](Self::get_tagged).
+    pub(crate) fn insert_tagged(
+        &mut self,
+        inode_index: u32,
+        tag: u64,
+        data: Bytes,
+    ) -> Result<InsertOutcome, BulletError> {
         let need = (data.len() as u64).max(1);
         if need > self.capacity {
             return Err(BulletError::TooLarge {
@@ -438,6 +463,7 @@ impl FileCache {
         let age = self.next_age();
         self.rnodes[slot as usize] = Some(Rnode {
             inode_index,
+            tag,
             offset,
             data,
             age: AtomicU64::new(age),
@@ -765,6 +791,22 @@ mod tests {
         assert!(c.get(5).is_none());
         assert_eq!(c.stats().get("cache_misses"), 1);
         assert_eq!(c.remove(5), None);
+    }
+
+    #[test]
+    fn a_tagged_lookup_misses_another_files_entry_and_leaves_its_age() {
+        let mut c = FileCache::new(300, 16);
+        c.insert_tagged(1, 7, bytes(100, 1)).unwrap();
+        c.insert_tagged(2, 8, bytes(100, 2)).unwrap();
+        // Index 1 holds the file tagged 7: a lookup for file 9 there is a
+        // miss that refreshes nothing, so 1 stays the LRU victim.
+        assert!(c.get_tagged(1, Some(9)).is_none());
+        assert_eq!(c.get_tagged(2, Some(8)).unwrap(), bytes(100, 2));
+        assert_eq!(c.stats().get("cache_misses"), 1);
+        assert_eq!(c.stats().get("cache_hits"), 1);
+        assert_eq!(c.insert(3, bytes(200, 3)).unwrap().evicted, vec![1]);
+        // An untagged lookup takes whatever the index holds.
+        assert_eq!(c.get(2).unwrap(), bytes(100, 2));
     }
 
     #[test]

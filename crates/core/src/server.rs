@@ -1543,12 +1543,15 @@ impl BulletServer {
         self.charge_request();
         let idx = cap.object.value();
         // Fast path: verification and the cache hit take shared locks
-        // only, so concurrent cache-hot reads never serialize.
-        {
+        // only, so concurrent cache-hot reads never serialize.  Between
+        // the two the file can be destroyed and its slot and cache entry
+        // given to another file, so the hit must carry the verified
+        // file's random.
+        let random = {
             let table = self.table_read();
-            self.verify(&table, cap, Rights::READ)?;
-        }
-        if let Some(data) = self.cache_read().get(idx) {
+            self.verify(&table, cap, Rights::READ)?.random
+        };
+        if let Some(data) = self.cache_read().get_tagged(idx, Some(random)) {
             self.stats.incr(counters::READS);
             op.attr("bytes", data.len());
             self.accounting.charge_current(|u| {
@@ -1607,15 +1610,14 @@ impl BulletServer {
             let table = self.table_read();
             *self.verify(&table, cap, Rights::READ)?
         };
-        let end = offset.checked_add(len).ok_or(BulletError::BadRange)?;
-        if end > inode.size_bytes {
-            return Err(BulletError::BadRange);
-        }
+        let end = offset.checked_add(len).filter(|&e| e <= inode.size_bytes);
+        let end = end.ok_or(BulletError::BadRange)?;
         let idx = cap.object.value();
         // Bind the hit before matching: the temporary guard of the cache
         // read lock must not live into the miss arm, whose load path takes
-        // the cache write lock.
-        let hit = self.cache_read().get(idx);
+        // the cache write lock.  The tag makes it the verified file's, as
+        // in `read`.
+        let hit = self.cache_read().get_tagged(idx, Some(inode.random));
         let was_hit = hit.is_some();
         let data = match hit {
             Some(d) => d.slice(offset as usize..end as usize),
@@ -1833,18 +1835,18 @@ impl BulletServer {
         let mut op = self.tracer.span("bullet.modify");
         op.attr("op", "modify");
         op.attr("bytes", data.len());
-        let base = {
-            {
-                let table = self.table_read();
-                self.verify(&table, cap, Rights::READ | Rights::MODIFY)?;
-            }
-            let idx = cap.object.value();
-            match self.cache_read().get(idx) {
-                Some(d) => d,
-                None => {
-                    self.load_cold(cap, idx, Rights::READ | Rights::MODIFY, None, 0, u64::MAX)?
-                }
-            }
+        let idx = cap.object.value();
+        let random = {
+            let table = self.table_read();
+            self.verify(&table, cap, Rights::READ | Rights::MODIFY)?
+                .random
+        };
+        // Tagged as in `read`, and bound before matching as in
+        // `read_section`: the miss arm's load takes the cache write lock.
+        let hit = self.cache_read().get_tagged(idx, Some(random));
+        let base = match hit {
+            Some(d) => d,
+            None => self.load_cold(cap, idx, Rights::READ | Rights::MODIFY, None, 0, u64::MAX)?,
         };
         let new_len = base.len().max(offset as usize + data.len());
         let mut buf = vec![0u8; new_len];
@@ -2534,16 +2536,19 @@ impl BulletServer {
         let _busy = self.inflight_lock(idx);
         // Another request may have loaded the file while we waited for
         // the guard; a late hit here does not re-count the miss.
-        if let Some(data) = self.cache_read().recheck(idx) {
-            return Ok(data);
-        }
-        // Re-verify: the file may have been deleted, or moved by
-        // compaction, before the guard was ours.  The snapshot is stable
-        // for the whole I/O because delete/compaction need this guard.
+        let late_hit = self.cache_read().recheck(idx);
+        // Re-verify: the file may have been deleted — and its slot and
+        // cache entry given to another file, so the late hit waits for
+        // this — or moved by compaction, before the guard was ours.  The
+        // snapshot is stable for the whole I/O because delete/compaction
+        // need this guard.
         let inode = {
             let table = self.table_read();
             *self.verify(&table, cap, needed)?
         };
+        if let Some(data) = late_hit {
+            return Ok(data);
+        }
         let size = inode.size_bytes as u64;
         let archived = matches!(self.residency_of(&inode)?, Residency::Archive { .. });
         let mut buf = if archived {
@@ -2712,7 +2717,7 @@ impl BulletServer {
         idx: u32,
         data: Bytes,
     ) -> Result<(), BulletError> {
-        let outcome = cache.insert(idx, data)?;
+        let outcome = cache.insert_tagged(idx, table.get(idx)?.random, data)?;
         if outcome.compaction_bytes > 0 {
             self.charge_memcpy(outcome.compaction_bytes);
         }
@@ -3180,6 +3185,18 @@ mod tests {
             s.read(&v3).unwrap(),
             Bytes::from_static(b"hello wide world")
         );
+    }
+
+    #[test]
+    fn modify_of_an_uncached_file_completes() {
+        // After a restart the cache is cold, so the base comes off the
+        // disk, whose load takes the cache write lock.
+        let cfg = BulletConfig::small_test();
+        let s = BulletServer::format(cfg.clone(), 2).unwrap();
+        let v1 = s.create(Bytes::from_static(b"hello world"), 2).unwrap();
+        let s = BulletServer::recover(cfg, s.shutdown().unwrap()).unwrap();
+        let v2 = s.modify(&v1, 6, b"earth", 2).unwrap();
+        assert_eq!(s.read(&v2).unwrap(), Bytes::from_static(b"hello earth"));
     }
 
     #[test]

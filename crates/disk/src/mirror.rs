@@ -36,6 +36,11 @@ pub struct MirroredDisk {
     alive: Vec<AtomicBool>,
     primary: AtomicUsize,
     background: Mutex<VecDeque<(usize, u64, Vec<u8>)>>,
+    /// `background.len()`, stored under the `background` lock after every
+    /// change, so the clean path (nothing queued, which every write at
+    /// P-FACTOR = replica count and every read after it takes) drains
+    /// without locking the queue.
+    queued: AtomicUsize,
     stats: Stats,
     /// Span recorder (disabled by default; the server installs its tracer
     /// after assembly, hence the lock).
@@ -75,6 +80,7 @@ impl MirroredDisk {
             alive,
             primary: AtomicUsize::new(0),
             background: Mutex::new(VecDeque::new()),
+            queued: AtomicUsize::new(0),
             stats: Stats::new(),
             tracer: RwLock::new(Tracer::off()),
         })
@@ -164,7 +170,7 @@ impl MirroredDisk {
                 .collect();
             let Some(&last) = batch.last() else { break };
             cursor = last + 1;
-            for (i, result) in self.write_batch_parallel(&batch, first_block, data) {
+            for (i, result) in self.write_batch_parallel(&tracer, &batch, first_block, data) {
                 match result {
                     Ok(()) => synced += 1,
                     Err(e) => {
@@ -176,9 +182,9 @@ impl MirroredDisk {
         }
         for i in cursor..self.replicas.len() {
             if self.is_alive(i) {
-                self.background
-                    .lock()
-                    .push_back((i, first_block, data.to_vec()));
+                let mut q = self.background.lock();
+                q.push_back((i, first_block, data.to_vec()));
+                self.queued.store(q.len(), Ordering::SeqCst);
                 self.stats.incr("mirror_bg_queued");
             }
         }
@@ -197,6 +203,7 @@ impl MirroredDisk {
     /// spawns on every write.  Returns per-replica results in batch order.
     fn write_batch_parallel(
         &self,
+        tracer: &Tracer,
         batch: &[usize],
         first_block: u64,
         data: &[u8],
@@ -204,7 +211,6 @@ impl MirroredDisk {
         // Per-device FIFO: anything still queued for a replica must land
         // before the new write, or a stale queued image could later
         // clobber this one — hence drain inside each lane.
-        let tracer = self.tracer();
         if let [i] = *batch {
             let mut span = tracer.span("disk.replica_write");
             span.attr("replica", i);
@@ -243,7 +249,12 @@ impl MirroredDisk {
     pub fn flush_background(&self) -> usize {
         let mut applied = 0;
         loop {
-            let item = self.background.lock().pop_front();
+            let item = {
+                let mut q = self.background.lock();
+                let item = q.pop_front();
+                self.queued.store(q.len(), Ordering::SeqCst);
+                item
+            };
             let Some((i, first, data)) = item else { break };
             if !self.is_alive(i) {
                 self.stats.incr("mirror_bg_dropped");
@@ -265,14 +276,17 @@ impl MirroredDisk {
 
     /// Number of queued background writes.
     pub fn pending_background(&self) -> usize {
-        self.background.lock().len()
+        self.queued.load(Ordering::SeqCst)
     }
 
     /// Discards all queued background writes, as a server crash would.
     pub fn crash_volatile(&self) {
-        let dropped = self.background.lock().len() as u64;
-        self.background.lock().clear();
-        self.stats.add("mirror_bg_dropped", dropped);
+        // One section: a write queued between counting and clearing would
+        // otherwise vanish uncounted.
+        let mut q = self.background.lock();
+        self.stats.add("mirror_bg_dropped", q.len() as u64);
+        q.clear();
+        self.queued.store(0, Ordering::SeqCst);
     }
 
     /// Copies the complete disk from the current primary onto replica `i`
@@ -333,18 +347,22 @@ impl MirroredDisk {
     /// FIFO order, leaving other replicas' items queued.  True if this
     /// call marked `i` dead.
     fn drain_replica(&self, i: usize) -> bool {
+        if self.queued.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
         let mut killed = false;
         let mine: Vec<(u64, Vec<u8>)> = {
             let mut q = self.background.lock();
             let mut mine = Vec::new();
-            q.retain(|(r, first, data)| {
+            q.retain_mut(|(r, first, data)| {
                 if *r == i {
-                    mine.push((*first, data.clone()));
+                    mine.push((*first, std::mem::take(data)));
                     false
                 } else {
                     true
                 }
             });
+            self.queued.store(q.len(), Ordering::SeqCst);
             mine
         };
         for (first, data) in mine {
@@ -569,6 +587,56 @@ mod tests {
         m.crash_volatile();
         assert_eq!(m.pending_background(), 0);
         assert_eq!(m.flush_background(), 0);
+    }
+
+    #[test]
+    fn a_crash_counts_every_write_it_discards() {
+        // One thread queues P-FACTOR 1 writes while another crashes the
+        // queue in a loop: every queued write ends flushed, dropped or
+        // still pending, including one queued while a crash is counting.
+        const WRITES: u64 = 20_000;
+        let (m, _a, _b) = mirror2();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    m.crash_volatile();
+                }
+            });
+            for n in 0..WRITES {
+                m.write_sync_k(n % 64, &[n as u8; 512], 1).unwrap();
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        let s = m.stats();
+        assert_eq!(s.get("mirror_bg_queued"), WRITES);
+        assert_eq!(
+            s.get("mirror_bg_flushed") + s.get("mirror_bg_dropped") + m.pending_background() as u64,
+            WRITES
+        );
+    }
+
+    #[test]
+    fn a_failover_read_sees_the_newest_image_of_every_block() {
+        // Overlapping P-FACTOR 1 writes queue images for replica 1, and
+        // every ninth write (P-FACTOR 2) drains that queue early.  Once the
+        // primary dies, replica 1 serves the read after draining the rest,
+        // and every block must hold the last image written to it.
+        let (m, a, _b) = mirror2();
+        let mut model = vec![0u8; 512 * 64];
+        for n in 0..48u64 {
+            let first = (n * 3) % 60;
+            let data = vec![n as u8 + 1; 512 * (1 + n as usize % 4)];
+            let k = if n % 9 == 8 { 2 } else { 1 };
+            m.write_sync_k(first, &data, k).unwrap();
+            model[first as usize * 512..][..data.len()].copy_from_slice(&data);
+        }
+        assert!(m.pending_background() > 0);
+        a.fail_now();
+        let mut buf = vec![0u8; 512 * 64];
+        assert_eq!(m.read_counting_failovers(0, &mut buf, false), (Ok(()), 1));
+        assert!(buf == model, "replica 1 holds a stale image");
+        assert_eq!(m.pending_background(), 0);
     }
 
     #[test]
