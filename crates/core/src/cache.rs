@@ -116,9 +116,6 @@ const SEG_PROTECTED: u8 = 1; // SegmentedLru protected / TwoQ Am
 struct Rnode {
     /// The inode-table index of the cached file.
     inode_index: u32,
-    /// Which file of that index this is: the server tags each entry with
-    /// the file's check random (0 for an untagged insert).
-    tag: u64,
     /// Byte offset of the file in the cache arena (the "pointer").
     offset: u64,
     /// The cached contents (length is the file size).
@@ -147,11 +144,7 @@ impl Rnode {
 /// Outcome of a successful [`FileCache::insert`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InsertOutcome {
-    /// The rnode slot the file landed in (for the inode's index field the
-    /// server stores `slot + 1`, keeping 0 as "not cached").
-    pub slot: u16,
-    /// Inode indices of files evicted to make room; the server must clear
-    /// their inode index fields.
+    /// Inode indices of files evicted to make room.
     pub evicted: Vec<u32>,
     /// Bytes moved by an internal memory compaction (0 if none was
     /// needed); the server charges memcpy time for them.
@@ -186,8 +179,9 @@ pub struct FileCache {
 }
 
 impl FileCache {
-    /// Maximum number of rnode slots (the inode's index field is 2 bytes,
-    /// with 0 reserved for "not cached").
+    /// Maximum number of rnode slots: the bound the paper's 2-byte inode
+    /// index field sets (0 meaning "not cached"), which a `u16` slot
+    /// number holds.  Entries are found by inode index, not by slot.
     pub const MAX_SLOTS: usize = u16::MAX as usize - 1;
 
     /// Creates a cache of `capacity` bytes with at most `slots` rnodes.
@@ -299,15 +293,7 @@ impl FileCache {
     /// all go through atomics, so concurrent cache-hit reads need no
     /// exclusive lock — the heart of the server's concurrent read path.
     pub fn get(&self, inode_index: u32) -> Option<Bytes> {
-        self.get_tagged(inode_index, None)
-    }
-
-    /// [`get`](Self::get), restricted to the entry inserted with `tag`
-    /// when one is given: an entry with another tag belongs to another
-    /// file since given the same inode index, and is a miss that keeps
-    /// its age.
-    pub(crate) fn get_tagged(&self, inode_index: u32, tag: Option<u64>) -> Option<Bytes> {
-        let outcome = self.lookup(inode_index, tag);
+        let outcome = self.lookup(inode_index);
         self.tracer.instant(
             "cache.lookup",
             &[
@@ -315,16 +301,12 @@ impl FileCache {
                 ("hit", outcome.is_some().into()),
             ],
         );
-        match outcome {
-            Some(data) => {
-                self.stats.incr(counters::CACHE_HITS);
-                Some(data)
-            }
-            None => {
-                self.stats.incr(counters::CACHE_MISSES);
-                None
-            }
-        }
+        let counter = match outcome {
+            Some(_) => counters::CACHE_HITS,
+            None => counters::CACHE_MISSES,
+        };
+        self.stats.incr(counter);
+        outcome
     }
 
     /// Re-probe after a counted miss: counts a hit if another request
@@ -332,19 +314,16 @@ impl FileCache {
     /// server's miss path uses this after taking the per-inode in-flight
     /// guard.
     pub fn recheck(&self, inode_index: u32) -> Option<Bytes> {
-        let data = self.lookup(inode_index, None)?;
+        let data = self.lookup(inode_index)?;
         self.stats.incr(counters::CACHE_HITS);
         Some(data)
     }
 
-    fn lookup(&self, inode_index: u32, tag: Option<u64>) -> Option<Bytes> {
+    fn lookup(&self, inode_index: u32) -> Option<Bytes> {
         let &slot = self.by_inode.get(&inode_index)?;
         let r = self.rnodes[slot as usize]
             .as_ref()
             .expect("by_inode points at a live rnode");
-        if tag.is_some_and(|t| t != r.tag) {
-            return None;
-        }
         match self.policy {
             EvictionPolicy::Lru => {
                 r.age.store(self.next_age(), Ordering::Relaxed);
@@ -399,17 +378,6 @@ impl FileCache {
     /// architectural limit of §2 ("processors can only operate on files
     /// that fit in their physical memory").
     pub fn insert(&mut self, inode_index: u32, data: Bytes) -> Result<InsertOutcome, BulletError> {
-        self.insert_tagged(inode_index, 0, data)
-    }
-
-    /// [`insert`](Self::insert), tagging the entry for
-    /// [`get_tagged`](Self::get_tagged).
-    pub(crate) fn insert_tagged(
-        &mut self,
-        inode_index: u32,
-        tag: u64,
-        data: Bytes,
-    ) -> Result<InsertOutcome, BulletError> {
         let need = (data.len() as u64).max(1);
         if need > self.capacity {
             return Err(BulletError::TooLarge {
@@ -461,9 +429,9 @@ impl FileCache {
 
         let slot = self.free_slots.pop().expect("slot reserved above");
         let age = self.next_age();
+        let bytes = data.len();
         self.rnodes[slot as usize] = Some(Rnode {
             inode_index,
-            tag,
             offset,
             data,
             age: AtomicU64::new(age),
@@ -480,21 +448,12 @@ impl FileCache {
             "cache.insert",
             &[
                 ("inode", inode_index.into()),
-                (
-                    "bytes",
-                    self.rnodes[slot as usize]
-                        .as_ref()
-                        .expect("live")
-                        .data
-                        .len()
-                        .into(),
-                ),
+                ("bytes", bytes.into()),
                 ("evicted", evicted.len().into()),
                 ("compaction_bytes", compaction_bytes.into()),
             ],
         );
         Ok(InsertOutcome {
-            slot,
             evicted,
             compaction_bytes,
         })
@@ -647,6 +606,14 @@ impl FileCache {
         }
     }
 
+    /// The inode index of the live rnode in `slot`.
+    fn inode_in(&self, slot: u16) -> u32 {
+        self.rnodes[slot as usize]
+            .as_ref()
+            .expect("validated live")
+            .inode_index
+    }
+
     fn evict_victim(&mut self) -> Option<u32> {
         let mut ghost_victim = false;
         let (victim, from_probation) = match self.policy {
@@ -655,11 +622,7 @@ impl FileCache {
             // because get() never refreshes it under that policy.
             EvictionPolicy::Lru | EvictionPolicy::Fifo => {
                 let slot = self.pop_exact_min(0)?;
-                let inode = self.rnodes[slot as usize]
-                    .as_ref()
-                    .expect("validated live")
-                    .inode_index;
-                (inode, false)
+                (self.inode_in(slot), false)
             }
             EvictionPolicy::Random => {
                 let live: Vec<u32> = self
@@ -678,22 +641,10 @@ impl FileCache {
                 // Probation first; only an all-protected cache sacrifices
                 // a protected entry.
                 match self.pop_exact_min(SEG_PROBATION as usize) {
-                    Some(slot) => (
-                        self.rnodes[slot as usize]
-                            .as_ref()
-                            .expect("validated live")
-                            .inode_index,
-                        true,
-                    ),
+                    Some(slot) => (self.inode_in(slot), true),
                     None => {
                         let slot = self.pop_exact_min(SEG_PROTECTED as usize)?;
-                        (
-                            self.rnodes[slot as usize]
-                                .as_ref()
-                                .expect("validated live")
-                                .inode_index,
-                            false,
-                        )
+                        (self.inode_in(slot), false)
                     }
                 }
             }
@@ -710,22 +661,12 @@ impl FileCache {
                     // delete would.)
                     match self.pop_exact_min(SEG_PROBATION as usize) {
                         Some(slot) => {
-                            let inode = self.rnodes[slot as usize]
-                                .as_ref()
-                                .expect("validated live")
-                                .inode_index;
                             ghost_victim = true;
-                            (inode, true)
+                            (self.inode_in(slot), true)
                         }
                         None => {
                             let slot = self.pop_exact_min(SEG_PROTECTED as usize)?;
-                            (
-                                self.rnodes[slot as usize]
-                                    .as_ref()
-                                    .expect("validated live")
-                                    .inode_index,
-                                false,
-                            )
+                            (self.inode_in(slot), false)
                         }
                     }
                 } else {
@@ -733,22 +674,10 @@ impl FileCache {
                     // already proved themselves once; 2Q readmits them
                     // through A1in like anything else).
                     match self.pop_exact_min(SEG_PROTECTED as usize) {
-                        Some(slot) => (
-                            self.rnodes[slot as usize]
-                                .as_ref()
-                                .expect("validated live")
-                                .inode_index,
-                            false,
-                        ),
+                        Some(slot) => (self.inode_in(slot), false),
                         None => {
                             let slot = self.pop_exact_min(SEG_PROBATION as usize)?;
-                            (
-                                self.rnodes[slot as usize]
-                                    .as_ref()
-                                    .expect("validated live")
-                                    .inode_index,
-                                true,
-                            )
+                            (self.inode_in(slot), true)
                         }
                     }
                 }
@@ -787,26 +716,10 @@ mod tests {
         assert!(out.evicted.is_empty());
         assert_eq!(c.get(5).unwrap(), bytes(100, 1));
         assert_eq!(c.stats().get("cache_hits"), 1);
-        assert_eq!(c.remove(5), Some(out.slot));
+        assert!(c.remove(5).is_some());
         assert!(c.get(5).is_none());
         assert_eq!(c.stats().get("cache_misses"), 1);
         assert_eq!(c.remove(5), None);
-    }
-
-    #[test]
-    fn a_tagged_lookup_misses_another_files_entry_and_leaves_its_age() {
-        let mut c = FileCache::new(300, 16);
-        c.insert_tagged(1, 7, bytes(100, 1)).unwrap();
-        c.insert_tagged(2, 8, bytes(100, 2)).unwrap();
-        // Index 1 holds the file tagged 7: a lookup for file 9 there is a
-        // miss that refreshes nothing, so 1 stays the LRU victim.
-        assert!(c.get_tagged(1, Some(9)).is_none());
-        assert_eq!(c.get_tagged(2, Some(8)).unwrap(), bytes(100, 2));
-        assert_eq!(c.stats().get("cache_misses"), 1);
-        assert_eq!(c.stats().get("cache_hits"), 1);
-        assert_eq!(c.insert(3, bytes(200, 3)).unwrap().evicted, vec![1]);
-        // An untagged lookup takes whatever the index holds.
-        assert_eq!(c.get(2).unwrap(), bytes(100, 2));
     }
 
     #[test]
@@ -885,10 +798,10 @@ mod tests {
     #[test]
     fn zero_length_files_cacheable() {
         let mut c = FileCache::new(100, 4);
-        let out = c.insert(1, Bytes::new()).unwrap();
+        c.insert(1, Bytes::new()).unwrap();
         assert_eq!(c.get(1).unwrap(), Bytes::new());
         assert_eq!(c.used_bytes(), 1); // occupies one arena byte
-        assert_eq!(c.remove(1), Some(out.slot));
+        assert!(c.remove(1).is_some());
         assert_eq!(c.used_bytes(), 0);
     }
 

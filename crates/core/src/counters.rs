@@ -171,22 +171,14 @@ pub const EVSIM_EVENTS: &str = "evsim_events";
 /// mark across the matrix).
 pub const EVSIM_CLIENTS_MAX: &str = "evsim_clients_max";
 
-/// Acquisitions of the inode-table read lock.
+/// Acquisitions of the read lock over the inode table and the cache.
 pub const LOCK_TABLE_READ: &str = "lock_table_read";
-/// Contended acquisitions (try-lock misses) of the inode-table read lock.
+/// Contended acquisitions (try-lock misses) of the table read lock.
 pub const LOCK_CONTENDED_TABLE_READ: &str = "lock_contended_table_read";
-/// Acquisitions of the inode-table write lock.
+/// Acquisitions of the write lock over the inode table and the cache.
 pub const LOCK_TABLE_WRITE: &str = "lock_table_write";
-/// Contended acquisitions of the inode-table write lock.
+/// Contended acquisitions of the table write lock.
 pub const LOCK_CONTENDED_TABLE_WRITE: &str = "lock_contended_table_write";
-/// Acquisitions of the cache read lock.
-pub const LOCK_CACHE_READ: &str = "lock_cache_read";
-/// Contended acquisitions of the cache read lock.
-pub const LOCK_CONTENDED_CACHE_READ: &str = "lock_contended_cache_read";
-/// Acquisitions of the cache write lock.
-pub const LOCK_CACHE_WRITE: &str = "lock_cache_write";
-/// Contended acquisitions of the cache write lock.
-pub const LOCK_CONTENDED_CACHE_WRITE: &str = "lock_contended_cache_write";
 /// Acquisitions of the disk-allocator lock.
 pub const LOCK_ALLOC: &str = "lock_alloc";
 /// Contended acquisitions of the disk-allocator lock.
@@ -336,10 +328,6 @@ pub const ALL: &[&str] = &[
     LOCK_CONTENDED_TABLE_READ,
     LOCK_TABLE_WRITE,
     LOCK_CONTENDED_TABLE_WRITE,
-    LOCK_CACHE_READ,
-    LOCK_CONTENDED_CACHE_READ,
-    LOCK_CACHE_WRITE,
-    LOCK_CONTENDED_CACHE_WRITE,
     LOCK_ALLOC,
     LOCK_CONTENDED_ALLOC,
     LOCK_INODE_IO,

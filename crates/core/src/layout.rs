@@ -200,8 +200,11 @@ pub struct Inode {
     /// bits are stored.
     pub random: u64,
     /// "A 2-byte integer that is called the index.  The index has no
-    /// significance on disk, but is used for cache management": 0 means
-    /// not cached; otherwise it is 1 + the rnode slot.
+    /// significance on disk, but is used for cache management."  Kept for
+    /// the paper's layout only: the server finds cache entries by inode
+    /// number under the lock that guards the table, so it always stores
+    /// and writes 0 here (and [`InodeTable::load`](crate::table::InodeTable::load)
+    /// zeroes whatever an older image holds).
     pub index: u16,
     /// "A 4-byte integer specifying the first block of the file on disk.
     /// Files are aligned on blocks."  Absolute device block number.

@@ -6,16 +6,16 @@
 //! overlapping requests from many client threads make progress together
 //! (see `DESIGN.md`, "Concurrency model"):
 //!
-//! * `table: RwLock<InodeTable>` — inode lookups (capability verification,
-//!   reads) take the shared guard; only create/delete/cache-index updates
-//!   take the exclusive one.  Each slot also holds its file's touch/age
+//! * `table: RwLock<Tables>` — the inode table and the RAM file cache, one
+//!   administration under one lock.  Verification and the cache hit it
+//!   guards run under one *read* guard: [`FileCache::get`] refreshes LRU
+//!   ages and hit counters through atomics, so the hot path takes no
+//!   exclusive lock at all.  Create, delete, cache fills and evictions
+//!   take the exclusive guard.  Each slot also holds its file's touch/age
 //!   word, which `touch` and `age_all` update under the shared guard.
 //! * `alloc: Mutex<AllocState>` — the disk extent free list and the inode
 //!   random-number generator, held only for the few-microsecond reserve /
 //!   free operations, never across I/O.
-//! * `cache: RwLock<FileCache>` — cache-hit reads run under the *read*
-//!   guard: [`FileCache::get`] refreshes LRU ages and hit counters through
-//!   atomics, so the hot path takes no exclusive lock at all.
 //! * `inflight` — a per-inode busy table.  All disk I/O for a file
 //!   (create write-through, miss loads, delete/expiry inode zeroing,
 //!   compaction moves) happens under that file's in-flight guard *only*,
@@ -32,7 +32,7 @@
 //!   record of the chain.
 //!
 //! Lock order (outer to inner): `maintenance` → `log` → `inflight` →
-//! `table` → `alloc` → `cache`, with `inode_io` taken only around inode
+//! `table` → `alloc`, with `inode_io` taken only around inode
 //! block write-through (acquiring `table.read` inside).  A path may skip
 //! levels but never acquires a lock while holding one further in.  Every
 //! acquisition is counted in [`BulletServer::lock_stats`], with
@@ -224,6 +224,16 @@ impl SchemeKind {
     }
 }
 
+/// The inode table and the rnode table, one administration ("the index
+/// has no significance on disk, but is used for cache management").  One
+/// lock covers both, so a cache entry always belongs to the file now live
+/// in its inode slot: every write that rebinds a slot drops the slot's
+/// entry in the same exclusive section.
+struct Tables {
+    inodes: InodeTable,
+    cache: FileCache,
+}
+
 /// Disk-space allocation state: the extent free list plus the inode
 /// random-number generator, both consumed by every create.  One small
 /// mutex; never held across I/O.
@@ -382,9 +392,8 @@ pub struct BulletServer {
     storage: MirroredDisk,
     /// Copy of the immutable on-disk geometry, readable without a lock.
     desc: DiskDescriptor,
-    table: RwLock<InodeTable>,
+    table: RwLock<Tables>,
     alloc: Mutex<AllocState>,
-    cache: RwLock<FileCache>,
     inflight: InflightTable,
     /// The group-commit log window (`None` when `cfg.log_blocks == 0`).
     /// See the module docs for its place in the lock order.
@@ -420,7 +429,7 @@ impl std::fmt::Debug for BulletServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BulletServer")
             .field("port", &self.cfg.port)
-            .field("files", &self.table.read().live_count())
+            .field("files", &self.table.read().inodes.live_count())
             .finish()
     }
 }
@@ -585,12 +594,14 @@ impl BulletServer {
         BulletServer {
             scheme: cfg.scheme.build(cfg.scheme_seed),
             desc: *table.descriptor(),
-            table: RwLock::new(table),
+            table: RwLock::new(Tables {
+                inodes: table,
+                cache,
+            }),
             alloc: Mutex::new(AllocState {
                 extents,
                 rng: DetRng::new(cfg.rng_seed),
             }),
-            cache: RwLock::new(cache),
             inflight: InflightTable::new(),
             log: log.map(Mutex::new),
             gc: GroupCommitter::new(),
@@ -980,10 +991,10 @@ impl BulletServer {
 
         // Publish the inode in the RAM table.
         let idx = {
-            let mut table = self.table_write();
+            let mut t = self.table_write();
             match identity {
-                Identity::Fresh => table.alloc(inode),
-                Identity::Dictated { idx, .. } => table.install(idx, inode).map(|()| idx),
+                Identity::Fresh => t.inodes.alloc(inode),
+                Identity::Dictated { idx, .. } => t.inodes.install(idx, inode).map(|()| idx),
             }
         }
         .inspect_err(|_| release_extent())?;
@@ -992,18 +1003,16 @@ impl BulletServer {
         // other requests keep flowing while the mirrored writes complete.
         let _busy = self.inflight_lock(idx);
 
-        // Into the RAM cache (evictions clear the victims' index fields),
-        // and the age starts: only now, under the in-flight guard, may
-        // `age_all` pick the file.  The clone is a reference-count bump on
-        // the shared payload buffer, not a copy: the cache and the caller
-        // hold the same bytes (asserted by
+        // Into the RAM cache, and the age starts: only now, under the
+        // in-flight guard, may `age_all` pick the file.  The clone is a
+        // reference-count bump on the shared payload buffer, not a copy:
+        // the cache and the caller hold the same bytes (asserted by
         // `cache_insert_shares_the_payload_buffer`).
         let cached = {
-            let mut table = self.table_write();
-            let mut cache = self.cache_write();
-            self.cache_insert(&mut table, &mut cache, idx, data.clone())
-                .map(|()| table.arm(idx, self.cfg.max_age))
-                .inspect_err(|_| drop(table.clear(idx)))
+            let mut t = self.table_write();
+            self.cache_insert(&mut t.cache, idx, data.clone())
+                .map(|()| t.inodes.arm(idx, self.cfg.max_age))
+                .inspect_err(|_| drop(t.inodes.clear(idx)))
         };
         cached.inspect_err(|_| release_extent())?;
 
@@ -1017,10 +1026,9 @@ impl BulletServer {
         .and_then(|()| self.write_inode_block(idx, k));
         if let Err(e) = write {
             {
-                let mut table = self.table_write();
-                let mut cache = self.cache_write();
-                cache.remove(idx);
-                let _ = table.clear(idx);
+                let mut t = self.table_write();
+                t.cache.remove(idx);
+                let _ = t.inodes.clear(idx);
             }
             release_extent();
             return Err(e);
@@ -1231,7 +1239,7 @@ impl BulletServer {
         // the log window; idle-time migration repoints them at `homes`.
         let mut idxs: Vec<u32> = Vec::with_capacity(n);
         {
-            let mut table = self.table_write();
+            let mut t = self.table_write();
             let mut off = at + 1;
             for i in 0..n {
                 let inode = Inode {
@@ -1240,16 +1248,16 @@ impl BulletServer {
                     start_block: off as u32,
                     size_bytes: sizes[i],
                 };
-                match table.alloc(inode) {
+                match t.inodes.alloc(inode) {
                     Ok(idx) => {
                         idxs.push(idx);
                         off += lens[i];
                     }
                     Err(e) => {
                         for &p in &idxs {
-                            let _ = table.clear(p);
+                            let _ = t.inodes.clear(p);
                         }
-                        drop(table);
+                        drop(t);
                         free_homes(self);
                         st.window.unreserve(at, seq);
                         return vec![Err(e); n];
@@ -1281,9 +1289,9 @@ impl BulletServer {
         self.stats.add(counters::PAYLOAD_BYTES_COPIED, total_bytes);
         if let Err(e) = self.storage.write_sync_k(at, &image, k) {
             {
-                let mut table = self.table_write();
+                let mut t = self.table_write();
                 for &idx in &idxs {
-                    let _ = table.clear(idx);
+                    let _ = t.inodes.clear(idx);
                 }
             }
             free_homes(self);
@@ -1299,11 +1307,11 @@ impl BulletServer {
         // here: the file is already durable in the log — it merely starts
         // cold.
         {
-            let mut table = self.table_write();
-            let mut cache = self.cache_write();
+            let mut t = self.table_write();
+            let Tables { inodes, cache } = &mut *t;
             for (i, &idx) in idxs.iter().enumerate() {
-                let _ = self.cache_insert(&mut table, &mut cache, idx, batch[i].clone());
-                table.arm(idx, self.cfg.max_age);
+                let _ = self.cache_insert(cache, idx, batch[i].clone());
+                inodes.arm(idx, self.cfg.max_age);
             }
         }
 
@@ -1313,11 +1321,11 @@ impl BulletServer {
         let inode_write = {
             let _io = self.inode_io_lock();
             let images: Vec<(u64, Vec<u8>)> = {
-                let table = self.table_read();
-                let blocks: BTreeSet<u64> = idxs.iter().map(|&i| table.block_of(i)).collect();
+                let t = self.table_read();
+                let blocks: BTreeSet<u64> = idxs.iter().map(|&i| t.inodes.block_of(i)).collect();
                 blocks
                     .into_iter()
-                    .map(|b| (b, table.block_image(b)))
+                    .map(|b| (b, t.inodes.block_image(b)))
                     .collect()
             };
             images
@@ -1329,11 +1337,10 @@ impl BulletServer {
             // RAM state back, then seal the chain (best effort, in place)
             // so a later crash cannot resurrect the rolled-back batch.
             {
-                let mut table = self.table_write();
-                let mut cache = self.cache_write();
+                let mut t = self.table_write();
                 for &idx in &idxs {
-                    cache.remove(idx);
-                    let _ = table.clear(idx);
+                    t.cache.remove(idx);
+                    let _ = t.inodes.clear(idx);
                 }
             }
             free_homes(self);
@@ -1402,8 +1409,8 @@ impl BulletServer {
     /// live, so replay skips it, and a later delete still seals the chain.
     fn migrate_one_log_file(&self, st: &mut LogState) -> Result<Option<u32>, BulletError> {
         let picked = {
-            let table = self.table_read();
-            table
+            let t = self.table_read();
+            t.inodes
                 .live()
                 .filter(|&(_, inode)| self.residency_of(inode) == Ok(Residency::Log))
                 .min_by_key(|&(_, inode)| inode.start_block)
@@ -1474,9 +1481,9 @@ impl BulletServer {
                 )))
             }
         }
-        self.table_write().get_mut(idx)?.start_block = moved.start_block;
+        self.table_write().inodes.get_mut(idx)?.start_block = moved.start_block;
         if let Err(e) = self.write_inode_block(idx, k) {
-            self.table_write().get_mut(idx)?.start_block = inode.start_block;
+            self.table_write().inodes.get_mut(idx)?.start_block = inode.start_block;
             return Err(e);
         }
         Ok(())
@@ -1505,8 +1512,8 @@ impl BulletServer {
         let mut op = self.tracer.span("bullet.size");
         op.attr("op", "size");
         self.charge_request();
-        let table = self.table_read();
-        let inode = self.verify(&table, cap, Rights::READ)?;
+        let t = self.table_read();
+        let inode = self.verify(&t.inodes, cap, Rights::READ)?;
         Ok(inode.size_bytes)
     }
 
@@ -1542,16 +1549,16 @@ impl BulletServer {
         op.attr("op", "read");
         self.charge_request();
         let idx = cap.object.value();
-        // Fast path: verification and the cache hit take shared locks
-        // only, so concurrent cache-hot reads never serialize.  Between
-        // the two the file can be destroyed and its slot and cache entry
-        // given to another file, so the hit must carry the verified
-        // file's random.
-        let random = {
-            let table = self.table_read();
-            self.verify(&table, cap, Rights::READ)?.random
+        // Fast path: verification and the cache hit share one read guard,
+        // so concurrent cache-hot reads never serialize, and the entry
+        // found is the verified file's.  The guard is gone before the
+        // miss path, whose fill takes the write guard.
+        let hit = {
+            let t = self.table_read();
+            self.verify(&t.inodes, cap, Rights::READ)?;
+            t.cache.get(idx)
         };
-        if let Some(data) = self.cache_read().get_tagged(idx, Some(random)) {
+        if let Some(data) = hit {
             self.stats.incr(counters::READS);
             op.attr("bytes", data.len());
             self.accounting.charge_current(|u| {
@@ -1606,18 +1613,14 @@ impl BulletServer {
         op.attr("op", "read_section");
         op.attr("bytes", len);
         self.charge_request();
-        let inode = {
-            let table = self.table_read();
-            *self.verify(&table, cap, Rights::READ)?
-        };
-        let end = offset.checked_add(len).filter(|&e| e <= inode.size_bytes);
-        let end = end.ok_or(BulletError::BadRange)?;
         let idx = cap.object.value();
-        // Bind the hit before matching: the temporary guard of the cache
-        // read lock must not live into the miss arm, whose load path takes
-        // the cache write lock.  The tag makes it the verified file's, as
-        // in `read`.
-        let hit = self.cache_read().get_tagged(idx, Some(inode.random));
+        // One read guard, dropped before the miss arm, as in `read`.
+        let (end, hit) = {
+            let t = self.table_read();
+            let size = self.verify(&t.inodes, cap, Rights::READ)?.size_bytes;
+            let end = offset.checked_add(len).filter(|&e| e <= size);
+            (end.ok_or(BulletError::BadRange)?, t.cache.get(idx))
+        };
         let was_hit = hit.is_some();
         let data = match hit {
             Some(d) => d.slice(offset as usize..end as usize),
@@ -1682,12 +1685,9 @@ impl BulletServer {
         // The in-flight guard serializes against a create, miss load, or
         // compaction move of the same file still in its disk phase.
         let _busy = self.inflight_lock(idx);
-        let inode = {
-            let table = self.table_read();
-            match fetch(&table)? {
-                Some(inode) => inode,
-                None => return Ok(false),
-            }
+        let inode = match fetch(&self.table_read().inodes)? {
+            Some(inode) => inode,
+            None => return Ok(false),
         };
         let residency = self.residency_of(&inode)?;
         // Destroying a file of the *newest* log record must seal the
@@ -1699,8 +1699,11 @@ impl BulletServer {
                 self.log_seal_locked(st)?;
             }
         }
-        self.table_write().clear_keep_slot(idx)?;
-        self.cache_write().remove(idx);
+        {
+            let mut t = self.table_write();
+            t.inodes.clear_keep_slot(idx)?;
+            t.cache.remove(idx);
+        }
         // Destruction is always written through to all disks.  The inode
         // slot and the extent return to the free lists only afterwards,
         // so neither can be reallocated while the zeroed inode is still
@@ -1708,7 +1711,7 @@ impl BulletServer {
         // longer references them, and recovery rebuilds from disk).
         let write = self.write_inode_block(idx, self.storage.replica_count());
         if release_slot {
-            self.table_write().release_slot(idx);
+            self.table_write().inodes.release_slot(idx);
         }
         match residency {
             Residency::Archive { .. } => {
@@ -1755,11 +1758,13 @@ impl BulletServer {
         // The in-flight guard keeps the inode snapshot stable across the
         // extent read: delete and compaction both need this guard.
         let _busy = self.inflight_lock(idx);
-        let inode = {
-            let table = self.table_read();
-            *table.get(idx)?
+        // An audit is not a client read: `peek` counts no hit or miss and
+        // leaves the eviction order as it was.
+        let (inode, hit) = {
+            let t = self.table_read();
+            (*t.inodes.get(idx)?, t.cache.peek(idx))
         };
-        if let Some(data) = self.cache_read().get(idx) {
+        if let Some(data) = hit {
             op.attr("bytes", data.len());
             return Ok((inode.random, data));
         }
@@ -1836,14 +1841,12 @@ impl BulletServer {
         op.attr("op", "modify");
         op.attr("bytes", data.len());
         let idx = cap.object.value();
-        let random = {
-            let table = self.table_read();
-            self.verify(&table, cap, Rights::READ | Rights::MODIFY)?
-                .random
+        // One read guard, dropped before the miss arm, as in `read`.
+        let hit = {
+            let t = self.table_read();
+            self.verify(&t.inodes, cap, Rights::READ | Rights::MODIFY)?;
+            t.cache.get(idx)
         };
-        // Tagged as in `read`, and bound before matching as in
-        // `read_section`: the miss arm's load takes the cache write lock.
-        let hit = self.cache_read().get_tagged(idx, Some(random));
         let base = match hit {
             Some(d) => d,
             None => self.load_cold(cap, idx, Rights::READ | Rights::MODIFY, None, 0, u64::MAX)?,
@@ -1874,8 +1877,8 @@ impl BulletServer {
         p_factor: u32,
     ) -> Result<Capability, BulletError> {
         let size = {
-            let table = self.table_read();
-            self.verify(&table, cap, Rights::READ | Rights::MODIFY)?
+            let t = self.table_read();
+            self.verify(&t.inodes, cap, Rights::READ | Rights::MODIFY)?
                 .size_bytes
         };
         self.modify(cap, size, data, p_factor)
@@ -2004,7 +2007,8 @@ impl BulletServer {
     /// move count, or `None` when the area is fully packed.
     fn pack_one(&self) -> Result<Option<u64>, BulletError> {
         let (idx, inode, m, remaining) = {
-            let table = self.table_read();
+            let t = self.table_read();
+            let table = &t.inodes;
             // Log-window extents are bump-allocated and archived extents
             // live on another device entirely: neither is the
             // allocator's to plan over.
@@ -2070,12 +2074,12 @@ impl BulletServer {
         };
         let block_size = self.desc.block_size;
         let candidates: Vec<(u32, u64)> = {
-            let table = self.table_read();
-            table
+            let t = self.table_read();
+            t.inodes
                 .live()
                 .filter(|&(idx, ino)| {
-                    let age = table.age(idx);
-                    ino.index == 0
+                    let age = t.inodes.age(idx);
+                    t.cache.peek(idx).is_none()
                         && self.residency_of(ino) == Ok(Residency::Home)
                         && age != 0
                         && self.cfg.max_age.saturating_sub(age) >= Self::TIER_COLD_AGE
@@ -2090,13 +2094,13 @@ impl BulletServer {
         // Re-check under the guard: a read may have re-warmed the file
         // into the cache, or a delete may have claimed the slot.
         let inode = {
-            let table = self.table_read();
-            match table.get(idx) {
-                Ok(i) => *i,
-                Err(_) => return Ok(None),
+            let t = self.table_read();
+            match t.inodes.get(idx) {
+                Ok(i) if t.cache.peek(idx).is_none() => *i,
+                _ => return Ok(None),
             }
         };
-        if inode.index != 0 || self.residency_of(&inode)? != Residency::Home {
+        if self.residency_of(&inode)? != Residency::Home {
             return Ok(None);
         }
         let blocks = inode.blocks(block_size);
@@ -2175,12 +2179,9 @@ impl BulletServer {
             };
             arch.recall_q.lock().remove(&idx);
             let _busy = self.inflight_lock(idx);
-            let inode = {
-                let table = self.table_read();
-                match table.get(idx) {
-                    Ok(i) => *i,
-                    Err(_) => continue, // deleted while queued
-                }
+            let inode = match self.table_read().inodes.get(idx) {
+                Ok(i) => *i,
+                Err(_) => continue, // deleted while queued
             };
             let Residency::Archive { .. } = self.residency_of(&inode)? else {
                 continue; // already recalled, or the slot was reused
@@ -2226,7 +2227,7 @@ impl BulletServer {
 
     /// Compacts the RAM cache arena; returns bytes moved.
     pub fn compact_memory(&self) -> u64 {
-        let moved = self.cache_write().compact();
+        let moved = self.table_write().cache.compact();
         self.charge_memcpy(moved);
         self.stats.add(counters::PAYLOAD_BYTES_COPIED, moved);
         moved
@@ -2250,7 +2251,7 @@ impl BulletServer {
 
     /// Cache counters (`cache_hits`, `cache_misses`, …), snapshotted.
     pub fn cache_stats(&self) -> Vec<(&'static str, u64)> {
-        self.cache_read().stats().snapshot()
+        self.table_read().cache.stats().snapshot()
     }
 
     /// Lock acquisition counters (`lock_*`) with `lock_contended_*`
@@ -2372,36 +2373,29 @@ impl BulletServer {
 
     /// Number of live files.
     pub fn live_files(&self) -> usize {
-        self.table_read().live_count()
+        self.table_read().inodes.live_count()
     }
 
     /// Drops the whole RAM cache (admin/benchmark hook, modelling a flush
     /// or reboot without touching the disks).
     pub fn clear_cache(&self) {
-        let mut table = self.table_write();
-        let mut cache = self.cache_write();
-        cache.clear();
-        let live: Vec<u32> = table.live().map(|(i, _)| i).collect();
-        for idx in live {
-            if let Ok(inode) = table.get_mut(idx) {
-                inode.index = 0;
-            }
-        }
+        self.table_write().cache.clear();
     }
 
     /// A snapshot of the on-disk layout (Fig. 1 of the paper): the disk
     /// descriptor plus every live file's `(inode, start_block, size,
     /// cached)` row, sorted by start block.
     pub fn describe_layout(&self) -> (crate::DiskDescriptor, Vec<LayoutEntry>) {
-        let table = self.table_read();
-        let mut rows: Vec<LayoutEntry> = table
+        let t = self.table_read();
+        let mut rows: Vec<LayoutEntry> = t
+            .inodes
             .live()
             .map(|(idx, inode)| LayoutEntry {
                 inode: idx,
                 start_block: inode.start_block,
                 blocks: inode.blocks(self.desc.block_size),
                 size_bytes: inode.size_bytes,
-                cached: inode.index != 0,
+                cached: t.cache.peek(idx).is_some(),
             })
             .collect();
         rows.sort_unstable_by_key(|e| e.start_block);
@@ -2417,9 +2411,9 @@ impl BulletServer {
     ///
     /// Capability failures.
     pub fn touch(&self, cap: &Capability) -> Result<(), BulletError> {
-        let table = self.table_read();
-        self.verify(&table, cap, Rights::NONE)?;
-        table.arm(cap.object.value(), self.cfg.max_age);
+        let t = self.table_read();
+        self.verify(&t.inodes, cap, Rights::NONE)?;
+        t.inodes.arm(cap.object.value(), self.cfg.max_age);
         Ok(())
     }
 
@@ -2438,7 +2432,7 @@ impl BulletServer {
         let _m = self.maint_read();
         // In slot order, so the frees — and every layout after them —
         // replay.
-        let expired = self.table_read().age_round();
+        let expired = self.table_read().inodes.age_round();
         let mut count = 0;
         for (idx, random) in expired {
             // A file deleted by a concurrent request after expiry was
@@ -2461,6 +2455,7 @@ impl BulletServer {
     /// sweep unreachable files; it is not part of the client protocol.
     pub fn list_live_caps(&self) -> Vec<Capability> {
         self.table_read()
+            .inodes
             .live()
             .map(|(idx, inode)| {
                 self.scheme.mint(
@@ -2481,8 +2476,8 @@ impl BulletServer {
     ///
     /// Capability failures.
     pub fn restrict(&self, cap: &Capability, mask: Rights) -> Result<Capability, BulletError> {
-        let table = self.table_read();
-        let inode = self.verify(&table, cap, Rights::NONE)?;
+        let t = self.table_read();
+        let inode = self.verify(&t.inodes, cap, Rights::NONE)?;
         Ok(self.scheme.mint(
             self.cfg.port,
             cap.object,
@@ -2534,17 +2529,14 @@ impl BulletServer {
         win_end: u64,
     ) -> Result<Bytes, BulletError> {
         let _busy = self.inflight_lock(idx);
-        // Another request may have loaded the file while we waited for
-        // the guard; a late hit here does not re-count the miss.
-        let late_hit = self.cache_read().recheck(idx);
-        // Re-verify: the file may have been deleted — and its slot and
-        // cache entry given to another file, so the late hit waits for
-        // this — or moved by compaction, before the guard was ours.  The
-        // snapshot is stable for the whole I/O because delete/compaction
-        // need this guard.
-        let inode = {
-            let table = self.table_read();
-            *self.verify(&table, cap, needed)?
+        // Re-verify: the file may have been deleted, or moved by
+        // compaction, before the guard was ours.  The snapshot is stable
+        // for the whole I/O because delete/compaction need this guard.
+        // Another request may have loaded the file meanwhile; a late hit
+        // here does not re-count the miss.
+        let (inode, late_hit) = {
+            let t = self.table_read();
+            (*self.verify(&t.inodes, cap, needed)?, t.cache.recheck(idx))
         };
         if let Some(data) = late_hit {
             return Ok(data);
@@ -2572,13 +2564,9 @@ impl BulletServer {
         };
         buf.truncate(inode.size_bytes as usize);
         let data = Bytes::from(buf);
-        {
-            let mut table = self.table_write();
-            let mut cache = self.cache_write();
-            // A reference-count bump, not a copy: cache and reply share
-            // the buffer the disk read into.
-            self.cache_insert(&mut table, &mut cache, idx, data.clone())?;
-        }
+        // A reference-count bump, not a copy: cache and reply share the
+        // buffer the disk read into.
+        self.cache_insert(&mut self.table_write().cache, idx, data.clone())?;
         if archived {
             self.archive_tier().recall_q.lock().insert(idx);
         }
@@ -2706,27 +2694,18 @@ impl BulletServer {
         Ok(())
     }
 
-    /// Inserts into the cache, maintaining the inode index fields of the
-    /// inserted file and of any evicted victims, and charging compaction
-    /// copies.  Caller supplies both write guards (table before cache, per
-    /// the lock order).
+    /// Inserts into the cache, charging compaction copies.  The caller
+    /// holds the table write guard `cache` comes from.
     fn cache_insert(
         &self,
-        table: &mut InodeTable,
         cache: &mut FileCache,
         idx: u32,
         data: Bytes,
     ) -> Result<(), BulletError> {
-        let outcome = cache.insert_tagged(idx, table.get(idx)?.random, data)?;
+        let outcome = cache.insert(idx, data)?;
         if outcome.compaction_bytes > 0 {
             self.charge_memcpy(outcome.compaction_bytes);
         }
-        for victim in &outcome.evicted {
-            if let Ok(inode) = table.get_mut(*victim) {
-                inode.index = 0;
-            }
-        }
-        table.get_mut(idx)?.index = outcome.slot + 1;
         Ok(())
     }
 
@@ -2757,9 +2736,9 @@ impl BulletServer {
     fn write_inode_block(&self, idx: u32, k: usize) -> Result<(), BulletError> {
         let _io = self.inode_io_lock();
         let (block, image) = {
-            let table = self.table_read();
-            let block = table.block_of(idx);
-            (block, table.block_image(block))
+            let t = self.table_read();
+            let block = t.inodes.block_of(idx);
+            (block, t.inodes.block_image(block))
         };
         self.storage.write_sync_k(block, &image, k)?;
         Ok(())
@@ -2794,14 +2773,15 @@ impl BulletServer {
     /// period boundary.
     fn sample_gauges(&self) {
         let now = self.cfg.clock.now();
-        if let Some(cache) = self.cache.try_read() {
+        if let Some(t) = self.table.try_read() {
+            let cache = &t.cache;
             let (used, protected, ghost) = (
                 cache.used_bytes(),
                 cache.protected_bytes(),
                 cache.ghost_len() as u64,
             );
             // Hit/miss deltas per period (the rings lock is a leaf, so
-            // sampling under the cache read guard is in lock order).
+            // sampling under the table read guard is in lock order).
             self.telemetry.sample_counters(
                 now,
                 cache.stats(),
@@ -2811,7 +2791,7 @@ impl BulletServer {
                     counters::CACHE_EVICTIONS,
                 ],
             );
-            drop(cache);
+            drop(t);
             self.telemetry
                 .gauge(counters::GAUGE_CACHE_USED_BYTES, 0, now, used);
             self.telemetry
@@ -2940,10 +2920,8 @@ macro_rules! counted_locks {
 }
 
 counted_locks! {
-    table_read -> RwLockReadGuard<'_, InodeTable> = table.try_read / read, LOCK_TABLE_READ, LOCK_CONTENDED_TABLE_READ, "lock.table_read";
-    table_write -> RwLockWriteGuard<'_, InodeTable> = table.try_write / write, LOCK_TABLE_WRITE, LOCK_CONTENDED_TABLE_WRITE, "lock.table_write";
-    cache_read -> RwLockReadGuard<'_, FileCache> = cache.try_read / read, LOCK_CACHE_READ, LOCK_CONTENDED_CACHE_READ, "lock.cache_read";
-    cache_write -> RwLockWriteGuard<'_, FileCache> = cache.try_write / write, LOCK_CACHE_WRITE, LOCK_CONTENDED_CACHE_WRITE, "lock.cache_write";
+    table_read -> RwLockReadGuard<'_, Tables> = table.try_read / read, LOCK_TABLE_READ, LOCK_CONTENDED_TABLE_READ, "lock.table_read";
+    table_write -> RwLockWriteGuard<'_, Tables> = table.try_write / write, LOCK_TABLE_WRITE, LOCK_CONTENDED_TABLE_WRITE, "lock.table_write";
     alloc_lock -> MutexGuard<'_, AllocState> = alloc.try_lock / lock, LOCK_ALLOC, LOCK_CONTENDED_ALLOC, "lock.alloc";
     inode_io_lock -> MutexGuard<'_, ()> = inode_io.try_lock / lock, LOCK_INODE_IO, LOCK_CONTENDED_INODE_IO, "lock.inode_io";
     maint_read -> RwLockReadGuard<'_, ()> = maintenance.try_read / read, LOCK_MAINTENANCE_READ, LOCK_CONTENDED_MAINTENANCE_READ, "lock.maintenance_read";
@@ -3002,7 +2980,10 @@ impl MaintenanceJob for PackingJob<'_> {
         // Advisory: any live file may leave a hole worth packing; the
         // increment computes the real plan and reports Idle when the
         // area is already packed.
-        self.0.table.try_read().map_or(1, |t| t.live_count() as u64)
+        self.0
+            .table
+            .try_read()
+            .map_or(1, |t| t.inodes.live_count() as u64)
     }
     fn increment(&self) -> Result<JobTick, BulletError> {
         Ok(match self.0.pack_one()? {
@@ -3089,8 +3070,9 @@ mod tests {
 
     /// `(inode, residency)` of every live file, in start-block order.
     fn residencies(s: &BulletServer) -> Vec<(u32, Residency)> {
-        let table = s.table.read();
-        let mut rows: Vec<(u32, u32, Residency)> = table
+        let t = s.table.read();
+        let mut rows: Vec<(u32, u32, Residency)> = t
+            .inodes
             .live()
             .map(|(idx, ino)| (ino.start_block, idx, s.residency_of(ino).unwrap()))
             .collect();
@@ -3284,6 +3266,69 @@ mod tests {
         let stats: std::collections::HashMap<_, _> = s2.cache_stats().into_iter().collect();
         assert_eq!(stats["cache_misses"], 1);
         assert_eq!(stats["cache_hits"], 1);
+    }
+
+    #[test]
+    fn each_operation_takes_exactly_its_locks() {
+        // The inode table and its cache are one lock: a warm read is one
+        // shared guard, and no operation takes a second one for the cache.
+        let s = server();
+        let mut last = HashMap::new();
+        let mut delta = || {
+            let now: HashMap<_, _> = s.lock_stats().into_iter().collect();
+            let mut d: Vec<_> = (now.iter())
+                .map(|(n, v)| format!("{}={}", &n[5..], v - last.get(n).unwrap_or(&0)))
+                .filter(|d| !d.ends_with("=0"))
+                .collect();
+            d.sort_unstable();
+            last = now;
+            d.join(" ")
+        };
+        let write = "alloc=1 inflight=1 inode_io=1 maintenance_read=1 table_read";
+        let cap = s.create(payload(1000, 1), 1).unwrap();
+        assert_eq!(delta(), format!("{write}=1 table_write=2"), "create");
+        s.read(&cap).unwrap();
+        assert_eq!(delta(), "table_read=1", "warm read");
+        s.clear_cache();
+        delta();
+        s.read(&cap).unwrap();
+        assert_eq!(
+            delta(),
+            "inflight=1 table_read=2 table_write=1",
+            "cold read"
+        );
+        s.delete(&cap).unwrap();
+        assert_eq!(delta(), format!("{write}=2 table_write=2"), "delete");
+    }
+
+    #[test]
+    fn control_blocks_do_not_depend_on_the_ram_cache() {
+        // "The index has no significance on disk": a cached file's inode
+        // is written with index 0, so the image is the same whatever the
+        // rnode table held.
+        let image = |rnode_slots| {
+            let cfg = BulletConfig {
+                rnode_slots,
+                ..BulletConfig::small_test()
+            };
+            let s = BulletServer::format(cfg, 2).unwrap();
+            let caps: Vec<_> = (0..4)
+                .map(|n| s.create(payload(100, n), 2).unwrap())
+                .collect();
+            s.read(&caps[0]).unwrap();
+            let idx = caps[3].object.value();
+            assert!(s
+                .describe_layout()
+                .1
+                .iter()
+                .any(|r| r.inode == idx && r.cached));
+            let mut raw = vec![0u8; (s.desc.control_blocks * s.desc.block_size) as usize];
+            s.storage().read_blocks(0, &mut raw).unwrap();
+            let at = idx as usize * crate::layout::INODE_SIZE;
+            assert_eq!(Inode::decode(raw[at..at + 16].try_into().unwrap()).index, 0);
+            raw
+        };
+        assert_eq!(image(2), image(256));
     }
 
     #[test]
@@ -3590,7 +3635,7 @@ mod tests {
                 archive_blocks: 0,
                 setup: |s| {
                     files(s, 4);
-                    let table = s.table.read();
+                    let table = &s.table.read().inodes;
                     table.live().for_each(|(idx, _)| table.arm(idx, 1));
                 },
                 op: |s| s.age_all().map(|_| ()),
@@ -4453,7 +4498,7 @@ mod tests {
             s.retire_object(idx(cap)).unwrap();
         }
         for cap in [&a[2], &a[6], &b[2]] {
-            s.table.read().arm(idx(cap), 1);
+            s.table.read().inodes.arm(idx(cap), 1);
         }
         assert_eq!(s.age_all().unwrap(), 3);
 

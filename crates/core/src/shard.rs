@@ -262,6 +262,40 @@ mod tests {
     }
 
     #[test]
+    fn an_audit_is_not_a_client_read() {
+        // Room for two of three files: the third create evicts the first,
+        // and re-reading the second makes the third the LRU victim.
+        let run = |audit: bool| {
+            let cfg = BulletConfig {
+                cache_capacity: 2000,
+                ..BulletConfig::small_test()
+            };
+            let set = BulletShards::format(&cfg, 1, 2).unwrap();
+            let s = set.shard(0);
+            let caps: Vec<_> = (0..3u8)
+                .map(|n| s.create(Bytes::from(vec![n; 1000]), 1).unwrap())
+                .collect();
+            s.read(&caps[1]).unwrap();
+            let before = s.cache_stats();
+            if audit {
+                set.live_digest().unwrap();
+                assert_eq!(s.cache_stats(), before, "an audit counts no hit or miss");
+            }
+            s.create(Bytes::from(vec![9; 1000]), 1).unwrap();
+            s.describe_layout()
+                .1
+                .iter()
+                .map(|r| (r.inode, r.cached))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            run(true),
+            run(false),
+            "an audit leaves the eviction order as it was"
+        );
+    }
+
+    #[test]
     fn solo_slot_changes_nothing() {
         let server = BulletServer::format(BulletConfig::small_test(), 2).unwrap();
         assert_eq!(server.shard_slot(), ShardSlot::solo());

@@ -314,7 +314,7 @@ impl InodeTable {
         }
     }
 
-    /// Mutable access to a live inode (cache-index updates).
+    /// Mutable access to a live inode (extent moves).
     ///
     /// # Errors
     ///
@@ -332,8 +332,8 @@ impl InodeTable {
     }
 
     /// Gives slot `idx` a new identity (a new file, or none) whose age is
-    /// unarmed.  [`get_mut`](Self::get_mut)'s edits (cache index, start
-    /// block) keep the file, and so keep its age.
+    /// unarmed.  [`get_mut`](Self::get_mut)'s edits (an extent move) keep
+    /// the file, and so keep its age.
     fn rebind(&mut self, idx: u32, inode: Inode) {
         *self.ages[idx as usize].get_mut() = 0;
         *self.slot_mut(idx) = inode;
@@ -645,7 +645,7 @@ mod tests {
             assert_eq!(calls(), expected_calls);
         }
         // Each way of writing the slot forgets the capability.
-        t.get_mut(idx).unwrap().index = 3;
+        t.get_mut(idx).unwrap().start_block += 1;
         assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "get_mut");
         assert!(t.get_verified(&owner, Rights::READ, &scheme).is_ok());
         assert_eq!(calls(), 2);
@@ -688,8 +688,6 @@ mod tests {
         let idx = owner.object.value();
         // Edits that keep the file keep its age.
         t.arm(idx, 5);
-        t.get_mut(idx).unwrap().index = 3;
-        assert_eq!(t.age(idx), 5, "get_mut");
         assert!(t.get_verified(&owner, Rights::READ, &scheme).is_ok());
         assert_eq!(t.age(idx), 5, "memo fill");
         t.get_mut(idx).unwrap().start_block += 1;
@@ -809,7 +807,7 @@ mod tests {
         let idx = t
             .alloc(Inode {
                 random: 0xbeef,
-                index: 3, // in-RAM cache index; must NOT survive reload
+                index: 3, // as older builds wrote it; must NOT survive reload
                 start_block: data_start,
                 size_bytes: 512,
             })

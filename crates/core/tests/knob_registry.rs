@@ -30,7 +30,7 @@ const KNOBS: usize = 25;
 /// Code lines (neither blank nor `//`) of `server.rs` above its test
 /// module — the figure ROADMAP item 3(a) tracks towards 1,500.  A
 /// ratchet: lower it when the file shrinks.
-const SERVER_CODE_LINES: usize = 2007;
+const SERVER_CODE_LINES: usize = 1990;
 
 /// Knobs nothing outside tests assigns, and why each stays anyway.
 const UNSET_BY_DESIGN: &[(&str, &str)] = &[
