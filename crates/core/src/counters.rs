@@ -90,17 +90,17 @@ pub const AGED_OUT: &str = "aged_out";
 /// ticks count under [`COMPACTION_PREEMPTIONS`] instead).
 pub const MAINTENANCE_TICKS: &str = "maintenance_ticks";
 
-/// Ticks on which the log→home migration job reported nothing to do.
+/// Ticks whose log→home migration peek found no log-resident file.
 pub const MAINT_SKIPS_LOG_MIGRATION: &str = "maint_skips_log_migration";
 
-/// Ticks on which the data-area packing job reported nothing to do.
+/// Ticks whose data-area packing peek found no live file.
 pub const MAINT_SKIPS_PACKING: &str = "maint_skips_packing";
 
-/// Ticks on which the archive-recall (promotion) job had an empty queue.
+/// Ticks whose archive-recall (promotion) peek found an empty queue.
 pub const MAINT_SKIPS_RECALL: &str = "maint_skips_recall";
 
-/// Ticks on which the demotion job found no cold candidate (or the fast
-/// tier was under its high-water mark).
+/// Ticks whose demotion peek found no archive, or the fast tier at or
+/// under its high-water mark.
 pub const MAINT_SKIPS_DEMOTION: &str = "maint_skips_demotion";
 
 /// Cold files streamed from the fast tier to the WORM archive.
@@ -129,7 +129,7 @@ pub const LOG_BATCH_FILES: &str = "log_batch_files";
 pub const LOG_RESIDENT_BYTES: &str = "log_resident_bytes";
 
 /// Log-resident files migrated to their contiguous data-area home by the
-/// idle-time maintenance job.
+/// idle-time maintenance rank.
 pub const LOG_MIGRATIONS: &str = "log_migrations";
 
 /// Whole-file cache lookups that found the file resident.

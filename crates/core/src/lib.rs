@@ -68,7 +68,6 @@ pub use freelist::{ExtentAllocator, FragReport, Move};
 pub use gclog::{ChainScan, LogEntry, LogRecord};
 pub use groupcommit::{BatchCaps, GroupCommitter};
 pub use layout::{DiskDescriptor, Inode, Residency};
-pub use maintenance::{JobTick, MaintenanceJob};
 pub use rpc_iface::{commands, BulletClient, BulletRpcServer};
 pub use server::{ArchiveDevice, BulletConfig, BulletServer, CompactTick, LayoutEntry, SchemeKind};
 pub use shard::{BulletShards, ShardSlot};

@@ -1,94 +1,8 @@
-//! Ranked background-job scheduling for idle-time maintenance.
-//!
-//! The server's "3 a.m." activities — draining the group-commit window,
-//! packing the data area, recalling archived files, demoting cold ones —
-//! all share one discipline: they run only when the server is idle
-//! (see [`BulletServer::compact_tick`](crate::BulletServer::compact_tick)'s
-//! request-counter gate), they hold the exclusive maintenance guard, and
-//! each tick performs *one bounded increment* of work so a waking
-//! foreground request never stalls behind a long pass.
-//!
-//! This module factors that discipline out of the server: a
-//! [`MaintenanceJob`] exposes an urgency score and a bounded increment
-//! with full rollback on error; [`run_ranked`] consults the jobs in fixed
-//! rank order and runs the first one that has work.  A job whose urgency
-//! was stale (the increment found nothing to do after all) falls through
-//! to the next rank within the same tick, so a tick is never wasted on
-//! bookkeeping races.
-//!
-//! The module also hosts [`size_tiered_pick`], the size-tiered candidate
-//! selection the demotion job uses: demote from the densest size class
-//! first, the compaction idiom of size-tiered storage engines.
-
-use amoeba_sim::Stats;
-
-use crate::BulletError;
-
-/// Outcome of one bounded [`MaintenanceJob::increment`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobTick {
-    /// The job found nothing to do (its urgency was stale); the scheduler
-    /// falls through to the next rank.
-    Idle,
-    /// One increment of work was performed; `remaining` estimates how
-    /// many increments the job still wants (it only shrinks while the
-    /// server stays idle).
-    Progressed {
-        /// The job's estimate of its remaining increments.
-        remaining: u64,
-    },
-}
-
-/// One pluggable idle-time maintenance job.
-///
-/// Contract: [`increment`](Self::increment) performs at most one bounded
-/// unit of work (one file moved, one extent packed) and must leave every
-/// structure fully consistent on error — a failed increment rolls back
-/// whole, exactly like a failed foreground operation.
-/// [`urgency`](Self::urgency) must be cheap: it is consulted every
-/// tick, for every job, and must not perform I/O or block on contended
-/// locks.
-pub trait MaintenanceJob {
-    /// Short stable name, for diagnostics and tests.
-    fn name(&self) -> &'static str;
-    /// The counter bumped when the scheduler skips this job because its
-    /// urgency is zero.
-    fn skip_counter(&self) -> &'static str;
-    /// How much work the job believes it has; `0` means "skip me".
-    /// An advisory score — the increment re-checks under its own locks.
-    fn urgency(&self) -> u64;
-    /// Performs one bounded increment of work.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying failure after rolling back; the
-    /// scheduler surfaces it to the idle loop unchanged.
-    fn increment(&self) -> Result<JobTick, BulletError>;
-}
-
-/// One ranked scheduling pass: consults `jobs` in slice order (rank 0
-/// first), skips zero-urgency jobs (bumping their skip counter in
-/// `stats`), and runs the first increment that makes progress.  A stale
-/// urgency — the increment reports [`JobTick::Idle`] — falls through to
-/// the next rank, so the pass returns [`JobTick::Idle`] only when *no*
-/// job had work.
-///
-/// # Errors
-///
-/// The first failing increment's error, unchanged.
-pub fn run_ranked(jobs: &[&dyn MaintenanceJob], stats: &Stats) -> Result<JobTick, BulletError> {
-    for job in jobs {
-        if job.urgency() == 0 {
-            stats.incr(job.skip_counter());
-            continue;
-        }
-        match job.increment()? {
-            JobTick::Idle => continue,
-            progressed => return Ok(progressed),
-        }
-    }
-    Ok(JobTick::Idle)
-}
+//! Size-tiered candidate selection for the demotion rank of idle-time
+//! maintenance (see
+//! [`BulletServer::compact_tick`](crate::BulletServer::compact_tick)):
+//! demote from the densest size class first, the compaction idiom of
+//! size-tiered storage engines.
 
 /// Size-tiered candidate selection over `(id, size)` pairs: sort by size,
 /// grow a bucket while the next size stays within 1.5× the bucket's
@@ -139,84 +53,6 @@ pub fn size_tiered_pick(candidates: &[(u32, u64)]) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    struct FakeJob {
-        name: &'static str,
-        skip: &'static str,
-        urgency: AtomicU64,
-        outcome: JobTick,
-        runs: AtomicU64,
-    }
-
-    impl FakeJob {
-        fn new(name: &'static str, skip: &'static str, urgency: u64, outcome: JobTick) -> FakeJob {
-            FakeJob {
-                name,
-                skip,
-                urgency: AtomicU64::new(urgency),
-                outcome,
-                runs: AtomicU64::new(0),
-            }
-        }
-    }
-
-    impl MaintenanceJob for FakeJob {
-        fn name(&self) -> &'static str {
-            self.name
-        }
-        fn skip_counter(&self) -> &'static str {
-            self.skip
-        }
-        fn urgency(&self) -> u64 {
-            self.urgency.load(Ordering::Relaxed)
-        }
-        fn increment(&self) -> Result<JobTick, BulletError> {
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            Ok(self.outcome)
-        }
-    }
-
-    #[test]
-    fn first_urgent_job_wins_the_tick() {
-        let a = FakeJob::new("a", "skipa", 0, JobTick::Progressed { remaining: 9 });
-        let b = FakeJob::new("b", "skipb", 3, JobTick::Progressed { remaining: 2 });
-        let c = FakeJob::new("c", "skipc", 5, JobTick::Progressed { remaining: 7 });
-        let stats = Stats::new();
-        let out = run_ranked(&[&a, &b, &c], &stats).unwrap();
-        assert_eq!(out, JobTick::Progressed { remaining: 2 });
-        assert_eq!(a.runs.load(Ordering::Relaxed), 0, "skipped, not run");
-        assert_eq!(b.runs.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            c.runs.load(Ordering::Relaxed),
-            0,
-            "lower rank never reached"
-        );
-        assert_eq!(stats.get("skipa"), 1);
-        assert_eq!(stats.get("skipc"), 0, "unreached jobs are not 'skipped'");
-    }
-
-    #[test]
-    fn stale_urgency_falls_through_to_the_next_rank() {
-        let a = FakeJob::new("a", "skipa", 1, JobTick::Idle);
-        let b = FakeJob::new("b", "skipb", 1, JobTick::Progressed { remaining: 0 });
-        let stats = Stats::new();
-        let out = run_ranked(&[&a, &b], &stats).unwrap();
-        assert_eq!(out, JobTick::Progressed { remaining: 0 });
-        assert_eq!(a.runs.load(Ordering::Relaxed), 1);
-        assert_eq!(b.runs.load(Ordering::Relaxed), 1);
-        assert_eq!(a.name(), "a");
-    }
-
-    #[test]
-    fn all_idle_jobs_yield_an_idle_tick() {
-        let a = FakeJob::new("a", "skipa", 0, JobTick::Idle);
-        let b = FakeJob::new("b", "skipb", 0, JobTick::Idle);
-        let stats = Stats::new();
-        assert_eq!(run_ranked(&[&a, &b], &stats).unwrap(), JobTick::Idle);
-        assert_eq!(stats.get("skipa"), 1);
-        assert_eq!(stats.get("skipb"), 1);
-    }
 
     #[test]
     fn size_tiered_pick_prefers_the_densest_bucket() {

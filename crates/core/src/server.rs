@@ -16,11 +16,13 @@
 //! * `alloc: Mutex<AllocState>` — the disk extent free list and the inode
 //!   random-number generator, held only for the few-microsecond reserve /
 //!   free operations, never across I/O.
-//! * `inflight` — a per-inode busy table.  All disk I/O for a file
-//!   (create write-through, miss loads, delete/expiry inode zeroing,
-//!   compaction moves) happens under that file's in-flight guard *only*,
-//!   keeping create/delete/read/compaction of the same file serialized
-//!   while different files overlap freely.
+//! * `inflight: Box<[Mutex<()>]>` — one lock per inode slot, sized from
+//!   the formatted table.  All disk I/O for a file (create write-through,
+//!   miss loads, delete/expiry inode zeroing, compaction moves) happens
+//!   under that file's in-flight guard *only*, keeping
+//!   create/delete/read/compaction of the same file serialized while
+//!   different files overlap freely.  Releasing a guard wakes only that
+//!   slot's waiters, and an uncontended guard makes no syscall.
 //! * `maintenance: RwLock<()>` — compaction takes the exclusive guard;
 //!   create/delete/expiry take the shared one; reads never touch it.
 //!
@@ -62,7 +64,7 @@ use crate::freelist::ExtentAllocator;
 use crate::gclog;
 use crate::groupcommit::{BatchCaps, GroupCommitter};
 use crate::layout::{DiskDescriptor, Inode, Residency};
-use crate::maintenance::{self, JobTick, MaintenanceJob};
+use crate::maintenance;
 use crate::table::{InodeTable, RepairPolicy};
 use crate::BulletError;
 
@@ -147,13 +149,13 @@ pub struct BulletConfig {
     pub shard: crate::shard::ShardSlot,
     /// Blocks on the WORM archive tier.  `0` (the default) disables
     /// tiering entirely — no archive device exists and the maintenance
-    /// scheduler's demotion/recall jobs report zero urgency, leaving
+    /// scheduler's demotion and recall ranks never have work, leaving
     /// behaviour byte-identical to earlier releases.  When enabled,
     /// idle-time maintenance demotes cold files' extents onto a
     /// write-once archive device and recalls them to the fast tier after
     /// their first post-demotion read.
     pub archive_blocks: u64,
-    /// Fast-tier occupancy percentage above which the demotion job
+    /// Fast-tier occupancy percentage above which the demotion rank
     /// engages (the tier high-water mark).  Below it cold files stay on
     /// the fast tier — there is nothing to reclaim.
     pub tier_high_water_pct: u32,
@@ -162,7 +164,7 @@ pub struct BulletConfig {
     /// since the previous tick.  `0` (the default, and the historical
     /// behaviour) preempts on any arrival at all.
     pub maint_idle_request_delta: u64,
-    /// Bounded job increments one maintenance tick may perform once its
+    /// Bounded rank increments one maintenance tick may perform once its
     /// idleness gate passes.  `1` (the default, and the historical
     /// behaviour) moves at most one extent per tick.
     pub maint_moves_per_tick: u32,
@@ -272,7 +274,7 @@ enum Identity {
 /// [`ExtentAllocator::alloc_batch`] call per batch, so the whole batch
 /// takes the allocator lock once and (when a contiguous run exists) its
 /// files will land adjacent after migration.  The map is RAM-only: after
-/// a crash the migration job re-allocates homes on demand, and the
+/// a crash log migration re-allocates homes on demand, and the
 /// allocator rebuild never sees the forgotten reservations, so no free
 /// space leaks across recovery.
 struct LogState {
@@ -293,58 +295,6 @@ pub type ArchiveDevice = WormDisk<SimDisk<RamDisk>>;
 struct ArchiveState {
     dev: Arc<ArchiveDevice>,
     recall_q: Mutex<BTreeSet<u32>>,
-}
-
-/// The per-inode in-flight table: at most one request at a time may be in
-/// its disk phase for any given inode.  Waiters block on a condition
-/// variable; guards release and wake on drop (also on panic).
-struct InflightTable {
-    busy: std::sync::Mutex<std::collections::HashSet<u32>>,
-    cv: std::sync::Condvar,
-}
-
-impl InflightTable {
-    fn new() -> InflightTable {
-        InflightTable {
-            busy: std::sync::Mutex::new(std::collections::HashSet::new()),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until `idx` is free, then marks it busy.  Returns the guard
-    /// and whether the caller had to wait (for the contention counters).
-    fn acquire(&self, idx: u32) -> (InflightGuard<'_>, bool) {
-        let mut busy = self
-            .busy
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut waited = false;
-        while busy.contains(&idx) {
-            waited = true;
-            busy = self
-                .cv
-                .wait(busy)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        busy.insert(idx);
-        (InflightGuard { table: self, idx }, waited)
-    }
-}
-
-struct InflightGuard<'a> {
-    table: &'a InflightTable,
-    idx: u32,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.table
-            .busy
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&self.idx);
-        self.table.cv.notify_all();
-    }
 }
 
 /// Outcome of one [`BulletServer::compact_tick`] increment.
@@ -394,7 +344,9 @@ pub struct BulletServer {
     desc: DiskDescriptor,
     table: RwLock<Tables>,
     alloc: Mutex<AllocState>,
-    inflight: InflightTable,
+    /// One in-flight lock per inode slot: at most one request at a time
+    /// is in its disk phase for any given file.
+    inflight: Box<[Mutex<()>]>,
     /// The group-commit log window (`None` when `cfg.log_blocks == 0`).
     /// See the module docs for its place in the lock order.
     log: Option<Mutex<LogState>>,
@@ -591,6 +543,7 @@ impl BulletServer {
         );
         cache.set_tracer(tracer.clone());
         storage.set_tracer(tracer.clone());
+        let slots = table.descriptor().inode_slots();
         BulletServer {
             scheme: cfg.scheme.build(cfg.scheme_seed),
             desc: *table.descriptor(),
@@ -602,7 +555,7 @@ impl BulletServer {
                 extents,
                 rng: DetRng::new(cfg.rng_seed),
             }),
-            inflight: InflightTable::new(),
+            inflight: (0..slots).map(|_| Mutex::new(())).collect(),
             log: log.map(Mutex::new),
             gc: GroupCommitter::new(),
             archive,
@@ -737,7 +690,7 @@ impl BulletServer {
                 });
             let mut window = LogWindow::new(ls, desc.data_end());
             window.restore(scan.head, scan.last_seq, resident, resident_bytes, unsealed);
-            // Homes are re-allocated on demand by the migration job; the
+            // Homes are re-allocated on demand by log migration; the
             // pre-crash reservations evaporate with the allocator rebuild.
             log = Some(LogState {
                 window,
@@ -1933,15 +1886,14 @@ impl BulletServer {
     /// has been idle since the previous tick.
     ///
     /// The paper runs compaction "every morning at say 3 am" as one long
-    /// exclusive pass; here it is a ranked background scheduler (see
-    /// [`crate::maintenance`]) that yields to foreground traffic.  Each
-    /// tick:
+    /// exclusive pass; here it is a ranked background scheduler that
+    /// yields to foreground traffic.  Each tick:
     ///
     /// 1. If more than [`BulletConfig::maint_idle_request_delta`]
     ///    requests arrived since the last tick, or foreground work
     ///    currently holds the maintenance lock, the tick *preempts* —
     ///    it does nothing, counts a preemption, and re-arms.
-    /// 2. Otherwise the jobs are consulted in rank order — group-commit
+    /// 2. Otherwise the ranks are consulted in order — group-commit
     ///    log migration, data-area packing, archive recall, cold-file
     ///    demotion — and the first with work performs one bounded
     ///    increment ([`BulletConfig::maint_moves_per_tick`] increments
@@ -1950,7 +1902,7 @@ impl BulletServer {
     ///    as [`compact_disk`](Self::compact_disk)).
     ///
     /// With tiering off (`archive_blocks == 0`) the recall and demotion
-    /// jobs report zero urgency and the tick behaves exactly as earlier
+    /// ranks never have work and the tick behaves exactly as earlier
     /// releases: migrate one log file, else pack one extent, else idle.
     ///
     /// Drive it from an idle loop until it returns [`CompactTick::Idle`].
@@ -1981,28 +1933,74 @@ impl BulletServer {
         self.locks.incr(counters::LOCK_MAINTENANCE_WRITE);
         self.stats.incr(counters::MAINTENANCE_TICKS);
 
-        // The ranked job table, highest rank first: draining the
-        // group-commit window keeps it available for future batches;
-        // packing restores the one-hole invariant; recall serves files
-        // the read path already asked for; demotion is pure space
-        // reclamation and goes last.
-        let migration = LogMigrationJob(self);
-        let packing = PackingJob(self);
-        let recall = RecallJob(self);
-        let demotion = DemotionJob(self);
-        let jobs: [&dyn MaintenanceJob; 4] = [&migration, &packing, &recall, &demotion];
         let mut outcome = CompactTick::Idle;
         for _ in 0..self.cfg.maint_moves_per_tick.max(1) {
-            match maintenance::run_ranked(&jobs, &self.stats)? {
-                JobTick::Idle => break,
-                JobTick::Progressed { remaining } => outcome = CompactTick::Moved { remaining },
-            }
+            let Some(remaining) = self.maintain_one()? else {
+                break;
+            };
+            outcome = CompactTick::Moved { remaining };
         }
         Ok(outcome)
     }
 
-    /// One increment of data-area packing — the historical
-    /// `compact_tick` body, now the [`PackingJob`] increment: recompute
+    /// One bounded increment of the first maintenance rank with work;
+    /// returns that rank's estimate of the increments it has left, or
+    /// `None` when no rank had any.  The ranks, highest first: draining
+    /// the group-commit window keeps it free for future batches; packing
+    /// restores the one-hole invariant; recall serves files the read path
+    /// already asked for; demotion is pure space reclamation.
+    ///
+    /// Each rank first peeks with an *uncounted* try-lock, so the peeks
+    /// never perturb the lock telemetry of the real work paths (and a
+    /// busy lock counts as work).  A rank whose peek finds nothing counts
+    /// a `maint_skips_*`; one whose increment finds nothing falls through
+    /// to the next rank without counting one.
+    fn maintain_one(&self) -> Result<Option<u64>, BulletError> {
+        // Rank 0: migrate one log-resident file to its contiguous home.
+        let log = self.log.as_ref().map(|l| l.lock());
+        if let Some(mut st) = log.filter(|st| st.window.resident() > 0) {
+            if self.migrate_one_log_file(&mut st)?.is_some() {
+                return Ok(Some(st.window.resident()));
+            }
+        } else {
+            self.stats.incr(counters::MAINT_SKIPS_LOG_MIGRATION);
+        }
+        // Rank 1: pack the data area by one extent move.  Any live file
+        // may leave a hole; the plan decides.
+        let live = self.table.try_read().map_or(1, |t| t.inodes.live_count());
+        if live > 0 {
+            if let Some(remaining) = self.pack_one()? {
+                return Ok(Some(remaining));
+            }
+        } else {
+            self.stats.incr(counters::MAINT_SKIPS_PACKING);
+        }
+        // Rank 2: recall one archived file a read asked for.
+        if self.tier_recall_backlog() > 0 {
+            if self.recall_one()?.is_some() {
+                return Ok(Some(self.tier_recall_backlog() as u64));
+            }
+        } else {
+            self.stats.incr(counters::MAINT_SKIPS_RECALL);
+        }
+        // Rank 3: demote one cold file, only while the fast tier sits
+        // above its high-water mark.
+        let above_water = |al: MutexGuard<'_, AllocState>| {
+            let report = al.extents.report();
+            let used = report.total - report.free;
+            used * 100 > report.total.max(1) * self.cfg.tier_high_water_pct as u64
+        };
+        if self.archive.is_some() && self.alloc.try_lock().is_none_or(above_water) {
+            if self.demote_one()?.is_some() {
+                return Ok(Some(0));
+            }
+        } else {
+            self.stats.incr(counters::MAINT_SKIPS_DEMOTION);
+        }
+        Ok(None)
+    }
+
+    /// One increment of data-area packing (maintenance rank 1): recompute
     /// the sliding plan, apply its first move.  Returns the remaining
     /// move count, or `None` when the area is fully packed.
     fn pack_one(&self) -> Result<Option<u64>, BulletError> {
@@ -2054,12 +2052,12 @@ impl BulletServer {
     // ------------------------------------------------------------------
 
     /// Aging rounds ([`age_all`](Self::age_all)) a file must survive
-    /// untouched before the demotion job may consider it cold.  Not a
+    /// untouched before demotion may consider it cold.  Not a
     /// knob — nothing ever ran with another value.
     pub const TIER_COLD_AGE: u32 = 1;
 
-    /// Demotes one cold file's extent to the WORM archive tier — the
-    /// [`DemotionJob`] increment.  Candidates are live, uncached,
+    /// Demotes one cold file's extent to the WORM archive tier —
+    /// maintenance rank 3.  Candidates are live, uncached,
     /// allocator-range (neither log-resident nor already archived) files
     /// that survived [`TIER_COLD_AGE`](Self::TIER_COLD_AGE) aging rounds
     /// untouched; among them the size-tiered bucketing of
@@ -2160,14 +2158,14 @@ impl BulletServer {
         Ok(())
     }
 
-    /// Recalls one archived file back to the fast tier — the
-    /// [`RecallJob`] increment, completing the promotion an archived
+    /// Recalls one archived file back to the fast tier — maintenance
+    /// rank 2, completing the promotion an archived
     /// read scheduled.  The copy runs under the file's in-flight guard
     /// with full rollback (the fast-tier extent is freed and the index
     /// requeued on error); the burned archive blocks are never reclaimed
     /// — WORM media keeps the old version forever.  Returns the recalled
     /// index, or `None` when the queue is empty (or the fast tier is too
-    /// full — the index is requeued and the demotion job gets its turn).
+    /// full — the index is requeued and demotion gets its turn).
     fn recall_one(&self) -> Result<Option<u32>, BulletError> {
         let Some(arch) = &self.archive else {
             return Ok(None);
@@ -2189,7 +2187,7 @@ impl BulletServer {
             let blocks = inode.blocks(self.desc.block_size);
             let home = self.alloc_lock().extents.alloc(blocks);
             let Some(home) = home else {
-                // Fast tier full: requeue and yield to the demotion job
+                // Fast tier full: requeue and yield to demotion
                 // (next rank), which makes room.
                 arch.recall_q.lock().insert(idx);
                 return Ok(None);
@@ -2546,7 +2544,7 @@ impl BulletServer {
         let mut buf = if archived {
             // Archive tier: serve the read *from the archive device* — no
             // foreground stall waiting for a copy-back — and schedule the
-            // promotion below; the recall job moves the file to the fast
+            // promotion below; the recall rank moves the file to the fast
             // tier on a later idle tick.
             self.read_whole_extent(&inode)?
         } else {
@@ -2891,15 +2889,17 @@ impl BulletServer {
             .lock()
     }
 
-    fn inflight_lock(&self, idx: u32) -> InflightGuard<'_> {
-        self.locks.incr(counters::LOCK_INFLIGHT);
-        let (guard, waited) = self.inflight.acquire(idx);
-        if waited {
-            self.locks.incr(counters::LOCK_CONTENDED_INFLIGHT);
-        }
-        self.tracer
-            .instant("lock.inflight", &[("contended", AttrValue::Bool(waited))]);
-        guard
+    /// File `idx`'s in-flight guard.  An object number past the table
+    /// names no file; it takes slot 0's lock, which no file uses, and
+    /// the caller's lookup then fails as for any other dead number.
+    fn inflight_lock(&self, idx: u32) -> MutexGuard<'_, ()> {
+        let slot = self.inflight.get(idx as usize).unwrap_or(&self.inflight[0]);
+        let names = (
+            counters::LOCK_INFLIGHT,
+            counters::LOCK_CONTENDED_INFLIGHT,
+            "lock.inflight",
+        );
+        self.counted_lock(names, || slot.try_lock(), || slot.lock())
     }
 }
 
@@ -2926,134 +2926,6 @@ counted_locks! {
     inode_io_lock -> MutexGuard<'_, ()> = inode_io.try_lock / lock, LOCK_INODE_IO, LOCK_CONTENDED_INODE_IO, "lock.inode_io";
     maint_read -> RwLockReadGuard<'_, ()> = maintenance.try_read / read, LOCK_MAINTENANCE_READ, LOCK_CONTENDED_MAINTENANCE_READ, "lock.maintenance_read";
     maint_write -> RwLockWriteGuard<'_, ()> = maintenance.try_write / write, LOCK_MAINTENANCE_WRITE, LOCK_CONTENDED_MAINTENANCE_WRITE, "lock.maintenance_write";
-}
-
-// ----------------------------------------------------------------------
-// The ranked maintenance jobs (see `crate::maintenance`).  Urgency checks
-// use raw *uncounted* try-locks by design: they are advisory peeks taken
-// every tick, and must not perturb the counted lock telemetry of the real
-// work paths (nor deadlock — a busy lock just means "guess").
-// ----------------------------------------------------------------------
-
-/// Rank 0: migrate one group-commit log file to its contiguous home.
-/// Draining the window keeps it available for future batches.
-struct LogMigrationJob<'a>(&'a BulletServer);
-
-impl MaintenanceJob for LogMigrationJob<'_> {
-    fn name(&self) -> &'static str {
-        "log_migration"
-    }
-    fn skip_counter(&self) -> &'static str {
-        counters::MAINT_SKIPS_LOG_MIGRATION
-    }
-    fn urgency(&self) -> u64 {
-        self.0
-            .log
-            .as_ref()
-            .map_or(0, |l| l.lock().window.resident())
-    }
-    fn increment(&self) -> Result<JobTick, BulletError> {
-        let Some(logmx) = &self.0.log else {
-            return Ok(JobTick::Idle);
-        };
-        let mut st = logmx.lock();
-        if st.window.resident() > 0 && self.0.migrate_one_log_file(&mut st)?.is_some() {
-            return Ok(JobTick::Progressed {
-                remaining: st.window.resident(),
-            });
-        }
-        Ok(JobTick::Idle)
-    }
-}
-
-/// Rank 1: pack the data area by one extent move.
-struct PackingJob<'a>(&'a BulletServer);
-
-impl MaintenanceJob for PackingJob<'_> {
-    fn name(&self) -> &'static str {
-        "packing"
-    }
-    fn skip_counter(&self) -> &'static str {
-        counters::MAINT_SKIPS_PACKING
-    }
-    fn urgency(&self) -> u64 {
-        // Advisory: any live file may leave a hole worth packing; the
-        // increment computes the real plan and reports Idle when the
-        // area is already packed.
-        self.0
-            .table
-            .try_read()
-            .map_or(1, |t| t.inodes.live_count() as u64)
-    }
-    fn increment(&self) -> Result<JobTick, BulletError> {
-        Ok(match self.0.pack_one()? {
-            Some(remaining) => JobTick::Progressed { remaining },
-            None => JobTick::Idle,
-        })
-    }
-}
-
-/// Rank 2: recall one archived file the read path asked for.  Ranked
-/// above demotion: a pending recall is a client actually waiting on
-/// archive latency, demotion is only space reclamation.
-struct RecallJob<'a>(&'a BulletServer);
-
-impl MaintenanceJob for RecallJob<'_> {
-    fn name(&self) -> &'static str {
-        "recall"
-    }
-    fn skip_counter(&self) -> &'static str {
-        counters::MAINT_SKIPS_RECALL
-    }
-    fn urgency(&self) -> u64 {
-        self.0
-            .archive
-            .as_ref()
-            .map_or(0, |a| a.recall_q.lock().len() as u64)
-    }
-    fn increment(&self) -> Result<JobTick, BulletError> {
-        Ok(match self.0.recall_one()? {
-            Some(_) => JobTick::Progressed {
-                remaining: self.urgency(),
-            },
-            None => JobTick::Idle,
-        })
-    }
-}
-
-/// Rank 3: demote one cold file to the archive tier, but only while the
-/// fast tier sits above its high-water mark.
-struct DemotionJob<'a>(&'a BulletServer);
-
-impl MaintenanceJob for DemotionJob<'_> {
-    fn name(&self) -> &'static str {
-        "demotion"
-    }
-    fn skip_counter(&self) -> &'static str {
-        counters::MAINT_SKIPS_DEMOTION
-    }
-    fn urgency(&self) -> u64 {
-        let s = self.0;
-        if s.archive.is_none() {
-            return 0;
-        }
-        // Occupancy against the high-water mark.  A contended allocator
-        // means "assume urgent" — the increment re-checks everything
-        // under its own locks.
-        let Some(al) = s.alloc.try_lock() else {
-            return 1;
-        };
-        let report = al.extents.report();
-        drop(al);
-        let used = report.total - report.free;
-        u64::from(used * 100 > report.total.max(1) * s.cfg.tier_high_water_pct as u64)
-    }
-    fn increment(&self) -> Result<JobTick, BulletError> {
-        Ok(match self.0.demote_one()? {
-            Some(_) => JobTick::Progressed { remaining: 0 },
-            None => JobTick::Idle,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -3121,6 +2993,26 @@ mod tests {
         let mut wrong_port = cap;
         wrong_port.port = Port::from_u64(123);
         assert_eq!(s.read(&wrong_port).unwrap_err(), BulletError::CapBad);
+    }
+
+    #[test]
+    fn object_numbers_past_the_table_are_clean_errors() {
+        let s = server();
+        let cap = s.create(payload(10, 1), 1).unwrap();
+        let mut far = cap;
+        far.object = ObjNum::new(ObjNum::MAX).unwrap();
+        assert_eq!(s.delete(&far).unwrap_err(), BulletError::NotFound);
+        far.port = Port::from_u64(123);
+        assert_eq!(s.delete(&far).unwrap_err(), BulletError::CapBad);
+        assert_eq!(
+            s.export_object(ObjNum::MAX).unwrap_err(),
+            BulletError::NotFound
+        );
+        assert_eq!(
+            s.retire_object(ObjNum::MAX).unwrap_err(),
+            BulletError::NotFound
+        );
+        assert_eq!(s.read(&cap).unwrap(), payload(10, 1));
     }
 
     #[test]
@@ -4578,5 +4470,119 @@ mod tests {
         ));
         assert!(s.stats().get(counters::DISK_COMPACTION_MOVES) > 1);
         assert_eq!(s.disk_frag_report().external_fragmentation, 0.0);
+    }
+
+    /// The four log × archive combinations the ranked tick runs under.
+    fn rank_cfgs() -> [(bool, bool, BulletConfig); 4] {
+        [(false, false), (true, false), (false, true), (true, true)].map(|(log, archive)| {
+            let mut cfg = BulletConfig::small_test();
+            cfg.log_blocks = if log { 512 } else { 0 };
+            cfg.archive_blocks = if archive { 8192 } else { 0 };
+            (log, archive, cfg)
+        })
+    }
+
+    /// One tick past the idleness gate, with what it moved of
+    /// `[maintenance_ticks, skips of log migration, packing, recall,
+    /// demotion]`.
+    fn ranked_tick(s: &BulletServer) -> (CompactTick, [u64; 5]) {
+        let counts = || {
+            [
+                counters::MAINTENANCE_TICKS,
+                counters::MAINT_SKIPS_LOG_MIGRATION,
+                counters::MAINT_SKIPS_PACKING,
+                counters::MAINT_SKIPS_RECALL,
+                counters::MAINT_SKIPS_DEMOTION,
+            ]
+            .map(|c| s.stats().get(c))
+        };
+        let before = counts();
+        let tick = loop {
+            match s.compact_tick().unwrap() {
+                CompactTick::Preempted => {}
+                tick => break tick,
+            }
+        };
+        let after = counts();
+        (tick, std::array::from_fn(|i| after[i] - before[i]))
+    }
+
+    #[test]
+    fn a_tick_with_no_work_anywhere_is_idle_and_counts_every_skip() {
+        for (log, archive, cfg) in rank_cfgs() {
+            let s = BulletServer::format(cfg, 2).unwrap();
+            let got = ranked_tick(&s);
+            assert_eq!(
+                got,
+                (CompactTick::Idle, [1, 1, 1, 1, 1]),
+                "log {log} archive {archive}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_first_rank_with_work_wins_and_lower_ranks_are_not_reached() {
+        for (log, archive, cfg) in rank_cfgs() {
+            let at = format!("log {log} archive {archive}");
+            let s = BulletServer::format(cfg, 2).unwrap();
+            let caps: Vec<Capability> = (0..3)
+                .map(|i| s.create(payload(5 * 512, i), 1).unwrap())
+                .collect();
+            s.delete(&caps[0]).unwrap();
+            let moved = |remaining| CompactTick::Moved { remaining };
+            if log {
+                // Log migration (rank 0) wins over the hole packing
+                // would fill, which is neither skipped nor reached.
+                for remaining in [1, 0] {
+                    assert_eq!(ranked_tick(&s), (moved(remaining), [1, 0, 0, 0, 0]), "{at}");
+                }
+                assert_eq!(s.stats().get(counters::DISK_COMPACTION_MOVES), 0);
+            }
+            // Packing (rank 1): the hole ahead of two files plans two moves.
+            for remaining in [1, 0] {
+                assert_eq!(ranked_tick(&s), (moved(remaining), [1, 1, 0, 0, 0]), "{at}");
+            }
+            // Packed with live files: packing's peek says "work", its plan
+            // is empty, and the tick falls through without a packing skip.
+            assert_eq!(
+                ranked_tick(&s),
+                (CompactTick::Idle, [1, 1, 0, 1, 1]),
+                "{at}"
+            );
+            assert_eq!(s.stats().get(counters::DISK_COMPACTION_MOVES), 2);
+        }
+    }
+
+    #[test]
+    fn recall_and_demotion_win_only_after_packing_falls_through() {
+        for (log, archive, mut cfg) in rank_cfgs() {
+            if !archive {
+                continue;
+            }
+            let at = format!("log {log} archive {archive}");
+            cfg.tier_high_water_pct = 0;
+            let s = BulletServer::format(cfg, 2).unwrap();
+            let cap = s.create(payload(3 * 512, 4), 2).unwrap();
+            let moved = CompactTick::Moved { remaining: 0 };
+            if log {
+                assert_eq!(ranked_tick(&s), (moved, [1, 0, 0, 0, 0]), "{at}");
+            }
+            s.clear_cache();
+            s.age_all().unwrap();
+            // Demotion (rank 3): packing found nothing, recall skipped.
+            assert_eq!(ranked_tick(&s), (moved, [1, 1, 0, 1, 0]), "{at}");
+            assert_eq!(s.stats().get(counters::TIER_DEMOTIONS), 1);
+            // Recall (rank 2) wins over demotion, which is not reached.
+            s.read(&cap).unwrap();
+            assert_eq!(ranked_tick(&s), (moved, [1, 1, 0, 0, 0]), "{at}");
+            assert_eq!(s.stats().get(counters::TIER_PROMOTIONS), 1);
+            // Cached again: demotion's peek says "work", its pick finds
+            // none, and the tick is idle with no demotion skip.
+            assert_eq!(
+                ranked_tick(&s),
+                (CompactTick::Idle, [1, 1, 0, 1, 0]),
+                "{at}"
+            );
+        }
     }
 }

@@ -13,7 +13,8 @@
 //!   that never arrived ([`UNSET_BY_DESIGN`] lists the exceptions, each
 //!   with its reason).
 //! * Two ratchets: the field count and the size of `server.rs` above its
-//!   test module only go down.
+//!   test module only go down, and the size is pinned exactly, so the
+//!   change that shrinks the file records the new figure.
 //!
 //! The scan is textual, like `counter_registry.rs`: a configuration is
 //! recognised by its binding's name (`cfg`, `lon_cfg`, `cfg_b`, or the
@@ -28,9 +29,10 @@ use std::path::{Path, PathBuf};
 const KNOBS: usize = 25;
 
 /// Code lines (neither blank nor `//`) of `server.rs` above its test
-/// module — the figure ROADMAP item 3(a) tracks towards 1,500.  A
-/// ratchet: lower it when the file shrinks.
-const SERVER_CODE_LINES: usize = 1990;
+/// module — the figure ROADMAP item 3(a) tracks towards 1,500, and
+/// `scripts/loc.sh` prints.  An exact ratchet: the change that shrinks
+/// the file lowers it, so later code cannot grow back into the slack.
+const SERVER_CODE_LINES: usize = 1882;
 
 /// Knobs nothing outside tests assigns, and why each stays anyway.
 const UNSET_BY_DESIGN: &[(&str, &str)] = &[
@@ -176,5 +178,10 @@ fn server_rs_only_shrinks() {
     assert!(
         code_lines <= SERVER_CODE_LINES,
         "server.rs grew to {code_lines} code lines above its tests (ratchet: {SERVER_CODE_LINES})"
+    );
+    assert!(
+        code_lines == SERVER_CODE_LINES,
+        "server.rs shrank to {code_lines} code lines above its tests: \
+         lower SERVER_CODE_LINES to {code_lines}"
     );
 }

@@ -1,13 +1,13 @@
 //! Concurrency stress: many client threads hammering one server while
 //! faults are injected — the server must stay consistent throughout.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 use amoeba_bullet::bullet::{BulletConfig, BulletError, BulletServer};
 use amoeba_bullet::cap::Capability;
 use amoeba_bullet::dir::DirServer;
-use amoeba_bullet::disk::{BlockDevice, FaultyDisk, MirroredDisk, RamDisk};
+use amoeba_bullet::disk::{BlockDevice, DiskError, FaultyDisk, MirroredDisk, RamDisk};
 use amoeba_bullet::sim::DetRng;
 use amoeba_bullet::unix::{UnixFs, WritePolicy};
 use bytes::Bytes;
@@ -310,6 +310,104 @@ fn aging_races_creates_touches_and_deletes() {
             rows.iter().map(|r| r.blocks).sum::<u64>(),
             "max_age {max_age}"
         );
+    }
+}
+
+/// A RAM disk that counts the reads reaching it and holds each one for a
+/// millisecond before serving it, so racing readers overlap in their
+/// disk phase and a writer can act while a read is in flight.
+struct CountingDisk {
+    inner: RamDisk,
+    reads: AtomicU64,
+}
+
+impl BlockDevice for CountingDisk {
+    fn block_size(&self) -> u32 {
+        self.inner.block_size()
+    }
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn read_blocks(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+        self.reads.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        self.inner.read_blocks(first_block, buf)
+    }
+    fn write_blocks(&self, first_block: u64, data: &[u8]) -> Result<(), DiskError> {
+        self.inner.write_blocks(first_block, data)
+    }
+    fn sync(&self) -> Result<(), DiskError> {
+        self.inner.sync()
+    }
+}
+
+/// Readers start on one barrier and cold-read one uncached file together.
+/// The file's in-flight guard lets exactly one extent read reach the
+/// disks, and every reader gets the file's bytes.  Then the same race
+/// beside a delete and a create that reuses the slot: a reader gets the
+/// old bytes or a gone error, never the new file's bytes.
+#[test]
+fn readers_racing_on_one_cold_file_share_one_extent_read() {
+    const READERS: usize = 8;
+    const ROUNDS: usize = 20;
+    let cfg = big_config();
+    let disks: Vec<Arc<CountingDisk>> = (0..2)
+        .map(|_| {
+            Arc::new(CountingDisk {
+                inner: RamDisk::new(cfg.block_size, cfg.disk_blocks),
+                reads: AtomicU64::new(0),
+            })
+        })
+        .collect();
+    let devices = disks.iter().map(|d| d.clone() as Arc<dyn BlockDevice>);
+    let storage = MirroredDisk::new(devices.collect()).unwrap();
+    let server = BulletServer::format_on(cfg, storage).unwrap();
+    let reads = || -> u64 { disks.iter().map(|d| d.reads.load(Ordering::SeqCst)).sum() };
+    let race = |cap: &Capability, writer: &(dyn Fn() + Sync)| {
+        let barrier = Barrier::new(READERS + 1);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        server.read(cap)
+                    })
+                })
+                .collect();
+            barrier.wait();
+            writer();
+            let got: Vec<Result<Bytes, BulletError>> =
+                readers.into_iter().map(|r| r.join().unwrap()).collect();
+            got
+        })
+    };
+    for round in 0..ROUNDS {
+        let old = pattern(round, 0, 3000);
+        let cap = server.create(Bytes::from(old.clone()), 2).unwrap();
+        server.clear_cache();
+        let before = reads();
+        for got in race(&cap, &|| ()) {
+            assert_eq!(&got.unwrap()[..], &old[..], "round {round}");
+        }
+        assert_eq!(reads() - before, 1, "round {round}: one extent read");
+
+        server.clear_cache();
+        let new = pattern(round, 1, 3000);
+        let fresh = Mutex::new(None);
+        let got = race(&cap, &|| {
+            server.delete(&cap).unwrap();
+            let created = server.create(Bytes::from(new.clone()), 2).unwrap();
+            *fresh.lock().unwrap() = Some(created);
+        });
+        let fresh = fresh.into_inner().unwrap().unwrap();
+        assert_eq!(fresh.object, cap.object, "the create reuses the slot");
+        for got in got {
+            match got {
+                Ok(bytes) => assert_eq!(&bytes[..], &old[..], "round {round}"),
+                Err(e) => assert!(gone(&e), "round {round}: {e:?}"),
+            }
+        }
+        server.delete(&fresh).unwrap();
     }
 }
 
