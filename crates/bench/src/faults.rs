@@ -30,7 +30,7 @@ use std::sync::Arc;
 use bytes::{BufMut, Bytes, BytesMut};
 
 use amoeba_cap::{Capability, CAP_WIRE_LEN};
-use amoeba_disk::{BlockDevice, FaultyDisk, MirroredDisk, RamDisk, SimDisk};
+use amoeba_disk::{BlockDevice, FaultyDisk, MirroredDisk, RamDisk, SchedConfig, SchedDisk};
 use amoeba_net::SimEthernet;
 use amoeba_rpc::fault::{FAULT_REQUEST_DUPS, RPC_GIVEUPS, RPC_RETRIES};
 use amoeba_rpc::{Dispatcher, FaultPlan, FaultyWire, RetryClient, RetryPolicy, Status};
@@ -198,12 +198,13 @@ fn run_mirror_fail(seed: u64) -> CampaignOutcome {
     let clock = SimClock::new();
     let hw = HwProfile::amoeba_1989();
     let cfg = campaign_config(&clock);
-    let disks: Vec<Arc<FaultyDisk<SimDisk<RamDisk>>>> = (0..2)
+    let disks: Vec<Arc<FaultyDisk<SchedDisk<RamDisk>>>> = (0..2)
         .map(|_| {
-            Arc::new(FaultyDisk::new(SimDisk::new(
+            Arc::new(FaultyDisk::new(SchedDisk::new(
                 RamDisk::new(cfg.block_size, cfg.disk_blocks),
                 clock.clone(),
                 hw.disk,
+                SchedConfig::default(),
             )))
         })
         .collect();

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use amoeba_cap::Port;
-use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk, SimDisk};
+use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk};
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient};
 use amoeba_sim::{CpuProfile, DiskProfile, HwProfile, Nanos, SimClock, Tracer};
@@ -28,7 +28,6 @@ pub fn paper_config(clock: SimClock, cpu: CpuProfile, cache_capacity: u64) -> Bu
         clock,
         cpu,
         scheme_seed: 0x5eed,
-        scheme: bullet_core::SchemeKind::Mac,
         rng_seed: 0xfee1,
         repair: bullet_core::table::RepairPolicy::Fail,
         max_age: 8,
@@ -49,7 +48,8 @@ pub fn paper_config(clock: SimClock, cpu: CpuProfile, cache_capacity: u64) -> Bu
 
 /// `replicas` fresh RAM disks of `blocks` × `block_size` bytes behind one
 /// mirror, each charging `profile`'s seek and transfer costs to `clock`
-/// (no scheduler: the single-client experiments never queue).
+/// behind the default scheduler (the single-client experiments never
+/// queue, so the policy never matters).
 pub fn sim_mirror(
     replicas: usize,
     block_size: u32,
@@ -59,7 +59,12 @@ pub fn sim_mirror(
 ) -> MirroredDisk {
     let replicas = (0..replicas)
         .map(|_| {
-            let disk = SimDisk::new(RamDisk::new(block_size, blocks), clock.clone(), profile);
+            let disk = SchedDisk::new(
+                RamDisk::new(block_size, blocks),
+                clock.clone(),
+                profile,
+                SchedConfig::default(),
+            );
             Arc::new(disk) as Arc<dyn BlockDevice>
         })
         .collect();
@@ -126,9 +131,10 @@ impl BulletRig {
     ) -> BulletRig {
         let clock = SimClock::new();
         // Each replica sits behind its own seek-aware scheduler.  At
-        // queue depth 1 a SchedDisk charges exactly what a SimDisk would,
-        // so single-client numbers are unchanged; under concurrency the
-        // arm serves requests in SCAN order and coalesces neighbours.
+        // queue depth 1 every policy charges the same drive-model time,
+        // so single-client numbers do not depend on the policy; under
+        // concurrency the arm serves requests in SCAN order and coalesces
+        // neighbours.
         let sched_disks: Vec<Arc<SchedDisk<RamDisk>>> = (0..disks.max(1))
             .map(|_| {
                 Arc::new(SchedDisk::new(
@@ -314,10 +320,11 @@ impl NfsRig {
         let hw = HwProfile::amoeba_1989();
         let mut cfg = NfsServerConfig::sun_3_180(clock.clone());
         tweak(&mut cfg);
-        let dev: Arc<dyn BlockDevice> = Arc::new(SimDisk::new(
+        let dev: Arc<dyn BlockDevice> = Arc::new(SchedDisk::new(
             RamDisk::new(cfg.block_size, cfg.disk_blocks),
             clock.clone(),
             hw.disk,
+            SchedConfig::default(),
         ));
         let server = Arc::new(NfsServer::format_on(cfg, dev).expect("formatting succeeds"));
         let net = SimEthernet::with_load(clock.clone(), hw.net, 1.0);

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use amoeba_disk::{RamDisk, SimDisk};
+use amoeba_disk::{RamDisk, SchedConfig, SchedDisk};
 use amoeba_log::LogServer;
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient};
@@ -85,7 +85,12 @@ fn bullet_fetch(size: usize) -> Nanos {
 fn blockfs_fetch(size: usize) -> Nanos {
     let clock = SimClock::new();
     let hw = HwProfile::amoeba_1989();
-    let disk = SimDisk::new(RamDisk::new(1024, 65_536), clock.clone(), hw.disk);
+    let disk = SchedDisk::new(
+        RamDisk::new(1024, 65_536),
+        clock.clone(),
+        hw.disk,
+        SchedConfig::default(),
+    );
     // Aged: scattered allocation; cache large enough to hold metadata but
     // dropped before the measured read so data comes off the platter.
     let mut fs = BlockFs::format(disk, 64, 8 << 20, Some(0xa6ed)).expect("format");

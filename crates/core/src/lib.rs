@@ -69,5 +69,5 @@ pub use gclog::{ChainScan, LogEntry, LogRecord};
 pub use groupcommit::{BatchCaps, GroupCommitter};
 pub use layout::{DiskDescriptor, Inode, Residency};
 pub use rpc_iface::{commands, BulletClient, BulletRpcServer};
-pub use server::{ArchiveDevice, BulletConfig, BulletServer, CompactTick, LayoutEntry, SchemeKind};
+pub use server::{ArchiveDevice, BulletConfig, BulletServer, CompactTick, LayoutEntry};
 pub use shard::{BulletShards, ShardSlot};

@@ -48,8 +48,10 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use amoeba_cap::{AmoebaScheme, Capability, CheckScheme, MacScheme, ObjNum, Port, Rights};
-use amoeba_disk::{BlockDevice, LogWindow, MirroredDisk, RamDisk, SimDisk, WormDisk};
+use amoeba_cap::{Capability, CheckScheme, MacScheme, ObjNum, Port, Rights};
+use amoeba_disk::{
+    BlockDevice, LogWindow, MirroredDisk, RamDisk, SchedConfig, SchedDisk, WormDisk,
+};
 use amoeba_rpc::StreamWire;
 use amoeba_sim::json::Json;
 use amoeba_sim::{
@@ -92,8 +94,6 @@ pub struct BulletConfig {
     /// Seed of the capability-protection key (stable across restarts, as
     /// the real server's key lives on its disk).
     pub scheme_seed: u64,
-    /// Which check-field protection scheme to run (see `amoeba_cap::check`).
-    pub scheme: SchemeKind,
     /// Seed of the inode random-number generator.
     pub rng_seed: u64,
     /// What to do with inodes that fail the start-up consistency scan.
@@ -184,7 +184,6 @@ impl BulletConfig {
             clock: SimClock::new(),
             cpu: CpuProfile::mc68020(),
             scheme_seed: 0x5eed,
-            scheme: SchemeKind::Mac,
             rng_seed: 0x1a2b,
             repair: RepairPolicy::Fail,
             max_age: 8,
@@ -200,28 +199,6 @@ impl BulletConfig {
             tier_high_water_pct: 75,
             maint_idle_request_delta: 0,
             maint_moves_per_tick: 1,
-        }
-    }
-}
-
-/// The capability protection scheme a server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchemeKind {
-    /// The scheme the paper sketches: a server-secret MAC over
-    /// (object, rights, random).  Restriction needs a server round-trip.
-    #[default]
-    Mac,
-    /// The published Amoeba sparse-capabilities scheme: the owner
-    /// capability carries the raw random number, and anyone can restrict
-    /// it *client-side* through the public one-way function.
-    Amoeba,
-}
-
-impl SchemeKind {
-    fn build(self, seed: u64) -> Box<dyn CheckScheme> {
-        match self {
-            SchemeKind::Mac => Box::new(MacScheme::from_seed(seed)),
-            SchemeKind::Amoeba => Box::new(AmoebaScheme::new()),
         }
     }
 }
@@ -283,10 +260,10 @@ struct LogState {
 }
 
 /// The WORM archive tier's device stack: a write-once wrapper (no exempt
-/// region — the inode table stays on the fast tier) over a simulated
-/// drive on the shared clock, so archive I/O charges real simulated time
-/// at its own device's speed.
-pub type ArchiveDevice = WormDisk<SimDisk<RamDisk>>;
+/// region — the inode table stays on the fast tier) over a scheduled
+/// simulated drive on the shared clock, so archive I/O charges real
+/// simulated time at its own device's speed.
+pub type ArchiveDevice = WormDisk<SchedDisk<RamDisk>>;
 
 /// The archive tier: the write-once device plus the recall queue —
 /// archived files whose first post-demotion read scheduled a promotion
@@ -338,7 +315,7 @@ pub struct LayoutEntry {
 /// module documentation for the lock hierarchy.
 pub struct BulletServer {
     cfg: BulletConfig,
-    scheme: Box<dyn CheckScheme>,
+    scheme: MacScheme,
     storage: MirroredDisk,
     /// Copy of the immutable on-disk geometry, readable without a lock.
     desc: DiskDescriptor,
@@ -450,10 +427,11 @@ impl BulletServer {
     fn build_archive(cfg: &BulletConfig, block_size: u32) -> Option<ArchiveState> {
         (cfg.archive_blocks > 0).then(|| ArchiveState {
             dev: Arc::new(WormDisk::with_segments(
-                SimDisk::new(
+                SchedDisk::new(
                     RamDisk::new(block_size, cfg.archive_blocks),
                     cfg.clock.clone(),
                     DiskProfile::scsi_1989(),
+                    SchedConfig::default(),
                 ),
                 0,
                 (cfg.segment_size as u64 / block_size as u64).max(1),
@@ -545,7 +523,7 @@ impl BulletServer {
         storage.set_tracer(tracer.clone());
         let slots = table.descriptor().inode_slots();
         BulletServer {
-            scheme: cfg.scheme.build(cfg.scheme_seed),
+            scheme: MacScheme::from_seed(cfg.scheme_seed),
             desc: *table.descriptor(),
             table: RwLock::new(Tables {
                 inodes: table,
@@ -2497,7 +2475,7 @@ impl BulletServer {
         if cap.port != self.cfg.port {
             return Err(BulletError::CapBad);
         }
-        table.get_verified(cap, needed, self.scheme.as_ref())
+        table.get_verified(cap, needed, &self.scheme)
     }
 
     /// The effective streaming segment: the configured size clamped to a
@@ -3785,25 +3763,6 @@ mod tests {
         assert!(s2.read(&cap).is_ok(), "one round must not expire it");
         s2.age_all().unwrap();
         assert!(s2.read(&cap).is_err(), "two rounds without touch expire it");
-    }
-
-    #[test]
-    fn amoeba_scheme_allows_client_side_restriction() {
-        use amoeba_cap::AmoebaScheme;
-        let mut cfg = BulletConfig::small_test();
-        cfg.scheme = SchemeKind::Amoeba;
-        let s = BulletServer::format(cfg, 2).unwrap();
-        let owner = s.create(payload(50, 3), 1).unwrap();
-        // The client restricts WITHOUT talking to the server — the whole
-        // point of the sparse-capabilities scheme.
-        let reader = AmoebaScheme::new().restrict(&owner, Rights::READ).unwrap();
-        assert_eq!(s.read(&reader).unwrap(), payload(50, 3));
-        assert_eq!(s.delete(&reader).unwrap_err(), BulletError::Denied);
-        // Amplification still fails.
-        let mut amplified = reader;
-        amplified.rights = Rights::ALL;
-        assert_eq!(s.delete(&amplified).unwrap_err(), BulletError::CapBad);
-        s.delete(&owner).unwrap();
     }
 
     #[test]

@@ -4,9 +4,9 @@
 
 use std::collections::HashMap;
 
-use amoeba_cap::{AmoebaScheme, Capability, CheckScheme, MacScheme, Port, Rights};
+use amoeba_cap::{Capability, CheckScheme, MacScheme, Port, Rights};
 use bullet_core::table::{InodeTable, RepairPolicy};
-use bullet_core::{BulletConfig, BulletError, BulletServer, SchemeKind};
+use bullet_core::{BulletConfig, BulletError, BulletServer};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -236,21 +236,17 @@ fn table_on_disk(server: &BulletServer) -> InodeTable {
         .table
 }
 
-/// Walks `ops` against a server running `kind`, and after every step
+/// Walks `ops` against a server, and after every step
 /// presents every capability seen so far in every [`presentations`] form,
 /// forwards and then backwards so that each is tried both before and
 /// after its neighbours were verified.  Reused slots, deleted files and a
 /// restricted capability beside its owner's all arise from the walk.
-fn capability_walk(kind: SchemeKind, ops: &[CapOp]) {
+fn capability_walk(ops: &[CapOp]) {
     let mut configuration = cfg();
-    configuration.scheme = kind;
     // One control block of slots keeps the oracle's table load short;
     // the slot a delete frees is the next one a create fills.
     configuration.min_inodes = 4;
-    let scheme: Box<dyn CheckScheme> = match kind {
-        SchemeKind::Mac => Box::new(MacScheme::from_seed(configuration.scheme_seed)),
-        SchemeKind::Amoeba => Box::new(AmoebaScheme::new()),
-    };
+    let scheme = MacScheme::from_seed(configuration.scheme_seed);
     let mut server = BulletServer::format(configuration.clone(), 2).unwrap();
     let mut seen: Vec<Capability> = Vec::new();
     let mut table = table_on_disk(&server);
@@ -264,16 +260,12 @@ fn capability_walk(kind: SchemeKind, ops: &[CapOp]) {
             CapOp::Delete { cap, forge } if !seen.is_empty() => {
                 let forms = presentations(seen[cap % seen.len()]);
                 let cap = forms[forge % forms.len()];
-                let expected = oracle(
-                    (configuration.port, &table, &*scheme),
-                    &cap,
-                    Rights::DESTROY,
-                );
+                let expected = oracle((configuration.port, &table, &scheme), &cap, Rights::DESTROY);
                 assert_eq!(server.delete(&cap), expected, "delete {cap:?}");
             }
             CapOp::Restrict { cap, mask } if !seen.is_empty() => {
                 let cap = seen[cap % seen.len()];
-                let expected = oracle((configuration.port, &table, &*scheme), &cap, Rights::NONE);
+                let expected = oracle((configuration.port, &table, &scheme), &cap, Rights::NONE);
                 let restricted = server.restrict(&cap, Rights::from_bits(mask));
                 assert_eq!(restricted.as_ref().map(drop), expected.as_ref().map(drop));
                 seen.extend(restricted);
@@ -288,7 +280,7 @@ fn capability_walk(kind: SchemeKind, ops: &[CapOp]) {
         table = table_on_disk(&server);
         for cap in seen.iter().chain(seen.iter().rev()) {
             for cap in presentations(*cap) {
-                let expected = oracle((configuration.port, &table, &*scheme), &cap, Rights::READ);
+                let expected = oracle((configuration.port, &table, &scheme), &cap, Rights::READ);
                 assert_eq!(server.read(&cap).map(drop), expected, "read {cap:?}");
                 assert_eq!(server.size(&cap).map(drop), expected, "size {cap:?}");
             }
@@ -318,8 +310,7 @@ proptest! {
     fn a_remembered_capability_check_never_changes_an_answer(
         ops in proptest::collection::vec(arb_cap_op(), 1..40),
     ) {
-        capability_walk(SchemeKind::Mac, &ops);
-        capability_walk(SchemeKind::Amoeba, &ops);
+        capability_walk(&ops);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SimDisk};
+use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk};
 use amoeba_net::{duplex, SimEthernet};
 use amoeba_rpc::client::{serve_chan, RemoteClient};
 use amoeba_rpc::{Dispatcher, RpcClient, RpcServer};
@@ -23,10 +23,11 @@ fn stack(
     let clock = SimClock::new();
     let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
         .map(|_| {
-            Arc::new(SimDisk::new(
+            Arc::new(SchedDisk::new(
                 RamDisk::new(1024, 65_536),
                 clock.clone(),
                 disk,
+                SchedConfig::default(),
             )) as Arc<dyn BlockDevice>
         })
         .collect();

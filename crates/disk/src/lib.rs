@@ -10,8 +10,6 @@
 //! * [`BlockDevice`] — the sector-addressed device trait everything speaks;
 //! * [`RamDisk`] — a memory-backed device (the default substrate);
 //! * [`FileDisk`] — a host-file-backed device for persistence tests;
-//! * [`SimDisk`] — a wrapper charging seek/rotation/transfer time for a
-//!   late-80s drive to the shared [`amoeba_sim::SimClock`];
 //! * [`FaultyDisk`] — fault injection: fail a device after N operations or
 //!   on demand, to exercise failover;
 //! * [`CrashDisk`] — a volatile write-back buffer with an explicit
@@ -19,10 +17,12 @@
 //! * [`MirroredDisk`] — the replica set, including partial-sync writes
 //!   (`write_sync_k`) and a background queue that models completing the
 //!   remaining replica writes after the client reply was already sent;
-//! * [`SchedDisk`] — a seek-aware per-disk I/O scheduler: queued requests
-//!   are granted in SCAN/SPTF order with deadline aging, and adjacent
-//!   requests coalesce into single larger transfers ([`ArmSim`] is the
-//!   matching deterministic virtual-time simulation for ablations);
+//! * [`SchedDisk`] — the latency model of a late-80s drive: every request
+//!   is charged seek, rotation and transfer time on the shared
+//!   [`amoeba_sim::SimClock`] from where the head stopped, and queued
+//!   requests are granted in SCAN/SPTF order with deadline aging, adjacent
+//!   ones coalescing into single larger transfers ([`ArmSim`] drives the
+//!   same arm as a deterministic virtual-time simulation for ablations);
 //! * [`LogWindow`] — append-head/sequence/residency bookkeeping for the
 //!   group-commit log region the server carves from the data area.
 //!
@@ -51,7 +51,6 @@ pub mod log;
 pub mod mirror;
 pub mod ramdisk;
 pub mod sched;
-pub mod simdisk;
 pub mod worm;
 
 pub use crash::CrashDisk;
@@ -62,8 +61,92 @@ pub use filedisk::FileDisk;
 pub use log::LogWindow;
 pub use mirror::MirroredDisk;
 pub use ramdisk::RamDisk;
-pub use sched::{
-    ArmSim, ArmStats, QueuedReq, ReqKind, SchedConfig, SchedDisk, SchedPolicy, Service,
-};
-pub use simdisk::SimDisk;
+pub use sched::{ArmSim, ArmStats, ReqKind, SchedConfig, SchedDisk, SchedPolicy, Service};
 pub use worm::WormDisk;
+
+/// Single-request charges of the simulated disk: [`SchedDisk`] with one
+/// request in flight, on a fresh disk of 10 000 512-byte sectors.
+#[cfg(test)]
+mod simdisk {
+    mod tests {
+        use crate::{BlockDevice, RamDisk, SchedConfig, SchedDisk};
+        use amoeba_sim::{DiskProfile, Nanos, SimClock};
+
+        fn disk_with(clock: &SimClock, profile: DiskProfile) -> SchedDisk<RamDisk> {
+            SchedDisk::new(
+                RamDisk::new(512, 10_000),
+                clock.clone(),
+                profile,
+                SchedConfig::default(),
+            )
+        }
+
+        fn disk(clock: &SimClock) -> SchedDisk<RamDisk> {
+            disk_with(clock, DiskProfile::scsi_1989())
+        }
+
+        #[test]
+        fn sequential_cheaper_than_scattered() {
+            let c1 = SimClock::new();
+            let d1 = disk(&c1);
+            // 8 sequential blocks, one access.
+            d1.write_blocks(0, &[0u8; 512 * 8]).unwrap();
+            let seq = c1.now();
+
+            let c2 = SimClock::new();
+            let d2 = disk(&c2);
+            // 8 scattered single-block accesses.
+            for i in 0..8 {
+                d2.write_blocks(i * 1000, &[0u8; 512]).unwrap();
+            }
+            let scattered = c2.now();
+            assert!(
+                scattered.as_ns() > 3 * seq.as_ns(),
+                "scattered {scattered} vs sequential {seq}"
+            );
+        }
+
+        #[test]
+        fn contiguous_follow_up_has_no_seek() {
+            let c = SimClock::new();
+            let d = disk(&c);
+            // Head starts at 0, so writing block 500 costs a seek.
+            d.write_blocks(500, &[0u8; 512]).unwrap();
+            let first = c.now();
+            // Head now at block 501; writing block 501 needs no seek.
+            d.write_blocks(501, &[0u8; 512]).unwrap();
+            let second = c.now() - first;
+            assert!(second < first, "second {second} >= first {first}");
+            assert_eq!(d.stats().get("disk_seek_blocks"), 500);
+        }
+
+        #[test]
+        fn stats_track_io() {
+            let c = SimClock::new();
+            let d = disk(&c);
+            d.write_blocks(0, &[0u8; 1024]).unwrap();
+            let mut buf = [0u8; 512];
+            d.read_blocks(0, &mut buf).unwrap();
+            assert_eq!(d.stats().get("disk_writes"), 1);
+            assert_eq!(d.stats().get("disk_reads"), 1);
+            assert_eq!(d.stats().get("disk_bytes_written"), 1024);
+            assert_eq!(d.stats().get("disk_bytes_read"), 512);
+        }
+
+        #[test]
+        fn failed_io_charges_nothing() {
+            let c = SimClock::new();
+            let d = disk(&c);
+            assert!(d.write_blocks(99_999, &[0u8; 512]).is_err());
+            assert_eq!(c.now(), Nanos::ZERO);
+        }
+
+        #[test]
+        fn instant_profile_charges_nothing() {
+            let c = SimClock::new();
+            let d = disk_with(&c, DiskProfile::instant());
+            d.write_blocks(0, &[0u8; 512]).unwrap();
+            assert_eq!(c.now(), Nanos::ZERO);
+        }
+    }
+}

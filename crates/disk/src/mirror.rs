@@ -667,7 +667,7 @@ mod tests {
 
     #[test]
     fn parallel_sync_writes_charge_max_not_sum() {
-        use crate::SimDisk;
+        use crate::{SchedConfig, SchedDisk};
         use amoeba_sim::{DiskProfile, SimClock};
 
         // Two replicas behind latency models sharing one clock: a mirrored
@@ -676,10 +676,11 @@ mod tests {
         let mirrored_cost = {
             let clock = SimClock::new();
             let mk = || -> Arc<dyn BlockDevice> {
-                Arc::new(SimDisk::new(
+                Arc::new(SchedDisk::new(
                     RamDisk::new(512, 1024),
                     clock.clone(),
                     DiskProfile::scsi_1989(),
+                    SchedConfig::default(),
                 ))
             };
             let m = MirroredDisk::new(vec![mk(), mk()]).unwrap();
@@ -689,10 +690,11 @@ mod tests {
         };
         let single_cost = {
             let clock = SimClock::new();
-            let d: Arc<dyn BlockDevice> = Arc::new(SimDisk::new(
+            let d: Arc<dyn BlockDevice> = Arc::new(SchedDisk::new(
                 RamDisk::new(512, 1024),
                 clock.clone(),
                 DiskProfile::scsi_1989(),
+                SchedConfig::default(),
             ));
             let m = MirroredDisk::new(vec![d]).unwrap();
             let ((), cost) =
@@ -707,15 +709,16 @@ mod tests {
 
     #[test]
     fn resync_overlaps_read_and_write() {
-        use crate::SimDisk;
+        use crate::{SchedConfig, SchedDisk};
         use amoeba_sim::{DiskProfile, Nanos, SimClock};
 
         let clock = SimClock::new();
         let mk = || -> Arc<dyn BlockDevice> {
-            Arc::new(SimDisk::new(
+            Arc::new(SchedDisk::new(
                 RamDisk::new(512, 1024),
                 clock.clone(),
                 DiskProfile::scsi_1989(),
+                SchedConfig::default(),
             ))
         };
         let (a, b) = (mk(), mk());
@@ -727,10 +730,11 @@ mod tests {
         let serial = {
             let clock = SimClock::new();
             let mk = || -> Arc<dyn BlockDevice> {
-                Arc::new(SimDisk::new(
+                Arc::new(SchedDisk::new(
                     RamDisk::new(512, 1024),
                     clock.clone(),
                     DiskProfile::scsi_1989(),
+                    SchedConfig::default(),
                 ))
             };
             let (src, dst) = (mk(), mk());

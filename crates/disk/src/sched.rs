@@ -1,15 +1,17 @@
-//! Seek-aware per-disk I/O scheduling.
+//! The disk arm: seek-aware per-disk I/O scheduling and the drive's cost.
 //!
 //! The Bullet paper's bet is that contiguity turns disk time into transfer
-//! time instead of seek time (§3).  [`crate::SimDisk`] already charges
-//! position-dependent seeks, but a server that issues every I/O FIFO, one
-//! at a time, still lets the simulated arm ping-pong between extents under
-//! multi-client load.  This module adds the classic remedy: a per-disk
-//! request queue ordered by an arm-scheduling policy, with adjacent
-//! requests coalesced into single larger transfers.
+//! time instead of seek time (§3).  This module models the arm of one
+//! late-80s SCSI drive exactly once, in the private `Arm`: the request
+//! queue, the head position and sweep direction, the policy pick over the
+//! requests that have arrived, and the one charge — controller overhead, a
+//! distance-dependent seek from the head, average rotation and transfer,
+//! or transfer alone for a continuation.  A request queue ordered by an
+//! arm-scheduling policy, with adjacent requests coalesced into single
+//! larger transfers, keeps the arm from ping-ponging between extents under
+//! multi-client load.
 //!
-//! Two consumers share one deterministic decision core (the private
-//! `choose` function):
+//! Two front ends run that one arm:
 //!
 //! * [`SchedDisk`] — a [`BlockDevice`] wrapper for the real server stack.
 //!   Callers block until the scheduler grants them the arm; the grant
@@ -17,12 +19,12 @@
 //!   that continues exactly where the previous one ended (and was already
 //!   queued when it ended) is charged *transfer time only* — one merged
 //!   physical I/O split across callers.  With a single outstanding
-//!   request it charges exactly what [`crate::SimDisk`] would, so
-//!   single-client benchmarks are bit-identical under either wrapper.
+//!   request every policy charges the same: the drive model's time for
+//!   that one I/O from where the head stopped.
 //! * [`ArmSim`] — a single-threaded virtual-time queueing simulation for
 //!   the ABL14 ablation: requests carry explicit arrival times, services
-//!   are picked by the same policy code, and the whole run is a pure
-//!   function of the submission sequence — byte-identical on replay.
+//!   are picked by the same arm, and the whole run is a pure function of
+//!   the submission sequence — byte-identical on replay.
 //!
 //! # Policies
 //!
@@ -36,7 +38,6 @@
 //! than [`SchedConfig::deadline`] preempts the policy's pick (oldest
 //! expired first), so SPTF's tail latency stays within sight of FIFO's.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 
@@ -96,8 +97,8 @@ impl Default for SchedConfig {
 }
 
 impl SchedConfig {
-    /// FIFO with no coalescing and no aging: byte-identical to running
-    /// without a scheduler at any queue depth.
+    /// FIFO with no coalescing and no aging: requests are served in
+    /// submission order, each charged its full positioning cost.
     pub fn fifo() -> SchedConfig {
         SchedConfig {
             policy: SchedPolicy::Fifo,
@@ -126,60 +127,47 @@ impl ReqKind {
     }
 }
 
-/// One queued request, as the chooser sees it.
+/// One queued request, as the arm sees it.
 #[derive(Debug, Clone, Copy)]
-pub struct QueuedReq {
+struct QueuedReq {
     /// Submission-order id (the FIFO key and every tie-break).
-    pub id: u64,
-    /// Read or write.
-    pub kind: ReqKind,
-    /// First block of the transfer.
-    pub first_block: u64,
+    id: u64,
+    kind: ReqKind,
+    first_block: u64,
     /// Transfer length in blocks.
-    pub blocks: u64,
+    blocks: u64,
     /// Simulated time the request entered the queue.
-    pub arrival: Nanos,
+    arrival: Nanos,
 }
 
-/// The chooser's verdict: which pending request the arm serves next.
+/// The arm's verdict: which queued request it serves next.
 #[derive(Debug, Clone, Copy)]
 struct Choice {
-    /// Index into the pending slice.
-    index: usize,
+    id: u64,
     /// True when deadline aging overrode the policy's pick.
     promoted: bool,
     /// The sweep direction after this pick (SCAN state).
     sweep_up: bool,
 }
 
-/// The policy pick alone, ignoring deadlines.  Ties break on the lowest
-/// id, so the result is a pure function of the queue contents.
-fn policy_pick(
-    pending: &[QueuedReq],
+/// The policy pick alone, ignoring deadlines, and the sweep direction
+/// after it.  Ties break on the lowest id, so the result is a pure
+/// function of the queue contents.
+fn policy_pick<'a>(
+    arrived: impl Iterator<Item = &'a QueuedReq> + Clone,
     head: u64,
     sweep_up: bool,
     policy: SchedPolicy,
-) -> (usize, bool) {
-    debug_assert!(!pending.is_empty());
+) -> Option<(&'a QueuedReq, bool)> {
     let nearest = |dir_ok: &dyn Fn(&QueuedReq) -> bool| {
-        pending
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| dir_ok(r))
-            .min_by_key(|(_, r)| (r.first_block.abs_diff(head), r.id))
-            .map(|(i, _)| i)
+        arrived
+            .clone()
+            .filter(|r| dir_ok(r))
+            .min_by_key(|r| (r.first_block.abs_diff(head), r.id))
     };
     match policy {
-        SchedPolicy::Fifo => {
-            let i = pending
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, r)| r.id)
-                .map(|(i, _)| i)
-                .expect("pending is non-empty");
-            (i, sweep_up)
-        }
-        SchedPolicy::Sptf => (nearest(&|_| true).expect("pending is non-empty"), sweep_up),
+        SchedPolicy::Fifo => arrived.clone().min_by_key(|r| r.id).map(|r| (r, sweep_up)),
+        SchedPolicy::Sptf => nearest(&|_| true).map(|r| (r, sweep_up)),
         SchedPolicy::Scan => {
             let ahead = if sweep_up {
                 nearest(&|r: &QueuedReq| r.first_block >= head)
@@ -187,48 +175,125 @@ fn policy_pick(
                 nearest(&|r: &QueuedReq| r.first_block <= head)
             };
             match ahead {
-                Some(i) => (i, sweep_up),
+                Some(r) => Some((r, sweep_up)),
                 // Nothing left along this sweep: reverse.
-                None => (nearest(&|_| true).expect("pending is non-empty"), !sweep_up),
+                None => nearest(&|_| true).map(|r| (r, !sweep_up)),
             }
         }
     }
 }
 
-/// Picks the next request to serve: the policy's choice, unless some
-/// request's deadline has expired — then the oldest expired request wins
-/// (promoted), bounding starvation under SPTF and SCAN.
-fn choose(
-    pending: &[QueuedReq],
+/// One disk arm: the foreground request queue, the head and SCAN's sweep
+/// direction, the pick, and the charge.  It owns no clock and no thread;
+/// each front end says when "now" is and which requests have arrived.
+#[derive(Debug, Clone)]
+struct Arm {
+    cfg: SchedConfig,
+    profile: DiskProfile,
+    block_size: u32,
+    total_blocks: u64,
+    next_id: u64,
+    pending: Vec<QueuedReq>,
     head: u64,
     sweep_up: bool,
-    now: Nanos,
-    cfg: &SchedConfig,
-) -> Choice {
-    let (pick, sweep) = policy_pick(pending, head, sweep_up, cfg.policy);
-    if cfg.deadline > Nanos::ZERO {
-        let expired = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.arrival + cfg.deadline <= now)
-            .min_by_key(|(_, r)| (r.arrival, r.id))
-            .map(|(i, _)| i);
-        if let Some(i) = expired {
-            if i != pick {
-                // The arm detours for the aged request; the sweep
-                // direction resumes unchanged afterwards.
-                return Choice {
-                    index: i,
-                    promoted: true,
-                    sweep_up,
-                };
-            }
+}
+
+impl Arm {
+    /// An idle arm parked at block 0 of a disk of `total_blocks` sectors
+    /// of `block_size` bytes.
+    fn new(cfg: SchedConfig, profile: DiskProfile, block_size: u32, total_blocks: u64) -> Arm {
+        Arm {
+            cfg,
+            profile,
+            block_size,
+            total_blocks,
+            next_id: 0,
+            pending: Vec::new(),
+            head: 0,
+            sweep_up: true,
         }
     }
-    Choice {
-        index: pick,
-        promoted: false,
-        sweep_up: sweep,
+
+    /// A request under the next submission-order id; the caller queues it.
+    fn request(
+        &mut self,
+        kind: ReqKind,
+        first_block: u64,
+        blocks: u64,
+        arrival: Nanos,
+    ) -> QueuedReq {
+        let id = self.next_id;
+        self.next_id += 1;
+        QueuedReq {
+            id,
+            kind,
+            first_block,
+            blocks,
+            arrival,
+        }
+    }
+
+    /// The queued requests that have arrived by `by`.
+    fn arrived(&self, by: Nanos) -> impl Iterator<Item = &QueuedReq> + Clone {
+        self.pending.iter().filter(move |r| r.arrival <= by)
+    }
+
+    /// The next request to serve among those arrived by `by`: the
+    /// policy's pick, unless some request's deadline has expired at `now`
+    /// — then the oldest expired request wins (promoted), bounding
+    /// starvation under SPTF and SCAN.  `None` when none has arrived.
+    fn pick(&self, by: Nanos, now: Nanos) -> Option<Choice> {
+        let (pick, sweep_up) =
+            policy_pick(self.arrived(by), self.head, self.sweep_up, self.cfg.policy)?;
+        let deadline = self.cfg.deadline;
+        if deadline > Nanos::ZERO {
+            let expired = self
+                .arrived(by)
+                .filter(|r| r.arrival + deadline <= now)
+                .min_by_key(|r| (r.arrival, r.id));
+            if let Some(r) = expired.filter(|r| r.id != pick.id) {
+                // The arm detours for the aged request; the sweep
+                // direction resumes unchanged afterwards.
+                return Some(Choice {
+                    id: r.id,
+                    promoted: true,
+                    sweep_up: self.sweep_up,
+                });
+            }
+        }
+        Some(Choice {
+            id: pick.id,
+            promoted: false,
+            sweep_up,
+        })
+    }
+
+    /// Takes the sweep direction of a granted pick and removes request
+    /// `id` from the queue; `None` when it is not queued here.
+    fn take(&mut self, id: u64, sweep_up: bool) -> Option<QueuedReq> {
+        self.sweep_up = sweep_up;
+        let index = self.pending.iter().position(|r| r.id == id)?;
+        Some(self.pending.remove(index))
+    }
+
+    /// The one charge of a transfer of `bytes` from `first_block`:
+    /// positioning from the head plus transfer, or transfer alone for a
+    /// continuation (the same physical I/O picking up exactly where the
+    /// arm stopped: no controller setup, no seek, no rotation).  Leaves
+    /// the head just past the range; returns the time and the blocks of
+    /// arm travel.
+    fn charge(&mut self, first_block: u64, bytes: u64, continuation: bool) -> (Nanos, u64) {
+        let (t, seek_blocks) = if continuation {
+            let t = Nanos::from_us_f64(bytes as f64 * self.profile.transfer_us_per_byte);
+            (t, 0)
+        } else {
+            let t = self
+                .profile
+                .io_time(self.head, first_block, self.total_blocks, bytes);
+            (t, self.head.abs_diff(first_block))
+        };
+        self.head = first_block + bytes.div_ceil(self.block_size as u64);
+        (t, seek_blocks)
     }
 }
 
@@ -271,7 +336,8 @@ pub struct ArmStats {
     pub seek_blocks: u64,
     /// Deadline promotions.
     pub promotions: u64,
-    /// Highest queue depth observed at submission.
+    /// Highest queue depth at a service start: the requests queued that
+    /// had arrived by then, the one served included.
     pub depth_max: u64,
 }
 
@@ -282,15 +348,8 @@ pub struct ArmStats {
 /// submissions yields a byte-identical service log.
 #[derive(Debug, Clone)]
 pub struct ArmSim {
-    cfg: SchedConfig,
-    profile: DiskProfile,
-    block_size: u32,
-    total_blocks: u64,
+    arm: Arm,
     now: Nanos,
-    head: u64,
-    sweep_up: bool,
-    next_id: u64,
-    pending: Vec<QueuedReq>,
     stats: ArmStats,
 }
 
@@ -304,15 +363,8 @@ impl ArmSim {
         total_blocks: u64,
     ) -> ArmSim {
         ArmSim {
-            cfg,
-            profile,
-            block_size,
-            total_blocks,
+            arm: Arm::new(cfg, profile, block_size, total_blocks),
             now: Nanos::ZERO,
-            head: 0,
-            sweep_up: true,
-            next_id: 0,
-            pending: Vec::new(),
             stats: ArmStats::default(),
         }
     }
@@ -322,20 +374,14 @@ impl ArmSim {
         self.now
     }
 
-    /// Advances virtual time while the device is idle (the driver jumps
-    /// to the next client arrival).  Never moves time backwards.
-    pub fn idle_until(&mut self, t: Nanos) {
-        self.now = self.now.max(t);
-    }
-
     /// Requests currently queued.
     pub fn queue_len(&self) -> usize {
-        self.pending.len()
+        self.arm.pending.len()
     }
 
     /// Current head position in blocks.
     pub fn head(&self) -> u64 {
-        self.head
+        self.arm.head
     }
 
     /// Run counters so far.
@@ -345,18 +391,10 @@ impl ArmSim {
 
     /// Queues a request arriving at `arrival`; returns its id.
     pub fn submit(&mut self, kind: ReqKind, first_block: u64, blocks: u64, arrival: Nanos) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push(QueuedReq {
-            id,
-            kind,
-            first_block,
-            blocks,
-            arrival,
-        });
+        let req = self.arm.request(kind, first_block, blocks, arrival);
+        self.arm.pending.push(req);
         self.stats.submitted += 1;
-        self.stats.depth_max = self.stats.depth_max.max(self.pending.len() as u64);
-        id
+        req.id
     }
 
     /// Serves one physical I/O: picks among the requests that have
@@ -365,62 +403,44 @@ impl ArmSim {
     /// on the virtual clock, and advances the head.  Returns `None` when
     /// the queue is empty.
     pub fn service_one(&mut self) -> Option<Service> {
-        let min_arrival = self.pending.iter().map(|r| r.arrival).min()?;
+        let min_arrival = self.arm.pending.iter().map(|r| r.arrival).min()?;
         let start = self.now.max(min_arrival);
-        let eligible: Vec<QueuedReq> = self
-            .pending
-            .iter()
-            .copied()
-            .filter(|r| r.arrival <= start)
-            .collect();
-        let c = choose(&eligible, self.head, self.sweep_up, start, &self.cfg);
-        self.sweep_up = c.sweep_up;
-        let primary = eligible[c.index];
-        let pos = self
-            .pending
-            .iter()
-            .position(|r| r.id == primary.id)
-            .expect("eligible requests are pending");
-        self.pending.remove(pos);
+        let depth = self.arm.arrived(start).count() as u64;
+        let c = self
+            .arm
+            .pick(start, start)
+            .expect("the earliest request has arrived by the start");
+        let primary = self.arm.take(c.id, c.sweep_up).expect("the pick is queued");
 
         let mut ids = vec![primary.id];
         let mut first = primary.first_block;
         let mut blocks = primary.blocks;
-        if self.cfg.coalesce {
-            // Chain every eligible request touching either end of the
+        if self.arm.cfg.coalesce {
+            // Chain every arrived request touching either end of the
             // merged range (front and back merges, like a real elevator's
             // request merging): one arm positioning, one rotation, one
             // long transfer starting at the lowest block.
-            loop {
-                let neighbour = self.pending.iter().position(|r| {
-                    r.arrival <= start
-                        && r.kind == primary.kind
-                        && (r.first_block == first + blocks || r.first_block + r.blocks == first)
-                });
-                match neighbour {
-                    Some(i) => {
-                        let r = self.pending.remove(i);
-                        ids.push(r.id);
-                        first = first.min(r.first_block);
-                        blocks += r.blocks;
-                    }
-                    None => break,
-                }
+            while let Some(i) = self.arm.pending.iter().position(|r| {
+                r.arrival <= start
+                    && r.kind == primary.kind
+                    && (r.first_block == first + blocks || r.first_block + r.blocks == first)
+            }) {
+                let r = self.arm.pending.remove(i);
+                ids.push(r.id);
+                first = first.min(r.first_block);
+                blocks += r.blocks;
             }
         }
 
-        let seek_blocks = self.head.abs_diff(first);
-        let bytes = blocks * self.block_size as u64;
-        let t = self
-            .profile
-            .io_time(self.head, first, self.total_blocks, bytes);
+        let bytes = blocks * self.arm.block_size as u64;
+        let (t, seek_blocks) = self.arm.charge(first, bytes, false);
         let end = start + t;
-        self.head = first + blocks;
         self.now = end;
         self.stats.issued += 1;
         self.stats.coalesced += ids.len() as u64 - 1;
         self.stats.seek_blocks += seek_blocks;
         self.stats.promotions += u64::from(c.promoted);
+        self.stats.depth_max = self.stats.depth_max.max(depth);
         Some(Service {
             ids,
             kind: primary.kind,
@@ -438,55 +458,47 @@ impl ArmSim {
 // The real-stack wrapper.
 // ---------------------------------------------------------------------
 
-/// The grant recorded for the current free-arm period: which pending
-/// request owns the arm next, plus the choice metadata it needs when it
-/// claims.  Computed once per period and held stable until claimed —
-/// `choose` consults the shared clock for deadline aging, so
-/// re-evaluating it on every wakeup could flip the pick between two
-/// waiters (each seeing the other as chosen) and park them both with
-/// the arm free and nobody left to notify.
-#[derive(Debug, Clone, Copy)]
-struct Grant {
-    id: u64,
-    promoted: bool,
-    sweep_up: bool,
-}
-
 /// Scheduler state shared by every thread queued on one device.
 struct SchedState {
-    next_id: u64,
-    pending: Vec<QueuedReq>,
+    /// The arm and its foreground queue.
+    arm: Arm,
     /// The background lane: requests here are only granted the arm when
-    /// `pending` is empty, oldest first.  Maintenance streams (archive
-    /// demotion, resync) queue here so they never starve foreground
-    /// grants; a background request can still be *continued* by
-    /// foreground traffic that lands adjacent to where it parked the arm.
+    /// the foreground queue is empty, oldest first.  Maintenance streams
+    /// (archive demotion, resync) queue here so they never starve
+    /// foreground grants; a background request can still be *continued*
+    /// by foreground traffic that lands adjacent to where it parked the
+    /// arm.
     low_pending: Vec<QueuedReq>,
     /// True while some granted request is between grant and completion.
     busy: bool,
-    /// The stable pick for the current free-arm period; `None` until the
-    /// first waiter evaluates `choose` after the arm frees.
-    grant: Option<Grant>,
-    head: u64,
-    sweep_up: bool,
+    /// The pick for the current free-arm period, `None` until the first
+    /// waiter evaluates it after the arm frees.  Computed once per period
+    /// and held until claimed: the pick consults the shared clock for
+    /// deadline aging, so re-evaluating it on every wakeup could flip it
+    /// between two waiters (each seeing the other as chosen) and park them
+    /// both with the arm free and nobody left to notify.
+    grant: Option<Choice>,
     /// Kind and end block of the last completed service — the coalescing
     /// anchor.
     last_end: Option<(ReqKind, u64)>,
-    /// Ids that were already queued when the last service completed:
-    /// only those may continue it as a merged transfer (a request that
-    /// arrives later missed the arm and pays the full positioning cost,
-    /// exactly as [`crate::SimDisk`] charges it).
-    continuations: HashSet<u64>,
+    /// The arm's next id when the last service completed.  Ids are handed
+    /// out in order and no grant is outstanding at a completion, so a
+    /// foreground request below this mark was already queued then: only
+    /// such a request may continue that service as a merged transfer (one
+    /// that arrives later missed the arm and pays the full positioning
+    /// cost).
+    continue_below: u64,
 }
 
 /// A [`BlockDevice`] wrapper that queues concurrent requests and grants
-/// the arm in policy order, charging seek/rotation/transfer time to the
-/// simulated clock like [`crate::SimDisk`] — see the module docs.
+/// the arm in policy order, charging the drive model's
+/// seek/rotation/transfer time to the simulated clock — see the module
+/// docs.
 ///
-/// With at most one request outstanding the charge sequence is
-/// *identical* to `SimDisk`'s, so existing single-client benchmarks keep
-/// their numbers bit-for-bit.  Reordering, deadline promotion, and
-/// coalescing only engage when requests actually overlap.
+/// With at most one request outstanding every policy charges the same
+/// sequence: each I/O costs its full positioning from where the previous
+/// one left the head.  Reordering, deadline promotion, and coalescing only
+/// engage when requests actually overlap.
 ///
 /// # Example
 ///
@@ -508,8 +520,6 @@ struct SchedState {
 pub struct SchedDisk<D> {
     inner: D,
     clock: SimClock,
-    profile: DiskProfile,
-    cfg: SchedConfig,
     state: StdMutex<SchedState>,
     cv: Condvar,
     stats: Stats,
@@ -525,21 +535,17 @@ impl<D: BlockDevice> SchedDisk<D> {
     /// Wraps `inner`, charging time to `clock` per `profile`, granting
     /// the arm per `cfg`.
     pub fn new(inner: D, clock: SimClock, profile: DiskProfile, cfg: SchedConfig) -> SchedDisk<D> {
+        let arm = Arm::new(cfg, profile, inner.block_size(), inner.num_blocks());
         SchedDisk {
             inner,
             clock,
-            profile,
-            cfg,
             state: StdMutex::new(SchedState {
-                next_id: 0,
-                pending: Vec::new(),
+                arm,
                 low_pending: Vec::new(),
                 busy: false,
                 grant: None,
-                head: 0,
-                sweep_up: true,
                 last_end: None,
-                continuations: HashSet::new(),
+                continue_below: 0,
             }),
             cv: Condvar::new(),
             stats: Stats::new(),
@@ -549,11 +555,10 @@ impl<D: BlockDevice> SchedDisk<D> {
         }
     }
 
-    /// Per-device statistics: the [`crate::SimDisk`] set (`disk_reads`,
-    /// `disk_writes`, `disk_bytes_read`, `disk_bytes_written`,
-    /// `disk_seek_blocks`) plus the scheduler's own
-    /// (`disk_queue_depth_max`, `disk_coalesced_ios`,
-    /// `sched_deadline_promotions`).
+    /// Per-device statistics: `disk_reads`, `disk_writes`,
+    /// `disk_bytes_read`, `disk_bytes_written`, `disk_seek_blocks`, plus
+    /// the scheduler's own (`disk_queue_depth_max`, `disk_coalesced_ios`,
+    /// `sched_deadline_promotions`, `sched_low_queued`).
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
@@ -563,14 +568,9 @@ impl<D: BlockDevice> SchedDisk<D> {
         &self.inner
     }
 
-    /// The scheduler configuration in force.
-    pub fn config(&self) -> SchedConfig {
-        self.cfg
-    }
-
     /// Requests currently queued (granted-but-incomplete excluded).
     pub fn queue_len(&self) -> usize {
-        self.lock_state().pending.len()
+        self.lock_state().arm.pending.len()
     }
 
     /// Background-lane requests currently queued.
@@ -638,42 +638,35 @@ impl<D: BlockDevice> SchedDisk<D> {
         // condvar: at an idle arm with nothing queued the grant step picks
         // the lone request at once, and only a request that loses waits.
         // The first thread to find the arm free with no grant on record
-        // evaluates `choose` once and publishes the pick ([`Grant`]); every
+        // picks once and publishes the pick (`SchedState::grant`); every
         // later check in the same period reads that record instead of
-        // re-choosing, so the clock-dependent deadline verdict cannot flip
+        // re-picking, so the clock-dependent deadline verdict cannot flip
         // the pick between waiters.  A grant recorded for another request
         // is followed by a notify_all, since that request's thread is
         // parked.
-        let (head_at_grant, promoted, continuation, depth) = {
+        let (policy, promoted, continuation, depth) = {
             let mut st = self.lock_state();
-            let id = st.next_id;
-            st.next_id += 1;
-            let req = QueuedReq {
-                id,
-                kind,
-                first_block,
-                blocks,
-                arrival,
-            };
+            let req = st.arm.request(kind, first_block, blocks, arrival);
+            let id = req.id;
             if low {
                 st.low_pending.push(req);
                 self.stats.incr("sched_low_queued");
             } else {
-                st.pending.push(req);
+                st.arm.pending.push(req);
                 self.stats
-                    .set_max("disk_queue_depth_max", st.pending.len() as u64);
+                    .set_max("disk_queue_depth_max", st.arm.pending.len() as u64);
             }
             self.sample_gauges(
                 arrival,
-                (st.pending.len() + st.low_pending.len()) as u64,
-                st.head,
+                (st.arm.pending.len() + st.low_pending.len()) as u64,
+                st.arm.head,
             );
             loop {
                 if !st.busy {
                     let g = match st.grant {
                         Some(g) => g,
                         None => {
-                            let g = if st.pending.is_empty() {
+                            let g = if st.arm.pending.is_empty() {
                                 // Foreground lane drained: the arm is
                                 // free for background traffic, oldest
                                 // request first (the evaluator's own
@@ -684,24 +677,17 @@ impl<D: BlockDevice> SchedDisk<D> {
                                     .iter()
                                     .min_by_key(|r| r.id)
                                     .expect("some waiter queued a request");
-                                Grant {
+                                Choice {
                                     id: r.id,
                                     promoted: false,
-                                    sweep_up: st.sweep_up,
+                                    sweep_up: st.arm.sweep_up,
                                 }
                             } else {
-                                let c = choose(
-                                    &st.pending,
-                                    st.head,
-                                    st.sweep_up,
-                                    self.clock.now(),
-                                    &self.cfg,
-                                );
-                                Grant {
-                                    id: st.pending[c.index].id,
-                                    promoted: c.promoted,
-                                    sweep_up: c.sweep_up,
-                                }
+                                // Every queued request has arrived; the
+                                // clock only judges deadlines.
+                                st.arm
+                                    .pick(Nanos(u64::MAX), self.clock.now())
+                                    .expect("the foreground queue is non-empty")
                             };
                             st.grant = Some(g);
                             if g.id != id {
@@ -714,12 +700,9 @@ impl<D: BlockDevice> SchedDisk<D> {
                     };
                     if g.id == id {
                         st.grant = None;
-                        st.sweep_up = g.sweep_up;
                         st.busy = true;
-                        let depth = st.pending.len() + st.low_pending.len();
-                        if let Some(index) = st.pending.iter().position(|r| r.id == id) {
-                            st.pending.remove(index);
-                        } else {
+                        let depth = st.arm.pending.len() + st.low_pending.len();
+                        if st.arm.take(id, g.sweep_up).is_none() {
                             let index = st
                                 .low_pending
                                 .iter()
@@ -727,10 +710,11 @@ impl<D: BlockDevice> SchedDisk<D> {
                                 .expect("a granted id is pending");
                             st.low_pending.remove(index);
                         }
-                        let continuation = self.cfg.coalesce
-                            && st.continuations.contains(&id)
+                        let continuation = st.arm.cfg.coalesce
+                            && !low
+                            && id < st.continue_below
                             && st.last_end == Some((kind, first_block));
-                        break (st.head, g.promoted, continuation, depth);
+                        break (st.arm.cfg.policy, g.promoted, continuation, depth);
                     }
                 }
                 st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -746,7 +730,7 @@ impl<D: BlockDevice> SchedDisk<D> {
                 "disk.sched",
                 &[
                     ("kind", AttrValue::Str(kind.label())),
-                    ("policy", AttrValue::Str(self.cfg.policy.label())),
+                    ("policy", AttrValue::Str(policy.label())),
                     ("queue", AttrValue::U64(depth as u64)),
                     (
                         "wait_us",
@@ -759,36 +743,25 @@ impl<D: BlockDevice> SchedDisk<D> {
         }
         drop(tracer);
 
-        let result = io();
-        match result {
-            Ok(()) => {
-                // A continuation picks up exactly where the arm stopped,
-                // inside the same physical I/O: no controller setup, no
-                // seek, no rotation — transfer time only.
-                let t = if continuation {
-                    self.stats.incr("disk_coalesced_ios");
-                    Nanos::from_us_f64(len as f64 * self.profile.transfer_us_per_byte)
-                } else {
-                    self.stats
-                        .add("disk_seek_blocks", head_at_grant.abs_diff(first_block));
-                    self.profile
-                        .io_time(head_at_grant, first_block, self.inner.num_blocks(), len)
-                };
-                self.clock.advance(t);
-                let mut st = self.lock_state();
-                st.head = first_block + blocks;
-                st.last_end = Some((kind, st.head));
-                st.continuations = st.pending.iter().map(|r| r.id).collect();
-                self.release_arm(st);
-                Ok(())
-            }
-            Err(e) => {
-                // Failed I/O charges nothing and moves nothing — SimDisk
-                // parity — but must still release the arm.
-                self.release_arm(self.lock_state());
-                Err(e)
-            }
+        io().inspect_err(|_| {
+            // A failed I/O charges nothing and moves nothing, but must
+            // still release the arm.
+            self.release_arm(self.lock_state());
+        })?;
+        let mut st = self.lock_state();
+        let (t, seek_blocks) = st.arm.charge(first_block, len, continuation);
+        st.last_end = Some((kind, st.arm.head));
+        st.continue_below = st.arm.next_id;
+        // Charged before the arm frees, so the next pick judges deadlines
+        // after this service.
+        self.clock.advance(t);
+        self.release_arm(st);
+        if continuation {
+            self.stats.incr("disk_coalesced_ios");
+        } else {
+            self.stats.add("disk_seek_blocks", seek_blocks);
         }
+        Ok(())
     }
 
     /// Frees the arm and wakes the parked threads, if there are any.  A
@@ -798,7 +771,7 @@ impl<D: BlockDevice> SchedDisk<D> {
     /// syscall even when nobody waits, is skipped.
     fn release_arm(&self, mut st: MutexGuard<'_, SchedState>) {
         st.busy = false;
-        let parked = !st.pending.is_empty() || !st.low_pending.is_empty();
+        let parked = !st.arm.pending.is_empty() || !st.low_pending.is_empty();
         drop(st);
         if parked {
             self.cv.notify_all();
@@ -852,9 +825,10 @@ impl<D: BlockDevice> BlockDevice for SchedDisk<D> {
 
 impl<D: BlockDevice> std::fmt::Debug for SchedDisk<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let st = self.lock_state();
         f.debug_struct("SchedDisk")
-            .field("policy", &self.cfg.policy)
-            .field("queue_len", &self.queue_len())
+            .field("policy", &st.arm.cfg.policy)
+            .field("queue_len", &st.arm.pending.len())
             .finish()
     }
 }
@@ -862,7 +836,7 @@ impl<D: BlockDevice> std::fmt::Debug for SchedDisk<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RamDisk, SimDisk};
+    use crate::RamDisk;
     use std::sync::Arc;
 
     fn sim(cfg: SchedConfig) -> ArmSim {
@@ -1080,52 +1054,61 @@ mod tests {
         assert_eq!(second.start, late);
     }
 
+    #[test]
+    fn depth_counts_only_requests_that_have_arrived() {
+        // A request queued for the far future is not in the queue yet when
+        // the first one is served.
+        let mut s = sim(SchedConfig::default());
+        s.submit(ReqKind::Read, 100, 8, Nanos::ZERO);
+        s.submit(ReqKind::Read, 200, 8, Nanos::from_secs(60));
+        assert_eq!(drain(&mut s).len(), 2);
+        assert_eq!(s.stats().depth_max, 1);
+    }
+
     // ---------------- SchedDisk (real-stack wrapper) ----------------
 
     #[test]
     fn depth_one_charges_match_simdisk_exactly() {
-        let pattern: &[(u64, usize)] = &[(500, 1024), (501, 2048), (9_000, 1024), (0, 4096)];
-        let run_sim = || {
+        // One request at a time, every policy charges the drive model's
+        // time for each I/O from where the previous one left the head.
+        let pattern: &[(ReqKind, u64, usize)] = &[
+            (ReqKind::Write, 500, 1024),
+            (ReqKind::Write, 501, 2048),
+            (ReqKind::Write, 9_000, 1024),
+            (ReqKind::Write, 0, 4096),
+            (ReqKind::Read, 500, 2048),
+        ];
+        let profile = DiskProfile::scsi_1989();
+        let (mut head, mut expected, mut seeks) = (0u64, Nanos::ZERO, 0u64);
+        for &(_, b, len) in pattern {
+            expected += profile.io_time(head, b, 10_000, len as u64);
+            seeks += head.abs_diff(b);
+            head = b + len as u64 / 1024;
+        }
+        let run = |cfg: SchedConfig| {
             let c = SimClock::new();
-            let d = SimDisk::new(
-                RamDisk::new(1024, 10_000),
-                c.clone(),
-                DiskProfile::scsi_1989(),
-            );
-            for &(b, len) in pattern {
-                d.write_blocks(b, &vec![7u8; len]).unwrap();
+            let d = SchedDisk::new(RamDisk::new(1024, 10_000), c.clone(), profile, cfg);
+            for &(kind, b, len) in pattern {
+                let mut buf = vec![7u8; len];
+                match kind {
+                    ReqKind::Read => d.read_blocks(b, &mut buf).unwrap(),
+                    ReqKind::Write => d.write_blocks(b, &buf).unwrap(),
+                }
             }
-            let mut buf = vec![0u8; 2048];
-            d.read_blocks(500, &mut buf).unwrap();
             (c.now(), d.stats().get("disk_seek_blocks"))
         };
-        let run_sched = |cfg: SchedConfig| {
-            let c = SimClock::new();
-            let d = SchedDisk::new(
-                RamDisk::new(1024, 10_000),
-                c.clone(),
-                DiskProfile::scsi_1989(),
-                cfg,
-            );
-            for &(b, len) in pattern {
-                d.write_blocks(b, &vec![7u8; len]).unwrap();
-            }
-            let mut buf = vec![0u8; 2048];
-            d.read_blocks(500, &mut buf).unwrap();
-            (c.now(), d.stats().get("disk_seek_blocks"))
-        };
-        // Identical under every policy: with one outstanding request the
-        // chooser has exactly one candidate and coalescing never engages.
-        let baseline = run_sim();
-        assert_eq!(run_sched(SchedConfig::default()), baseline);
-        assert_eq!(run_sched(SchedConfig::fifo()), baseline);
-        assert_eq!(
-            run_sched(SchedConfig {
+        // With one outstanding request the chooser has exactly one
+        // candidate and coalescing never engages.
+        for cfg in [
+            SchedConfig::default(),
+            SchedConfig::fifo(),
+            SchedConfig {
                 policy: SchedPolicy::Sptf,
                 ..SchedConfig::default()
-            }),
-            baseline
-        );
+            },
+        ] {
+            assert_eq!(run(cfg), (expected, seeks), "{cfg:?}");
+        }
     }
 
     #[test]
@@ -1255,14 +1238,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn concurrent_requests_are_granted_in_policy_order_with_coalescing() {
+    /// Holds the arm at block 5 000 with an 8-block write, queues 8-block
+    /// writes at 40 000, 100 and 5 008 behind it in that order, then lets
+    /// them all run: the order the writes reached the media, the clock,
+    /// and the disk.
+    fn gated_queue(cfg: SchedConfig) -> (Vec<u64>, Nanos, Arc<SchedDisk<GateDisk>>) {
         let clock = SimClock::new();
         let disk = Arc::new(SchedDisk::new(
             GateDisk::new(RamDisk::new(1024, 65_536)),
             clock.clone(),
             DiskProfile::scsi_1989(),
-            SchedConfig::default(), // SCAN + coalesce
+            cfg,
         ));
 
         // First writer seizes the arm at block 5 000 and blocks on the
@@ -1293,10 +1279,16 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
+        let order = disk.inner().order.lock().unwrap().clone();
+        (order, clock.now(), disk)
+    }
+
+    #[test]
+    fn concurrent_requests_are_granted_in_policy_order_with_coalescing() {
+        let (order, _, disk) = gated_queue(SchedConfig::default()); // SCAN + coalesce
 
         // SCAN from 5 008 sweeping up: 5 008 (a zero-seek continuation of
         // the first write), 40 000, then reverse down to 100.
-        let order = disk.inner().order.lock().unwrap().clone();
         assert_eq!(order, vec![5_000, 5_008, 40_000, 100]);
         assert_eq!(disk.stats().get("disk_coalesced_ios"), 1);
         assert_eq!(disk.stats().get("disk_queue_depth_max"), 3);
@@ -1307,6 +1299,40 @@ mod tests {
             disk.stats().get("disk_seek_blocks"),
             5_000 + (40_000 - 5_016) + (40_008 - 100)
         );
+
+        // Without coalescing or aging, a real queue is served exactly as
+        // the virtual-time engine serves the same requests: same media
+        // order, same clock, same arm travel, under every policy.
+        for (policy, served) in [
+            (SchedPolicy::Fifo, [40_000, 100, 5_008]),
+            (SchedPolicy::Scan, [5_008, 40_000, 100]),
+            (SchedPolicy::Sptf, [5_008, 100, 40_000]),
+        ] {
+            let cfg = SchedConfig {
+                policy,
+                coalesce: false,
+                deadline: Nanos::ZERO,
+            };
+            let (order, now, disk) = gated_queue(cfg);
+            assert_eq!(order[1..], served, "{policy:?}");
+            let mut sim = ArmSim::new(cfg, DiskProfile::scsi_1989(), 1024, 65_536);
+            sim.submit(ReqKind::Write, 5_000, 8, Nanos::ZERO);
+            // The held write is granted alone, before the others queue.
+            let held = sim.service_one().unwrap();
+            for b in [40_000, 100, 5_008] {
+                sim.submit(ReqKind::Write, b, 8, Nanos::ZERO);
+            }
+            let sim_order: Vec<u64> = std::iter::once(held.first_block)
+                .chain(drain(&mut sim).iter().map(|v| v.first_block))
+                .collect();
+            assert_eq!(order, sim_order, "{policy:?}");
+            assert_eq!(now, sim.now(), "{policy:?}");
+            assert_eq!(
+                disk.stats().get("disk_seek_blocks"),
+                sim.stats().seek_blocks,
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]

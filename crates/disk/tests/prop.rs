@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use amoeba_disk::{BlockDevice, CrashDisk, MirroredDisk, RamDisk, SimDisk, WormDisk};
+use amoeba_disk::{
+    BlockDevice, CrashDisk, MirroredDisk, RamDisk, SchedConfig, SchedDisk, WormDisk,
+};
 use amoeba_sim::{DiskProfile, SimClock};
 use proptest::prelude::*;
 
@@ -52,7 +54,12 @@ proptest! {
         ops in proptest::collection::vec(arb_write(), 1..40),
     ) {
         let clock = SimClock::new();
-        let d = SimDisk::new(RamDisk::new(BS as u32, BLOCKS), clock.clone(), DiskProfile::scsi_1989());
+        let d = SchedDisk::new(
+            RamDisk::new(BS as u32, BLOCKS),
+            clock.clone(),
+            DiskProfile::scsi_1989(),
+            SchedConfig::default(),
+        );
         check_device_matches_model(&d, &ops);
         prop_assert!(clock.now().as_ns() > 0);
     }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use amoeba_bullet::bullet::counters::{DEDUP_HITS, FAILOVER_READS};
 use amoeba_bullet::bullet::{commands, BulletClient, BulletConfig, BulletRpcServer, BulletServer};
 use amoeba_bullet::cap::Capability;
-use amoeba_bullet::disk::{BlockDevice, FaultyDisk, MirroredDisk, RamDisk, SimDisk};
+use amoeba_bullet::disk::{BlockDevice, FaultyDisk, MirroredDisk, RamDisk, SchedConfig, SchedDisk};
 use amoeba_bullet::net::SimEthernet;
 use amoeba_bullet::rpc::fault::{tag_request, TxnId};
 use amoeba_bullet::rpc::{Dispatcher, Request, RpcClient, RpcServer, Status};
@@ -70,12 +70,13 @@ fn mid_stream_disk_failure_completes_from_the_mirror() {
     let hw = HwProfile::amoeba_1989();
     let mut cfg = BulletConfig::small_test();
     cfg.clock = clock.clone();
-    let disks: Vec<Arc<FaultyDisk<SimDisk<RamDisk>>>> = (0..2)
+    let disks: Vec<Arc<FaultyDisk<SchedDisk<RamDisk>>>> = (0..2)
         .map(|_| {
-            Arc::new(FaultyDisk::new(SimDisk::new(
+            Arc::new(FaultyDisk::new(SchedDisk::new(
                 RamDisk::new(cfg.block_size, cfg.disk_blocks),
                 clock.clone(),
                 hw.disk,
+                SchedConfig::default(),
             )))
         })
         .collect();
