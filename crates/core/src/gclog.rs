@@ -249,16 +249,21 @@ pub fn verify_record(image: &[u8]) -> bool {
     crc32(&scratch) == stored
 }
 
-/// Block offset (relative to the record's header block) where each
-/// entry's payload starts.
-pub fn entry_payload_offsets(block_size: u64, entries: &[LogEntry]) -> Vec<u64> {
-    let mut offsets = Vec::with_capacity(entries.len());
-    let mut cursor = 1u64;
-    for e in entries {
-        offsets.push(cursor);
-        cursor += payload_blocks_for(block_size, e.size_bytes);
-    }
-    offsets
+/// The inode each entry of a record at block `at` names, over its
+/// payload: what a group commit publishes and crash replay reinstalls.
+pub fn record_inodes(block_size: u64, at: u64, entries: &[LogEntry]) -> Vec<Inode> {
+    let mut start = at + 1;
+    let inode = |e: &LogEntry| {
+        let inode = Inode {
+            random: e.random,
+            index: 0,
+            start_block: start as u32,
+            size_bytes: e.size_bytes,
+        };
+        start += payload_blocks_for(block_size, e.size_bytes);
+        inode
+    };
+    entries.iter().map(inode).collect()
 }
 
 /// Walks the record chain of the window `[start, end)`.
@@ -369,7 +374,10 @@ mod tests {
         assert_eq!(hdr.payload_blocks, 3);
         assert_eq!(hdr.file_count, 2);
         assert_eq!(decode_entries(&img, 2), entries);
-        assert_eq!(entry_payload_offsets(BS as u64, &entries), vec![1, 3]);
+        let inodes = record_inodes(BS as u64, 10, &entries);
+        let starts: Vec<u32> = inodes.iter().map(|i| i.start_block).collect();
+        assert_eq!(starts, [11, 13]);
+        assert_eq!(inodes[1].random, entries[1].random);
         // Payloads land block-aligned in entry order.
         assert_eq!(&img[BS..BS + 700], &a[..]);
         assert_eq!(&img[3 * BS..3 * BS + 10], &b[..]);

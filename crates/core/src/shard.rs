@@ -6,9 +6,9 @@
 //! key: any instance can verify any capability minted for the service,
 //! provided it holds the object's inode.  What partitions the service is
 //! object-number ownership — [`amoeba_cap::shard_of`] maps every object
-//! number to its home shard, and each instance's inode free list is
-//! striped ([`crate::table::InodeTable::set_stripe`]) so it only ever
-//! mints object numbers that hash back to itself.
+//! number to its home shard, and each instance's free-slot list holds
+//! only the slots its [`ShardSlot::owns`], so it only ever mints object
+//! numbers that hash back to itself.
 //!
 //! Pieces:
 //!
@@ -60,9 +60,10 @@ impl ShardSlot {
         ShardSlot { index, count }
     }
 
-    /// Whether object number `obj` hashes home to this slot.
+    /// Whether object number `obj` hashes home to this slot (every
+    /// number does in a set of one).
     pub fn owns(&self, obj: u32) -> bool {
-        amoeba_cap::shard_of(obj, self.count) == self.index
+        self.count <= 1 || amoeba_cap::shard_of(obj, self.count) == self.index
     }
 }
 

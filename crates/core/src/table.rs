@@ -46,26 +46,12 @@ pub struct InodeTable {
     /// left, or zero while its countdown is unarmed.  See
     /// [`arm`](Self::arm).
     ages: Vec<AtomicU32>,
-    free: Vec<u32>,
-    /// When set to `(index, count)`, this table belongs to shard `index`
-    /// of a `count`-wide shard set: only object numbers whose
-    /// [`amoeba_cap::shard_of`] hash lands on this shard may ever be
-    /// *minted* here, so a capability's object number alone names its
-    /// home shard.  Foreign-stripe slots can still be *installed*
-    /// (adoption during a rebalance) and cleared — they just never return
-    /// to the free list.
-    stripe: Option<(u32, u32)>,
 }
 
 /// A clone remembers no verified capability and has no age armed.
 impl Clone for InodeTable {
     fn clone(&self) -> InodeTable {
-        InodeTable::assemble(
-            self.desc,
-            self.inodes.clone(),
-            self.free.clone(),
-            self.stripe,
-        )
+        InodeTable::assemble(self.desc, self.inodes.clone())
     }
 }
 
@@ -82,19 +68,12 @@ fn memo_word(cap: &Capability) -> Option<u64> {
 
 impl InodeTable {
     /// A table over `inodes` with nothing verified and no age armed yet.
-    fn assemble(
-        desc: DiskDescriptor,
-        inodes: Vec<Inode>,
-        free: Vec<u32>,
-        stripe: Option<(u32, u32)>,
-    ) -> InodeTable {
+    fn assemble(desc: DiskDescriptor, inodes: Vec<Inode>) -> InodeTable {
         InodeTable {
             desc,
             memo: inodes.iter().map(|_| AtomicU64::new(0)).collect(),
             ages: inodes.iter().map(|_| AtomicU32::new(0)).collect(),
             inodes,
-            free,
-            stripe,
         }
     }
 
@@ -108,23 +87,12 @@ impl InodeTable {
     /// [`DiskDescriptor::plan`] rejects the geometry.
     pub fn format(dev: &dyn BlockDevice, min_inodes: u32) -> Result<InodeTable, BulletError> {
         let desc = DiskDescriptor::plan(dev.block_size(), dev.num_blocks(), min_inodes)?;
-        let table = InodeTable::fresh(desc);
+        let table = InodeTable::assemble(desc, vec![Inode::default(); desc.inode_slots() as usize]);
         for b in 0..desc.control_blocks as u64 {
             dev.write_blocks(b, &table.block_image(b))?;
         }
         dev.sync()?;
         Ok(table)
-    }
-
-    fn fresh(desc: DiskDescriptor) -> InodeTable {
-        let slots = desc.inode_slots();
-        InodeTable::assemble(
-            desc,
-            vec![Inode::default(); slots as usize],
-            // Descending so that low object numbers are handed out first.
-            (1..slots).rev().collect(),
-            None,
-        )
     }
 
     /// Reads the complete inode table from a formatted device, performing
@@ -216,12 +184,8 @@ impl InodeTable {
             *inode = parsed;
         }
 
-        let free = (1..slots as u32)
-            .rev()
-            .filter(|&i| inodes[i as usize].is_free())
-            .collect();
         Ok(LoadReport {
-            table: InodeTable::assemble(desc, inodes, free, None),
+            table: InodeTable::assemble(desc, inodes),
             repaired,
         })
     }
@@ -231,75 +195,48 @@ impl InodeTable {
         &self.desc
     }
 
-    /// Restricts this table to stripe `index` of a `count`-wide shard
-    /// set: every free slot whose object number hashes elsewhere is
-    /// dropped from the free list, so [`alloc`](Self::alloc) can only
-    /// mint capabilities the shard router would deliver back here.
-    /// `count <= 1` clears the stripe (the single-server layout).
-    pub fn set_stripe(&mut self, index: u32, count: u32) {
-        if count <= 1 {
-            self.stripe = None;
-            return;
-        }
-        self.stripe = Some((index, count));
-        self.free
-            .retain(|&i| amoeba_cap::shard_of(i, count) == index);
-    }
-
-    /// The `(index, count)` stripe, when sharded.
-    pub fn stripe(&self) -> Option<(u32, u32)> {
-        self.stripe
-    }
-
-    /// Whether object number `idx` belongs to this table's own stripe
-    /// (always true for an unsharded table).
-    pub fn owns_stripe(&self, idx: u32) -> bool {
-        match self.stripe {
-            None => true,
-            Some((index, count)) => amoeba_cap::shard_of(idx, count) == index,
-        }
-    }
-
-    /// Number of live files.  Counted directly rather than derived from
-    /// the free-list length: a striped table drops foreign-stripe slots
-    /// from the free list without them being live.
+    /// Number of live files.
     pub fn live_count(&self) -> usize {
         self.inodes.iter().skip(1).filter(|i| !i.is_free()).count()
     }
 
-    /// Allocates a slot for `inode`, returning its index.
-    ///
-    /// # Errors
-    ///
-    /// [`BulletError::NoInodes`] when the table is full.
-    pub fn alloc(&mut self, inode: Inode) -> Result<u32, BulletError> {
-        debug_assert!(!inode.is_free(), "allocating a zero inode");
-        let idx = self.free.pop().ok_or(BulletError::NoInodes)?;
-        self.rebind(idx, inode);
-        Ok(idx)
+    /// Whether slot `idx` exists and holds no file (slot 0, the
+    /// descriptor, never does).
+    pub fn is_free(&self, idx: u32) -> bool {
+        idx != 0 && self.inodes.get(idx as usize).is_some_and(Inode::is_free)
     }
 
-    /// Installs `inode` into the specific free slot `idx` — log-replay's
-    /// reinstallation path, where the slot number is dictated by the
-    /// record being replayed rather than chosen by the allocator.
+    /// Puts `inode` into the free slot `idx`.  The table keeps no free
+    /// list: which slot a new file gets is its owner's choice (the
+    /// server's allocator, or a log record being replayed).
     ///
     /// # Errors
     ///
     /// [`BulletError::Corrupt`] if `idx` is slot 0, out of range, or
     /// currently live.
-    pub fn install(&mut self, idx: u32, inode: Inode) -> Result<(), BulletError> {
-        debug_assert!(!inode.is_free(), "installing a zero inode");
-        match self.inodes.get(idx as usize) {
-            Some(slot) if idx != 0 && slot.is_free() => {}
-            _ => {
-                return Err(BulletError::Corrupt(format!(
-                    "cannot install into slot {idx}: missing or live"
-                )))
-            }
+    pub fn put(&mut self, idx: u32, inode: Inode) -> Result<(), BulletError> {
+        debug_assert!(!inode.is_free(), "putting a zero inode");
+        if !self.is_free(idx) {
+            return Err(BulletError::Corrupt(format!(
+                "cannot put into slot {idx}: missing or live"
+            )));
         }
         self.rebind(idx, inode);
-        self.free.retain(|&f| f != idx);
         Ok(())
+    }
+
+    /// [`put`](Self::put) into the lowest free slot, returning its index:
+    /// for a table used on its own, with no allocator choosing slots.
+    ///
+    /// # Errors
+    ///
+    /// [`BulletError::NoInodes`] when the table is full.
+    pub fn alloc(&mut self, inode: Inode) -> Result<u32, BulletError> {
+        let idx = (1..self.inodes.len() as u32)
+            .find(|&i| self.is_free(i))
+            .ok_or(BulletError::NoInodes)?;
+        self.put(idx, inode)?;
+        Ok(idx)
     }
 
     /// Looks up a live inode.
@@ -392,8 +329,7 @@ impl InodeTable {
     /// zero is stored as one, which expires at the same round.
     ///
     /// A shared guard suffices, as for the memo: only the `&mut self`
-    /// writes that rebind the slot (`alloc`, `install`, `clear_keep_slot`)
-    /// unarm it, and the word publishes nothing else, so the accesses are
+    /// writes that rebind the slot (`put`, `clear`) unarm it, and the word publishes nothing else, so the accesses are
     /// `Relaxed`.
     pub(crate) fn arm(&self, idx: u32, rounds: u32) {
         self.ages[idx as usize].store(rounds.max(1), Relaxed);
@@ -419,42 +355,16 @@ impl InodeTable {
             .collect()
     }
 
-    /// Zeroes a live inode (file deletion) and returns the freed slot to
-    /// the allocator.
+    /// Zeroes a live inode (file deletion).  Whether the slot may take a
+    /// new file again is the allocator's business, not the table's.
     ///
     /// # Errors
     ///
     /// [`BulletError::NotFound`] if the slot is not live.
     pub fn clear(&mut self, idx: u32) -> Result<(), BulletError> {
-        self.clear_keep_slot(idx)?;
-        self.release_slot(idx);
-        Ok(())
-    }
-
-    /// Zeroes a live inode *without* returning the slot to the free list.
-    /// The concurrent server uses this during deletion so the slot cannot
-    /// be reallocated while the zeroed inode's write-through is still in
-    /// flight; [`release_slot`](Self::release_slot) completes the pair.
-    ///
-    /// # Errors
-    ///
-    /// [`BulletError::NotFound`] if the slot is not live.
-    pub fn clear_keep_slot(&mut self, idx: u32) -> Result<(), BulletError> {
         self.get(idx)?;
         self.rebind(idx, Inode::default());
         Ok(())
-    }
-
-    /// Returns a slot zeroed by [`clear_keep_slot`](Self::clear_keep_slot)
-    /// to the free list, making it allocatable again.  A sharded table
-    /// silently retires foreign-stripe slots instead: an adopted object's
-    /// number must never be re-minted by a shard the router would not
-    /// deliver it to.
-    pub fn release_slot(&mut self, idx: u32) {
-        debug_assert!(self.inodes[idx as usize].is_free(), "slot still live");
-        if self.owns_stripe(idx) {
-            self.free.push(idx);
-        }
     }
 
     /// The control block containing inode `idx` (for write-through).
@@ -572,30 +482,35 @@ mod tests {
 
     #[test]
     fn alloc_get_clear() {
-        let d = dev();
-        let mut t = InodeTable::format(&d, 10).unwrap();
-        let idx = t
-            .alloc(Inode {
-                random: 42,
-                index: 0,
-                start_block: t.descriptor().data_start() as u32,
-                size_bytes: 100,
-            })
-            .unwrap();
+        let mut t = InodeTable::format(&dev(), 10).unwrap();
+        let idx = t.alloc(file(&t)).unwrap();
         assert_eq!(idx, 1, "low slots first");
-        assert_eq!(t.get(idx).unwrap().random, 42);
+        assert_eq!(t.get(idx).unwrap().random, RANDOM);
         assert_eq!(t.live_count(), 1);
         t.clear(idx).unwrap();
         assert!(t.get(idx).is_err());
         assert_eq!(t.live_count(), 0);
         // Freed slot is reused.
-        let again = t
-            .alloc(Inode {
-                random: 1,
-                ..Inode::default()
-            })
-            .unwrap();
-        assert_eq!(again, idx);
+        assert_eq!(t.alloc(file(&t)).unwrap(), idx);
+    }
+
+    #[test]
+    fn put_takes_only_a_free_slot() {
+        let mut t = InodeTable::format(&dev(), 10).unwrap();
+        let live = t.alloc(file(&t)).unwrap();
+        let past = t.descriptor().inode_slots();
+        for idx in [0, live, past] {
+            let err = t.put(idx, file(&t)).unwrap_err();
+            assert!(
+                matches!(err, BulletError::Corrupt(_)),
+                "slot {idx}: {err:?}"
+            );
+        }
+        t.put(past - 1, file(&t)).unwrap();
+        assert_eq!(
+            t.live().map(|(i, _)| i).collect::<Vec<_>>(),
+            [live, past - 1]
+        );
     }
 
     /// `MacScheme` counting its `verify` calls, to tell a memo hit (no
@@ -649,22 +564,17 @@ mod tests {
         assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "get_mut");
         assert!(t.get_verified(&owner, Rights::READ, &scheme).is_ok());
         assert_eq!(calls(), 2);
-        t.clear_keep_slot(idx).unwrap();
-        assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "clear_keep_slot");
+        t.clear(idx).unwrap();
+        assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "clear");
         assert_eq!(
             t.get_verified(&owner, Rights::READ, &scheme).unwrap_err(),
             BulletError::NotFound
         );
-        // A slot is free when alloc and install reach it, so its word is
-        // zero already; plant one to see that they do not rely on that.
-        let planted = memo_word(&owner).unwrap();
-        t.memo[idx as usize].store(planted, Relaxed);
-        t.install(idx, file(&t)).unwrap();
-        assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "install");
-        t.clear(idx).unwrap();
-        t.memo[idx as usize].store(planted, Relaxed);
-        assert_eq!(t.alloc(file(&t)).unwrap(), idx);
-        assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "alloc");
+        // A slot is free when put reaches it, so its word is zero
+        // already; plant one to see that put does not rely on that.
+        t.memo[idx as usize].store(memo_word(&owner).unwrap(), Relaxed);
+        t.put(idx, file(&t)).unwrap();
+        assert_eq!(t.memo[idx as usize].load(Relaxed), 0, "put");
     }
 
     #[test]
@@ -694,15 +604,11 @@ mod tests {
         assert_eq!(t.age(idx), 5, "start-block move");
         // Each write that gives the slot a new identity unarms it; arm it
         // first each time to see that none relies on finding it unarmed.
-        t.clear_keep_slot(idx).unwrap();
-        assert_eq!(t.age(idx), 0, "clear_keep_slot");
-        t.arm(idx, 5);
-        t.install(idx, file(&t)).unwrap();
-        assert_eq!(t.age(idx), 0, "install");
         t.clear(idx).unwrap();
+        assert_eq!(t.age(idx), 0, "clear");
         t.arm(idx, 5);
-        assert_eq!(t.alloc(file(&t)).unwrap(), idx);
-        assert_eq!(t.age(idx), 0, "alloc");
+        t.put(idx, file(&t)).unwrap();
+        assert_eq!(t.age(idx), 0, "put");
         // A clone or a loaded table starts with nothing armed.
         t.arm(idx, 5);
         assert_eq!(t.clone().age(idx), 0, "clone");
@@ -778,25 +684,12 @@ mod tests {
 
     #[test]
     fn exhaustion_reports_noinodes() {
-        let d = dev();
         // One control block of 512/16 = 32 slots, 31 usable.
-        let mut t = InodeTable::format(&d, 1).unwrap();
-        let slots = t.descriptor().inode_slots() - 1;
-        for _ in 0..slots {
-            t.alloc(Inode {
-                random: 1,
-                ..Inode::default()
-            })
-            .unwrap();
+        let mut t = InodeTable::format(&dev(), 1).unwrap();
+        for _ in 1..t.descriptor().inode_slots() {
+            t.alloc(file(&t)).unwrap();
         }
-        assert_eq!(
-            t.alloc(Inode {
-                random: 1,
-                ..Inode::default()
-            })
-            .unwrap_err(),
-            BulletError::NoInodes
-        );
+        assert_eq!(t.alloc(file(&t)).unwrap_err(), BulletError::NoInodes);
     }
 
     #[test]
@@ -947,20 +840,9 @@ mod tests {
 
     #[test]
     fn live_iterates_only_live() {
-        let d = dev();
-        let mut t = InodeTable::format(&d, 10).unwrap();
-        let a = t
-            .alloc(Inode {
-                random: 1,
-                ..Inode::default()
-            })
-            .unwrap();
-        let b = t
-            .alloc(Inode {
-                random: 2,
-                ..Inode::default()
-            })
-            .unwrap();
+        let mut t = InodeTable::format(&dev(), 10).unwrap();
+        let a = t.alloc(file(&t)).unwrap();
+        let b = t.alloc(file(&t)).unwrap();
         t.clear(a).unwrap();
         let live: Vec<u32> = t.live().map(|(i, _)| i).collect();
         assert_eq!(live, vec![b]);

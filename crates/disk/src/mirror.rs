@@ -39,7 +39,9 @@ pub struct MirroredDisk {
     /// `background.len()`, stored under the `background` lock after every
     /// change, so the clean path (nothing queued, which every write at
     /// P-FACTOR = replica count and every read after it takes) drains
-    /// without locking the queue.
+    /// without locking the queue.  A drain keeps the lock, and stores the
+    /// shorter length, only once its writes have landed: a read that
+    /// finds nothing queued never overtakes a write still being drained.
     queued: AtomicUsize,
     stats: Stats,
     /// Span recorder (disabled by default; the server installs its tracer
@@ -248,14 +250,8 @@ impl MirroredDisk {
     /// resync procedure will repair them wholesale).
     pub fn flush_background(&self) -> usize {
         let mut applied = 0;
-        loop {
-            let item = {
-                let mut q = self.background.lock();
-                let item = q.pop_front();
-                self.queued.store(q.len(), Ordering::SeqCst);
-                item
-            };
-            let Some((i, first, data)) = item else { break };
+        let mut q = self.background.lock();
+        while let Some((i, first, data)) = q.pop_front() {
             if !self.is_alive(i) {
                 self.stats.incr("mirror_bg_dropped");
                 continue;
@@ -271,6 +267,7 @@ impl MirroredDisk {
                 }
             }
         }
+        self.queued.store(0, Ordering::SeqCst);
         applied
     }
 
@@ -351,20 +348,16 @@ impl MirroredDisk {
             return false;
         }
         let mut killed = false;
-        let mine: Vec<(u64, Vec<u8>)> = {
-            let mut q = self.background.lock();
-            let mut mine = Vec::new();
-            q.retain_mut(|(r, first, data)| {
-                if *r == i {
-                    mine.push((*first, std::mem::take(data)));
-                    false
-                } else {
-                    true
-                }
-            });
-            self.queued.store(q.len(), Ordering::SeqCst);
-            mine
-        };
+        let mut q = self.background.lock();
+        let mut mine = Vec::new();
+        q.retain_mut(|(r, first, data)| {
+            if *r == i {
+                mine.push((*first, std::mem::take(data)));
+                false
+            } else {
+                true
+            }
+        });
         for (first, data) in mine {
             if !self.is_alive(i) {
                 self.stats.incr("mirror_bg_dropped");
@@ -378,6 +371,7 @@ impl MirroredDisk {
                 }
             }
         }
+        self.queued.store(q.len(), Ordering::SeqCst);
         killed
     }
 
@@ -587,6 +581,65 @@ mod tests {
         m.crash_volatile();
         assert_eq!(m.pending_background(), 0);
         assert_eq!(m.flush_background(), 0);
+    }
+
+    /// A replica whose next write, once armed, waits inside the device
+    /// until the test lets it go.
+    struct GatedWrites {
+        inner: RamDisk,
+        armed: AtomicBool,
+        entered: std::sync::Barrier,
+        release: std::sync::Barrier,
+    }
+
+    impl BlockDevice for GatedWrites {
+        fn block_size(&self) -> u32 {
+            self.inner.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+        fn read_blocks(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+            self.inner.read_blocks(first_block, buf)
+        }
+        fn write_blocks(&self, first_block: u64, data: &[u8]) -> Result<(), DiskError> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.entered.wait();
+                self.release.wait();
+            }
+            self.inner.write_blocks(first_block, data)
+        }
+        fn sync(&self) -> Result<(), DiskError> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn a_read_waits_for_a_drain_another_thread_is_writing() {
+        // One read drains a P-FACTOR 0 write onto the primary and stalls
+        // inside the device; a second read of that block must not find
+        // the queue empty and read the primary before the write lands.
+        let gated = Arc::new(GatedWrites {
+            inner: RamDisk::new(512, 64),
+            armed: AtomicBool::new(false),
+            entered: std::sync::Barrier::new(2),
+            release: std::sync::Barrier::new(2),
+        });
+        let m = MirroredDisk::new(vec![gated.clone(), Arc::new(RamDisk::new(512, 64))]).unwrap();
+        m.write_sync_k(3, &[7u8; 512], 0).unwrap();
+        gated.armed.store(true, Ordering::SeqCst);
+        std::thread::scope(|s| {
+            s.spawn(|| m.read_blocks(0, &mut [0u8; 512]).unwrap());
+            gated.entered.wait();
+            let second = s.spawn(|| {
+                let mut buf = [0u8; 512];
+                m.read_blocks(3, &mut buf).unwrap();
+                buf
+            });
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            gated.release.wait();
+            assert_eq!(second.join().unwrap(), [7u8; 512]);
+        });
     }
 
     #[test]
