@@ -30,12 +30,13 @@
 
 use std::process::ExitCode;
 
+use amoeba_rpc::DEFAULT_SEGMENT;
 use amoeba_sim::json::Json;
 use amoeba_sim::trace::{op_histograms, size_class};
 use amoeba_sim::Nanos;
 use bullet_bench::ablation::{self, Outcome};
 use bullet_bench::rig::BulletRig;
-use bullet_bench::sweeps::{stream_rig, STREAM_SIZES};
+use bullet_bench::sweeps::{stream_rig, ONE_SEGMENT, STREAM_SIZES};
 use bullet_bench::table::bandwidth_kb_s;
 use bullet_bench::tracebench::traced_rig;
 use bullet_core::FragReport;
@@ -50,15 +51,14 @@ struct StreamRow {
 }
 
 fn measure_streaming() -> Vec<StreamRow> {
-    let rig = |pipeline: bool| stream_rig(pipeline, 65_536);
     STREAM_SIZES
         .iter()
         .map(|&size| StreamRow {
             size,
-            warm_read: rig(true).measure_read(size),
-            cold_seq: rig(false).measure_cold_read(size),
-            cold_pipe: rig(true).measure_cold_read(size),
-            create: rig(true).measure_create(size, 2),
+            warm_read: stream_rig(DEFAULT_SEGMENT).measure_read(size),
+            cold_seq: stream_rig(ONE_SEGMENT).measure_cold_read(size),
+            cold_pipe: stream_rig(DEFAULT_SEGMENT).measure_cold_read(size),
+            create: stream_rig(DEFAULT_SEGMENT).measure_create(size, 2),
         })
         .collect()
 }
@@ -172,7 +172,7 @@ struct Fresh {
 }
 
 fn measure_all() -> Fresh {
-    eprintln!("measuring streaming transfers (pipeline off/on)…");
+    eprintln!("measuring streaming transfers (one segment vs 64 KB segments)…");
     let rows = measure_streaming();
     eprintln!("measuring latency percentiles ({REPS} reps per op × size, traced rigs)…");
     let pcts = measure_percentiles();
@@ -246,7 +246,7 @@ fn render_json(fresh: &Fresh) -> String {
     let mut doc = vec![
         ("schema_version", Json::num(1)),
         ("benchmark", Json::string("bullet streaming transfers")),
-        ("segment_size", Json::num(65536)),
+        ("segment_size", Json::num(DEFAULT_SEGMENT)),
         ("sizes", Json::array(sizes)),
     ];
     doc.extend(sections);

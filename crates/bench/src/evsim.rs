@@ -36,7 +36,7 @@
 //!   segmented policies filter (probation / A1in absorb it).
 
 use amoeba_sim::json::Json;
-use amoeba_sim::{DetRng, EventQueue, Histogram, HwProfile, Nanos, Stats, Telemetry};
+use amoeba_sim::{DetRng, EventQueue, Histogram, HwProfile, Nanos, Telemetry};
 use bullet_core::{counters, ClientAccounting, EvictionPolicy, FileCache};
 use bytes::Bytes;
 
@@ -274,7 +274,6 @@ struct Client {
 /// cache, impossible under the 64 KB size cap).
 pub fn run(cfg: &EvsimConfig) -> EvsimRun {
     let hw = HwProfile::amoeba_1989();
-    let stats = Stats::new();
 
     // Per-file sizes: the cited log-normal (median 1 KB, 99 % < 64 KB).
     let mut dist = SizeDistribution::unix_1984(cfg.seed ^ 0x512e, 64 * 1024);
@@ -456,8 +455,6 @@ pub fn run(cfg: &EvsimConfig) -> EvsimRun {
         });
     }
 
-    stats.add(counters::EVSIM_EVENTS, q.scheduled());
-    stats.set_max(counters::EVSIM_CLIENTS_MAX, cfg.clients as u64);
     let cs = cache.stats();
     EvsimRun {
         outcome: EvsimOutcome {
@@ -474,7 +471,7 @@ pub fn run(cfg: &EvsimConfig) -> EvsimRun {
             evictions: cs.get(counters::CACHE_EVICTIONS),
             scan_promotions: cs.get(counters::CACHE_SCAN_PROMOTIONS)
                 + cs.get(counters::CACHE_GHOST_HITS),
-            events: stats.get(counters::EVSIM_EVENTS),
+            events: q.scheduled(),
             retries,
             failovers,
             digest,

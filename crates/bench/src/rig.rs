@@ -32,11 +32,10 @@ pub fn paper_config(clock: SimClock, cpu: CpuProfile, cache_capacity: u64) -> Bu
         repair: bullet_core::table::RepairPolicy::Fail,
         max_age: 8,
         eviction: bullet_core::EvictionPolicy::Lru,
-        segment_size: 64 * 1024,
-        pipeline: true,
-        trace: amoeba_sim::TraceConfig::off(),
+        segment_size: amoeba_rpc::DEFAULT_SEGMENT,
+        trace: Tracer::off(),
         log_blocks: 0,
-        telemetry: amoeba_sim::TelemetryConfig::off(),
+        telemetry: amoeba_sim::Telemetry::off(),
         accounting: bullet_core::ClientAccounting::off(),
         shard: bullet_core::ShardSlot::solo(),
         archive_blocks: 0,
@@ -91,7 +90,7 @@ pub struct BulletRig {
     /// The RPC fabric.
     pub dispatcher: Arc<Dispatcher>,
     /// The span tracer every layer shares — disabled unless the rig was
-    /// built with `cfg.trace = TraceConfig::enabled(..)` in its tweak.
+    /// built with `cfg.trace = Tracer::on(..)` in its tweak.
     pub tracer: Tracer,
     /// Concrete handles on the scheduled replica disks, for scheduler
     /// counter aggregation (the mirror only sees `dyn BlockDevice`).
@@ -116,8 +115,8 @@ impl BulletRig {
     }
 
     /// A rig whose [`BulletConfig`] is adjusted by `tweak` before the
-    /// server is formatted — the streaming ablations flip
-    /// `cfg.pipeline` and sweep `cfg.segment_size` through this.
+    /// server is formatted — the streaming ablations sweep
+    /// `cfg.segment_size` through this.
     ///
     /// # Panics
     ///
@@ -152,11 +151,10 @@ impl BulletRig {
         let storage = MirroredDisk::new(replicas).expect("replica set is valid");
         let mut cfg = paper_config(clock.clone(), hw.cpu, cache_capacity);
         tweak(&mut cfg);
-        let tracer = cfg.trace.tracer().clone();
-        let telemetry = cfg.telemetry.telemetry().clone();
+        let tracer = cfg.trace.clone();
         for (i, d) in sched_disks.iter().enumerate() {
             d.set_tracer(tracer.clone());
-            d.set_telemetry(telemetry.clone(), i as u32);
+            d.set_telemetry(cfg.telemetry.clone(), i as u32);
         }
         let server = Arc::new(BulletServer::format_on(cfg, storage).expect("formatting succeeds"));
         let net = SimEthernet::with_load(clock.clone(), hw.net, 1.0);

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use amoeba_disk::{RamDisk, SchedConfig, SchedDisk};
 use amoeba_log::LogServer;
 use amoeba_net::SimEthernet;
-use amoeba_rpc::{Dispatcher, RpcClient};
+use amoeba_rpc::{Dispatcher, RpcClient, DEFAULT_SEGMENT};
 use amoeba_sim::{Histogram, HwProfile, Nanos, SimClock};
 use bullet_core::{
     BulletClient, BulletConfig, BulletError, BulletRpcServer, BulletServer, EvictionPolicy,
@@ -636,20 +636,23 @@ is exactly what ABL16 (`ablation_evsim`) measures at 10k-client scale.
 /// The file sizes of the streaming tables here and in `BENCH_pr2.json`
 /// (1 KB … 1 MB).
 pub const STREAM_SIZES: [usize; 5] = [1024, 4096, 65_536, 262_144, 1 << 20];
-const SEGMENTS: [u32; 5] = [4096, 16_384, 65_536, 262_144, 1 << 20];
+const SEGMENTS: [u32; 5] = [4096, 16_384, DEFAULT_SEGMENT, 262_144, 1 << 20];
 
-/// The paper rig with the streaming pipeline on or off.
-pub fn stream_rig(pipeline: bool, segment_size: u32) -> BulletRig {
+/// A segment no file reaches: every transfer fits in one, so none
+/// streams — the sequential columns of ABL11 and `report --json`.
+pub const ONE_SEGMENT: u32 = u32::MAX;
+
+/// The paper rig with streaming segments of `segment_size` bytes.
+pub fn stream_rig(segment_size: u32) -> BulletRig {
     BulletRig::with_config(2, HwProfile::amoeba_1989(), 12 << 20, |cfg| {
-        cfg.pipeline = pipeline;
         cfg.segment_size = segment_size;
     })
 }
 
 /// ABL11 — sequential vs pipelined streaming transfers: cold whole-file
-/// READ and mirrored CREATE delay with the streaming pipeline off (the
-/// pre-pipeline transfer path: stage the whole file in RAM, then move
-/// it) and on (segment `k` on the disk while segment `k-1` is on the
+/// READ and mirrored CREATE delay in one segment (the pre-pipeline
+/// transfer path: stage the whole file in RAM, then move it) and in
+/// 64 KB segments (segment `k` on the disk while segment `k-1` is on the
 /// wire), then a segment-size sweep at 1 MB.
 pub fn pipeline() -> Outcome {
     let mut reds: Vec<String> = Vec::new();
@@ -657,8 +660,8 @@ pub fn pipeline() -> Outcome {
     t.0 += "\n  Cold whole-file READ (client cache miss, extent off both-mirrored disk):
    File size      sequential       pipelined    speedup     pipe KB/s\n";
     for &size in &STREAM_SIZES {
-        let seq = stream_rig(false, 65_536).measure_cold_read(size);
-        let pipe = stream_rig(true, 65_536).measure_cold_read(size);
+        let seq = stream_rig(ONE_SEGMENT).measure_cold_read(size);
+        let pipe = stream_rig(DEFAULT_SEGMENT).measure_cold_read(size);
         if pipe > seq {
             reds.push(format!("{} cold read", size_label(size)));
         }
@@ -675,8 +678,8 @@ pub fn pipeline() -> Outcome {
     t.0 += "\n  CREATE, P-FACTOR 2 (payload received, copied, and mirrored in segments):
    File size      sequential       pipelined    speedup\n";
     for &size in &STREAM_SIZES {
-        let seq = stream_rig(false, 65_536).measure_create(size, 2);
-        let pipe = stream_rig(true, 65_536).measure_create(size, 2);
+        let seq = stream_rig(ONE_SEGMENT).measure_create(size, 2);
+        let pipe = stream_rig(DEFAULT_SEGMENT).measure_create(size, 2);
         if pipe > seq {
             reds.push(format!("{} create", size_label(size)));
         }
@@ -696,10 +699,10 @@ pub fn pipeline() -> Outcome {
     // pays 256 per-operation disk costs), so its rows are informative,
     // not gated: the pipelined-never-slower invariant holds for the
     // shipped default, judged on the tables above.
-    let seq_1mb = stream_rig(false, 65_536).measure_cold_read(1 << 20);
+    let seq_1mb = stream_rig(ONE_SEGMENT).measure_cold_read(1 << 20);
     let mut best: (u32, Nanos) = (0, Nanos::from_ns(u64::MAX));
     for &seg in &SEGMENTS {
-        let dt = stream_rig(true, seg).measure_cold_read(1 << 20);
+        let dt = stream_rig(seg).measure_cold_read(1 << 20);
         if dt < best.1 {
             best = (seg, dt);
         }

@@ -9,7 +9,7 @@
 
 use amoeba_sim::json;
 use amoeba_sim::trace::{lane_utilization, leaf_coverage, leaf_spans};
-use amoeba_sim::{AttrValue, HwProfile, Nanos, SpanRecord, TraceConfig};
+use amoeba_sim::{AttrValue, HwProfile, Nanos, SpanRecord, Tracer};
 use bytes::Bytes;
 
 use crate::ablation::{Invariant, Outcome};
@@ -22,7 +22,7 @@ const MB: usize = 1 << 20;
 /// (asserted by `tests/trace.rs`), plus a span tree to decompose.
 pub fn traced_rig() -> BulletRig {
     BulletRig::with_config(2, HwProfile::amoeba_1989(), 12 << 20, |cfg| {
-        cfg.trace = TraceConfig::enabled(cfg.clock.clone());
+        cfg.trace = Tracer::on(cfg.clock.clone());
     })
 }
 

@@ -3,13 +3,13 @@
 //! its exports are well-formed (the Chrome trace-event file is a JSON
 //! array of complete events, the JSONL file one object per line).
 
-use amoeba_sim::{json, HwProfile, Nanos, TraceConfig};
+use amoeba_sim::{json, HwProfile, Nanos, Tracer};
 use bullet_bench::rig::BulletRig;
 
 /// A rig with the span tracer recording into `rig.tracer`.
 fn traced_rig() -> BulletRig {
     BulletRig::with_config(2, HwProfile::amoeba_1989(), 12 << 20, |cfg| {
-        cfg.trace = TraceConfig::enabled(cfg.clock.clone());
+        cfg.trace = Tracer::on(cfg.clock.clone());
     })
 }
 

@@ -100,12 +100,6 @@ impl NfsProfile {
             packet_payload: 1480,
         }
     }
-
-    /// A variant with the retransmission pathology disabled (ablation).
-    pub fn without_retransmissions(mut self) -> NfsProfile {
-        self.retrans_every_packets = 0;
-        self
-    }
 }
 
 /// Configuration of the NFS-like server.

@@ -164,13 +164,6 @@ pub const CACHE_PROTECTED_DEMOTIONS: &str = "cache_protected_demotions";
 /// "second reference after eviction" admission signal).
 pub const CACHE_GHOST_HITS: &str = "cache_ghost_hits";
 
-/// Events processed by the virtual-time event engine across an evsim run.
-pub const EVSIM_EVENTS: &str = "evsim_events";
-
-/// Maximum concurrent simulated clients an evsim run drove (high-water
-/// mark across the matrix).
-pub const EVSIM_CLIENTS_MAX: &str = "evsim_clients_max";
-
 /// Acquisitions of the read lock over the inode table and the cache.
 pub const LOCK_TABLE_READ: &str = "lock_table_read";
 /// Contended acquisitions (try-lock misses) of the table read lock.
@@ -322,8 +315,6 @@ pub const ALL: &[&str] = &[
     CACHE_PROBATION_EVICTIONS,
     CACHE_PROTECTED_DEMOTIONS,
     CACHE_GHOST_HITS,
-    EVSIM_EVENTS,
-    EVSIM_CLIENTS_MAX,
     LOCK_TABLE_READ,
     LOCK_CONTENDED_TABLE_READ,
     LOCK_TABLE_WRITE,
@@ -381,8 +372,6 @@ mod tests {
             CACHE_PROBATION_EVICTIONS,
             CACHE_PROTECTED_DEMOTIONS,
             CACHE_GHOST_HITS,
-            EVSIM_EVENTS,
-            EVSIM_CLIENTS_MAX,
         ] {
             assert!(ALL.contains(&name), "{name} missing from ALL");
         }

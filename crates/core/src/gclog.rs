@@ -119,15 +119,6 @@ pub fn payload_blocks_for(block_size: u64, size_bytes: u32) -> u64 {
     .blocks(block_size as u32)
 }
 
-/// Total blocks (header included) a record for files of these sizes
-/// occupies on disk.
-pub fn record_blocks(block_size: u64, sizes: &[u32]) -> u64 {
-    1 + sizes
-        .iter()
-        .map(|&s| payload_blocks_for(block_size, s))
-        .sum::<u64>()
-}
-
 /// Assembles a complete, checksummed record image.
 ///
 /// `entries[i]` describes `payloads[i]`; payloads are padded to block

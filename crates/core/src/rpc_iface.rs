@@ -499,9 +499,8 @@ mod tests {
         let mut cfg = BulletConfig::small_test();
         let clock = SimClock::new();
         cfg.clock = clock.clone();
-        cfg.telemetry = amoeba_sim::TelemetryConfig::enabled(amoeba_sim::Nanos::from_us(1), 64);
+        cfg.telemetry = amoeba_sim::Telemetry::on(amoeba_sim::Nanos::from_us(1), 64);
         cfg.telemetry
-            .telemetry()
             .watch("cache stays empty", "cache_used_bytes", 0);
         cfg.accounting = crate::ClientAccounting::on();
         let server = Arc::new(BulletServer::format(cfg, 2).unwrap());

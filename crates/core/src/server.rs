@@ -25,7 +25,7 @@
 //!   create/delete/read/compaction of the same file serialized while
 //!   different files overlap freely.  Releasing a guard wakes only that
 //!   slot's waiters, and an uncontended guard makes no syscall.
-//! * `inode_io: Mutex<u64>` — held by [`BulletServer::commit`], the one
+//! * `inode_io: Mutex<u64>` — held by `BulletServer::commit`, the one
 //!   inode write-through, across its block writes: it holds the newest
 //!   table generation written, so that two files sharing a block reach
 //!   the disks in the order their images were taken.
@@ -61,7 +61,7 @@ use amoeba_rpc::StreamWire;
 use amoeba_sim::json::Json;
 use amoeba_sim::{
     AttrValue, CpuProfile, DetRng, DiskProfile, LaneCounter, Nanos, Pipeline, SimClock, SpanGuard,
-    Stats, Telemetry, TelemetryConfig, TraceConfig, Tracer,
+    Stats, Telemetry, Tracer,
 };
 
 use crate::accounting::ClientAccounting;
@@ -110,19 +110,17 @@ pub struct BulletConfig {
     /// Cache eviction policy (LRU, as in the paper, by default).
     pub eviction: EvictionPolicy,
     /// Streaming transfer segment size in bytes.  Effective segments are
-    /// clamped to a whole number of disk blocks (minimum one block).
+    /// clamped to a whole number of disk blocks (minimum one block).  A
+    /// create or cold read that spans more than one segment overlaps disk
+    /// and wire time segment by segment; one that fits in a segment is
+    /// staged whole — disk then wire — so `u32::MAX` turns streaming off.
     pub segment_size: u32,
-    /// Overlap disk and wire time segment by segment on multi-segment
-    /// transfers (cold reads towards the wire, creates from it).  When
-    /// off, transfers are staged whole — disk then wire — as the seed
-    /// implementation did.
-    pub pipeline: bool,
-    /// Span tracing (see [`amoeba_sim::trace`]).  [`TraceConfig::off`],
-    /// the default, is free: the data path never touches the clock or
-    /// allocates on its behalf.  [`TraceConfig::enabled`] records a span
-    /// tree of every operation — timestamps come from the simulated
+    /// Span tracer shared by every layer (see [`amoeba_sim::trace`]).
+    /// [`Tracer::off`], the default, is free: the data path never touches
+    /// the clock or allocates on its behalf.  [`Tracer::on`] records a
+    /// span tree of every operation — timestamps come from the simulated
     /// clock, so the recorded times are the charged times, exactly.
-    pub trace: TraceConfig,
+    pub trace: Tracer,
     /// Blocks reserved at the tail of the data area as the group-commit
     /// log region.  `0` (the default) disables the log entirely: every
     /// create takes the direct per-file path, byte-identical to earlier
@@ -132,14 +130,14 @@ pub struct BulletConfig {
     /// first-fit home.
     pub log_blocks: u64,
     /// Time-series telemetry (see [`amoeba_sim::timeseries`]).
-    /// [`TelemetryConfig::off`], the default, is free — the data path
+    /// [`Telemetry::off`], the default, is free — the data path
     /// never reads the clock or allocates for it, so the timeline is
     /// bit-identical to a build without telemetry.  Enabled, the server
     /// samples layer gauges (cache occupancy, allocator fragmentation,
     /// log residency, group-commit batch occupancy, per-disk queue depth
     /// and arm position) into fixed-capacity ring buffers once per
     /// period, readable live through the `MONITOR` RPC.
-    pub telemetry: TelemetryConfig,
+    pub telemetry: Telemetry,
     /// Per-client resource accounting keyed by the at-most-once
     /// transaction tag (see [`crate::accounting`]).  Off by default;
     /// enabled, the RPC dispatcher charges each request's bytes, I/Os,
@@ -193,11 +191,10 @@ impl BulletConfig {
             repair: RepairPolicy::Fail,
             max_age: 8,
             eviction: EvictionPolicy::Lru,
-            segment_size: 64 * 1024,
-            pipeline: true,
-            trace: TraceConfig::off(),
+            segment_size: amoeba_rpc::DEFAULT_SEGMENT,
+            trace: Tracer::off(),
             log_blocks: 0,
-            telemetry: TelemetryConfig::off(),
+            telemetry: Telemetry::off(),
             accounting: ClientAccounting::off(),
             shard: crate::shard::ShardSlot::solo(),
             archive_blocks: 0,
@@ -360,12 +357,6 @@ pub struct BulletServer {
     compact_mark: std::sync::atomic::AtomicU64,
     stats: Stats,
     locks: Stats,
-    /// Clone of `cfg.trace`'s tracer, hoisted out for the hot paths.
-    tracer: Tracer,
-    /// Clone of `cfg.telemetry`'s handle, hoisted like the tracer.
-    telemetry: Telemetry,
-    /// Clone of `cfg.accounting`, hoisted like the tracer.
-    accounting: ClientAccounting,
 }
 
 impl std::fmt::Debug for BulletServer {
@@ -527,17 +518,14 @@ impl BulletServer {
         // One tracer, shared by every layer: the cache's lookup instants,
         // the mirror's replica spans, and the server's op spans all join
         // the same tree.
-        let tracer = cfg.trace.tracer().clone();
-        let telemetry = cfg.telemetry.telemetry().clone();
-        let accounting = cfg.accounting.clone();
         let mut cache = FileCache::with_policy_seeded(
             cfg.cache_capacity,
             cfg.rnode_slots,
             cfg.eviction,
             Self::EVICTION_SEED,
         );
-        cache.set_tracer(tracer.clone());
-        storage.set_tracer(tracer.clone());
+        cache.set_tracer(cfg.trace.clone());
+        storage.set_tracer(cfg.trace.clone());
         BulletServer {
             scheme: MacScheme::from_seed(cfg.scheme_seed),
             desc: *table.descriptor(),
@@ -563,9 +551,6 @@ impl BulletServer {
             storage,
             stats: Stats::new(),
             locks: Stats::new(),
-            tracer,
-            telemetry,
-            accounting,
         }
     }
 
@@ -812,7 +797,7 @@ impl BulletServer {
         p_factor: u32,
         wire: Option<&StreamWire>,
     ) -> Result<Capability, BulletError> {
-        let mut op = self.tracer.span("bullet.create");
+        let mut op = self.cfg.trace.span("bullet.create");
         op.attr("op", "create");
         op.attr("bytes", data.len());
         op.attr("p_factor", p_factor);
@@ -830,7 +815,7 @@ impl BulletServer {
         // Charged here, on the request thread: the group-commit leader
         // below may write *other* clients' payloads, which must not be
         // billed to whoever happened to lead the flush.
-        self.accounting.charge_current(|u| {
+        self.cfg.accounting.charge_current(|u| {
             u.bytes_written += size as u64;
             u.disk_ios += p_factor.max(1) as u64;
         });
@@ -862,7 +847,7 @@ impl BulletServer {
         p_factor: u32,
         wire: Option<&StreamWire>,
     ) -> Result<Capability, BulletError> {
-        let pipelined = self.cfg.pipeline && data.len() as u64 > self.segment_bytes();
+        let pipelined = data.len() as u64 > self.segment_bytes();
         op.attr("pipelined", pipelined);
         if !pipelined {
             // Receiving the file into cache memory costs one copy.  (The
@@ -1031,7 +1016,7 @@ impl BulletServer {
             if data.len() as u64 > Self::LOG_BATCH_MAX_BYTES {
                 // Oversized: flush what's queued (order!), then go direct.
                 self.flush_chunk(&mut pending, &mut pending_bytes, &mut out)?;
-                let mut op = self.tracer.span("bullet.create");
+                let mut op = self.cfg.trace.span("bullet.create");
                 op.attr("op", "create");
                 op.attr("bytes", data.len());
                 out.push(self.create_direct(&mut op, data, size, p_factor, None)?);
@@ -1060,7 +1045,7 @@ impl BulletServer {
             return Ok(());
         }
         *pending_bytes = 0;
-        let mut op = self.tracer.span("bullet.create_batch");
+        let mut op = self.cfg.trace.span("bullet.create_batch");
         op.attr("op", "create_batch");
         op.attr("files", pending.len());
         for r in self.gc_commit(std::mem::take(pending)) {
@@ -1150,7 +1135,7 @@ impl BulletServer {
                 .into_iter()
                 .map(|d| {
                     let size = d.len() as u32;
-                    let mut op = self.tracer.span("bullet.create");
+                    let mut op = self.cfg.trace.span("bullet.create");
                     op.attr("op", "create");
                     op.attr("bytes", d.len());
                     op.attr("log_fallback", true);
@@ -1206,7 +1191,7 @@ impl BulletServer {
         {
             // The linger window the batch accumulated over, plus the
             // assembly copy into the record image.
-            let mut s = self.tracer.span("gc.flush");
+            let mut s = self.cfg.trace.span("gc.flush");
             s.attr("files", n);
             s.attr("bytes", total_bytes);
             self.cfg.clock.advance(Self::LOG_LINGER);
@@ -1415,7 +1400,7 @@ impl BulletServer {
     ///
     /// Capability or lookup failures.
     pub fn size(&self, cap: &Capability) -> Result<u32, BulletError> {
-        let mut op = self.tracer.span("bullet.size");
+        let mut op = self.cfg.trace.span("bullet.size");
         op.attr("op", "size");
         self.charge_request();
         let t = self.table_read();
@@ -1451,34 +1436,19 @@ impl BulletServer {
         cap: &Capability,
         wire: Option<&StreamWire>,
     ) -> Result<Bytes, BulletError> {
-        let mut op = self.tracer.span("bullet.read");
+        let mut op = self.cfg.trace.span("bullet.read");
         op.attr("op", "read");
         self.charge_request();
-        let idx = cap.object.value();
-        // Fast path: verification and the cache hit share one read guard,
-        // so concurrent cache-hot reads never serialize, and the entry
-        // found is the verified file's.  The guard is gone before the
-        // miss path, whose fill takes the write guard.
-        let hit = {
-            let t = self.table_read();
-            self.verify(&t.inodes, cap, Rights::READ)?;
-            t.cache.get(idx)
-        };
-        if let Some(data) = hit {
-            self.stats.incr(counters::READS);
-            op.attr("bytes", data.len());
-            self.accounting.charge_current(|u| {
-                u.cache_hits += 1;
-                u.bytes_read += data.len() as u64;
-            });
-            return Ok(data);
-        }
-        let data = self.load_cold(cap, idx, Rights::READ, wire, 0, u64::MAX)?;
+        let (data, hit) = self.fetch(cap, Rights::READ, wire, |_| Ok((0, u64::MAX)))?;
         self.stats.incr(counters::READS);
         op.attr("bytes", data.len());
-        self.accounting.charge_current(|u| {
-            u.cache_misses += 1;
-            u.disk_ios += 1;
+        self.cfg.accounting.charge_current(|u| {
+            if hit {
+                u.cache_hits += 1;
+            } else {
+                u.cache_misses += 1;
+                u.disk_ios += 1;
+            }
             u.bytes_read += data.len() as u64;
         });
         Ok(data)
@@ -1515,28 +1485,18 @@ impl BulletServer {
         len: u32,
         wire: Option<&StreamWire>,
     ) -> Result<Bytes, BulletError> {
-        let mut op = self.tracer.span("bullet.read_section");
+        let mut op = self.cfg.trace.span("bullet.read_section");
         op.attr("op", "read_section");
         op.attr("bytes", len);
         self.charge_request();
-        let idx = cap.object.value();
-        // One read guard, dropped before the miss arm, as in `read`.
-        let (end, hit) = {
-            let t = self.table_read();
-            let size = self.verify(&t.inodes, cap, Rights::READ)?.size_bytes;
+        let (file, hit) = self.fetch(cap, Rights::READ, wire, |size| {
             let end = offset.checked_add(len).filter(|&e| e <= size);
-            (end.ok_or(BulletError::BadRange)?, t.cache.get(idx))
-        };
-        let was_hit = hit.is_some();
-        let data = match hit {
-            Some(d) => d.slice(offset as usize..end as usize),
-            None => self
-                .load_cold(cap, idx, Rights::READ, wire, offset as u64, end as u64)?
-                .slice(offset as usize..end as usize),
-        };
+            Ok((offset as u64, end.ok_or(BulletError::BadRange)? as u64))
+        })?;
+        let data = file.slice(offset as usize..(offset + len) as usize);
         self.stats.incr(counters::SECTION_READS);
-        self.accounting.charge_current(|u| {
-            if was_hit {
+        self.cfg.accounting.charge_current(|u| {
+            if hit {
                 u.cache_hits += 1;
             } else {
                 u.cache_misses += 1;
@@ -1556,7 +1516,7 @@ impl BulletServer {
     ///
     /// Capability failures or disk errors.
     pub fn delete(&self, cap: &Capability) -> Result<(), BulletError> {
-        let mut op = self.tracer.span("bullet.delete");
+        let mut op = self.cfg.trace.span("bullet.delete");
         op.attr("op", "delete");
         self.charge_request();
         let idx = cap.object.value();
@@ -1661,7 +1621,7 @@ impl BulletServer {
     ///
     /// [`BulletError::NotFound`] if `idx` is not live; disk errors.
     pub fn export_object(&self, idx: u32) -> Result<(u64, Bytes), BulletError> {
-        let mut op = self.tracer.span("bullet.export_object");
+        let mut op = self.cfg.trace.span("bullet.export_object");
         op.attr("op", "export_object");
         let _m = self.maint_read();
         // The in-flight guard keeps the inode snapshot stable across the
@@ -1697,7 +1657,7 @@ impl BulletServer {
     /// [`BulletError::NoSpace`] / disk errors as for create.  On error
     /// the adoption is fully rolled back.
     pub fn adopt_object(&self, idx: u32, random: u64, data: Bytes) -> Result<(), BulletError> {
-        let mut op = self.tracer.span("bullet.adopt_object");
+        let mut op = self.cfg.trace.span("bullet.adopt_object");
         op.attr("op", "adopt_object");
         op.attr("bytes", data.len());
         let size: u32 = data.len().try_into().map_err(|_| BulletError::TooLarge {
@@ -1721,7 +1681,7 @@ impl BulletServer {
     ///
     /// [`BulletError::NotFound`] if `idx` is not live; disk errors.
     pub fn retire_object(&self, idx: u32) -> Result<(), BulletError> {
-        let mut op = self.tracer.span("bullet.retire_object");
+        let mut op = self.cfg.trace.span("bullet.retire_object");
         op.attr("op", "retire_object");
         let _m = self.maint_read();
         // Deliberately no slot release: the slot is tombstoned on this
@@ -1745,20 +1705,11 @@ impl BulletServer {
         data: &[u8],
         p_factor: u32,
     ) -> Result<Capability, BulletError> {
-        let mut op = self.tracer.span("bullet.modify");
+        let mut op = self.cfg.trace.span("bullet.modify");
         op.attr("op", "modify");
         op.attr("bytes", data.len());
-        let idx = cap.object.value();
-        // One read guard, dropped before the miss arm, as in `read`.
-        let hit = {
-            let t = self.table_read();
-            self.verify(&t.inodes, cap, Rights::READ | Rights::MODIFY)?;
-            t.cache.get(idx)
-        };
-        let base = match hit {
-            Some(d) => d,
-            None => self.load_cold(cap, idx, Rights::READ | Rights::MODIFY, None, 0, u64::MAX)?,
-        };
+        let needed = Rights::READ | Rights::MODIFY;
+        let (base, _) = self.fetch(cap, needed, None, |_| Ok((0, u64::MAX)))?;
         let new_len = base.len().max(offset as usize + data.len());
         let mut buf = vec![0u8; new_len];
         buf[..base.len()].copy_from_slice(&base);
@@ -2085,31 +2036,16 @@ impl BulletServer {
     fn copy_extent_to_archive(&self, src: u64, blocks: u64, dst: u64) -> Result<(), BulletError> {
         let dev = &self.archive_tier().dev;
         let block_size = self.desc.block_size as u64;
-        let seg = self.segment_bytes();
-        let total = blocks * block_size;
-        let mut pipe =
-            Pipeline::with_trace(self.tracer.clone(), &["archive_read", "archive_write"]);
-        let mut off = 0u64;
-        while off < total {
-            let end = (off + seg).min(total);
+        let (total, seg) = (blocks * block_size, self.segment_bytes());
+        let lanes = &["archive_read", "archive_write"];
+        Pipeline::walk(&self.cfg.trace, lanes, total, seg, |pipe, off, end| {
             let mut buf = vec![0u8; (end - off) as usize];
-            pipe.begin_segment();
-            let read = pipe.stage(0, || {
+            pipe.stage(0, || {
                 self.storage
                     .read_blocks_low(src + off / block_size, &mut buf)
-            });
-            if let Err(e) = read {
-                // Drop settles the charges accrued so far.
-                drop(pipe);
-                return Err(e.into());
-            }
-            let write = pipe.stage(1, || dev.write_blocks(dst + off / block_size, &buf));
-            if let Err(e) = write {
-                drop(pipe);
-                return Err(e.into());
-            }
-            off = end;
-        }
+            })?;
+            pipe.stage(1, || dev.write_blocks(dst + off / block_size, &buf))
+        })?;
         Ok(())
     }
 
@@ -2217,13 +2153,13 @@ impl BulletServer {
     /// [`BulletConfig::telemetry`] enabled it) — for flight-recorder
     /// exports and tests.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.cfg.telemetry
     }
 
     /// The per-client accounting table (disabled unless
     /// [`BulletConfig::accounting`] enabled it).
     pub fn accounting(&self) -> &ClientAccounting {
-        &self.accounting
+        &self.cfg.accounting
     }
 
     /// The live-monitoring snapshot behind the `MONITOR` RPC: one
@@ -2237,6 +2173,7 @@ impl BulletServer {
     pub fn monitor_snapshot(&self) -> String {
         const TAIL: usize = 8;
         const TOP_K: usize = 10;
+        let (telemetry, accounting) = (&self.cfg.telemetry, &self.cfg.accounting);
         // Counters: server ops, then the cache's own stats, then locks —
         // disjoint name sets, merged into one flat object.
         let counters = self
@@ -2247,26 +2184,31 @@ impl BulletServer {
             .chain(self.lock_stats())
             .map(|(name, value)| (name, Json::num(value)));
         // Gauge/delta series: ring metadata plus the last few samples.
-        let series = self.telemetry.series_index().into_iter().map(
-            |(name, instance, kind, len, dropped)| {
-                let samples = self.telemetry.series(name, instance);
-                let tail = samples[samples.len().saturating_sub(TAIL)..]
-                    .iter()
-                    .map(|s| {
-                        Json::object([("t_ns", Json::num(s.at.as_ns())), ("v", Json::num(s.value))])
-                    });
-                Json::object([
-                    ("series", Json::string(name)),
-                    ("instance", Json::num(instance)),
-                    ("kind", Json::string(kind.label())),
-                    ("points", Json::num(len)),
-                    ("dropped", Json::num(dropped)),
-                    ("tail", Json::array(tail)),
-                ])
-            },
-        );
+        let series =
+            telemetry
+                .series_index()
+                .into_iter()
+                .map(|(name, instance, kind, len, dropped)| {
+                    let samples = telemetry.series(name, instance);
+                    let tail = samples[samples.len().saturating_sub(TAIL)..]
+                        .iter()
+                        .map(|s| {
+                            Json::object([
+                                ("t_ns", Json::num(s.at.as_ns())),
+                                ("v", Json::num(s.value)),
+                            ])
+                        });
+                    Json::object([
+                        ("series", Json::string(name)),
+                        ("instance", Json::num(instance)),
+                        ("kind", Json::string(kind.label())),
+                        ("points", Json::num(len)),
+                        ("dropped", Json::num(dropped)),
+                        ("tail", Json::array(tail)),
+                    ])
+                });
         // The SLO watchdog's degradation/recovery event log.
-        let slo_events = self.telemetry.slo_events().into_iter().map(|e| {
+        let slo_events = telemetry.slo_events().into_iter().map(|e| {
             Json::object([
                 ("t_ns", Json::num(e.at.as_ns())),
                 ("kind", Json::string(e.kind.label())),
@@ -2279,7 +2221,7 @@ impl BulletServer {
         });
         // Per-client accounting: population size plus the top offenders
         // by the cost metric (deterministic order; see `ClientUsage`).
-        let top = self.accounting.top_k(TOP_K).into_iter().map(|(client, u)| {
+        let top = accounting.top_k(TOP_K).into_iter().map(|(client, u)| {
             Json::object([
                 ("client", Json::num(client)),
                 ("requests", Json::num(u.requests)),
@@ -2293,13 +2235,13 @@ impl BulletServer {
             ])
         });
         let clients = [
-            ("count", Json::num(self.accounting.len())),
+            ("count", Json::num(accounting.len())),
             ("top", Json::array(top)),
         ];
         Json::object([
             ("monitor_schema", Json::num(1)),
             ("now_ns", Json::num(self.cfg.clock.now().as_ns())),
-            ("telemetry_enabled", Json::num(self.telemetry.enabled())),
+            ("telemetry_enabled", Json::num(telemetry.enabled())),
             ("counters", Json::object(counters)),
             ("series", Json::array(series)),
             ("slo_events", Json::array(slo_events)),
@@ -2455,6 +2397,36 @@ impl BulletServer {
         table.get_verified(cap, needed, &self.scheme)
     }
 
+    /// The verified fetch every read starts with.  Verification of `cap`
+    /// for `needed` and the cache lookup share one read guard, so
+    /// concurrent cache-hot reads never serialize, and the entry found is
+    /// the verified file's.  `window` maps the file size to the byte
+    /// window a cold load streams (and may refuse it); it runs under the
+    /// guard, before the lookup.  The guard is gone before the miss path,
+    /// [`load_cold`](Self::load_cold), whose fill takes the write guard.
+    /// Returns the whole file and whether the cache held it.
+    fn fetch(
+        &self,
+        cap: &Capability,
+        needed: Rights,
+        wire: Option<&StreamWire>,
+        window: impl FnOnce(u32) -> Result<(u64, u64), BulletError>,
+    ) -> Result<(Bytes, bool), BulletError> {
+        let idx = cap.object.value();
+        let ((win_start, win_end), hit) = {
+            let t = self.table_read();
+            let window = window(self.verify(&t.inodes, cap, needed)?.size_bytes)?;
+            (window, t.cache.get(idx))
+        };
+        match hit {
+            Some(data) => Ok((data, true)),
+            None => {
+                let data = self.load_cold(cap, idx, needed, wire, win_start, win_end)?;
+                Ok((data, false))
+            }
+        }
+    }
+
     /// The effective streaming segment: the configured size clamped to a
     /// whole number of disk blocks, minimum one block.
     fn segment_bytes(&self) -> u64 {
@@ -2527,11 +2499,11 @@ impl BulletServer {
     }
 
     /// Reads the extent of the file at `start_block` into `buf`.  Without
-    /// a wire (or with the pipeline off, or a single segment) this is one
-    /// contiguous disk read, exactly the seed behaviour.  With a wire it
-    /// runs the two-lane pipeline: lane 0 reads segment `k` off the disk
-    /// while lane 1 streams the part of segment `k-1` inside the
-    /// file-byte window `[win_start, win_end)` to the client.
+    /// a wire, or within a single segment, this is one contiguous disk
+    /// read, exactly the seed behaviour.  Otherwise it runs the two-lane
+    /// pipeline: lane 0 reads segment `k` off the disk while lane 1
+    /// streams the part of segment `k-1` inside the file-byte window
+    /// `[win_start, win_end)` to the client.
     fn read_extent(
         &self,
         start_block: u64,
@@ -2550,48 +2522,35 @@ impl BulletServer {
             failovers += made;
             result
         };
-        let result = 'read: {
-            let block_size = self.desc.block_size as u64;
-            let seg = self.segment_bytes();
-            let (Some(wire), true) = (wire, self.cfg.pipeline && buf.len() as u64 > seg) else {
-                break 'read read_blocks(start_block, buf).map_err(BulletError::from);
-            };
-            self.stats.incr(counters::PIPELINED_READS);
-            let mut pipe = Pipeline::with_trace(self.tracer.clone(), &["disk_read", "wire_send"]);
-            let mut off = 0u64;
-            let total = buf.len() as u64;
-            while off < total {
-                let end = (off + seg).min(total);
-                pipe.begin_segment();
-                let read = pipe.stage(0, || {
-                    read_blocks(
-                        start_block + off / block_size,
-                        &mut buf[off as usize..end as usize],
-                    )
-                });
-                if let Err(e) = read {
-                    // Drop settles the charges accrued so far: the time the
-                    // pipeline spent before the failure is still spent.
-                    drop(pipe);
-                    break 'read Err(e.into());
-                }
-                // Only the window part of the segment travels; the last
-                // sent chunk is capped at the file size (the tail padding
-                // of the final block never leaves the server).
-                let sent_start = off.max(win_start);
-                let sent_end = end.min(win_end).min(size);
-                if sent_end > sent_start {
-                    self.stats.incr(counters::STREAM_SEGMENTS);
-                    pipe.stage(1, || wire.stage_reply_segment(sent_end - sent_start));
-                }
-                off = end;
+        let block_size = self.desc.block_size as u64;
+        let seg = self.segment_bytes();
+        let total = buf.len() as u64;
+        let result = match wire {
+            Some(wire) if total > seg => {
+                self.stats.incr(counters::PIPELINED_READS);
+                let lanes = &["disk_read", "wire_send"];
+                Pipeline::walk(&self.cfg.trace, lanes, total, seg, |pipe, off, end| {
+                    let chunk = &mut buf[off as usize..end as usize];
+                    pipe.stage(0, || read_blocks(start_block + off / block_size, chunk))?;
+                    // Only the window part of the segment travels; the last
+                    // sent chunk is capped at the file size (the tail
+                    // padding of the final block never leaves the server).
+                    let sent_start = off.max(win_start);
+                    let sent_end = end.min(win_end).min(size);
+                    if sent_end > sent_start {
+                        self.stats.incr(counters::STREAM_SEGMENTS);
+                        pipe.stage(1, || wire.stage_reply_segment(sent_end - sent_start));
+                    }
+                    Ok(())
+                })
+                .map(drop)
             }
-            Ok(())
+            _ => read_blocks(start_block, buf),
         };
         if failovers > 0 {
             self.stats.add(counters::FAILOVER_READS, failovers);
         }
-        result
+        Ok(result?)
     }
 
     /// The pipelined counterpart of
@@ -2609,15 +2568,10 @@ impl BulletServer {
         wire: Option<&StreamWire>,
     ) -> Result<(), BulletError> {
         let block_size = self.desc.block_size as u64;
-        let seg = self.segment_bytes();
-        let total = blocks * block_size;
-        let mut pipe =
-            Pipeline::with_trace(self.tracer.clone(), &["wire_recv", "memcpy", "disk_write"]);
-        let mut off = 0u64;
-        while off < total {
-            let end = (off + seg).min(total);
+        let (total, seg) = (blocks * block_size, self.segment_bytes());
+        let lanes = &["wire_recv", "memcpy", "disk_write"];
+        Pipeline::walk(&self.cfg.trace, lanes, total, seg, |pipe, off, end| {
             let chunk_len = (end.min(data.len() as u64)).saturating_sub(off);
-            pipe.begin_segment();
             self.stats.incr(counters::STREAM_SEGMENTS);
             if let Some(w) = wire {
                 pipe.stage(0, || w.recv_request_segment(chunk_len));
@@ -2626,7 +2580,7 @@ impl BulletServer {
                 self.cfg.clock.advance(self.cfg.cpu.memcpy(chunk_len));
             });
             self.stats.add(counters::PAYLOAD_BYTES_COPIED, chunk_len);
-            let write = pipe.stage(2, || {
+            pipe.stage(2, || {
                 let chunk = &data[off as usize..(off + chunk_len) as usize];
                 let first = start + off / block_size;
                 if chunk_len == end - off {
@@ -2637,13 +2591,9 @@ impl BulletServer {
                     padded[..chunk.len()].copy_from_slice(chunk);
                     self.storage.write_sync_k(first, &padded, k)
                 }
-            });
-            if let Err(e) = write {
-                drop(pipe);
-                return Err(e.into());
-            }
-            off = end;
-        }
+            })
+            .map(drop)
+        })?;
         Ok(())
     }
 
@@ -2745,11 +2695,11 @@ impl BulletServer {
         self.requests_seen.add(1);
         // `now` sums every clock lane: read it only when telemetry can
         // use it.
-        if self.telemetry.enabled() && self.telemetry.tick(self.cfg.clock.now()) {
+        if self.cfg.telemetry.enabled() && self.cfg.telemetry.tick(self.cfg.clock.now()) {
             self.sample_gauges();
         }
-        self.accounting.charge_current(|u| u.requests += 1);
-        let _s = self.tracer.span("cpu.request");
+        self.cfg.accounting.charge_current(|u| u.requests += 1);
+        let _s = self.cfg.trace.span("cpu.request");
         self.cfg.clock.advance(self.cfg.cpu.request());
     }
 
@@ -2762,6 +2712,7 @@ impl BulletServer {
     /// never deadlock or stall the request that happened to cross the
     /// period boundary.
     fn sample_gauges(&self) {
+        let telemetry = &self.cfg.telemetry;
         let now = self.cfg.clock.now();
         if let Some(t) = self.table.try_read() {
             let cache = &t.cache;
@@ -2772,7 +2723,7 @@ impl BulletServer {
             );
             // Hit/miss deltas per period (the rings lock is a leaf, so
             // sampling under the table read guard is in lock order).
-            self.telemetry.sample_counters(
+            telemetry.sample_counters(
                 now,
                 cache.stats(),
                 &[
@@ -2782,29 +2733,23 @@ impl BulletServer {
                 ],
             );
             drop(t);
-            self.telemetry
-                .gauge(counters::GAUGE_CACHE_USED_BYTES, 0, now, used);
-            self.telemetry
-                .gauge(counters::GAUGE_CACHE_PROTECTED_BYTES, 0, now, protected);
-            self.telemetry
-                .gauge(counters::GAUGE_CACHE_GHOST_LEN, 0, now, ghost);
+            telemetry.gauge(counters::GAUGE_CACHE_USED_BYTES, 0, now, used);
+            telemetry.gauge(counters::GAUGE_CACHE_PROTECTED_BYTES, 0, now, protected);
+            telemetry.gauge(counters::GAUGE_CACHE_GHOST_LEN, 0, now, ghost);
         }
         if let Some(alloc) = self.alloc.try_lock() {
             let report = alloc.extents.report();
             drop(alloc);
-            self.telemetry
-                .gauge(counters::GAUGE_ALLOC_FREE_BLOCKS, 0, now, report.free);
-            self.telemetry
-                .gauge(counters::GAUGE_ALLOC_MAX_HOLE, 0, now, report.largest_hole);
+            telemetry.gauge(counters::GAUGE_ALLOC_FREE_BLOCKS, 0, now, report.free);
+            telemetry.gauge(counters::GAUGE_ALLOC_MAX_HOLE, 0, now, report.largest_hole);
         }
         if let Some(log) = &self.log {
             if let Some(st) = log.try_lock() {
                 let resident = st.window.resident();
                 drop(st);
-                self.telemetry
-                    .gauge(counters::GAUGE_LOG_RESIDENT_FILES, 0, now, resident);
+                telemetry.gauge(counters::GAUGE_LOG_RESIDENT_FILES, 0, now, resident);
             }
-            self.telemetry.gauge(
+            telemetry.gauge(
                 counters::GAUGE_GC_BATCH_OCCUPANCY,
                 0,
                 now,
@@ -2812,19 +2757,18 @@ impl BulletServer {
             );
         }
         if let Some(arch) = &self.archive {
-            self.telemetry.gauge(
+            telemetry.gauge(
                 counters::GAUGE_TIER_ARCHIVE_BLOCKS,
                 0,
                 now,
                 arch.dev.burned_blocks(),
             );
             if let Some(q) = arch.recall_q.try_lock() {
-                self.telemetry
-                    .gauge(counters::GAUGE_TIER_RECALL_QUEUE, 0, now, q.len() as u64);
+                telemetry.gauge(counters::GAUGE_TIER_RECALL_QUEUE, 0, now, q.len() as u64);
             }
         }
         // Counter-delta series: op mix and cache behaviour per period.
-        self.telemetry.sample_counters(
+        telemetry.sample_counters(
             now,
             &self.stats,
             &[
@@ -2842,7 +2786,7 @@ impl BulletServer {
 
     /// Charges a `bytes`-long memory copy under a `cpu.memcpy` leaf span.
     fn charge_memcpy(&self, bytes: u64) {
-        let mut s = self.tracer.span("cpu.memcpy");
+        let mut s = self.cfg.trace.span("cpu.memcpy");
         s.attr("bytes", bytes);
         self.cfg.clock.advance(self.cfg.cpu.memcpy(bytes));
     }
@@ -2866,7 +2810,8 @@ impl BulletServer {
                 (acquire(), true)
             }
         };
-        self.tracer
+        self.cfg
+            .trace
             .instant(instant, &[("contended", AttrValue::Bool(waited))]);
         guard
     }
@@ -3909,8 +3854,8 @@ mod tests {
         use amoeba_sim::trace::leaf_coverage;
 
         let mut cfg = BulletConfig::small_test();
-        cfg.trace = TraceConfig::enabled(cfg.clock.clone());
-        let tracer = cfg.trace.tracer().clone();
+        cfg.trace = Tracer::on(cfg.clock.clone());
+        let tracer = cfg.trace.clone();
         let s = BulletServer::format(cfg, 2).unwrap();
 
         let cap = s.create(payload(300 * 1024, 7), 2).unwrap();
@@ -3942,11 +3887,11 @@ mod tests {
     }
 
     /// Tracing must be free when disabled: a server with
-    /// [`TraceConfig::off`] charges exactly the same simulated time as an
+    /// [`Tracer::off`] charges exactly the same simulated time as an
     /// identically-configured server with tracing enabled.
     #[test]
     fn disabled_tracing_charges_identical_time() {
-        let elapsed = |trace: TraceConfig| {
+        let elapsed = |trace: Tracer| {
             let mut cfg = BulletConfig::small_test();
             cfg.trace = trace;
             let clock = cfg.clock.clone();
@@ -3960,8 +3905,8 @@ mod tests {
         };
         let clock = SimClock::new();
         assert_eq!(
-            elapsed(TraceConfig::off()),
-            elapsed(TraceConfig::enabled(clock)),
+            elapsed(Tracer::off()),
+            elapsed(Tracer::on(clock)),
             "span recording must never advance the simulated clock"
         );
     }

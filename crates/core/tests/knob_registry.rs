@@ -26,13 +26,13 @@ use std::path::{Path, PathBuf};
 /// Fields of `BulletConfig`.  A ratchet: lower it with every knob
 /// deleted; a PR that raises it must say which two callers need
 /// different values.
-const KNOBS: usize = 24;
+const KNOBS: usize = 23;
 
 /// Code lines (neither blank nor `//`) of `server.rs` above its test
 /// module — the figure ROADMAP item 3(a) tracks towards 1,500, and
 /// `scripts/loc.sh` prints.  An exact ratchet: the change that shrinks
 /// the file lowers it, so later code cannot grow back into the slack.
-const SERVER_CODE_LINES: usize = 1861;
+const SERVER_CODE_LINES: usize = 1810;
 
 /// Knobs nothing outside tests assigns, and why each stays anyway.
 const UNSET_BY_DESIGN: &[(&str, &str)] = &[(

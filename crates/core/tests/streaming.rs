@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk};
 use amoeba_net::{duplex, SimEthernet};
 use amoeba_rpc::client::{serve_chan, RemoteClient};
-use amoeba_rpc::{Dispatcher, RpcClient, RpcServer};
+use amoeba_rpc::{Dispatcher, RpcClient, RpcServer, DEFAULT_SEGMENT};
 use amoeba_sim::{DiskProfile, HwProfile, Nanos, NetProfile, SimClock};
 use bullet_core::{commands, BulletClient, BulletConfig, BulletRpcServer, BulletServer};
 
@@ -55,6 +55,16 @@ fn paper_stack(
     stack(hw.disk, hw.net, tweak)
 }
 
+/// The stack's segment in bytes (`small_test`'s, a whole number of its
+/// 1 KB blocks) and one block.
+const SEG: usize = DEFAULT_SEGMENT as usize;
+const BLOCK: usize = 1024;
+
+/// A segment no file reaches: every transfer is staged whole.
+fn one_segment(cfg: &mut BulletConfig) {
+    cfg.segment_size = u32::MAX;
+}
+
 /// A zero-cost network, to isolate the disk lane.
 fn free_net() -> NetProfile {
     NetProfile {
@@ -97,7 +107,7 @@ fn pipelined_cold_read_beats_sequential_and_respects_lane_bounds() {
     let pipelined = cold_read_time(&clock, &client, &server, MB);
     assert!(server.stats().get("pipelined_reads") >= 1);
 
-    let (clock, client, server) = paper_stack(|cfg| cfg.pipeline = false);
+    let (clock, client, server) = paper_stack(one_segment);
     let sequential = cold_read_time(&clock, &client, &server, MB);
     assert_eq!(server.stats().get("pipelined_reads"), 0);
 
@@ -111,11 +121,9 @@ fn pipelined_cold_read_beats_sequential_and_respects_lane_bounds() {
 
     // Lower bounds: the pipeline cannot beat either lane alone.
     let hw = HwProfile::amoeba_1989();
-    let (clock, client, server) = stack(DiskProfile::instant(), hw.net, |cfg| {
-        cfg.pipeline = false;
-    });
+    let (clock, client, server) = stack(DiskProfile::instant(), hw.net, one_segment);
     let wire_only = cold_read_time(&clock, &client, &server, MB);
-    let (clock, client, server) = stack(hw.disk, free_net(), |cfg| cfg.pipeline = false);
+    let (clock, client, server) = stack(hw.disk, free_net(), one_segment);
     let disk_only = cold_read_time(&clock, &client, &server, MB);
     assert!(
         pipelined >= wire_only && pipelined >= disk_only,
@@ -130,7 +138,7 @@ fn pipelined_create_beats_sequential() {
     let pipelined = create_time(&clock, &client, MB);
     assert!(server.stats().get("pipelined_creates") >= 1);
 
-    let (clock, client, _server) = paper_stack(|cfg| cfg.pipeline = false);
+    let (clock, client, _server) = paper_stack(one_segment);
     let sequential = create_time(&clock, &client, MB);
     let speedup = sequential.as_secs_f64() / pipelined.as_secs_f64();
     assert!(
@@ -144,13 +152,45 @@ fn pipelined_never_exceeds_sequential_at_any_size() {
     for size in [1024, 64 * 1024, 100_000, 256 * 1024, 1 << 20] {
         let (clock, client, server) = paper_stack(|_| {});
         let pipelined = cold_read_time(&clock, &client, &server, size);
-        let (clock, client, server) = paper_stack(|cfg| cfg.pipeline = false);
+        let (clock, client, server) = paper_stack(one_segment);
         let sequential = cold_read_time(&clock, &client, &server, size);
         assert!(
             pipelined <= sequential,
             "{size} bytes: pipelined {pipelined} > sequential {sequential}"
         );
     }
+}
+
+/// The `pipelined_*` counters of `server`.
+fn pipelined(server: &BulletServer) -> (u64, u64) {
+    let stats = server.stats();
+    (stats.get("pipelined_reads"), stats.get("pipelined_creates"))
+}
+
+#[test]
+fn a_cold_read_streams_only_past_one_segment() {
+    let (clock, client, server) = paper_stack(|_| {});
+    let staged = cold_read_time(&clock, &client, &server, SEG);
+    assert_eq!(pipelined(&server), (0, 0), "one segment is staged whole");
+    let (clock, client, server) = paper_stack(one_segment);
+    assert_eq!(staged, cold_read_time(&clock, &client, &server, SEG));
+
+    let (clock, client, server) = paper_stack(|_| {});
+    cold_read_time(&clock, &client, &server, SEG + BLOCK);
+    assert_eq!(pipelined(&server), (1, 1), "one block more streams");
+}
+
+#[test]
+fn a_create_streams_only_past_one_segment() {
+    let (clock, client, server) = paper_stack(|_| {});
+    let staged = create_time(&clock, &client, SEG);
+    assert_eq!(pipelined(&server), (0, 0), "one segment is staged whole");
+    let (clock, client, _server) = paper_stack(one_segment);
+    assert_eq!(staged, create_time(&clock, &client, SEG));
+
+    let (clock, client, server) = paper_stack(|_| {});
+    create_time(&clock, &client, SEG + BLOCK);
+    assert_eq!(pipelined(&server), (0, 1), "one block more streams");
 }
 
 #[test]

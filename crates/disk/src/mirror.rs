@@ -314,26 +314,12 @@ impl MirroredDisk {
         let total = self.num_blocks();
         let chunk = chunk_blocks.max(1);
         let mut buf = vec![0u8; bs * chunk as usize];
-        let mut at = 0;
-        let mut pipe =
-            amoeba_sim::Pipeline::with_trace(tracer.clone(), &["resync_read", "resync_write"]);
-        while at < total {
-            let n = chunk.min(total - at);
-            let slice = &mut buf[..bs * n as usize];
-            pipe.begin_segment();
-            let read = pipe.stage(0, || self.replicas[src].read_blocks(at, slice));
-            if let Err(e) = read {
-                drop(pipe);
-                return Err(e);
-            }
-            let write = pipe.stage(1, || self.replicas[i].write_blocks(at, slice));
-            if let Err(e) = write {
-                drop(pipe);
-                return Err(e);
-            }
-            at += n;
-        }
-        drop(pipe);
+        let lanes = &["resync_read", "resync_write"];
+        amoeba_sim::Pipeline::walk(&tracer, lanes, total, chunk, |pipe, at, end| {
+            let slice = &mut buf[..bs * (end - at) as usize];
+            pipe.stage(0, || self.replicas[src].read_blocks(at, slice))?;
+            pipe.stage(1, || self.replicas[i].write_blocks(at, slice))
+        })?;
         self.replicas[i].sync()?;
         self.alive[i].store(true, Ordering::SeqCst);
         self.stats.incr("mirror_resyncs");

@@ -79,12 +79,6 @@ impl<D: BlockDevice> WormDisk<D> {
         self.pos.lock().cursor
     }
 
-    /// One past the last sealed block (`exempt_blocks` when nothing is
-    /// sealed yet).
-    pub fn sealed_until(&self) -> u64 {
-        self.pos.lock().sealed
-    }
-
     /// Reserves `blocks` consecutive write-once blocks at the append
     /// cursor and returns the first block of the run.  The reservation is
     /// permanent — WORM media never reclaims — so a caller that fails

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use amoeba_cap::Port;
 use amoeba_net::SimEthernet;
-use amoeba_sim::{NetProfile, Pipeline};
+use amoeba_sim::{NetProfile, Pipeline, Tracer};
 
 use crate::stream::DEFAULT_SEGMENT;
 use crate::{Dispatcher, Reply, Request, RpcError, RpcServer, Status, StreamWire};
@@ -51,9 +51,10 @@ impl WanProxy {
             Ok(reply) => reply,
             Err(RpcError::UnknownPort(_)) => Reply::error(Status::NotFound),
         };
-        let seg = DEFAULT_SEGMENT as usize;
+        let seg = DEFAULT_SEGMENT as u64;
+        let total = reply.data.len() as u64;
         let wire = match wire {
-            Some(wire) if reply.status.is_ok() && reply.data.len() > seg => wire,
+            Some(wire) if reply.status.is_ok() && total > seg => wire,
             _ => {
                 self.wan.send(reply.wire_size());
                 return reply;
@@ -65,19 +66,12 @@ impl WanProxy {
         // the whole file.  The WAN header (status + params) keeps the
         // per-message charge.
         self.wan.send(reply.wire_size() - reply.data.len() as u64);
-        let mut pipe = Pipeline::new();
-        let mut off = 0;
-        while off < reply.data.len() {
-            let end = (off + seg).min(reply.data.len());
-            let chunk = reply.data.slice(off..end);
-            pipe.begin_segment();
-            pipe.stage(0, || self.wan.send_stream(chunk.len() as u64));
-            pipe.stage(1, || {
-                wire.send_reply_segment(off as u64, chunk.clone(), end == reply.data.len());
-            });
-            off = end;
-        }
-        pipe.finish();
+        let Ok(_) = Pipeline::walk(&Tracer::off(), &[], total, seg, |pipe, off, end| {
+            let chunk = reply.data.slice(off as usize..end as usize);
+            pipe.stage(0, || self.wan.send_stream(end - off));
+            pipe.stage(1, || wire.send_reply_segment(off, chunk, end == total));
+            Ok::<(), std::convert::Infallible>(())
+        });
         if wire.delivers_frames() {
             return Reply {
                 status: reply.status,

@@ -118,7 +118,7 @@ impl<T> EventQueue<T> {
         self.heap.is_empty()
     }
 
-    /// Total events ever scheduled (the `evsim_events` counter source).
+    /// Total events ever scheduled (an evsim run's `events`).
     pub fn scheduled(&self) -> u64 {
         self.scheduled
     }

@@ -60,5 +60,5 @@ pub use lane::{LaneCounter, Lanes};
 pub use pipeline::Pipeline;
 pub use rng::DetRng;
 pub use stats::{exact_quantile, Histogram, Stats};
-pub use timeseries::{Sample, SeriesKind, SloEvent, SloKind, Telemetry, TelemetryConfig};
-pub use trace::{AttrValue, SpanGuard, SpanRecord, TraceConfig, Tracer};
+pub use timeseries::{Sample, SeriesKind, SloEvent, SloKind, Telemetry};
+pub use trace::{AttrValue, SpanGuard, SpanRecord, Tracer};

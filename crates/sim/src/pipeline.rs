@@ -16,11 +16,13 @@
 //! single lane's total — steady-state throughput is set by
 //! max(stage costs) with a fill/drain ramp at either end.
 //!
-//! [`Pipeline`] runs each stage under [`capture`], records its cost into
-//! the recurrence, and on settlement advances the charged clocks by the
-//! *makespan* instead of the sequential sum, prorated per clock by its
-//! share of the total charge (exact when all stages charge one shared
-//! clock — the usual case in this workspace).
+//! [`Pipeline::walk`] is the one segment loop: it cuts a transfer into
+//! segments and hands each to the caller, whose [`Pipeline::stage`] calls
+//! run under [`capture`] and record their costs into the recurrence.  On
+//! settlement the charged clocks advance by the *makespan* instead of the
+//! sequential sum, prorated per clock by its share of the total charge
+//! (exact when all stages charge one shared clock — the usual case in
+//! this workspace).
 //!
 //! The model assumes a segment finished by lane *s* can always be buffered
 //! until lane *s+1* is free (no back-pressure).  That is the honest model
@@ -31,18 +33,17 @@
 //! # Example
 //!
 //! ```
-//! use amoeba_sim::{Nanos, Pipeline, SimClock};
+//! use amoeba_sim::{Nanos, Pipeline, SimClock, Tracer};
 //!
 //! let clock = SimClock::new();
-//! let mut pipe = Pipeline::new();
-//! for _segment in 0..4 {
-//!     pipe.begin_segment();
+//! // 4 segments of 64 bytes, each read off the disk and then sent.
+//! let makespan = Pipeline::walk(&Tracer::off(), &["disk", "wire"], 256, 64, |pipe, _, _| {
 //!     pipe.stage(0, || clock.advance(Nanos(10))); // disk lane
 //!     pipe.stage(1, || clock.advance(Nanos(8))); // wire lane
-//! }
-//! let makespan = pipe.finish();
+//!     Ok::<(), ()>(())
+//! });
 //! // 4 disk reads back-to-back, then the last wire transmit drains:
-//! assert_eq!(makespan, Nanos(48));
+//! assert_eq!(makespan, Ok(Nanos(48)));
 //! assert_eq!(clock.now(), Nanos(48)); // not the sequential 72
 //! ```
 
@@ -51,10 +52,10 @@ use crate::trace::Tracer;
 
 /// A pipelined multi-stage transfer being costed (see the module docs).
 ///
-/// Call [`Pipeline::begin_segment`] once per segment, then
-/// [`Pipeline::stage`] once per stage in lane order, and settle with
-/// [`Pipeline::finish`].  Dropping an unfinished pipeline settles it too,
-/// so charges are never lost on error paths.
+/// [`Pipeline::walk`] begins each segment and settles the pipeline when
+/// the walk ends, on success or on the first error alike, so charges are
+/// never lost on error paths; the caller runs [`Pipeline::stage`] once
+/// per stage of each segment, in lane order.
 #[derive(Debug, Default)]
 pub struct Pipeline {
     /// Relative finish time of the last item each lane processed.
@@ -81,20 +82,55 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Creates an empty pipeline.
-    pub fn new() -> Pipeline {
+    /// Walks a transfer of `total` units in segments of `seg` units (the
+    /// last one short), calling `step(pipe, off, end)` for each segment
+    /// `[off, end)` to run its stages, and returns the makespan.  A
+    /// zero-length transfer begins no segment.
+    ///
+    /// Stages record one span each on `tracer`, named by `lanes` and
+    /// tagged with `lane` and `segment` attributes.  The recurrence
+    /// *computes* the overlapped schedule rather than replaying it, so
+    /// each stage span is placed at its recurrence start time — the union
+    /// of the lane spans tiles exactly the window from the walk's start to
+    /// its makespan, with every overlap and stall visible.  Spans recorded
+    /// *inside* a stage (e.g. mirrored-write replica lanes) are shifted
+    /// along with it.
+    ///
+    /// # Errors
+    ///
+    /// The first error `step` returns ends the walk; the time the stages
+    /// run so far spent is still charged (their recurrence, settled).
+    ///
+    /// # Panics
+    ///
+    /// If `seg` is zero.
+    pub fn walk<E>(
+        tracer: &Tracer,
+        lanes: &'static [&'static str],
+        total: u64,
+        seg: u64,
+        mut step: impl FnMut(&mut Pipeline, u64, u64) -> Result<(), E>,
+    ) -> Result<Nanos, E> {
+        assert!(seg > 0, "a pipeline segment holds at least one unit");
+        let mut pipe = Pipeline::with_trace(tracer.clone(), lanes);
+        let mut off = 0;
+        while off < total {
+            let end = (off + seg).min(total);
+            pipe.begin_segment();
+            // An early return drops `pipe`, which settles it.
+            step(&mut pipe, off, end)?;
+            off = end;
+        }
+        Ok(pipe.finish())
+    }
+
+    fn new() -> Pipeline {
         Pipeline::default()
     }
 
-    /// Creates a pipeline that records one span per stage on `tracer`,
-    /// named by `lane_names` and tagged with `lane` and `segment`
-    /// attributes.  The recurrence *computes* the overlapped schedule
-    /// rather than replaying it, so each stage span is placed at its
-    /// recurrence start time — the union of the lane spans tiles exactly
-    /// the window from the pipeline's start to its makespan, with every
-    /// overlap and stall visible.  Spans recorded *inside* a stage (e.g.
-    /// mirrored-write replica lanes) are shifted along with it.
-    pub fn with_trace(tracer: Tracer, lane_names: &'static [&'static str]) -> Pipeline {
+    /// A pipeline recording its stage spans on `tracer` (see
+    /// [`walk`](Self::walk)).
+    fn with_trace(tracer: Tracer, lane_names: &'static [&'static str]) -> Pipeline {
         let base = tracer.now();
         let mut pipe = Pipeline::new();
         pipe.tracer = tracer;
@@ -106,7 +142,7 @@ impl Pipeline {
     /// Starts the next segment: its first stage may begin as soon as the
     /// lane is free, with no dependency on later stages of earlier
     /// segments.
-    pub fn begin_segment(&mut self) {
+    fn begin_segment(&mut self) {
         self.seg_prev = 0;
         self.segments += 1;
     }
@@ -186,7 +222,7 @@ impl Pipeline {
     /// Settles the pipeline: advances the charged clocks by the makespan
     /// (prorated per clock by its share of the total charge) and returns
     /// the makespan.
-    pub fn finish(mut self) -> Nanos {
+    fn finish(mut self) -> Nanos {
         self.settle();
         Nanos(self.makespan)
     }
@@ -425,6 +461,59 @@ mod tests {
             .collect();
         assert_eq!(children.len(), 1);
         assert_eq!((children[0].start, children[0].end), (Nanos(20), Nanos(26)));
+    }
+
+    #[test]
+    fn walk_of_zero_units_begins_no_segment() {
+        let c = SimClock::new();
+        let walked = Pipeline::walk(&Tracer::off(), &[], 0, 64, |_, _, _| -> Result<(), ()> {
+            c.advance(Nanos(1));
+            panic!("a zero-length transfer has no segment");
+        });
+        assert_eq!(walked, Ok(Nanos::ZERO));
+        assert_eq!(c.now(), Nanos::ZERO);
+    }
+
+    #[test]
+    fn walk_cuts_ceil_total_over_seg_segments_the_last_short() {
+        let mut seen = Vec::new();
+        let walked = Pipeline::walk(&Tracer::off(), &[], 10, 4, |pipe, off, end| {
+            seen.push((pipe.segments, off, end));
+            Ok::<(), ()>(())
+        });
+        assert_eq!(walked, Ok(Nanos::ZERO));
+        assert_eq!(seen, [(1, 0, 4), (2, 4, 8), (3, 8, 10)]);
+        let count = |total: u64, seg: u64| {
+            let mut n = 0u64;
+            let _ = Pipeline::walk(&Tracer::off(), &[], total, seg, |_, _, _| {
+                n += 1;
+                Ok::<(), ()>(())
+            });
+            n
+        };
+        for (total, seg) in [(1, 1), (64, 64), (65, 64), (128, 64), (1 << 20, 65_536)] {
+            assert_eq!(count(total, seg), total.div_ceil(seg), "{total} / {seg}");
+        }
+    }
+
+    #[test]
+    fn walk_returns_the_first_error_and_charges_the_stages_run() {
+        let c = SimClock::new();
+        let mut segments = 0;
+        let walked = Pipeline::walk(&Tracer::off(), &[], 5, 1, |pipe, off, _| {
+            segments += 1;
+            pipe.stage(0, || c.advance(Nanos(10)));
+            if off == 2 {
+                return Err("segment 2");
+            }
+            pipe.stage(1, || c.advance(Nanos(8)));
+            Ok(())
+        });
+        assert_eq!(walked, Err("segment 2"));
+        assert_eq!(segments, 3, "the walk stops at the failing segment");
+        // Disk 0 [0,10], wire 0 [10,18], disk 1 [10,20], wire 1 [20,28],
+        // disk 2 [20,30]: the recurrence, not the sequential 46.
+        assert_eq!(c.now(), Nanos(30));
     }
 
     #[test]

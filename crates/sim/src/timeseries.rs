@@ -31,8 +31,7 @@
 //! timeline is bit-identical (ABL17 proves it by digest).
 //!
 //! An SLO watchdog rides on the recording path: committed thresholds
-//! (a ceiling per series, or a latency-quantile ceiling checked against a
-//! [`Histogram`]) are evaluated as samples arrive, and crossings emit
+//! (a ceiling per series) are evaluated as samples arrive, and crossings emit
 //! structured [`SloEvent`]s (degraded/recovered) into a bounded buffer —
 //! the machine-readable "the server is in trouble *now*" signal the
 //! `MONITOR` RPC and ABL17 consume.
@@ -63,7 +62,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::clock::Nanos;
-use crate::stats::{Histogram, Stats};
+use crate::stats::Stats;
 
 /// What a series records: a sampled level or a per-period counter delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -384,42 +383,6 @@ impl Telemetry {
         });
     }
 
-    /// Checks a latency-quantile SLO against a [`Histogram`] (typically
-    /// one op-class entry of `trace::op_histograms`, or a windowed
-    /// latency histogram): quantile `q` above `ceiling` emits a
-    /// degradation event attributed to `at`.  Stateless across calls —
-    /// each check reports its own crossing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn check_quantile(
-        &self,
-        slo: &'static str,
-        series: &'static str,
-        instance: u32,
-        at: Nanos,
-        hist: &Histogram,
-        q: f64,
-        ceiling: Nanos,
-    ) -> bool {
-        let Some(inner) = &self.inner else {
-            return false;
-        };
-        let value = hist.quantile(q);
-        if value > ceiling {
-            inner.watchdog.lock().emit(SloEvent {
-                at,
-                kind: SloKind::Degraded,
-                slo,
-                series,
-                instance,
-                value: value.as_ns(),
-                ceiling: ceiling.as_ns(),
-            });
-            true
-        } else {
-            false
-        }
-    }
-
     /// Every watchdog event so far, in emission order.
     pub fn slo_events(&self) -> Vec<SloEvent> {
         self.inner
@@ -541,37 +504,6 @@ impl Telemetry {
     }
 }
 
-/// Switch for the telemetry layer, carried in component configurations
-/// exactly like [`crate::TraceConfig`]: [`TelemetryConfig::off`] (the
-/// default) disables the whole layer; [`TelemetryConfig::enabled`] shares
-/// one [`Telemetry`] among every component given a clone of the config,
-/// so their series land in one flight recorder.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryConfig {
-    telemetry: Telemetry,
-}
-
-impl TelemetryConfig {
-    /// Telemetry disabled (the default, the production bit-identity
-    /// setting).
-    pub fn off() -> TelemetryConfig {
-        TelemetryConfig::default()
-    }
-
-    /// Telemetry enabled at the given sampling period and per-series
-    /// ring capacity.
-    pub fn enabled(period: Nanos, capacity: usize) -> TelemetryConfig {
-        TelemetryConfig {
-            telemetry: Telemetry::on(period, capacity),
-        }
-    }
-
-    /// The shared recorder handle.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,41 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_slo_checks_histograms() {
-        let t = Telemetry::on(Nanos::from_ms(1), 8);
-        let h = Histogram::new();
-        for _ in 0..100 {
-            h.record(Nanos::from_us(100));
-        }
-        assert!(!t.check_quantile(
-            "p99",
-            "op_read",
-            0,
-            Nanos::from_ms(1),
-            &h,
-            0.99,
-            Nanos::from_ms(1)
-        ));
-        h.record(Nanos::from_ms(50));
-        for _ in 0..99 {
-            h.record(Nanos::from_ms(40));
-        }
-        assert!(t.check_quantile(
-            "p99",
-            "op_read",
-            0,
-            Nanos::from_ms(2),
-            &h,
-            0.99,
-            Nanos::from_ms(1)
-        ));
-        let events = t.slo_events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].slo, "p99");
-        assert!(events[0].value > events[0].ceiling);
-    }
-
-    #[test]
     fn exports_are_ordered_and_shaped() {
         let t = Telemetry::on(Nanos::from_ms(1), 8);
         t.gauge("depth", 1, Nanos::from_ms(2), 5);
@@ -744,11 +641,10 @@ mod tests {
 
     #[test]
     fn config_mirrors_the_trace_switch() {
-        let off = TelemetryConfig::off();
-        assert!(!off.telemetry().enabled());
-        assert!(!TelemetryConfig::default().telemetry().enabled());
-        let on = TelemetryConfig::enabled(Nanos::from_ms(10), 256);
-        assert!(on.telemetry().enabled());
-        assert_eq!(on.telemetry().period(), Nanos::from_ms(10));
+        assert!(!Telemetry::off().enabled());
+        assert!(!Telemetry::default().enabled());
+        let on = Telemetry::on(Nanos::from_ms(10), 256);
+        assert!(on.enabled());
+        assert_eq!(on.period(), Nanos::from_ms(10));
     }
 }

@@ -34,10 +34,10 @@
 //! # Example
 //!
 //! ```
-//! use amoeba_sim::{Nanos, SimClock, TraceConfig};
+//! use amoeba_sim::{Nanos, SimClock, Tracer};
 //!
 //! let clock = SimClock::new();
-//! let tracer = TraceConfig::enabled(clock.clone()).tracer().clone();
+//! let tracer = Tracer::on(clock.clone());
 //! {
 //!     let mut op = tracer.span("op.read");
 //!     op.attr("bytes", 4096u64);
@@ -466,36 +466,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Switch for the tracing layer, carried in component configurations.
-///
-/// [`TraceConfig::off`] (the default) is the production setting: the
-/// tracer inside is disabled and the whole layer vanishes.
-/// [`TraceConfig::enabled`] shares one [`Tracer`] among every component
-/// given a clone of the config, so their spans join one tree.
-#[derive(Debug, Clone, Default)]
-pub struct TraceConfig {
-    tracer: Tracer,
-}
-
-impl TraceConfig {
-    /// Tracing disabled (the default).
-    pub fn off() -> TraceConfig {
-        TraceConfig::default()
-    }
-
-    /// Tracing enabled, timestamped off `clock`.
-    pub fn enabled(clock: SimClock) -> TraceConfig {
-        TraceConfig {
-            tracer: Tracer::on(clock),
-        }
-    }
-
-    /// The shared tracer handle.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-}
-
 // ---------------------------------------------------------------------
 // Analysis: span-tree queries the ablations and the report build on.
 // ---------------------------------------------------------------------
@@ -598,20 +568,6 @@ pub fn lane_utilization(spans: &[SpanRecord], root: u64) -> Vec<LaneUsage> {
         .collect()
 }
 
-/// The zero-duration instants named with the given prefix, in simulated
-/// time order.  Fault injectors record one `fault.*` instant per
-/// injected fault, so `instants_with_prefix(&spans, "fault.")` is the
-/// exact fault schedule of a seeded run — campaigns compare it across
-/// replays to prove determinism.
-pub fn instants_with_prefix<'a>(spans: &'a [SpanRecord], prefix: &str) -> Vec<&'a SpanRecord> {
-    let mut out: Vec<&SpanRecord> = spans
-        .iter()
-        .filter(|s| s.duration() == Nanos::ZERO && s.name.starts_with(prefix))
-        .collect();
-    out.sort_by_key(|s| (s.start, s.id));
-    out
-}
-
 /// The size-class label for a byte count, the granularity of the
 /// per-operation latency histograms (aligned with the benchmark sizes).
 pub fn size_class(bytes: u64) -> &'static str {
@@ -649,28 +605,6 @@ mod tests {
         let clock = SimClock::new();
         let tracer = Tracer::on(clock.clone());
         (clock, tracer)
-    }
-
-    #[test]
-    fn instants_with_prefix_finds_the_fault_schedule() {
-        let (clock, t) = on();
-        t.instant("fault.drop_request", &[]);
-        clock.advance(Nanos(10));
-        {
-            let _op = t.span("rpc.trans");
-            clock.advance(Nanos(5));
-        }
-        clock.advance(Nanos(3));
-        t.instant("fault.drop_reply", &[]);
-        let spans = t.snapshot();
-        let faults = instants_with_prefix(&spans, "fault.");
-        assert_eq!(
-            faults.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["fault.drop_request", "fault.drop_reply"]
-        );
-        assert_eq!(faults[0].start, Nanos(0));
-        assert_eq!(faults[1].start, Nanos(18));
-        assert!(instants_with_prefix(&spans, "cache.").is_empty());
     }
 
     #[test]
@@ -889,14 +823,14 @@ mod tests {
 
     #[test]
     fn trace_config_round_trip() {
-        let off = TraceConfig::off();
-        assert!(!off.tracer().enabled());
-        let on = TraceConfig::enabled(SimClock::new());
-        assert!(on.tracer().enabled());
+        assert!(!Tracer::off().enabled());
+        assert!(!Tracer::default().enabled());
+        let on = Tracer::on(SimClock::new());
+        assert!(on.enabled());
         // Clones share the span buffer.
-        let t2 = on.tracer().clone();
+        let t2 = on.clone();
         {
-            let _s = on.tracer().span("x");
+            let _s = on.span("x");
         }
         assert_eq!(t2.snapshot().len(), 1);
     }
