@@ -5,22 +5,20 @@
 //! [`Outcome`]: the rendered table, the criteria it judged (every
 //! threshold is stated there, once, with its reason), what it contributes
 //! to `BENCH_pr2.json` and `REPORT.md`, and any extra artifacts.
-//! [`REGISTRY`] lists them all, and three drivers consume it:
+//! [`REGISTRY`] lists them all, and `report` is the one driver:
 //!
-//! * each experiment's thin `bin` hands its function to [`run`], which
-//!   owns the replay-twice discipline, printing, the artifact + trailer,
-//!   and the exit code (ABL13–19 parse a cell selector with [`Args`]);
-//! * plain `report` is [`run_all`]: every experiment judged the same way,
-//!   every artifact rewritten, `REPORT.md` rendered from the outcomes;
+//! * plain `report` runs every experiment twice, judges it, rewrites
+//!   every artifact and renders `REPORT.md` from the outcomes;
+//! * `report [--soak] NAME...` does the same for the named experiments
+//!   only ([`select`]), without `REPORT.md`;
 //! * `report --json` runs the registry's reduced cells and writes the
 //!   declared members, through [`write_baseline`]: never with a criterion
 //!   red.
 //!
-//! Adding an experiment is one such function, one line in [`REGISTRY`],
-//! and one thin `bin` (the recipe is in EXPERIMENTS.md).
+//! Adding an experiment is one such function and one line in
+//! [`REGISTRY`] (the recipe is in EXPERIMENTS.md).
 
 use std::process::ExitCode;
-use std::str::FromStr;
 
 use amoeba_sim::json::Json;
 
@@ -35,10 +33,10 @@ use crate::{
 pub enum Scale {
     /// The small cell `report --json` embeds and gates on every push.
     Reduced,
-    /// The binary's default matrix (the committed `results/` artifact).
+    /// The default matrix (the committed `results/` artifact).
     Full,
-    /// The nightly widening (`--wide` / `--soak`); ablations without one
-    /// run their full matrix.
+    /// The nightly widening (`report --soak`); ablations without one run
+    /// their full matrix.
     Soak,
 }
 
@@ -140,8 +138,8 @@ impl Outcome {
 
 /// One deterministic experiment.
 pub struct Experiment {
-    /// The thin `bin` that runs it alone.
-    pub bin: &'static str,
+    /// What `report NAME` calls it.
+    pub name: &'static str,
     /// Runs it at a scale under the pinned seed; most have only one.
     pub at: fn(Scale) -> Outcome,
     /// The scale whose artifacts are committed under `results/`.
@@ -152,9 +150,9 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    const fn new(bin: &'static str, reduced: bool, at: fn(Scale) -> Outcome) -> Experiment {
+    const fn new(name: &'static str, reduced: bool, at: fn(Scale) -> Outcome) -> Experiment {
         Experiment {
-            bin,
+            name,
             at,
             committed: Scale::Full,
             reduced,
@@ -165,7 +163,7 @@ impl Experiment {
 /// Every deterministic experiment, in `REPORT.md` order.  ABL10
 /// (`ablation_concurrency`) is threaded, not bit-exact, and gated by CI's
 /// `scaling-proof` job instead.
-pub const REGISTRY: [Experiment; 24] = [
+pub static REGISTRY: [Experiment; 24] = [
     Experiment::new("fig1_layout", false, |_| paper::fig1_layout()),
     Experiment::new("fig2_bullet", false, |_| paper::fig2_bullet()),
     Experiment::new("fig3_nfs", false, |_| paper::fig3_nfs()),
@@ -181,25 +179,23 @@ pub const REGISTRY: [Experiment; 24] = [
     Experiment::new("ablation_eviction", false, |_| sweeps::eviction()),
     Experiment::new("ablation_pipeline", false, |_| sweeps::pipeline()),
     Experiment::new("ablation_trace", false, |_| tracebench::ablation()),
-    Experiment::new("ablation_faults", true, |s| faults::ablation(s, None, None)),
-    Experiment::new("ablation_scheduler", true, |_| schedbench::ablation(None)),
-    Experiment::new("ablation_groupcommit", true, |s| {
-        groupcommit::ablation(s, None)
-    }),
-    Experiment::new("ablation_evsim", true, |s| evsim::ablation(s, None, None)),
-    Experiment::new("ablation_monitor", true, |s| monitor::ablation(s, None)),
-    Experiment::new("ablation_shard", true, |s| shardbench::ablation(s, None)),
-    Experiment::new("ablation_tiering", true, |s| tierbench::ablation(s, None)),
+    Experiment::new("ablation_faults", true, faults::ablation),
+    Experiment::new("ablation_scheduler", true, |_| schedbench::ablation()),
+    Experiment::new("ablation_groupcommit", true, groupcommit::ablation),
+    Experiment::new("ablation_evsim", true, evsim::ablation),
+    Experiment::new("ablation_monitor", true, monitor::ablation),
+    Experiment::new("ablation_shard", true, shardbench::ablation),
+    Experiment::new("ablation_tiering", true, tierbench::ablation),
     Experiment {
         committed: Scale::Soak,
-        ..Experiment::new("ablation_tiering", false, |s| tierbench::ablation(s, None))
+        ..Experiment::new("ablation_tiering", false, tierbench::ablation)
     },
     Experiment::new("mixed_workload", false, |_| paper::mixed_workload()),
 ];
 
 /// What [`judge`] concluded: the console text, the files to write, and
 /// why the run failed (if it did).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Verdict {
     /// The table and the criteria, for stdout.
     pub console: String,
@@ -220,8 +216,8 @@ fn replay(mut experiment: impl FnMut() -> Outcome) -> (Outcome, bool) {
 }
 
 /// Runs `ablation` twice and judges it: the replay must not diverge and
-/// every criterion of the first run must be green.  Pure — [`run`] does
-/// the I/O.
+/// every criterion of the first run must be green.  Pure — [`report`]
+/// does the I/O.
 pub fn judge(ablation: impl FnMut() -> Outcome) -> Verdict {
     let (first, deterministic) = replay(ablation);
     verdict(first, deterministic)
@@ -366,16 +362,77 @@ pub fn regenerate(experiments: impl IntoIterator<Item = impl FnMut() -> Outcome>
     }
 }
 
-/// The whole life of an experiment's binary after argument parsing:
-/// [`judge`], print, write the artifacts, exit non-zero on red.
-pub fn run(ablation: impl FnMut() -> Outcome) -> ExitCode {
-    conclude(|| judge(ablation))
+/// Judges each experiment as [`judge`] does and folds the verdicts into
+/// one: their consoles, failures and artifacts, in order.
+fn judge_each(experiments: impl IntoIterator<Item = impl FnMut() -> Outcome>) -> Verdict {
+    let mut all = Verdict::default();
+    for experiment in experiments {
+        let judged = judge(experiment);
+        all.console += &judged.console;
+        all.failures.extend(judged.failures);
+        all.files.extend(judged.files);
+    }
+    all
 }
 
-/// The whole life of plain `report`: [`regenerate`] over the
-/// [`REGISTRY`], then as [`run`].
-pub fn run_all() -> ExitCode {
-    conclude(|| regenerate(REGISTRY.iter().map(|e| || (e.at)(e.committed))))
+/// The rows `report [--soak] [NAME...]` runs, in registry order, each
+/// with the scale to run it at.  No name selects every row at its
+/// committed scale; a name selects every row of that name at its
+/// committed scale (`ablation_tiering` is two rows, the full cell and the
+/// soak); `--soak` runs each named experiment once, at [`Scale::Soak`].
+///
+/// # Errors
+///
+/// An unknown name or flag, or `--soak` without a name: the usage line
+/// and every name in the registry.
+pub fn select(args: &[String]) -> Result<Vec<(&'static Experiment, Scale)>, String> {
+    let soak = args.iter().any(|a| a == "--soak");
+    let names: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|&a| a != "--soak")
+        .collect();
+    let unknown = |name: &&str| REGISTRY.iter().all(|e| e.name != *name);
+    if (soak && names.is_empty()) || names.iter().any(unknown) {
+        let mut known: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+        known.dedup();
+        return Err(format!(
+            "usage: report [--soak] [NAME...] | report --json [PATH]\nnames: {}",
+            known.join(" ")
+        ));
+    }
+    let mut rows: Vec<(&'static Experiment, Scale)> = Vec::new();
+    for e in REGISTRY
+        .iter()
+        .filter(|e| names.is_empty() || names.contains(&e.name))
+    {
+        if !soak {
+            rows.push((e, e.committed));
+        } else if rows.iter().all(|(row, _)| row.name != e.name) {
+            rows.push((e, Scale::Soak));
+        }
+    }
+    Ok(rows)
+}
+
+/// The whole life of `report` without `--json`: run the rows [`select`]
+/// picks, judge them, print, write their artifacts — and `REPORT.md`
+/// through [`regenerate`] when no name was given — and exit non-zero on
+/// red, or 2 on a bad argument.
+pub fn report(args: &[String]) -> ExitCode {
+    let rows = match select(args) {
+        Ok(rows) => rows,
+        Err(usage) => {
+            eprintln!("{usage}");
+            return ExitCode::from(2);
+        }
+    };
+    let experiments = rows.into_iter().map(|(e, scale)| move || (e.at)(scale));
+    if args.is_empty() {
+        conclude(|| regenerate(experiments))
+    } else {
+        conclude(|| judge_each(experiments))
+    }
 }
 
 fn conclude(verdict: impl FnOnce() -> Verdict) -> ExitCode {
@@ -397,63 +454,5 @@ fn conclude(verdict: impl FnOnce() -> Verdict) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-/// The `ablation_*` command lines: `--flag VALUE` pairs and bare
-/// `--switch`es, each taken at most once; anything left over (or
-/// unparsable) prints the usage line and exits 2.
-pub struct Args {
-    usage: &'static str,
-    rest: Vec<String>,
-}
-
-impl Args {
-    /// The process's arguments, with the usage line to print on misuse.
-    pub fn from_env(usage: &'static str) -> Args {
-        Args {
-            usage,
-            rest: std::env::args().skip(1).collect(),
-        }
-    }
-
-    /// Prints the usage line and exits 2.
-    pub fn usage(&self) -> ! {
-        eprintln!("usage: {}", self.usage);
-        std::process::exit(2);
-    }
-
-    /// Takes `--flag VALUE` if present.
-    pub fn value<T: FromStr>(&mut self, flag: &str) -> Option<T> {
-        let at = self.rest.iter().position(|a| a == flag)?;
-        if at + 1 >= self.rest.len() {
-            self.usage();
-        }
-        let value = self.rest.remove(at + 1);
-        self.rest.remove(at);
-        Some(value.parse().unwrap_or_else(|_| self.usage()))
-    }
-
-    /// Takes a bare `--switch` if present.
-    pub fn switch(&mut self, flag: &str) -> bool {
-        let at = self.rest.iter().position(|a| a == flag);
-        at.map(|at| self.rest.remove(at)).is_some()
-    }
-
-    /// Takes the nightly-widening switch (`--wide`, `--soak`):
-    /// [`Scale::Soak`] if present, the binary's default matrix if not.
-    pub fn soak(&mut self, flag: &str) -> Scale {
-        if self.switch(flag) {
-            Scale::Soak
-        } else {
-            Scale::Full
-        }
-    }
-
-    /// Rejects anything no `value`/`switch` call consumed.
-    pub fn finish(self) {
-        if !self.rest.is_empty() {
-            self.usage();
-        }
     }
 }

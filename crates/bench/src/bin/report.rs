@@ -6,8 +6,15 @@
 //! on any red criterion or diverged replay; afterwards `git diff --
 //! results/` shows exactly what went stale.
 //!
+//! Given registry names it runs only those experiments, the same way,
+//! and writes only their artifacts; `--soak` runs them at their nightly
+//! widening instead.  An unknown name or flag lists the registry's names
+//! and exits 2.
+//!
 //! ```text
 //! cargo run --release -p bullet-bench --bin report
+//! cargo run --release -p bullet-bench --bin report -- ablation_faults
+//! cargo run --release -p bullet-bench --bin report -- --soak ablation_faults ablation_shard
 //! ```
 //!
 //! With `--json [PATH]` it instead writes the machine-readable benchmark
@@ -258,7 +265,7 @@ fn render_json(fresh: &Fresh) -> String {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if !args.iter().any(|a| a == "--json") {
-        return ablation::run_all();
+        return ablation::report(&args);
     }
     let path = args
         .iter()

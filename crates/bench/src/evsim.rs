@@ -505,20 +505,18 @@ pub const POLICIES: [EvictionPolicy; 4] = [
 /// The table embeds each run's FNV-1a timeline digest, so a single
 /// reordered event anywhere in ~10M flips the replay comparison.  Extra
 /// artifact: the windowed hit-rate curves.
-pub fn ablation(scale: Scale, seed: Option<u64>, clients: Option<usize>) -> Outcome {
+pub fn ablation(scale: Scale) -> Outcome {
     let reduced = scale == Scale::Reduced;
-    let seed = seed.unwrap_or(if reduced { REDUCED_SEED } else { PR_SEED });
+    let seed = if reduced { REDUCED_SEED } else { PR_SEED };
     let cfgs: Vec<EvsimConfig> = ["zipf", "scan"]
         .into_iter()
         .flat_map(|workload| POLICIES.map(|policy| (policy, workload)))
         .map(|(policy, workload)| {
-            let mut cfg = if reduced {
+            if reduced {
                 EvsimConfig::small(policy, workload, seed)
             } else {
                 EvsimConfig::gate(policy, workload, seed)
-            };
-            cfg.clients = clients.unwrap_or(cfg.clients);
-            cfg
+            }
         })
         .collect();
     let runs: Vec<EvsimRun> = cfgs.iter().map(run).collect();

@@ -47,7 +47,7 @@ use crate::rig::sim_mirror;
 pub const PR_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
 /// Seeds per class of the reduced campaign `report --json` embeds.
 const REDUCED_SEEDS: [u64; 2] = [1, 2];
-/// Seeds per class of the nightly `--wide` sweep.
+/// Seeds per class of the nightly `report --soak` sweep.
 const WIDE_SEEDS: std::ops::RangeInclusive<u64> = 1..=25;
 
 /// One fault class of the campaign.
@@ -69,18 +69,13 @@ impl FaultClass {
         FaultClass::LossyWire,
     ];
 
-    /// The class's stable CLI / table name.
+    /// The class's stable table name.
     pub fn name(self) -> &'static str {
         match self {
             FaultClass::MirrorFail => "mirror-fail",
             FaultClass::CrashRecovery => "crash-recovery",
             FaultClass::LossyWire => "lossy-wire",
         }
-    }
-
-    /// Parses a CLI name.
-    pub fn parse(s: &str) -> Option<FaultClass> {
-        FaultClass::ALL.into_iter().find(|c| c.name() == s)
     }
 }
 
@@ -130,24 +125,21 @@ pub fn run_class(class: FaultClass, seed: u64) -> CampaignOutcome {
     }
 }
 
-/// ABL13 — the class × seed campaign matrix: `class`/`seed` pin one
-/// axis to a single value (CI's per-cell jobs), otherwise every class
-/// runs over the scale's seed set.
+/// ABL13 — the class × seed campaign matrix: every class over the
+/// scale's seed set.
 ///
 /// Criteria: one per cell — every invariant on the cell's checklist
 /// holds (no lost or corrupted committed file, replicas bit-identical
 /// after resync, no duplicate allocation under retransmission).  The
 /// table's `sim_ms` column makes a divergent fault schedule show up in
 /// the replay comparison first.
-pub fn ablation(scale: Scale, class: Option<FaultClass>, seed: Option<u64>) -> Outcome {
-    let classes = class.map_or(FaultClass::ALL.to_vec(), |c| vec![c]);
-    let seeds: Vec<u64> = match (seed, scale) {
-        (Some(s), _) => vec![s],
-        (None, Scale::Reduced) => REDUCED_SEEDS.to_vec(),
-        (None, Scale::Full) => PR_SEEDS.to_vec(),
-        (None, Scale::Soak) => WIDE_SEEDS.collect(),
+pub fn ablation(scale: Scale) -> Outcome {
+    let seeds: Vec<u64> = match scale {
+        Scale::Reduced => REDUCED_SEEDS.to_vec(),
+        Scale::Full => PR_SEEDS.to_vec(),
+        Scale::Soak => WIDE_SEEDS.collect(),
     };
-    let cells: Vec<CampaignOutcome> = classes
+    let cells: Vec<CampaignOutcome> = FaultClass::ALL
         .iter()
         .flat_map(|&c| seeds.iter().map(move |&s| run_class(c, s)))
         .collect();
@@ -689,13 +681,5 @@ mod tests {
                 class.name()
             );
         }
-    }
-
-    #[test]
-    fn class_names_roundtrip() {
-        for class in FaultClass::ALL {
-            assert_eq!(FaultClass::parse(class.name()), Some(class));
-        }
-        assert_eq!(FaultClass::parse("nope"), None);
     }
 }

@@ -198,8 +198,7 @@ fn outcome_table(matrix: &[StormOutcome]) -> String {
 ///
 /// Extra artifact: one JSONL row per storm create (mode, index, size,
 /// completion time).
-pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
-    let seed = seed.unwrap_or(PR_SEED);
+pub fn ablation(scale: Scale) -> Outcome {
     let aged = scale != Scale::Reduced;
     let headline = vec![STORM_SIZE; STORM_FILES];
     let mut matrix = vec![
@@ -240,7 +239,7 @@ pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
                 batched.total().as_ms_f64()
             ),
         ));
-        let zipf: Vec<usize> = small_file_storm(seed, ZIPF_FILES, 1024, 32 * 1024)
+        let zipf: Vec<usize> = small_file_storm(PR_SEED, ZIPF_FILES, 1024, 32 * 1024)
             .into_iter()
             .map(|s| s as usize)
             .collect();
@@ -269,7 +268,7 @@ pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
         }
     }
     Outcome {
-        title: format!("ABL15 group-commit create path (seed {seed:#x})"),
+        title: format!("ABL15 group-commit create path (seed {PR_SEED:#x})"),
         table: outcome_table(&matrix),
         criteria,
         json: vec![("group_commit", json)],

@@ -10,8 +10,8 @@
 //!   small-file storm behind the group-commit ablation (ABL15).
 //! * [`ablation`] — the one harness behind every deterministic
 //!   experiment: the outcome shape each experiment's function returns,
-//!   the replay-twice runner the binaries call, and the registry plain
-//!   `report` regenerates `results/` from.
+//!   the replay-twice runner, and the registry `report` runs by name or
+//!   whole to regenerate `results/`.
 //! * [`table`] — measurement loops and the delay/bandwidth table
 //!   formatting behind Figs. 2–3, plus the §4 claims (C1–C4) as criteria.
 //! * [`paper`] — the paper's own evaluation: Figs. 1–3, the comparison
@@ -41,8 +41,8 @@
 //!   scheduler, byte-identical demotion/recall, and the hot-set p99
 //!   interference gate against an archive-less baseline.
 //!
-//! Binaries (see DESIGN.md's experiment index): `report`, one thin
-//! driver per entry of [`ablation::REGISTRY`], and `ablation_concurrency`.
+//! Binaries (see DESIGN.md's experiment index): `report`, which runs any
+//! entry of [`ablation::REGISTRY`] by name, and `ablation_concurrency`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -233,10 +233,10 @@ pub fn run_monitor(cfg: &MonitorConfig) -> MonitorRun {
 ///
 /// Extra artifacts: every ring of the burst run as JSONL, and the same
 /// rings as Chrome `"ph": "C"` counter events (load in Perfetto).
-pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
+pub fn ablation(scale: Scale) -> Outcome {
     let cfg = match scale {
-        Scale::Reduced => MonitorConfig::small(seed.unwrap_or(evsim::REDUCED_SEED)),
-        Scale::Full | Scale::Soak => MonitorConfig::gate(seed.unwrap_or(evsim::PR_SEED)),
+        Scale::Reduced => MonitorConfig::small(evsim::REDUCED_SEED),
+        Scale::Full | Scale::Soak => MonitorConfig::gate(evsim::PR_SEED),
     };
     let period_us = cfg.period.as_us();
     let run = run_monitor(&cfg);

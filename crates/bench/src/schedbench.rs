@@ -360,9 +360,8 @@ pub const P99_BOUND: f64 = 1.25;
 ///   at most half as many.
 ///
 /// Extra artifact: the per-I/O queue trace of all three policy runs.
-pub fn ablation(seed: Option<u64>) -> Outcome {
-    let seed = seed.unwrap_or(PR_SEED);
-    let runs = run_policies(seed);
+pub fn ablation() -> Outcome {
+    let runs = run_policies(PR_SEED);
     let knee = coalesce_knee();
     let (fifo, scan, sptf) = (&runs[0].outcome, &runs[1].outcome, &runs[2].outcome);
     let best_p99 = scan.p99_ms.min(sptf.p99_ms);
@@ -412,7 +411,7 @@ pub fn ablation(seed: Option<u64>) -> Outcome {
             format!("on {} off {}", k8.issued_on, k8.issued_off),
         ),
     ];
-    let mut members = vec![("seed".to_string(), Json::num(seed))];
+    let mut members = vec![("seed".to_string(), Json::num(PR_SEED))];
     for o in [fifo, scan, sptf] {
         members.extend([
             (
@@ -442,7 +441,7 @@ pub fn ablation(seed: Option<u64>) -> Outcome {
         .map(|(policy, sv)| trace_row(policy, sv) + "\n")
         .collect();
     Outcome {
-        title: format!("ABL14 seek-aware disk scheduling (seed {seed})"),
+        title: format!("ABL14 seek-aware disk scheduling (seed {PR_SEED})"),
         table: format!(
             "{}coalescing knee\n{}",
             outcome_table(&runs),

@@ -416,33 +416,30 @@ pub fn run_kill_shard(seed: u64) -> ShardOutcome {
 // The matrix and its rendering.
 // ---------------------------------------------------------------------
 
-/// ABL18 — the cell matrix.  `shards: Some(n)` is CI's per-matrix-entry
-/// cell (the 1-vs-`n` scaling pair plus one rebalance and one kill-shard
-/// seed); [`Scale::Reduced`] is that cell at 2 shards; the full matrix
+/// ABL18 — the cell matrix.  [`Scale::Reduced`] is the 1-vs-2 scaling
+/// pair plus one rebalance and one kill-shard seed; the full matrix
 /// sweeps [`SCALING_COUNTS`] with 3 seeds each, the soak with 10
 /// rebalance and 25 kill-shard seeds.
 ///
 /// Criteria: one per cell — every invariant of the cell holds.  The
 /// scaling rows past the baseline carry the headline one: `n` shards
 /// deliver at least `n × SCALING_FLOOR` times the one-shard bandwidth.
-pub fn ablation(scale: Scale, shards: Option<u32>) -> Outcome {
-    let shards = shards.or((scale == Scale::Reduced).then_some(2));
-    let (counts, rebalance_seeds, kill_seeds): (Vec<u32>, Vec<u64>, Vec<u64>) = match shards {
-        Some(1) => (vec![1], vec![1], vec![1]),
-        Some(n) => (vec![1, n], vec![1], vec![1]),
-        None if scale == Scale::Soak => (
+pub fn ablation(scale: Scale) -> Outcome {
+    let (counts, rebalance_seeds, kill_seeds): (Vec<u32>, Vec<u64>, Vec<u64>) = match scale {
+        Scale::Reduced => (vec![1, 2], vec![1], vec![1]),
+        Scale::Full => (SCALING_COUNTS.to_vec(), vec![1, 2, 3], vec![1, 2, 3]),
+        Scale::Soak => (
             SCALING_COUNTS.to_vec(),
             (1..=10).collect(),
             (1..=25).collect(),
         ),
-        None => (SCALING_COUNTS.to_vec(), vec![1, 2, 3], vec![1, 2, 3]),
     };
     let mut cells = run_scaling_suite(&counts);
     let scaling = cells.len();
     cells.extend(rebalance_seeds.iter().map(|&s| run_rebalance(s)));
     cells.extend(kill_seeds.iter().map(|&s| run_kill_shard(s)));
-    // The BENCH summary describes the 1-vs-2 cell only.
-    let json = if counts == [1, 2] {
+    // The BENCH summary describes the reduced 1-vs-2 cell only.
+    let json = if scale == Scale::Reduced {
         let (base, two) = (cells[0].metric, cells[1].metric);
         let (rebalance, kill) = (&cells[scaling], &cells[scaling + 1]);
         vec![(

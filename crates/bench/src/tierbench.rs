@@ -74,7 +74,7 @@ impl TierConfig {
         }
     }
 
-    /// The full cell the `ablation_tiering` binary runs.
+    /// The full cell `report ablation_tiering` runs.
     pub fn full(seed: u64, tiering: bool) -> TierConfig {
         TierConfig {
             seed,
@@ -309,14 +309,16 @@ pub const HOT_P99_BOUND: f64 = 1.15;
 ///   least one completed recall;
 /// * the tiered hot-set p99 stays within [`HOT_P99_BOUND`] of the
 ///   baseline's.
-pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
-    let seed = seed.unwrap_or(TIER_SEED);
+pub fn ablation(scale: Scale) -> Outcome {
     let cell: fn(u64, bool) -> TierConfig = match scale {
         Scale::Reduced => TierConfig::small,
         Scale::Full => TierConfig::full,
-        Scale::Soak => return soak(seed),
+        Scale::Soak => return soak(TIER_SEED),
     };
-    let matrix = [run_tier(&cell(seed, false)), run_tier(&cell(seed, true))];
+    let matrix = [
+        run_tier(&cell(TIER_SEED, false)),
+        run_tier(&cell(TIER_SEED, true)),
+    ];
     let (base, tier) = (&matrix[0], &matrix[1]);
     let p99_ratio = tier.hot_p99.as_ns() as f64 / base.hot_p99.as_ns() as f64;
     let criteria = vec![
@@ -380,7 +382,7 @@ pub fn ablation(scale: Scale, seed: Option<u64>) -> Outcome {
         ("hot_p99_ratio", Json::fixed(p99_ratio, 4)),
     ]);
     Outcome {
-        title: format!("ABL19 tiered storage (seed {seed:#x})"),
+        title: format!("ABL19 tiered storage (seed {TIER_SEED:#x})"),
         table: outcome_table(&matrix),
         criteria,
         json: vec![("tiering", json)],

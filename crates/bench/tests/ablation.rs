@@ -1,9 +1,9 @@
 //! The experiment harness: the replay-twice runner and plain `report`'s
-//! regenerate-everything loop judged on a fake ablation, every registered
-//! experiment green at tier-1 scale, the registry against `results/` and
-//! `src/bin/`, `report --json` regenerating the committed
-//! `BENCH_pr2.json` byte for byte, and its refusal to write a baseline
-//! with a red criterion in it.
+//! regenerate-everything loop judged on a fake ablation, `report NAME`'s
+//! selection, every registered experiment green at tier-1 scale, the
+//! registry against `results/` and `src/bin/`, `report --json`
+//! regenerating the committed `BENCH_pr2.json` byte for byte, and its
+//! refusal to write a baseline with a red criterion in it.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -11,7 +11,7 @@ use std::process::Command;
 use std::sync::OnceLock;
 
 use bullet_bench::ablation::{
-    judge, regenerate, write_baseline, Invariant, Outcome, Scale, Trailer, REGISTRY,
+    judge, regenerate, select, write_baseline, Invariant, Outcome, Scale, Trailer, REGISTRY,
 };
 
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr2.json");
@@ -174,6 +174,71 @@ fn a_green_run_passes_and_its_artifact_is_title_table_trailer() {
     );
 }
 
+fn args(words: &[&str]) -> Vec<String> {
+    words.iter().map(|w| w.to_string()).collect()
+}
+
+/// `(name, scale)` of each row `report` would run for `words`.
+fn selected(words: &[&str]) -> Vec<(&'static str, Scale)> {
+    select(&args(words))
+        .expect("a valid selection")
+        .into_iter()
+        .map(|(e, scale)| (e.name, scale))
+        .collect()
+}
+
+#[test]
+fn an_unknown_name_or_flag_is_refused_with_every_registry_name() {
+    for words in [&["nope"][..], &["ablation_faults", "--seed"], &["--soak"]] {
+        let refused = select(&args(words)).err().expect("refused");
+        for e in &REGISTRY {
+            assert!(refused.contains(e.name), "{words:?}: {refused}");
+        }
+    }
+}
+
+#[test]
+fn a_name_selects_every_row_of_that_name_at_its_committed_scale() {
+    assert_eq!(
+        selected(&["ablation_tiering"]),
+        [
+            ("ablation_tiering", Scale::Full),
+            ("ablation_tiering", Scale::Soak)
+        ]
+    );
+    // Registry order, whatever the order of the names.
+    assert_eq!(
+        selected(&["mixed_workload", "fig1_layout"]),
+        [
+            ("fig1_layout", Scale::Full),
+            ("mixed_workload", Scale::Full)
+        ]
+    );
+}
+
+#[test]
+fn soak_runs_each_selected_name_once_at_soak_scale() {
+    assert_eq!(
+        selected(&[
+            "--soak",
+            "ablation_shard",
+            "ablation_faults",
+            "ablation_tiering"
+        ]),
+        [
+            ("ablation_faults", Scale::Soak),
+            ("ablation_shard", Scale::Soak),
+            ("ablation_tiering", Scale::Soak)
+        ]
+    );
+}
+
+#[test]
+fn no_name_selects_the_whole_registry_at_its_committed_scales() {
+    let whole: Vec<_> = REGISTRY.iter().map(|e| (e.name, e.committed)).collect();
+    assert_eq!(selected(&[]), whole);
+}
+
 /// One outcome per registry entry, at the scale tier-1 affords: the
 /// reduced cell where there is one (ABL16/17 at full scale take 20 s in
 /// release), the committed scale otherwise.
@@ -299,19 +364,14 @@ fn the_registry_results_and_the_bins_name_each_other_exactly() {
         );
     }
 
-    // Every bin but `report` and ABL10 is a registered experiment's thin
-    // driver: no printing or exiting of its own.
-    let registered: BTreeSet<String> = REGISTRY.iter().map(|e| format!("{}.rs", e.bin)).collect();
-    let mut bins = file_names(&root.join("src/bin"));
-    assert!(bins.remove("report.rs") && bins.remove("ablation_concurrency.rs"));
-    assert_eq!(bins, registered, "src/bin (left) vs the registry (right)");
-    for bin in &bins {
-        let src = std::fs::read_to_string(root.join("src/bin").join(bin)).expect("bin source");
-        for banned in ["process::exit", "println!"] {
-            assert!(
-                !src.contains(banned),
-                "{bin} has its own {banned}: that is ablation::run's job"
-            );
-        }
-    }
+    // `report` runs every registered experiment by name; the one other
+    // bin is ABL10, which the registry cannot hold.
+    assert_eq!(
+        file_names(&root.join("src/bin")),
+        BTreeSet::from([
+            "ablation_concurrency.rs".to_string(),
+            "report.rs".to_string()
+        ]),
+        "an experiment is a REGISTRY row, not a bin"
+    );
 }

@@ -2,7 +2,7 @@
 //!
 //! A batch of concurrent CREATEs is committed as **one** sequential log
 //! record in the log window at the tail of the data area (bookkeeping in
-//! [`amoeba_disk::LogWindow`]).  A record is:
+//! [`LogWindow`]).  A record is:
 //!
 //! ```text
 //! block 0 (header block):
@@ -27,7 +27,7 @@
 //! An **empty** record (`file_count == 0`, `payload_blocks == 0`) is a
 //! *seal*: it advances the chain so that no earlier record will be
 //! replayed — appended before deleting a file that the newest record
-//! created (see `amoeba_disk::log` for why).
+//! created (see *Sealing* below for why).
 //!
 //! Replay walks the chain from the window start, accepting records while
 //! the magic and CRC check out, the record fits the window, and the
@@ -37,6 +37,30 @@
 //! entries are candidates for reinstallation — the commit protocol keeps
 //! the log mutex held until a record's inode blocks are durable, so every
 //! earlier record's files are already in the on-disk table.
+//!
+//! # The window
+//!
+//! [`LogWindow`] is the bookkeeping half of the log: where the next
+//! record lands (`head`), the monotone record sequence number that
+//! delimits the replay chain, how many live files still reside in the
+//! window, and which file ids belong to the newest — *unsealed* —
+//! record.  The block I/O goes through
+//! [`MirroredDisk::write_sync_k`](amoeba_disk::MirroredDisk::write_sync_k)
+//! like every other write, so log appends inherit mirroring, failover,
+//! and the seek-aware scheduler unchanged.
+//!
+//! # Sealing
+//!
+//! Replay reinstalls missing files from the **last** valid record of the
+//! chain only (earlier records are known durable in the inode table — see
+//! the commit protocol in DESIGN.md §12).  Deleting a file of that newest
+//! record would therefore look, after a crash, exactly like a commit whose
+//! inode write never landed — and replay would resurrect it.  The server
+//! prevents this by appending an empty seal record before such a delete;
+//! [`LogWindow`] tracks the membership set that decides when a seal is
+//! required.
+
+use std::collections::HashSet;
 
 use crate::layout::Inode;
 
@@ -319,6 +343,163 @@ pub fn scan_chain(
     }
 }
 
+/// Bookkeeping for one mirror pair's sequential log window.
+///
+/// All methods are O(1) or O(batch); the caller (the Bullet server) holds
+/// its log mutex around them and around the record I/O itself, so the
+/// on-disk chain of records is strictly sequential.
+#[derive(Debug, Clone)]
+pub struct LogWindow {
+    start: u64,
+    end: u64,
+    head: u64,
+    /// Sequence number the *next* record will carry.  Monotone across the
+    /// window's whole lifetime — it never resets, which is what lets the
+    /// replay scan tell a fresh record from a stale pre-reset one.
+    seq: u64,
+    /// Live files whose payload currently resides in the window.
+    resident: u64,
+    /// Their total payload bytes.
+    resident_bytes: u64,
+    /// File ids of the newest (unsealed) record.
+    unsealed: HashSet<u32>,
+}
+
+impl LogWindow {
+    /// A window over `[start, end)` with an empty chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end < start`.
+    pub fn new(start: u64, end: u64) -> LogWindow {
+        assert!(end >= start, "inverted log window");
+        LogWindow {
+            start,
+            end,
+            head: start,
+            seq: 1,
+            resident: 0,
+            resident_bytes: 0,
+            unsealed: HashSet::new(),
+        }
+    }
+
+    /// The managed block range.
+    pub fn range(&self) -> (u64, u64) {
+        (self.start, self.end)
+    }
+
+    /// Where the next record will start.
+    pub fn head(&self) -> u64 {
+        self.head
+    }
+
+    /// Blocks still available for appends before the window is full.
+    pub fn remaining(&self) -> u64 {
+        self.end - self.head
+    }
+
+    /// Live files currently resident in the window.
+    pub fn resident(&self) -> u64 {
+        self.resident
+    }
+
+    /// Payload bytes of the resident files.
+    pub fn resident_bytes(&self) -> u64 {
+        self.resident_bytes
+    }
+
+    /// Reserves `blocks` for the next record and returns `(at, seq)`, or
+    /// `None` when the window cannot take the record (the caller then
+    /// falls back to the per-file create path).
+    pub fn reserve(&mut self, blocks: u64) -> Option<(u64, u64)> {
+        if blocks == 0 || self.head + blocks > self.end {
+            return None;
+        }
+        let at = self.head;
+        let seq = self.seq;
+        self.head += blocks;
+        self.seq += 1;
+        Some((at, seq))
+    }
+
+    /// Rolls a failed append back to the pre-[`reserve`](Self::reserve)
+    /// position.  Only valid for the most recent reservation (appends are
+    /// serialized by the caller).
+    pub fn unreserve(&mut self, at: u64, seq: u64) {
+        debug_assert_eq!(self.seq, seq + 1, "unreserve out of order");
+        self.head = at;
+        self.seq = seq;
+    }
+
+    /// Registers a committed batch: `ids` become the new unsealed set and
+    /// the window's resident census grows by them.
+    pub fn note_batch(&mut self, ids: &[u32], payload_bytes: u64) {
+        self.unsealed.clear();
+        self.unsealed.extend(ids.iter().copied());
+        self.resident += ids.len() as u64;
+        self.resident_bytes += payload_bytes;
+    }
+
+    /// True when `id` belongs to the newest record — deleting it requires
+    /// a seal record first (see the module docs).
+    pub fn is_unsealed(&self, id: u32) -> bool {
+        self.unsealed.contains(&id)
+    }
+
+    /// Marks the chain sealed (an empty seal record was appended): no
+    /// file of any earlier record will be replayed.
+    pub fn seal(&mut self) {
+        self.unsealed.clear();
+    }
+
+    /// Records that a resident file left the window (deleted, expired, or
+    /// migrated out), with its payload size.  Returns `true` when the
+    /// window just became empty — the caller should then
+    /// [`reset`](Self::reset) it so the space is reused.
+    pub fn file_gone(&mut self, payload_bytes: u64) -> bool {
+        debug_assert!(self.resident > 0, "file_gone on an empty window");
+        self.resident = self.resident.saturating_sub(1);
+        self.resident_bytes = self.resident_bytes.saturating_sub(payload_bytes);
+        self.resident == 0
+    }
+
+    /// Rewinds the head to the window start once no resident files
+    /// remain.  The sequence number keeps counting (never resets) and the
+    /// unsealed set survives: a file of the pre-reset newest record that
+    /// was migrated out — slot still live — may be deleted later, and
+    /// that delete must still seal.
+    pub fn reset(&mut self) {
+        debug_assert_eq!(self.resident, 0, "reset with resident files");
+        self.head = self.start;
+        self.resident_bytes = 0;
+    }
+
+    /// Restores the bookkeeping after a recovery scan: the chain ends at
+    /// `head`, the last record carried `last_seq` (0 when the chain is
+    /// empty), and the surviving census is as given.
+    pub fn restore(
+        &mut self,
+        head: u64,
+        last_seq: u64,
+        resident: u64,
+        resident_bytes: u64,
+        unsealed: impl IntoIterator<Item = u32>,
+    ) {
+        self.head = head.clamp(self.start, self.end);
+        self.seq = last_seq + 1;
+        self.resident = resident;
+        self.resident_bytes = resident_bytes;
+        self.unsealed = unsealed.into_iter().collect();
+    }
+
+    /// True when `block` lies inside the window — the server's test for
+    /// "is this extent log-resident".
+    pub fn contains(&self, block: u64) -> bool {
+        (self.start..self.end).contains(&block)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,5 +695,80 @@ mod tests {
         let scan = scan_chain(BS, 0, 4, &mut reader(&region));
         assert!(scan.records.is_empty());
         assert_eq!((scan.head, scan.last_seq), (0, 0));
+    }
+
+    #[test]
+    fn reserve_appends_sequentially_with_monotone_seq() {
+        let mut w = LogWindow::new(100, 132);
+        assert_eq!(w.reserve(8), Some((100, 1)));
+        assert_eq!(w.reserve(8), Some((108, 2)));
+        assert_eq!(w.remaining(), 16);
+        // A record that does not fit is refused without moving the head.
+        assert_eq!(w.reserve(17), None);
+        assert_eq!(w.reserve(16), Some((116, 3)));
+        assert_eq!(w.reserve(1), None);
+    }
+
+    #[test]
+    fn unreserve_rolls_back_the_last_reservation() {
+        let mut w = LogWindow::new(0, 64);
+        let (at, seq) = w.reserve(10).unwrap();
+        w.unreserve(at, seq);
+        assert_eq!(w.reserve(10), Some((0, 1)), "rollback restores at and seq");
+    }
+
+    #[test]
+    fn reset_rewinds_head_but_not_seq() {
+        let mut w = LogWindow::new(0, 32);
+        w.reserve(16).unwrap();
+        w.note_batch(&[5, 6], 1000);
+        assert!(!w.file_gone(400));
+        assert!(w.file_gone(600), "second departure empties the window");
+        w.reset();
+        assert_eq!(w.head(), 0);
+        assert_eq!(w.resident_bytes(), 0);
+        // Seq keeps counting: a post-reset record outranks stale ones.
+        assert_eq!(w.reserve(4), Some((0, 2)));
+    }
+
+    #[test]
+    fn sealing_rules() {
+        let mut w = LogWindow::new(0, 64);
+        w.reserve(8).unwrap();
+        w.note_batch(&[1, 2], 100);
+        assert!(w.is_unsealed(1));
+        assert!(!w.is_unsealed(9));
+        // A newer batch replaces the unsealed set.
+        w.reserve(8).unwrap();
+        w.note_batch(&[3], 50);
+        assert!(!w.is_unsealed(1));
+        assert!(w.is_unsealed(3));
+        w.seal();
+        assert!(!w.is_unsealed(3));
+    }
+
+    #[test]
+    fn unsealed_set_survives_reset() {
+        let mut w = LogWindow::new(0, 64);
+        w.reserve(8).unwrap();
+        w.note_batch(&[7], 100);
+        // The file migrates out (slot stays live) and the window resets.
+        assert!(w.file_gone(100));
+        w.reset();
+        // Its later delete must still seal: the stale record would
+        // otherwise be replayed after a crash.
+        assert!(w.is_unsealed(7));
+    }
+
+    #[test]
+    fn restore_after_recovery() {
+        let mut w = LogWindow::new(10, 90);
+        w.restore(50, 12, 3, 9000, [4, 5]);
+        assert_eq!(w.head(), 50);
+        assert_eq!(w.resident(), 3);
+        assert_eq!(w.resident_bytes(), 9000);
+        assert!(w.is_unsealed(4));
+        assert_eq!(w.reserve(10), Some((50, 13)));
+        assert!(w.contains(10) && w.contains(89) && !w.contains(90));
     }
 }

@@ -54,9 +54,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use amoeba_cap::{Capability, CheckScheme, MacScheme, ObjNum, Port, Rights};
-use amoeba_disk::{
-    BlockDevice, LogWindow, MirroredDisk, RamDisk, SchedConfig, SchedDisk, WormDisk,
-};
+use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk, WormDisk};
 use amoeba_rpc::StreamWire;
 use amoeba_sim::json::Json;
 use amoeba_sim::{
@@ -68,7 +66,7 @@ use crate::accounting::ClientAccounting;
 use crate::cache::{EvictionPolicy, FileCache};
 use crate::counters;
 use crate::freelist::ExtentAllocator;
-use crate::gclog;
+use crate::gclog::{self, LogWindow};
 use crate::groupcommit::{BatchCaps, GroupCommitter};
 use crate::layout::{DiskDescriptor, Inode, Residency};
 use crate::maintenance;
@@ -1442,15 +1440,7 @@ impl BulletServer {
         let (data, hit) = self.fetch(cap, Rights::READ, wire, |_| Ok((0, u64::MAX)))?;
         self.stats.incr(counters::READS);
         op.attr("bytes", data.len());
-        self.cfg.accounting.charge_current(|u| {
-            if hit {
-                u.cache_hits += 1;
-            } else {
-                u.cache_misses += 1;
-                u.disk_ios += 1;
-            }
-            u.bytes_read += data.len() as u64;
-        });
+        self.charge_read(hit, &data);
         Ok(data)
     }
 
@@ -1495,6 +1485,13 @@ impl BulletServer {
         })?;
         let data = file.slice(offset as usize..(offset + len) as usize);
         self.stats.incr(counters::SECTION_READS);
+        self.charge_read(hit, &data);
+        Ok(data)
+    }
+
+    /// Bills a read to the requesting client: a hit, or a miss and the
+    /// disk I/O that loaded the file, plus the bytes that travel.
+    fn charge_read(&self, hit: bool, data: &Bytes) {
         self.cfg.accounting.charge_current(|u| {
             if hit {
                 u.cache_hits += 1;
@@ -1504,7 +1501,6 @@ impl BulletServer {
             }
             u.bytes_read += data.len() as u64;
         });
-        Ok(data)
     }
 
     /// `BULLET.DELETE(CAPABILITY)`.

@@ -22,9 +22,7 @@
 //!   [`amoeba_sim::SimClock`] from where the head stopped, and queued
 //!   requests are granted in SCAN/SPTF order with deadline aging, adjacent
 //!   ones coalescing into single larger transfers ([`ArmSim`] drives the
-//!   same arm as a deterministic virtual-time simulation for ablations);
-//! * [`LogWindow`] — append-head/sequence/residency bookkeeping for the
-//!   group-commit log region the server carves from the data area.
+//!   same arm as a deterministic virtual-time simulation for ablations).
 //!
 //! # Example
 //!
@@ -47,7 +45,6 @@ pub mod device;
 pub mod error;
 pub mod faulty;
 pub mod filedisk;
-pub mod log;
 pub mod mirror;
 pub mod ramdisk;
 pub mod sched;
@@ -58,7 +55,6 @@ pub use device::BlockDevice;
 pub use error::DiskError;
 pub use faulty::FaultyDisk;
 pub use filedisk::FileDisk;
-pub use log::LogWindow;
 pub use mirror::MirroredDisk;
 pub use ramdisk::RamDisk;
 pub use sched::{ArmSim, ArmStats, ReqKind, SchedConfig, SchedDisk, SchedPolicy, Service};
