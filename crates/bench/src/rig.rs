@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use amoeba_cap::Port;
 use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk};
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient};
@@ -13,13 +12,14 @@ use bullet_core::{BulletClient, BulletConfig, BulletRpcServer, BulletServer};
 use nfs_blockfs::{NfsClient, NfsServer, NfsServerConfig};
 
 /// The server configuration every measurement rig formats with: 1 KB
-/// blocks on 64 MB drives, the paper's defaults, every optional subsystem
-/// (log, archive, tracing, telemetry, accounting) off.  Rigs differ only
-/// in the clock their CPU costs charge, the CPU profile, and the cache
-/// size; anything else is a per-experiment tweak on the result.
+/// blocks on 64 MB drives and 2,048 inodes; every other knob is
+/// [`BulletConfig::small_test`]'s, the paper's defaults with every
+/// optional subsystem (log, archive, tracing, telemetry, accounting) off.
+/// Rigs differ only in the clock their CPU costs charge, the CPU profile,
+/// and the cache size; anything else is a per-experiment tweak on the
+/// result.
 pub fn paper_config(clock: SimClock, cpu: CpuProfile, cache_capacity: u64) -> BulletConfig {
     BulletConfig {
-        port: Port::from_u64(0xb1e7),
         min_inodes: 2048,
         cache_capacity,
         rnode_slots: 2048,
@@ -27,21 +27,8 @@ pub fn paper_config(clock: SimClock, cpu: CpuProfile, cache_capacity: u64) -> Bu
         disk_blocks: 65_536,
         clock,
         cpu,
-        scheme_seed: 0x5eed,
         rng_seed: 0xfee1,
-        repair: bullet_core::table::RepairPolicy::Fail,
-        max_age: 8,
-        eviction: bullet_core::EvictionPolicy::Lru,
-        segment_size: amoeba_rpc::DEFAULT_SEGMENT,
-        trace: Tracer::off(),
-        log_blocks: 0,
-        telemetry: amoeba_sim::Telemetry::off(),
-        accounting: bullet_core::ClientAccounting::off(),
-        shard: bullet_core::ShardSlot::solo(),
-        archive_blocks: 0,
-        tier_high_water_pct: 75,
-        maint_idle_request_delta: 0,
-        maint_moves_per_tick: 1,
+        ..BulletConfig::small_test()
     }
 }
 

@@ -378,33 +378,13 @@ impl BulletServer {
         storage: MirroredDisk,
     ) -> Result<BulletServer, BulletError> {
         let table = InodeTable::format(&storage, cfg.min_inodes)?;
-        let desc = *table.descriptor();
-        let log_start = Self::check_log_geometry(&cfg, &desc)?;
-        let log = match log_start {
-            Some(ls) => {
-                // Break any stale record chain a reused device might hold:
-                // the chain can only start at the window's first block.
-                storage.write_sync_k(
-                    ls,
-                    &vec![0u8; desc.block_size as usize],
-                    storage.replica_count(),
-                )?;
-                Some(LogState {
-                    window: LogWindow::new(ls, desc.data_end()),
-                    homes: HashMap::new(),
-                })
-            }
-            None => None,
-        };
-        let alloc = ExtentAllocator::new(
-            desc.data_start(),
-            log_start.unwrap_or_else(|| desc.data_end()),
-        );
-        Self::check_archive_geometry(&cfg, &desc)?;
-        let archive = Self::build_archive(&cfg, desc.block_size);
-        Ok(BulletServer::assemble(
-            cfg, storage, table, alloc, log, archive,
-        ))
+        if let Some(ls) = Self::check_log_geometry(&cfg, table.descriptor())? {
+            // Break any stale record chain a reused device might hold:
+            // the chain can only start at the window's first block.
+            let zero = vec![0u8; table.descriptor().block_size as usize];
+            storage.write_sync_k(ls, &zero, storage.replica_count())?;
+        }
+        Self::open(cfg, storage, table, None, None)
     }
 
     /// Validates `cfg.archive_blocks` against the formatted geometry: an
@@ -421,26 +401,6 @@ impl BulletServer {
             )));
         }
         Ok(())
-    }
-
-    /// Builds a fresh archive tier when the configuration enables one.
-    /// The whole device is write-once (exempt prefix 0 — inodes stay on
-    /// the fast tier), segmented at the streaming segment size so
-    /// fully-burned segments can be sealed.
-    fn build_archive(cfg: &BulletConfig, block_size: u32) -> Option<ArchiveState> {
-        (cfg.archive_blocks > 0).then(|| ArchiveState {
-            dev: Arc::new(WormDisk::with_segments(
-                SchedDisk::new(
-                    RamDisk::new(block_size, cfg.archive_blocks),
-                    cfg.clock.clone(),
-                    DiskProfile::scsi_1989(),
-                    SchedConfig::default(),
-                ),
-                0,
-                (cfg.segment_size as u64 / block_size as u64).max(1),
-            )),
-            recall_q: Mutex::new(BTreeSet::new()),
-        })
     }
 
     /// Validates `cfg.log_blocks` against the formatted geometry and
@@ -493,17 +453,103 @@ impl BulletServer {
     /// ever consumed (ABL9's random row).
     const EVICTION_SEED: u64 = 9;
 
-    fn assemble(
+    /// Starts a server on `table`, freshly formatted or loaded — the one
+    /// construction path behind [`format_on`](Self::format_on) and
+    /// [`recover`](Self::recover).  `replay` is recovery's scan of the log
+    /// chain, where the window resumes; without one the window starts
+    /// empty.  `archive` is a surviving WORM device; without one a fresh
+    /// device is built when the configuration enables the tier.
+    ///
+    /// # Errors
+    ///
+    /// [`BulletError::Corrupt`] for impossible geometry, or under
+    /// [`RepairPolicy::Fail`] if home extents overlap or escape the area.
+    fn open(
         cfg: BulletConfig,
         storage: MirroredDisk,
-        table: InodeTable,
-        extents: ExtentAllocator,
-        log: Option<LogState>,
-        archive: Option<ArchiveState>,
-    ) -> BulletServer {
+        mut table: InodeTable,
+        replay: Option<gclog::ChainScan>,
+        archive: Option<Arc<ArchiveDevice>>,
+    ) -> Result<BulletServer, BulletError> {
+        let desc = *table.descriptor();
+        let log_start = Self::check_log_geometry(&cfg, &desc)?;
+        Self::check_archive_geometry(&cfg, &desc)?;
+        let alloc_end = log_start.unwrap_or_else(|| desc.data_end());
+        let log = log_start.map(|ls| {
+            let mut window = LogWindow::new(ls, desc.data_end());
+            if let Some(scan) = replay {
+                let (resident, resident_bytes) = table
+                    .live()
+                    .filter(|(_, ino)| Self::residency(&cfg, &desc, ino) == Some(Residency::Log))
+                    .fold((0u64, 0u64), |(n, by), (_, ino)| {
+                        (n + 1, by + ino.size_bytes as u64)
+                    });
+                let unsealed = scan.records.last().into_iter().flat_map(|r| &r.entries);
+                let unsealed = unsealed.map(|e| e.index);
+                window.restore(scan.head, scan.last_seq, resident, resident_bytes, unsealed);
+            }
+            // Homes are re-allocated on demand by log migration; the
+            // pre-crash reservations evaporate with the allocator rebuild.
+            LogState {
+                window,
+                homes: HashMap::new(),
+            }
+        });
+
+        // Overlap check: rebuild the allocator from the home extents
+        // (log-resident extents live in the bump-allocated window and
+        // archived ones on another device: neither is the allocator's to
+        // manage); under ZeroBad, drop any inode that overlaps an
+        // earlier-accepted one or escapes the area.
+        let mut home: Vec<(u64, u64, u32)> = table
+            .live()
+            .filter(|(_, ino)| Self::residency(&cfg, &desc, ino) == Some(Residency::Home))
+            .map(|(i, ino)| (ino.start_block as u64, ino.blocks(desc.block_size), i))
+            .collect();
+        let data_used: Vec<(u64, u64)> = home.iter().map(|&(s, l, _)| (s, l)).collect();
+        let extents = match ExtentAllocator::from_used(desc.data_start(), alloc_end, &data_used) {
+            Ok(a) => a,
+            Err(e) => match cfg.repair {
+                RepairPolicy::Fail => return Err(e),
+                RepairPolicy::ZeroBad => {
+                    home.sort_unstable();
+                    let mut accepted = Vec::new();
+                    let mut cursor = desc.data_start();
+                    for (start, len, idx) in home {
+                        if start < cursor || start + len > alloc_end {
+                            table.clear(idx)?; // overlapping or escaping: zero it
+                        } else {
+                            accepted.push((start, len));
+                            cursor = start + len;
+                        }
+                    }
+                    ExtentAllocator::from_used(desc.data_start(), alloc_end, &accepted)?
+                }
+            },
+        };
+
+        // A fresh archive device is write-once throughout (exempt prefix 0
+        // — inodes stay on the fast tier), segmented at the streaming
+        // segment size so fully-burned segments can be sealed.
+        let archive = (cfg.archive_blocks > 0).then(|| ArchiveState {
+            dev: archive.unwrap_or_else(|| {
+                Arc::new(WormDisk::with_segments(
+                    SchedDisk::new(
+                        RamDisk::new(desc.block_size, cfg.archive_blocks),
+                        cfg.clock.clone(),
+                        DiskProfile::scsi_1989(),
+                        SchedConfig::default(),
+                    ),
+                    0,
+                    (cfg.segment_size as u64 / desc.block_size as u64).max(1),
+                ))
+            }),
+            recall_q: Mutex::new(BTreeSet::new()),
+        });
+
         // The free slots of this server's stripe, descending so that low
         // object numbers are handed out first.
-        let slot_count = table.descriptor().inode_slots();
+        let slot_count = desc.inode_slots();
         let slots = (1..slot_count)
             .rev()
             .filter(|&i| table.is_free(i) && cfg.shard.owns(i))
@@ -524,9 +570,9 @@ impl BulletServer {
         );
         cache.set_tracer(cfg.trace.clone());
         storage.set_tracer(cfg.trace.clone());
-        BulletServer {
+        Ok(BulletServer {
             scheme: MacScheme::from_seed(cfg.scheme_seed),
-            desc: *table.descriptor(),
+            desc,
             table: RwLock::new(Tables {
                 inodes: table,
                 cache,
@@ -549,7 +595,7 @@ impl BulletServer {
             storage,
             stats: Stats::new(),
             locks: Stats::new(),
-        }
+        })
     }
 
     /// Convenience: formats a fresh server on `replicas` plain RAM disks
@@ -573,16 +619,17 @@ impl BulletServer {
     /// sure that files do not overlap"), and rebuilds the free lists —
     /// the paper's start-up sequence, also used for crash recovery.
     ///
+    /// With `cfg.archive_blocks > 0` a *fresh* (empty) archive device is
+    /// built, and the scan admits no archive extent: the old platter's
+    /// bytes are not here, so an inode that points at it is out of
+    /// bounds like any other.  WORM media survives a crash physically; a
+    /// restart that keeps its archived files re-adopts the platter via
+    /// [`recover_with_archive`](Self::recover_with_archive).
+    ///
     /// # Errors
     ///
     /// Disk errors; [`BulletError::Corrupt`] under [`RepairPolicy::Fail`]
     /// if any inode is out of bounds or files overlap.
-    ///
-    /// With `cfg.archive_blocks > 0` a *fresh* (empty) archive device is
-    /// built: archived inodes stay valid and the append cursor is
-    /// restored past their extents, but their bytes are gone — WORM media
-    /// survives a crash physically, so a real restart re-adopts the
-    /// platter via [`recover_with_archive`](Self::recover_with_archive).
     pub fn recover(cfg: BulletConfig, storage: MirroredDisk) -> Result<BulletServer, BulletError> {
         Self::recover_inner(cfg, storage, None)
     }
@@ -590,7 +637,7 @@ impl BulletServer {
     /// [`recover`](Self::recover), re-adopting a surviving WORM archive
     /// device (grabbed via [`archive_device`](Self::archive_device)
     /// before the crash): archived files keep their bytes, and the
-    /// append cursor can only move forward.
+    /// device keeps its own append cursor.
     ///
     /// # Errors
     ///
@@ -615,13 +662,14 @@ impl BulletServer {
     fn recover_inner(
         cfg: BulletConfig,
         storage: MirroredDisk,
-        archive_dev: Option<Arc<ArchiveDevice>>,
+        archive: Option<Arc<ArchiveDevice>>,
     ) -> Result<BulletServer, BulletError> {
-        let report = InodeTable::load_with_archive(&storage, cfg.repair, cfg.archive_blocks)?;
+        // Only a surviving platter holds archived bytes, so only with one
+        // does the scan admit archive extents.
+        let archive_blocks = archive.as_ref().map_or(0, |_| cfg.archive_blocks);
+        let report = InodeTable::load(&storage, cfg.repair, archive_blocks)?;
         let mut table = report.table;
         let desc = *table.descriptor();
-        let log_start = Self::check_log_geometry(&cfg, &desc)?;
-        let alloc_end = log_start.unwrap_or_else(|| desc.data_end());
 
         // Log replay, before the allocator rebuild: walk the checksummed
         // record chain (a torn tail fails its checksum and is dropped
@@ -633,15 +681,13 @@ impl BulletServer {
         // record's entries whose slot is still free; an occupied slot
         // means the inode landed (or was since migrated / reused) and
         // must not be clobbered.
-        let mut log = None;
-        if let Some(ls) = log_start {
+        let mut replay = None;
+        if let Some(ls) = Self::check_log_geometry(&cfg, &desc)? {
             let bs = desc.block_size as usize;
             let scan = gclog::scan_chain(bs, ls, desc.data_end(), &mut |b, buf| {
                 storage.read_blocks(b, buf).is_ok()
             });
-            let mut unsealed: Vec<u32> = Vec::new();
             if let Some(last) = scan.records.last() {
-                unsealed = last.entries.iter().map(|e| e.index).collect();
                 let inodes = gclog::record_inodes(bs as u64, last.at, &last.entries);
                 let mut touched = BTreeSet::new();
                 for (e, inode) in last.entries.iter().zip(inodes) {
@@ -655,80 +701,10 @@ impl BulletServer {
                     storage.write_sync_k(b, &table.block_image(b), storage.replica_count())?;
                 }
             }
-            let (resident, resident_bytes) = table
-                .live()
-                .filter(|(_, ino)| Self::residency(&cfg, &desc, ino) == Some(Residency::Log))
-                .fold((0u64, 0u64), |(n, by), (_, ino)| {
-                    (n + 1, by + ino.size_bytes as u64)
-                });
-            let mut window = LogWindow::new(ls, desc.data_end());
-            window.restore(scan.head, scan.last_seq, resident, resident_bytes, unsealed);
-            // Homes are re-allocated on demand by log migration; the
-            // pre-crash reservations evaporate with the allocator rebuild.
-            log = Some(LogState {
-                window,
-                homes: HashMap::new(),
-            });
+            replay = Some(scan);
         }
 
-        // Overlap check: rebuild the allocator from the home extents
-        // (log-resident extents live in the bump-allocated window and
-        // archived ones on another device: neither is the allocator's to
-        // manage); under ZeroBad, drop any inode that overlaps an
-        // earlier-accepted one or escapes the area.
-        let mut home: Vec<(u64, u64, u32)> = table
-            .live()
-            .filter(|(_, ino)| Self::residency(&cfg, &desc, ino) == Some(Residency::Home))
-            .map(|(i, ino)| (ino.start_block as u64, ino.blocks(desc.block_size), i))
-            .collect();
-        let data_used: Vec<(u64, u64)> = home.iter().map(|&(s, l, _)| (s, l)).collect();
-        let alloc = match ExtentAllocator::from_used(desc.data_start(), alloc_end, &data_used) {
-            Ok(a) => a,
-            Err(e) => match cfg.repair {
-                RepairPolicy::Fail => return Err(e),
-                RepairPolicy::ZeroBad => {
-                    home.sort_unstable();
-                    let mut accepted = Vec::new();
-                    let mut cursor = desc.data_start();
-                    for (start, len, idx) in home {
-                        if start < cursor || start + len > alloc_end {
-                            table.clear(idx)?; // overlapping or escaping: zero it
-                        } else {
-                            accepted.push((start, len));
-                            cursor = start + len;
-                        }
-                    }
-                    ExtentAllocator::from_used(desc.data_start(), alloc_end, &accepted)?
-                }
-            },
-        };
-
-        Self::check_archive_geometry(&cfg, &desc)?;
-        let archive = match archive_dev {
-            Some(dev) => Some(ArchiveState {
-                dev,
-                recall_q: Mutex::new(BTreeSet::new()),
-            }),
-            None => Self::build_archive(&cfg, desc.block_size),
-        };
-        if let Some(arch) = &archive {
-            // The append cursor must clear every archived extent the
-            // table still references — even on a fresh device, so future
-            // demotions never burn over a slot recovery believes is
-            // taken.  `restore_append_pos` never rewinds, so a surviving
-            // device keeps its own (equal or later) cursor.
-            let past_used = table
-                .live()
-                .filter_map(|(_, ino)| match Self::residency(&cfg, &desc, ino) {
-                    Some(Residency::Archive { block }) => Some(block + ino.blocks(desc.block_size)),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0);
-            arch.dev.restore_append_pos(past_used);
-        }
-
-        let server = BulletServer::assemble(cfg, storage, table, alloc, log, archive);
+        let server = BulletServer::open(cfg, storage, table, replay, archive)?;
         server
             .stats
             .add(counters::RECOVERY_REPAIRED_INODES, report.repaired as u64);
@@ -2143,13 +2119,6 @@ impl BulletServer {
     /// companions counting acquisitions that had to wait, snapshotted.
     pub fn lock_stats(&self) -> Vec<(&'static str, u64)> {
         self.locks.snapshot()
-    }
-
-    /// The telemetry handle (disabled unless
-    /// [`BulletConfig::telemetry`] enabled it) — for flight-recorder
-    /// exports and tests.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.cfg.telemetry
     }
 
     /// The per-client accounting table (disabled unless
@@ -3703,7 +3672,7 @@ mod tests {
         let storage = s.shutdown().unwrap();
 
         // Corrupt: rewrite inode b to overlap inode a's extent.
-        let report = InodeTable::load(&storage, RepairPolicy::Fail).unwrap();
+        let report = InodeTable::load(&storage, RepairPolicy::Fail, 0).unwrap();
         let mut table = report.table;
         let a_start = table.get(a.object.value()).unwrap().start_block;
         let b_idx = table
@@ -3730,7 +3699,7 @@ mod tests {
         let b = s.create(payload(512, 2), 1).unwrap();
         let storage = s.shutdown().unwrap();
 
-        let report = InodeTable::load(&storage, RepairPolicy::Fail).unwrap();
+        let report = InodeTable::load(&storage, RepairPolicy::Fail, 0).unwrap();
         let mut table = report.table;
         let a_start = table.get(a.object.value()).unwrap().start_block;
         table.get_mut(b.object.value()).unwrap().start_block = a_start;
@@ -4065,7 +4034,7 @@ mod tests {
 
         // Simulate a crash after the record append but before the inode
         // write-through: zero the batch's inodes on disk.
-        let report = InodeTable::load(&storage, RepairPolicy::Fail).unwrap();
+        let report = InodeTable::load(&storage, RepairPolicy::Fail, 0).unwrap();
         let mut table = report.table;
         let mut blocks = std::collections::BTreeSet::new();
         for cap in &caps {
@@ -4107,7 +4076,7 @@ mod tests {
         // Find the two records, tear the second (a crash mid-append: its
         // checksum cannot verify), and zero its inodes as a torn
         // write-through would have left them.
-        let desc = *InodeTable::load(&storage, RepairPolicy::Fail)
+        let desc = *InodeTable::load(&storage, RepairPolicy::Fail, 0)
             .unwrap()
             .table
             .descriptor();
@@ -4122,7 +4091,7 @@ mod tests {
         storage.read_blocks(second, &mut header).unwrap();
         header[gclog::HEADER_BYTES - 1] ^= 0xff; // corrupt the CRC
         storage.write_blocks(second, &header).unwrap();
-        let report = InodeTable::load(&storage, RepairPolicy::Fail).unwrap();
+        let report = InodeTable::load(&storage, RepairPolicy::Fail, 0).unwrap();
         let mut table = report.table;
         let mut blocks = std::collections::BTreeSet::new();
         for cap in &torn {
@@ -4316,19 +4285,57 @@ mod tests {
     }
 
     #[test]
-    fn plain_recover_restores_the_append_cursor_past_archived_extents() {
-        let s = BulletServer::format(tiered_cfg(), 2).unwrap();
-        s.create(payload(2000, 5), 2).unwrap();
-        s.clear_cache();
-        s.age_all().unwrap();
-        drain_maintenance(&s);
-        let storage = s.crash();
-        // A *fresh* platter: the archived inode stays valid and the
-        // cursor is restored past its extent, so later demotions can
-        // never land on top of it.
-        let s2 = BulletServer::recover(tiered_cfg(), storage).unwrap();
-        assert_eq!(s2.live_files(), 1);
-        assert_eq!(s2.archive_device().unwrap().append_pos(), 4);
+    fn a_restart_without_its_platter_never_serves_an_archived_file() {
+        let crashed = || {
+            let s = BulletServer::format(tiered_cfg(), 2).unwrap();
+            let cap = s.create(payload(2000, 0x5a), 2).unwrap();
+            s.clear_cache();
+            s.age_all().unwrap();
+            drain_maintenance(&s);
+            assert_eq!(s.stats().get(counters::TIER_DEMOTIONS), 1);
+            (cap, s.crash())
+        };
+        // The file's bytes were on the lost platter, so its inode lies
+        // outside every tier of the restarted server.
+        let (_, storage) = crashed();
+        assert!(matches!(
+            BulletServer::recover(tiered_cfg(), storage),
+            Err(BulletError::Corrupt(_))
+        ));
+        let (cap, storage) = crashed();
+        let mut cfg = tiered_cfg();
+        cfg.repair = RepairPolicy::ZeroBad;
+        let s = BulletServer::recover(cfg, storage).unwrap();
+        assert_eq!(s.live_files(), 0);
+        assert_eq!(s.stats().get(counters::RECOVERY_REPAIRED_INODES), 1);
+        assert!(s.read(&cap).is_err());
+        assert_eq!(s.archive_device().unwrap().append_pos(), 0);
+    }
+
+    #[test]
+    fn formatting_is_opening_an_empty_table() {
+        let cfg = || {
+            let mut cfg = tiered_cfg();
+            cfg.log_blocks = 512;
+            cfg
+        };
+        let placement = |s: &BulletServer| {
+            let arch = s.archive_device().unwrap();
+            let frag = s.disk_frag_report();
+            (s.describe_layout(), frag, s.live_files(), arch.append_pos())
+        };
+        let fresh = BulletServer::format(cfg(), 2).unwrap();
+        let empty = BulletServer::format(cfg(), 2).unwrap();
+        let arch = empty.archive_device().unwrap();
+        let storage = empty.shutdown().unwrap();
+        let reopened = BulletServer::recover_with_archive(cfg(), storage, arch).unwrap();
+        assert_eq!(placement(&fresh), placement(&reopened));
+        // Both log windows start at the same head: the first batch lands
+        // on the same blocks.
+        let files = || (0..6).map(|i| payload(700, i)).collect::<Vec<_>>();
+        fresh.create_batch(files(), 2).unwrap();
+        reopened.create_batch(files(), 2).unwrap();
+        assert_eq!(placement(&fresh), placement(&reopened));
     }
 
     #[test]

@@ -98,25 +98,17 @@ impl InodeTable {
     /// Reads the complete inode table from a formatted device, performing
     /// the start-up consistency scan (bounds; overlap detection is the
     /// allocator rebuild's job, over the [`live`](Self::live) extents).
+    /// With a WORM archive tier of `archive_blocks` blocks, an inode whose
+    /// extent lies wholly within `[data_end, data_end + archive_blocks)`
+    /// encodes an archive-resident file (the archive device block is
+    /// `start_block - data_end`) and passes the scan.
     ///
     /// # Errors
     ///
     /// Disk errors, a corrupt descriptor, or — under
-    /// [`RepairPolicy::Fail`] — any inode pointing outside the data area.
-    pub fn load(dev: &dyn BlockDevice, policy: RepairPolicy) -> Result<LoadReport, BulletError> {
-        InodeTable::load_with_archive(dev, policy, 0)
-    }
-
-    /// [`load`](Self::load) for a server with a WORM archive tier of
-    /// `archive_blocks` blocks: an inode whose extent lies wholly within
-    /// `[data_end, data_end + archive_blocks)` encodes an archive-resident
-    /// file (the archive device block is `start_block - data_end`) and
-    /// passes the consistency scan.
-    ///
-    /// # Errors
-    ///
-    /// As [`load`](Self::load).
-    pub fn load_with_archive(
+    /// [`RepairPolicy::Fail`] — any inode pointing outside both the data
+    /// area and the archive tier.
+    pub fn load(
         dev: &dyn BlockDevice,
         policy: RepairPolicy,
         archive_blocks: u64,
@@ -425,7 +417,7 @@ mod tests {
         let d = dev();
         let t = InodeTable::format(&d, 100).unwrap();
         assert!(t.descriptor().inode_slots() >= 101);
-        let r = InodeTable::load(&d, RepairPolicy::Fail).unwrap();
+        let r = InodeTable::load(&d, RepairPolicy::Fail, 0).unwrap();
         assert_eq!(r.repaired, 0);
         assert_eq!(r.table.live_count(), 0);
         assert_eq!(r.table.descriptor(), t.descriptor());
@@ -446,7 +438,7 @@ mod tests {
         let d = RamDisk::new(24, 64);
         for result in [
             InodeTable::format(&d, 4).map(drop),
-            InodeTable::load(&d, RepairPolicy::Fail).map(drop),
+            InodeTable::load(&d, RepairPolicy::Fail, 0).map(drop),
         ] {
             let err = result.unwrap_err().to_string();
             assert!(err.contains("block size 24"), "{err}");
@@ -464,7 +456,7 @@ mod tests {
             let idx = t.alloc(inode).unwrap();
             d.write_blocks(t.block_of(idx), &t.block_image(t.block_of(idx)))
                 .unwrap();
-            let back = InodeTable::load(&d, RepairPolicy::Fail).unwrap().table;
+            let back = InodeTable::load(&d, RepairPolicy::Fail, 0).unwrap().table;
             assert_eq!(back.get(idx).unwrap(), t.get(idx).unwrap());
         }
     }
@@ -587,7 +579,7 @@ mod tests {
 
         let d = dev();
         d.write_blocks(0, &t.block_image(0)).unwrap();
-        let loaded = InodeTable::load(&d, RepairPolicy::Fail).unwrap().table;
+        let loaded = InodeTable::load(&d, RepairPolicy::Fail, 0).unwrap().table;
         assert_eq!(loaded.get(idx).unwrap().random, RANDOM);
         assert!(loaded.memo.iter().all(|w| w.load(Relaxed) == 0));
     }
@@ -614,7 +606,7 @@ mod tests {
         assert_eq!(t.clone().age(idx), 0, "clone");
         let d = dev();
         d.write_blocks(0, &t.block_image(0)).unwrap();
-        let loaded = InodeTable::load(&d, RepairPolicy::Fail).unwrap().table;
+        let loaded = InodeTable::load(&d, RepairPolicy::Fail, 0).unwrap().table;
         assert_eq!(loaded.get(idx).unwrap().random, RANDOM);
         assert_eq!(loaded.age(idx), 0, "load");
     }
@@ -708,7 +700,7 @@ mod tests {
         d.write_blocks(t.block_of(idx), &t.block_image(t.block_of(idx)))
             .unwrap();
 
-        let r = InodeTable::load(&d, RepairPolicy::Fail).unwrap();
+        let r = InodeTable::load(&d, RepairPolicy::Fail, 0).unwrap();
         let got = r.table.get(idx).unwrap();
         assert_eq!(got.random, 0xbeef);
         assert_eq!(got.index, 0, "cache index has no significance on disk");
@@ -733,16 +725,16 @@ mod tests {
             .unwrap();
 
         assert!(matches!(
-            InodeTable::load(&d, RepairPolicy::Fail),
+            InodeTable::load(&d, RepairPolicy::Fail, 0),
             Err(BulletError::Corrupt(_))
         ));
-        let r = InodeTable::load(&d, RepairPolicy::ZeroBad).unwrap();
+        let r = InodeTable::load(&d, RepairPolicy::ZeroBad, 0).unwrap();
         assert_eq!(r.repaired, 1);
         assert_eq!(r.table.live_count(), 0);
     }
 
     #[test]
-    fn load_with_archive_accepts_archive_range_extents() {
+    fn load_accepts_archive_range_extents() {
         let d = dev();
         let mut t = InodeTable::format(&d, 10).unwrap();
         let data_end = t.descriptor().data_end() as u32;
@@ -758,11 +750,11 @@ mod tests {
             .unwrap();
 
         // Without archive geometry the extent is out of area.
-        assert!(InodeTable::load(&d, RepairPolicy::Fail).is_err());
-        let r = InodeTable::load_with_archive(&d, RepairPolicy::Fail, 8).unwrap();
+        assert!(InodeTable::load(&d, RepairPolicy::Fail, 0).is_err());
+        let r = InodeTable::load(&d, RepairPolicy::Fail, 8).unwrap();
         assert_eq!(r.table.get(idx).unwrap().start_block, data_end + 2);
         // An archive too small for the extent still rejects it.
-        assert!(InodeTable::load_with_archive(&d, RepairPolicy::Fail, 2).is_err());
+        assert!(InodeTable::load(&d, RepairPolicy::Fail, 2).is_err());
     }
 
     #[test]
@@ -806,7 +798,7 @@ mod tests {
                 .unwrap();
             d.write_blocks(t.block_of(idx), &t.block_image(t.block_of(idx)))
                 .unwrap();
-            let loaded = InodeTable::load_with_archive(&d, RepairPolicy::Fail, ARCHIVE);
+            let loaded = InodeTable::load(&d, RepairPolicy::Fail, ARCHIVE);
             assert_eq!(
                 loaded.is_ok(),
                 expected.is_some(),
@@ -823,7 +815,7 @@ mod tests {
     fn load_rejects_foreign_disk() {
         let d = dev();
         assert!(matches!(
-            InodeTable::load(&d, RepairPolicy::Fail),
+            InodeTable::load(&d, RepairPolicy::Fail, 0),
             Err(BulletError::Corrupt(_))
         ));
     }

@@ -1,7 +1,7 @@
 //! Decoders of on-disk bytes never panic.  Recovery is "scan the inode
 //! table and trust it", so whatever a device holds — a foreign disk, a
 //! torn table, a log window of garbage — the start-up scan
-//! (`InodeTable::load_with_archive`) must answer `Ok` or `Err`, and the
+//! (`InodeTable::load`) must answer `Ok` or `Err`, and the
 //! log replay walk (`gclog::scan_chain`) must return a chain, however
 //! short.  A panic here would turn a damaged disk into a server that
 //! cannot even say what is wrong with it.
@@ -29,7 +29,7 @@ fn device(block_size: u32, blocks: u64, image: &[u8]) -> RamDisk {
 fn load_every_way(dev: &RamDisk, archive_blocks: u64) {
     for policy in [RepairPolicy::Fail, RepairPolicy::ZeroBad] {
         for archive in [0, archive_blocks] {
-            if let Ok(report) = InodeTable::load_with_archive(dev, policy, archive) {
+            if let Ok(report) = InodeTable::load(dev, policy, archive) {
                 let table = report.table;
                 assert_eq!(table.live().count(), table.live_count());
                 for b in 0..table.descriptor().control_blocks as u64 {

@@ -6,10 +6,11 @@
 //!   without being documented, nor deleted and left in the docs.
 //! * Every field is assigned by something that runs: a field assignment
 //!   (`cfg.field = …`) in a binary, rig, example or benchmark, above the
-//!   file's `#[cfg(test)]` module.  The two struct literals that spell
-//!   out every default (`BulletConfig::small_test`, `rig::paper_config`)
-//!   are not assignments and do not count; neither does anything under a
-//!   `tests/` directory.  A knob only tests set is a guess about traffic
+//!   file's `#[cfg(test)]` module.  Struct literals are not assignments
+//!   and do not count: neither `BulletConfig::small_test`, which spells
+//!   out every default, nor `rig::paper_config`, which names only the
+//!   rigs' differences from it; nor does anything under a `tests/`
+//!   directory.  A knob only tests set is a guess about traffic
 //!   that never arrived ([`UNSET_BY_DESIGN`] lists the exceptions, each
 //!   with its reason).
 //! * Two ratchets: the field count and the size of `server.rs` above its
@@ -32,7 +33,7 @@ const KNOBS: usize = 23;
 /// module — the figure ROADMAP item 3(a) tracks towards 1,500, and
 /// `scripts/loc.sh` prints.  An exact ratchet: the change that shrinks
 /// the file lowers it, so later code cannot grow back into the slack.
-const SERVER_CODE_LINES: usize = 1803;
+const SERVER_CODE_LINES: usize = 1768;
 
 /// Knobs nothing outside tests assigns, and why each stays anyway.
 const UNSET_BY_DESIGN: &[(&str, &str)] = &[(

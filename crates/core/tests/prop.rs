@@ -231,7 +231,7 @@ fn oracle(
 /// The server's inode table as a fresh load off its disk sees it.
 fn table_on_disk(server: &BulletServer) -> InodeTable {
     server.sync().unwrap();
-    InodeTable::load(server.storage(), RepairPolicy::Fail)
+    InodeTable::load(server.storage(), RepairPolicy::Fail, 0)
         .unwrap()
         .table
 }

@@ -21,8 +21,7 @@ use crate::{BlockDevice, DiskError};
 /// * [`write_sync_k`](MirroredDisk::write_sync_k) writes synchronously to
 ///   the first `k` live replicas and queues the rest as *background* work
 ///   (the reply to the client does not wait for them);
-/// * [`flush_background`](MirroredDisk::flush_background) completes the
-///   queued writes;
+/// * [`sync`](BlockDevice::sync) completes the queued writes;
 /// * [`crash_volatile`](MirroredDisk::crash_volatile) discards the queue,
 ///   modelling a server crash before the background writes finished.
 ///
@@ -245,32 +244,6 @@ impl MirroredDisk {
         out
     }
 
-    /// Completes queued background writes, returning how many were applied.
-    /// Writes to replicas that died in the meantime are dropped (the
-    /// resync procedure will repair them wholesale).
-    pub fn flush_background(&self) -> usize {
-        let mut applied = 0;
-        let mut q = self.background.lock();
-        while let Some((i, first, data)) = q.pop_front() {
-            if !self.is_alive(i) {
-                self.stats.incr("mirror_bg_dropped");
-                continue;
-            }
-            match self.replicas[i].write_blocks(first, &data) {
-                Ok(()) => {
-                    applied += 1;
-                    self.stats.incr("mirror_bg_flushed");
-                }
-                Err(_) => {
-                    self.mark_dead(i);
-                    self.stats.incr("mirror_bg_dropped");
-                }
-            }
-        }
-        self.queued.store(0, Ordering::SeqCst);
-        applied
-    }
-
     /// Number of queued background writes.
     pub fn pending_background(&self) -> usize {
         self.queued.load(Ordering::SeqCst)
@@ -453,9 +426,9 @@ impl BlockDevice for MirroredDisk {
     fn sync(&self) -> Result<(), DiskError> {
         let tracer = self.tracer();
         let _span = tracer.span("disk.sync");
-        self.flush_background();
         let mut any = false;
         for i in 0..self.replicas.len() {
+            self.drain_replica(i);
             if self.is_alive(i) {
                 match self.replicas[i].sync() {
                     Ok(()) => any = true,
@@ -549,8 +522,9 @@ mod tests {
         assert_eq!(buf, [5u8; 512]);
         b.read_blocks(2, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 512]);
-        // Flushing completes the mirror.
-        assert_eq!(m.flush_background(), 1);
+        // Syncing completes the mirror.
+        m.sync().unwrap();
+        assert_eq!(m.stats().get("mirror_bg_flushed"), 1);
         b.read_blocks(2, &mut buf).unwrap();
         assert_eq!(buf, [5u8; 512]);
     }
@@ -566,7 +540,8 @@ mod tests {
         // A crash before the flush loses the write everywhere.
         m.crash_volatile();
         assert_eq!(m.pending_background(), 0);
-        assert_eq!(m.flush_background(), 0);
+        m.sync().unwrap();
+        assert_eq!(m.stats().get("mirror_bg_flushed"), 0);
     }
 
     /// A replica whose next write, once armed, waits inside the device

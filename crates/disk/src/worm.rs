@@ -117,14 +117,6 @@ impl<D: BlockDevice> WormDisk<D> {
         Ok(first)
     }
 
-    /// Restores the append cursor to at least `pos` (never moves it
-    /// backwards) — the recovery hook for a server re-adopting an archive
-    /// whose burned extents it read back from its own inode table.
-    pub fn restore_append_pos(&self, pos: u64) {
-        let mut p = self.pos.lock();
-        p.cursor = p.cursor.max(pos);
-    }
-
     /// Seals every segment the append cursor has fully passed: all blocks
     /// below the cursor's segment boundary reject writes from now on,
     /// burned or not.  A no-op without a segment layout.  Returns the new
@@ -299,15 +291,5 @@ mod tests {
         assert_eq!(d.seal_full_segments(), 12, "full segment seals");
         // The exempt region is never sealed.
         d.write_blocks(0, &[5u8; 512]).unwrap();
-    }
-
-    #[test]
-    fn restore_append_pos_never_rewinds() {
-        let d = worm();
-        d.append_reserve(5).unwrap();
-        d.restore_append_pos(3);
-        assert_eq!(d.append_pos(), 9);
-        d.restore_append_pos(11);
-        assert_eq!(d.append_pos(), 11);
     }
 }

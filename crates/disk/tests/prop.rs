@@ -161,7 +161,7 @@ proptest! {
         for op in &ops {
             m.write_sync_k(op.first_block, &op.data, k).unwrap();
         }
-        m.flush_background();
+        m.sync().unwrap();
         prop_assert_eq!(a.clone_contents(), b.clone_contents());
     }
 }
