@@ -10,8 +10,9 @@
 # pairs parent first, even pairs change first, one fresh seed per pair.
 # Each run appends its --out line to target/bench_pairs/parent.jsonl or
 # change.jsonl; the script ends on --compare of the two (exit 1 on any
-# `worse` row).  Commit the pair as results/bench/pr<N>.parent.jsonl and
-# results/bench/pr<N>.change.jsonl.
+# `worse` row), which it also writes to target/bench_pairs/compare.txt.
+# Commit the three as results/bench/pr<N>.parent.jsonl,
+# results/bench/pr<N>.change.jsonl and results/bench/pr<N>.compare.txt.
 #
 # Run it on an otherwise idle machine, from anywhere inside the repo.
 set -euo pipefail
@@ -57,4 +58,6 @@ for pair in $(seq 1 "$pairs"); do
     done
 done
 
-bench change --compare "$work/parent.jsonl" "$work/change.jsonl"
+bench change --compare "$work/parent.jsonl" "$work/change.jsonl" > "$work/compare.txt" || verdict=$?
+cat "$work/compare.txt"
+exit "${verdict:-0}"
