@@ -33,7 +33,7 @@ const KNOBS: usize = 23;
 /// module — the figure ROADMAP item 3(a) tracks towards 1,500, and
 /// `scripts/loc.sh` prints.  An exact ratchet: the change that shrinks
 /// the file lowers it, so later code cannot grow back into the slack.
-const SERVER_CODE_LINES: usize = 1768;
+const SERVER_CODE_LINES: usize = 1760;
 
 /// Knobs nothing outside tests assigns, and why each stays anyway.
 const UNSET_BY_DESIGN: &[(&str, &str)] = &[(
