@@ -124,10 +124,6 @@ pub const GROUP_COMMIT_FLUSHES: &str = "group_commit_flushes";
 /// Files committed through the group-commit log (sum of batch sizes).
 pub const LOG_BATCH_FILES: &str = "log_batch_files";
 
-/// Cumulative payload bytes that became log-resident at commit time
-/// (files later migrate to their contiguous homes during idle time).
-pub const LOG_RESIDENT_BYTES: &str = "log_resident_bytes";
-
 /// Log-resident files migrated to their contiguous data-area home by the
 /// idle-time maintenance rank.
 pub const LOG_MIGRATIONS: &str = "log_migrations";
@@ -219,14 +215,6 @@ pub const GAUGE_ALLOC_FREE_BLOCKS: &str = "alloc_free_blocks";
 /// the allocator's fragmentation headline.
 pub const GAUGE_ALLOC_MAX_HOLE: &str = "alloc_max_hole";
 
-/// Telemetry gauge: files whose payload still lives in the group-commit
-/// log region (not yet migrated to a contiguous home).
-pub const GAUGE_LOG_RESIDENT_FILES: &str = "log_resident_files";
-
-/// Telemetry gauge: creates queued in the group committer awaiting a
-/// leader flush at sample time (batch occupancy).
-pub const GAUGE_GC_BATCH_OCCUPANCY: &str = "gc_batch_occupancy";
-
 /// Telemetry gauge: write-once blocks burned on the archive tier (the
 /// WORM platter's occupancy; monotonic by construction).
 pub const GAUGE_TIER_ARCHIVE_BLOCKS: &str = "tier_archive_blocks";
@@ -256,8 +244,6 @@ pub const GAUGES: &[&str] = &[
     GAUGE_CACHE_GHOST_LEN,
     GAUGE_ALLOC_FREE_BLOCKS,
     GAUGE_ALLOC_MAX_HOLE,
-    GAUGE_LOG_RESIDENT_FILES,
-    GAUGE_GC_BATCH_OCCUPANCY,
     GAUGE_TIER_ARCHIVE_BLOCKS,
     GAUGE_TIER_RECALL_QUEUE,
     GAUGE_EVSIM_DISK_BACKLOG_US,
@@ -304,7 +290,6 @@ pub const ALL: &[&str] = &[
     LOG_APPENDS,
     GROUP_COMMIT_FLUSHES,
     LOG_BATCH_FILES,
-    LOG_RESIDENT_BYTES,
     LOG_MIGRATIONS,
     CACHE_HITS,
     CACHE_MISSES,

@@ -16,8 +16,8 @@
 //! closure the server passes to [`GroupCommitter::submit`], which also
 //! charges the simulated linger window.  Batch *composition* under real
 //! threads depends on scheduling; the deterministic ablation path
-//! (`BulletServer::create_batch`) bypasses this queue and forms batches
-//! by position instead.
+//! (`BulletServer::create_batch`) bypasses this queue and cuts its
+//! argument list with the same rule, [`BatchCaps::take`].
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -38,6 +38,23 @@ pub struct BatchCaps {
     /// How long a lone leader waits (host time) for stragglers before
     /// flushing.  The *simulated* linger is charged by the commit closure.
     pub linger: Duration,
+}
+
+impl BatchCaps {
+    /// The one batch rule: how many of the queued payload `sizes`, in
+    /// order, the next batch takes — at most `max_files` files and
+    /// `max_bytes` bytes, but always the first file, however big.
+    pub fn take(&self, sizes: impl IntoIterator<Item = u64>) -> usize {
+        let (mut take, mut bytes) = (0, 0u64);
+        for size in sizes {
+            if take == self.max_files.max(1) || (take > 0 && bytes + size > self.max_bytes) {
+                break;
+            }
+            bytes += size;
+            take += 1;
+        }
+        take
+    }
 }
 
 /// One waiter's result slot.
@@ -93,17 +110,6 @@ impl GroupCommitter {
     /// A fresh, empty committer.
     pub fn new() -> GroupCommitter {
         GroupCommitter::default()
-    }
-
-    /// Payloads currently queued awaiting a leader flush (telemetry's
-    /// batch-occupancy gauge; racy by nature, read without blocking
-    /// submitters for long).
-    pub fn pending_len(&self) -> usize {
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pending
-            .len()
     }
 
     /// Submits one payload and blocks until a leader commits it.
@@ -170,17 +176,7 @@ impl GroupCommitter {
                     q.leader_active = false;
                     return;
                 }
-                let mut take = 0;
-                let mut bytes = 0u64;
-                for p in &q.pending {
-                    if take == caps.max_files.max(1)
-                        || (take > 0 && bytes + p.data.len() as u64 > caps.max_bytes)
-                    {
-                        break;
-                    }
-                    bytes += p.data.len() as u64;
-                    take += 1;
-                }
+                let take = caps.take(q.pending.iter().map(|p| p.data.len() as u64));
                 q.pending.drain(..take).collect()
             };
             let results = commit(batch.iter().map(|p| p.data.clone()).collect());
@@ -201,6 +197,7 @@ impl std::fmt::Debug for GroupCommitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{gclog, BulletServer};
     use amoeba_cap::{ObjNum, Port, Rights};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -272,6 +269,26 @@ mod tests {
 
     #[test]
     fn caps_split_oversized_queues() {
+        // The rule itself, on the edge cases: `(caps, queued sizes, taken)`.
+        let clamped = BulletServer::LOG_BATCH_MAX_FILES.min(gclog::max_entries(64));
+        for (caps, sizes, taken) in [
+            // A first file over the byte cap goes alone, never not at all.
+            (caps(4, 100), vec![150, 10], 1),
+            (caps(4, 100), vec![60, 40, 1], 2),
+            // Exactly `max_files`, and one more.
+            (caps(4, 1 << 20), vec![1; 4], 4),
+            (caps(4, 1 << 20), vec![1; 5], 4),
+            // A 64-byte header block names two files.
+            (caps(clamped, 1 << 20), vec![1; 3], 2),
+            // Zero-length files cost no bytes, only their file slot.
+            (caps(4, 0), vec![0; 6], 4),
+            (caps(4, 100), vec![0, 100, 0, 1], 3),
+        ] {
+            assert_eq!(caps.take(sizes.iter().copied()), taken, "{sizes:?}");
+        }
+        assert_eq!(clamped, 2);
+
+        // The committer applies it to a queue racing in from threads.
         let gc = Arc::new(GroupCommitter::new());
         let sizes = Arc::new(Mutex::new(Vec::new()));
         let n = 9;

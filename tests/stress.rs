@@ -495,3 +495,44 @@ proptest! {
         prop_assert!(report.free <= report.total);
     }
 }
+
+#[test]
+fn concurrent_grouped_creates_read_back_and_survive_a_crash() {
+    let mut cfg = big_config();
+    cfg.log_blocks = 4096;
+    let server = Arc::new(BulletServer::format(cfg.clone(), 2).unwrap());
+    let (threads, per_thread) = (4, 64);
+    let barrier = Arc::new(Barrier::new(threads));
+    let handles: Vec<_> = (0..threads)
+        .map(|t| {
+            let (server, barrier) = (server.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                let mut rng = DetRng::new(t as u64 + 11);
+                barrier.wait();
+                (0..per_thread)
+                    .map(|i| {
+                        let len = 1024 + rng.next_below(3 * 1024 + 1) as usize;
+                        let data = pattern(t, i, len);
+                        let cap = server.create(Bytes::from(data.clone()), 1).unwrap();
+                        (cap, data)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let files: Vec<(Capability, Vec<u8>)> = handles
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    for (cap, expect) in &files {
+        assert_eq!(&server.read(cap).unwrap()[..], &expect[..]);
+    }
+    assert_eq!(server.stats().get("creates"), 256);
+    // Batch sizes depend on timing; durability does not.
+    let storage = Arc::try_unwrap(server).unwrap().crash();
+    let server = BulletServer::recover(cfg, storage).unwrap();
+    assert_eq!(server.live_files(), files.len());
+    for (cap, expect) in &files {
+        assert_eq!(&server.read(cap).unwrap()[..], &expect[..]);
+    }
+}
