@@ -259,12 +259,12 @@ pub(crate) struct Hits {
 impl Hits {
     /// The warm read: `cap`'s file served from its published entry, or
     /// `None` when nothing is published for its slot or `cap` is not for
-    /// `port` (the caller then takes the locked path).  Under the slot's
-    /// guard the capability is checked against the entry's random for
-    /// `needed` ([`verify_memo`], the inode table's own rule), `window`
-    /// may refuse the file's size, and only then does the hit count and
-    /// refresh recency.  The errors are those the locked path returns for
-    /// the same live file.
+    /// `port` (the caller then takes its miss path, which verifies under
+    /// the table lock).  Under the slot's guard the capability is checked
+    /// against the entry's random for `needed` ([`verify_memo`], the
+    /// inode table's own rule), `window` may refuse the file's size, and
+    /// only then does the hit count and refresh recency.  The errors are
+    /// those the miss path returns for the same live file.
     pub(crate) fn serve(
         &self,
         port: Port,
@@ -527,29 +527,15 @@ impl FileCache {
     /// all go through atomics, so concurrent cache-hit reads need no
     /// exclusive lock.
     pub fn get(&self, inode_index: u32) -> Option<Bytes> {
-        let found = self.lookup(inode_index);
+        let found = self.by_inode.get(&inode_index).map(|&slot| {
+            let r = self.rnodes[slot as usize]
+                .as_ref()
+                .expect("by_inode points at a live rnode");
+            self.hits.touch(slot, arena_len(&r.data));
+            r.data.clone()
+        });
         self.hits.record(inode_index, found.is_some());
         found
-    }
-
-    /// Re-probe after a counted miss: counts a hit if another request
-    /// filled the cache meanwhile, but never double-counts the miss.  The
-    /// server's miss path uses this after taking the per-inode in-flight
-    /// guard.
-    pub fn recheck(&self, inode_index: u32) -> Option<Bytes> {
-        let data = self.lookup(inode_index)?;
-        self.hits.stats.incr(counters::CACHE_HITS);
-        Some(data)
-    }
-
-    /// The contents of a cached file, its recency touched.
-    fn lookup(&self, inode_index: u32) -> Option<Bytes> {
-        let &slot = self.by_inode.get(&inode_index)?;
-        let r = self.rnodes[slot as usize]
-            .as_ref()
-            .expect("by_inode points at a live rnode");
-        self.hits.touch(slot, arena_len(&r.data));
-        Some(r.data.clone())
     }
 
     /// The hit-written words of rnode `slot`.

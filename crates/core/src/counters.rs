@@ -29,8 +29,10 @@ pub const RECOVERY_REPAIRED_INODES: &str = "recovery_repaired_inodes";
 /// [`crate::server::BulletServer::recover`].
 pub const RECOVERY_LIVE_FILES: &str = "recovery_live_files";
 
-/// Cold disk reads that were served by a surviving replica after the
-/// preferred one failed (the mirror's failover, observed at the server).
+/// Mirror failovers made by the server's one extent reader, which
+/// serves cold reads, shard exports and fast-tier extent moves: each
+/// read adds the failovers the mirror made to serve it from a surviving
+/// replica.
 pub const FAILOVER_READS: &str = "failover_reads";
 
 /// Successful `BULLET.CREATE` operations.

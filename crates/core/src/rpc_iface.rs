@@ -410,7 +410,7 @@ impl BulletClient {
     /// versioned JSON object (top-level `"monitor_schema"` key) carrying
     /// every counter, the tail of each time-series ring, the SLO
     /// watchdog's event log, and the top per-client resource consumers.
-    /// See [`BulletServer::monitor_snapshot`].
+    /// The server builds it in `BulletServer::monitor_snapshot`.
     ///
     /// # Errors
     ///

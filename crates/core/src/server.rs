@@ -12,9 +12,11 @@
 //!   file in its inode slot, and an eviction or delete clears that entry
 //!   before its rnode is freed, so a warm read is served from the slot
 //!   under that slot's own guard (`Hits::serve`) and takes no table lock
-//!   at all.  A read that finds no entry verifies and looks up under one
-//!   *read* guard.  Both refresh LRU ages and hit counters through
-//!   atomics.  Each slot also holds its file's
+//!   at all.  A read that finds no entry is a miss: under its file's
+//!   in-flight guard it verifies, checks its byte window and makes its
+//!   one counted lookup under one *read* guard, then loads the file.
+//!   Both lookups refresh LRU ages and hit counters through atomics.
+//!   Each slot also holds its file's
 //!   touch/age word, which `touch` and `age_all` update under the shared
 //!   guard.
 //! * `alloc: Mutex<AllocState>` — the disk extent free list, the inode
@@ -869,7 +871,7 @@ impl BulletServer {
                 self.copy_extent_to_archive(inode.start_block as u64, blocks, block)?
             }
             Residency::Home => {
-                let buf = self.read_whole_extent(inode)?;
+                let buf = self.read_extent(inode, None)?;
                 self.storage.write_sync_k(to_start, &buf, k)?;
             }
             // Nothing moves *into* the log window: records are appended.
@@ -889,20 +891,6 @@ impl BulletServer {
             |t| flip(t, moved.start_block),
             |t| flip(t, inode.start_block),
         )
-    }
-
-    /// Reads `inode`'s whole block-padded extent off whichever device its
-    /// [`Residency`] names, in one I/O.
-    fn read_whole_extent(&self, inode: &Inode) -> Result<Vec<u8>, BulletError> {
-        let block_size = self.desc.block_size;
-        let mut buf = vec![0u8; (inode.blocks(block_size) * block_size as u64) as usize];
-        match self.residency_of(inode)? {
-            Residency::Archive { block } => self.archive_tier().dev.read_blocks(block, &mut buf)?,
-            Residency::Home | Residency::Log => self
-                .storage
-                .read_blocks(inode.start_block as u64, &mut buf)?,
-        }
-        Ok(buf)
     }
 
     /// `BULLET.SIZE(CAPABILITY) → SIZE`.
@@ -981,7 +969,7 @@ impl BulletServer {
     /// # Errors
     ///
     /// As [`read_section`](Self::read_section).
-    pub fn read_section_streamed(
+    pub(crate) fn read_section_streamed(
         &self,
         cap: &Capability,
         offset: u32,
@@ -1126,7 +1114,7 @@ impl BulletServer {
     /// # Errors
     ///
     /// [`BulletError::NotFound`] if `idx` is not live; disk errors.
-    pub fn export_object(&self, idx: u32) -> Result<(u64, Bytes), BulletError> {
+    pub(crate) fn export_object(&self, idx: u32) -> Result<(u64, Bytes), BulletError> {
         let mut op = self.cfg.trace.span("bullet.export_object");
         op.attr("op", "export_object");
         let _m = self.maint_read();
@@ -1143,7 +1131,7 @@ impl BulletServer {
             op.attr("bytes", data.len());
             return Ok((inode.random, data));
         }
-        let mut buf = self.read_whole_extent(&inode)?;
+        let mut buf = self.read_extent(&inode, None)?;
         buf.truncate(inode.size_bytes as usize);
         op.attr("bytes", buf.len());
         Ok((inode.random, Bytes::from(buf)))
@@ -1162,7 +1150,12 @@ impl BulletServer {
     /// [`BulletError::Corrupt`] if slot `idx` is live here;
     /// [`BulletError::NoSpace`] / disk errors as for create.  On error
     /// the adoption is fully rolled back.
-    pub fn adopt_object(&self, idx: u32, random: u64, data: Bytes) -> Result<(), BulletError> {
+    pub(crate) fn adopt_object(
+        &self,
+        idx: u32,
+        random: u64,
+        data: Bytes,
+    ) -> Result<(), BulletError> {
         let mut op = self.cfg.trace.span("bullet.adopt_object");
         op.attr("op", "adopt_object");
         op.attr("bytes", data.len());
@@ -1183,7 +1176,7 @@ impl BulletServer {
     /// # Errors
     ///
     /// [`BulletError::NotFound`] if `idx` is not live; disk errors.
-    pub fn retire_object(&self, idx: u32) -> Result<(), BulletError> {
+    pub(crate) fn retire_object(&self, idx: u32) -> Result<(), BulletError> {
         let mut op = self.cfg.trace.span("bullet.retire_object");
         op.attr("op", "retire_object");
         let _m = self.maint_read();
@@ -1208,25 +1201,10 @@ impl BulletServer {
         data: &[u8],
         p_factor: u32,
     ) -> Result<Capability, BulletError> {
-        let mut op = self.cfg.trace.span("bullet.modify");
-        op.attr("op", "modify");
-        op.attr("bytes", data.len());
-        let needed = Rights::READ | Rights::MODIFY;
-        let (base, _) = self.fetch(cap, needed, None, |_| Ok((0, u64::MAX)))?;
-        let new_len = base.len().max(offset as usize + data.len());
-        let mut buf = vec![0u8; new_len];
-        buf[..base.len()].copy_from_slice(&base);
-        buf[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-        // The extra server-side copy is charged inside create() as the
-        // usual reception copy; charge the read-side copy here.
-        self.charge_memcpy(base.len() as u64);
-        self.stats
-            .add(counters::PAYLOAD_BYTES_COPIED, base.len() as u64);
-        self.stats.incr(counters::MODIFIES);
-        self.create(Bytes::from(buf), p_factor)
+        self.derive(cap, Some(offset), data, p_factor)
     }
 
-    /// §5 extension: appends by deriving a new file (sugar over
+    /// §5 extension: appends by deriving a new file (a
     /// [`modify`](Self::modify) at the old end).
     ///
     /// # Errors
@@ -1238,12 +1216,36 @@ impl BulletServer {
         data: &[u8],
         p_factor: u32,
     ) -> Result<Capability, BulletError> {
-        let size = {
-            let t = self.table_read();
-            self.verify(&t.inodes, cap, Rights::READ | Rights::MODIFY)?
-                .size_bytes
-        };
-        self.modify(cap, size, data, p_factor)
+        self.derive(cap, None, data, p_factor)
+    }
+
+    /// The body of [`modify`](Self::modify) and [`append`](Self::append):
+    /// fetches the base once, then overlays `data` at `offset`, or at the
+    /// base's end when `offset` is `None`.
+    fn derive(
+        &self,
+        cap: &Capability,
+        offset: Option<u32>,
+        data: &[u8],
+        p_factor: u32,
+    ) -> Result<Capability, BulletError> {
+        let mut op = self.cfg.trace.span("bullet.modify");
+        op.attr("op", "modify");
+        op.attr("bytes", data.len());
+        let needed = Rights::READ | Rights::MODIFY;
+        let (base, _) = self.fetch(cap, needed, None, |_| Ok((0, u64::MAX)))?;
+        let offset = offset.map_or(base.len(), |o| o as usize);
+        let new_len = base.len().max(offset + data.len());
+        let mut buf = vec![0u8; new_len];
+        buf[..base.len()].copy_from_slice(&base);
+        buf[offset..offset + data.len()].copy_from_slice(data);
+        // The extra server-side copy is charged inside create() as the
+        // usual reception copy; charge the read-side copy here.
+        self.charge_memcpy(base.len() as u64);
+        self.stats
+            .add(counters::PAYLOAD_BYTES_COPIED, base.len() as u64);
+        self.stats.incr(counters::MODIFIES);
+        self.create(Bytes::from(buf), p_factor)
     }
 
     // ------------------------------------------------------------------
@@ -1654,7 +1656,7 @@ impl BulletServer {
 
     /// The per-client accounting table (disabled unless
     /// [`BulletConfig::accounting`] enabled it).
-    pub fn accounting(&self) -> &ClientAccounting {
+    pub(crate) fn accounting(&self) -> &ClientAccounting {
         &self.cfg.accounting
     }
 
@@ -1666,7 +1668,7 @@ impl BulletServer {
     /// The top-level `"monitor_schema"` key versions the wire format;
     /// consumers must check it before parsing further (see DESIGN.md
     /// §14.3).
-    pub fn monitor_snapshot(&self) -> String {
+    pub(crate) fn monitor_snapshot(&self) -> String {
         const TAIL: usize = 8;
         const TOP_K: usize = 10;
         let (telemetry, accounting) = (&self.cfg.telemetry, &self.cfg.accounting);
@@ -1758,7 +1760,7 @@ impl BulletServer {
 
     /// This server's slot in its shard set ([`crate::shard::ShardSlot::solo`]
     /// when unsharded).
-    pub fn shard_slot(&self) -> crate::shard::ShardSlot {
+    pub(crate) fn shard_slot(&self) -> crate::shard::ShardSlot {
         self.cfg.shard
     }
 
@@ -1893,16 +1895,13 @@ impl BulletServer {
         table.get_verified(cap, needed, &self.scheme)
     }
 
-    /// The verified fetch every read starts with.  A cached file is
-    /// published in its inode slot and served from there under that
-    /// slot's guard alone ([`Hits::serve`]), so warm reads take no table
-    /// lock.  Otherwise verification of `cap` for `needed` and the cache
-    /// lookup share one read guard, so an entry found (a fill that raced
-    /// the probe) is the verified file's.  `window` maps the file size to
-    /// the byte window a cold load streams (and may refuse it); it runs
-    /// before the lookup.  The guard is gone before the miss path,
-    /// [`load_cold`](Self::load_cold), whose fill takes the write guard.
-    /// Returns the whole file and whether the cache held it.
+    /// The verified fetch every read starts with, in two steps.  A cached
+    /// file is published in its inode slot and served from there under
+    /// that slot's guard alone ([`Hits::serve`]), so a warm read takes no
+    /// table lock.  Anything else goes to the one miss path,
+    /// [`load_cold`](Self::load_cold).  `window` maps the file size to the
+    /// byte window a cold load streams (and may refuse it).  Returns the
+    /// whole file and whether the cache held it.
     fn fetch(
         &self,
         cap: &Capability,
@@ -1911,24 +1910,12 @@ impl BulletServer {
         window: impl Fn(u32) -> Result<(u64, u64), BulletError>,
     ) -> Result<(Bytes, bool), BulletError> {
         let fits = |size| window(size).map(drop);
-        if let Some(served) = self
+        match self
             .hits
             .serve(self.cfg.port, cap, needed, &self.scheme, fits)
         {
-            return served.map(|data| (data, true));
-        }
-        let idx = cap.object.value();
-        let ((win_start, win_end), hit) = {
-            let t = self.table_read();
-            let window = window(self.verify(&t.inodes, cap, needed)?.size_bytes)?;
-            (window, t.cache.get(idx))
-        };
-        match hit {
-            Some(data) => Ok((data, true)),
-            None => {
-                let data = self.load_cold(cap, idx, needed, wire, win_start, win_end)?;
-                Ok((data, false))
-            }
+            Some(served) => served.map(|data| (data, true)),
+            None => self.load_cold(cap, needed, wire, window),
         }
     }
 
@@ -1939,85 +1926,82 @@ impl BulletServer {
         (self.cfg.segment_size as u64 / bs).max(1) * bs
     }
 
-    /// The whole-file cache-miss path: loads the file's extent from disk
-    /// into the cache under the per-inode in-flight guard, holding no
-    /// table or cache lock during the I/O itself.
+    /// The miss path: loads the file's extent from disk into the cache
+    /// under the per-inode in-flight guard, holding no table or cache
+    /// lock during the I/O itself.
     ///
-    /// With a wire and a multi-segment file, the load pipelines: segment
-    /// `k` comes off the disk while segment `k-1` is on the wire (only the
-    /// part inside the byte window `[win_start, win_end)` of the file
-    /// travels — the whole file for `BULLET.READ`, the requested range for
-    /// a section read).  Segments land directly in the contiguous cache
-    /// buffer, so streaming adds no copies.
+    /// Under the guard one table read guard verifies `cap` for `needed`,
+    /// applies `window` (so a refused range counts no lookup) and makes
+    /// the read's one counted lookup.  That finds the file only if a fill
+    /// raced this read; otherwise the file is loaded, and the snapshot
+    /// stays valid for the whole I/O because delete and compaction need
+    /// the guard too.  The load streams the window `[win_start, win_end)`
+    /// over `wire` as [`read_extent`](Self::read_extent) says.  Returns the
+    /// whole file and whether the lookup hit.
+    ///
+    /// Kept out of line: inlined into each read entry point, its frame
+    /// made every warm read slower too (`hot_read_1c` `read_p50_us` +3 %,
+    /// worse in 10 of 10 benchmark pairs).
+    #[inline(never)]
     fn load_cold(
         &self,
         cap: &Capability,
-        idx: u32,
         needed: Rights,
         wire: Option<&StreamWire>,
-        win_start: u64,
-        win_end: u64,
-    ) -> Result<Bytes, BulletError> {
+        window: impl Fn(u32) -> Result<(u64, u64), BulletError>,
+    ) -> Result<(Bytes, bool), BulletError> {
+        let idx = cap.object.value();
         let _busy = self.inflight_lock(idx);
-        // Re-verify: the file may have been deleted, or moved by
-        // compaction, before the guard was ours.  The snapshot is stable
-        // for the whole I/O because delete/compaction need this guard.
-        // Another request may have loaded the file meanwhile; a late hit
-        // here does not re-count the miss.
-        let (inode, late_hit) = {
+        let (inode, (win_start, win_end)) = {
             let t = self.table_read();
-            (*self.verify(&t.inodes, cap, needed)?, t.cache.recheck(idx))
+            let inode = *self.verify(&t.inodes, cap, needed)?;
+            let window = window(inode.size_bytes)?;
+            if let Some(data) = t.cache.get(idx) {
+                return Ok((data, true));
+            }
+            (inode, window)
         };
-        if let Some(data) = late_hit {
-            return Ok(data);
-        }
-        let size = inode.size_bytes as u64;
-        let archived = matches!(self.residency_of(&inode)?, Residency::Archive { .. });
-        let mut buf = if archived {
-            // Archive tier: serve the read *from the archive device* — no
-            // foreground stall waiting for a copy-back — and schedule the
-            // promotion below; the recall rank moves the file to the fast
-            // tier on a later idle tick.
-            self.read_whole_extent(&inode)?
-        } else {
-            let block_size = self.desc.block_size;
-            let mut buf = vec![0u8; (inode.blocks(block_size) * block_size as u64) as usize];
-            self.read_extent(
-                inode.start_block as u64,
-                &mut buf,
-                wire,
-                win_start,
-                win_end.min(size),
-                size,
-            )?;
-            buf
-        };
+        let mut buf = self.read_extent(&inode, wire.map(|w| (w, win_start, win_end)))?;
         buf.truncate(inode.size_bytes as usize);
         let data = Bytes::from(buf);
         // A reference-count bump, not a copy: cache and reply share the
         // buffer the disk read into.
         self.cache_insert(&mut self.table_write(), idx, data.clone())?;
-        if archived {
+        // An archived file was served *from the archive device*, with no
+        // foreground stall waiting for a copy-back; the recall rank moves
+        // it to the fast tier on a later idle tick.
+        if let Residency::Archive { .. } = self.residency_of(&inode)? {
             self.archive_tier().recall_q.lock().insert(idx);
         }
-        Ok(data)
+        Ok((data, false))
     }
 
-    /// Reads the extent of the file at `start_block` into `buf`.  Without
-    /// a wire, or within a single segment, this is one contiguous disk
-    /// read, exactly the seed behaviour.  Otherwise it runs the two-lane
-    /// pipeline: lane 0 reads segment `k` off the disk while lane 1
-    /// streams the part of segment `k-1` inside the file-byte window
-    /// `[win_start, win_end)` to the client.
+    /// Reads `inode`'s whole block-padded extent off the device its
+    /// [`Residency`] names: the one extent reader behind the miss path,
+    /// shard export and extent moves.  An archived extent is one read off
+    /// the archive device.  A home or log extent comes off the mirror,
+    /// whose failovers this read made count as `failover_reads`: one
+    /// contiguous read, unless `stream` names a wire and the extent spans
+    /// more than one segment.  Then the two-lane pipeline runs: lane 0
+    /// reads segment `k` off the disk while lane 1 streams the part of
+    /// segment `k-1` inside the file-byte window `[win_start, win_end)`
+    /// of `stream = (wire, win_start, win_end)`.  Segments land directly
+    /// in the returned buffer, so streaming adds no copies.
     fn read_extent(
         &self,
-        start_block: u64,
-        buf: &mut [u8],
-        wire: Option<&StreamWire>,
-        win_start: u64,
-        win_end: u64,
-        size: u64,
-    ) -> Result<(), BulletError> {
+        inode: &Inode,
+        stream: Option<(&StreamWire, u64, u64)>,
+    ) -> Result<Vec<u8>, BulletError> {
+        let block_size = self.desc.block_size as u64;
+        let total = inode.blocks(self.desc.block_size) * block_size;
+        let mut buf = vec![0u8; total as usize];
+        let start_block = match self.residency_of(inode)? {
+            Residency::Archive { block } => {
+                self.archive_tier().dev.read_blocks(block, &mut buf)?;
+                return Ok(buf);
+            }
+            Residency::Home | Residency::Log => inode.start_block as u64,
+        };
         // The mirror fails over silently; surface the failovers this read
         // made as a server counter so campaigns can prove degraded reads
         // kept succeeding.
@@ -2027,11 +2011,9 @@ impl BulletServer {
             failovers += made;
             result
         };
-        let block_size = self.desc.block_size as u64;
         let seg = self.segment_bytes();
-        let total = buf.len() as u64;
-        let result = match wire {
-            Some(wire) if total > seg => {
+        let result = match stream {
+            Some((wire, win_start, win_end)) if total > seg => {
                 self.stats.incr(counters::PIPELINED_READS);
                 let lanes = &["disk_read", "wire_send"];
                 Pipeline::walk(&self.cfg.trace, lanes, total, seg, |pipe, off, end| {
@@ -2041,7 +2023,7 @@ impl BulletServer {
                     // sent chunk is capped at the file size (the tail
                     // padding of the final block never leaves the server).
                     let sent_start = off.max(win_start);
-                    let sent_end = end.min(win_end).min(size);
+                    let sent_end = end.min(win_end).min(inode.size_bytes as u64);
                     if sent_end > sent_start {
                         self.stats.incr(counters::STREAM_SEGMENTS);
                         pipe.stage(1, || wire.stage_reply_segment(sent_end - sent_start));
@@ -2050,12 +2032,13 @@ impl BulletServer {
                 })
                 .map(drop)
             }
-            _ => read_blocks(start_block, buf),
+            _ => read_blocks(start_block, &mut buf),
         };
         if failovers > 0 {
             self.stats.add(counters::FAILOVER_READS, failovers);
         }
-        Ok(result?)
+        result?;
+        Ok(buf)
     }
 
     /// The pipelined counterpart of
@@ -2402,14 +2385,44 @@ mod tests {
 
     #[test]
     fn forged_capability_rejected() {
+        // Each refused read counts no lookup and fills nothing, whether
+        // the file is published (refused by `Hits::serve`) or uncached
+        // (refused under `load_cold`'s table guard before its lookup).
         let s = server();
         let cap = s.create(payload(10, 1), 1).unwrap();
+        let gone = s.create(payload(10, 2), 1).unwrap();
+        s.delete(&gone).unwrap();
         let mut forged = cap;
         forged.check ^= 1;
-        assert_eq!(s.read(&forged).unwrap_err(), BulletError::CapBad);
         let mut wrong_port = cap;
         wrong_port.port = Port::from_u64(123);
-        assert_eq!(s.read(&wrong_port).unwrap_err(), BulletError::CapBad);
+        let cases = [
+            (cap, Some((5, 6)), BulletError::BadRange),
+            (forged, None, BulletError::CapBad),
+            (wrong_port, None, BulletError::CapBad),
+            (gone, None, BulletError::NotFound),
+        ];
+        let lookups = || {
+            let stats: HashMap<_, _> = s.cache_stats().into_iter().collect();
+            let count = |name| stats.get(name).copied().unwrap_or(0);
+            (count("cache_hits"), count("cache_misses"))
+        };
+        for cached in [true, false] {
+            if !cached {
+                s.clear_cache();
+            }
+            for (c, section, err) in &cases {
+                let before = lookups();
+                let got = match *section {
+                    Some((offset, len)) => s.read_section(c, offset, len),
+                    None => s.read(c),
+                };
+                assert_eq!(&got.unwrap_err(), err);
+                assert_eq!(lookups(), before, "{err:?} counted a lookup");
+                let filled = s.table.read().cache.len();
+                assert_eq!(filled, usize::from(cached), "{err:?} filled the cache");
+            }
+        }
     }
 
     #[test]
@@ -2639,7 +2652,7 @@ mod tests {
             [
                 format!("create: {write} table_write=1"),
                 "warm read: ".into(),
-                "cold read: inflight=1 table_read=2 table_write=1".into(),
+                "cold read: inflight=1 table_read=1 table_write=1".into(),
                 format!("delete: {write} table_read=1 table_write=1"),
                 format!("adopt: {write} table_write=1"),
                 format!("retire: {write} table_read=1 table_write=1"),

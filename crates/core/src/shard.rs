@@ -16,7 +16,7 @@
 //!   carried in [`crate::BulletConfig::shard`];
 //! * [`BulletShards`] — the assembled set: validated construction, the
 //!   rebalance protocol (export → adopt → retire, reusing the recovery
-//!   machinery's dictated-slot [`crate::server::BulletServer::adopt_object`]
+//!   machinery's dictated-slot `BulletServer::adopt_object`
 //!   install path), and whole-set accounting used by the ABL18 ablation
 //!   to prove that a rebalance preserves every live byte.
 //!

@@ -12,9 +12,9 @@
 //! hammering `get` between write-locked insert/remove/compact storms —
 //! and assert the map survives exactly: no entry lost, none double-freed
 //! (the arena's `free` panics on an invalid extent, so a double free
-//! cannot pass silently), byte accounting exact.  The server test races
+//! cannot pass silently), byte accounting exact.  The server tests race
 //! warm reads of one file against its delete, its inode slot's reuse and
-//! its rnode's reuse.
+//! its rnode's reuse, and cold reads of one file against each other.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -286,6 +286,51 @@ fn a_warm_read_never_serves_another_files_bytes_from_its_slot() {
         let served: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
         assert!(served > 0, "no read of A was ever served");
     });
+}
+
+/// Concurrent cold reads of one file load it once and count one lookup
+/// each.  Eight readers start on one barrier and read a file just
+/// dropped from the cache.  Every read returns the file's bytes,
+/// `cache_misses` rises by exactly one (the one load) and
+/// `cache_hits + cache_misses` by exactly eight.  A reader that waits
+/// out the load on the file's in-flight guard counts its one lookup
+/// there, as a hit, and never a miss before it.  Repeated, so that some
+/// rounds catch readers behind the load.
+#[test]
+fn concurrent_cold_reads_load_once_and_count_one_lookup_each() {
+    const READERS: usize = 8;
+    const ROUNDS: usize = 100;
+    let server = BulletServer::format(BulletConfig::small_test(), 1).unwrap();
+    let bytes = Bytes::from((0..64 * 1024).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+    let cap = server.create(bytes.clone(), 1).unwrap();
+    let lookups = || {
+        let stats: HashMap<_, _> = server.cache_stats().into_iter().collect();
+        let count = |name| stats.get(name).copied().unwrap_or(0);
+        (
+            count("cache_misses"),
+            count("cache_hits") + count("cache_misses"),
+        )
+    };
+    for round in 0..ROUNDS {
+        server.clear_cache();
+        let (misses, total) = lookups();
+        let barrier = Barrier::new(READERS);
+        std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| {
+                    barrier.wait();
+                    assert!(server.read(&cap).unwrap() == bytes, "a read lost the bytes");
+                });
+            }
+        });
+        let (misses_after, total_after) = lookups();
+        assert_eq!(misses_after - misses, 1, "round {round}: not one load");
+        assert_eq!(
+            total_after - total,
+            READERS as u64,
+            "round {round}: not one counted lookup per read"
+        );
+    }
 }
 
 /// Raises its flag when dropped, unwinding included.

@@ -13,9 +13,10 @@
 //!   directory.  A knob only tests set is a guess about traffic
 //!   that never arrived ([`UNSET_BY_DESIGN`] lists the exceptions, each
 //!   with its reason).
-//! * Two ratchets: the field count and the size of `server.rs` above its
-//!   test module only go down, and the size is pinned exactly, so the
-//!   change that shrinks the file records the new figure.
+//! * Three ratchets: the field count, the size of `server.rs` above its
+//!   test module and the number of `pub fn`s of `BulletServer` only go
+//!   down, and the last two are pinned exactly, so the change that
+//!   lowers one records the new figure.
 //!
 //! The scan is textual, like `counter_registry.rs`: a configuration is
 //! recognised by its binding's name (`cfg`, `lon_cfg`, `cfg_b`, or the
@@ -33,7 +34,12 @@ const KNOBS: usize = 23;
 /// module — the figure ROADMAP item 3(a) tracks towards 1,500, and
 /// `scripts/loc.sh` prints.  An exact ratchet: the change that shrinks
 /// the file lowers it, so later code cannot grow back into the slack.
-const SERVER_CODE_LINES: usize = 1422;
+const SERVER_CODE_LINES: usize = 1400;
+
+/// `pub fn`s in the `impl BulletServer` blocks of `server.rs` and
+/// `logpath.rs` above their tests: ROADMAP item 3(g)'s public surface.
+/// An exact ratchet, like [`SERVER_CODE_LINES`].
+const SERVER_PUB_FNS: usize = 36;
 
 /// Knobs nothing outside tests assigns, and why each stays anyway.
 const UNSET_BY_DESIGN: &[(&str, &str)] = &[(
@@ -178,5 +184,35 @@ fn server_rs_only_shrinks() {
         code_lines == SERVER_CODE_LINES,
         "server.rs shrank to {code_lines} code lines above its tests: \
          lower SERVER_CODE_LINES to {code_lines}"
+    );
+}
+
+#[test]
+fn bullet_server_pub_fns_only_go_down() {
+    let count: usize = ["crates/core/src/server.rs", "crates/core/src/logpath.rs"]
+        .iter()
+        .map(|rel| {
+            let src = read(rel);
+            let mut in_impl = false;
+            above_tests(&src)
+                .lines()
+                .filter(|l| {
+                    if l.starts_with("impl BulletServer {") {
+                        in_impl = true;
+                    } else if l.starts_with('}') {
+                        in_impl = false;
+                    }
+                    in_impl && l.trim_start().starts_with("pub fn ")
+                })
+                .count()
+        })
+        .sum();
+    assert!(
+        count <= SERVER_PUB_FNS,
+        "BulletServer grew to {count} pub fns (ratchet: {SERVER_PUB_FNS})"
+    );
+    assert!(
+        count == SERVER_PUB_FNS,
+        "BulletServer shrank to {count} pub fns: lower SERVER_PUB_FNS to {count}"
     );
 }
