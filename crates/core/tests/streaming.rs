@@ -2,12 +2,12 @@
 //! bounds, zero-copy guarantees, section reads, and bit-identity of streamed
 //! replies (including real frame reassembly over the channel transport).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk};
+use amoeba_disk::{BlockDevice, DiskError, MirroredDisk, RamDisk, SchedConfig, SchedDisk};
 use amoeba_net::{duplex, SimEthernet};
 use amoeba_rpc::client::{serve_chan, RemoteClient};
 use amoeba_rpc::{Dispatcher, RpcClient, RpcServer, DEFAULT_SEGMENT};
@@ -208,23 +208,100 @@ fn warm_reads_never_stream_and_share_the_cache_buffer() {
     assert_eq!(server.stats().get("stream_segments"), segments);
 }
 
+/// A [`RamDisk`] that records the address of every buffer `read_blocks`
+/// fills, into a log its mirror twin shares.
+struct RecordingDisk {
+    inner: RamDisk,
+    reads: Arc<Mutex<Vec<usize>>>,
+}
+
+impl BlockDevice for RecordingDisk {
+    fn block_size(&self) -> u32 {
+        self.inner.block_size()
+    }
+
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+
+    fn read_blocks(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+        self.reads.lock().unwrap().push(buf.as_ptr() as usize);
+        self.inner.read_blocks(first_block, buf)
+    }
+
+    fn write_blocks(&self, first_block: u64, data: &[u8]) -> Result<(), DiskError> {
+        self.inner.write_blocks(first_block, data)
+    }
+
+    fn sync(&self) -> Result<(), DiskError> {
+        self.inner.sync()
+    }
+}
+
+/// A `small_test` server with the given segment size on two mirrored
+/// [`RecordingDisk`]s, a client for it, and their shared read log.
+fn recorded_stack(segment_size: u32) -> (BulletClient, Arc<BulletServer>, Arc<Mutex<Vec<usize>>>) {
+    let mut cfg = BulletConfig::small_test();
+    cfg.segment_size = segment_size;
+    let reads = Arc::new(Mutex::new(Vec::new()));
+    let replicas: Vec<Arc<dyn BlockDevice>> = (0..2)
+        .map(|_| {
+            Arc::new(RecordingDisk {
+                inner: RamDisk::new(cfg.block_size, cfg.disk_blocks),
+                reads: reads.clone(),
+            }) as Arc<dyn BlockDevice>
+        })
+        .collect();
+    let fabric = SimEthernet::new(cfg.clock.clone(), NetProfile::ethernet_10mbit());
+    let server =
+        Arc::new(BulletServer::format_on(cfg, MirroredDisk::new(replicas).unwrap()).unwrap());
+    let dispatcher = Dispatcher::new(fabric);
+    dispatcher.register(BulletRpcServer::new(server.clone()));
+    let client = BulletClient::new(RpcClient::new(dispatcher), server.port());
+    (client, server, reads)
+}
+
 #[test]
 fn cache_insert_shares_the_payload_buffer() {
     // The create path's cache insert is a reference-count bump: the bytes
     // the client sent, the cached copy, and a subsequent read are all the
     // same allocation.
-    let s = BulletServer::format(BulletConfig::small_test(), 2).unwrap();
+    let (client, s, reads) = recorded_stack(4 * BLOCK as u32);
     let sent = Bytes::from(vec![5u8; 4000]);
     let cap = s.create(sent.clone(), 2).unwrap();
     let read = s.read(&cap).unwrap();
     assert_eq!(sent.as_ptr(), read.as_ptr());
 
     // The miss path too: the buffer the disk read into is the buffer the
-    // cache holds and every warm read returns.
+    // cache holds and every read returns.  One I/O for one segment...
     s.clear_cache();
+    reads.lock().unwrap().clear();
     let cold = s.read(&cap).unwrap();
+    assert_eq!(
+        *reads.lock().unwrap(),
+        [cold.as_ptr() as usize],
+        "one I/O into the reply"
+    );
     let warm = s.read(&cap).unwrap();
     assert_eq!(cold.as_ptr(), warm.as_ptr());
+
+    // ...and, streamed to a client, one I/O per segment into one extent
+    // buffer, the first at its start.
+    let body: Vec<u8> = (0..50_000u32).map(|i| (i % 241) as u8).collect();
+    let cap = client.create(Bytes::from(body.clone()), 2).unwrap();
+    client.read(&cap).unwrap(); // locate warm-up
+    s.clear_cache();
+    reads.lock().unwrap().clear();
+    let cold = client.read(&cap).unwrap();
+    assert_eq!(&cold[..], &body[..]);
+    assert!(s.stats().get("pipelined_reads") >= 1, "the read streamed");
+    let reads = reads.lock().unwrap();
+    assert!(reads.len() > 1, "one read per segment, got {}", reads.len());
+    assert_eq!(
+        reads[0],
+        cold.as_ptr() as usize,
+        "the reply is not the disk buffer"
+    );
 }
 
 #[test]

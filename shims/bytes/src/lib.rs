@@ -1,10 +1,18 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! The build environment has no crates.io access, so this vendors the
-//! subset the workspace uses with the same cost model as the real crate:
-//! [`Bytes`] is a cheap ref-counted view (`Arc<[u8]>` + range), so
-//! `clone()` and `slice()` are O(1) and never copy file payloads — the
-//! property the Bullet server's zero-copy create/read paths rely on.
+//! subset the workspace uses.  [`Bytes`] is a ref-counted view of one
+//! `Vec<u8>` (`Option<Arc<Vec<u8>>>` + range), which gives it the
+//! properties the Bullet server's zero-copy create/read paths rely on:
+//!
+//! - `From<Vec<u8>>` moves the buffer, it does not copy it, and so do
+//!   `From<String>`, [`BytesMut::freeze`] and `FromIterator<u8>`, which go
+//!   through it.  A converted `Vec`'s spare capacity stays with it until the
+//!   last view is dropped.
+//! - `clone()`, `slice()`, `split_to()` and `split_off()` are O(1) and share
+//!   the allocation.
+//! - An empty buffer holds nothing (`None`): [`Bytes::new`], `default()` and
+//!   `Bytes::from(Vec::new())` neither allocate nor touch a shared count.
 
 #![forbid(unsafe_code)]
 
@@ -16,13 +24,15 @@ use std::sync::Arc;
 /// A cheaply cloneable, immutable slice of bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The buffer the view reads; `None` for an empty `new()`, `default()`
+    /// or `Vec`, which holds no allocation.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (allocates nothing meaningful).
+    /// An empty buffer; allocates nothing and shares no count.
     pub fn new() -> Bytes {
         Bytes::default()
     }
@@ -109,7 +119,10 @@ impl Bytes {
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -134,10 +147,11 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Moves `v` into the view without copying; an empty `v` is dropped.
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: v.into(),
+            data: (end > 0).then(|| Arc::new(v)),
             start: 0,
             end,
         }
@@ -288,7 +302,8 @@ impl BytesMut {
         self.buf.extend_from_slice(other);
     }
 
-    /// Converts into an immutable [`Bytes`] (moves the allocation).
+    /// Converts into an immutable [`Bytes`] that keeps this buffer, spare
+    /// capacity included: no byte is copied.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -446,7 +461,34 @@ mod tests {
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(c, b);
-        assert!(Arc::ptr_eq(&b.data, &s.data), "slice must not copy");
+        let (b_data, s_data) = (b.data.as_ref().unwrap(), s.data.as_ref().unwrap());
+        assert!(Arc::ptr_eq(b_data, s_data), "slice must not copy");
+    }
+
+    #[test]
+    fn conversions_keep_the_source_buffer() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), ptr, "From<Vec<u8>> copied");
+
+        let s = String::from("a file's worth of text");
+        let ptr = s.as_ptr();
+        assert_eq!(Bytes::from(s).as_ptr(), ptr, "From<String> copied");
+
+        let mut m = BytesMut::with_capacity(64);
+        m.put_u64(9);
+        let ptr = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), ptr, "freeze copied");
+    }
+
+    #[test]
+    fn empty_buffers_hold_no_storage() {
+        let empties = [Bytes::new(), Bytes::default(), Bytes::from(Vec::new())];
+        for e in &empties {
+            assert!(e.data.is_none(), "an empty buffer holds an allocation");
+            assert_eq!(&e[..], &[] as &[u8]);
+            assert_eq!(e, &empties[0]);
+        }
     }
 
     #[test]
