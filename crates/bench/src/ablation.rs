@@ -160,10 +160,8 @@ impl Experiment {
     }
 }
 
-/// Every deterministic experiment, in `REPORT.md` order.  ABL10
-/// (`ablation_concurrency`) is threaded, not bit-exact, and gated by CI's
-/// `scaling-proof` job instead.
-pub static REGISTRY: [Experiment; 24] = [
+/// Every experiment, in `REPORT.md` order.
+pub static REGISTRY: [Experiment; 25] = [
     Experiment::new("fig1_layout", false, |_| paper::fig1_layout()),
     Experiment::new("fig2_bullet", false, |_| paper::fig2_bullet()),
     Experiment::new("fig3_nfs", false, |_| paper::fig3_nfs()),
@@ -177,6 +175,7 @@ pub static REGISTRY: [Experiment; 24] = [
     Experiment::new("ablation_netload", false, |_| sweeps::netload()),
     Experiment::new("ablation_mirror", false, |_| sweeps::mirror()),
     Experiment::new("ablation_eviction", false, |_| sweeps::eviction()),
+    Experiment::new("ablation_concurrency", false, |_| sweeps::concurrency()),
     Experiment::new("ablation_pipeline", false, |_| sweeps::pipeline()),
     Experiment::new("ablation_trace", false, |_| tracebench::ablation()),
     Experiment::new("ablation_faults", true, faults::ablation),
@@ -314,16 +313,11 @@ reproduces this file bit-for-bit.
 
 ";
 
-/// What ends it: the scorecard's heading, and where ABL10 lives.
+/// What ends it: the scorecard's heading.
 const REPORT_SCORECARD: &str = "### Every experiment, run twice
 
 | Artifact | First line | Criteria green | Replay |
 |---|---|---|---|
-";
-const REPORT_TAIL: &str = "
-Multi-client scaling of the sharded locks is measured separately by
-`cargo run -p bullet-bench --bin ablation_concurrency`
-(`results/ablation_concurrency.txt`).
 ";
 
 /// Judges every experiment as [`judge`] does and folds the verdicts into
@@ -353,7 +347,6 @@ pub fn regenerate(experiments: impl IntoIterator<Item = impl FnMut() -> Outcome>
         files.extend(judged.files);
     }
     report += &scorecard;
-    report += REPORT_TAIL;
     files.push(("REPORT.md", report.clone()));
     Verdict {
         console: report,

@@ -1,6 +1,6 @@
 //! Regenerates the entire evaluation in one run: every experiment of
 //! [`bullet_bench::ablation::REGISTRY`] is run twice and judged, every
-//! artifact under `results/` is rewritten (ABL10's excepted), and
+//! artifact under `results/` is rewritten, and
 //! `results/REPORT.md` — Figs. 2–3, the §4 claim scorecard, and one row
 //! per experiment — is rendered from the same outcomes.  Exits non-zero
 //! on any red criterion or diverged replay; afterwards `git diff --

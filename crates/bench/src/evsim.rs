@@ -1,7 +1,7 @@
 //! ABL16 — the virtual-time event-engine cache ablation.
 //!
-//! The thread-per-client rigs (ABL10/ABL14/ABL15) top out at 8 clients —
-//! enough to exercise locking, nowhere near enough to put real eviction
+//! The other multi-client rigs (ABL10/ABL14/ABL15) run 8–32 clients —
+//! enough to load the disks, nowhere near enough to put real eviction
 //! pressure on the RAM cache.  This rig drives the *actual*
 //! [`bullet_core::FileCache`] with the server's 1989 op costs on an
 //! [`amoeba_sim::EventQueue`]: each of 10,000+ simulated clients is a

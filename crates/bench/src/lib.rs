@@ -3,7 +3,9 @@
 //!
 //! * [`rig`] — assembled simulation stacks: a Bullet server on two
 //!   latency-modelled mirrored disks behind the simulated Ethernet, and
-//!   the NFS-like baseline on one disk behind the same Ethernet.
+//!   the NFS-like baseline on one disk behind the same Ethernet; and
+//!   [`rig::Makespan`], which settles client lanes against spindles
+//!   (ABL10, ABL18).
 //! * [`workload`] — the file-size distribution from the literature the
 //!   paper cites (median 1 KB, 99 % under 64 KB), an operation-mix
 //!   generator (75 % whole-file reads), and the Zipf popularity-skew
@@ -16,7 +18,7 @@
 //!   formatting behind Figs. 2–3, plus the §4 claims (C1–C4) as criteria.
 //! * [`paper`] — the paper's own evaluation: Figs. 1–3, the comparison
 //!   (CMP), and the mixed-workload macro-benchmark (MIX).
-//! * [`sweeps`] — the single-table ablations ABL1–9 and ABL11.
+//! * [`sweeps`] — the single-table ablations ABL1–11.
 //! * [`tracebench`] — the span-tracing decomposition (ABL12).
 //! * [`faults`] — the seeded fault-injection campaigns (ABL13):
 //!   mirrored-disk failure, crash-recovery, and lossy-wire soak, each a
@@ -41,8 +43,8 @@
 //!   scheduler, byte-identical demotion/recall, and the hot-set p99
 //!   interference gate against an archive-less baseline.
 //!
-//! Binaries (see DESIGN.md's experiment index): `report`, which runs any
-//! entry of [`ablation::REGISTRY`] by name, and `ablation_concurrency`.
+//! The one binary is `report`, which runs any entry of
+//! [`ablation::REGISTRY`] by name (see DESIGN.md's experiment index).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use amoeba_disk::{BlockDevice, MirroredDisk, RamDisk, SchedConfig, SchedDisk};
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient};
-use amoeba_sim::{CpuProfile, DiskProfile, HwProfile, Nanos, SimClock, Tracer};
+use amoeba_sim::{ChargeLog, CpuProfile, DiskProfile, HwProfile, Nanos, SimClock, Tracer};
 use bullet_core::{BulletClient, BulletConfig, BulletRpcServer, BulletServer};
 use nfs_blockfs::{NfsClient, NfsServer, NfsServerConfig};
 
@@ -55,6 +55,57 @@ pub fn sim_mirror(
         })
         .collect();
     MirroredDisk::new(replicas).expect("replica set is valid")
+}
+
+/// Client lanes settled against spindles in virtual time, for the
+/// multi-client experiments that run their clients on one thread (ABL10,
+/// ABL18).  Each operation runs inside [`amoeba_sim::capture`]; its whole
+/// cost, plus the client's copy of the reply, goes to its lane, and the
+/// part charged to a spindle's disk clock goes to that spindle too.
+/// Lanes run in parallel and a spindle serves one request at a time, so
+/// the makespan is the slowest lane or the busiest spindle, whichever is
+/// longer.
+pub struct Makespan {
+    cpu: CpuProfile,
+    disk_clocks: Vec<SimClock>,
+    lanes: Vec<Nanos>,
+    spindles: Vec<Nanos>,
+}
+
+impl Makespan {
+    /// `lanes` idle client lanes and one idle spindle per disk clock.
+    pub fn new(lanes: usize, cpu: CpuProfile, disk_clocks: &[SimClock]) -> Makespan {
+        Makespan {
+            cpu,
+            disk_clocks: disk_clocks.to_vec(),
+            lanes: vec![Nanos::ZERO; lanes],
+            spindles: vec![Nanos::ZERO; disk_clocks.len()],
+        }
+    }
+
+    /// Charges one captured operation whose client copied `copied`
+    /// bytes out of the reply, and returns what its lane paid.
+    pub fn charge(&mut self, lane: usize, spindle: usize, log: &ChargeLog, copied: usize) -> Nanos {
+        let cost = log.total() + self.cpu.memcpy(copied as u64);
+        self.lanes[lane] += cost;
+        self.spindles[spindle] += log.charged_to(&self.disk_clocks[spindle]);
+        cost
+    }
+
+    /// The longest lane: the CPU side's makespan.
+    pub fn slowest_lane(&self) -> Nanos {
+        self.lanes.iter().copied().max().unwrap_or(Nanos::ZERO)
+    }
+
+    /// The most loaded spindle: the disk side's makespan.
+    pub fn busiest_spindle(&self) -> Nanos {
+        self.spindles.iter().copied().max().unwrap_or(Nanos::ZERO)
+    }
+
+    /// `max(slowest lane, busiest spindle)`.
+    pub fn settle(&self) -> Nanos {
+        self.slowest_lane().max(self.busiest_spindle())
+    }
 }
 
 /// The Bullet measurement stack of §4: a dedicated server with two

@@ -6,13 +6,11 @@
 //!
 //! * [`run_scaling_suite`] — aggregate *cold* read bandwidth over a
 //!   round-robin-placed pool as the shard count grows.  Costs settle in
-//!   virtual time on two kinds of clock: one shared CPU clock (client
-//!   lanes run in parallel, so the CPU side's makespan is the slowest
-//!   lane) and one disk clock **per shard** (each shard's mirrored pair
-//!   is its own serial resource).  `makespan = max(slowest lane, busiest
-//!   shard's disk demand)` — sharding wins exactly because the disk
-//!   demand splits across spindle sets, and the headline invariant is
-//!   the ISSUE's: 8 shards ≥ 6× the 1-shard bandwidth.
+//!   virtual time through [`Makespan`]: client lanes on one shared CPU
+//!   clock, and one disk clock **per shard** (each shard's mirrored pair
+//!   is its own spindle).  Sharding wins exactly because the disk demand
+//!   splits across spindle sets, and the headline invariant is 8 shards
+//!   ≥ 6× the 1-shard bandwidth.
 //! * [`run_rebalance`] — moves a deterministic subset of live extents
 //!   between shards through [`BulletShards::rebalance`] and proves no
 //!   live byte went anywhere but between shards: the placement-
@@ -38,14 +36,14 @@ use amoeba_cap::{shard_of, Capability};
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient, RpcServer, ShardRouter, Status};
 use amoeba_sim::json::Json;
-use amoeba_sim::{capture, DetRng, HwProfile, Nanos, NetProfile, SimClock};
+use amoeba_sim::{capture, DetRng, HwProfile, NetProfile, SimClock};
 use bullet_core::counters::SHARD_REBALANCE_EXTENTS;
 use bullet_core::{
     BulletClient, BulletConfig, BulletRpcServer, BulletServer, BulletShards, ShardSlot,
 };
 
 use crate::ablation::{Invariant, Outcome, Scale, Trailer};
-use crate::rig::sim_mirror;
+use crate::rig::{sim_mirror, Makespan};
 
 /// The shard counts the on-push scaling suite sweeps.
 pub const SCALING_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -152,8 +150,7 @@ fn run_scaling(hw: HwProfile, count: u32) -> (f64, ShardOutcome) {
     // LANES client lanes, each reading its slice of the pool once; the
     // disk component of every read is attributed to the owning shard's
     // spindle pair.
-    let mut lane_totals = [Nanos::ZERO; LANES];
-    let mut shard_disk = vec![Nanos::ZERO; count as usize];
+    let mut lanes = Makespan::new(LANES, hw.cpu, &disk_clocks);
     let mut mismatches = 0u64;
     let mut reads = 0u64;
     for (n, (home, cap)) in caps.iter().enumerate() {
@@ -166,14 +163,11 @@ fn run_scaling(hw: HwProfile, count: u32) -> (f64, ShardOutcome) {
         if !data.iter().all(|&b| b == fill(n)) {
             mismatches += 1;
         }
-        lane_totals[n % LANES] += log.total() + hw.cpu.memcpy(data.len() as u64);
-        shard_disk[*home] += log.charged_to(&disk_clocks[*home]);
+        lanes.charge(n % LANES, *home, &log, data.len());
         reads += 1;
     }
 
-    let slowest_lane = lane_totals.iter().copied().max().unwrap_or(Nanos::ZERO);
-    let busiest_disk = shard_disk.iter().copied().max().unwrap_or(Nanos::ZERO);
-    let makespan = slowest_lane.max(busiest_disk);
+    let makespan = lanes.settle();
     let mbps =
         (reads as f64 * FILE_SIZE as f64 / (1 << 20) as f64) / (makespan.as_ns() as f64 / 1e9);
 

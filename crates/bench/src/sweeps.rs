@@ -1,15 +1,16 @@
-//! The single-table ablations of the paper's design decisions (ABL1–9,
-//! ABL11): each sweeps one dial of the 1989 testbed, renders one table
+//! The single-table ablations of the paper's design decisions
+//! (ABL1–11): each sweeps one dial of the 1989 testbed, renders one table
 //! with its commentary, and states its headline invariant as criteria.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use amoeba_cap::Capability;
 use amoeba_disk::{RamDisk, SchedConfig, SchedDisk};
 use amoeba_log::LogServer;
 use amoeba_net::SimEthernet;
 use amoeba_rpc::{Dispatcher, RpcClient, DEFAULT_SEGMENT};
-use amoeba_sim::{Histogram, HwProfile, Nanos, SimClock};
+use amoeba_sim::{capture, DetRng, Histogram, HwProfile, Nanos, SimClock};
 use bullet_core::{
     BulletClient, BulletConfig, BulletError, BulletRpcServer, BulletServer, EvictionPolicy,
 };
@@ -17,7 +18,7 @@ use bytes::Bytes;
 use nfs_blockfs::BlockFs;
 
 use crate::ablation::{Invariant, Outcome};
-use crate::rig::{sim_mirror, BulletRig};
+use crate::rig::{paper_config, sim_mirror, BulletRig, Makespan};
 use crate::table::{bandwidth_kb_s, size_label, Text, SIZES};
 use crate::workload::{nth, WorkloadMix};
 
@@ -631,6 +632,124 @@ is exactly what ABL16 (`ablation_evsim`) measures at 10k-client scale.
         ),
     ];
     Outcome::plain("ablation_eviction.txt", &t, criteria)
+}
+
+/// Operations per ABL10 client lane.
+const LANE_OPS: usize = 512;
+/// One create+delete pair every this many lane operations (the rest read).
+const WRITE_EVERY: usize = 256;
+/// ABL10's shared pool of cache-resident files.
+const POOL: usize = 64;
+/// Size of each pool file and of each created file.
+const POOL_FILE: usize = 4096;
+
+/// ABL10 — multi-client scaling (§3: one server serves several clients):
+/// 1–16 client lanes run a cache-hot, read-mostly mix against one server
+/// (reads of a shared pool of cache-resident files, with an occasional
+/// mirrored create+delete).  The lanes run on one thread, interleaved
+/// round-robin op by op, each drawing from its own seeded generator, and
+/// [`Makespan`] settles them against the mirrored pair as one spindle.
+/// Cache-hit reads charge only CPU, so aggregate read throughput scales
+/// with the client count until the creates' disk demand binds.  The
+/// network medium is left out: it is a property of the wire, measured in
+/// ABL7.
+pub fn concurrency() -> Outcome {
+    let hw = HwProfile::amoeba_1989();
+    let mut t = Text::titled("ABL10 — aggregate read throughput vs concurrent clients");
+    writeln!(
+        t,
+        "  (cache-hot read-mostly mix: {POOL} pooled {POOL_FILE}-byte files,"
+    );
+    writeln!(
+        t,
+        "   1 mirrored create+delete per {WRITE_EVERY} ops, {LANE_OPS} ops/client)"
+    );
+    writeln!(t);
+    writeln!(
+        t,
+        "  {:>8}  {:>10}  {:>12}  {:>9}  {:>9}  {:>9}  {:>10}",
+        "Clients", "Makespan", "Reads/s", "Speedup", "p50 (ms)", "p99 (ms)", "Bound by"
+    );
+    let mut base_rate = 0.0f64;
+    let (mut below, mut short) = (Vec::new(), Vec::new());
+    for clients in [1usize, 2, 4, 8, 16] {
+        let disk_clock = SimClock::new();
+        let storage = sim_mirror(2, 1024, 65_536, &disk_clock, hw.disk);
+        let cfg = paper_config(SimClock::new(), hw.cpu, 12 << 20);
+        let server = BulletServer::format_on(cfg, storage).expect("formatting succeeds");
+        let pool: Vec<Capability> = (0..POOL)
+            .map(|i| {
+                let data = Bytes::from(vec![i as u8; POOL_FILE]);
+                server.create(data, 2).expect("pool create")
+            })
+            .collect();
+        for cap in &pool {
+            server.read(cap).expect("pool warm-up");
+        }
+
+        let hist = Histogram::new();
+        let mut lanes = Makespan::new(clients, hw.cpu, &[disk_clock]);
+        let mut rngs: Vec<DetRng> = (0..clients)
+            .map(|c| DetRng::new(0x1000 + c as u64))
+            .collect();
+        let mut reads = 0u64;
+        for op in 0..LANE_OPS {
+            for (c, rng) in rngs.iter_mut().enumerate() {
+                if op % WRITE_EVERY == WRITE_EVERY / 2 {
+                    let data = Bytes::from(vec![c as u8; POOL_FILE]);
+                    let ((), log) = capture(|| {
+                        let cap = server.create(data, 2).expect("create fits the rig");
+                        server.delete(&cap).expect("delete own file");
+                    });
+                    lanes.charge(c, 0, &log, 0);
+                } else {
+                    let cap = &pool[rng.next_below(POOL as u64) as usize];
+                    let (data, log) = capture(|| server.read(cap).expect("pool file exists"));
+                    hist.record(lanes.charge(c, 0, &log, data.len()));
+                    reads += 1;
+                }
+            }
+        }
+
+        let makespan = lanes.settle();
+        let rate = reads as f64 / makespan.as_secs_f64();
+        if clients == 1 {
+            base_rate = rate;
+        }
+        if rate < base_rate {
+            below.push(format!("{clients} clients {rate:.0}/s"));
+        }
+        if clients == 4 && rate < 2.0 * base_rate {
+            short.push(format!("{rate:.0}/s against {base_rate:.0}/s"));
+        }
+        writeln!(
+            t,
+            "  {:>8}  {:>8.0}ms  {:>12.0}  {:>8.1}x  {:>9.1}  {:>9.1}  {:>10}",
+            clients,
+            makespan.as_ms_f64(),
+            rate,
+            rate / base_rate,
+            hist.quantile(0.5).as_ms_f64(),
+            hist.quantile(0.99).as_ms_f64(),
+            if lanes.busiest_spindle() > lanes.slowest_lane() {
+                "disk"
+            } else {
+                "cpu lane"
+            }
+        );
+    }
+    t.0 += "\nA cache-hit read takes no table lock (the fill that cached its file
+published it in its inode slot) and charges no disk time, so
+aggregate read throughput grows with the client count; the
+occasional mirrored creates are the serial resource that finally
+binds it.
+";
+    // The sharded read path scales until the spindles bind.
+    let criteria = vec![
+        Invariant::rows("no client count reads below the 1-client rate", &below),
+        Invariant::rows("4 clients read at least 2x the 1-client rate", &short),
+    ];
+    Outcome::plain("ablation_concurrency.txt", &t, criteria)
 }
 
 /// The file sizes of the streaming tables here and in `BENCH_pr2.json`

@@ -316,10 +316,6 @@ fn a_baseline_with_a_red_criterion_in_it_is_never_written() {
 /// Files under `results/` no registry entry writes, and why.
 const NOT_IN_THE_REGISTRY: &[(&str, &str)] = &[
     (
-        "ablation_concurrency.txt",
-        "ABL10 is threaded and not bit-exact; CI's scaling-proof job gates it",
-    ),
-    (
         "REPORT.md",
         "written by `report` itself, from every outcome",
     ),
@@ -364,14 +360,11 @@ fn the_registry_results_and_the_bins_name_each_other_exactly() {
         );
     }
 
-    // `report` runs every registered experiment by name; the one other
-    // bin is ABL10, which the registry cannot hold.
+    // `report` runs every registered experiment by name, and is the one
+    // bin.
     assert_eq!(
         file_names(&root.join("src/bin")),
-        BTreeSet::from([
-            "ablation_concurrency.rs".to_string(),
-            "report.rs".to_string()
-        ]),
+        BTreeSet::from(["report.rs".to_string()]),
         "an experiment is a REGISTRY row, not a bin"
     );
 }

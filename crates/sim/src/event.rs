@@ -1,10 +1,10 @@
 //! A deterministic virtual-time discrete-event queue.
 //!
-//! The thread-per-client bench rigs cap every scale claim at what the OS
-//! scheduler tolerates (8 threads in ABL10/ABL14).  This module is the
-//! substrate that removes the cap: tens of thousands of simulated clients
-//! are tiny state machines whose next wake-up is an entry in one binary
-//! heap, popped in virtual-time order by a single real thread.  The
+//! A bench rig that gives each client an OS thread caps every scale claim
+//! at what the OS scheduler tolerates.  This module is the substrate that
+//! removes the cap: tens of thousands of simulated clients are tiny state
+//! machines whose next wake-up is an entry in one binary heap, popped in
+//! virtual-time order by a single real thread.  The
 //! `ArmSim` twin of PR 5 proved the pattern (same decision core as the
 //! threaded `SchedDisk`, deterministic virtual-time driver); the event
 //! queue generalizes it to arbitrary client populations.

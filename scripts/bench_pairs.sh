@@ -13,9 +13,11 @@
 # target/bench_pairs/parent.jsonl or change.jsonl; the script ends on
 # --compare of the two (exit 1 on any `worse` row), which it also writes
 # to target/bench_pairs/compare.txt.  It refuses to compare (exit 3)
-# when a tracked source file of the working tree is newer than the
-# change side's binary: the series then measured another tree than the
-# one checked out.  Commit the three as results/bench/pr<N>.parent.jsonl,
+# when a tracked source file of the working tree was saved after the
+# change side's build began: the series then measured another tree than
+# the one checked out.  (Not the binary's own time: cargo relinks only
+# when the benchmark's dependencies change, so a file it does not build
+# may be older than the build yet newer than the binary.)  Commit the three as results/bench/pr<N>.parent.jsonl,
 # results/bench/pr<N>.change.jsonl and results/bench/pr<N>.compare.txt.
 #
 # Run it on an otherwise idle machine, from anywhere inside the repo.
@@ -45,7 +47,7 @@ for arg in "${cmd[@]}"; do
 done
 
 tree_of() { if [ "$1" = parent ]; then echo "$work/parent"; else echo "$PWD"; fi; }
-bin=$work/change.target/release/benchmark
+stamp=$work/change.built
 
 # bench <side> <args...>: that side's benchmark binary, run in its tree.
 bench() {
@@ -56,6 +58,7 @@ bench() {
 
 for side in parent change; do
     echo "building $side" >&2
+    [ "$side" = parent ] || touch "$stamp"
     (cd "$(tree_of "$side")" && CARGO_TARGET_DIR=$work/$side.target "${build[@]}")
     # A binary's first run reads slow: take it here, outside the series.
     bench "$side" --workload "${workloads[0]}" --rounds 1 >/dev/null
@@ -75,7 +78,7 @@ for pair in $(seq 1 "$pairs"); do
 done
 
 stale=$(git ls-files -z -- '*.rs' '*.toml' Cargo.lock |
-    xargs -0 -r sh -c 'find "$@" -maxdepth 0 -newer "$0"' "$bin" 2>/dev/null || true)
+    xargs -0 -r sh -c 'find "$@" -maxdepth 0 -newer "$0"' "$stamp" 2>/dev/null || true)
 if [ -n "$stale" ]; then
     echo "sources changed after the change side was built; not comparing:" >&2
     echo "$stale" >&2
