@@ -43,7 +43,7 @@ use bullet_core::{
 };
 
 use crate::ablation::{Invariant, Outcome, Scale, Trailer};
-use crate::rig::{sim_mirror, Makespan};
+use crate::rig::{paper_config, sim_mirror, Makespan};
 
 /// The shard counts the on-push scaling suite sweeps.
 pub const SCALING_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -106,15 +106,12 @@ fn scaling_set(hw: HwProfile, count: u32) -> (BulletShards, Vec<SimClock>) {
     for i in 0..count {
         let disk_clock = SimClock::new();
         let storage = sim_mirror(2, 1024, 65_536, &disk_clock, hw.disk);
-        let mut cfg = BulletConfig::small_test();
-        cfg.min_inodes = 2048;
-        cfg.cache_capacity = 12 << 20;
-        cfg.rnode_slots = 2048;
-        cfg.block_size = 1024;
-        cfg.disk_blocks = 65_536;
-        cfg.clock = cpu_clock.clone();
-        cfg.cpu = hw.cpu;
-        cfg.shard = ShardSlot::new(i, count);
+        // `small_test`'s seed keeps the capabilities ABL18 has always minted.
+        let cfg = BulletConfig {
+            shard: ShardSlot::new(i, count),
+            rng_seed: BulletConfig::small_test().rng_seed,
+            ..paper_config(cpu_clock.clone(), hw.cpu, 12 << 20)
+        };
         servers.push(Arc::new(
             BulletServer::format_on(cfg, storage).expect("formatting succeeds"),
         ));

@@ -1985,8 +1985,9 @@ impl BulletServer {
     /// more than one segment.  Then the two-lane pipeline runs: lane 0
     /// reads segment `k` off the disk while lane 1 streams the part of
     /// segment `k-1` inside the file-byte window `[win_start, win_end)`
-    /// of `stream = (wire, win_start, win_end)`.  Segments land directly
-    /// in the returned buffer, so streaming adds no copies.
+    /// of `stream = (wire, win_start, win_end)`.  The extent's capacity
+    /// is reserved once and every read appends to it, so each byte is
+    /// written once, by the device, and streaming adds no copies.
     fn read_extent(
         &self,
         inode: &Inode,
@@ -1994,21 +1995,25 @@ impl BulletServer {
     ) -> Result<Vec<u8>, BulletError> {
         let block_size = self.desc.block_size as u64;
         let total = inode.blocks(self.desc.block_size) * block_size;
-        let mut buf = vec![0u8; total as usize];
+        let mut buf = Vec::with_capacity(total as usize);
         let start_block = match self.residency_of(inode)? {
             Residency::Archive { block } => {
-                self.archive_tier().dev.read_blocks(block, &mut buf)?;
+                let dev = &self.archive_tier().dev;
+                dev.read_blocks_append(block, total / block_size, &mut buf)?;
                 return Ok(buf);
             }
             Residency::Home | Residency::Log => inode.start_block as u64,
         };
-        // The mirror fails over silently; surface the failovers this read
-        // made as a server counter so campaigns can prove degraded reads
-        // kept succeeding.
-        let mut failovers = 0;
-        let mut read_blocks = |first: u64, buf: &mut [u8]| {
-            let (result, made) = self.storage.read_counting_failovers(first, buf, false);
-            failovers += made;
+        // Appends the extent's bytes `[off, end)` to `buf`.  The mirror
+        // fails over silently; surface the failovers this read made as a
+        // server counter so campaigns can prove degraded reads kept
+        // succeeding.
+        let mut read = |off: u64, end: u64| {
+            let (first, n) = (start_block + off / block_size, (end - off) / block_size);
+            let (result, made) = self.storage.append_counting_failovers(first, n, &mut buf);
+            if made > 0 {
+                self.stats.add(counters::FAILOVER_READS, made);
+            }
             result
         };
         let seg = self.segment_bytes();
@@ -2017,8 +2022,7 @@ impl BulletServer {
                 self.stats.incr(counters::PIPELINED_READS);
                 let lanes = &["disk_read", "wire_send"];
                 Pipeline::walk(&self.cfg.trace, lanes, total, seg, |pipe, off, end| {
-                    let chunk = &mut buf[off as usize..end as usize];
-                    pipe.stage(0, || read_blocks(start_block + off / block_size, chunk))?;
+                    pipe.stage(0, || read(off, end))?;
                     // Only the window part of the segment travels; the last
                     // sent chunk is capped at the file size (the tail
                     // padding of the final block never leaves the server).
@@ -2032,11 +2036,8 @@ impl BulletServer {
                 })
                 .map(drop)
             }
-            _ => read_blocks(start_block, &mut buf),
+            _ => read(0, total),
         };
-        if failovers > 0 {
-            self.stats.add(counters::FAILOVER_READS, failovers);
-        }
         result?;
         Ok(buf)
     }

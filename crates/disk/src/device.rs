@@ -56,6 +56,31 @@ pub trait BlockDevice: Send + Sync {
         self.read_blocks(first_block, buf)
     }
 
+    /// Reads `blocks` blocks starting at `first_block` and appends them to
+    /// `out`, so a caller that reserved the capacity gets each byte
+    /// written once, straight from the device.  The default resizes `out`
+    /// (zero-filling the new tail) and calls
+    /// [`read_blocks`](BlockDevice::read_blocks); devices that hold their
+    /// bytes in memory override it to append them directly.
+    ///
+    /// # Errors
+    ///
+    /// As for [`read_blocks`](BlockDevice::read_blocks) (zero `blocks` is
+    /// [`DiskError::UnalignedBuffer`]).  On any error `out` is left at its
+    /// entry length.
+    fn read_blocks_append(
+        &self,
+        first_block: u64,
+        blocks: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DiskError> {
+        let len = append_len(self.block_size(), self.num_blocks(), first_block, blocks)?;
+        let start = out.len();
+        out.resize(start + len, 0);
+        self.read_blocks(first_block, &mut out[start..])
+            .inspect_err(|_| out.truncate(start))
+    }
+
     /// Total capacity in bytes.
     fn capacity_bytes(&self) -> u64 {
         self.num_blocks() * self.block_size() as u64
@@ -87,6 +112,26 @@ pub(crate) fn check_access(
     Ok(blocks)
 }
 
+/// Validates an append of `blocks` blocks at `first_block` against a
+/// device geometry, returning its length in bytes.
+pub(crate) fn append_len(
+    block_size: u32,
+    num_blocks: u64,
+    first_block: u64,
+    blocks: u64,
+) -> Result<usize, DiskError> {
+    let len = blocks
+        .checked_mul(block_size as u64)
+        .and_then(|len| usize::try_from(len).ok())
+        .ok_or(DiskError::OutOfRange {
+            first_block,
+            blocks,
+            device_blocks: num_blocks,
+        })?;
+    check_access(block_size, num_blocks, first_block, len)?;
+    Ok(len)
+}
+
 impl<T: BlockDevice + ?Sized> BlockDevice for std::sync::Arc<T> {
     fn block_size(&self) -> u32 {
         (**self).block_size()
@@ -113,6 +158,17 @@ impl<T: BlockDevice + ?Sized> BlockDevice for std::sync::Arc<T> {
     // low-priority override.
     fn read_blocks_low(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
         (**self).read_blocks_low(first_block, buf)
+    }
+
+    // Forwarded explicitly for the same reason: the default would
+    // zero-fill and skip the inner device's appending read.
+    fn read_blocks_append(
+        &self,
+        first_block: u64,
+        blocks: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DiskError> {
+        (**self).read_blocks_append(first_block, blocks, out)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use parking_lot::RwLock;
 
-use crate::device::check_access;
+use crate::device::{append_len, check_access};
 use crate::{BlockDevice, DiskError};
 
 /// A block device stored entirely in host RAM.
@@ -68,6 +68,18 @@ impl BlockDevice for RamDisk {
         check_access(self.block_size, self.num_blocks, first_block, buf.len())?;
         let off = (first_block * self.block_size as u64) as usize;
         buf.copy_from_slice(&self.data.read()[off..off + buf.len()]);
+        Ok(())
+    }
+
+    fn read_blocks_append(
+        &self,
+        first_block: u64,
+        blocks: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DiskError> {
+        let len = append_len(self.block_size, self.num_blocks, first_block, blocks)?;
+        let off = (first_block * self.block_size as u64) as usize;
+        out.extend_from_slice(&self.data.read()[off..off + len]);
         Ok(())
     }
 

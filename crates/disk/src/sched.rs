@@ -764,6 +764,21 @@ impl<D: BlockDevice> SchedDisk<D> {
         Ok(())
     }
 
+    /// One scheduled read of `len` bytes (on the background lane when
+    /// `low`), counted once it succeeds.
+    fn read(
+        &self,
+        first_block: u64,
+        len: u64,
+        low: bool,
+        io: impl FnOnce() -> Result<(), DiskError>,
+    ) -> Result<(), DiskError> {
+        self.run_io(ReqKind::Read, first_block, len, low, io)?;
+        self.stats.incr("disk_reads");
+        self.stats.add("disk_bytes_read", len);
+        Ok(())
+    }
+
     /// Frees the arm and wakes the parked threads, if there are any.  A
     /// thread leaves the scheduler lock with its request queued only by
     /// parking (see `run_io`), so the two queues are exactly the parked
@@ -790,12 +805,9 @@ impl<D: BlockDevice> BlockDevice for SchedDisk<D> {
 
     fn read_blocks(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
         let len = buf.len() as u64;
-        self.run_io(ReqKind::Read, first_block, len, false, || {
+        self.read(first_block, len, false, || {
             self.inner.read_blocks(first_block, buf)
-        })?;
-        self.stats.incr("disk_reads");
-        self.stats.add("disk_bytes_read", len);
-        Ok(())
+        })
     }
 
     fn write_blocks(&self, first_block: u64, data: &[u8]) -> Result<(), DiskError> {
@@ -810,12 +822,21 @@ impl<D: BlockDevice> BlockDevice for SchedDisk<D> {
 
     fn read_blocks_low(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
         let len = buf.len() as u64;
-        self.run_io(ReqKind::Read, first_block, len, true, || {
+        self.read(first_block, len, true, || {
             self.inner.read_blocks(first_block, buf)
-        })?;
-        self.stats.incr("disk_reads");
-        self.stats.add("disk_bytes_read", len);
-        Ok(())
+        })
+    }
+
+    fn read_blocks_append(
+        &self,
+        first_block: u64,
+        blocks: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DiskError> {
+        let len = blocks.saturating_mul(self.block_size() as u64);
+        self.read(first_block, len, false, || {
+            self.inner.read_blocks_append(first_block, blocks, out)
+        })
     }
 
     fn sync(&self) -> Result<(), DiskError> {
