@@ -190,9 +190,8 @@ impl BulletRig {
         let mut cfg = paper_config(clock.clone(), hw.cpu, cache_capacity);
         tweak(&mut cfg);
         let tracer = cfg.trace.clone();
-        for (i, d) in sched_disks.iter().enumerate() {
+        for d in &sched_disks {
             d.set_tracer(tracer.clone());
-            d.set_telemetry(cfg.telemetry.clone(), i as u32);
         }
         let server = Arc::new(BulletServer::format_on(cfg, storage).expect("formatting succeeds"));
         let net = SimEthernet::with_load(clock.clone(), hw.net, 1.0);

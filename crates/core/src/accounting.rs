@@ -1,35 +1,20 @@
 //! Per-client resource accounting keyed by the RPC transaction tag.
 //!
-//! The at-most-once layer (PR 4) stamps every request with a
-//! `(client, seq)` transaction id.  This module charges each request's
-//! resource use — bytes moved, physical I/Os, cache hits/misses, retries
-//! — to the *client* half of that tag, so an operator can ask the live
-//! server "who is hammering me?" through the `MONITOR` RPC.
+//! The at-most-once layer stamps every request with a `(client, seq)`
+//! transaction id.  A [`ClientAccounting`] table charges resource use —
+//! bytes moved, physical I/Os, cache hits/misses, retries — to the
+//! *client* half of that tag and ranks the heaviest clients.  The
+//! event-driven rig (`bullet_bench::evsim`) bills its simulated clients
+//! through it for the ABL17 flight-recorder experiment.
 //!
 //! Like [`amoeba_sim::Telemetry`], accounting follows the zero-cost-
 //! when-disabled contract: the handle is an `Option<Arc<..>>`, and a
-//! disabled handle never allocates, locks, or touches shared state, so a
-//! server built without accounting is bit-identical to one that predates
-//! this module.
-//!
-//! The *scope* mechanism keeps the charge sites honest without threading
-//! a client id through every internal call: the RPC dispatcher opens a
-//! thread-local [`ClientScope`] for the duration of a request, and the
-//! server's data paths charge "whoever is current" via
-//! [`ClientAccounting::charge_current`].  Internal work (maintenance,
-//! recovery, direct in-process calls) runs with no scope open and is
-//! charged to nobody.
+//! disabled handle never allocates, locks, or touches shared state.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-
-thread_local! {
-    /// The client id the current thread is working for, if any.
-    static CURRENT_CLIENT: Cell<Option<u64>> = const { Cell::new(None) };
-}
 
 /// Resource totals charged to one client.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,34 +46,6 @@ impl ClientUsage {
     }
 }
 
-/// RAII guard marking the current thread as working for one client.
-///
-/// Dropped (typically at the end of RPC dispatch) it restores the
-/// previous scope, so nested dispatch — a server calling itself — still
-/// charges the outermost client.
-pub struct ClientScope {
-    prev: Option<u64>,
-}
-
-impl ClientScope {
-    /// Enters a client scope on this thread.
-    pub fn enter(client: u64) -> ClientScope {
-        let prev = CURRENT_CLIENT.with(|c| c.replace(Some(client)));
-        ClientScope { prev }
-    }
-
-    /// The client id the current thread is charging to, if any.
-    pub fn current() -> Option<u64> {
-        CURRENT_CLIENT.with(Cell::get)
-    }
-}
-
-impl Drop for ClientScope {
-    fn drop(&mut self) {
-        CURRENT_CLIENT.with(|c| c.set(self.prev));
-    }
-}
-
 /// A shared per-client usage table (cheap to clone, `off()` by default).
 #[derive(Debug, Clone, Default)]
 pub struct ClientAccounting {
@@ -108,34 +65,11 @@ impl ClientAccounting {
         }
     }
 
-    /// True if charges are being recorded.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Applies `f` to the usage row of an explicit client.
     pub fn charge(&self, client: u64, f: impl FnOnce(&mut ClientUsage)) {
         if let Some(inner) = &self.inner {
             f(inner.lock().entry(client).or_default());
         }
-    }
-
-    /// Applies `f` to the usage row of the thread's current
-    /// [`ClientScope`] client; a no-op outside any scope (internal work
-    /// is charged to nobody).
-    pub fn charge_current(&self, f: impl FnOnce(&mut ClientUsage)) {
-        if self.inner.is_some() {
-            if let Some(client) = ClientScope::current() {
-                self.charge(client, f);
-            }
-        }
-    }
-
-    /// The usage row for one client, if any charges landed.
-    pub fn usage(&self, client: u64) -> Option<ClientUsage> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.lock().get(&client).copied())
     }
 
     /// Number of distinct clients with charges.
@@ -160,17 +94,6 @@ impl ClientAccounting {
         rows.truncate(k);
         rows
     }
-
-    /// All rows, ordered by client id (for full MONITOR dumps).
-    pub fn all(&self) -> Vec<(u64, ClientUsage)> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let mut rows: Vec<(u64, ClientUsage)> =
-            inner.lock().iter().map(|(c, u)| (*c, *u)).collect();
-        rows.sort_by_key(|(c, _)| *c);
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -180,42 +103,9 @@ mod tests {
     #[test]
     fn disabled_charges_nothing() {
         let acct = ClientAccounting::off();
-        assert!(!acct.enabled());
-        let _scope = ClientScope::enter(7);
-        acct.charge_current(|u| u.bytes_read += 100);
         acct.charge(7, |u| u.requests += 1);
         assert!(acct.is_empty());
-        assert_eq!(acct.usage(7), None);
         assert!(acct.top_k(10).is_empty());
-    }
-
-    #[test]
-    fn scope_charges_current_client_and_restores() {
-        let acct = ClientAccounting::on();
-        assert_eq!(ClientScope::current(), None);
-        {
-            let _outer = ClientScope::enter(1);
-            acct.charge_current(|u| u.requests += 1);
-            {
-                let _inner = ClientScope::enter(2);
-                acct.charge_current(|u| u.requests += 1);
-            }
-            // Inner scope dropped: back to client 1.
-            acct.charge_current(|u| u.bytes_read += 64);
-        }
-        assert_eq!(ClientScope::current(), None);
-        // No scope open: charged to nobody.
-        acct.charge_current(|u| u.requests += 100);
-        assert_eq!(
-            acct.usage(1),
-            Some(ClientUsage {
-                requests: 1,
-                bytes_read: 64,
-                ..ClientUsage::default()
-            })
-        );
-        assert_eq!(acct.usage(2).unwrap().requests, 1);
-        assert_eq!(acct.len(), 2);
     }
 
     #[test]

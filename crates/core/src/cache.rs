@@ -511,11 +511,6 @@ impl FileCache {
         self.by_inode.is_empty()
     }
 
-    /// Entries on the TwoQ A1out ghost list (0 for other policies).
-    pub fn ghost_len(&self) -> usize {
-        self.ghost.len()
-    }
-
     /// Maximum ghost-list entries (TwoQ A1out): half the slot count.
     fn ghost_cap(&self) -> usize {
         (self.rnodes.len() / 2).max(1)

@@ -13,9 +13,7 @@
 //! counting acquisitions and try-lock misses.
 
 pub use amoeba_rpc::fault::{DEDUP_EVICTIONS, DEDUP_HITS, RPC_GIVEUPS, RPC_RETRIES, RPC_TIMEOUTS};
-pub use amoeba_rpc::shard::{
-    GAUGE_SHARD_DEGRADED_OPS, GAUGE_SHARD_ROUTED_OPS, SHARD_DEGRADED_OPS, SHARD_ROUTED_OPS,
-};
+pub use amoeba_rpc::shard::{SHARD_DEGRADED_OPS, SHARD_ROUTED_OPS};
 
 /// Extents moved between shards by [`crate::shard::BulletShards::rebalance`]
 /// (counted on the destination shard's stats).
@@ -91,19 +89,6 @@ pub const AGED_OUT: &str = "aged_out";
 /// Maintenance-scheduler ticks that got past the idleness gate (preempted
 /// ticks count under [`COMPACTION_PREEMPTIONS`] instead).
 pub const MAINTENANCE_TICKS: &str = "maintenance_ticks";
-
-/// Ticks whose log→home migration peek found no log-resident file.
-pub const MAINT_SKIPS_LOG_MIGRATION: &str = "maint_skips_log_migration";
-
-/// Ticks whose data-area packing peek found no live file.
-pub const MAINT_SKIPS_PACKING: &str = "maint_skips_packing";
-
-/// Ticks whose archive-recall (promotion) peek found an empty queue.
-pub const MAINT_SKIPS_RECALL: &str = "maint_skips_recall";
-
-/// Ticks whose demotion peek found no archive, or the fast tier at or
-/// under its high-water mark.
-pub const MAINT_SKIPS_DEMOTION: &str = "maint_skips_demotion";
 
 /// Cold files streamed from the fast tier to the WORM archive.
 pub const TIER_DEMOTIONS: &str = "tier_demotions";
@@ -191,38 +176,9 @@ pub const LOCK_INFLIGHT: &str = "lock_inflight";
 /// Contended acquisitions of the in-flight registry lock.
 pub const LOCK_CONTENDED_INFLIGHT: &str = "lock_contended_inflight";
 
-/// Telemetry gauge: instantaneous per-disk request-queue depth, sampled
-/// by the disk scheduler once per telemetry period (instance = disk id).
-pub const GAUGE_DISK_QUEUE_DEPTH: &str = "disk_queue_depth";
-
-/// Telemetry gauge: the disk arm's current block position at sample time
-/// (instance = disk id).
-pub const GAUGE_DISK_ARM_BLOCK: &str = "disk_arm_block";
-
-/// Telemetry gauge: bytes of payload resident in the RAM cache.
+/// Telemetry gauge (evsim rig): bytes of payload resident in the RAM
+/// cache.
 pub const GAUGE_CACHE_USED_BYTES: &str = "cache_used_bytes";
-
-/// Telemetry gauge: bytes held by the protected/Am segment of the
-/// scan-resistant cache policy (zero under plain LRU).
-pub const GAUGE_CACHE_PROTECTED_BYTES: &str = "cache_protected_bytes";
-
-/// Telemetry gauge: entries on the TwoQ A1out ghost list (zero for
-/// policies without a ghost list).
-pub const GAUGE_CACHE_GHOST_LEN: &str = "cache_ghost_len";
-
-/// Telemetry gauge: free allocation units in the extent allocator.
-pub const GAUGE_ALLOC_FREE_BLOCKS: &str = "alloc_free_blocks";
-
-/// Telemetry gauge: largest contiguous free hole (allocation units) —
-/// the allocator's fragmentation headline.
-pub const GAUGE_ALLOC_MAX_HOLE: &str = "alloc_max_hole";
-
-/// Telemetry gauge: write-once blocks burned on the archive tier (the
-/// WORM platter's occupancy; monotonic by construction).
-pub const GAUGE_TIER_ARCHIVE_BLOCKS: &str = "tier_archive_blocks";
-
-/// Telemetry gauge: archived files queued for recall to the fast tier.
-pub const GAUGE_TIER_RECALL_QUEUE: &str = "tier_recall_queue";
 
 /// Telemetry gauge (evsim rig): per-disk backlog in simulated µs — how
 /// far the disk's free time is ahead of the arriving request (instance =
@@ -235,23 +191,13 @@ pub const GAUGE_EVSIM_DISK_BACKLOG_US: &str = "evsim_disk_backlog_us";
 pub const GAUGE_EVSIM_RETRIES: &str = "evsim_retries";
 
 /// Every telemetry gauge name the workspace can sample, for exhaustive
-/// iteration (MONITOR snapshots, doc tables, the registry drift test).
+/// iteration (doc tables, the registry drift test).
 /// Counter-delta series reuse names from [`ALL`] and are not repeated
 /// here.
 pub const GAUGES: &[&str] = &[
-    GAUGE_DISK_QUEUE_DEPTH,
-    GAUGE_DISK_ARM_BLOCK,
     GAUGE_CACHE_USED_BYTES,
-    GAUGE_CACHE_PROTECTED_BYTES,
-    GAUGE_CACHE_GHOST_LEN,
-    GAUGE_ALLOC_FREE_BLOCKS,
-    GAUGE_ALLOC_MAX_HOLE,
-    GAUGE_TIER_ARCHIVE_BLOCKS,
-    GAUGE_TIER_RECALL_QUEUE,
     GAUGE_EVSIM_DISK_BACKLOG_US,
     GAUGE_EVSIM_RETRIES,
-    GAUGE_SHARD_ROUTED_OPS,
-    GAUGE_SHARD_DEGRADED_OPS,
 ];
 
 /// Every counter name the core crate can emit, for exhaustive iteration
@@ -282,10 +228,6 @@ pub const ALL: &[&str] = &[
     SCHED_DEADLINE_PROMOTIONS,
     AGED_OUT,
     MAINTENANCE_TICKS,
-    MAINT_SKIPS_LOG_MIGRATION,
-    MAINT_SKIPS_PACKING,
-    MAINT_SKIPS_RECALL,
-    MAINT_SKIPS_DEMOTION,
     TIER_DEMOTIONS,
     TIER_PROMOTIONS,
     TIER_ARCHIVE_BYTES,
@@ -376,27 +318,17 @@ mod tests {
         ] {
             assert!(ALL.contains(&name), "{name} missing from ALL");
         }
-        for name in [GAUGE_SHARD_ROUTED_OPS, GAUGE_SHARD_DEGRADED_OPS] {
-            assert!(GAUGES.contains(&name), "{name} missing from GAUGES");
-        }
     }
 
     #[test]
     fn tiering_and_maintenance_counters_are_registered() {
         for name in [
             MAINTENANCE_TICKS,
-            MAINT_SKIPS_LOG_MIGRATION,
-            MAINT_SKIPS_PACKING,
-            MAINT_SKIPS_RECALL,
-            MAINT_SKIPS_DEMOTION,
             TIER_DEMOTIONS,
             TIER_PROMOTIONS,
             TIER_ARCHIVE_BYTES,
         ] {
             assert!(ALL.contains(&name), "{name} missing from ALL");
-        }
-        for name in [GAUGE_TIER_ARCHIVE_BLOCKS, GAUGE_TIER_RECALL_QUEUE] {
-            assert!(GAUGES.contains(&name), "{name} missing from GAUGES");
         }
     }
 

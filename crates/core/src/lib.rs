@@ -61,7 +61,7 @@ pub mod server;
 pub mod shard;
 pub mod table;
 
-pub use accounting::{ClientAccounting, ClientScope, ClientUsage};
+pub use accounting::{ClientAccounting, ClientUsage};
 pub use cache::{EvictionPolicy, FileCache};
 pub use error::BulletError;
 pub use freelist::{ExtentAllocator, FragReport, Move};

@@ -5,7 +5,6 @@
 //! the §5 extensions.  Whole files travel as the bulk-data part of a
 //! single request or reply.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -14,7 +13,6 @@ use amoeba_cap::{Capability, Port, Rights, CAP_WIRE_LEN};
 use amoeba_rpc::fault::untag_request;
 use amoeba_rpc::{DedupCache, Reply, Request, RpcClient, RpcServer, Status, StreamWire};
 
-use crate::accounting::ClientScope;
 use crate::server::BulletServer;
 
 /// Command codes of the Bullet protocol.
@@ -142,27 +140,10 @@ impl BulletRpcServer {
     /// Both [`RpcServer`] entry points: `wire` is the transport's stream
     /// wire when it offers one.
     fn serve(&self, req: Request, wire: Option<&StreamWire>) -> Reply {
-        let (req, txn) = untag_request(req);
-        let Some(txn) = txn else {
-            return self.dispatch(req, wire);
-        };
-        // All server-side work for this request — including the
-        // data-path charges deep in `BulletServer` — bills to the
-        // transaction tag's client while the scope is open.
-        let _scope = ClientScope::enter(txn.client);
-        let executed = Cell::new(false);
-        let reply = self.dedup.execute(txn, || {
-            executed.set(true);
-            self.dispatch(req, wire)
-        });
-        if !executed.get() {
-            // Replayed from the at-most-once cache: the client's RPC
-            // layer retransmitted.
-            self.server
-                .accounting()
-                .charge(txn.client, |u| u.retries += 1);
+        match untag_request(req) {
+            (req, Some(txn)) => self.dedup.execute(txn, || self.dispatch(req, wire)),
+            (req, None) => self.dispatch(req, wire),
         }
-        reply
     }
 
     fn dispatch(&self, req: Request, wire: Option<&StreamWire>) -> Reply {
@@ -406,10 +387,9 @@ impl BulletClient {
         cap_from_params(&reply.params)
     }
 
-    /// `STD_MONITOR`: fetches the server's live telemetry snapshot — a
+    /// `STD_MONITOR`: fetches the server's live counter snapshot — a
     /// versioned JSON object (top-level `"monitor_schema"` key) carrying
-    /// every counter, the tail of each time-series ring, the SLO
-    /// watchdog's event log, and the top per-client resource consumers.
+    /// the simulated clock and every server, cache and lock counter.
     /// The server builds it in `BulletServer::monitor_snapshot`.
     ///
     /// # Errors
@@ -495,45 +475,49 @@ mod tests {
 
     #[test]
     fn monitor_rpc_returns_versioned_snapshot() {
-        use amoeba_rpc::fault::{tag_request, TxnId};
-        let mut cfg = BulletConfig::small_test();
-        let clock = SimClock::new();
-        cfg.clock = clock.clone();
-        cfg.telemetry = amoeba_sim::Telemetry::on(amoeba_sim::Nanos::from_us(1), 64);
-        cfg.telemetry
-            .watch("cache stays empty", "cache_used_bytes", 0);
-        cfg.accounting = crate::ClientAccounting::on();
-        let server = Arc::new(BulletServer::format(cfg, 2).unwrap());
-        let net = SimEthernet::new(clock.clone(), NetProfile::ethernet_10mbit());
-        let dispatcher = Dispatcher::new(net);
-        let rpc = BulletRpcServer::new(server.clone());
-        dispatcher.register(rpc.clone());
-        let client = BulletClient::new(RpcClient::new(dispatcher), server.port());
+        use amoeba_sim::json::{valid, Json};
+        let (clock, client, server) = stack();
         let cap = client.create(Bytes::from_static(b"monitored"), 1).unwrap();
         client.read(&cap).unwrap();
-        // One tagged read, so the accounting table has a client to rank.
-        let read = Request {
-            cap,
-            command: commands::READ,
-            params: Bytes::new(),
-            data: Bytes::new(),
-        };
-        rpc.handle(tag_request(read, TxnId { client: 42, seq: 1 }));
-        // With a 1 µs period the per-request tick sampled the layer
-        // gauges into the rings and the watchdog saw the cache fill: every
-        // part of the document is populated, and it is PR 23's bytes.
+        client.read(&cap).unwrap();
+        let before = clock.now().as_ns();
         let snap = client.monitor().unwrap();
+        // Read before `cache_stats`, whose table read lock would count.
+        let locks = server.lock_stats();
+        assert_eq!(valid(&snap), Ok(()));
+        // The server read its clock between the request and the reply.
+        let now_ns: u64 = snap
+            .split("\"now_ns\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|n| n.parse().ok())
+            .expect("a numeric now_ns");
+        assert!((before..=clock.now().as_ns()).contains(&now_ns));
+        // Exactly three members: the schema, the clock and one flat
+        // object of every server, cache and lock counter.
+        let counters = server
+            .stats()
+            .snapshot()
+            .into_iter()
+            .chain(server.cache_stats())
+            .chain(locks)
+            .map(|(name, value)| (name, Json::num(value)));
+        let want = Json::object([
+            ("monitor_schema", Json::num(2)),
+            ("now_ns", Json::num(now_ns)),
+            ("counters", Json::object(counters)),
+        ])
+        .compact();
+        assert_eq!(snap, want);
+        assert!(snap.contains("\"reads\":2,"), "{snap}");
         let golden = include_str!("../tests/golden/monitor_snapshot.json");
         assert_eq!(snap, golden.trim_end());
-        assert_eq!(amoeba_sim::json::valid(&snap), Ok(()));
     }
 
     #[test]
-    fn tagged_requests_charge_client_accounting() {
+    fn a_retransmitted_tagged_read_runs_once() {
         use amoeba_rpc::fault::{tag_request, TxnId};
-        let mut cfg = BulletConfig::small_test();
-        cfg.accounting = crate::ClientAccounting::on();
-        let server = Arc::new(BulletServer::format(cfg, 2).unwrap());
+        let server = Arc::new(BulletServer::format(BulletConfig::small_test(), 2).unwrap());
         let rpc = BulletRpcServer::new(server.clone());
         let cap = server.create(Bytes::from_static(b"abcde"), 1).unwrap();
         let make = || Request {
@@ -545,21 +529,18 @@ mod tests {
         let txn = TxnId { client: 42, seq: 1 };
         let first = rpc.handle(tag_request(make(), txn));
         assert_eq!(first.status, Status::Ok);
-        let usage = server.accounting().usage(42).unwrap();
-        assert_eq!(usage.requests, 1);
-        assert_eq!(usage.bytes_read, 5);
+        assert_eq!(first.data, Bytes::from_static(b"abcde"));
         // A retransmission of the same transaction replays from the
-        // dedup cache: no new work charged, one retry recorded.
+        // dedup cache: the same reply, and the read does not run again.
         let replay = rpc.handle(tag_request(make(), txn));
         assert_eq!(replay.status, Status::Ok);
-        let usage = server.accounting().usage(42).unwrap();
-        assert_eq!(usage.requests, 1);
-        assert_eq!(usage.retries, 1);
-        // Untagged traffic is charged to nobody.
+        assert_eq!(replay.data, first.data);
+        assert_eq!(server.stats().get(crate::counters::READS), 1);
+        assert_eq!(rpc.dedup_stats().get(crate::counters::DEDUP_HITS), 1);
+        // Untagged traffic bypasses the cache and always runs.
         rpc.handle(make());
-        assert_eq!(server.accounting().len(), 1);
-        let snap = server.monitor_snapshot();
-        assert!(snap.contains("\"client\":42"), "{snap}");
+        assert_eq!(server.stats().get(crate::counters::READS), 2);
+        assert_eq!(rpc.dedup_stats().get(crate::counters::DEDUP_HITS), 1);
     }
 
     #[test]

@@ -67,10 +67,9 @@ use amoeba_rpc::StreamWire;
 use amoeba_sim::json::Json;
 use amoeba_sim::{
     AttrValue, CpuProfile, DetRng, DiskProfile, LaneCounter, Pipeline, SimClock, SpanGuard, Stats,
-    Telemetry, Tracer,
+    Tracer,
 };
 
-use crate::accounting::ClientAccounting;
 use crate::cache::{EvictionPolicy, FileCache, Hits, Tables};
 use crate::counters;
 use crate::freelist::ExtentAllocator;
@@ -138,20 +137,6 @@ pub struct BulletConfig {
     /// idle-time maintenance later migrates each file to its contiguous
     /// first-fit home.
     pub log_blocks: u64,
-    /// Time-series telemetry (see [`amoeba_sim::timeseries`]).
-    /// [`Telemetry::off`], the default, is free — the data path
-    /// never reads the clock or allocates for it, so the timeline is
-    /// bit-identical to a build without telemetry.  Enabled, the server
-    /// samples layer gauges (cache occupancy, allocator fragmentation,
-    /// log residency, group-commit batch occupancy, per-disk queue depth
-    /// and arm position) into fixed-capacity ring buffers once per
-    /// period, readable live through the `MONITOR` RPC.
-    pub telemetry: Telemetry,
-    /// Per-client resource accounting keyed by the at-most-once
-    /// transaction tag (see [`crate::accounting`]).  Off by default;
-    /// enabled, the RPC dispatcher charges each request's bytes, I/Os,
-    /// cache hits and retries to its client id.
-    pub accounting: ClientAccounting,
     /// This server's slot in a shard set (see [`crate::shard`]).
     /// [`crate::shard::ShardSlot::solo`], the default, is the
     /// single-server layout and
@@ -203,8 +188,6 @@ impl BulletConfig {
             segment_size: amoeba_rpc::DEFAULT_SEGMENT,
             trace: Tracer::off(),
             log_blocks: 0,
-            telemetry: Telemetry::off(),
-            accounting: ClientAccounting::off(),
             shard: crate::shard::ShardSlot::solo(),
             archive_blocks: 0,
             tier_high_water_pct: 75,
@@ -671,13 +654,6 @@ impl BulletServer {
         self.charge_request();
         self.check_p_factor(p_factor)?;
         let size = self.file_size(&data)?;
-        // Charged here, on the request thread: the group-commit leader
-        // below may write *other* clients' payloads, which must not be
-        // billed to whoever happened to lead the flush.
-        self.cfg.accounting.charge_current(|u| {
-            u.bytes_written += size as u64;
-            u.disk_ios += p_factor.max(1) as u64;
-        });
         // Group-commit routing: small non-wire creates join the shared
         // batch and commit as one sequential log append.  Files above the
         // byte cap — and wire-fed creates, whose segment pipeline already
@@ -938,10 +914,9 @@ impl BulletServer {
         let mut op = self.cfg.trace.span("bullet.read");
         op.attr("op", "read");
         self.charge_request();
-        let (data, hit) = self.fetch(cap, Rights::READ, wire, |_| Ok((0, u64::MAX)))?;
+        let data = self.fetch(cap, Rights::READ, wire, |_| Ok((0, u64::MAX)))?;
         self.stats.incr(counters::READS);
         op.attr("bytes", data.len());
-        self.charge_read(hit, &data);
         Ok(data)
     }
 
@@ -980,28 +955,13 @@ impl BulletServer {
         op.attr("op", "read_section");
         op.attr("bytes", len);
         self.charge_request();
-        let (file, hit) = self.fetch(cap, Rights::READ, wire, |size| {
+        let file = self.fetch(cap, Rights::READ, wire, |size| {
             let end = offset.checked_add(len).filter(|&e| e <= size);
             Ok((offset as u64, end.ok_or(BulletError::BadRange)? as u64))
         })?;
         let data = file.slice(offset as usize..(offset + len) as usize);
         self.stats.incr(counters::SECTION_READS);
-        self.charge_read(hit, &data);
         Ok(data)
-    }
-
-    /// Bills a read to the requesting client: a hit, or a miss and the
-    /// disk I/O that loaded the file, plus the bytes that travel.
-    fn charge_read(&self, hit: bool, data: &Bytes) {
-        self.cfg.accounting.charge_current(|u| {
-            if hit {
-                u.cache_hits += 1;
-            } else {
-                u.cache_misses += 1;
-                u.disk_ios += 1;
-            }
-            u.bytes_read += data.len() as u64;
-        });
     }
 
     /// `BULLET.DELETE(CAPABILITY)`.
@@ -1233,7 +1193,7 @@ impl BulletServer {
         op.attr("op", "modify");
         op.attr("bytes", data.len());
         let needed = Rights::READ | Rights::MODIFY;
-        let (base, _) = self.fetch(cap, needed, None, |_| Ok((0, u64::MAX)))?;
+        let base = self.fetch(cap, needed, None, |_| Ok((0, u64::MAX)))?;
         let offset = offset.map_or(base.len(), |o| o as usize);
         let new_len = base.len().max(offset + data.len());
         let mut buf = vec![0u8; new_len];
@@ -1362,10 +1322,10 @@ impl BulletServer {
     /// already asked for; demotion is pure space reclamation.
     ///
     /// Each rank first peeks with an *uncounted* try-lock, so the peeks
-    /// never perturb the lock telemetry of the real work paths (and a
-    /// busy lock counts as work).  A rank whose peek finds nothing counts
-    /// a `maint_skips_*`; one whose increment finds nothing falls through
-    /// to the next rank without counting one.
+    /// never perturb the lock counts of the real work paths (and a busy
+    /// lock counts as work).  A rank whose peek finds nothing is skipped
+    /// without taking a counted lock; one whose increment finds nothing
+    /// falls through to the next rank.
     fn maintain_one(&self) -> Result<Option<u64>, BulletError> {
         // Rank 0: migrate one log-resident file to its contiguous home.
         let log = self.log.as_ref().map(|l| l.lock());
@@ -1373,8 +1333,6 @@ impl BulletServer {
             if self.migrate_one_log_file(&mut st)?.is_some() {
                 return Ok(Some(st.resident()));
             }
-        } else {
-            self.stats.incr(counters::MAINT_SKIPS_LOG_MIGRATION);
         }
         // Rank 1: pack the data area by one extent move.  Any live file
         // may leave a hole; the plan decides.
@@ -1383,16 +1341,10 @@ impl BulletServer {
             if let Some(remaining) = self.pack_one()? {
                 return Ok(Some(remaining));
             }
-        } else {
-            self.stats.incr(counters::MAINT_SKIPS_PACKING);
         }
         // Rank 2: recall one archived file a read asked for.
-        if self.tier_recall_backlog() > 0 {
-            if self.recall_one()?.is_some() {
-                return Ok(Some(self.tier_recall_backlog() as u64));
-            }
-        } else {
-            self.stats.incr(counters::MAINT_SKIPS_RECALL);
+        if self.tier_recall_backlog() > 0 && self.recall_one()?.is_some() {
+            return Ok(Some(self.tier_recall_backlog() as u64));
         }
         // Rank 3: demote one cold file, only while the fast tier sits
         // above its high-water mark.
@@ -1401,12 +1353,11 @@ impl BulletServer {
             let used = report.total - report.free;
             used * 100 > report.total.max(1) * self.cfg.tier_high_water_pct as u64
         };
-        if self.archive.is_some() && self.alloc.try_lock().is_none_or(above_water) {
-            if self.demote_one()?.is_some() {
-                return Ok(Some(0));
-            }
-        } else {
-            self.stats.incr(counters::MAINT_SKIPS_DEMOTION);
+        if self.archive.is_some()
+            && self.alloc.try_lock().is_none_or(above_water)
+            && self.demote_one()?.is_some()
+        {
+            return Ok(Some(0));
         }
         Ok(None)
     }
@@ -1654,26 +1605,15 @@ impl BulletServer {
         self.locks.snapshot()
     }
 
-    /// The per-client accounting table (disabled unless
-    /// [`BulletConfig::accounting`] enabled it).
-    pub(crate) fn accounting(&self) -> &ClientAccounting {
-        &self.cfg.accounting
-    }
-
     /// The live-monitoring snapshot behind the `MONITOR` RPC: one
-    /// versioned JSON object carrying every counter, the tail of each
-    /// telemetry ring, the SLO watchdog's event log, and the top
-    /// per-client resource consumers.
+    /// versioned JSON object carrying the simulated clock and every
+    /// counter — server operations, then the cache's own, then locks:
+    /// disjoint name sets merged into one flat object.
     ///
     /// The top-level `"monitor_schema"` key versions the wire format;
     /// consumers must check it before parsing further (see DESIGN.md
     /// §14.3).
     pub(crate) fn monitor_snapshot(&self) -> String {
-        const TAIL: usize = 8;
-        const TOP_K: usize = 10;
-        let (telemetry, accounting) = (&self.cfg.telemetry, &self.cfg.accounting);
-        // Counters: server ops, then the cache's own stats, then locks —
-        // disjoint name sets, merged into one flat object.
         let counters = self
             .stats
             .snapshot()
@@ -1681,69 +1621,10 @@ impl BulletServer {
             .chain(self.cache_stats())
             .chain(self.lock_stats())
             .map(|(name, value)| (name, Json::num(value)));
-        // Gauge/delta series: ring metadata plus the last few samples.
-        let series =
-            telemetry
-                .series_index()
-                .into_iter()
-                .map(|(name, instance, kind, len, dropped)| {
-                    let samples = telemetry.series(name, instance);
-                    let tail = samples[samples.len().saturating_sub(TAIL)..]
-                        .iter()
-                        .map(|s| {
-                            Json::object([
-                                ("t_ns", Json::num(s.at.as_ns())),
-                                ("v", Json::num(s.value)),
-                            ])
-                        });
-                    Json::object([
-                        ("series", Json::string(name)),
-                        ("instance", Json::num(instance)),
-                        ("kind", Json::string(kind.label())),
-                        ("points", Json::num(len)),
-                        ("dropped", Json::num(dropped)),
-                        ("tail", Json::array(tail)),
-                    ])
-                });
-        // The SLO watchdog's degradation/recovery event log.
-        let slo_events = telemetry.slo_events().into_iter().map(|e| {
-            Json::object([
-                ("t_ns", Json::num(e.at.as_ns())),
-                ("kind", Json::string(e.kind.label())),
-                ("slo", Json::string(e.slo)),
-                ("series", Json::string(e.series)),
-                ("instance", Json::num(e.instance)),
-                ("value", Json::num(e.value)),
-                ("ceiling", Json::num(e.ceiling)),
-            ])
-        });
-        // Per-client accounting: population size plus the top offenders
-        // by the cost metric (deterministic order; see `ClientUsage`).
-        let top = accounting.top_k(TOP_K).into_iter().map(|(client, u)| {
-            Json::object([
-                ("client", Json::num(client)),
-                ("requests", Json::num(u.requests)),
-                ("bytes_read", Json::num(u.bytes_read)),
-                ("bytes_written", Json::num(u.bytes_written)),
-                ("disk_ios", Json::num(u.disk_ios)),
-                ("cache_hits", Json::num(u.cache_hits)),
-                ("cache_misses", Json::num(u.cache_misses)),
-                ("retries", Json::num(u.retries)),
-                ("cost", Json::num(u.cost())),
-            ])
-        });
-        let clients = [
-            ("count", Json::num(accounting.len())),
-            ("top", Json::array(top)),
-        ];
         Json::object([
-            ("monitor_schema", Json::num(1)),
+            ("monitor_schema", Json::num(2)),
             ("now_ns", Json::num(self.cfg.clock.now().as_ns())),
-            ("telemetry_enabled", Json::num(telemetry.enabled())),
             ("counters", Json::object(counters)),
-            ("series", Json::array(series)),
-            ("slo_events", Json::array(slo_events)),
-            ("clients", Json::object(clients)),
         ])
         .compact()
     }
@@ -1901,20 +1782,20 @@ impl BulletServer {
     /// table lock.  Anything else goes to the one miss path,
     /// [`load_cold`](Self::load_cold).  `window` maps the file size to the
     /// byte window a cold load streams (and may refuse it).  Returns the
-    /// whole file and whether the cache held it.
+    /// whole file.
     fn fetch(
         &self,
         cap: &Capability,
         needed: Rights,
         wire: Option<&StreamWire>,
         window: impl Fn(u32) -> Result<(u64, u64), BulletError>,
-    ) -> Result<(Bytes, bool), BulletError> {
+    ) -> Result<Bytes, BulletError> {
         let fits = |size| window(size).map(drop);
         match self
             .hits
             .serve(self.cfg.port, cap, needed, &self.scheme, fits)
         {
-            Some(served) => served.map(|data| (data, true)),
+            Some(served) => served,
             None => self.load_cold(cap, needed, wire, window),
         }
     }
@@ -1937,7 +1818,7 @@ impl BulletServer {
     /// stays valid for the whole I/O because delete and compaction need
     /// the guard too.  The load streams the window `[win_start, win_end)`
     /// over `wire` as [`read_extent`](Self::read_extent) says.  Returns the
-    /// whole file and whether the lookup hit.
+    /// whole file.
     ///
     /// Kept out of line: inlined into each read entry point, its frame
     /// made every warm read slower too (`hot_read_1c` `read_p50_us` +3 %,
@@ -1949,7 +1830,7 @@ impl BulletServer {
         needed: Rights,
         wire: Option<&StreamWire>,
         window: impl Fn(u32) -> Result<(u64, u64), BulletError>,
-    ) -> Result<(Bytes, bool), BulletError> {
+    ) -> Result<Bytes, BulletError> {
         let idx = cap.object.value();
         let _busy = self.inflight_lock(idx);
         let (inode, (win_start, win_end)) = {
@@ -1957,7 +1838,7 @@ impl BulletServer {
             let inode = *self.verify(&t.inodes, cap, needed)?;
             let window = window(inode.size_bytes)?;
             if let Some(data) = t.cache.get(idx) {
-                return Ok((data, true));
+                return Ok(data);
             }
             (inode, window)
         };
@@ -1973,7 +1854,7 @@ impl BulletServer {
         if let Residency::Archive { .. } = self.residency_of(&inode)? {
             self.archive_tier().recall_q.lock().insert(idx);
         }
-        Ok((data, false))
+        Ok(data)
     }
 
     /// Reads `inode`'s whole block-padded extent off the device its
@@ -2178,82 +2059,8 @@ impl BulletServer {
     /// nanosecond.
     fn charge_request(&self) {
         self.requests_seen.add(1);
-        // `now` sums every clock lane: read it only when telemetry can
-        // use it.
-        if self.cfg.telemetry.enabled() && self.cfg.telemetry.tick(self.cfg.clock.now()) {
-            self.sample_gauges();
-        }
-        self.cfg.accounting.charge_current(|u| u.requests += 1);
         let _s = self.cfg.trace.span("cpu.request");
         self.cfg.clock.advance(self.cfg.cpu.request());
-    }
-
-    /// Samples the layer gauges into the telemetry rings (at most once
-    /// per telemetry period; see [`Telemetry::tick`]).
-    ///
-    /// Uses *try*-locks, taken one at a time and released before the
-    /// next: a gauge whose lock is busy (or already held by this thread
-    /// via a caller) is simply skipped this period, so sampling can
-    /// never deadlock or stall the request that happened to cross the
-    /// period boundary.
-    fn sample_gauges(&self) {
-        let telemetry = &self.cfg.telemetry;
-        let now = self.cfg.clock.now();
-        if let Some(t) = self.table.try_read() {
-            let cache = &t.cache;
-            let (used, protected, ghost) = (
-                cache.used_bytes(),
-                cache.protected_bytes(),
-                cache.ghost_len() as u64,
-            );
-            // Hit/miss deltas per period (the rings lock is a leaf, so
-            // sampling under the table read guard is in lock order).
-            telemetry.sample_counters(
-                now,
-                cache.stats(),
-                &[
-                    counters::CACHE_HITS,
-                    counters::CACHE_MISSES,
-                    counters::CACHE_EVICTIONS,
-                ],
-            );
-            drop(t);
-            telemetry.gauge(counters::GAUGE_CACHE_USED_BYTES, 0, now, used);
-            telemetry.gauge(counters::GAUGE_CACHE_PROTECTED_BYTES, 0, now, protected);
-            telemetry.gauge(counters::GAUGE_CACHE_GHOST_LEN, 0, now, ghost);
-        }
-        if let Some(alloc) = self.alloc.try_lock() {
-            let report = alloc.extents.report();
-            drop(alloc);
-            telemetry.gauge(counters::GAUGE_ALLOC_FREE_BLOCKS, 0, now, report.free);
-            telemetry.gauge(counters::GAUGE_ALLOC_MAX_HOLE, 0, now, report.largest_hole);
-        }
-        if let Some(arch) = &self.archive {
-            telemetry.gauge(
-                counters::GAUGE_TIER_ARCHIVE_BLOCKS,
-                0,
-                now,
-                arch.dev.burned_blocks(),
-            );
-            if let Some(q) = arch.recall_q.try_lock() {
-                telemetry.gauge(counters::GAUGE_TIER_RECALL_QUEUE, 0, now, q.len() as u64);
-            }
-        }
-        // Counter-delta series: op mix and cache behaviour per period.
-        telemetry.sample_counters(
-            now,
-            &self.stats,
-            &[
-                counters::READS,
-                counters::SECTION_READS,
-                counters::CREATES,
-                counters::DELETES,
-                counters::MODIFIES,
-                counters::BYTES_CREATED,
-                counters::LOG_APPENDS,
-                counters::GROUP_COMMIT_FLUSHES,
-            ],
-        );
     }
 
     /// Charges a `bytes`-long memory copy under a `cpu.memcpy` leaf span.
@@ -4117,18 +3924,18 @@ mod tests {
     }
 
     /// One tick past the idleness gate, with what it moved of
-    /// `[maintenance_ticks, skips of log migration, packing, recall,
-    /// demotion]`.
-    fn ranked_tick(s: &BulletServer) -> (CompactTick, [u64; 5]) {
+    /// `[maintenance_ticks, lock_table_read, lock_alloc]`.  Every rank
+    /// peeks uncounted, so a rank its peek skips takes no counted lock;
+    /// packing's plan takes one table read lock and the allocator, and
+    /// demotion's candidate scan one table read lock, even when they
+    /// find nothing and the tick falls through to the next rank.
+    fn ranked_tick(s: &BulletServer) -> (CompactTick, [u64; 3]) {
         let counts = || {
             [
-                counters::MAINTENANCE_TICKS,
-                counters::MAINT_SKIPS_LOG_MIGRATION,
-                counters::MAINT_SKIPS_PACKING,
-                counters::MAINT_SKIPS_RECALL,
-                counters::MAINT_SKIPS_DEMOTION,
+                s.stats().get(counters::MAINTENANCE_TICKS),
+                s.locks.get(counters::LOCK_TABLE_READ),
+                s.locks.get(counters::LOCK_ALLOC),
             ]
-            .map(|c| s.stats().get(c))
         };
         let before = counts();
         let tick = loop {
@@ -4146,9 +3953,10 @@ mod tests {
         for (log, archive, cfg) in rank_cfgs() {
             let s = BulletServer::format(cfg, 2).unwrap();
             let got = ranked_tick(&s);
+            // Every peek found nothing: no rank took a counted lock.
             assert_eq!(
                 got,
-                (CompactTick::Idle, [1, 1, 1, 1, 1]),
+                (CompactTick::Idle, [1, 0, 0]),
                 "log {log} archive {archive}"
             );
         }
@@ -4166,23 +3974,21 @@ mod tests {
             let moved = |remaining| CompactTick::Moved { remaining };
             if log {
                 // Log migration (rank 0) wins over the hole packing
-                // would fill, which is neither skipped nor reached.
+                // would fill, which is not reached.
                 for remaining in [1, 0] {
-                    assert_eq!(ranked_tick(&s), (moved(remaining), [1, 0, 0, 0, 0]), "{at}");
+                    assert_eq!(ranked_tick(&s).0, moved(remaining), "{at}");
                 }
                 assert_eq!(s.stats().get(counters::DISK_COMPACTION_MOVES), 0);
+                assert_eq!(s.stats().get(counters::LOG_MIGRATIONS), 2);
             }
             // Packing (rank 1): the hole ahead of two files plans two moves.
             for remaining in [1, 0] {
-                assert_eq!(ranked_tick(&s), (moved(remaining), [1, 1, 0, 0, 0]), "{at}");
+                assert_eq!(ranked_tick(&s).0, moved(remaining), "{at}");
             }
             // Packed with live files: packing's peek says "work", its plan
-            // is empty, and the tick falls through without a packing skip.
-            assert_eq!(
-                ranked_tick(&s),
-                (CompactTick::Idle, [1, 1, 0, 1, 1]),
-                "{at}"
-            );
+            // is empty, and the tick falls through past the skipped recall
+            // and demotion ranks.
+            assert_eq!(ranked_tick(&s), (CompactTick::Idle, [1, 1, 1]), "{at}");
             assert_eq!(s.stats().get(counters::DISK_COMPACTION_MOVES), 2);
         }
     }
@@ -4199,24 +4005,22 @@ mod tests {
             let cap = s.create(payload(3 * 512, 4), 2).unwrap();
             let moved = CompactTick::Moved { remaining: 0 };
             if log {
-                assert_eq!(ranked_tick(&s), (moved, [1, 0, 0, 0, 0]), "{at}");
+                assert_eq!(ranked_tick(&s).0, moved, "{at}");
+                assert_eq!(s.stats().get(counters::LOG_MIGRATIONS), 1);
             }
             s.clear_cache();
             s.age_all().unwrap();
             // Demotion (rank 3): packing found nothing, recall skipped.
-            assert_eq!(ranked_tick(&s), (moved, [1, 1, 0, 1, 0]), "{at}");
+            assert_eq!(ranked_tick(&s).0, moved, "{at}");
             assert_eq!(s.stats().get(counters::TIER_DEMOTIONS), 1);
             // Recall (rank 2) wins over demotion, which is not reached.
             s.read(&cap).unwrap();
-            assert_eq!(ranked_tick(&s), (moved, [1, 1, 0, 0, 0]), "{at}");
+            assert_eq!(ranked_tick(&s).0, moved, "{at}");
             assert_eq!(s.stats().get(counters::TIER_PROMOTIONS), 1);
-            // Cached again: demotion's peek says "work", its pick finds
-            // none, and the tick is idle with no demotion skip.
-            assert_eq!(
-                ranked_tick(&s),
-                (CompactTick::Idle, [1, 1, 0, 1, 0]),
-                "{at}"
-            );
+            assert_eq!(s.stats().get(counters::TIER_DEMOTIONS), 1);
+            // Cached again: packing's and demotion's peeks say "work",
+            // both find none, and the tick is idle.
+            assert_eq!(ranked_tick(&s), (CompactTick::Idle, [1, 2, 1]), "{at}");
         }
     }
 }

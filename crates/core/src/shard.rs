@@ -75,7 +75,7 @@ impl Default for ShardSlot {
 
 /// A validated set of N Bullet server instances sharing one service
 /// port, each owning its own stripe of the object-number space (plus its
-/// own disks, cache, scheduler, log, and telemetry).
+/// own disks, cache, scheduler, log, and counters).
 pub struct BulletShards {
     shards: Vec<Arc<BulletServer>>,
 }

@@ -70,14 +70,6 @@ fn declared_consts() -> Vec<(String, String)> {
             "SHARD_DEGRADED_OPS".to_string(),
             counters::SHARD_DEGRADED_OPS.to_string(),
         ),
-        (
-            "GAUGE_SHARD_ROUTED_OPS".to_string(),
-            counters::GAUGE_SHARD_ROUTED_OPS.to_string(),
-        ),
-        (
-            "GAUGE_SHARD_DEGRADED_OPS".to_string(),
-            counters::GAUGE_SHARD_DEGRADED_OPS.to_string(),
-        ),
     ];
     for line in src.lines() {
         let Some(rest) = line.trim().strip_prefix("pub const ") else {

@@ -28,13 +28,13 @@ use std::path::{Path, PathBuf};
 /// Fields of `BulletConfig`.  A ratchet: lower it with every knob
 /// deleted; a PR that raises it must say which two callers need
 /// different values.
-const KNOBS: usize = 23;
+const KNOBS: usize = 21;
 
 /// Code lines (neither blank nor `//`) of `server.rs` above its test
 /// module — the figure ROADMAP item 3(a) tracks towards 1,500, and
 /// `scripts/loc.sh` prints.  An exact ratchet: the change that shrinks
 /// the file lowers it, so later code cannot grow back into the slack.
-const SERVER_CODE_LINES: usize = 1399;
+const SERVER_CODE_LINES: usize = 1247;
 
 /// `pub fn`s in the `impl BulletServer` blocks of `server.rs` and
 /// `logpath.rs` above their tests: ROADMAP item 3(g)'s public surface.
@@ -96,6 +96,11 @@ fn documented_knobs() -> Vec<String> {
         .collect()
 }
 
+/// The bindings a `BulletConfig` goes by outside tests (see the module
+/// docs).  Matched exactly: `clean_cfg` and `burst_cfg` are other
+/// configurations whose fields share some knobs' names.
+const CONFIG_BINDINGS: &[&str] = &["cfg", "lon_cfg", "cfg_b", "c"];
+
 /// True if `line` assigns `knob` on a configuration binding.
 fn assigns(line: &str, knob: &str) -> bool {
     let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
@@ -103,10 +108,17 @@ fn assigns(line: &str, knob: &str) -> bool {
     line.match_indices(&field).any(|(at, _)| {
         let rest = line[at + field.len()..].trim_start();
         let receiver = line[..at].rsplit(|c| !ident(c)).next().unwrap_or("");
-        rest.starts_with('=')
-            && !rest.starts_with("==")
-            && (receiver == "c" || receiver.contains("cfg"))
+        rest.starts_with('=') && !rest.starts_with("==") && CONFIG_BINDINGS.contains(&receiver)
     })
+}
+
+#[test]
+fn the_assignment_matcher_accepts_only_the_config_bindings() {
+    assert!(assigns("    cfg.max_age = 3;", "max_age"));
+    assert!(assigns("c.archive_blocks = N;", "archive_blocks"));
+    assert!(!assigns("clean_cfg.telemetry = t;", "telemetry"));
+    assert!(!assigns("burst_cfg.accounting = a;", "accounting"));
+    assert!(!assigns("cfg.max_age == 3", "max_age"));
 }
 
 #[test]

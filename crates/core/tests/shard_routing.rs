@@ -125,9 +125,8 @@ fn monitor_aggregates_per_shard_snapshots() {
     client.create(Bytes::from_static(b"watched"), 1).unwrap();
     router.set_down(2, true);
     let snap = client.monitor().unwrap();
-    // Routed and refused totals, then each up shard's ordinary PR 8
-    // snapshot verbatim and `{"down":true}` for the dead one: PR 23's
-    // bytes.
+    // Routed and refused totals, then each up shard's own schema-2
+    // snapshot verbatim and `{"down":true}` for the dead one.
     let golden = include_str!("golden/monitor_aggregate.json");
     assert_eq!(snap, golden.trim_end());
     assert_eq!(amoeba_sim::json::valid(&snap), Ok(()));

@@ -38,12 +38,11 @@
 //! than [`SchedConfig::deadline`] preempts the policy's pick (oldest
 //! expired first), so SPTF's tail latency stays within sight of FIFO's.
 
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 
 use parking_lot::RwLock;
 
-use amoeba_sim::{AttrValue, DiskProfile, Nanos, SimClock, Stats, Telemetry, Tracer};
+use amoeba_sim::{AttrValue, DiskProfile, Nanos, SimClock, Stats, Tracer};
 
 use crate::{BlockDevice, DiskError};
 
@@ -524,11 +523,6 @@ pub struct SchedDisk<D> {
     cv: Condvar,
     stats: Stats,
     tracer: RwLock<Tracer>,
-    /// Flight-recorder handle plus this disk's series instance id.
-    telemetry: RwLock<(Telemetry, u32)>,
-    /// Next simulated nanosecond this disk samples its gauges (per-disk,
-    /// so every disk keeps its own cadence off the shared recorder).
-    telemetry_due: AtomicU64,
 }
 
 impl<D: BlockDevice> SchedDisk<D> {
@@ -550,8 +544,6 @@ impl<D: BlockDevice> SchedDisk<D> {
             cv: Condvar::new(),
             stats: Stats::new(),
             tracer: RwLock::new(Tracer::off()),
-            telemetry: RwLock::new((Telemetry::off(), 0)),
-            telemetry_due: AtomicU64::new(0),
         }
     }
 
@@ -582,37 +574,6 @@ impl<D: BlockDevice> SchedDisk<D> {
     /// instants (queue depth, wait, promotion, coalescing).
     pub fn set_tracer(&self, tracer: Tracer) {
         *self.tracer.write() = tracer;
-    }
-
-    /// Installs the flight recorder: once per sampling period (checked at
-    /// request submission) the disk records its queue depth and arm
-    /// position as `disk_queue_depth[instance]` / `disk_arm_block[instance]`
-    /// gauge series.  Sampling never advances the simulated clock, so the
-    /// scheduled timeline is bit-identical with telemetry on or off.
-    pub fn set_telemetry(&self, telemetry: Telemetry, instance: u32) {
-        *self.telemetry.write() = (telemetry, instance);
-        self.telemetry_due.store(0, AtomicOrdering::Relaxed);
-    }
-
-    /// Samples the queue-depth and arm-position gauges if this disk's
-    /// sampling period has elapsed.  Called at submission with the state
-    /// lock held (depth and head are consistent); the recorder lock nests
-    /// strictly inside the scheduler lock and is a leaf.
-    fn sample_gauges(&self, now: Nanos, depth: u64, head: u64) {
-        let (telemetry, instance) = &*self.telemetry.read();
-        if !telemetry.enabled() {
-            return;
-        }
-        let due = self.telemetry_due.load(AtomicOrdering::Relaxed);
-        if now.as_ns() < due {
-            return;
-        }
-        self.telemetry_due.store(
-            now.as_ns().saturating_add(telemetry.period().as_ns()),
-            AtomicOrdering::Relaxed,
-        );
-        telemetry.gauge("disk_queue_depth", *instance, now, depth);
-        telemetry.gauge("disk_arm_block", *instance, now, head);
     }
 
     fn lock_state(&self) -> MutexGuard<'_, SchedState> {
@@ -656,11 +617,6 @@ impl<D: BlockDevice> SchedDisk<D> {
                 self.stats
                     .set_max("disk_queue_depth_max", st.arm.pending.len() as u64);
             }
-            self.sample_gauges(
-                arrival,
-                (st.arm.pending.len() + st.low_pending.len()) as u64,
-                st.arm.head,
-            );
             loop {
                 if !st.busy {
                     let g = match st.grant {
@@ -1148,58 +1104,6 @@ mod tests {
         assert!(c.now() > Nanos::ZERO);
     }
 
-    #[test]
-    fn telemetry_samples_queue_depth_and_arm_position() {
-        let c = SimClock::new();
-        let d = SchedDisk::new(
-            RamDisk::new(512, 65_536),
-            c.clone(),
-            DiskProfile::scsi_1989(),
-            SchedConfig::default(),
-        );
-        let t = Telemetry::on(Nanos::from_ms(1), 64);
-        d.set_telemetry(t.clone(), 3);
-        for i in 0..4u64 {
-            d.write_blocks(i * 1000, &[0u8; 512]).unwrap();
-        }
-        let depth = t.series("disk_queue_depth", 3);
-        let arm = t.series("disk_arm_block", 3);
-        assert!(!depth.is_empty(), "submission samples the queue gauge");
-        assert_eq!(depth.len(), arm.len());
-        // Sequential I/Os on an idle arm: depth 1 at each sampled submit,
-        // and the arm gauge tracks where the previous write parked it.
-        assert!(depth.iter().all(|s| s.value >= 1));
-        assert!(arm.last().unwrap().value > 0);
-        // Sampling respects the per-disk period: samples are spaced by at
-        // least the sampling period.
-        for w in depth.windows(2) {
-            assert!(w[1].at.as_ns() - w[0].at.as_ns() >= Nanos::from_ms(1).as_ns());
-        }
-    }
-
-    #[test]
-    fn telemetry_off_is_inert_and_timing_identical() {
-        let run = |telemetry: Option<Telemetry>| {
-            let c = SimClock::new();
-            let d = SchedDisk::new(
-                RamDisk::new(512, 65_536),
-                c.clone(),
-                DiskProfile::scsi_1989(),
-                SchedConfig::default(),
-            );
-            if let Some(t) = telemetry {
-                d.set_telemetry(t, 0);
-            }
-            for i in 0..8u64 {
-                d.write_blocks(i * 777, &[0u8; 512]).unwrap();
-            }
-            c.now()
-        };
-        let off = run(None);
-        let on = run(Some(Telemetry::on(Nanos::from_us(10), 64)));
-        assert_eq!(off, on, "sampling must never advance the clock");
-    }
-
     /// A device that records the order I/Os actually reach the media and
     /// can hold the first I/O open until released, so a test can build a
     /// real queue behind a busy arm.
@@ -1500,12 +1404,12 @@ mod tests {
                 DiskProfile::scsi_1989(),
                 cfg,
             );
-            // A 1 ns sampling period records the head at every submission.
-            let heads = Telemetry::on(Nanos::from_ns(1), 64);
-            disk.set_telemetry(heads.clone(), 0);
             let mut sim = ArmSim::new(cfg, DiskProfile::scsi_1989(), 1024, 65_536);
-            let mut sim_heads = Vec::new();
+            let (mut disk_heads, mut sim_heads) = (Vec::new(), Vec::new());
             for &(kind, first, blocks) in stream {
+                // Serial: the head under the scheduler lock now is the
+                // head this request is submitted against.
+                disk_heads.push(disk.lock_state().arm.head);
                 let mut buf = vec![0u8; blocks as usize * 1024];
                 match kind {
                     ReqKind::Read => disk.read_blocks(first, &mut buf).unwrap(),
@@ -1515,11 +1419,6 @@ mod tests {
                 sim.submit(kind, first, blocks, sim.now());
                 sim.service_one().unwrap();
             }
-            let disk_heads: Vec<u64> = heads
-                .series("disk_arm_block", 0)
-                .iter()
-                .map(|s| s.value)
-                .collect();
             assert_eq!(clock.now(), sim.now(), "{policy:?}");
             assert_eq!(
                 disk.stats().get("disk_seek_blocks"),

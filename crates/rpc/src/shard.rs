@@ -16,7 +16,7 @@
 //! * a shard marked down fails its operations with the distinct
 //!   [`Status::ShardDown`] while the other N−1 keep serving, and a
 //!   `MONITOR` request on the service capability aggregates every
-//!   shard's telemetry snapshot into one per-shard document.
+//!   shard's counter snapshot into one per-shard document.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use amoeba_cap::{shard_of, Port};
 use amoeba_sim::json::Json;
-use amoeba_sim::{SimClock, Stats, Telemetry};
+use amoeba_sim::Stats;
 use bytes::Bytes;
 use parking_lot::RwLock;
 
@@ -35,10 +35,6 @@ use crate::{Reply, Request, RpcServer, Status, StreamWire};
 pub const SHARD_ROUTED_OPS: &str = "shard_routed_ops";
 /// Counter: requests refused because the owning shard was down.
 pub const SHARD_DEGRADED_OPS: &str = "shard_degraded_ops";
-/// Telemetry gauge: cumulative routed requests, instance = shard index.
-pub const GAUGE_SHARD_ROUTED_OPS: &str = "shard_gauge_routed_ops";
-/// Telemetry gauge: cumulative refused requests, instance = shard index.
-pub const GAUGE_SHARD_DEGRADED_OPS: &str = "shard_gauge_degraded_ops";
 
 /// A routing front for N same-port shard servers (see the module docs).
 pub struct ShardRouter {
@@ -50,7 +46,6 @@ pub struct ShardRouter {
     overrides: RwLock<HashMap<u32, u32>>,
     next: AtomicUsize,
     stats: Stats,
-    telemetry: RwLock<Option<(Telemetry, SimClock)>>,
 }
 
 impl std::fmt::Debug for ShardRouter {
@@ -86,7 +81,6 @@ impl ShardRouter {
             overrides: RwLock::new(HashMap::new()),
             next: AtomicUsize::new(0),
             stats: Stats::new(),
-            telemetry: RwLock::new(None),
         }
     }
 
@@ -142,30 +136,13 @@ impl ShardRouter {
         self.degraded[i].load(Ordering::Relaxed)
     }
 
-    /// Attaches a flight recorder: every routed / refused request samples
-    /// the per-shard cumulative totals as gauges (instance = shard index),
-    /// so the PR 8 SLO watchdog can put a ceiling of 0 on
-    /// [`GAUGE_SHARD_DEGRADED_OPS`] and flag a dead shard within one
-    /// sampling period.
-    pub fn set_telemetry(&self, telemetry: Telemetry, clock: SimClock) {
-        *self.telemetry.write() = Some((telemetry, clock));
-    }
-
     fn record(&self, shard: usize, delivered: bool) {
-        let (counter, gauge, total) = if delivered {
+        if delivered {
             self.stats.incr(SHARD_ROUTED_OPS);
-            let t = self.routed[shard].fetch_add(1, Ordering::Relaxed) + 1;
-            (SHARD_ROUTED_OPS, GAUGE_SHARD_ROUTED_OPS, t)
+            self.routed[shard].fetch_add(1, Ordering::Relaxed);
         } else {
             self.stats.incr(SHARD_DEGRADED_OPS);
-            let t = self.degraded[shard].fetch_add(1, Ordering::Relaxed) + 1;
-            (SHARD_DEGRADED_OPS, GAUGE_SHARD_DEGRADED_OPS, t)
-        };
-        let _ = counter;
-        if let Some((tel, clock)) = self.telemetry.read().as_ref() {
-            if tel.enabled() {
-                tel.gauge(gauge, shard as u32, clock.now(), total);
-            }
+            self.degraded[shard].fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -115,9 +115,8 @@ pub mod std_commands {
     pub const INFO: u32 = 0xF001;
     /// A human-readable counters dump for the whole server.
     pub const STATUS: u32 = 0xF002;
-    /// A versioned machine-readable telemetry snapshot: every counter,
-    /// the gauge series tails, the per-client accounting table, and the
-    /// SLO watchdog's degradation events, as one JSON object.
+    /// A versioned machine-readable snapshot of every counter and the
+    /// simulated clock, as one JSON object.
     pub const MONITOR: u32 = 0xF003;
 }
 
