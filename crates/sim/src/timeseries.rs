@@ -33,8 +33,8 @@
 //! An SLO watchdog rides on the recording path: committed thresholds
 //! (a ceiling per series) are evaluated as samples arrive, and crossings emit
 //! structured [`SloEvent`]s (degraded/recovered) into a bounded buffer —
-//! the machine-readable "the server is in trouble *now*" signal the
-//! `MONITOR` RPC and ABL17 consume.
+//! the machine-readable "the server is in trouble *now*" signal ABL17
+//! consumes.
 //!
 //! # Example
 //!
