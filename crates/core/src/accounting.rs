@@ -2,7 +2,7 @@
 //!
 //! The at-most-once layer stamps every request with a `(client, seq)`
 //! transaction id.  A [`ClientAccounting`] table charges resource use —
-//! bytes moved, physical I/Os, cache hits/misses, retries — to the
+//! bytes read, physical I/Os, cache hits/misses, retries — to the
 //! *client* half of that tag and ranks the heaviest clients.  The
 //! event-driven rig (`bullet_bench::evsim`) bills its simulated clients
 //! through it for the ABL17 flight-recorder experiment.
@@ -23,8 +23,6 @@ pub struct ClientUsage {
     pub requests: u64,
     /// Payload bytes returned by reads and section reads.
     pub bytes_read: u64,
-    /// Payload bytes accepted by creates/modifies.
-    pub bytes_written: u64,
     /// Physical disk I/Os this client's requests triggered (cold loads,
     /// create write-throughs counted once per replica set).
     pub disk_ios: u64,
@@ -38,11 +36,11 @@ pub struct ClientUsage {
 }
 
 impl ClientUsage {
-    /// A single scalar for ranking offenders: total bytes moved plus a
+    /// A single scalar for ranking offenders: the bytes read plus a
     /// fixed charge per request and a heavy charge per physical I/O
     /// (disk time is the scarce resource in the Bullet design).
     pub fn cost(&self) -> u64 {
-        self.bytes_read + self.bytes_written + self.requests * 512 + self.disk_ios * 65_536
+        self.bytes_read + self.requests * 512 + self.disk_ios * 65_536
     }
 }
 

@@ -45,6 +45,26 @@
 //! O(log slots) and chooses *exactly* the victim the full scan would
 //! have chosen (ages are unique, so the minimum is unambiguous).
 //!
+//! # Compaction is one pass
+//!
+//! The arena moves no host bytes, so compaction is bookkeeping: give
+//! every live extent its packed offset and count the bytes that moved.
+//! It runs inside an insert, under the owner's exclusive lock, where
+//! every other request waits for it; so it must not sort the cached
+//! files or chase their lengths through the rnode table.  The cache
+//! keeps a record of its live extents, each as `(offset, len, slot)`:
+//! `placed` in offset order as of the last compaction, where a remove
+//! leaves a tombstone, and `fresh`, the extents inserted since,
+//! unsorted.  A dense per-slot `pos` word finds a slot's entry, so
+//! insert and remove are O(1), with no search and no memmove.  The
+//! record lists each live rnode's extent exactly once and nothing else.
+//! `compact` sorts the few fresh extents, merges them into `placed`
+//! skipping tombstones, and assigns the offsets in that one sequential
+//! pass, into a buffer kept from the last compaction; what it writes
+//! outside that buffer is the `pos` word of each slot whose entry
+//! changed place.  Extents are disjoint, so the order, the offsets and
+//! the moved bytes are those a sort of every extent by offset gives.
+//!
 //! # Published entries: the warm read
 //!
 //! A cached file's bytes, size and check random cannot change between
@@ -174,8 +194,6 @@ impl Tables {
 struct Rnode {
     /// The inode-table index of the cached file.
     inode_index: u32,
-    /// Byte offset of the file in the cache arena (the "pointer").
-    offset: u64,
     /// The cached contents (length is the file size).
     data: Bytes,
     /// The age snapshot of this slot's *live* heap entry.  Only read and
@@ -188,6 +206,121 @@ struct Rnode {
 /// Arena bytes a cached file occupies (zero-length files hold one byte).
 fn arena_len(data: &Bytes) -> u64 {
     (data.len() as u64).max(1)
+}
+
+/// The slot of a [`Record`] tombstone: no rnode slot reaches it.
+const VACANT: u16 = u16::MAX;
+
+/// One cached file's arena extent, as the [`Record`] keeps it.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    offset: u64,
+    len: u64,
+    /// The rnode slot of the file, or [`VACANT`].
+    slot: u16,
+}
+
+/// Where a slot's extent sits in the [`Record`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pos {
+    Placed(u32),
+    Fresh(u32),
+}
+
+/// The live extents of the arena, in offset order as of the last
+/// compaction, each found from its rnode slot (see the module docs).
+#[derive(Debug)]
+struct Record {
+    /// Offset order as of the last compaction; removes since are
+    /// [`VACANT`].
+    placed: Vec<Extent>,
+    /// Inserted since the last compaction, unsorted.
+    fresh: Vec<Extent>,
+    /// The buffer the next compaction merges into, kept for its capacity.
+    spare: Vec<Extent>,
+    /// Each slot's entry (the "pointer" of its rnode); stale for a free
+    /// slot.  Dense, so that a compaction's stores stay in a few pages.
+    pos: Box<[Pos]>,
+}
+
+impl Record {
+    fn new(slots: usize) -> Record {
+        Record {
+            placed: Vec::new(),
+            fresh: Vec::new(),
+            spare: Vec::new(),
+            pos: vec![Pos::Fresh(0); slots].into_boxed_slice(),
+        }
+    }
+
+    fn insert(&mut self, extent: Extent) {
+        self.pos[extent.slot as usize] = Pos::Fresh(self.fresh.len() as u32);
+        self.fresh.push(extent);
+    }
+
+    /// The extent of the live rnode in `slot`.
+    fn get(&self, slot: u16) -> Extent {
+        match self.pos[slot as usize] {
+            Pos::Placed(i) => self.placed[i as usize],
+            Pos::Fresh(i) => self.fresh[i as usize],
+        }
+    }
+
+    /// Drops the extent of the live rnode in `slot` and returns it.
+    fn remove(&mut self, slot: u16) -> Extent {
+        let extent = self.get(slot);
+        match self.pos[slot as usize] {
+            Pos::Placed(i) => self.placed[i as usize].slot = VACANT,
+            Pos::Fresh(i) => {
+                self.fresh.swap_remove(i as usize);
+                if let Some(filler) = self.fresh.get(i as usize) {
+                    self.pos[filler.slot as usize] = Pos::Fresh(i);
+                }
+            }
+        }
+        extent
+    }
+
+    /// Packs every extent leftward from offset 0, in offset order.
+    /// Returns the bytes moved and the packed end.
+    fn pack(&mut self) -> (u64, u64) {
+        self.fresh.sort_unstable_by_key(|e| e.offset);
+        let mut out = std::mem::take(&mut self.spare);
+        out.clear();
+        let (placed, fresh) = (&self.placed, &self.fresh);
+        let (mut i, mut j, mut cursor, mut moved) = (0, 0, 0u64, 0u64);
+        loop {
+            let from_placed = match (placed.get(i), fresh.get(j)) {
+                (None, None) => break,
+                (Some(p), Some(f)) => p.offset < f.offset,
+                (p, _) => p.is_some(),
+            };
+            // The next extent in offset order, and whether it keeps its
+            // index (and so its `pos`).
+            let (mut e, kept) = if from_placed {
+                i += 1;
+                if placed[i - 1].slot == VACANT {
+                    continue;
+                }
+                (placed[i - 1], i - 1 == out.len())
+            } else {
+                j += 1;
+                (fresh[j - 1], false)
+            };
+            if e.offset != cursor {
+                moved += e.len;
+                e.offset = cursor;
+            }
+            cursor += e.len;
+            if !kept {
+                self.pos[e.slot as usize] = Pos::Placed(out.len() as u32);
+            }
+            out.push(e);
+        }
+        self.fresh.clear();
+        self.spare = std::mem::replace(&mut self.placed, out);
+        (moved, cursor)
+    }
 }
 
 /// The words of one rnode slot that a hit writes.  Atomic, because hits
@@ -381,6 +514,8 @@ pub struct FileCache {
     free_slots: Vec<u16>,
     by_inode: HashMap<u32, u16>,
     rng: DetRng,
+    /// The live extents in offset order, for [`compact`](Self::compact).
+    record: Record,
     /// Lazy victim heaps: min-(age snapshot, slot).  `heap[0]` orders the
     /// probation/A1in segment, `heap[1]` the protected/Am segment; the
     /// single-segment policies (LRU/FIFO) use `heap[0]` for everything.
@@ -441,6 +576,7 @@ impl FileCache {
             rnodes: (0..slots).map(|_| None).collect(),
             free_slots: (0..slots as u16).rev().collect(),
             by_inode: HashMap::new(),
+            record: Record::new(slots),
             rng: DetRng::new(seed),
             heaps: [BinaryHeap::new(), BinaryHeap::new()],
             ghost: VecDeque::new(),
@@ -634,9 +770,13 @@ impl FileCache {
         let slot = self.free_slots.pop().expect("slot reserved above");
         let age = self.hits.next_age();
         let bytes = data.len();
+        self.record.insert(Extent {
+            offset,
+            len: need,
+            slot,
+        });
         self.rnodes[slot as usize] = Some(Rnode {
             inode_index,
-            offset,
             data,
             heap_stamp: age,
         });
@@ -685,8 +825,9 @@ impl FileCache {
                 .protected_bytes
                 .fetch_sub(arena_len(&r.data), Ordering::Relaxed);
         }
+        let extent = self.record.remove(slot);
         self.arena
-            .free(r.offset, arena_len(&r.data))
+            .free(extent.offset, extent.len)
             .expect("rnode extent is valid");
         self.free_slots.push(slot);
         Some(slot)
@@ -703,29 +844,19 @@ impl FileCache {
         self.rnodes = (0..slots).map(|_| None).collect();
         self.free_slots = (0..slots as u16).rev().collect();
         self.by_inode.clear();
+        self.record = Record::new(slots);
         self.heaps = [BinaryHeap::new(), BinaryHeap::new()];
         self.hits.protected_bytes.store(0, Ordering::Relaxed);
         self.ghost.clear();
         self.ghost_set.clear();
     }
 
-    /// Compacts the arena, packing all entries leftward.  Returns the
+    /// Compacts the arena, packing all entries leftward in offset order
+    /// (one pass over the record: see the module docs).  Returns the
     /// number of bytes moved.
     pub fn compact(&mut self) -> u64 {
-        let mut live: Vec<u16> = self.by_inode.values().copied().collect();
-        live.sort_unstable_by_key(|&s| self.rnodes[s as usize].as_ref().expect("live").offset);
-        let mut cursor = 0u64;
-        let mut moved = 0u64;
-        for slot in live {
-            let r = self.rnodes[slot as usize].as_mut().expect("live");
-            let len = (r.data.len() as u64).max(1);
-            if r.offset != cursor {
-                moved += len;
-                r.offset = cursor;
-            }
-            cursor += len;
-        }
-        self.arena.rebuild_after_compaction(cursor);
+        let (moved, end) = self.record.pack();
+        self.arena.rebuild_after_compaction(end);
         moved
     }
 
@@ -1089,6 +1220,142 @@ mod tests {
         assert_eq!(r.largest_hole, 200);
         // Data is intact after the move.
         assert_eq!(c.peek(2).unwrap(), bytes(100, 2));
+    }
+
+    /// Every cached file as `(inode, offset, len)`, its extent read from
+    /// the record through its slot's `pos`, checking on the way that the
+    /// record lists each live rnode's extent once and nothing else.
+    fn extents(c: &FileCache) -> Vec<(u32, u64, u64)> {
+        let mut out: Vec<_> = c
+            .by_inode
+            .iter()
+            .map(|(&inode, &slot)| {
+                let r = c.rnodes[slot as usize].as_ref().expect("live");
+                let e = c.record.get(slot);
+                assert_eq!(e.slot, slot, "inode {inode}'s entry names another slot");
+                assert_eq!(e.len, arena_len(&r.data), "inode {inode}'s length");
+                (inode, e.offset, e.len)
+            })
+            .collect();
+        let listed =
+            c.record.fresh.len() + c.record.placed.iter().filter(|e| e.slot != VACANT).count();
+        assert_eq!(listed, out.len(), "the record lists a dead extent");
+        assert!(
+            c.record
+                .placed
+                .windows(2)
+                .all(|w| w[0].offset < w[1].offset),
+            "placed is out of offset order"
+        );
+        out.sort_unstable();
+        out
+    }
+
+    /// Checks a compaction of `arena` holding `before` that left `c` and
+    /// moved `moved` bytes against [`ExtentAllocator::plan_compaction`]:
+    /// each file's new offset is the plan's destination, `moved` is the
+    /// plan's bytes, and both equal the used bytes past the first hole.
+    fn check_packing(
+        arena: &ExtentAllocator,
+        before: &[(u32, u64, u64)],
+        c: &FileCache,
+        moved: u64,
+    ) {
+        let used: Vec<(u64, u64)> = before.iter().map(|&(_, o, l)| (o, l)).collect();
+        let plan = arena.plan_compaction(&used);
+        let dest: HashMap<u64, u64> = plan.iter().map(|m| (m.from, m.to)).collect();
+        let after: HashMap<u32, u64> = extents(c).into_iter().map(|(i, o, _)| (i, o)).collect();
+        for &(inode, offset, _) in before {
+            let want = dest.get(&offset).copied().unwrap_or(offset);
+            assert_eq!(after[&inode], want, "inode {inode} packed elsewhere");
+        }
+        assert_eq!(
+            moved,
+            plan.iter().map(|m| m.len).sum::<u64>(),
+            "plan's bytes"
+        );
+        // First fit puts one unit in the first hole.
+        let first_hole = arena.clone().alloc(1).unwrap_or(c.capacity);
+        let used_bytes = c.capacity - arena.free_units();
+        assert_eq!(
+            moved,
+            used_bytes - first_hole,
+            "used bytes past the first hole"
+        );
+    }
+
+    #[test]
+    fn compaction_packs_exactly_as_the_sorted_plan() {
+        // A seeded walk of inserts (zero-length, small and large files, so
+        // that removes and evictions fragment the arena), hits, removes,
+        // explicit compactions and one clear, under every policy.  Every
+        // compaction, explicit or inside an insert, is checked against the
+        // plan over the extents it found.
+        for policy in [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Fifo,
+            EvictionPolicy::Random,
+            EvictionPolicy::SegmentedLru,
+            EvictionPolicy::TwoQ,
+        ] {
+            let mut c = FileCache::with_policy_seeded(4_000, 24, policy, 5);
+            let mut rng = DetRng::new(13);
+            let (mut explicit, mut inside) = (0, 0);
+            for step in 0..3_000u32 {
+                if step == 1_500 {
+                    c.clear();
+                    assert!(extents(&c).is_empty());
+                }
+                let inode = rng.next_below(40) as u32;
+                let before = extents(&c);
+                let arena = c.arena.clone();
+                match rng.next_below(10) {
+                    0..=4 => {
+                        let len = match rng.next_below(8) {
+                            0 => 0,
+                            1..=3 => 1 + rng.next_below(64),
+                            4..=6 => 100 + rng.next_below(500),
+                            _ => 800 + rng.next_below(700),
+                        };
+                        let compactions = c.stats().get(counters::CACHE_COMPACTIONS);
+                        let out = c.insert(inode, bytes(len as usize, 1)).unwrap();
+                        // Replacement and evictions all come before the
+                        // compaction, which the allocation then follows.
+                        let mut arena = arena;
+                        let gone = |i: &u32| *i == inode || out.evicted.contains(i);
+                        let (freed, kept): (Vec<_>, Vec<_>) =
+                            before.into_iter().partition(|(i, _, _)| gone(i));
+                        for &(_, offset, len) in &freed {
+                            arena.free(offset, len).unwrap();
+                        }
+                        if c.stats().get(counters::CACHE_COMPACTIONS) > compactions {
+                            inside += 1;
+                            check_packing(&arena, &kept, &c, out.compaction_bytes);
+                        } else {
+                            assert_eq!(out.compaction_bytes, 0);
+                            let after = extents(&c);
+                            assert!(kept.iter().all(|e| after.contains(e)), "moved uncompacted");
+                        }
+                    }
+                    5..=6 => {
+                        c.get(inode);
+                    }
+                    7..=8 => {
+                        c.remove(inode);
+                    }
+                    _ => {
+                        explicit += 1;
+                        let moved = c.compact();
+                        check_packing(&arena, &before, &c, moved);
+                    }
+                }
+                extents(&c);
+            }
+            assert!(
+                inside > 50 && explicit > 50,
+                "{policy:?}: {inside} + {explicit}"
+            );
+        }
     }
 
     #[test]

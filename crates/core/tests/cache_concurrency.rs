@@ -14,7 +14,8 @@
 //! (the arena's `free` panics on an invalid extent, so a double free
 //! cannot pass silently), byte accounting exact.  The server tests race
 //! warm reads of one file against its delete, its inode slot's reuse and
-//! its rnode's reuse, and cold reads of one file against each other.
+//! its rnode's reuse, with fills that compact the cache and without,
+//! and cold reads of one file against each other.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -210,8 +211,25 @@ proptest! {
 /// which is what opens a window between two guards if there is one.
 #[test]
 fn a_warm_read_never_serves_another_files_bytes_from_its_slot() {
+    warm_reads_race_slot_reuse(|_| FILE);
+}
+
+/// The same race with fillers of three sizes, so that deleting them
+/// leaves holes too small for the next file and cache fills compact the
+/// arena while the readers hit A's published entry.
+#[test]
+fn a_warm_read_never_serves_another_files_bytes_across_compactions() {
+    let compactions = warm_reads_race_slot_reuse(|n| FILE / 2 * (1 + n as usize % 3));
+    assert!(compactions > 0, "no cache fill compacted");
+}
+
+const FILE: usize = 1_000;
+
+/// The race of [`a_warm_read_never_serves_another_files_bytes_from_its_slot`]
+/// with filler `n` of `filler_len(n)` bytes, any nine of which fill the
+/// cache.  Returns the cache's compactions.
+fn warm_reads_race_slot_reuse(filler_len: fn(u32) -> usize) -> u64 {
     const CYCLES: u32 = 600;
-    const FILE: usize = 1_000;
     let server = BulletServer::format(
         BulletConfig {
             // FIFO: hits cannot keep A resident against the fillers.
@@ -250,11 +268,10 @@ fn a_warm_read_never_serves_another_files_bytes_from_its_slot() {
         // However the writer leaves, the readers stop, or the scope would
         // wait on them forever.
         let stopper = StopOnDrop(&stop);
-        // Fillers of FILE bytes each: nine push every older entry out of
-        // an eight-file FIFO cache.
+        // Nine fillers push every older entry out of the FIFO cache.
         let evict_all = |n: u32| {
             let fillers: Vec<_> = (0..9)
-                .map(|i| server.create(file(n + i, FILE), 1).unwrap())
+                .map(|i| server.create(file(n + i, filler_len(n + i)), 1).unwrap())
                 .collect();
             fillers.iter().for_each(|f| server.delete(f).unwrap());
         };
@@ -286,6 +303,8 @@ fn a_warm_read_never_serves_another_files_bytes_from_its_slot() {
         let served: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
         assert!(served > 0, "no read of A was ever served");
     });
+    let stats: HashMap<_, _> = server.cache_stats().into_iter().collect();
+    stats.get("cache_compactions").copied().unwrap_or(0)
 }
 
 /// Concurrent cold reads of one file load it once and count one lookup
