@@ -210,18 +210,12 @@ impl BulletRig {
         }
     }
 
-    /// Scheduler counters aggregated across the replica disks: sums for
-    /// the monotone counters (`disk_seek_blocks`, `disk_coalesced_ios`,
-    /// `sched_deadline_promotions`), maximum for the depth high-water
-    /// mark.
+    /// Scheduler counters summed across the replica disks.
     pub fn sched_stats(&self) -> SchedSummary {
         let mut s = SchedSummary::default();
         for d in &self.disks {
             let st = d.stats();
             s.seek_blocks += st.get("disk_seek_blocks");
-            s.coalesced_ios += st.get("disk_coalesced_ios");
-            s.deadline_promotions += st.get("sched_deadline_promotions");
-            s.queue_depth_max = s.queue_depth_max.max(st.get("disk_queue_depth_max"));
             s.disk_reads += st.get("disk_reads");
             s.disk_writes += st.get("disk_writes");
         }
@@ -313,12 +307,6 @@ impl BulletRig {
 pub struct SchedSummary {
     /// Total blocks of arm travel across all replicas.
     pub seek_blocks: u64,
-    /// Requests merged into a neighbour's transfer.
-    pub coalesced_ios: u64,
-    /// Requests granted by deadline aging over the policy pick.
-    pub deadline_promotions: u64,
-    /// Highest request-queue depth any replica saw.
-    pub queue_depth_max: u64,
     /// Physical block reads across all replicas.
     pub disk_reads: u64,
     /// Physical block writes across all replicas.

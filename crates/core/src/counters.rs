@@ -72,16 +72,9 @@ pub const DISK_COMPACTION_MOVES: &str = "disk_compaction_moves";
 pub const COMPACTION_PREEMPTIONS: &str = "compaction_preemptions";
 
 /// Highest per-disk request-queue depth observed (high-water mark,
-/// aggregated across replicas as the maximum).
+/// aggregated across replicas as the maximum): 1 once a disk has taken a
+/// request, since no request waits for another's transfer.
 pub const DISK_QUEUE_DEPTH_MAX: &str = "disk_queue_depth_max";
-
-/// Requests absorbed into an adjacent request's transfer by the disk
-/// scheduler (charged transfer time only — no seek, no rotation).
-pub const DISK_COALESCED_IOS: &str = "disk_coalesced_ios";
-
-/// Queued requests granted by deadline aging instead of the arm policy
-/// (the scheduler's starvation bound firing).
-pub const SCHED_DEADLINE_PROMOTIONS: &str = "sched_deadline_promotions";
 
 /// Files removed by ageing (the garbage collector's touch-or-die rule).
 pub const AGED_OUT: &str = "aged_out";
@@ -224,8 +217,6 @@ pub const ALL: &[&str] = &[
     DISK_COMPACTION_MOVES,
     COMPACTION_PREEMPTIONS,
     DISK_QUEUE_DEPTH_MAX,
-    DISK_COALESCED_IOS,
-    SCHED_DEADLINE_PROMOTIONS,
     AGED_OUT,
     MAINTENANCE_TICKS,
     TIER_DEMOTIONS,

@@ -1424,10 +1424,10 @@ impl BulletServer {
     /// that survived [`TIER_COLD_AGE`](Self::TIER_COLD_AGE) aging rounds
     /// untouched; among them the size-tiered bucketing of
     /// [`maintenance::size_tiered_pick`] chooses.  The extent streams to
-    /// the archive through the low-priority disk lane, the inode flips
-    /// to the archive encoding (`data_end + archive_block`), and the
-    /// fast-tier extent returns to the allocator.  Returns the demoted
-    /// index, or `None` when nothing qualifies.
+    /// the archive, the inode flips to the archive encoding
+    /// (`data_end + archive_block`), and the fast-tier extent returns to
+    /// the allocator.  Returns the demoted index, or `None` when nothing
+    /// qualifies.
     fn demote_one(&self) -> Result<Option<u32>, BulletError> {
         let Some(arch) = &self.archive else {
             return Ok(None);
@@ -1485,9 +1485,7 @@ impl BulletServer {
 
     /// Streams a fast-tier extent to the archive device segment by
     /// segment through the two-lane pipeline: lane 0 reads segment `k`
-    /// off the fast tier — on the disk scheduler's *low-priority* lane,
-    /// so a foreground request waking mid-stream is never stuck behind
-    /// archive traffic — while lane 1 burns segment `k-1` onto the
+    /// off the fast tier while lane 1 burns segment `k-1` onto the
     /// archive.
     fn copy_extent_to_archive(&self, src: u64, blocks: u64, dst: u64) -> Result<(), BulletError> {
         let dev = &self.archive_tier().dev;
@@ -1497,8 +1495,7 @@ impl BulletServer {
         Pipeline::walk(&self.cfg.trace, lanes, total, seg, |pipe, off, end| {
             let mut buf = vec![0u8; (end - off) as usize];
             pipe.stage(0, || {
-                self.storage
-                    .read_blocks_low(src + off / block_size, &mut buf)
+                self.storage.read_blocks(src + off / block_size, &mut buf)
             })?;
             pipe.stage(1, || dev.write_blocks(dst + off / block_size, &buf))
         })?;

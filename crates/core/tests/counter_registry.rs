@@ -27,7 +27,7 @@ use bullet_core::counters;
 /// Name families owned by lower crates (their own `Stats` handles, not
 /// the core registry): the bench rigs read them through the disk and
 /// net handles they assemble.
-const FOREIGN_PREFIXES: &[&str] = &["disk_", "net_", "sched_", "mirror_"];
+const FOREIGN_PREFIXES: &[&str] = &["disk_", "net_", "mirror_"];
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")

@@ -34,7 +34,7 @@ const KNOBS: usize = 21;
 /// module — the figure ROADMAP item 3(a) tracks towards 1,500, and
 /// `scripts/loc.sh` prints.  An exact ratchet: the change that shrinks
 /// the file lowers it, so later code cannot grow back into the slack.
-const SERVER_CODE_LINES: usize = 1247;
+const SERVER_CODE_LINES: usize = 1246;
 
 /// `pub fn`s in the `impl BulletServer` blocks of `server.rs` and
 /// `logpath.rs` above their tests: ROADMAP item 3(g)'s public surface.

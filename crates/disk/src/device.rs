@@ -42,20 +42,6 @@ pub trait BlockDevice: Send + Sync {
     /// Device failure errors.
     fn sync(&self) -> Result<(), DiskError>;
 
-    /// Reads blocks at *background* priority: scheduling wrappers
-    /// ([`crate::SchedDisk`]) park the request in a low-priority lane
-    /// that only gets the arm when no foreground request is queued, so
-    /// bulk maintenance streams (archive demotion, resync) never starve
-    /// interactive grants.  Devices without a scheduler treat it as an
-    /// ordinary read — the default simply delegates.
-    ///
-    /// # Errors
-    ///
-    /// As for [`read_blocks`](BlockDevice::read_blocks).
-    fn read_blocks_low(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
-        self.read_blocks(first_block, buf)
-    }
-
     /// Reads `blocks` blocks starting at `first_block` and appends them to
     /// `out`, so a caller that reserved the capacity gets each byte
     /// written once, straight from the device.  The default resizes `out`
@@ -153,15 +139,8 @@ impl<T: BlockDevice + ?Sized> BlockDevice for std::sync::Arc<T> {
         (**self).sync()
     }
 
-    // Forwarded explicitly: the provided default would route through
-    // `Arc`'s `read_blocks` and silently drop the inner device's
-    // low-priority override.
-    fn read_blocks_low(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
-        (**self).read_blocks_low(first_block, buf)
-    }
-
-    // Forwarded explicitly for the same reason: the default would
-    // zero-fill and skip the inner device's appending read.
+    // Forwarded explicitly: the provided default would zero-fill and
+    // skip the inner device's appending read.
     fn read_blocks_append(
         &self,
         first_block: u64,

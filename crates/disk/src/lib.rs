@@ -17,12 +17,12 @@
 //! * [`MirroredDisk`] — the replica set, including partial-sync writes
 //!   (`write_sync_k`) and a background queue that models completing the
 //!   remaining replica writes after the client reply was already sent;
-//! * [`SchedDisk`] — the latency model of a late-80s drive: every request
-//!   is charged seek, rotation and transfer time on the shared
-//!   [`amoeba_sim::SimClock`] from where the head stopped, and queued
-//!   requests are granted in SCAN/SPTF order with deadline aging, adjacent
-//!   ones coalescing into single larger transfers ([`ArmSim`] drives the
-//!   same arm as a deterministic virtual-time simulation for ablations).
+//! * [`SchedDisk`] — the latency model of a late-80s drive: every
+//!   completed transfer is charged seek, rotation and transfer time on the
+//!   shared [`amoeba_sim::SimClock`] from where the head stopped
+//!   ([`ArmSim`] queues requests on the same arm as a deterministic
+//!   virtual-time simulation for ablations: SCAN/SPTF order, deadline
+//!   aging, adjacent requests coalescing into single larger transfers).
 //!
 //! # Example
 //!

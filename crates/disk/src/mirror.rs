@@ -131,12 +131,12 @@ impl MirroredDisk {
     /// live replicas are queued for background completion.  Returns how
     /// many replicas were written synchronously.
     ///
-    /// The synchronous writes are issued to all target replicas *in
-    /// parallel* (scoped threads, one per replica), the way a real
-    /// controller drives independent spindles.  Simulated time is charged
-    /// as the maximum across the replicas rather than the sum: each lane's
-    /// clock charges are captured and settled with
-    /// [`commit_max`](amoeba_sim::commit_max).
+    /// The synchronous writes run one after another on the calling
+    /// thread, but simulated time is charged as if a controller drove the
+    /// target replicas' independent spindles in parallel: the maximum
+    /// across the replicas rather than the sum (each replica's clock
+    /// charges are captured and settled with
+    /// [`commit_max`](amoeba_sim::commit_max)).
     ///
     /// `k = 0` queues everything (P-FACTOR 0: reply before any disk I/O).
     ///
@@ -345,23 +345,16 @@ impl MirroredDisk {
     }
 
     /// Reads from the first live replica, failing over past any that
-    /// errors (on the replicas' background lane when `low`).  Returns the
-    /// outcome and how many replicas *this call* marked dead: the
-    /// failovers this read made, to which a concurrent write, flush or
-    /// read adds nothing.
+    /// errors.  Returns the outcome and how many replicas *this call*
+    /// marked dead: the failovers this read made, to which a concurrent
+    /// write, flush or read adds nothing.
     fn read_counting_failovers(
         &self,
         first_block: u64,
         buf: &mut [u8],
-        low: bool,
     ) -> (Result<(), DiskError>, u64) {
-        let name = if low { "disk.read_low" } else { "disk.read" };
-        self.failover_read(name, buf.len() as u64, |dev| {
-            if low {
-                dev.read_blocks_low(first_block, buf)
-            } else {
-                dev.read_blocks(first_block, buf)
-            }
+        self.failover_read("disk.read", buf.len() as u64, |dev| {
+            dev.read_blocks(first_block, buf)
         })
     }
 
@@ -439,14 +432,7 @@ impl BlockDevice for MirroredDisk {
     }
 
     fn read_blocks(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
-        self.read_counting_failovers(first_block, buf, false).0
-    }
-
-    fn read_blocks_low(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
-        // Same consistency protocol as `read_blocks`; only the replica's
-        // scheduling lane differs (background, so maintenance streams
-        // never starve foreground grants).
-        self.read_counting_failovers(first_block, buf, true).0
+        self.read_counting_failovers(first_block, buf).0
     }
 
     fn read_blocks_append(
@@ -520,12 +506,12 @@ mod tests {
         m.write_blocks(0, &[9u8; 512]).unwrap();
         a.fail_now();
         let mut buf = [0u8; 512];
-        assert_eq!(m.read_counting_failovers(0, &mut buf, false), (Ok(()), 1));
+        assert_eq!(m.read_counting_failovers(0, &mut buf), (Ok(()), 1));
         assert_eq!(buf, [9u8; 512]);
         assert_eq!(m.alive_count(), 1);
         assert_eq!(m.stats().get("mirror_failovers"), 1);
         // The next read finds replica 1 primary and makes no failover.
-        assert_eq!(m.read_counting_failovers(0, &mut buf, true), (Ok(()), 0));
+        assert_eq!(m.read_counting_failovers(0, &mut buf), (Ok(()), 0));
     }
 
     #[test]
@@ -689,7 +675,7 @@ mod tests {
         assert!(m.pending_background() > 0);
         a.fail_now();
         let mut buf = vec![0u8; 512 * 64];
-        assert_eq!(m.read_counting_failovers(0, &mut buf, false), (Ok(()), 1));
+        assert_eq!(m.read_counting_failovers(0, &mut buf), (Ok(()), 1));
         assert!(buf == model, "replica 1 holds a stale image");
         assert_eq!(m.pending_background(), 0);
     }

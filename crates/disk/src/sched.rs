@@ -5,26 +5,24 @@
 //! late-80s SCSI drive exactly once, in the private `Arm`: the request
 //! queue, the head position and sweep direction, the policy pick over the
 //! requests that have arrived, and the one charge — controller overhead, a
-//! distance-dependent seek from the head, average rotation and transfer,
-//! or transfer alone for a continuation.  A request queue ordered by an
-//! arm-scheduling policy, with adjacent requests coalesced into single
-//! larger transfers, keeps the arm from ping-ponging between extents under
-//! multi-client load.
+//! distance-dependent seek from the head, average rotation and transfer.
+//! A request queue ordered by an arm-scheduling policy, with adjacent
+//! requests coalesced into single larger transfers, keeps the arm from
+//! ping-ponging between extents under multi-client load.
 //!
-//! Two front ends run that one arm:
+//! Two front ends use that one arm:
 //!
 //! * [`SchedDisk`] — a [`BlockDevice`] wrapper for the real server stack.
-//!   Callers block until the scheduler grants them the arm; the grant
-//!   order under concurrency follows the configured policy, and a request
-//!   that continues exactly where the previous one ended (and was already
-//!   queued when it ended) is charged *transfer time only* — one merged
-//!   physical I/O split across callers.  With a single outstanding
-//!   request every policy charges the same: the drive model's time for
-//!   that one I/O from where the head stopped.
+//!   It queues nothing: each transfer runs on the caller's thread with no
+//!   scheduler state held, and once it completes the arm charges the
+//!   drive model's time for it from where the previous completed transfer
+//!   left the head.  The head follows completion order; with a single
+//!   outstanding request every policy charges the same.
 //! * [`ArmSim`] — a single-threaded virtual-time queueing simulation for
 //!   the ABL14 ablation: requests carry explicit arrival times, services
-//!   are picked by the same arm, and the whole run is a pure function of
-//!   the submission sequence — byte-identical on replay.
+//!   are picked by the policy, merged by coalescing and bounded by
+//!   deadline aging, and the whole run is a pure function of the
+//!   submission sequence — byte-identical on replay.
 //!
 //! # Policies
 //!
@@ -38,9 +36,7 @@
 //! than [`SchedConfig::deadline`] preempts the policy's pick (oldest
 //! expired first), so SPTF's tail latency stays within sight of FIFO's.
 
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
-
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use amoeba_sim::{AttrValue, DiskProfile, Nanos, SimClock, Stats, Tracer};
 
@@ -182,8 +178,8 @@ fn policy_pick<'a>(
     }
 }
 
-/// One disk arm: the foreground request queue, the head and SCAN's sweep
-/// direction, the pick, and the charge.  It owns no clock and no thread;
+/// One disk arm: the request queue, the head and SCAN's sweep direction,
+/// the pick, and the charge.  It owns no clock and no thread;
 /// each front end says when "now" is and which requests have arrived.
 #[derive(Debug, Clone)]
 struct Arm {
@@ -276,21 +272,13 @@ impl Arm {
     }
 
     /// The one charge of a transfer of `bytes` from `first_block`:
-    /// positioning from the head plus transfer, or transfer alone for a
-    /// continuation (the same physical I/O picking up exactly where the
-    /// arm stopped: no controller setup, no seek, no rotation).  Leaves
-    /// the head just past the range; returns the time and the blocks of
-    /// arm travel.
-    fn charge(&mut self, first_block: u64, bytes: u64, continuation: bool) -> (Nanos, u64) {
-        let (t, seek_blocks) = if continuation {
-            let t = Nanos::from_us_f64(bytes as f64 * self.profile.transfer_us_per_byte);
-            (t, 0)
-        } else {
-            let t = self
-                .profile
-                .io_time(self.head, first_block, self.total_blocks, bytes);
-            (t, self.head.abs_diff(first_block))
-        };
+    /// positioning from the head plus transfer.  Leaves the head just past
+    /// the range; returns the time and the blocks of arm travel.
+    fn charge(&mut self, first_block: u64, bytes: u64) -> (Nanos, u64) {
+        let t = self
+            .profile
+            .io_time(self.head, first_block, self.total_blocks, bytes);
+        let seek_blocks = self.head.abs_diff(first_block);
         self.head = first_block + bytes.div_ceil(self.block_size as u64);
         (t, seek_blocks)
     }
@@ -432,7 +420,7 @@ impl ArmSim {
         }
 
         let bytes = blocks * self.arm.block_size as u64;
-        let (t, seek_blocks) = self.arm.charge(first, bytes, false);
+        let (t, seek_blocks) = self.arm.charge(first, bytes);
         let end = start + t;
         self.now = end;
         self.stats.issued += 1;
@@ -457,47 +445,16 @@ impl ArmSim {
 // The real-stack wrapper.
 // ---------------------------------------------------------------------
 
-/// Scheduler state shared by every thread queued on one device.
-struct SchedState {
-    /// The arm and its foreground queue.
-    arm: Arm,
-    /// The background lane: requests here are only granted the arm when
-    /// the foreground queue is empty, oldest first.  Maintenance streams
-    /// (archive demotion, resync) queue here so they never starve
-    /// foreground grants; a background request can still be *continued*
-    /// by foreground traffic that lands adjacent to where it parked the
-    /// arm.
-    low_pending: Vec<QueuedReq>,
-    /// True while some granted request is between grant and completion.
-    busy: bool,
-    /// The pick for the current free-arm period, `None` until the first
-    /// waiter evaluates it after the arm frees.  Computed once per period
-    /// and held until claimed: the pick consults the shared clock for
-    /// deadline aging, so re-evaluating it on every wakeup could flip it
-    /// between two waiters (each seeing the other as chosen) and park them
-    /// both with the arm free and nobody left to notify.
-    grant: Option<Choice>,
-    /// Kind and end block of the last completed service — the coalescing
-    /// anchor.
-    last_end: Option<(ReqKind, u64)>,
-    /// The arm's next id when the last service completed.  Ids are handed
-    /// out in order and no grant is outstanding at a completion, so a
-    /// foreground request below this mark was already queued then: only
-    /// such a request may continue that service as a merged transfer (one
-    /// that arrives later missed the arm and pays the full positioning
-    /// cost).
-    continue_below: u64,
-}
-
-/// A [`BlockDevice`] wrapper that queues concurrent requests and grants
-/// the arm in policy order, charging the drive model's
-/// seek/rotation/transfer time to the simulated clock — see the module
-/// docs.
+/// A [`BlockDevice`] wrapper that charges each transfer the drive model's
+/// seek/rotation/transfer time on the simulated clock, from where the
+/// previous completed transfer left the head — see the module docs.
 ///
-/// With at most one request outstanding every policy charges the same
-/// sequence: each I/O costs its full positioning from where the previous
-/// one left the head.  Reordering, deadline promotion, and coalescing only
-/// engage when requests actually overlap.
+/// The transfer runs with no scheduler state held; the arm's lock covers
+/// only the charge once the transfer has completed, so transfers overlap
+/// on the host and are charged in completion order.  A failed transfer
+/// charges nothing and moves nothing.  Transfers on one device stay
+/// atomic with respect to each other through the inner device's own
+/// lock.
 ///
 /// # Example
 ///
@@ -519,38 +476,30 @@ struct SchedState {
 pub struct SchedDisk<D> {
     inner: D,
     clock: SimClock,
-    state: StdMutex<SchedState>,
-    cv: Condvar,
+    /// The arm: the head and the one charge.  Its queue stays empty.
+    arm: Mutex<Arm>,
     stats: Stats,
     tracer: RwLock<Tracer>,
 }
 
 impl<D: BlockDevice> SchedDisk<D> {
-    /// Wraps `inner`, charging time to `clock` per `profile`, granting
-    /// the arm per `cfg`.
+    /// Wraps `inner`, charging time to `clock` per `profile`; `cfg`'s
+    /// policy labels the `disk.sched` instants.
     pub fn new(inner: D, clock: SimClock, profile: DiskProfile, cfg: SchedConfig) -> SchedDisk<D> {
         let arm = Arm::new(cfg, profile, inner.block_size(), inner.num_blocks());
         SchedDisk {
             inner,
             clock,
-            state: StdMutex::new(SchedState {
-                arm,
-                low_pending: Vec::new(),
-                busy: false,
-                grant: None,
-                last_end: None,
-                continue_below: 0,
-            }),
-            cv: Condvar::new(),
+            arm: Mutex::new(arm),
             stats: Stats::new(),
             tracer: RwLock::new(Tracer::off()),
         }
     }
 
     /// Per-device statistics: `disk_reads`, `disk_writes`,
-    /// `disk_bytes_read`, `disk_bytes_written`, `disk_seek_blocks`, plus
-    /// the scheduler's own (`disk_queue_depth_max`, `disk_coalesced_ios`,
-    /// `sched_deadline_promotions`, `sched_low_queued`).
+    /// `disk_bytes_read`, `disk_bytes_written`, `disk_seek_blocks` and
+    /// `disk_queue_depth_max` (1 once any request arrives: no request
+    /// waits for another).
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
@@ -560,193 +509,57 @@ impl<D: BlockDevice> SchedDisk<D> {
         &self.inner
     }
 
-    /// Requests currently queued (granted-but-incomplete excluded).
-    pub fn queue_len(&self) -> usize {
-        self.lock_state().arm.pending.len()
-    }
-
-    /// Background-lane requests currently queued.
-    pub fn low_queue_len(&self) -> usize {
-        self.lock_state().low_pending.len()
-    }
-
-    /// Installs the span tracer recording per-grant `disk.sched`
-    /// instants (queue depth, wait, promotion, coalescing).
+    /// Installs the span tracer recording a `disk.sched` instant per
+    /// request.
     pub fn set_tracer(&self, tracer: Tracer) {
         *self.tracer.write() = tracer;
     }
 
-    fn lock_state(&self) -> MutexGuard<'_, SchedState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Queues one request, waits for the grant, runs `io`, charges the
-    /// simulated time, and completes — the whole scheduled life of one
-    /// I/O.  `io` runs outside the scheduler lock but strictly serialized
-    /// with every other granted request (the device has one arm).
+    /// The scheduled life of one I/O: records the request, runs the
+    /// transfer `io` with no scheduler state held, then charges the
+    /// simulated time from the head and moves the head.
     fn run_io(
         &self,
         kind: ReqKind,
         first_block: u64,
         len: u64,
-        low: bool,
         io: impl FnOnce() -> Result<(), DiskError>,
     ) -> Result<(), DiskError> {
-        let blocks = len.div_ceil(self.inner.block_size() as u64);
-        let arrival = self.clock.now();
-        // Submission and the claim are one critical section, so a thread
-        // leaves the lock with its request queued only by parking on the
-        // condvar: at an idle arm with nothing queued the grant step picks
-        // the lone request at once, and only a request that loses waits.
-        // The first thread to find the arm free with no grant on record
-        // picks once and publishes the pick (`SchedState::grant`); every
-        // later check in the same period reads that record instead of
-        // re-picking, so the clock-dependent deadline verdict cannot flip
-        // the pick between waiters.  A grant recorded for another request
-        // is followed by a notify_all, since that request's thread is
-        // parked.
-        let (policy, promoted, continuation, depth) = {
-            let mut st = self.lock_state();
-            let req = st.arm.request(kind, first_block, blocks, arrival);
-            let id = req.id;
-            if low {
-                st.low_pending.push(req);
-                self.stats.incr("sched_low_queued");
-            } else {
-                st.arm.pending.push(req);
-                self.stats
-                    .set_max("disk_queue_depth_max", st.arm.pending.len() as u64);
-            }
-            loop {
-                if !st.busy {
-                    let g = match st.grant {
-                        Some(g) => g,
-                        None => {
-                            let g = if st.arm.pending.is_empty() {
-                                // Foreground lane drained: the arm is
-                                // free for background traffic, oldest
-                                // request first (the evaluator's own
-                                // request guarantees the lane is
-                                // non-empty here).
-                                let r = st
-                                    .low_pending
-                                    .iter()
-                                    .min_by_key(|r| r.id)
-                                    .expect("some waiter queued a request");
-                                Choice {
-                                    id: r.id,
-                                    promoted: false,
-                                    sweep_up: st.arm.sweep_up,
-                                }
-                            } else {
-                                // Every queued request has arrived; the
-                                // clock only judges deadlines.
-                                st.arm
-                                    .pick(Nanos(u64::MAX), self.clock.now())
-                                    .expect("the foreground queue is non-empty")
-                            };
-                            st.grant = Some(g);
-                            if g.id != id {
-                                // The chosen thread is parked; wake it to
-                                // claim the arm.
-                                self.cv.notify_all();
-                            }
-                            g
-                        }
-                    };
-                    if g.id == id {
-                        st.grant = None;
-                        st.busy = true;
-                        let depth = st.arm.pending.len() + st.low_pending.len();
-                        if st.arm.take(id, g.sweep_up).is_none() {
-                            let index = st
-                                .low_pending
-                                .iter()
-                                .position(|r| r.id == id)
-                                .expect("a granted id is pending");
-                            st.low_pending.remove(index);
-                        }
-                        let continuation = st.arm.cfg.coalesce
-                            && !low
-                            && id < st.continue_below
-                            && st.last_end == Some((kind, first_block));
-                        break (st.arm.cfg.policy, g.promoted, continuation, depth);
-                    }
-                }
-                st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        if promoted {
-            self.stats.incr("sched_deadline_promotions");
-        }
+        self.stats.set_max("disk_queue_depth_max", 1);
         let tracer = self.tracer.read();
         if tracer.enabled() {
-            // Only a recorded instant pays for summing the clock's lanes.
+            let policy = self.arm.lock().cfg.policy;
             tracer.instant(
                 "disk.sched",
                 &[
                     ("kind", AttrValue::Str(kind.label())),
                     ("policy", AttrValue::Str(policy.label())),
-                    ("queue", AttrValue::U64(depth as u64)),
-                    (
-                        "wait_us",
-                        AttrValue::U64(self.clock.now().saturating_sub(arrival).as_us()),
-                    ),
-                    ("promoted", AttrValue::Bool(promoted)),
-                    ("coalesced", AttrValue::Bool(continuation)),
+                    ("queue", AttrValue::U64(1)),
+                    ("wait_us", AttrValue::U64(0)),
+                    ("promoted", AttrValue::Bool(false)),
+                    ("coalesced", AttrValue::Bool(false)),
                 ],
             );
         }
         drop(tracer);
-
-        io().inspect_err(|_| {
-            // A failed I/O charges nothing and moves nothing, but must
-            // still release the arm.
-            self.release_arm(self.lock_state());
-        })?;
-        let mut st = self.lock_state();
-        let (t, seek_blocks) = st.arm.charge(first_block, len, continuation);
-        st.last_end = Some((kind, st.arm.head));
-        st.continue_below = st.arm.next_id;
-        // Charged before the arm frees, so the next pick judges deadlines
-        // after this service.
+        io()?;
+        let (t, seek_blocks) = self.arm.lock().charge(first_block, len);
         self.clock.advance(t);
-        self.release_arm(st);
-        if continuation {
-            self.stats.incr("disk_coalesced_ios");
-        } else {
-            self.stats.add("disk_seek_blocks", seek_blocks);
-        }
+        self.stats.add("disk_seek_blocks", seek_blocks);
         Ok(())
     }
 
-    /// One scheduled read of `len` bytes (on the background lane when
-    /// `low`), counted once it succeeds.
+    /// One scheduled read of `len` bytes, counted once it succeeds.
     fn read(
         &self,
         first_block: u64,
         len: u64,
-        low: bool,
         io: impl FnOnce() -> Result<(), DiskError>,
     ) -> Result<(), DiskError> {
-        self.run_io(ReqKind::Read, first_block, len, low, io)?;
+        self.run_io(ReqKind::Read, first_block, len, io)?;
         self.stats.incr("disk_reads");
         self.stats.add("disk_bytes_read", len);
         Ok(())
-    }
-
-    /// Frees the arm and wakes the parked threads, if there are any.  A
-    /// thread leaves the scheduler lock with its request queued only by
-    /// parking (see `run_io`), so the two queues are exactly the parked
-    /// threads; with both empty the `notify_all`, which makes a futex
-    /// syscall even when nobody waits, is skipped.
-    fn release_arm(&self, mut st: MutexGuard<'_, SchedState>) {
-        st.busy = false;
-        let parked = !st.arm.pending.is_empty() || !st.low_pending.is_empty();
-        drop(st);
-        if parked {
-            self.cv.notify_all();
-        }
     }
 }
 
@@ -761,26 +574,19 @@ impl<D: BlockDevice> BlockDevice for SchedDisk<D> {
 
     fn read_blocks(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
         let len = buf.len() as u64;
-        self.read(first_block, len, false, || {
+        self.read(first_block, len, || {
             self.inner.read_blocks(first_block, buf)
         })
     }
 
     fn write_blocks(&self, first_block: u64, data: &[u8]) -> Result<(), DiskError> {
         let len = data.len() as u64;
-        self.run_io(ReqKind::Write, first_block, len, false, || {
+        self.run_io(ReqKind::Write, first_block, len, || {
             self.inner.write_blocks(first_block, data)
         })?;
         self.stats.incr("disk_writes");
         self.stats.add("disk_bytes_written", len);
         Ok(())
-    }
-
-    fn read_blocks_low(&self, first_block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
-        let len = buf.len() as u64;
-        self.read(first_block, len, true, || {
-            self.inner.read_blocks(first_block, buf)
-        })
     }
 
     fn read_blocks_append(
@@ -790,7 +596,7 @@ impl<D: BlockDevice> BlockDevice for SchedDisk<D> {
         out: &mut Vec<u8>,
     ) -> Result<(), DiskError> {
         let len = blocks.saturating_mul(self.block_size() as u64);
-        self.read(first_block, len, false, || {
+        self.read(first_block, len, || {
             self.inner.read_blocks_append(first_block, blocks, out)
         })
     }
@@ -802,10 +608,10 @@ impl<D: BlockDevice> BlockDevice for SchedDisk<D> {
 
 impl<D: BlockDevice> std::fmt::Debug for SchedDisk<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.lock_state();
+        let arm = self.arm.lock();
         f.debug_struct("SchedDisk")
-            .field("policy", &st.arm.cfg.policy)
-            .field("queue_len", &st.arm.pending.len())
+            .field("policy", &arm.cfg.policy)
+            .field("head", &arm.head)
             .finish()
     }
 }
@@ -814,7 +620,8 @@ impl<D: BlockDevice> std::fmt::Debug for SchedDisk<D> {
 mod tests {
     use super::*;
     use crate::RamDisk;
-    use std::sync::Arc;
+    use std::sync::{Arc, Condvar, Mutex as StdMutex};
+    use std::time::Duration;
 
     fn sim(cfg: SchedConfig) -> ArmSim {
         ArmSim::new(cfg, DiskProfile::scsi_1989(), 1024, 65_536)
@@ -1105,8 +912,8 @@ mod tests {
     }
 
     /// A device that records the order I/Os actually reach the media and
-    /// can hold the first I/O open until released, so a test can build a
-    /// real queue behind a busy arm.
+    /// can hold the first I/O open until released, so a test can keep one
+    /// transfer in flight while others run.
     struct GateDisk {
         inner: RamDisk,
         order: StdMutex<Vec<u64>>,
@@ -1163,105 +970,12 @@ mod tests {
         }
     }
 
-    /// Holds the arm at block 5 000 with an 8-block write, queues 8-block
-    /// writes at 40 000, 100 and 5 008 behind it in that order, then lets
-    /// them all run: the order the writes reached the media, the clock,
-    /// and the disk.
-    fn gated_queue(cfg: SchedConfig) -> (Vec<u64>, Nanos, Arc<SchedDisk<GateDisk>>) {
-        let clock = SimClock::new();
-        let disk = Arc::new(SchedDisk::new(
-            GateDisk::new(RamDisk::new(1024, 65_536)),
-            clock.clone(),
-            DiskProfile::scsi_1989(),
-            cfg,
-        ));
-
-        // First writer seizes the arm at block 5 000 and blocks on the
-        // gate inside the media I/O.
-        let d0 = disk.clone();
-        let t0 = std::thread::spawn(move || d0.write_blocks(5_000, &vec![1u8; 8 << 10]).unwrap());
-        while disk.inner().order.lock().unwrap().is_empty() {
-            std::thread::yield_now();
-        }
-
-        // Three more writers queue behind it: one adjacent to where the
-        // arm will stop (5 008), one far up (40 000), one far down (100).
-        let mut workers = Vec::new();
-        for b in [40_000u64, 100, 5_008] {
-            let d = disk.clone();
-            workers.push(std::thread::spawn(move || {
-                d.write_blocks(b, &vec![2u8; 8 << 10]).unwrap();
-            }));
-            // Submission order is made deterministic by waiting for each
-            // request to be queued before spawning the next.
-            while disk.queue_len() < workers.len() {
-                std::thread::yield_now();
-            }
-        }
-
-        disk.inner().release();
-        t0.join().unwrap();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let order = disk.inner().order.lock().unwrap().clone();
-        (order, clock.now(), disk)
-    }
-
     #[test]
-    fn concurrent_requests_are_granted_in_policy_order_with_coalescing() {
-        let (order, _, disk) = gated_queue(SchedConfig::default()); // SCAN + coalesce
-
-        // SCAN from 5 008 sweeping up: 5 008 (a zero-seek continuation of
-        // the first write), 40 000, then reverse down to 100.
-        assert_eq!(order, vec![5_000, 5_008, 40_000, 100]);
-        assert_eq!(disk.stats().get("disk_coalesced_ios"), 1);
-        assert_eq!(disk.stats().get("disk_queue_depth_max"), 3);
-        assert_eq!(disk.stats().get("disk_writes"), 4);
-        // The continuation charged no seek: total arm travel is the first
-        // positioning (5 000) + up to 40 000 + back down to 100.
-        assert_eq!(
-            disk.stats().get("disk_seek_blocks"),
-            5_000 + (40_000 - 5_016) + (40_008 - 100)
-        );
-
-        // Without coalescing or aging, a real queue is served exactly as
-        // the virtual-time engine serves the same requests: same media
-        // order, same clock, same arm travel, under every policy.
-        for (policy, served) in [
-            (SchedPolicy::Fifo, [40_000, 100, 5_008]),
-            (SchedPolicy::Scan, [5_008, 40_000, 100]),
-            (SchedPolicy::Sptf, [5_008, 100, 40_000]),
-        ] {
-            let cfg = SchedConfig {
-                policy,
-                coalesce: false,
-                deadline: Nanos::ZERO,
-            };
-            let (order, now, disk) = gated_queue(cfg);
-            assert_eq!(order[1..], served, "{policy:?}");
-            let mut sim = ArmSim::new(cfg, DiskProfile::scsi_1989(), 1024, 65_536);
-            sim.submit(ReqKind::Write, 5_000, 8, Nanos::ZERO);
-            // The held write is granted alone, before the others queue.
-            let held = sim.service_one().unwrap();
-            for b in [40_000, 100, 5_008] {
-                sim.submit(ReqKind::Write, b, 8, Nanos::ZERO);
-            }
-            let sim_order: Vec<u64> = std::iter::once(held.first_block)
-                .chain(drain(&mut sim).iter().map(|v| v.first_block))
-                .collect();
-            assert_eq!(order, sim_order, "{policy:?}");
-            assert_eq!(now, sim.now(), "{policy:?}");
-            assert_eq!(
-                disk.stats().get("disk_seek_blocks"),
-                sim.stats().seek_blocks,
-                "{policy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn background_lane_yields_to_foreground() {
+    fn transfers_on_one_disk_overlap_on_the_host() {
+        // A's write is held open inside the device; B's write to another
+        // range of the same disk must complete meanwhile, and the two are
+        // charged in completion order: B, then A from where B left the
+        // head.
         let clock = SimClock::new();
         let disk = Arc::new(SchedDisk::new(
             GateDisk::new(RamDisk::new(1024, 65_536)),
@@ -1269,84 +983,50 @@ mod tests {
             DiskProfile::scsi_1989(),
             SchedConfig::default(),
         ));
-
-        // Seize the arm at block 5 000; the gate holds the I/O open.
-        let d0 = disk.clone();
-        let t0 = std::thread::spawn(move || d0.write_blocks(5_000, &vec![1u8; 1024]).unwrap());
+        let d = disk.clone();
+        let a = std::thread::spawn(move || d.write_blocks(5_000, &[1u8; 8 << 10]).unwrap());
         while disk.inner().order.lock().unwrap().is_empty() {
             std::thread::yield_now();
         }
-
-        // A background read lands *adjacent to where the arm will stop*
-        // (zero seek — SPTF/SCAN would love it), then two foreground
-        // writes far away queue behind it.
-        let d1 = disk.clone();
-        let bg = std::thread::spawn(move || {
-            let mut buf = vec![0u8; 1024];
-            d1.read_blocks_low(5_001, &mut buf).unwrap();
+        let (done, b_done) = std::sync::mpsc::channel();
+        let d = disk.clone();
+        let b = std::thread::spawn(move || {
+            d.write_blocks(40_000, &[2u8; 8 << 10]).unwrap();
+            done.send(()).unwrap();
         });
-        while disk.low_queue_len() < 1 {
-            std::thread::yield_now();
-        }
-        let mut workers = Vec::new();
-        for b in [40_000u64, 100] {
-            let d = disk.clone();
-            workers.push(std::thread::spawn(move || {
-                d.write_blocks(b, &vec![2u8; 1024]).unwrap();
-            }));
-            while disk.queue_len() < workers.len() {
-                std::thread::yield_now();
-            }
-        }
-
+        let overlapped = b_done.recv_timeout(Duration::from_secs(5));
+        // Released either way, so a failure does not leave A held.
         disk.inner().release();
-        t0.join().unwrap();
-        bg.join().unwrap();
-        for w in workers {
-            w.join().unwrap();
-        }
+        a.join().unwrap();
+        b.join().unwrap();
+        assert!(
+            overlapped.is_ok(),
+            "B's write waited for A's transfer to complete"
+        );
 
-        // Both foreground writes beat the background read even though the
-        // read was queued first and sits nearest the head.
-        let order = disk.inner().order.lock().unwrap().clone();
-        assert_eq!(order, vec![5_000, 40_000, 100, 5_001]);
-        assert_eq!(disk.stats().get("sched_low_queued"), 1);
-        assert_eq!(disk.queue_len(), 0);
-        assert_eq!(disk.low_queue_len(), 0);
-    }
-
-    #[test]
-    fn low_priority_read_matches_plain_read_when_idle() {
-        // With nothing else queued the background lane charges exactly
-        // what a foreground read would: same arm, same profile.
-        let run = |low: bool| {
-            let c = SimClock::new();
-            let d = SchedDisk::new(
-                RamDisk::new(1024, 10_000),
-                c.clone(),
-                DiskProfile::scsi_1989(),
-                SchedConfig::default(),
-            );
-            d.write_blocks(500, &[7u8; 2048]).unwrap();
-            let mut buf = [0u8; 2048];
-            if low {
-                d.read_blocks_low(500, &mut buf).unwrap();
-            } else {
-                d.read_blocks(500, &mut buf).unwrap();
-            }
-            (c.now(), d.stats().get("disk_reads"))
-        };
-        assert_eq!(run(false), run(true));
+        let mut sim = ArmSim::new(
+            SchedConfig::default(),
+            DiskProfile::scsi_1989(),
+            1024,
+            65_536,
+        );
+        sim.submit(ReqKind::Write, 40_000, 8, Nanos::ZERO);
+        sim.service_one().unwrap();
+        sim.submit(ReqKind::Write, 5_000, 8, sim.now());
+        sim.service_one().unwrap();
+        assert_eq!(clock.now(), sim.now());
+        assert_eq!(
+            disk.stats().get("disk_seek_blocks"),
+            sim.stats().seek_blocks
+        );
+        assert_eq!(disk.stats().get("disk_queue_depth_max"), 1);
     }
 
     #[test]
     fn concurrent_waiters_never_deadlock_under_deadline_flips() {
-        // Regression: with a time-dependent deadline verdict and a grant
-        // decision re-evaluated on every wakeup, two waiters could each
-        // see the other as the pick and both park with the arm free —
-        // permanently wedging the disk.  The recorded per-period grant
-        // makes the pick stable; this hammers the window with a deadline
-        // so short every completion flips some request into promotion.
+        // Eight writers race on one arm under a deadline so short that a
+        // queue would flip some request into promotion at every
+        // completion: every write completes and none waits for another.
         let clock = SimClock::new();
         let disk = Arc::new(SchedDisk::new(
             RamDisk::new(512, 65_536),
@@ -1373,14 +1053,14 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(disk.stats().get("disk_writes"), 8 * 64);
-        assert_eq!(disk.queue_len(), 0);
+        assert_eq!(disk.stats().get("disk_queue_depth_max"), 1);
     }
 
     #[test]
     fn serial_stream_matches_armsim_for_every_policy() {
-        // One request at a time, the threaded scheduler's grant is the
-        // virtual-time engine's: same clock, same arm travel, and every
-        // I/O starting from the same head.  The stream jumps behind the
+        // One request at a time, the real-stack charge is the virtual-time
+        // engine's: same clock, same arm travel, and every I/O starting
+        // from the same head.  The stream jumps behind the
         // head, so SCAN reverses its sweep.
         let stream: &[(ReqKind, u64, u64)] = &[
             (ReqKind::Write, 30_000, 8),
@@ -1407,9 +1087,9 @@ mod tests {
             let mut sim = ArmSim::new(cfg, DiskProfile::scsi_1989(), 1024, 65_536);
             let (mut disk_heads, mut sim_heads) = (Vec::new(), Vec::new());
             for &(kind, first, blocks) in stream {
-                // Serial: the head under the scheduler lock now is the
-                // head this request is submitted against.
-                disk_heads.push(disk.lock_state().arm.head);
+                // Serial: the head under the arm's lock now is the head
+                // this request is charged from.
+                disk_heads.push(disk.arm.lock().head);
                 let mut buf = vec![0u8; blocks as usize * 1024];
                 match kind {
                     ReqKind::Read => disk.read_blocks(first, &mut buf).unwrap(),
@@ -1431,11 +1111,12 @@ mod tests {
 
     #[test]
     fn idle_grants_and_parked_waiters_never_lose_a_wakeup() {
-        // Seeded think times leave the arm idle often enough for grants on
-        // submission and busy often enough for parking, on both lanes, and
-        // the deadline is short enough to flip grants into promotions.  A
-        // lost wake-up parks a thread forever, so the test thread watches
-        // the workers against a timeout instead of joining them blind.
+        // Seeded think times leave the arm idle at some arrivals and mid
+        // transfer at others, for reads and writes, under a deadline short
+        // enough to flip a queue's picks into promotions.  A thread that
+        // waited on another's transfer could wait forever, so the test
+        // thread watches the workers against a timeout instead of joining
+        // them blind.
         const THREADS: u64 = 8;
         const IOS: u64 = 500;
         let disk = Arc::new(SchedDisk::new(
@@ -1462,7 +1143,7 @@ mod tests {
                         if rng & 1 == 0 {
                             d.write_blocks(block, &buf).unwrap();
                         } else {
-                            d.read_blocks_low(block, &mut buf).unwrap();
+                            d.read_blocks(block, &mut buf).unwrap();
                         }
                         for _ in 0..(rng >> 40) % 2_000 {
                             std::hint::spin_loop();
@@ -1477,7 +1158,7 @@ mod tests {
             match finished.recv_timeout(std::time::Duration::from_secs(30)) {
                 Ok(()) => {}
                 Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    panic!("lost wake-up: {left} of {THREADS} threads still wait after 30 s")
+                    panic!("{left} of {THREADS} threads still wait after 30 s")
                 }
                 // A worker panicked; its join below reports why.
                 Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
@@ -1486,8 +1167,7 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
-        assert_eq!(disk.queue_len(), 0);
-        assert_eq!(disk.low_queue_len(), 0);
+        assert_eq!(disk.stats().get("disk_queue_depth_max"), 1);
         assert_eq!(
             disk.stats().get("disk_reads") + disk.stats().get("disk_writes"),
             THREADS * IOS
